@@ -70,7 +70,6 @@ func main() {
 		threads  = flag.Int("threads", 1, "worker threads per node")
 		sendBufs = flag.Int("sendbufs", 4, "send buffers per node")
 		recvBufs = flag.Int("recvbufs", 16, "receive buffers per node")
-		groups   = flag.Int("groups", 1, "ready-queue groups per node (Sec VII-C)")
 		polling  = flag.Bool("polling", false, "poll for edges in workers instead of a receiver goroutine (Sec V-A)")
 		priority = flag.String("priority", "column", "tile priority: column, levelset, fifo")
 		sched    = flag.String("sched", "hybrid", "tile scheduler: hybrid (static wavefront + dynamic), dynamic (dependence-count everything)")
@@ -172,7 +171,6 @@ func main() {
 	cfg := dpgen.Config{
 		Nodes: *nodes, Threads: *threads,
 		SendBufs: *sendBufs, RecvBufs: *recvBufs,
-		QueueGroups: *groups,
 		PollingRecv: *polling,
 		Checkpoint: dpgen.CheckpointConfig{
 			Dir:        *ckptDir,

@@ -36,23 +36,13 @@ func TestFastPathEquivalence(t *testing.T) {
 			for _, nodes := range []int{1, 4} {
 				for _, threads := range []int{1, 4} {
 					for _, polling := range []bool{false, true} {
-						for _, groups := range []int{1, 2} {
-							// The scheduler axis rides on the group axis
-							// (it is orthogonal to message handling, so the
-							// full cross product buys nothing): groups=1
-							// runs the default hybrid scheduler, groups=2
-							// forces pure-dynamic dependence counting.
-							sched := engine.SchedHybrid
-							if groups == 2 {
-								sched = engine.SchedDynamic
-							}
+						for _, sched := range []engine.Sched{engine.SchedHybrid, engine.SchedDynamic} {
 							cfg := engine.Config{
 								Nodes: nodes, Threads: threads,
-								PollingRecv: polling, QueueGroups: groups,
-								Sched: sched,
+								PollingRecv: polling, Sched: sched,
 							}
-							label := fmt.Sprintf("nodes=%d threads=%d polling=%v groups=%d sched=%v",
-								nodes, threads, polling, groups, sched)
+							label := fmt.Sprintf("nodes=%d threads=%d polling=%v sched=%v",
+								nodes, threads, polling, sched)
 							fast, err := engine.Run(tl, p.Kernel, params, cfg)
 							if err != nil {
 								t.Fatalf("%s: fast: %v", label, err)

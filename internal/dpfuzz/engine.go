@@ -209,8 +209,8 @@ func CheckEngine(in *Instance) error {
 	multi := engine.Config{
 		Nodes: in.Nodes, Threads: in.Threads,
 		SendBufs: in.SendBufs, RecvBufs: in.RecvBufs,
-		QueueGroups: in.QueueGroups, Priority: in.Priority,
-		Sched: in.Sched, Balance: in.Balance, PollingRecv: in.PollingRecv,
+		Priority: in.Priority, Sched: in.Sched,
+		Balance: in.Balance, PollingRecv: in.PollingRecv,
 	}
 	noFast := multi
 	noFast.DisableFastPath = true

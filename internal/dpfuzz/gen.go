@@ -51,10 +51,12 @@ type Instance struct {
 	D int64
 
 	// Randomized runtime knobs for the differential layer.
-	Nodes       int
-	Threads     int
-	SendBufs    int
-	RecvBufs    int
+	Nodes    int
+	Threads  int
+	SendBufs int
+	RecvBufs int
+	// QueueGroups is ignored. The engine knob it fed is gone; the field
+	// stays so GoLiteral seeds recorded before its removal still compile.
 	QueueGroups int
 	Priority    engine.Priority
 	Sched       engine.Sched
@@ -450,7 +452,7 @@ func GenerateClass(seed uint64, class Class) *Instance {
 	in.Threads = 2 + rng.Intn(2)
 	in.SendBufs = 1 + rng.Intn(4)
 	in.RecvBufs = 1 + rng.Intn(4)
-	in.QueueGroups = 1 + rng.Intn(2)
+	rng.Intn(2) // the retired QueueGroups axis: the draw stays so every seed still yields the same instance
 	in.Priority = []engine.Priority{engine.ColumnMajor, engine.LevelSet, engine.FIFO}[rng.Intn(3)]
 	in.Sched = []engine.Sched{engine.SchedHybrid, engine.SchedDynamic}[rng.Intn(2)]
 	in.Balance = []balance.Method{balance.Prefix, balance.Hyperplane}[rng.Intn(2)]

@@ -103,7 +103,10 @@ func CheckKillRecover(in *Instance) error {
 			DialTimeout: 15 * time.Second,
 		})
 		if err != nil {
-			return fmt.Errorf("rank 1 rejoin: %w", err)
+			// Rank 0 refusing the rejoin means its own endpoint is gone:
+			// its error is the cause, this one the symptom.
+			wg.Wait()
+			return fmt.Errorf("rank 1 rejoin: %w (rank 0: %v)", err, err0)
 		}
 		res1, err1 = engine.Run(tl, kernel, params, engine.Config{
 			Transport: tr1b, Threads: threads, Checkpoint: resumed,

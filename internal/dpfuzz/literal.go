@@ -22,8 +22,8 @@ func GoLiteral(in *Instance) string {
 	} else {
 		fmt.Fprintf(&b, "\tSeed: %#x, N: %d,\n", in.Seed, in.N)
 	}
-	fmt.Fprintf(&b, "\tNodes: %d, Threads: %d, SendBufs: %d, RecvBufs: %d, QueueGroups: %d,\n",
-		in.Nodes, in.Threads, in.SendBufs, in.RecvBufs, in.QueueGroups)
+	fmt.Fprintf(&b, "\tNodes: %d, Threads: %d, SendBufs: %d, RecvBufs: %d,\n",
+		in.Nodes, in.Threads, in.SendBufs, in.RecvBufs)
 	fmt.Fprintf(&b, "\tPriority: %s, Sched: %s, Balance: %s, PollingRecv: %v,\n",
 		priorityName(in.Priority), schedName(in.Sched), balanceName(in.Balance), in.PollingRecv)
 	fmt.Fprintf(&b, "}\n")

@@ -35,6 +35,8 @@ var regressionCases = []struct {
 		// loop synthesis then failed with "variable unbounded below".
 		name: "soak-10067-infeasible-pack-slab",
 		build: func() *Instance {
+			// QueueGroups is left as recorded: literals from before the
+			// knob's removal must keep compiling (the field is ignored).
 			in := &Instance{
 				Seed: 0x2753, N: 1,
 				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 3, QueueGroups: 1,
@@ -67,7 +69,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0x2985, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("fuzz_0000000000002985", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -93,7 +95,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0x29d5, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 4,
 				Priority: engine.LevelSet, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("fuzz_00000000000029d5", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -119,7 +121,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0001, N: 25,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.FIFO, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_chain", []string{"N"}, []string{"v0"})
@@ -138,7 +140,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0002, N: 11,
-				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 2,
+				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_mag2", []string{"N"}, []string{"v0", "v1"})
@@ -159,7 +161,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0003, N: 12,
-				Nodes: 2, Threads: 3, SendBufs: 1, RecvBufs: 3, QueueGroups: 1,
+				Nodes: 2, Threads: 3, SendBufs: 1, RecvBufs: 3,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_band", []string{"N"}, []string{"v0", "v1"})
@@ -182,7 +184,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0004, N: 7,
-				Nodes: 3, Threads: 3, SendBufs: 4, RecvBufs: 1, QueueGroups: 2,
+				Nodes: 3, Threads: 3, SendBufs: 4, RecvBufs: 1,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix, PollingRecv: true,
 			}
 			sp := spec.MustNew("regress_rev", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -205,7 +207,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0005, N: 6,
-				Nodes: 2, Threads: 2, SendBufs: 3, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 3, RecvBufs: 2,
 				Priority: engine.LevelSet, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_mixed", []string{"N"}, []string{"v0", "v1", "v2"})
@@ -231,7 +233,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0006, N: 13,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.FIFO, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_neg", []string{"N"}, []string{"v0", "v1"})
@@ -254,7 +256,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0008, N: 12, D: 2,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_vardist", []string{"N", "D"}, []string{"v0", "v1"})
@@ -278,7 +280,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0009, N: 24, D: 2,
-				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 2, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 1, RecvBufs: 2,
 				Priority: engine.FIFO, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_rangechain", []string{"N", "D"}, []string{"v0"})
@@ -301,7 +303,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de000a, N: 11, D: 2,
-				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2, QueueGroups: 2,
+				Nodes: 3, Threads: 2, SendBufs: 2, RecvBufs: 2,
 				Priority: engine.LevelSet, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("regress_varstep", []string{"N", "D"}, []string{"v0", "v1"})
@@ -327,7 +329,7 @@ var regressionCases = []struct {
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0007, N: 11,
-				Nodes: 6, Threads: 2, SendBufs: 1, RecvBufs: 1, QueueGroups: 1,
+				Nodes: 6, Threads: 2, SendBufs: 1, RecvBufs: 1,
 				Priority: engine.ColumnMajor, Sched: engine.SchedHybrid, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_allboundary", []string{"N"}, []string{"v0"})
@@ -339,6 +341,80 @@ var regressionCases = []struct {
 			return in
 		},
 	},
+	{
+		// All-boundary shape for the row plan: a diagonal band three
+		// cells wide under 4x4 tiles, so no tile is interior and every
+		// row's bounds come from the band; positive templates make both
+		// loops descend; and the one range template reads up to three
+		// cells along the innermost variable, so its validity interval
+		// and its clamped lengths change inside a row. Everything the
+		// row path does differently from the checked enumerator, with
+		// no interior tile to hide behind (TestRowsRegressionShape
+		// keeps the shape honest).
+		name: rowsRegression,
+		build: func() *Instance {
+			in := &Instance{
+				Seed: 0xc0de000c, N: 11, D: 2,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2,
+				Priority: engine.ColumnMajor, Sched: engine.SchedHybrid, Balance: balance.Prefix,
+			}
+			sp := spec.MustNew("regress_rowsband", []string{"N", "D"}, []string{"v0", "v1"})
+			sp.MustConstrain("0 <= v0 <= N")
+			sp.MustConstrain("0 <= v1 <= N")
+			sp.MustConstrain("v0 - v1 <= 1")
+			sp.MustConstrain("v1 - v0 <= 1")
+			sp.Bound("D", 1, 2)
+			sp.MustAddDepSpec("diag", "1, 1", "", "")
+			sp.MustAddDepSpec("run", "0, 1", "0, 1", "D + 1")
+			sp.TileWidths = []int64{4, 4}
+			sp.LBDims = []string{"v0"}
+			in.Spec = sp
+			return in
+		},
+	},
+}
+
+const rowsRegression = "rows-all-boundary-descending-range"
+
+// TestRowsRegressionShape checks that the pinned row-plan case is what
+// its comment says: no interior tile, a descending innermost loop, and
+// exactly one range template.
+func TestRowsRegressionShape(t *testing.T) {
+	for _, tc := range regressionCases {
+		if tc.name != rowsRegression {
+			continue
+		}
+		in := tc.build()
+		tl, err := in.tiling()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiles := 0
+		tl.ForEachTileLevel(in.pvals(in.N), func(tile []int64, _ int64, interior bool) bool {
+			tiles++
+			if interior {
+				t.Errorf("tile %v is interior", tile)
+			}
+			return true
+		})
+		if tiles < 4 {
+			t.Errorf("only %d tiles", tiles)
+		}
+		if inner := tl.Dense[len(tl.Dense)-1]; inner.Dir >= 0 {
+			t.Errorf("innermost loop over %s ascends", in.Spec.Vars[inner.Var])
+		}
+		ranges := 0
+		for j := range in.Spec.Deps {
+			if in.Spec.Deps[j].IsRange() {
+				ranges++
+			}
+		}
+		if ranges != 1 {
+			t.Errorf("%d range templates, want 1", ranges)
+		}
+		return
+	}
+	t.Fatalf("no regression case named %q", rowsRegression)
 }
 
 // TestRegressions replays every pinned case through the full oracle

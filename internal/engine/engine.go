@@ -17,14 +17,17 @@
 // them to the owning rank. A receiver goroutine per node plays the
 // role of the paper's "poll for incoming edges" step.
 //
-// The hot path is split by the interior-tile classification of
-// dpgen/internal/tiling: tiles whose whole dependence shell lies inside
-// the iteration space run a precompiled dense loop nest with no per-cell
-// validity checks, and pack/unpack collapse to strided copies; only
-// boundary tiles pay for the exact nest. Edge buffers cycle through the
-// mpi package's pools and the pending table is keyed by a collision-free
-// integer packing of the tile coordinates, so the steady-state loop
-// allocates nothing.
+// The hot path runs on a row plan bound to the run's parameters
+// (tiling.RowPlan): a tile is walked row by row, bounds evaluated once
+// per row and dependence validity as intervals, and one cell loop
+// executes the runs. Tiles whose whole dependence shell lies inside the
+// iteration space (the interior-tile classification of
+// dpgen/internal/tiling) need no evaluation at all, and their
+// pack/unpack collapse to strided copies. The checked per-cell
+// enumerator remains as the reference path (Config.DisableFastPath).
+// Edge buffers cycle through the mpi package's pools and the pending
+// table is keyed by a collision-free integer packing of the tile
+// coordinates, so the steady-state loop allocates nothing.
 //
 // Only tiles in execution have full buffers; tiles awaiting execution
 // hold just their edges, giving the O(n^{d-1}) memory behaviour of
@@ -70,11 +73,6 @@ type Config struct {
 	// the MPI inbox between tiles and while blocked in sends. The
 	// default (false) uses a dedicated receiver goroutine per node.
 	PollingRecv bool
-	// QueueGroups is accepted for compatibility but inert: the
-	// scheduler now always shards the ready queue per worker with
-	// stealing (see steal.go), which subsumes the Section VII-C
-	// grouped-queue proposal this knob used to select.
-	QueueGroups int
 	Priority    Priority
 	// Sched selects the tile scheduler: SchedHybrid (default) uses the
 	// static wavefront phase for interior all-local tiles, SchedDynamic
@@ -82,11 +80,13 @@ type Config struct {
 	// way; see sched.go.
 	Sched   Sched
 	Balance balance.Method
-	// DisableFastPath forces every tile through the exact
-	// boundary-tile machinery (per-cell validity checks, nest-driven
-	// pack/unpack), bypassing the interior-tile classification. Results
-	// are bit-identical either way; the flag exists for verification
-	// and overhead measurement.
+	// DisableFastPath forces every tile through the checked reference
+	// machinery (the bound-evaluating cell enumerator with per-cell
+	// validity checks, nest-driven pack/unpack), bypassing the row plan
+	// and the interior-tile classification. Results are bit-identical
+	// either way; the flag exists for verification and overhead
+	// measurement. A run whose parameters defeat the row plan's overflow
+	// proof (tiling.RowPlan.OK) behaves as if it were set.
 	DisableFastPath bool
 	// OnCell, if set, is invoked for every computed cell with the global
 	// coordinates and the computed value. Called concurrently from
@@ -159,12 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecvBufs == 0 {
 		c.RecvBufs = 16
-	}
-	if c.QueueGroups < 1 {
-		c.QueueGroups = 1
-	}
-	if c.QueueGroups > c.Threads {
-		c.QueueGroups = c.Threads
 	}
 	if c.Checkpoint.Dir != "" && c.Checkpoint.EveryTiles <= 0 {
 		c.Checkpoint.EveryTiles = 64
@@ -271,11 +265,11 @@ type engine struct {
 
 	// Per-run dependence geometry: the template base offsets and range
 	// steps evaluated at this run's parameter values (variable-distance
-	// templates make them parameter-dependent), plus the interior-tile
-	// evaluation plan for range lengths.
+	// templates make them parameter-dependent), and the row plan bound
+	// to them (nil with DisableFastPath).
 	depLocOff []int64
 	depStride []int64
-	rangeLens []rangeLen
+	rows      *tiling.RowPlan
 
 	keyDims   []int // priority key dimension order (var indexes)
 	goalTile  []int64
@@ -400,6 +394,19 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 			return nil, err
 		}
 	}
+	var rows *tiling.RowPlan
+	if !cfg.DisableFastPath {
+		if prep != nil {
+			rows = prep.rows
+		} else {
+			rows = tl.BindRows(params)
+		}
+		// Without the overflow proof the plan's plain arithmetic is
+		// unsafe: the whole run takes the checked reference path.
+		if !rows.OK() {
+			rows, cfg.DisableFastPath = nil, true
+		}
+	}
 	e := &engine{
 		tl:     tl,
 		kernel: kernel,
@@ -407,6 +414,7 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 		cfg:    cfg,
 		assign: assign,
 		comm:   comm,
+		rows:   rows,
 	}
 	if el {
 		e.initialMembers = elMembers
@@ -415,7 +423,6 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 	e.goalTile, e.goalLocal = tl.GoalTile()
 	e.depLocOff = tl.DepLocOffAt(params)
 	e.depStride = tl.DepStrideAt(params)
-	e.buildRangeLens()
 	e.buildKeyDims()
 	if err := e.buildIntKeys(); err != nil {
 		return nil, err
@@ -1181,65 +1188,17 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 	}
 }
 
-// rangeLen is the interior-tile evaluation plan for one range
-// dependence's length form: base folds the parameter part at the run's
-// values and coef holds the loop-variable coefficients, so the per-cell
-// length is base + coef.x clamped at zero. Interior tiles never clamp
-// against the space boundary — the whole footprint shell is inside —
-// so the semantic length is the usable length.
-type rangeLen struct {
-	j    int
-	base int64
-	coef []int64
-}
-
-func (e *engine) buildRangeLens() {
-	sp := e.tl.Spec
-	if !sp.HasRangeDeps() {
-		return
-	}
-	vals := make([]int64, sp.Space().N())
-	copy(vals, e.params)
-	for j := range sp.Deps {
-		if !sp.Deps[j].IsRange() {
-			continue
-		}
-		le := e.tl.LenExprs[j]
-		rl := rangeLen{j: j, base: le.Eval(vals), coef: make([]int64, len(sp.Vars))}
-		for k, v := range sp.Vars {
-			rl.coef[k] = le.Coeff(v)
-		}
-		e.rangeLens = append(e.rangeLens, rl)
-	}
-}
-
-// setRangeLens fills the per-cell range lengths (and the matching
-// validity flags) for one interior cell at original coordinates x.
-func setRangeLens(ctx *Ctx, rls []rangeLen, x []int64) {
-	for _, rl := range rls {
-		v := rl.base
-		for k, c := range rl.coef {
-			if c != 0 {
-				v += c * x[k]
-			}
-		}
-		if v < 0 {
-			v = 0
-		}
-		ctx.DepLen[rl.j] = v
-		ctx.DepValid[rl.j] = v > 0
-	}
-}
-
 // workerState is per-worker scratch: the tile buffer with its ghost
-// shell, the kernel context, and the reusable polytope probe.
+// shell, the kernel context, the row walker (nil on the checked
+// reference path) and the reusable polytope probe.
 type workerState struct {
 	buf      []float64
 	ctx      Ctx
 	specVals []int64
 	x        []int64
-	i        []int64
+	xbase    []int64 // global coordinates of the current tile's local origin
 	tbuf     []int64 // producer/consumer tile scratch
+	rows     *tiling.RowWalker
 	probe    *tiling.TileProbe
 	ds       delivState
 	lane     *obs.Lane // trace timeline; nil when untraced
@@ -1251,7 +1210,7 @@ func newWorkerState(e *engine) *workerState {
 		buf:      make([]float64, e.tl.AllocLen),
 		specVals: make([]int64, e.tl.Spec.Space().N()),
 		x:        make([]int64, d),
-		i:        make([]int64, d),
+		xbase:    make([]int64, d),
 		tbuf:     make([]int64, d),
 		probe:    e.tl.NewProbe(e.params),
 	}
@@ -1259,16 +1218,23 @@ func newWorkerState(e *engine) *workerState {
 	// call-scoped on this worker's goroutine.
 	w.ds = delivState{probe: w.probe}
 	copy(w.specVals, e.params)
+	nd := len(e.tl.Spec.Deps)
 	w.ctx = Ctx{
-		V:        w.buf,
-		DepLoc:   make([]int64, len(e.tl.Spec.Deps)),
-		DepValid: make([]bool, len(e.tl.Spec.Deps)),
-		DepLen:   make([]int64, len(e.tl.Spec.Deps)),
+		V:      w.buf,
+		DepLoc: make([]int64, nd),
 		// The range steps are constant within a run, so every worker
 		// shares the engine's read-only slice.
 		DepStride: e.depStride,
 		X:         w.x,
 		P:         e.params,
+	}
+	if e.rows != nil {
+		// The walker maintains validity, lengths and local indices in
+		// place, one update per run instead of one per cell.
+		w.rows = e.rows.NewWalker()
+		w.ctx.DepValid, w.ctx.DepLen, w.ctx.I = w.rows.DepValid, w.rows.DepLen, w.rows.I
+	} else {
+		w.ctx.DepValid, w.ctx.DepLen = make([]bool, nd), make([]int64, nd)
 	}
 	return w
 }
@@ -1310,7 +1276,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	// slab order, so the elements match exactly. A full-slab edge (its
 	// length equals the dense size) unpacks with the precompiled strided
 	// copy regardless of how the producer packed it; partial boundary
-	// slabs walk the exact nest.
+	// slabs walk the producer's slab rows.
 	var freedElems int64
 	var nEdges int64
 	for _, ed := range p.edges {
@@ -1329,14 +1295,21 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 			for k := 0; k < d; k++ {
 				producer[k] = p.tile[k] + off[k]
 			}
-			idx := 0
-			tl.ForEachEdgeCell(e.params, producer, ed.dep, func(i []int64) bool {
-				w.buf[tl.UnpackLoc(ed.dep, i)] = ed.data[idx]
-				idx++
-				return true
-			})
-			if idx != len(ed.data) {
-				panic(fmt.Sprintf("engine: unpack size mismatch: %d cells, %d values", idx, len(ed.data)))
+			var got int
+			if fast {
+				got = w.rows.UnpackPartial(ed.dep, producer, w.buf, ed.data)
+			} else {
+				tl.ForEachEdgeCell(e.params, producer, ed.dep, func(i []int64) bool {
+					if got < len(ed.data) {
+						w.buf[tl.UnpackLoc(ed.dep, i)] = ed.data[got]
+					}
+					got++
+					return true
+				})
+			}
+			if got != len(ed.data) {
+				panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells",
+					ed.dep, p.tile, len(ed.data), got))
 			}
 		}
 		freedElems += int64(len(ed.data))
@@ -1360,41 +1333,16 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		t0 = lane.Now()
 	}
 
-	// Execute the cells in dependence order: interior tiles through the
-	// precompiled dense nest, boundary tiles through the exact
-	// bound-evaluating enumerator with per-cell validity checks.
+	// Execute the cells in dependence order: row by row through the
+	// bound row plan (an interior tile is its all-rows-full, all-valid
+	// case), or cell by cell through the checked reference enumerator.
 	var cells int64
 	tileMax := math.Inf(-1)
 	interior := fast && (p.static || w.probe.Interior(p.tile))
-	if interior {
-		cells, tileMax = n.execInterior(p, w)
+	if fast {
+		cells, tileMax = n.execRows(p, w, interior)
 	} else {
-		np := len(e.params)
-		nd := len(tl.Spec.Deps)
-		tl.ForEachCell(e.params, p.tile, func(i []int64) bool {
-			cells++
-			loc := tl.Loc(i)
-			for k := 0; k < d; k++ {
-				w.x[k] = i[k] + tl.Widths[k]*p.tile[k]
-				w.specVals[np+k] = w.x[k]
-			}
-			w.ctx.Loc = loc
-			w.ctx.I = i
-			for j := 0; j < nd; j++ {
-				w.ctx.DepLoc[j] = loc + e.depLocOff[j]
-				ln := tl.DepLenAt(j, w.specVals)
-				w.ctx.DepLen[j] = ln
-				w.ctx.DepValid[j] = ln > 0
-			}
-			e.kernel(&w.ctx)
-			if v := w.buf[loc]; v > tileMax {
-				tileMax = v
-			}
-			if e.cfg.OnCell != nil {
-				e.cfg.OnCell(w.x, w.buf[loc])
-			}
-			return true
-		})
+		cells, tileMax = n.execCellsChecked(p, w)
 	}
 	if lane != nil {
 		lane.Span(obs.KKernel, tid, -1, cells, t0)
@@ -1434,12 +1382,14 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		if !w.probe.InSpace(consumer) {
 			continue
 		}
-		var data []float64
-		if interior {
-			data = mpi.GetData(int(tl.InteriorEdgeSize[j]))
+		data := mpi.GetData(int(tl.InteriorEdgeSize[j]))
+		switch {
+		case interior:
 			tl.PackInterior(j, w.buf, data)
-		} else {
-			data = mpi.GetData(int(tl.InteriorEdgeSize[j]))[:0]
+		case fast:
+			data = w.rows.PackPartial(j, p.tile, w.buf, data[:0])
+		default:
+			data = data[:0]
 			tl.ForEachEdgeCell(e.params, p.tile, j, func(i []int64) bool {
 				data = append(data, w.buf[tl.Loc(i)])
 				return true
@@ -1557,131 +1507,104 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	}
 }
 
-// execInterior runs the precompiled dense loop nest over an interior
-// tile: every cell of the full rectangle is in the iteration space and
-// every template dependence is valid at every cell, so there are no
-// per-cell bound evaluations, no validity checks and no enumerator
-// closures — just an odometer over the outer levels and a tight
-// innermost loop with incremental buffer locations.
-func (n *node) execInterior(p *pendTile, w *workerState) (cells int64, tileMax float64) {
+// execCellsChecked is the reference cell loop: the exact
+// bound-evaluating enumerator with DepLenAt at every cell, all in
+// overflow-checked arithmetic. It runs when DisableFastPath is set or
+// the row plan's overflow proof failed, and is what the oracle diffs the
+// row path against.
+func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileMax float64) {
 	e := n.eng
 	tl := e.tl
-	lv := tl.Dense
-	d := len(lv)
+	np := len(e.params)
+	tileMax = math.Inf(-1)
+	tl.ForEachCell(e.params, p.tile, func(i []int64) bool {
+		cells++
+		loc := tl.Loc(i)
+		for k := range i {
+			w.x[k] = i[k] + tl.Widths[k]*p.tile[k]
+			w.specVals[np+k] = w.x[k]
+		}
+		w.ctx.Loc = loc
+		w.ctx.I = i
+		for j := range w.ctx.DepLoc {
+			w.ctx.DepLoc[j] = loc + e.depLocOff[j]
+			ln := tl.DepLenAt(j, w.specVals)
+			w.ctx.DepLen[j] = ln
+			w.ctx.DepValid[j] = ln > 0
+		}
+		e.kernel(&w.ctx)
+		if v := w.buf[loc]; v > tileMax {
+			tileMax = v
+		}
+		if e.cfg.OnCell != nil {
+			e.cfg.OnCell(w.x, w.buf[loc])
+		}
+		return true
+	})
+	return cells, tileMax
+}
+
+// execRows is the row runner: it executes a tile through the row plan.
+// The walker yields the tile's rows in execution order with bounds
+// evaluated once per row, and each row's runs of constant dependence
+// validity; the one inner cell loop below executes a run along the
+// innermost loop variable, in either direction, with the buffer
+// location advanced incrementally. Validity and point-dependence
+// lengths are already in place for the whole run; only a valid range
+// dependence's length is refreshed per cell. For an interior tile every
+// row is full and every run all-valid, with no bound or validity
+// evaluation at all.
+func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64, tileMax float64) {
+	e := n.eng
+	tl := e.tl
+	rw := w.rows
 	ctx := &w.ctx
-	ctx.I = w.i
-	for j := range ctx.DepValid {
-		ctx.DepValid[j] = true
-		ctx.DepLen[j] = 1
-	}
-	rls := e.rangeLens
-	depOff := e.depLocOff
-	nd := len(depOff)
+	// Slice headers live in locals: the kernel call cannot change them,
+	// so the cell loop reloads and re-checks nothing.
+	depOff, depLoc := e.depLocOff, ctx.DepLoc[:len(e.depLocOff)]
 	kernel := e.kernel
 	onCell := e.cfg.OnCell
-	buf := w.buf
-
-	// Outer-level odometer state; rowLoc is the buffer index of the
-	// current row's origin (innermost variable at local 0).
-	var idxArr [16]int64
-	idx := idxArr[:]
-	if d > len(idxArr) {
-		idx = make([]int64, d)
+	buf, x, xbase := w.buf, w.x, w.xbase
+	for k, wd := range tl.Widths {
+		xbase[k] = wd * p.tile[k]
 	}
-	rowLoc := tl.BaseOff
-	for l := 0; l < d-1; l++ {
-		L := lv[l]
-		if L.Dir < 0 {
-			idx[l] = L.Width - 1
-		}
-		rowLoc += idx[l] * L.Stride
-		w.i[L.Var] = idx[l]
-		w.x[L.Var] = tl.Widths[L.Var]*p.tile[L.Var] + idx[l]
-	}
-	in := lv[d-1]
-	iv := in.Var
-	xb := tl.Widths[iv] * p.tile[iv]
+	outer, in := tl.Dense[:len(tl.Dense)-1], tl.Dense[len(tl.Dense)-1]
+	li, xi, xb := &rw.I[in.Var], &x[in.Var], xbase[in.Var]
 	tileMax = math.Inf(-1)
-	for {
-		if in.Dir >= 0 {
-			loc := rowLoc
-			for i := int64(0); i < in.Width; i++ {
-				w.i[iv] = i
-				w.x[iv] = xb + i
+	rw.Begin(p.tile, interior)
+	for rw.NextRow() {
+		for _, L := range outer {
+			x[L.Var] = xbase[L.Var] + rw.I[L.Var]
+		}
+		for rw.NextRun() {
+			i, step, cnt := rw.From, int64(1), rw.To-rw.From+1
+			if rw.From > rw.To {
+				step, cnt = -1, rw.From-rw.To+1
+			}
+			cells += cnt
+			ranged := rw.Ranged
+			for loc := rw.RowLoc + i*in.Stride; cnt > 0; cnt-- {
+				*li, *xi = i, xb+i
 				ctx.Loc = loc
-				for j := 0; j < nd; j++ {
-					ctx.DepLoc[j] = loc + depOff[j]
+				for j, off := range depOff {
+					depLoc[j] = loc + off
 				}
-				if len(rls) != 0 {
-					setRangeLens(ctx, rls, w.x)
+				if ranged {
+					rw.CellLens(i)
 				}
 				kernel(ctx)
 				if v := buf[loc]; v > tileMax {
 					tileMax = v
 				}
 				if onCell != nil {
-					onCell(w.x, buf[loc])
+					onCell(x, buf[loc])
 				}
-				loc += in.Stride
+				i += step
+				loc += step * in.Stride
 			}
-		} else {
-			loc := rowLoc + (in.Width-1)*in.Stride
-			for i := in.Width - 1; i >= 0; i-- {
-				w.i[iv] = i
-				w.x[iv] = xb + i
-				ctx.Loc = loc
-				for j := 0; j < nd; j++ {
-					ctx.DepLoc[j] = loc + depOff[j]
-				}
-				if len(rls) != 0 {
-					setRangeLens(ctx, rls, w.x)
-				}
-				kernel(ctx)
-				if v := buf[loc]; v > tileMax {
-					tileMax = v
-				}
-				if onCell != nil {
-					onCell(w.x, buf[loc])
-				}
-				loc -= in.Stride
-			}
-		}
-		cells += in.Width
-
-		// Advance the outer odometer (innermost outer level first).
-		l := d - 2
-		for ; l >= 0; l-- {
-			L := lv[l]
-			if L.Dir >= 0 {
-				idx[l]++
-				rowLoc += L.Stride
-				w.i[L.Var] = idx[l]
-				w.x[L.Var]++
-				if idx[l] < L.Width {
-					break
-				}
-				idx[l] = 0
-				rowLoc -= L.Width * L.Stride
-				w.i[L.Var] = 0
-				w.x[L.Var] -= L.Width
-			} else {
-				idx[l]--
-				rowLoc -= L.Stride
-				w.i[L.Var] = idx[l]
-				w.x[L.Var]--
-				if idx[l] >= 0 {
-					break
-				}
-				idx[l] = L.Width - 1
-				rowLoc += L.Width * L.Stride
-				w.i[L.Var] = idx[l]
-				w.x[L.Var] += L.Width
-			}
-		}
-		if l < 0 {
-			return cells, tileMax
 		}
 	}
+	return cells, tileMax
 }
 
 // checkFinished signals global termination bookkeeping exactly once when

@@ -18,9 +18,9 @@ import (
 
 // Prepared is the reusable front half of a run for one fixed
 // (tiling, params, nodes, balance method) tuple: the load-balance
-// assignment and the initial-tile set. It is immutable after Prepare
-// and safe to share across concurrent Run calls — the same guarantee
-// the tiling analysis itself gives.
+// assignment, the initial-tile set and the bound row plan. It is
+// immutable after Prepare and safe to share across concurrent Run calls
+// — the same guarantee the tiling analysis itself gives.
 type Prepared struct {
 	tl          *tiling.Tiling
 	params      []int64
@@ -29,6 +29,7 @@ type Prepared struct {
 	assign      *balance.Assignment
 	initial     [][]int64
 	ownedTotals []int64 // nil when assign.Tiles is already exact
+	rows        *tiling.RowPlan
 	balanceTime time.Duration
 }
 
@@ -61,6 +62,7 @@ func Prepare(tl *tiling.Tiling, params []int64, nodes int, method balance.Method
 		assign:      assign,
 		initial:     initial,
 		ownedTotals: ownedTotals,
+		rows:        tl.BindRows(params),
 		balanceTime: time.Since(start),
 	}, nil
 }

@@ -14,10 +14,11 @@ import (
 // classifies tiles whose entire dependence shell lies inside the
 // iteration space. For such tiles every cell of the full w_1 x ... x w_d
 // rectangle is in the space and every template dependence is valid at
-// every cell, so the runtime (and the generated programs) can skip the
-// per-cell validity checks and the bound-evaluating enumerator and run a
-// precompiled dense loop nest instead; edge packing likewise collapses
-// to strided copies of constant-size slabs.
+// every cell, so the runtime (and the generated programs) can skip
+// bound and validity evaluation altogether (the row walker of rows.go
+// yields full, all-valid rows; generated programs run a dense loop
+// nest); edge packing likewise collapses to strided copies of
+// constant-size slabs.
 
 // DenseLevel is one loop of the precompiled interior-tile nest, in loop
 // order (outermost first).
@@ -243,51 +244,93 @@ func unpackRuns(outer []scanLevel, run, loc int64, buf, data []float64, idx int6
 // polytope queries of the runtime hot path (membership, dependence
 // count, interior classification). A probe is bound to one parameter
 // vector and must not be shared between goroutines.
+//
+// Binding folds the parameters into TileSys and InteriorSys and proves
+// (as BindRows does, see rows.go) that no form can overflow at a tile
+// inside the tile space's bounding box, so a query is a box test plus
+// plain dot products. When the proof fails the queries evaluate the
+// systems with checked arithmetic instead.
 type TileProbe struct {
-	tl    *Tiling
-	vals  []int64 // (params | t) scratch, params prefilled
-	nb    []int64 // neighbour-tile scratch
-	np    int
-	ndeps int
+	tl *Tiling
+	// Folded systems and the bounding box; folded is false when the
+	// overflow proof failed.
+	folded          bool
+	space, interior []affine
+	lo, hi          []int64
+	vals            []int64 // (params | t) scratch for the checked path, params prefilled
+	nb              []int64 // neighbour-tile scratch
+	np              int
 }
 
 // NewProbe creates a probe for the given parameters.
 func (tl *Tiling) NewProbe(params []int64) *TileProbe {
+	d := len(tl.Spec.Vars)
+	b, lo, hi := tl.newBinder(params, make([]int64, d))
 	pr := &TileProbe{
-		tl:    tl,
-		vals:  make([]int64, tl.tileSpace.N()),
-		nb:    make([]int64, len(tl.Spec.Vars)),
-		np:    len(params),
-		ndeps: len(tl.TileDeps),
+		tl:   tl,
+		lo:   lo,
+		hi:   hi,
+		vals: make([]int64, tl.tileSpace.N()),
+		nb:   make([]int64, d),
+		np:   len(params),
 	}
 	copy(pr.vals, params)
+	for _, q := range tl.TileSys.Ineqs {
+		pr.space = append(pr.space, b.bindTile(q.Expr))
+	}
+	for _, q := range tl.InteriorSys.Ineqs {
+		pr.interior = append(pr.interior, b.bindTile(q.Expr))
+	}
+	pr.folded = b.ok
 	return pr
+}
+
+// contains reports whether t satisfies the folded system forms (sys is
+// the same system unfolded, for the checked path). A tile outside the
+// bounding box is in neither the tile space nor its interior.
+func (pr *TileProbe) contains(forms []affine, sys *lin.System, t []int64) bool {
+	if !pr.folded {
+		copy(pr.vals[pr.np:], t)
+		return sys.Contains(pr.vals)
+	}
+	for k, v := range t {
+		if v < pr.lo[k] || v > pr.hi[k] {
+			return false
+		}
+	}
+	for i := range forms {
+		v := forms[i].k
+		for k, c := range forms[i].tc {
+			v += c * t[k]
+		}
+		if v < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // InSpace reports whether tile t exists, without allocating.
 func (pr *TileProbe) InSpace(t []int64) bool {
-	copy(pr.vals[pr.np:], t)
-	return pr.tl.TileSys.Contains(pr.vals)
+	return pr.contains(pr.space, pr.tl.TileSys, t)
 }
 
 // Interior reports whether tile t's full dependence shell lies inside
 // the iteration space.
 func (pr *TileProbe) Interior(t []int64) bool {
-	copy(pr.vals[pr.np:], t)
-	return pr.tl.InteriorSys.Contains(pr.vals)
+	return pr.contains(pr.interior, pr.tl.InteriorSys, t)
 }
 
 // DepCount counts the tile dependencies of t that exist in the tile
 // space, without allocating.
 func (pr *TileProbe) DepCount(t []int64) int {
 	n := 0
-	for j := 0; j < pr.ndeps; j++ {
+	for j := range pr.tl.TileDeps {
 		off := pr.tl.TileDeps[j].Offset
 		for k := range t {
 			pr.nb[k] = t[k] + off[k]
 		}
-		copy(pr.vals[pr.np:], pr.nb)
-		if pr.tl.TileSys.Contains(pr.vals) {
+		if pr.InSpace(pr.nb) {
 			n++
 		}
 	}

@@ -1,0 +1,720 @@
+package tiling
+
+import (
+	"math"
+
+	"dpgen/internal/ints"
+	"dpgen/internal/lin"
+	"dpgen/internal/loopgen"
+)
+
+// This file is the row-compiled boundary-tile path. The exact
+// enumerators (ForEachCell, ForEachEdgeCell) and DepLenAt interpret
+// lin.Expr forms with overflow-checked arithmetic at every cell. A
+// RowPlan binds the same forms to one parameter vector instead: the
+// parameters fold into constants, every loop bound, validity
+// inequality, range length and range check becomes a flat coefficient
+// row over the tile and local indices, and one bind-time proof bounds
+// every value those rows can take, so the per-tile and per-row
+// evaluation uses plain arithmetic. A RowWalker then walks a tile row
+// by row — bounds once per row, each dependence's validity as one
+// interval along the innermost index, the row split into runs of
+// constant validity — and partial edge slabs as contiguous row copies.
+// The enumerators stay as the reference the tests diff against and as
+// the path taken when the proof fails.
+
+// affine is one form k + tc·t + ic·i with the run's parameters folded
+// into k: tc multiplies the tile indices (Spec.Vars order), ic the
+// local indices in loop-level order (ic[l] belongs to the variable of
+// loop level l, so a bound of level l reads only ic[:l]). div is a loop
+// bound's divisor, 1 for plain inequalities.
+type affine struct {
+	k, div int64
+	tc, ic []int64
+}
+
+// proofLimit bounds |k| + Σ|tc|·max|t| + Σ|ic|·max|i| for every bound
+// form: below it no partial sum, negation, ±1 or division result of a
+// row evaluation can leave int64.
+const proofLimit = int64(1) << 62
+
+// satAdd and satMul are saturating arithmetic on magnitudes (>= 0).
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+func mag(a int64) int64 {
+	if a == math.MinInt64 {
+		return math.MaxInt64
+	}
+	if a < 0 {
+		return -a
+	}
+	return a
+}
+
+// binder folds lin forms at one parameter vector and accumulates the
+// overflow proof: ok turns false as soon as one form's magnitude bound
+// exceeds proofLimit.
+type binder struct {
+	tl         *Tiling
+	params     []int64
+	tmax, imax []int64 // largest |t_k| and |i_k| an evaluation sees, each >= 1
+	ok         bool
+}
+
+// newBinder sizes the proof box: tile indices range over the tile
+// space's bounding box widened by reach (the per-dimension distance to
+// the farthest neighbour tile a form is evaluated at), local indices
+// over the allocated extent.
+func (tl *Tiling) newBinder(params []int64, reach []int64) (b *binder, lo, hi []int64) {
+	d := len(tl.Spec.Vars)
+	b = &binder{tl: tl, params: params, tmax: make([]int64, d), imax: make([]int64, d), ok: true}
+	lo, hi = tl.TileBounds(params)
+	for k := 0; k < d; k++ {
+		b.tmax[k] = satAdd(ints.Max(1, ints.Max(mag(lo[k]), mag(hi[k]))), reach[k])
+		b.imax[k] = tl.Alloc[k]
+	}
+	return b, lo, hi
+}
+
+// bind folds one form. pc are its parameter coefficients, tc and ic its
+// tile and local coefficients in Spec.Vars order (ic may be nil).
+func (b *binder) bind(k0 int64, pc, tc, ic []int64, div int64) affine {
+	d := len(b.tmax)
+	f := affine{k: k0, div: div, tc: make([]int64, 2*d)}
+	f.tc, f.ic = f.tc[:d:d], f.tc[d:]
+	m := mag(k0)
+	for i, c := range pc {
+		f.k += c * b.params[i]
+		m = satAdd(m, satMul(mag(c), mag(b.params[i])))
+	}
+	for k, c := range tc {
+		f.tc[k] = c
+		m = satAdd(m, satMul(mag(c), b.tmax[k]))
+	}
+	if ic != nil {
+		for l, k := range b.tl.orderIdx {
+			f.ic[l] = ic[k]
+			m = satAdd(m, satMul(mag(ic[k]), b.imax[k]))
+		}
+	}
+	if m > proofLimit {
+		b.ok = false
+	}
+	return f
+}
+
+// bindLocal folds a form over the local space (params, t | i).
+func (b *binder) bindLocal(e lin.Expr, div int64) affine {
+	np, d := len(b.params), len(b.tmax)
+	return b.bind(e.K, e.Coef[:np], e.Coef[np:np+d], e.Coef[np+d:], div)
+}
+
+// bindTile folds a form over the tile space (params | t).
+func (b *binder) bindTile(e lin.Expr) affine {
+	np := len(b.params)
+	return b.bind(e.K, e.Coef[:np], e.Coef[np:], nil, 1)
+}
+
+// bindSpec folds a form over the spec space (params | x) through
+// x_k = i_k + w_k t_k.
+func (b *binder) bindSpec(e lin.Expr) affine {
+	np, d := len(b.params), len(b.tmax)
+	tc := make([]int64, d)
+	for k, a := range e.Coef[np:] {
+		if satMul(satMul(mag(a), b.tl.Widths[k]), b.tmax[k]) > proofLimit {
+			b.ok = false
+		}
+		tc[k] = a * b.tl.Widths[k]
+	}
+	return b.bind(e.K, e.Coef[:np], tc, e.Coef[np:], 1)
+}
+
+// levelForms locates one loop level's bounds in a nestPlan's forms:
+// lower bounds forms[lo0:lo1], upper bounds forms[lo1:up1]. Within
+// each side the bounds that involve an enclosing level's index come
+// first, forms[lo0:lov] and forms[lo1:upv]; the rest are constant over a
+// tile and fold into one value per tile (most are the 0 and w-1 of the
+// tile box).
+type levelForms struct{ lo0, lov, lo1, upv, up1 int }
+
+// nestPlan is a loopgen.Nest over the local space bound to one
+// parameter vector. forms holds the level bounds, then the residual
+// (tile-only) constraints forms[res0:nnest], then — for the cell nest —
+// the dependence forms.
+type nestPlan struct {
+	forms  []affine
+	levels []levelForms
+	res0   int
+	nnest  int
+}
+
+func (b *binder) bindNest(n *loopgen.Nest) nestPlan {
+	var np nestPlan
+	// side appends one side of level l's bounds, row-varying ones first,
+	// and returns the index where the tile-constant ones start.
+	side := func(l int, bounds []loopgen.Bound) int {
+		var fixed []affine
+		for _, bd := range bounds {
+			f := b.bindLocal(bd.Num, bd.Div)
+			if allZero(f.ic[:l]) {
+				fixed = append(fixed, f)
+			} else {
+				np.forms = append(np.forms, f)
+			}
+		}
+		varying := len(np.forms)
+		np.forms = append(np.forms, fixed...)
+		return varying
+	}
+	for l, lvl := range n.Levels {
+		lf := levelForms{lo0: len(np.forms)}
+		lf.lov = side(l, lvl.Lower)
+		lf.lo1 = len(np.forms)
+		lf.upv = side(l, lvl.Upper)
+		lf.up1 = len(np.forms)
+		np.levels = append(np.levels, lf)
+	}
+	np.res0 = len(np.forms)
+	for _, q := range n.Residual.Ineqs {
+		np.forms = append(np.forms, b.bindLocal(q.Expr, 1))
+	}
+	np.nnest = len(np.forms)
+	return np
+}
+
+func allZero(v []int64) bool {
+	for _, c := range v {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// depPlan is one template dependence's forms inside the cell nestPlan.
+// A point dependence is valid where forms[v0:v1] (its Validity
+// inequalities) all hold. A range dependence has its length form at ln
+// and its RangeChecks bases at forms[v0:v1]; neg[c] is minus check c's
+// step when that step is negative at the bound parameters (the check
+// then clamps the length), else zero.
+type depPlan struct {
+	v0, v1 int
+	rng    int // index among the range dependences, -1 for a point dependence
+	ln     int
+	neg    []int64
+}
+
+// RowPlan is the run-bound compiled form of a tiling's cell nest,
+// dependence validity and edge-slab nests for one parameter vector. It
+// is immutable and safe to share; per-goroutine state lives in the
+// RowWalkers made from it.
+type RowPlan struct {
+	tl     *Tiling
+	ok     bool
+	cells  nestPlan
+	deps   []depPlan
+	nrange int
+	packs  []nestPlan
+	nforms int // largest forms slice: walker scratch size
+}
+
+// BindRows compiles the row plan for params. It does no
+// Fourier–Motzkin or simplex work: cost is linear in the number of
+// bound and constraint forms.
+func (tl *Tiling) BindRows(params []int64) *RowPlan {
+	sp := tl.Spec
+	d := len(sp.Vars)
+	reach := make([]int64, d)
+	for _, td := range tl.TileDeps {
+		for k, o := range td.Offset {
+			reach[k] = ints.Max(reach[k], mag(o))
+		}
+	}
+	b, _, _ := tl.newBinder(params, reach)
+	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps))}
+	forms := p.cells.forms
+	for j := range sp.Deps {
+		dp := depPlan{v0: len(forms), rng: -1}
+		if sp.Deps[j].IsRange() {
+			dp.rng = p.nrange
+			p.nrange++
+			for _, rc := range tl.RangeChecks[j] {
+				forms = append(forms, b.bindSpec(rc.Base.Expr))
+				step := b.bindSpec(rc.Step).k
+				dp.neg = append(dp.neg, ints.Max(0, -step))
+			}
+			dp.v1 = len(forms)
+			dp.ln = len(forms)
+			forms = append(forms, b.bindSpec(tl.LenExprs[j]))
+		} else {
+			for _, q := range tl.Validity[j] {
+				forms = append(forms, b.bindSpec(q.Expr))
+			}
+			dp.v1 = len(forms)
+		}
+		p.deps[j] = dp
+	}
+	p.cells.forms = forms
+	p.nforms = len(forms)
+	for _, td := range tl.TileDeps {
+		np := b.bindNest(td.PackNest)
+		p.nforms = max(p.nforms, len(np.forms))
+		p.packs = append(p.packs, np)
+	}
+	p.ok = b.ok
+	return p
+}
+
+// OK reports whether the overflow proof held. When it did not, the
+// plan must not be walked: callers keep to the checked enumerators.
+func (p *RowPlan) OK() bool { return p.ok }
+
+// rangeRow is one range dependence's length along the current row:
+// r + c·i, clamped by each chk to (chk.r + chk.c·i)/chk.neg + 1.
+type rangeRow struct {
+	dep  int
+	r, c int64
+	chk  []rangeClamp
+}
+
+type rangeClamp struct{ r, c, neg int64 }
+
+// RowWalker is per-goroutine scratch for walking tiles of one RowPlan:
+//
+//	rw.Begin(t, interior)
+//	for rw.NextRow() {        // rw.I, rw.RowLoc: the row's outer indices and origin
+//		for rw.NextRun() {    // rw.From..rw.To: cells with constant rw.DepValid
+//			...               // rw.CellLens(i) per cell when rw.Ranged
+//		}
+//	}
+//
+// Rows and the cells of their runs come in ForEachCell order, and
+// DepValid/DepLen equal DepLenAt at every cell.
+type RowWalker struct {
+	plan *RowPlan
+
+	// I holds the current row's local indices (Spec.Vars order); the
+	// innermost loop variable's entry belongs to the caller.
+	I []int64
+	// RowLoc is the buffer index of the row's cell with innermost local
+	// index 0.
+	RowLoc int64
+	// From and To are the current run's first and last innermost local
+	// indices in execution order (From > To when the innermost loop
+	// descends).
+	From, To int64
+	// DepValid and DepLen hold the current run's per-dependence validity
+	// and usable length. A valid range dependence's length varies along
+	// the run: Ranged is set and CellLens fills it per cell.
+	DepValid []bool
+	DepLen   []int64
+	Ranged   bool
+
+	// Nest cursor: base[f] is forms[f] at the current tile with the
+	// local indices zero; clo..chi is each level's range from its
+	// tile-constant bounds; il and end are the per-level current and
+	// last indices in execution order; lo..hi is the innermost range.
+	np       *nestPlan
+	base     []int64
+	clo, chi []int64
+	il, end  []int64
+	dirs     []int
+	lo, hi   int64
+	first    bool // no row visited yet
+	done     bool // the nest is empty for this tile
+	interior bool
+
+	cellDirs, ascending []int
+	widths, strides     []int64 // per loop level
+	outerVars           []int   // variable index of each loop level but the innermost
+
+	// Row dependence state: per-dependence validity interval, the
+	// ascending cut points splitting the row into runs, the range rows
+	// and those active in the current run.
+	vlo, vhi []int64
+	cuts     []int64
+	run      int
+	ranges   []rangeRow
+	active   []*rangeRow
+}
+
+// NewWalker creates a walker, or nil when the plan's overflow proof
+// failed.
+func (p *RowPlan) NewWalker() *RowWalker {
+	if !p.ok {
+		return nil
+	}
+	tl := p.tl
+	d := len(tl.Spec.Vars)
+	nd := len(p.deps)
+	rw := &RowWalker{
+		plan:      p,
+		I:         make([]int64, d),
+		DepValid:  make([]bool, nd),
+		DepLen:    make([]int64, nd),
+		base:      make([]int64, p.nforms),
+		clo:       make([]int64, d),
+		chi:       make([]int64, d),
+		il:        make([]int64, d),
+		end:       make([]int64, d),
+		cellDirs:  make([]int, d),
+		ascending: make([]int, d),
+		widths:    make([]int64, d),
+		strides:   make([]int64, d),
+		vlo:       make([]int64, nd),
+		vhi:       make([]int64, nd),
+		cuts:      make([]int64, 0, 2*nd),
+		ranges:    make([]rangeRow, p.nrange),
+		active:    make([]*rangeRow, 0, p.nrange),
+	}
+	for l, k := range tl.orderIdx {
+		rw.cellDirs[l] = tl.ExecDirs[k]
+		rw.ascending[l] = 1
+		rw.widths[l] = tl.Widths[k]
+		rw.strides[l] = tl.Strides[k]
+	}
+	rw.outerVars = tl.orderIdx[:d-1]
+	for j, dp := range p.deps {
+		if dp.rng >= 0 {
+			rw.ranges[dp.rng] = rangeRow{dep: j, chk: make([]rangeClamp, 0, len(dp.neg))}
+		}
+	}
+	return rw
+}
+
+// fold evaluates forms[from:to] at tile t into base.
+func (rw *RowWalker) fold(t []int64, from, to int) {
+	forms := rw.np.forms
+	for f := from; f < to; f++ {
+		v := forms[f].k
+		for k, c := range forms[f].tc {
+			v += c * t[k]
+		}
+		rw.base[f] = v
+	}
+}
+
+// begin points the cursor at nest np for tile t. It reports false when
+// the nest is empty for that tile outright.
+func (rw *RowWalker) begin(np *nestPlan, t []int64, dirs []int, interior bool) bool {
+	rw.np, rw.dirs, rw.interior, rw.first, rw.done = np, dirs, interior, true, false
+	if interior {
+		return true
+	}
+	rw.fold(t, 0, len(np.forms))
+	for f := np.res0; f < np.nnest; f++ {
+		if rw.base[f] < 0 {
+			rw.done = true
+			return false
+		}
+	}
+	for l, lf := range np.levels {
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		for f := lf.lov; f < lf.lo1; f++ {
+			lo = max(lo, ints.CeilDiv(rw.base[f], np.forms[f].div))
+		}
+		for f := lf.upv; f < lf.up1; f++ {
+			hi = min(hi, ints.FloorDiv(rw.base[f], np.forms[f].div))
+		}
+		rw.clo[l], rw.chi[l] = lo, hi
+	}
+	return true
+}
+
+// formAt evaluates forms[f] at the current tile and the current indices
+// of the loop levels enclosing level l.
+func (rw *RowWalker) formAt(f, l int) int64 {
+	v := rw.base[f]
+	for m, c := range rw.np.forms[f].ic[:l] {
+		v += c * rw.il[m]
+	}
+	return v
+}
+
+// levelBounds evaluates loop level l's range given the enclosing
+// levels' indices.
+func (rw *RowWalker) levelBounds(l int) (lo, hi int64) {
+	if rw.interior {
+		return 0, rw.widths[l] - 1
+	}
+	forms, lf := rw.np.forms, rw.np.levels[l]
+	lo, hi = rw.clo[l], rw.chi[l]
+	for f := lf.lo0; f < lf.lov; f++ {
+		v := rw.formAt(f, l)
+		if dv := forms[f].div; dv != 1 {
+			v = ints.CeilDiv(v, dv)
+		}
+		lo = max(lo, v)
+	}
+	for f := lf.lo1; f < lf.upv; f++ {
+		v := rw.formAt(f, l)
+		if dv := forms[f].div; dv != 1 {
+			v = ints.FloorDiv(v, dv)
+		}
+		hi = min(hi, v)
+	}
+	return lo, hi
+}
+
+// next advances the cursor to the next non-empty row of the nest: the
+// outer levels' indices in il, the innermost range in lo..hi.
+func (rw *RowWalker) next() bool {
+	if rw.done {
+		return false
+	}
+	last := len(rw.il) - 1
+	l, enter := last-1, false
+	if rw.first {
+		rw.first = false
+		l, enter = 0, true
+	}
+	for l >= 0 {
+		if !enter {
+			if rw.il[l] == rw.end[l] {
+				l--
+				continue
+			}
+			rw.il[l] += int64(rw.dirs[l])
+			l, enter = l+1, true
+			continue
+		}
+		lo, hi := rw.levelBounds(l)
+		if hi < lo {
+			l, enter = l-1, false
+			continue
+		}
+		if l == last {
+			rw.lo, rw.hi = lo, hi
+			return true
+		}
+		if rw.dirs[l] < 0 {
+			rw.il[l], rw.end[l] = hi, lo
+		} else {
+			rw.il[l], rw.end[l] = lo, hi
+		}
+		l++
+	}
+	return false
+}
+
+// rowLoc returns the buffer index of the current row's origin.
+func (rw *RowWalker) rowLoc() int64 {
+	loc := rw.plan.tl.BaseOff
+	for l, s := range rw.strides[:len(rw.strides)-1] {
+		loc += rw.il[l] * s
+	}
+	return loc
+}
+
+// Begin starts walking tile t's cells. interior asserts that t
+// satisfies InteriorSys: every row is then the full tile width and
+// every dependence valid, with no bound or validity evaluation (range
+// lengths still follow their length forms, unclamped).
+func (rw *RowWalker) Begin(t []int64, interior bool) {
+	p := rw.plan
+	if !rw.begin(&p.cells, t, rw.cellDirs, interior) || !interior {
+		return
+	}
+	for j, dp := range p.deps {
+		rw.DepValid[j], rw.DepLen[j] = true, 1
+		if dp.rng >= 0 {
+			rw.fold(t, dp.ln, dp.ln+1)
+		}
+	}
+	rw.Ranged = false
+}
+
+// NextRow advances to the tile's next non-empty row in execution order.
+func (rw *RowWalker) NextRow() bool {
+	if !rw.next() {
+		return false
+	}
+	for l, k := range rw.outerVars {
+		rw.I[k] = rw.il[l]
+	}
+	rw.RowLoc = rw.rowLoc()
+	rw.run = 0
+	rw.cuts = rw.cuts[:0]
+	if !rw.interior || rw.plan.nrange > 0 {
+		rw.rowDeps()
+	}
+	return true
+}
+
+// rowForm evaluates forms[f] on the current row as r + c·i over the
+// innermost local index i.
+func (rw *RowWalker) rowForm(f int) (r, c int64) {
+	last := len(rw.il) - 1
+	return rw.formAt(f, last), rw.np.forms[f].ic[last]
+}
+
+// clip intersects [a, b] with the solutions of r + c·i >= 0.
+func clip(a, b, r, c int64) (int64, int64) {
+	switch {
+	case c == 1:
+		a = max(a, -r)
+	case c == -1:
+		b = min(b, r)
+	case c > 0:
+		a = max(a, ints.CeilDiv(-r, c))
+	case c < 0:
+		b = min(b, ints.FloorDiv(r, -c))
+	case r < 0:
+		b = a - 1
+	}
+	return a, b
+}
+
+// rowDeps intersects each dependence's inequalities into one validity
+// interval along the row and collects the interval ends inside the row
+// as cut points.
+func (rw *RowWalker) rowDeps() {
+	for j := range rw.plan.deps {
+		dp := &rw.plan.deps[j]
+		a, b := rw.lo, rw.hi
+		var rr *rangeRow
+		if dp.rng >= 0 {
+			// Usable length > 0 needs the declared length >= 1 ...
+			rr = &rw.ranges[dp.rng]
+			rr.chk = rr.chk[:0]
+			rr.r, rr.c = rw.rowForm(dp.ln)
+			a, b = clip(a, b, rr.r-1, rr.c)
+		}
+		if !rw.interior {
+			// ... and the footprint's first cell inside every constraint.
+			for f := dp.v0; f < dp.v1 && a <= b; f++ {
+				r, c := rw.rowForm(f)
+				a, b = clip(a, b, r, c)
+				if rr != nil && dp.neg[f-dp.v0] > 0 {
+					rr.chk = append(rr.chk, rangeClamp{r, c, dp.neg[f-dp.v0]})
+				}
+			}
+		}
+		rw.vlo[j], rw.vhi[j] = a, b
+		if a <= b {
+			if a > rw.lo {
+				rw.addCut(a)
+			}
+			if b < rw.hi {
+				rw.addCut(b + 1)
+			}
+		}
+	}
+}
+
+// addCut inserts c into the ascending, duplicate-free cuts.
+func (rw *RowWalker) addCut(c int64) {
+	i := len(rw.cuts)
+	for i > 0 && rw.cuts[i-1] >= c {
+		i--
+	}
+	if i < len(rw.cuts) && rw.cuts[i] == c {
+		return
+	}
+	rw.cuts = append(rw.cuts, 0)
+	copy(rw.cuts[i+1:], rw.cuts[i:])
+	rw.cuts[i] = c
+}
+
+// NextRun advances to the row's next run in execution order.
+func (rw *RowWalker) NextRun() bool {
+	n := len(rw.cuts)
+	if rw.run > n {
+		return false
+	}
+	r := rw.run
+	rw.run++
+	desc := rw.dirs[len(rw.dirs)-1] < 0
+	if desc {
+		r = n - r
+	}
+	s, e := rw.lo, rw.hi
+	if r > 0 {
+		s = rw.cuts[r-1]
+	}
+	if r < n {
+		e = rw.cuts[r] - 1
+	}
+	rw.From, rw.To = s, e
+	if desc {
+		rw.From, rw.To = e, s
+	}
+	if rw.interior && rw.plan.nrange == 0 {
+		return true
+	}
+	rw.active = rw.active[:0]
+	for j := range rw.DepValid {
+		v := rw.vlo[j] <= s && s <= rw.vhi[j]
+		rw.DepValid[j] = v
+		rw.DepLen[j] = 0
+		if !v {
+			continue
+		}
+		rw.DepLen[j] = 1
+		if g := rw.plan.deps[j].rng; g >= 0 {
+			rw.active = append(rw.active, &rw.ranges[g])
+		}
+	}
+	rw.Ranged = len(rw.active) > 0
+	return true
+}
+
+// CellLens fills DepLen for the run's valid range dependences at
+// innermost local index i.
+func (rw *RowWalker) CellLens(i int64) {
+	for _, rr := range rw.active {
+		n := rr.r + rr.c*i
+		for _, ck := range rr.chk {
+			n = min(n, (ck.r+ck.c*i)/ck.neg+1)
+		}
+		rw.DepLen[rr.dep] = n
+	}
+}
+
+// PackPartial appends producer tile t's slab cells for tile dependence
+// dep to out, in ForEachEdgeCell order: the outer levels by bound, the
+// innermost level (stride 1) as one copy per row.
+func (rw *RowWalker) PackPartial(dep int, t []int64, buf, out []float64) []float64 {
+	if !rw.begin(&rw.plan.packs[dep], t, rw.ascending, false) {
+		return out
+	}
+	for rw.next() {
+		loc := rw.rowLoc()
+		out = append(out, buf[loc+rw.lo:loc+rw.hi+1]...)
+	}
+	return out
+}
+
+// UnpackPartial writes an edge packed by producer tile t for tile
+// dependence dep into the consumer's ghost shell, and returns the
+// slab's cell count; it stops early with -1 when data is shorter than
+// the slab.
+func (rw *RowWalker) UnpackPartial(dep int, t []int64, buf, data []float64) int {
+	if !rw.begin(&rw.plan.packs[dep], t, rw.ascending, false) {
+		return 0
+	}
+	shift := rw.plan.tl.interiorScan[dep].shift
+	idx := 0
+	for rw.next() {
+		n := int(rw.hi - rw.lo + 1)
+		if idx+n > len(data) {
+			return -1
+		}
+		loc := rw.rowLoc() + shift + rw.lo
+		copy(buf[loc:loc+int64(n)], data[idx:idx+n])
+		idx += n
+	}
+	return idx
+}

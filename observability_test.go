@@ -2,13 +2,16 @@ package dpgen
 
 import (
 	"encoding/json"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"dpgen/internal/engine"
 	"dpgen/internal/mpi/tcp"
 	"dpgen/internal/obs"
 	"dpgen/internal/problems"
@@ -242,16 +245,164 @@ func TestDprunTraceMergeRecovery(t *testing.T) {
 	}
 }
 
-// TestDistributedTracingOverheadGuard bounds what the cross-rank
-// tracing machinery costs a run that does NOT trace: with no tracer
-// attached, DATA frames still carry the aligned send timestamp and the
-// transport still runs the clock-sync handshake, and that full armed
-// path must stay within 5% of the same job with clock sync disabled —
-// the closest reachable stand-in for the pre-observability transport.
-// Min-of-N wall times are compared to shed scheduler noise.
+// The cross-rank tracing machinery costs a run that does NOT trace two
+// things: the clock-sync handshake at mesh-up, and an aligned send
+// timestamp in every DATA frame. TestDistributedTracingCost pins both
+// in counts that repeat exactly — wire bytes and frames per DATA send,
+// allocations per send, frames and bytes per run — against the same
+// mesh with Options.DisableClockSync, the closest reachable stand-in
+// for the pre-observability transport. A wall-clock ratio of the two
+// runs (what this file asserted before) varies by more than the 5% it
+// tried to bound, so it is opt-in: see the guard below.
+
+// tcpPair dials a two-rank loopback mesh and, with clock sync on, waits
+// for rank 1's handshake so no probe frame is in flight afterwards.
+func tcpPair(t *testing.T, disableClockSync bool) [2]*tcp.Transport {
+	t.Helper()
+	var lns [2]net.Listener
+	peers := make([]string, 2)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[r], peers[r] = ln, ln.Addr().String()
+	}
+	var trs [2]*tcp.Transport
+	var errs [2]error
+	var wg sync.WaitGroup
+	for r := range trs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			trs[r], errs[r] = tcp.Dial(r, peers, tcp.Options{
+				DialTimeout: 15 * time.Second, Listener: lns[r], DisableClockSync: disableClockSync,
+			})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	t.Cleanup(func() {
+		// Close is collective: both ends must be in it.
+		var wg sync.WaitGroup
+		for _, tr := range trs {
+			wg.Add(1)
+			go func(tr *tcp.Transport) { defer wg.Done(); tr.Close() }(tr)
+		}
+		wg.Wait()
+	})
+	for deadline := time.Now().Add(15 * time.Second); !disableClockSync; time.Sleep(time.Millisecond) {
+		if _, rtt := trs[1].ClockOffset(); rtt != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("clock sync never completed")
+		}
+	}
+	return trs
+}
+
+func TestDistributedTracingCost(t *testing.T) {
+	// Wire frames: u32 length, u8 kind, body. A DATA body is a fixed
+	// 40-byte header (the send timestamp is 8 of them, zero or not)
+	// plus 8 bytes per meta and data word; a clock probe carries one
+	// i64 and its response two.
+	const (
+		frameOverhead = 4 + 1
+		dataHeader    = 40
+		clockProbes   = 8 // tcp.Options.ClockProbes default
+		clockReqBytes = frameOverhead + 8
+		clockResBytes = frameOverhead + 16
+	)
+
+	// Per send, on a raw mesh: bytes and frames rank 0 puts on the wire
+	// for one DATA message, and allocations per send/receive/release
+	// round trip, identical with tracing armed and not.
+	data, meta := make([]float64, 17), []int64{3, 4}
+	wantBytes := int64(frameOverhead + dataHeader + 8*len(meta) + 8*len(data))
+	var allocs [2]float64
+	for i, disable := range []bool{true, false} {
+		trs := tcpPair(t, disable)
+		roundTrip := func() {
+			trs[0].Send(1, 7, data, meta)
+			m, ok := trs[1].Recv()
+			if !ok {
+				t.Fatal("recv failed")
+			}
+			m.Release()
+		}
+		roundTrip() // connection buffers and pools warm
+		before := trs[0].NetStats().Peers[0]
+		const sends = 50
+		for k := 0; k < sends; k++ {
+			roundTrip()
+		}
+		after := trs[0].NetStats().Peers[0]
+		if got := after.FramesSent - before.FramesSent; got != sends {
+			t.Errorf("DisableClockSync=%v: %d frames for %d sends", disable, got, sends)
+		}
+		if got := after.BytesSent - before.BytesSent; got != sends*wantBytes {
+			t.Errorf("DisableClockSync=%v: %d wire bytes for %d sends, want %d each (a %d-byte DATA header)",
+				disable, got, sends, wantBytes, dataHeader)
+		}
+		allocs[i] = testing.AllocsPerRun(200, roundTrip)
+	}
+	t.Logf("allocations per send round trip: %v unarmed, %v armed", allocs[0], allocs[1])
+	if allocs[1] > allocs[0] {
+		t.Errorf("an armed send round trip allocates %v objects, an unarmed one %v", allocs[1], allocs[0])
+	}
+
+	// Per run, through the engine: the armed two-rank lcs2 job sends
+	// the same DATA messages as the unarmed one, and on top exactly the
+	// handshake's probes (rank 1) and responses (rank 0).
+	p, err := problems.Get("lcs2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(disable bool) [2]tcp.NetStats {
+		var trs [2]*tcp.Transport
+		res := runDistributedTCPOpts(t, p, p.DefaultParams, 2, 2,
+			func(r int, o *tcp.Options) { o.DisableClockSync = disable },
+			func(r int, c *engine.Config) { trs[r] = c.Transport.(*tcp.Transport) })
+		out := [2]tcp.NetStats{trs[0].NetStats(), trs[1].NetStats()}
+		if got := out[0].Messages + out[1].Messages; got == 0 || got != res[0].Messages {
+			t.Fatalf("ranks sent %d DATA messages, the merged result says %d", got, res[0].Messages)
+		}
+		return out
+	}
+	base, armed := run(true), run(false)
+	for r, extra := range []struct{ frames, bytes int64 }{
+		{clockProbes, clockProbes * clockResBytes}, // rank 0 answers
+		{clockProbes, clockProbes * clockReqBytes}, // rank 1 asks
+	} {
+		b, a := base[r], armed[r]
+		if a.Messages != b.Messages || a.Elems != b.Elems {
+			t.Errorf("rank %d: armed run sent %d messages / %d elems, unarmed %d / %d",
+				r, a.Messages, a.Elems, b.Messages, b.Elems)
+		}
+		if got := a.Peers[0].FramesSent - b.Peers[0].FramesSent; got != extra.frames {
+			t.Errorf("rank %d: armed run sent %d frames, unarmed %d: the handshake should add exactly %d",
+				r, a.Peers[0].FramesSent, b.Peers[0].FramesSent, extra.frames)
+		}
+		if got := a.BytesSent - b.BytesSent; got != extra.bytes {
+			t.Errorf("rank %d: armed run sent %d bytes, unarmed %d: the handshake should add exactly %d",
+				r, a.BytesSent, b.BytesSent, extra.bytes)
+		}
+	}
+}
+
+// TestDistributedTracingOverheadGuard is the wall-clock form of the
+// check above: the armed path within 5% of the unarmed one, min-of-N.
+// Two ~15 ms runs on a shared host differ by more than that about half
+// the time, so it runs only with DPGEN_TIMING_GUARDS=1 (and the same
+// pair is BenchmarkTracerOverheadDistributed under -bench).
 func TestDistributedTracingOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping timing-sensitive guard in -short mode")
+	if os.Getenv("DPGEN_TIMING_GUARDS") == "" {
+		t.Skip("wall-clock guard: set DPGEN_TIMING_GUARDS=1 to run it")
 	}
 	p, err := problems.Get("lcs2")
 	if err != nil {
