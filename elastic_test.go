@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +25,10 @@ import (
 // must produce the exact value of the fixed-membership in-memory run
 // and of the serial reference; the per-rank executed-tile counts must
 // sum to the total tile count (no tile re-executed across the view
-// changes); and no goroutine may outlive the run.
+// changes); and no goroutine may outlive the run. The prepared case
+// runs the same protocol through Prepared.Run: a Prepared is balanced
+// over every rank, so all four start as members, and the view changes
+// are a scheduled shrink (4 -> 3, rank 3 removed) and rank 1's leave.
 func TestElasticBitIdentical(t *testing.T) {
 	// The coordinator polls its scale schedule on a 1 ms ticker and the
 	// joiners announce themselves only once their own engine.Run is up,
@@ -34,13 +38,16 @@ func TestElasticBitIdentical(t *testing.T) {
 	// leave the protocol a margin of well over 20x; the registry
 	// defaults finish in 1-4 ms and lost the race half the time.
 	for _, tc := range []struct {
-		name   string
-		p      *problems.Problem
-		params []int64
+		name     string
+		p        *problems.Problem
+		params   []int64
+		prepared bool
 	}{
-		{"bandit2", problems.Bandit2(), []int64{100}},
-		{"lcs2", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)), nil},
+		{"bandit2", problems.Bandit2(), []int64{100}, false},
+		{"lcs2", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)), nil, false},
+		{"bandit2-prepared", problems.Bandit2(), []int64{100}, true},
 	} {
+		tc := tc
 		p, params := tc.p, tc.params
 		if params == nil {
 			params = p.DefaultParams
@@ -77,17 +84,20 @@ func TestElasticBitIdentical(t *testing.T) {
 			}
 
 			elastic := func(r int) engine.ElasticConfig {
-				ec := engine.ElasticConfig{
-					Enabled: true,
-					Members: []int{0, 1},
+				ec := engine.ElasticConfig{Enabled: true}
+				if !tc.prepared {
+					ec.Members = []int{0, 1}
 				}
-				switch r {
-				case 0:
+				switch {
+				case r == 0 && tc.prepared:
+					ec.ScaleAt = []engine.ScaleEvent{{AfterTiles: 8, Delta: -1}}
+					ec.ExpectLeaves = 1
+				case r == 0:
 					ec.ScaleAt = []engine.ScaleEvent{{AfterTiles: 8, Delta: +2}}
 					ec.ExpectLeaves = 1
-				case 1:
+				case r == 1:
 					ec.LeaveAfterTiles = 4
-				default:
+				case !tc.prepared:
 					ec.JoinRequest = true
 				}
 				return ec
@@ -114,11 +124,19 @@ func TestElasticBitIdentical(t *testing.T) {
 						done <- outcome{r, nil, err}
 						return
 					}
-					res, err := engine.Run(tl, p.Kernel, params, engine.Config{
-						Transport: tr,
-						Threads:   threads,
-						Elastic:   elastic(r),
-					})
+					cfg := engine.Config{Transport: tr, Threads: threads, Elastic: elastic(r)}
+					if !tc.prepared {
+						res, err := engine.Run(tl, p.Kernel, params, cfg)
+						done <- outcome{r, res, err}
+						return
+					}
+					prep, err := engine.Prepare(tl, params, world, cfg.Balance)
+					if err != nil {
+						tr.Close()
+						done <- outcome{r, nil, err}
+						return
+					}
+					res, err := prep.Run(p.Kernel, cfg)
 					done <- outcome{r, res, err}
 				}(r)
 			}
@@ -173,7 +191,7 @@ func TestElasticBitIdentical(t *testing.T) {
 			}
 			// The join moved live tiles onto at least one joiner, and the
 			// leave moved rank 1's remaining tiles off it.
-			if in := results[2].Stats[2].TilesMigratedIn + results[3].Stats[3].TilesMigratedIn; in == 0 {
+			if in := results[2].Stats[2].TilesMigratedIn + results[3].Stats[3].TilesMigratedIn; in == 0 && !tc.prepared {
 				t.Error("joiners absorbed no migrated tiles")
 			}
 			if out := results[1].Stats[1].TilesMigratedOut; out == 0 {
@@ -196,9 +214,10 @@ func TestElasticBitIdentical(t *testing.T) {
 }
 
 // TestElasticConfigRejections pins the compositions elastic membership
-// refuses: in-process runs (nothing to join or leave), PollingRecv and
-// Checkpoint (both own the progress/quiescence machinery a view change
-// repurposes), and member lists that omit the coordinator.
+// refuses, each with the structural reason its error must state:
+// in-process runs (nothing to join or leave), PollingRecv (paused
+// polling workers are the receivers), Checkpoint (no checkpoint records
+// the ownership map), and member lists that omit the coordinator.
 func TestElasticConfigRejections(t *testing.T) {
 	p, err := problems.Get("bandit2")
 	if err != nil {
@@ -208,28 +227,35 @@ func TestElasticConfigRejections(t *testing.T) {
 		Nodes:   2,
 		Elastic: ElasticConfig{Enabled: true},
 	})
-	if err == nil {
-		t.Fatal("in-process elastic run was not rejected")
+	if err == nil || !strings.Contains(err.Error(), "no processes to join or leave") {
+		t.Fatalf("in-process elastic run: got %v, want a rejection saying there are no processes to join or leave", err)
 	}
 
-	lns := make([]net.Listener, 2)
-	peers := make([]string, 2)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	bad := []struct {
+		cfg    Config
+		reason string
+	}{
+		{Config{PollingRecv: true, Elastic: ElasticConfig{Enabled: true}},
+			"polling workers are the receivers, so acknowledgements could not drain"},
+		{Config{Checkpoint: CheckpointConfig{Dir: t.TempDir()}, Elastic: ElasticConfig{Enabled: true}},
+			"no checkpoint records the epoch's ownership map"},
+		{Config{Elastic: ElasticConfig{Enabled: true, Members: []int{1}}},
+			"must include rank 0 (the coordinator)"},
+	}
+	for i, tc := range bad {
+		tc := tc
+		// A fresh mesh per row: closing a transport closes its listener.
+		lns := make([]net.Listener, 2)
+		peers := make([]string, 2)
+		for r := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			lns[r] = ln
+			peers[r] = ln.Addr().String()
 		}
-		defer ln.Close()
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
-	}
-	bad := []Config{
-		{PollingRecv: true, Elastic: ElasticConfig{Enabled: true}},
-		{Checkpoint: CheckpointConfig{Dir: t.TempDir()}, Elastic: ElasticConfig{Enabled: true}},
-		{Elastic: ElasticConfig{Enabled: true, Members: []int{1}}},
-	}
-	for i, cfg := range bad {
-		cfg := cfg
 		errs := make(chan error, 2)
 		for r := 0; r < 2; r++ {
 			go func(r int) {
@@ -239,7 +265,7 @@ func TestElasticConfigRejections(t *testing.T) {
 					return
 				}
 				defer tr.Close()
-				c := cfg
+				c := tc.cfg
 				c.Transport = tr
 				_, err = RunProblem(p, p.DefaultParams, c)
 				errs <- err
@@ -248,8 +274,8 @@ func TestElasticConfigRejections(t *testing.T) {
 		for r := 0; r < 2; r++ {
 			select {
 			case err := <-errs:
-				if err == nil {
-					t.Errorf("config %d: invalid elastic composition was not rejected", i)
+				if err == nil || !strings.Contains(err.Error(), tc.reason) {
+					t.Errorf("config %d: got %v, want a rejection giving the reason %q", i, err, tc.reason)
 				}
 			case <-time.After(30 * time.Second):
 				t.Fatalf("config %d: rejection never returned", i)

@@ -11,10 +11,11 @@
 // every cell computed exactly once. Correctness therefore never depends
 // on how fresh (or whether) a checkpoint file is.
 //
-// Format (little-endian, "DPCKPT1\n" magic, trailing FNV-1a checksum):
+// Format (little-endian 64-bit words, "DPCKPT1\n" magic, trailing FNV-1a
+// sum; the record section is live.go's, shared with migration):
 //
-//	magic | rank nodes d nd | params | ownedTotal executed |
-//	flags goalVal maxVal | executedKeys | tiles{coords, edges{dep,data}} |
+//	magic | rank nodes d nd | nparams params | ownedTotal executed |
+//	flags goalVal maxVal | nkeys executedKeys | records |
 //	fnv1a(everything above)
 
 package engine
@@ -22,13 +23,12 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
-	"dpgen/internal/mpi"
 	"dpgen/internal/obs"
 )
 
@@ -55,41 +55,57 @@ type checkpoint struct {
 	tiles              []ckptTile
 }
 
-// ckptTile is one pending or started tile with its buffered edges.
-type ckptTile struct {
-	tile  []int64
-	edges []ckptEdge
+// ckptHeader is the header every checkpoint of this rank of this run
+// carries, which a file must match before its variable-length content
+// is decoded.
+func (n *node) ckptHeader() *checkpoint {
+	e := n.eng
+	return &checkpoint{
+		rank: n.id, nodes: e.cfg.Nodes,
+		d: len(e.tl.Spec.Vars), nd: len(e.tl.Spec.Deps),
+		params: e.params, ownedTotal: n.ownedTotal,
+	}
 }
 
-// ckptEdge is one buffered dependence edge.
-type ckptEdge struct {
-	dep  int
-	data []float64
+// mismatch names the first header field in which a decoded checkpoint
+// differs from the run's header, or returns nil.
+func (run *checkpoint) mismatch(ck *checkpoint) error {
+	switch {
+	case ck.rank != run.rank:
+		return fmt.Errorf("rank %d, want %d", ck.rank, run.rank)
+	case ck.nodes != run.nodes:
+		return fmt.Errorf("%d ranks, want %d", ck.nodes, run.nodes)
+	case ck.d != run.d || ck.nd != run.nd:
+		return fmt.Errorf("%d vars/%d deps, want %d/%d", ck.d, ck.nd, run.d, run.nd)
+	case !slices.Equal(ck.params, run.params):
+		return fmt.Errorf("params %v, want %v", ck.params, run.params)
+	case ck.ownedTotal != run.ownedTotal:
+		return fmt.Errorf("%d owned tiles, want %d", ck.ownedTotal, run.ownedTotal)
+	}
+	return nil
 }
 
-// encodeCheckpoint serializes the node's durable state. The caller
-// holds stripes[0].mu (fault tolerance runs the pending table on one
-// stripe, so that lock covers the pending/started/executedSet maps) and
-// n.mu; goalMu is taken briefly inside. No code path acquires any of
-// them in the reverse order.
+// encodeCheckpoint serializes the node's durable state. The caller has
+// the live table frozen and holds n.mu; goalMu is taken briefly inside.
+// No code path acquires any of them in the reverse order.
 func (n *node) encodeCheckpoint() []byte {
 	e := n.eng
-	b := make([]byte, 0, 64+16*len(n.executedSet))
+	b := make([]byte, 0, 256)
 	b = append(b, ckptMagic...)
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	i64 := func(v int64) { u64(uint64(v)) }
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 
-	i64(int64(n.id))
-	i64(int64(e.cfg.Nodes))
-	d := len(e.tl.Spec.Vars)
-	i64(int64(d))
-	i64(int64(len(e.tl.Spec.Deps)))
-	i64(int64(len(e.params)))
-	for _, p := range e.params {
+	h := n.ckptHeader()
+	i64(int64(h.rank))
+	i64(int64(h.nodes))
+	i64(int64(h.d))
+	i64(int64(h.nd))
+	i64(int64(len(h.params)))
+	for _, p := range h.params {
 		i64(p)
 	}
-	i64(n.ownedTotal)
+	i64(h.ownedTotal)
 	i64(n.executed)
 
 	e.goalMu.Lock()
@@ -106,52 +122,7 @@ func (n *node) encodeCheckpoint() []byte {
 	f64(goalVal)
 	f64(maxVal)
 
-	i64(int64(len(n.executedSet)))
-	for k := range n.executedSet {
-		u64(k)
-	}
-
-	// Buffered edges live on pending tiles (some dependences missing)
-	// and started tiles (complete, but not yet unpacked and executed).
-	ntiles := 0
-	for _, p := range n.stripes[0].pending {
-		if len(p.edges) > 0 {
-			ntiles++
-		}
-	}
-	for _, p := range n.started {
-		if len(p.edges) > 0 {
-			ntiles++
-		}
-	}
-	i64(int64(ntiles))
-	emit := func(p *pendTile) {
-		if len(p.edges) == 0 {
-			return
-		}
-		for _, c := range p.tile {
-			i64(c)
-		}
-		i64(int64(len(p.edges)))
-		for _, ed := range p.edges {
-			i64(int64(ed.dep))
-			i64(int64(len(ed.data)))
-			for _, v := range ed.data {
-				f64(v)
-			}
-		}
-	}
-	for _, p := range n.stripes[0].pending {
-		emit(p)
-	}
-	for _, p := range n.started {
-		emit(p)
-	}
-
-	h := fnv.New64a()
-	h.Write(b)
-	u64(h.Sum64())
-	return b
+	return sealBlob(n.live.snapshot(b))
 }
 
 // writeCheckpointFile writes the blob atomically: temp file in the same
@@ -179,39 +150,15 @@ func writeCheckpointFile(path string, blob []byte) error {
 	return err
 }
 
-// ckptReader is a bounds-checked cursor over an encoded checkpoint.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckptReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = fmt.Errorf("engine: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *ckptReader) i64() int64   { return int64(r.u64()) }
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckptReader) count() (int, bool) {
-	v := r.i64()
-	if r.err == nil && (v < 0 || v > int64(len(r.b))) {
-		r.err = fmt.Errorf("engine: corrupt checkpoint count %d", v)
-	}
-	return int(v), r.err == nil
-}
-
-// loadCheckpoint reads and validates one checkpoint file. A missing
-// file is not an error: it returns (nil, nil) and the rank resumes from
+// loadCheckpoint reads one checkpoint file and decodes it against the
+// run it is resumed into: the header is compared with run's before any
+// tile record is read, and records are sized by the run's d and
+// tileDeps (tile dependence count) — a
+// checksum-valid file from another spec (a reused checkpoint directory)
+// is "from a different run", never an allocation of the d it claims. A
+// missing file is not an error: (nil, nil), and the rank resumes from
 // scratch (peers redeliver everything it needs).
-func loadCheckpoint(path string) (*checkpoint, error) {
+func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, error) {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -222,93 +169,55 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	if len(blob) < len(ckptMagic)+8 || string(blob[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("engine: %s is not a checkpoint file", path)
 	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
+	body, ok := openBlob(blob)
+	if !ok {
 		return nil, fmt.Errorf("engine: checkpoint %s failed its checksum", path)
 	}
-	r := &ckptReader{b: body[len(ckptMagic):]}
+	r := &blobReader{b: body[len(ckptMagic):]}
 	ck := &checkpoint{
 		rank:  int(r.i64()),
 		nodes: int(r.i64()),
 		d:     int(r.i64()),
 		nd:    int(r.i64()),
 	}
-	if np, ok := r.count(); ok {
-		ck.params = make([]int64, np)
-		for i := range ck.params {
-			ck.params[i] = r.i64()
-		}
+	ck.params = make([]int64, r.count(8))
+	for i := range ck.params {
+		ck.params[i] = r.i64()
 	}
 	ck.ownedTotal = r.i64()
+	if r.err == nil {
+		if err := run.mismatch(ck); err != nil {
+			return nil, fmt.Errorf("engine: checkpoint %s is from a different run (%w)", path, err)
+		}
+	}
 	ck.executed = r.i64()
 	flags := r.u64()
 	ck.goalSet = flags&1 != 0
 	ck.goalVal = r.f64()
 	ck.maxSet = flags&2 != 0
 	ck.maxVal = r.f64()
-	if nk, ok := r.count(); ok {
-		ck.executedKeys = make([]uint64, nk)
-		for i := range ck.executedKeys {
-			ck.executedKeys[i] = r.u64()
-		}
+	ck.executedKeys = make([]uint64, r.count(8))
+	for i := range ck.executedKeys {
+		ck.executedKeys[i] = r.u64()
 	}
-	if nt, ok := r.count(); ok {
-		ck.tiles = make([]ckptTile, 0, nt)
-		for i := 0; i < nt && r.err == nil; i++ {
-			t := ckptTile{tile: make([]int64, ck.d)}
-			for k := range t.tile {
-				t.tile[k] = r.i64()
-			}
-			ne, _ := r.count()
-			for j := 0; j < ne && r.err == nil; j++ {
-				ed := ckptEdge{dep: int(r.i64())}
-				nv, _ := r.count()
-				ed.data = make([]float64, nv)
-				for v := range ed.data {
-					ed.data[v] = r.f64()
-				}
-				t.edges = append(t.edges, ed)
-			}
-			ck.tiles = append(ck.tiles, t)
-		}
-	}
+	ck.tiles = readRecords(r, run.d, tileDeps)
 	if r.err != nil {
 		return nil, fmt.Errorf("engine: decode %s: %w", path, r.err)
 	}
 	return ck, nil
 }
 
-// loadResume reads the node's checkpoint (if any), validates it against
-// this run's configuration, and restores the executed-tile set and the
-// goal/max accumulators. The buffered edges are replayed later, by
-// replayCheckpoint, once the ready queues are seeded.
-func (n *node) loadResume() error {
+// loadResume reads the node's checkpoint (if any) and restores the
+// executed-tile set and the goal/max accumulators. It returns the
+// checkpoint's live-tile records, which replay applies once the ready
+// queues are seeded.
+func (n *node) loadResume() ([]ckptTile, error) {
 	e := n.eng
-	ck, err := loadCheckpoint(n.ckptPath)
+	ck, err := loadCheckpoint(n.ckptPath, n.ckptHeader(), len(e.tl.TileDeps))
 	if err != nil || ck == nil {
-		return err
+		return nil, err
 	}
-	switch {
-	case ck.rank != n.id:
-		err = fmt.Errorf("rank %d, want %d", ck.rank, n.id)
-	case ck.nodes != e.cfg.Nodes:
-		err = fmt.Errorf("%d ranks, want %d", ck.nodes, e.cfg.Nodes)
-	case ck.d != len(e.tl.Spec.Vars) || ck.nd != len(e.tl.Spec.Deps):
-		err = fmt.Errorf("%d vars/%d deps, want %d/%d",
-			ck.d, ck.nd, len(e.tl.Spec.Vars), len(e.tl.Spec.Deps))
-	case len(ck.params) != len(e.params) || !sameTile(ck.params, e.params):
-		err = fmt.Errorf("params %v, want %v", ck.params, e.params)
-	case ck.ownedTotal != n.ownedTotal:
-		err = fmt.Errorf("%d owned tiles, want %d", ck.ownedTotal, n.ownedTotal)
-	}
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint %s is from a different run (%w)", n.ckptPath, err)
-	}
-	for _, k := range ck.executedKeys {
-		n.executedSet[k] = struct{}{}
-	}
+	n.live.restoreExecuted(ck.executedKeys)
 	n.executed = ck.executed
 	e.goalMu.Lock()
 	if ck.goalSet {
@@ -320,32 +229,21 @@ func (n *node) loadResume() error {
 		e.maxSet = true
 	}
 	e.goalMu.Unlock()
-	n.resumeCk = ck
-	return nil
+	return ck.tiles, nil
 }
 
-// replayCheckpoint re-delivers the checkpoint's buffered edges into the
-// pending table, rebuilding each stored tile's dependence state exactly
-// as it was: edges from producers this rank already executed arrive
-// only here (those producers will not re-run), while edges from
-// not-yet-executed producers arrive again later and are dropped by the
-// duplicate filter. Runs on the seeding goroutine, before workers start.
-func (n *node) replayCheckpoint(lane *obs.Lane) {
-	ck := n.resumeCk
+// replay applies a checkpoint's live-tile records: edges from producers
+// this rank already executed arrive only here (those producers will not
+// re-run), while edges from not-yet-executed producers arrive again
+// later and are dropped by the duplicate filter. Runs on the seeding
+// goroutine, before workers start.
+func (n *node) replay(recs []ckptTile) {
+	lane := n.initLane()
 	var t0 int64
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	ds := newDelivState(n.eng)
-	var edges int64
-	for _, t := range ck.tiles {
-		for _, ed := range t.edges {
-			data := mpi.GetData(len(ed.data))
-			copy(data, ed.data)
-			n.deliver(t.tile, ed.dep, data, false, lane, ds)
-			edges++
-		}
-	}
+	edges := n.applyRecords(recs, lane, newDelivState(n.eng))
 	if lane != nil {
 		lane.Span(obs.KRecover, "", -1, edges, t0)
 	}
@@ -392,17 +290,12 @@ func (n *node) checkpointer(lane *obs.Lane) {
 // the node lock; the file write does not. A failed or skipped write
 // just leaves the checkpoint due — the checkpointer retries.
 func (n *node) maybeCheckpoint(lane *obs.Lane) {
-	st0 := &n.stripes[0]
-	st0.mu.Lock()
+	n.live.freeze()
 	n.mu.Lock()
-	if !n.ckptDue || n.ckptBusy || n.crashed {
+	q, _ := n.rank.(quiescer)
+	if !n.ckptDue || n.ckptBusy || n.crashed || (q != nil && q.PendingSends() != 0) {
 		n.mu.Unlock()
-		st0.mu.Unlock()
-		return
-	}
-	if q, ok := n.rank.(quiescer); ok && q.PendingSends() != 0 {
-		n.mu.Unlock()
-		st0.mu.Unlock()
+		n.live.thaw()
 		return
 	}
 	n.ckptBusy = true
@@ -413,7 +306,7 @@ func (n *node) maybeCheckpoint(lane *obs.Lane) {
 	}
 	blob := n.encodeCheckpoint()
 	n.mu.Unlock()
-	st0.mu.Unlock()
+	n.live.thaw()
 
 	err := writeCheckpointFile(n.ckptPath, blob)
 	n.mu.Lock()

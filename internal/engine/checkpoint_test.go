@@ -87,7 +87,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if err := writeCheckpointFile(path, encodeTestCheckpoint(want)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadCheckpoint(path)
+	got, err := loadCheckpoint(path, want, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,59 +131,94 @@ func TestCheckpointRoundtrip(t *testing.T) {
 // TestCheckpointMissingFile: a rank with no snapshot resumes from
 // scratch, so a missing file is (nil, nil), not an error.
 func TestCheckpointMissingFile(t *testing.T) {
-	ck, err := loadCheckpoint(CheckpointPath(t.TempDir(), 0))
+	ck, err := loadCheckpoint(CheckpointPath(t.TempDir(), 0), &checkpoint{}, 0)
 	if ck != nil || err != nil {
 		t.Fatalf("missing checkpoint = (%v, %v), want (nil, nil)", ck, err)
 	}
 }
 
+// TestCheckpointRejectsCorruption feeds damaged bytes to both users of
+// the record codec: a checkpoint file through loadCheckpoint and a
+// migration payload (the same record section, sealed) through
+// decodeMigration.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
+	run := &checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}}
 	blob := encodeTestCheckpoint(&checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}})
-
-	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		errPart string
-	}{
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, "not a checkpoint"},
-		{"flipped-bit", func(b []byte) []byte { b[len(ckptMagic)+3] ^= 0x40; return b }, "checksum"},
-		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-9] }, "checksum"},
-		{"too-short", func(b []byte) []byte { return b[:4] }, "not a checkpoint"},
+	loadFile := func(t *testing.T, b []byte) error {
+		path := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "-")+".ckpt")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadCheckpoint(path, run, 1)
+		return err
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name+".ckpt")
-			mutated := tc.mutate(append([]byte(nil), blob...))
-			if err := os.WriteFile(path, mutated, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ck, err := loadCheckpoint(path)
-			if err == nil {
-				t.Fatalf("corrupt checkpoint decoded: %+v", ck)
-			}
-			if !strings.Contains(err.Error(), tc.errPart) {
-				t.Errorf("error %q lacks %q", err, tc.errPart)
-			}
-		})
-	}
-
-	// An absurd element count inside a checksummed body must still be
+	// A checksum-valid file whose header claims an absurd dimension (a
+	// checkpoint directory reused across specs) and carries one tile: it
+	// must be turned away at the header, not sized from its own d.
+	hugeD := encodeTestCheckpoint(&checkpoint{rank: 0, nodes: 1, d: 1 << 40, nd: 1, params: []int64{8},
+		tiles: []ckptTile{{tile: []int64{0}}}})
+	// An absurd element count inside a checksummed body must be
 	// rejected by the bounds-checked reader, not crash the decoder.
 	evil := []byte(ckptMagic)
 	for i := 0; i < 4; i++ {
 		evil = binary.LittleEndian.AppendUint64(evil, 0)
 	}
-	evil = binary.LittleEndian.AppendUint64(evil, 1<<40) // params count
-	h := fnv.New64a()
-	h.Write(evil)
-	evil = binary.LittleEndian.AppendUint64(evil, h.Sum64())
-	path := filepath.Join(dir, "evil-count.ckpt")
-	if err := os.WriteFile(path, evil, 0o644); err != nil {
-		t.Fatal(err)
+	evil = sealBlob(binary.LittleEndian.AppendUint64(evil, 1<<40)) // params count
+
+	// One 2-D tile with one three-element edge, as applyEpoch ships it.
+	mig := sealBlob(appendRecords(nil, []*pendTile{{
+		tile:  []int64{3, 5},
+		edges: []edge{{dep: 1, data: []float64{1, 2.5, -4}}},
+	}}))
+	loadMig := func(_ *testing.T, b []byte) error {
+		_, err := decodeMigration(b, 2, 2)
+		return err
 	}
-	if ck, err := loadCheckpoint(path); err == nil {
-		t.Fatalf("oversized count decoded: %+v", ck)
+	if err := loadMig(t, mig); err != nil {
+		t.Fatalf("intact migration payload rejected: %v", err)
+	}
+	reseal := func(b []byte) []byte { return sealBlob(b[:len(b)-8]) }
+
+	cases := []struct {
+		name    string
+		blob    []byte
+		mutate  func([]byte) []byte
+		load    func(*testing.T, []byte) error
+		errPart string
+	}{
+		{"bad-magic", blob, func(b []byte) []byte { b[0] = 'X'; return b }, loadFile, "not a checkpoint"},
+		{"flipped-bit", blob, func(b []byte) []byte { b[len(ckptMagic)+3] ^= 0x40; return b }, loadFile, "checksum"},
+		{"truncated-tail", blob, func(b []byte) []byte { return b[:len(b)-9] }, loadFile, "checksum"},
+		{"too-short", blob, func(b []byte) []byte { return b[:4] }, loadFile, "not a checkpoint"},
+		{"huge-d", hugeD, func(b []byte) []byte { return b }, loadFile, "from a different run"},
+		{"evil-count", evil, func(b []byte) []byte { return b }, loadFile, "corrupt count"},
+		{"migration-bad-checksum", mig, func(b []byte) []byte { b[20] ^= 1; return b }, loadMig, "checksum"},
+		{"migration-too-short", mig, func(b []byte) []byte { return b[:5] }, loadMig, "checksum"},
+		{"migration-truncated", mig, func(b []byte) []byte { return reseal(b[:len(b)-8]) }, loadMig, "corrupt count"},
+		{"migration-bad-tile-count", mig, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b, 1<<40)
+			return reseal(b)
+		}, loadMig, "corrupt count"},
+		{"migration-bad-elem-count", mig, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8*5:], 1<<40) // ntiles, 2 coords, nedges, dep, then n
+			return reseal(b)
+		}, loadMig, "corrupt count"},
+		{"migration-bad-dep", mig, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8*4:], 7)
+			return reseal(b)
+		}, loadMig, "dependence 7 of 2"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.load(t, tc.mutate(append([]byte(nil), tc.blob...)))
+			if err == nil {
+				t.Fatal("corrupt blob decoded")
+			}
+			if !strings.Contains(err.Error(), tc.errPart) {
+				t.Errorf("error %q lacks %q", err, tc.errPart)
+			}
+		})
 	}
 }

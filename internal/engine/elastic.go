@@ -34,9 +34,10 @@
 // Bit-identity is preserved because nothing about cell arithmetic
 // changes: each tile still executes exactly once, from exactly the
 // edges its producers packed, on whichever rank owns it at execution
-// time. The migration blob moves buffered edges byte-for-byte, and the
-// duplicate-edge filter (shared with fault tolerance) makes any stale
-// or replayed edge a no-op.
+// time. The migration payload moves buffered edges byte-for-byte — it
+// is the live table's record section (live.go), the same one a
+// checkpoint file carries — and the table's duplicate filter makes any
+// stale or replayed edge a no-op.
 
 package engine
 
@@ -44,8 +45,8 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -65,8 +66,8 @@ type ScaleEvent struct {
 
 // ElasticConfig enables elastic membership (Config.Elastic). It
 // requires a distributed run over a transport that supports the
-// membership frames (dpgen/internal/mpi/tcp) and composes with neither
-// PollingRecv nor Checkpoint.
+// membership frames (dpgen/internal/mpi/tcp). It cannot run with
+// PollingRecv or Checkpoint; Config.Elastic says why.
 type ElasticConfig struct {
 	Enabled bool
 	// Members is the initial member set (rank numbers within the
@@ -130,13 +131,10 @@ func normalizeMembers(members []int, world int) ([]int, error) {
 	return m, nil
 }
 
-// ownerOf resolves a tile's owning rank under the current epoch's
-// assignment; outside elastic runs it is the static assignment.
+// ownerOf resolves a tile's owning rank under the current ownership
+// map: the prepared assignment, replaced at each elastic view change.
 func (e *engine) ownerOf(t []int64) int {
-	if a := e.assignP.Load(); a != nil {
-		return a.Owner(t)
-	}
-	return e.assign.Owner(t)
+	return e.owners.Load().Owner(t)
 }
 
 // ---- worker pause protocol ----
@@ -193,66 +191,47 @@ func (n *node) resumeWorkers() {
 	n.mu.Unlock()
 }
 
-// ---- wire payloads ----
+// ---- wire payloads (64-bit words, read back through blobReader) ----
 
-// encodeAck snapshots this rank's executed-per-slab census (sparse:
-// only nonzero slabs) under the pending-table lock, prefixed with the
-// epoch being acknowledged.
+// encodeAck snapshots this rank's executed-per-slab census, sparse:
+// the epoch being acknowledged, then a (slab, count) pair per nonzero
+// slab.
 func (n *node) encodeAck(epoch uint32) []byte {
-	st0 := &n.stripes[0]
-	st0.mu.Lock()
-	nz := 0
-	for _, c := range n.executedPerSlab {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(epoch))
+	for i, c := range n.live.censusCopy() {
 		if c != 0 {
-			nz++
-		}
-	}
-	b := make([]byte, 0, 8+12*nz)
-	b = binary.LittleEndian.AppendUint32(b, epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(nz))
-	for i, c := range n.executedPerSlab {
-		if c != 0 {
-			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+			b = binary.LittleEndian.AppendUint64(b, uint64(i))
 			b = binary.LittleEndian.AppendUint64(b, uint64(c))
 		}
 	}
-	st0.mu.Unlock()
 	return b
 }
 
 // mergeAck folds one rank's sparse census into the coordinator's
 // global census. Returns the acknowledged epoch.
 func mergeAck(pl []byte, census []int64) (uint32, error) {
-	if len(pl) < 8 {
-		return 0, fmt.Errorf("engine: truncated elastic ACK")
-	}
-	epoch := binary.LittleEndian.Uint32(pl)
-	nz := int(binary.LittleEndian.Uint32(pl[4:]))
-	pl = pl[8:]
-	if len(pl) != 12*nz {
-		return 0, fmt.Errorf("engine: elastic ACK length %d for %d entries", len(pl), nz)
-	}
-	for k := 0; k < nz; k++ {
-		i := int(binary.LittleEndian.Uint32(pl[12*k:]))
-		c := int64(binary.LittleEndian.Uint64(pl[12*k+4:]))
-		if i < 0 || i >= len(census) {
+	r := &blobReader{b: pl}
+	epoch := uint32(r.u64())
+	for len(r.b) > 0 && r.err == nil {
+		i, c := r.i64(), r.i64()
+		if r.err == nil && (i < 0 || i >= int64(len(census))) {
 			return 0, fmt.Errorf("engine: elastic ACK slab index %d of %d", i, len(census))
 		}
-		census[i] += c
+		if r.err == nil {
+			census[i] += c
+		}
 	}
-	return epoch, nil
+	return epoch, r.err
 }
 
-// encodeEpochPayload builds the EPOCH broadcast: epoch, member list,
-// dense merged census.
+// encodeEpochPayload builds the EPOCH broadcast: epoch, member count
+// and list, then the dense merged census to the end of the payload.
 func encodeEpochPayload(epoch uint32, members []int, census []int64) []byte {
-	b := make([]byte, 0, 12+4*len(members)+8*len(census))
-	b = binary.LittleEndian.AppendUint32(b, epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(members)))
+	b := binary.LittleEndian.AppendUint64(nil, uint64(epoch))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(members)))
 	for _, r := range members {
-		b = binary.LittleEndian.AppendUint32(b, uint32(r))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(census)))
 	for _, c := range census {
 		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}
@@ -260,191 +239,81 @@ func encodeEpochPayload(epoch uint32, members []int, census []int64) []byte {
 }
 
 func decodeEpochPayload(pl []byte) (epoch uint32, members []int, census []int64, err error) {
-	bad := fmt.Errorf("engine: truncated elastic EPOCH payload")
-	if len(pl) < 8 {
-		return 0, nil, nil, bad
-	}
-	epoch = binary.LittleEndian.Uint32(pl)
-	nm := int(binary.LittleEndian.Uint32(pl[4:]))
-	pl = pl[8:]
-	if nm < 0 || len(pl) < 4*nm+4 {
-		return 0, nil, nil, bad
-	}
-	members = make([]int, nm)
+	r := &blobReader{b: pl}
+	epoch = uint32(r.u64())
+	members = make([]int, r.count(8))
 	for i := range members {
-		members[i] = int(binary.LittleEndian.Uint32(pl[4*i:]))
+		members[i] = int(r.i64())
 	}
-	pl = pl[4*nm:]
-	ns := int(binary.LittleEndian.Uint32(pl))
-	pl = pl[4:]
-	if ns < 0 || len(pl) != 8*ns {
-		return 0, nil, nil, bad
-	}
-	census = make([]int64, ns)
+	census = make([]int64, len(r.b)/8)
 	for i := range census {
-		census[i] = int64(binary.LittleEndian.Uint64(pl[8*i:]))
+		census[i] = r.i64()
 	}
-	return epoch, members, census, nil
+	return epoch, members, census, r.err
 }
 
-// ---- migration blob ----
+// ---- migration payload ----
 //
-// The blob a rank ships when a view change moves live tiles off it:
-// the tile coordinates plus every buffered edge, byte-identical to how
-// the edges arrived. It rides a normal DATA frame (tag -1) with the
-// blob bytes packed into the float64 payload bit-for-bit and meta[0]
-// holding the byte length, so migration inherits the transport's
+// What a rank ships when a view change moves live tiles off it: the
+// tiles' sealed record section (live.go) — coordinates plus every
+// buffered edge, byte-identical to how the edges arrived. It rides a
+// normal DATA frame (tag -1) with the bytes packed into the float64
+// payload bit-for-bit, so migration inherits the transport's
 // acknowledgement, backpressure and retention machinery unchanged.
 
-const migMagic = "DPMIG01\n"
-
-// encodeMigration serializes the tiles bound for one destination.
-// Format mirrors the checkpoint codec: magic | epoch | ntiles |
-// tiles{coords, edges{dep, ndata, data}} | fnv1a checksum.
-func (e *engine) encodeMigration(epoch uint32, tiles []*pendTile) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, migMagic...)
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	i64 := func(v int64) { u64(uint64(v)) }
-	u64(uint64(epoch))
-	i64(int64(len(tiles)))
-	for _, p := range tiles {
-		for _, c := range p.tile {
-			i64(c)
-		}
-		i64(int64(len(p.edges)))
-		for _, ed := range p.edges {
-			i64(int64(ed.dep))
-			i64(int64(len(ed.data)))
-			for _, v := range ed.data {
-				u64(math.Float64bits(v))
-			}
-		}
+// blobToFloats packs a sealed record section — whole 64-bit words —
+// into a pooled float64 payload bit-for-bit; floatsToBlob is its
+// inverse.
+func blobToFloats(blob []byte) []float64 {
+	data := mpi.GetData(len(blob) / 8)
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	u64(h.Sum64())
-	return b
+	return data
 }
 
-// blobToFloats packs blob bytes into a pooled float64 payload
-// bit-for-bit (the last word zero-padded) with meta[0] carrying the
-// byte length.
-func blobToFloats(blob []byte) (data []float64, meta []int64) {
-	nw := (len(blob) + 7) / 8
-	data = mpi.GetData(nw)
-	for i := 0; i < nw; i++ {
-		var w [8]byte
-		copy(w[:], blob[8*i:])
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+func floatsToBlob(data []float64) []byte {
+	blob := make([]byte, 0, 8*len(data))
+	for _, v := range data {
+		blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(v))
 	}
-	meta = mpi.GetMeta(1)
-	meta[0] = int64(len(blob))
-	return data, meta
+	return blob
 }
 
-// floatsToBlob is the inverse of blobToFloats.
-func floatsToBlob(data []float64, nbytes int64) []byte {
-	blob := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(blob[8*i:], math.Float64bits(v))
+// decodeMigration opens a migration payload for a run with d loop
+// variables and ndeps tile dependences.
+func decodeMigration(blob []byte, d, ndeps int) ([]ckptTile, error) {
+	body, ok := openBlob(blob)
+	if !ok {
+		return nil, fmt.Errorf("engine: migration payload (%d bytes) failed its checksum", len(blob))
 	}
-	if nbytes < 0 || nbytes > int64(len(blob)) {
-		return nil
-	}
-	return blob[:nbytes]
-}
-
-// applyMigration absorbs one inbound migration blob on the receiver
-// goroutine: every carried tile is re-materialized by re-delivering
-// its buffered edges through the normal delivery path (the duplicate
-// filter makes this idempotent), and a carried tile with no edges — an
-// initial tile, which has no producers — is seeded directly. The
-// transport slot is released only after this returns, so the sender's
-// next quiescence point proves the blob was applied.
-func (n *node) applyMigration(data []float64, meta []int64, lane *obs.Lane, ds *delivState) {
-	e := n.eng
-	blob := floatsToBlob(data, meta[0])
-	if len(blob) < len(migMagic)+8 || string(blob[:len(migMagic)]) != migMagic {
-		panic(fmt.Sprintf("engine: rank %d received a corrupt migration blob (%d bytes)", n.id, len(blob)))
-	}
-	body, sum := blob[:len(blob)-8], binary.LittleEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		panic(fmt.Sprintf("engine: migration blob into rank %d failed its checksum", n.id))
-	}
-	r := &ckptReader{b: body[len(migMagic):]}
-	r.u64() // epoch, informational
-	d := len(e.tl.Spec.Vars)
-	nt, _ := r.count()
-	var tiles, edges int64
-	for i := 0; i < nt && r.err == nil; i++ {
-		t := make([]int64, d)
-		for k := range t {
-			t[k] = r.i64()
-		}
-		ne, _ := r.count()
-		if ne == 0 {
-			// An initial tile (no producers): nothing will ever deliver
-			// an edge for it, so seed it the way run() seeds initial
-			// tiles, unless this rank somehow already has it.
-			n.seedMigrated(t, lane)
-			tiles++
-			continue
-		}
-		for j := 0; j < ne && r.err == nil; j++ {
-			dep := int(r.i64())
-			nv, ok := r.count()
-			if !ok {
-				break
-			}
-			buf := mpi.GetData(nv)
-			for v := 0; v < nv; v++ {
-				buf[v] = r.f64()
-			}
-			n.deliver(t, dep, buf, false, lane, ds)
-			edges++
-		}
-		tiles++
-	}
+	r := &blobReader{b: body}
+	recs := readRecords(r, d, ndeps)
 	if r.err != nil {
-		panic(fmt.Sprintf("engine: decode migration blob into rank %d: %v", n.id, r.err))
+		return nil, fmt.Errorf("engine: decode migration payload: %w", r.err)
 	}
+	return recs, nil
+}
+
+// applyMigration absorbs one inbound migration payload on the receiver
+// goroutine. The transport slot is released only after this returns, so
+// the sender's next quiescence point proves the tiles live here now. A
+// payload that fails to decode came from a peer running this same code
+// over TCP: a protocol bug, not an input error.
+func (n *node) applyMigration(data []float64, lane *obs.Lane, ds *delivState) {
+	e := n.eng
+	recs, err := decodeMigration(floatsToBlob(data), len(e.tl.Spec.Vars), len(e.tl.TileDeps))
+	if err != nil {
+		panic(fmt.Sprintf("engine: rank %d: %v", n.id, err))
+	}
+	edges := n.applyRecords(recs, lane, ds)
 	n.mu.Lock()
-	n.st.TilesMigratedIn += tiles
+	n.st.TilesMigratedIn += int64(len(recs))
 	n.st.EdgesMigratedIn += edges
 	n.mu.Unlock()
 	if lane != nil {
-		lane.Instant(obs.KMigrateIn, "", -1, tiles)
+		lane.Instant(obs.KMigrateIn, "", -1, int64(len(recs)))
 	}
-}
-
-// seedMigrated enqueues a migrated-in initial tile.
-func (n *node) seedMigrated(t []int64, lane *obs.Lane) {
-	e := n.eng
-	ik := e.intKey(t)
-	st0 := &n.stripes[0]
-	st0.mu.Lock()
-	if _, dup := n.executedSet[ik]; dup {
-		st0.mu.Unlock()
-		return
-	}
-	if _, dup := n.started[ik]; dup {
-		st0.mu.Unlock()
-		return
-	}
-	p := &pendTile{
-		tile: t,
-		key:  make([]int64, len(e.keyDims)),
-		seq:  n.seqA.Add(1),
-	}
-	e.makeKey(p.tile, p.key)
-	p.level = -sum64(p.key)
-	p.group = n.shardOf(p.tile)
-	n.started[ik] = p
-	st0.mu.Unlock()
-	n.enqueue(p, lane)
 }
 
 // ---- epoch application ----
@@ -452,8 +321,8 @@ func (n *node) seedMigrated(t []int64, lane *obs.Lane) {
 // applyEpoch runs on the elastic loop when the EPOCH broadcast
 // arrives. The rank's workers are paused at a tile boundary and the
 // whole job is quiescent (that is what the coordinator's ACK
-// collection proved), so the pending/started tables and the census are
-// a consistent global cut. It recomputes ownership, extracts the live
+// collection proved), so the live table and its census are a
+// consistent global cut. It recomputes ownership, extracts the live
 // tiles this rank no longer owns, installs the new assignment and
 // owned-tile total, resumes the workers, and only then ships the
 // migration blobs — inline on the elastic loop, so this rank cannot
@@ -461,42 +330,19 @@ func (n *node) seedMigrated(t []int64, lane *obs.Lane) {
 // therefore, by the quiescence rule, applied).
 func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs.Lane) {
 	e := n.eng
-	prev := e.assignP.Load()
-	next, _, err := balance.Rebalance(prev, members, census)
+	next, _, err := balance.Rebalance(e.owners.Load(), members, census)
 	if err != nil {
 		// Every input is protocol-carried state that all ranks compute
 		// identically; a failure here is a protocol bug, not a user error.
 		panic(fmt.Sprintf("engine: rank %d rebalance at epoch %d: %v", n.id, epoch, err))
 	}
 
-	// Extract the live tiles whose new owner is elsewhere. Partial
-	// tiles live in the pending table; ready-but-unexecuted tiles in
-	// the started map (and, by pointer, in some shard queue — workers
-	// are paused with no tile popped, so the queues hold all of them).
-	out := make(map[int][]*pendTile)
-	var drop map[*pendTile]bool
-	st0 := &n.stripes[0]
-	st0.mu.Lock()
-	for k, p := range st0.pending {
-		if o := next.Owner(p.tile); o != n.id {
-			delete(st0.pending, k)
-			n.pendingTiles.Add(-1)
-			out[o] = append(out[o], p)
-		}
-	}
-	for k, p := range n.started {
-		if o := next.Owner(p.tile); o != n.id {
-			delete(n.started, k)
-			out[o] = append(out[o], p)
-			if drop == nil {
-				drop = make(map[*pendTile]bool)
-			}
-			drop[p] = true
-		}
-	}
-	st0.mu.Unlock()
-	if drop != nil {
-		n.dropQueued(drop)
+	// Extract the live tiles whose new owner is elsewhere. The started
+	// ones also sit in some shard queue — workers are paused with no
+	// tile popped, so the queues hold all of them.
+	out, queued := n.live.extract(n.id, next.Owner)
+	if len(queued) > 0 {
+		n.dropQueued(queued)
 	}
 
 	// New owned-tile total: everything this rank already executed plus
@@ -509,7 +355,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 		}
 	}
 
-	e.assignP.Store(next)
+	e.owners.Store(next)
 	n.curEpoch.Store(epoch)
 	n.et.SetEpoch(epoch)
 	n.mu.Lock()
@@ -526,23 +372,15 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	// elastic loop cannot reach the next PREP until the blobs are sent.
 	var tilesOut, edgesOut int64
 	for dst, tiles := range out {
-		blob := e.encodeMigration(epoch, tiles)
-		var freedEdges, freedElems int64
+		data := blobToFloats(sealBlob(appendRecords(nil, tiles)))
 		for _, p := range tiles {
-			tilesOut++
-			for i := range p.edges {
-				edgesOut++
-				freedEdges++
-				freedElems += int64(len(p.edges[i].data))
-				mpi.PutData(p.edges[i].data)
-				p.edges[i] = edge{}
-			}
-			p.edges = p.edges[:0]
+			edges, elems := releaseEdges(p)
+			n.pendingEdges.Add(-edges)
+			n.bufferedElems.Add(-elems)
+			edgesOut += edges
 		}
-		n.pendingEdges.Add(-freedEdges)
-		n.bufferedElems.Add(-freedElems)
-		data, meta := blobToFloats(blob)
-		n.rank.Send(dst, -1, data, meta)
+		tilesOut += int64(len(tiles))
+		n.rank.Send(dst, -1, data, nil)
 		if lane != nil {
 			lane.Instant(obs.KMigrateOut, "", int32(dst), int64(len(tiles)))
 		}
@@ -557,8 +395,9 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	n.checkFinished()
 }
 
-// dropQueued removes migrated-out ready tiles from the shard queues by
-// pointer identity, restoring the heap invariant afterwards.
+// dropQueued removes migrated-out ready tiles from the shard heaps by
+// pointer identity, restoring the heap invariant afterwards. (The
+// static deques are empty: staticEnabled excludes elastic runs.)
 func (n *node) dropQueued(drop map[*pendTile]bool) {
 	var removed int64
 	for si := range n.shards {
@@ -580,18 +419,6 @@ func (n *node) dropQueued(drop map[*pendTile]bool) {
 			s.heap.items = kept
 			heap.Init(&s.heap)
 		}
-		// The static deque is unused under elastic (the static phase
-		// is disabled), but keep it honest anyway.
-		keptDq := s.dq[s.dqHead:][:0]
-		for _, p := range s.dq[s.dqHead:] {
-			if drop[p] {
-				removed++
-			} else {
-				keptDq = append(keptDq, p)
-			}
-		}
-		s.dq = keptDq
-		s.dqHead = 0
 		s.mu.Unlock()
 	}
 	n.qlen.Add(-removed)
@@ -604,7 +431,6 @@ func (n *node) dropQueued(drop map[*pendTile]bool) {
 // from launch until after the final result merge (so departed and
 // standby ranks keep answering PREPs), stopping via n.stopElastic.
 func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
-	defer n.elasticWG.Done()
 	cfg := e.cfg.Elastic
 	et := n.et
 	world := e.cfg.Nodes
@@ -623,12 +449,12 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		finSent    bool
 	)
 	if n.id == 0 {
-		members = append([]int(nil), e.initialMembers...)
+		members = append([]int(nil), e.prep.members...)
 		schedule = append([]ScaleEvent(nil), cfg.ScaleAt...)
 		sort.SliceStable(schedule, func(i, j int) bool {
 			return schedule[i].AfterTiles < schedule[j].AfterTiles
 		})
-		census = make([]int64, len(e.assign.Slabs()))
+		census = make([]int64, len(e.owners.Load().Slabs()))
 	}
 
 	aborted := func() bool {
@@ -639,15 +465,6 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			return false
 		}
 	}
-	contains := func(s []int, r int) bool {
-		for _, v := range s {
-			if v == r {
-				return true
-			}
-		}
-		return false
-	}
-
 	startView := func(m []int) {
 		epoch++
 		nextM = m
@@ -715,7 +532,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		if len(leaveReqs) > 0 {
 			m := make([]int, 0, len(members))
 			for _, r := range members {
-				if !contains(leaveReqs, r) {
+				if !slices.Contains(leaveReqs, r) {
 					m = append(m, r)
 				}
 			}
@@ -739,7 +556,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			if n.id != 0 {
 				return true
 			}
-			if !contains(members, m.Src) && !contains(joiners, m.Src) && !contains(nextM, m.Src) {
+			if !slices.Contains(members, m.Src) && !slices.Contains(joiners, m.Src) && !slices.Contains(nextM, m.Src) {
 				joiners = append(joiners, m.Src)
 				sort.Ints(joiners)
 			}
@@ -748,7 +565,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 				return true
 			}
 			leavesSeen++
-			if m.Src != 0 && !contains(leaveReqs, m.Src) {
+			if m.Src != 0 && !slices.Contains(leaveReqs, m.Src) {
 				leaveReqs = append(leaveReqs, m.Src)
 				sort.Ints(leaveReqs)
 			}

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -77,7 +78,10 @@ type Config struct {
 	// Sched selects the tile scheduler: SchedHybrid (default) uses the
 	// static wavefront phase for interior all-local tiles, SchedDynamic
 	// counts every tile's dependences dynamically. Bit-identical either
-	// way; see sched.go.
+	// way; see sched.go. The static phase is skipped under Checkpoint (a
+	// resumed rank re-executes only part of each precomputed level) and
+	// under Elastic (ownership, the basis of the classification, is no
+	// longer fixed at partition time).
 	Sched   Sched
 	Balance balance.Method
 	// DisableFastPath forces every tile through the checked reference
@@ -111,13 +115,18 @@ type Config struct {
 	CrashAfterTiles int64
 	// CrashFn is the crash action for CrashAfterTiles: an os.Exit
 	// wrapper in real processes, a transport Kill in in-process tests.
-	// Required when CrashAfterTiles is positive.
+	// Required when CrashAfterTiles is positive. It must end the rank's
+	// run: once it has fired the rank never reports its tiles finished.
 	CrashFn func()
 	// Elastic enables elastic cluster membership: ranks joining and
 	// leaving mid-run with live re-partitioning and migration of the
 	// in-flight tile state. Requires a distributed run over a
-	// transport with membership support (dpgen/internal/mpi/tcp) and
-	// composes with neither PollingRecv nor Checkpoint. See
+	// transport with membership support (dpgen/internal/mpi/tcp). It
+	// cannot run with PollingRecv — a view change pauses the workers,
+	// and polling workers are the receivers, so the acknowledgements the
+	// pause waits for could not drain — nor with Checkpoint: no
+	// checkpoint records the epoch's ownership map yet, so a resumed
+	// rank could not tell which tiles it still owns. See
 	// docs/ELASTICITY.md.
 	Elastic ElasticConfig
 }
@@ -256,12 +265,17 @@ type Result struct {
 }
 
 type engine struct {
+	prep   *Prepared
 	tl     *tiling.Tiling
 	kernel Kernel
 	params []int64
 	cfg    Config
-	assign *balance.Assignment
 	comm   *mpi.Comm
+
+	// owners is the one ownership map: the prepared assignment, swapped
+	// atomically at elastic view changes while every worker is paused.
+	// Its slab table (Slabs, SlabIndex) is shared by every epoch.
+	owners atomic.Pointer[balance.Assignment]
 
 	// Per-run dependence geometry: the template base offsets and range
 	// steps evaluated at this run's parameter values (variable-distance
@@ -286,14 +300,6 @@ type engine struct {
 	maxVal  float64
 	maxSet  bool
 
-	// Elastic membership (Config.Elastic): assignP is the current
-	// epoch's assignment, swapped atomically at view changes while
-	// every worker is paused (nil outside elastic runs — ownerOf falls
-	// back to the static assign). initialMembers seeds rank 0's
-	// coordinator state.
-	assignP        atomic.Pointer[balance.Assignment]
-	initialMembers []int
-
 	finished sync.WaitGroup // one per node: all owned tiles executed
 }
 
@@ -302,323 +308,90 @@ type engine struct {
 // distributed job (see Config.Transport); otherwise it simulates all
 // cfg.Nodes ranks in-process.
 func Run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (*Result, error) {
-	return run(tl, kernel, params, cfg, nil)
+	start := time.Now()
+	cfg, members, err := resolve(tl, kernel, params, cfg)
+	if err != nil {
+		return nil, err
+	}
+	prep, err := prepare(tl, params, cfg.Nodes, members, cfg.Balance, !cfg.DisableFastPath)
+	if err != nil {
+		return nil, err
+	}
+	return run(prep, kernel, cfg, start)
 }
 
-// run is the shared body behind Run and Prepared.Run. A non-nil prep
-// supplies the precomputed load-balance assignment and initial-tile
-// scan (see prepare.go), skipping the per-run cost of both.
-func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Prepared) (*Result, error) {
+// resolve applies the defaults, folds the transport's size into Nodes
+// and validates everything about a run that can be judged before load
+// balancing. It returns the resolved Config and the sorted initial
+// member set: every rank, unless elastic membership names a subset.
+func resolve(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (Config, []int, error) {
 	cfg = cfg.withDefaults()
 	tr := cfg.Transport
-	distributed := tr != nil
-	if distributed {
+	if tr != nil {
 		cfg.Nodes = tr.Size()
 	}
 	if kernel == nil {
-		return nil, fmt.Errorf("engine: nil kernel")
+		return cfg, nil, fmt.Errorf("engine: nil kernel")
 	}
 	if len(params) != len(tl.Spec.Params) {
-		return nil, fmt.Errorf("engine: got %d params, spec has %d", len(params), len(tl.Spec.Params))
+		return cfg, nil, fmt.Errorf("engine: got %d params, spec has %d", len(params), len(tl.Spec.Params))
 	}
 	if err := tl.Spec.CheckParams(params); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return cfg, nil, fmt.Errorf("engine: %w", err)
 	}
 	goal := tl.Spec.GoalPoint()
 	goalVals := append(append([]int64{}, params...), goal...)
 	if !tl.Spec.System().Contains(goalVals) {
-		return nil, fmt.Errorf("engine: goal %v outside the iteration space for params %v", goal, params)
+		return cfg, nil, fmt.Errorf("engine: goal %v outside the iteration space for params %v", goal, params)
 	}
 	ft := cfg.Checkpoint.Dir != ""
 	if cfg.Checkpoint.Resume && !ft {
-		return nil, fmt.Errorf("engine: Checkpoint.Resume requires Checkpoint.Dir")
+		return cfg, nil, fmt.Errorf("engine: Checkpoint.Resume requires Checkpoint.Dir")
 	}
-	if ft && len(tl.TileDeps) > 64 {
-		return nil, fmt.Errorf("engine: fault tolerance supports at most 64 tile dependences, spec has %d",
+	if (ft || cfg.Elastic.Enabled) && len(tl.TileDeps) > 64 {
+		// The duplicate filter keeps one arrival bit per tile dependence.
+		return cfg, nil, fmt.Errorf("engine: fault tolerance and elastic membership support at most 64 tile dependences, spec has %d",
 			len(tl.TileDeps))
 	}
 	if cfg.CrashAfterTiles > 0 && cfg.CrashFn == nil {
-		return nil, fmt.Errorf("engine: CrashAfterTiles requires CrashFn")
+		return cfg, nil, fmt.Errorf("engine: CrashAfterTiles requires CrashFn")
 	}
-	el := cfg.Elastic.Enabled
-	var elMembers []int
-	if el {
-		switch {
-		case !distributed:
-			return nil, fmt.Errorf("engine: Elastic requires a Transport (distributed run)")
-		case cfg.PollingRecv:
-			return nil, fmt.Errorf("engine: Elastic does not compose with PollingRecv")
-		case ft:
-			return nil, fmt.Errorf("engine: Elastic does not compose with Checkpoint")
-		case prep != nil:
-			return nil, fmt.Errorf("engine: Elastic does not compose with Prepared runs")
-		case len(tl.TileDeps) > 64:
-			return nil, fmt.Errorf("engine: elastic membership supports at most 64 tile dependences, spec has %d",
-				len(tl.TileDeps))
-		}
-		if _, ok := tr.(elasticTransport); !ok {
-			return nil, fmt.Errorf("engine: transport %T does not support elastic membership", tr)
-		}
-		var err error
-		if elMembers, err = normalizeMembers(cfg.Elastic.Members, cfg.Nodes); err != nil {
-			return nil, err
-		}
+	if !cfg.Elastic.Enabled {
+		members, _ := normalizeMembers(nil, cfg.Nodes)
+		return cfg, members, nil
 	}
+	switch {
+	case tr == nil:
+		return cfg, nil, fmt.Errorf("engine: Elastic requires a Transport (distributed run): an in-process simulation has no processes to join or leave")
+	case cfg.PollingRecv:
+		return cfg, nil, fmt.Errorf("engine: Elastic cannot run with PollingRecv: a view change pauses the workers, and polling workers are the receivers, so acknowledgements could not drain")
+	case ft:
+		return cfg, nil, fmt.Errorf("engine: Elastic cannot run with Checkpoint: no checkpoint records the epoch's ownership map yet")
+	}
+	if _, ok := tr.(elasticTransport); !ok {
+		return cfg, nil, fmt.Errorf("engine: transport %T does not support elastic membership", tr)
+	}
+	members, err := normalizeMembers(cfg.Elastic.Members, cfg.Nodes)
+	return cfg, members, err
+}
 
-	start := time.Now()
-	var assign *balance.Assignment
-	var balanceTime time.Duration
-	var err error
-	if prep != nil {
-		if err = prep.check(cfg); err != nil {
-			return nil, err
-		}
-		assign, balanceTime = prep.assign, prep.balanceTime
-	} else if el {
-		assign, err = balance.BuildMembers(tl, params, cfg.Nodes, elMembers, cfg.Balance)
-		if err != nil {
-			return nil, err
-		}
-		balanceTime = time.Since(start)
-	} else {
-		assign, err = balance.Build(tl, params, cfg.Nodes, cfg.Balance)
-		if err != nil {
-			return nil, err
-		}
-		balanceTime = time.Since(start)
-	}
-	var comm *mpi.Comm
-	if !distributed {
-		comm, err = mpi.NewComm(cfg.Nodes, cfg.SendBufs, cfg.RecvBufs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var rows *tiling.RowPlan
-	if !cfg.DisableFastPath {
-		if prep != nil {
-			rows = prep.rows
-		} else {
-			rows = tl.BindRows(params)
-		}
-		// Without the overflow proof the plan's plain arithmetic is
-		// unsafe: the whole run takes the checked reference path.
-		if !rows.OK() {
-			rows, cfg.DisableFastPath = nil, true
-		}
-	}
-	e := &engine{
-		tl:     tl,
-		kernel: kernel,
-		params: append([]int64(nil), params...),
-		cfg:    cfg,
-		assign: assign,
-		comm:   comm,
-		rows:   rows,
-	}
-	if el {
-		e.initialMembers = elMembers
-		e.assignP.Store(assign)
-	}
-	e.goalTile, e.goalLocal = tl.GoalTile()
-	e.depLocOff = tl.DepLocOffAt(params)
-	e.depStride = tl.DepStrideAt(params)
-	e.buildKeyDims()
-	if err := e.buildIntKeys(); err != nil {
+// run executes a resolved Config from its prepared front half: build
+// the engine and nodes, seed, launch, await, collect. start is when the
+// caller began, so TotalTime covers validation and Run's balance.
+func run(prep *Prepared, kernel Kernel, cfg Config, start time.Time) (*Result, error) {
+	e, nodes, err := newEngine(prep, kernel, cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	// Serial initialization (Section IV-K): owned-tile totals come from
-	// the balancer's per-slab tile counts, and the initial tiles from the
-	// boundary band scan, so startup touches only O(n^{d-1}) tiles. The
-	// exhaustive scan remains as a fallback. In distributed mode only the
-	// local rank's node exists; nodeByRank is nil at remote ranks and
-	// their tiles are skipped (every process seeds its own).
 	initStart := time.Now()
-	nodeByRank := make([]*node, cfg.Nodes)
-	var nodes []*node
-	if distributed {
-		n := newNode(e, tr.ID(), tr)
-		n.ownedTotal = assign.Tiles[tr.ID()]
-		if el {
-			n.et = tr.(elasticTransport)
-		}
-		nodeByRank[tr.ID()] = n
-		nodes = []*node{n}
-	} else {
-		nodes = make([]*node, cfg.Nodes)
-		for i := range nodes {
-			nodes[i] = newNode(e, i, comm.Rank(i))
-			nodes[i].ownedTotal = assign.Tiles[i]
-			nodeByRank[i] = nodes[i]
-		}
+	if err := e.seed(nodes); err != nil {
+		return nil, err
 	}
-	var initial [][]int64
-	var ownedTotals []int64
-	if prep != nil {
-		initial, ownedTotals = prep.initial, prep.ownedTotals
-	} else {
-		initial, ownedTotals = initialAndTotals(tl, params, assign, cfg.Nodes)
-	}
-	if ownedTotals != nil {
-		if el {
-			// The rebalancer's owned-tile arithmetic needs the exact
-			// per-slab tile counts; a tiling whose totals come from the
-			// fallback full scan cannot provide them.
-			return nil, fmt.Errorf("engine: Elastic requires exact per-slab tile counts for this tiling")
-		}
-		for _, n := range nodes {
-			n.ownedTotal = ownedTotals[n.id]
-		}
-	}
-	if len(initial) == 0 {
-		return nil, fmt.Errorf("engine: no initial tiles — the dependence graph is cyclic or the space is empty")
-	}
-	if cfg.Checkpoint.Resume {
-		for _, n := range nodes {
-			if err := n.loadResume(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, t := range initial {
-		n := nodeByRank[assign.Owner(t)]
-		if n == nil {
-			continue
-		}
-		var ik uint64
-		if n.ft {
-			// A resumed rank's already-executed seed tiles are not re-run.
-			ik = e.intKey(t)
-			if _, done := n.executedSet[ik]; done {
-				continue
-			}
-		}
-		p := &pendTile{
-			tile: append([]int64(nil), t...),
-			key:  make([]int64, len(e.keyDims)),
-			seq:  n.seqA.Add(1),
-		}
-		e.makeKey(p.tile, p.key)
-		p.level = -sum64(p.key)
-		p.group = n.shardOf(p.tile)
-		if n.ft {
-			n.started[ik] = p
-		}
-		n.enqueue(p, n.initLane())
-	}
-	for _, n := range nodes {
-		if n.resumeCk != nil {
-			n.replayCheckpoint(n.initLane())
-		}
-	}
-	// Static phase (sched.go): classify and order interior all-local
-	// tiles once, before workers exist, so the per-level structures
-	// need no construction-time locking.
-	e.buildStatic(nodeByRank)
-	initTime := time.Since(initStart)
+	initTime := prep.scanTime + time.Since(initStart)
 
-	// Launch: per node, Threads workers plus one receiver. Each
-	// goroutine owns one trace lane (workers 0..Threads-1, the receiver
-	// after them), so event emission is lock-free.
-	var workers sync.WaitGroup
-	var receivers sync.WaitGroup
-	for _, n := range nodes {
-		e.finished.Add(1)
-		n.checkFinished() // nodes owning zero tiles are already done
-		if !cfg.PollingRecv {
-			receivers.Add(1)
-			go func(n *node) {
-				defer receivers.Done()
-				var lane *obs.Lane
-				if cfg.Tracer != nil {
-					lane = cfg.Tracer.Lane(n.id, cfg.Threads, "recv")
-				}
-				n.receiver(lane)
-			}(n)
-		}
-		if n.ft && n.ckptPath != "" {
-			receivers.Add(1)
-			go func(n *node) {
-				defer receivers.Done()
-				var lane *obs.Lane
-				if cfg.Tracer != nil {
-					lane = cfg.Tracer.Lane(n.id, laneInit(cfg)+1, "ckpt")
-				}
-				n.checkpointer(lane)
-			}(n)
-		}
-		if n.elastic {
-			n.elasticWG.Add(1)
-			go func(n *node) {
-				var lane *obs.Lane
-				if cfg.Tracer != nil {
-					lane = cfg.Tracer.Lane(n.id, laneInit(cfg)+3, "elastic")
-				}
-				e.elasticLoop(n, lane)
-			}(n)
-		}
-		for w := 0; w < cfg.Threads; w++ {
-			workers.Add(1)
-			go func(n *node, w int) {
-				defer workers.Done()
-				var lane *obs.Lane
-				if cfg.Tracer != nil {
-					lane = cfg.Tracer.Lane(n.id, w, "worker"+strconv.Itoa(w))
-				}
-				if cfg.PollingRecv {
-					n.workerPolling(w, lane)
-				} else {
-					n.worker(w, lane)
-				}
-			}(n, w)
-		}
-	}
-
-	// Coordinator: once every node has executed all its owned tiles,
-	// no further messages can be in flight (a consumer finishes only
-	// after receiving every edge it needs), so the communicator can be
-	// closed and the workers woken for exit. In distributed mode the
-	// local rank instead joins the collective result merge before
-	// closing its transport endpoint; a failed transport (peer death)
-	// aborts the run with an error rather than hanging.
-	var merged *mergedResult
-	var runErr error
-	if distributed {
-		if runErr = e.awaitLocal(tr); runErr == nil {
-			merged, runErr = e.mergeDistributed(tr)
-		}
-		if rs, ok := tr.(interface{ RecoveryStats() (int64, int64) }); ok {
-			hb, pr := rs.RecoveryStats()
-			n := nodes[0]
-			n.mu.Lock()
-			n.st.HeartbeatMisses, n.st.PeerRestarts = hb, pr
-			n.mu.Unlock()
-			if cfg.Tracer != nil && (hb > 0 || pr > 0) {
-				lane := cfg.Tracer.Lane(n.id, laneInit(cfg), "init")
-				lane.Instant(obs.KHeartbeatMiss, "", -1, hb)
-				lane.Instant(obs.KPeerRestart, "", -1, pr)
-			}
-		}
-		if bs, ok := tr.(interface{ Bytes() (int64, int64) }); ok {
-			sent, recvd := bs.Bytes()
-			n := nodes[0]
-			n.mu.Lock()
-			n.st.WireBytesSent, n.st.WireBytesRecv = sent, recvd
-			n.mu.Unlock()
-		}
-		if el {
-			// The elastic loop outlives the local finish so departed and
-			// standby ranks keep answering view changes; it stops only
-			// after the collective merge proved every rank is done.
-			close(nodes[0].stopElastic)
-			nodes[0].elasticWG.Wait()
-		}
-		tr.Close()
-	} else {
-		e.finished.Wait()
-		comm.Close()
-	}
+	var running sync.WaitGroup
+	e.launch(nodes, &running)
+	merged, runErr := e.await(nodes)
 	for _, n := range nodes {
 		n.mu.Lock()
 		n.done = true
@@ -628,8 +401,7 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 		}
 		n.mu.Unlock()
 	}
-	workers.Wait()
-	receivers.Wait()
+	running.Wait()
 	if runErr != nil {
 		// Nodes that never finished (the aborted run's whole point)
 		// force their Done so the awaitLocal waiter blocked in
@@ -639,19 +411,210 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 		}
 		return nil, fmt.Errorf("engine: distributed run failed: %w", runErr)
 	}
+	res, err := e.collect(nodes, merged)
+	if err != nil {
+		return nil, err
+	}
+	res.BalanceTime, res.InitTime, res.TotalTime = prep.balanceTime, initTime, time.Since(start)
+	return res, nil
+}
 
+// newEngine builds the run's engine and its local nodes: every rank of
+// an in-process simulation, or this process's one rank of a distributed
+// job.
+func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, error) {
+	if cfg.Elastic.Enabled && prep.ownedTotals != nil {
+		// The rebalancer's owned-tile arithmetic needs the exact
+		// per-slab tile counts; a tiling whose totals come from the
+		// fallback full scan cannot provide them.
+		return nil, nil, fmt.Errorf("engine: Elastic requires exact per-slab tile counts for this tiling")
+	}
+	if len(prep.initial) == 0 {
+		return nil, nil, fmt.Errorf("engine: no initial tiles — the dependence graph is cyclic or the space is empty")
+	}
+	e := &engine{
+		prep:   prep,
+		tl:     prep.tl,
+		kernel: kernel,
+		params: prep.params,
+		cfg:    cfg,
+	}
+	if !cfg.DisableFastPath {
+		// Without the overflow proof the plan's plain arithmetic is
+		// unsafe: the whole run takes the checked reference path.
+		if prep.rows.OK() {
+			e.rows = prep.rows
+		} else {
+			e.cfg.DisableFastPath = true
+		}
+	}
+	e.owners.Store(prep.assign)
+	e.goalTile, e.goalLocal = e.tl.GoalTile()
+	e.depLocOff = e.tl.DepLocOffAt(e.params)
+	e.depStride = e.tl.DepStrideAt(e.params)
+	e.buildKeyDims()
+	if err := e.buildIntKeys(); err != nil {
+		return nil, nil, err
+	}
+	var nodes []*node
+	if tr := cfg.Transport; tr != nil {
+		nodes = []*node{newNode(e, tr.ID(), tr)}
+	} else {
+		comm, err := mpi.NewComm(cfg.Nodes, cfg.SendBufs, cfg.RecvBufs)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.comm = comm
+		for i := 0; i < cfg.Nodes; i++ {
+			nodes = append(nodes, newNode(e, i, comm.Rank(i)))
+		}
+	}
+	// Owned-tile totals come from the balancer's per-slab tile counts;
+	// the exhaustive scan's remain as a fallback.
+	for _, n := range nodes {
+		n.ownedTotal = prep.assign.Tiles[n.id]
+		if prep.ownedTotals != nil {
+			n.ownedTotal = prep.ownedTotals[n.id]
+		}
+	}
+	return e, nodes, nil
+}
+
+// seed is the serial initialization of Section IV-K: the initial tiles
+// come from the boundary band scan, so startup touches only O(n^{d-1})
+// tiles, and every process seeds only its own. A resumed rank restores
+// its executed set first (executed seeds are not queued again) and
+// replays its checkpointed edges after. Last, the static phase orders
+// interior all-local tiles while no worker exists to lock against.
+func (e *engine) seed(nodes []*node) error {
+	nodeByRank := make([]*node, e.cfg.Nodes)
+	for _, n := range nodes {
+		nodeByRank[n.id] = n
+	}
+	resumed := make([][]ckptTile, len(nodes)) // nil: no checkpoint to replay
+	if e.cfg.Checkpoint.Resume {
+		for i, n := range nodes {
+			var err error
+			if resumed[i], err = n.loadResume(); err != nil {
+				return err
+			}
+		}
+	}
+	owners := e.owners.Load()
+	ds := newDelivState(e)
+	for _, t := range e.prep.initial {
+		if n := nodeByRank[owners.Owner(t)]; n != nil {
+			n.seedTile(t, n.initLane(), ds)
+		}
+	}
+	for i, recs := range resumed {
+		if recs != nil {
+			nodes[i].replay(recs)
+		}
+	}
+	e.buildStatic(nodeByRank)
+	return nil
+}
+
+// launch starts each node's goroutines — Threads workers, one receiver
+// (unless workers poll), the checkpointer and the elastic loop where
+// configured — each owning one trace lane (workers 0..Threads-1, the
+// others after them), so event emission is lock-free.
+func (e *engine) launch(nodes []*node, running *sync.WaitGroup) {
+	cfg := e.cfg
+	spawn := func(wg *sync.WaitGroup, n *node, laneIdx int, name string, body func(*obs.Lane)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lane *obs.Lane
+			if cfg.Tracer != nil {
+				lane = cfg.Tracer.Lane(n.id, laneIdx, name)
+			}
+			body(lane)
+		}()
+	}
+	for _, n := range nodes {
+		e.finished.Add(1)
+		n.checkFinished() // nodes owning zero tiles are already done
+		if !cfg.PollingRecv {
+			spawn(running, n, cfg.Threads, "recv", n.receiver)
+		}
+		if n.ckptPath != "" {
+			spawn(running, n, laneInit(cfg)+1, "ckpt", n.checkpointer)
+		}
+		if n.elastic {
+			spawn(&n.elasticWG, n, laneInit(cfg)+3, "elastic", func(lane *obs.Lane) { e.elasticLoop(n, lane) })
+		}
+		loop := n.worker
+		if cfg.PollingRecv {
+			loop = n.workerPolling
+		}
+		for w := 0; w < cfg.Threads; w++ {
+			spawn(running, n, w, "worker"+strconv.Itoa(w), func(lane *obs.Lane) { loop(w, lane) })
+		}
+	}
+}
+
+// await blocks until every local node has executed its owned tiles,
+// then shuts communication down. In-process nothing can be in flight by
+// then (a consumer finishes only after receiving every edge it needs),
+// so the communicator just closes. A distributed rank first joins the
+// collective result merge; a failed transport (peer death) aborts the
+// run with an error rather than hanging.
+func (e *engine) await(nodes []*node) (*mergedResult, error) {
+	tr := e.cfg.Transport
+	if tr == nil {
+		e.finished.Wait()
+		e.comm.Close()
+		return nil, nil
+	}
+	n := nodes[0]
+	var merged *mergedResult
+	err := e.awaitLocal(tr)
+	if err == nil {
+		merged, err = e.mergeDistributed(tr)
+	}
+	if rs, ok := tr.(interface{ RecoveryStats() (int64, int64) }); ok {
+		hb, pr := rs.RecoveryStats()
+		n.mu.Lock()
+		n.st.HeartbeatMisses, n.st.PeerRestarts = hb, pr
+		n.mu.Unlock()
+		if lane := n.initLane(); lane != nil && (hb > 0 || pr > 0) {
+			lane.Instant(obs.KHeartbeatMiss, "", -1, hb)
+			lane.Instant(obs.KPeerRestart, "", -1, pr)
+		}
+	}
+	if bs, ok := tr.(interface{ Bytes() (int64, int64) }); ok {
+		sent, recvd := bs.Bytes()
+		n.mu.Lock()
+		n.st.WireBytesSent, n.st.WireBytesRecv = sent, recvd
+		n.mu.Unlock()
+	}
+	if n.elastic {
+		// The elastic loop outlives the local finish so departed and
+		// standby ranks keep answering view changes; it stops only
+		// after the collective merge proved every rank is done.
+		close(n.stopElastic)
+		n.elasticWG.Wait()
+	}
+	tr.Close()
+	return merged, err
+}
+
+// collect folds the per-node counters into the Result. A distributed
+// run reports the merged values and only the local rank's Stats entry
+// (the others live in other processes).
+func (e *engine) collect(nodes []*node, merged *mergedResult) (*Result, error) {
 	res := &Result{
-		Stats:       make([]NodeStats, cfg.Nodes),
-		BalanceTime: balanceTime,
-		InitTime:    initTime,
-		TotalTime:   time.Since(start),
-		Work:        assign.Work,
+		Stats: make([]NodeStats, e.cfg.Nodes),
+		Work:  e.prep.assign.Work,
 	}
 	for _, n := range nodes {
 		n.st.Steals = n.stealsA.Load()
 		n.st.LocalPops = n.localPopsA.Load()
 		n.st.EdgesLocal = n.edgesLocalA.Load()
 		n.st.EdgesRecvRemote = n.edgesRecvRemoteA.Load()
+		n.st.EdgesDroppedDup = n.live.dups
 		n.st.PeakPendingEdges = n.peakPendingEdges.Load()
 		n.st.PeakBufferedElems = n.peakBufferedElems.Load()
 		n.st.PeakPendingTiles = n.peakPendingTiles.Load()
@@ -661,27 +624,22 @@ func run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config, prep *Pre
 		}
 		res.Stats[n.id] = n.st
 	}
-	if distributed {
-		// Globally merged values; Stats carries only the local rank's
-		// entry (the others stay zero — they live in other processes).
-		res.Value = merged.goal
-		res.Max = merged.max
+	if merged != nil {
+		res.Value, res.Max = merged.goal, merged.max
 		res.Messages, res.Elems = merged.messages, merged.elems
 		return res, nil
 	}
-	res.Messages, res.Elems = comm.Stats()
+	res.Messages, res.Elems = e.comm.Stats()
 	e.goalMu.Lock()
+	defer e.goalMu.Unlock()
 	if !e.goalSet {
-		e.goalMu.Unlock()
 		return nil, fmt.Errorf("engine: goal tile %v never executed", e.goalTile)
 	}
 	res.Value = e.goalVal
+	res.Max = math.NaN()
 	if e.maxSet {
 		res.Max = e.maxVal
-	} else {
-		res.Max = math.NaN()
 	}
-	e.goalMu.Unlock()
 	return res, nil
 }
 
@@ -745,71 +703,53 @@ type node struct {
 
 	// mu guards the done flag, the batched per-tile stats, and the
 	// fault-tolerance cadence; workers with nothing to do sleep on
-	// cond. Lock order where several are held: pstripe.mu → shard.mu →
-	// mu (the reverse never occurs).
+	// cond. Lock order: see liveTable.
 	mu   sync.Mutex
 	cond *sync.Cond
 	done bool
 
-	// Scheduler state (see sched.go / steal.go): per-worker ready-queue
-	// shards, the striped dynamic pending table, and (under SchedHybrid)
-	// the static wavefront phase.
-	shards  []shard
-	stripes []pstripe
-	smask   uint64
-	sd      *nodeSched
+	// Scheduler state: the live-tile table (live.go), the per-worker
+	// ready-queue shards (steal.go), and (under SchedHybrid) the static
+	// wavefront phase (sched.go).
+	live   *liveTable
+	shards []shard
+	sd     *nodeSched
 
 	// epoch/sleepers implement the lost-wakeup-free worker sleep of
-	// steal.go; qlen counts queued tiles across shards and pendingTiles
-	// the dynamic pending-table entries.
-	epoch        atomic.Uint64
-	sleepers     atomic.Int32
-	qlen         atomic.Int64
-	pendingTiles atomic.Int64
-	seqA         atomic.Int64
+	// steal.go; qlen counts queued tiles across shards.
+	epoch    atomic.Uint64
+	sleepers atomic.Int32
+	qlen     atomic.Int64
+	seqA     atomic.Int64
 
 	ownedTotal int64
 	executed   int64
 	finishOnce sync.Once
 
-	// Fault-tolerance state (Config.Checkpoint). The dedup maps
-	// executedSet/started are guarded by stripes[0].mu — fault
-	// tolerance collapses the pending table to one stripe so every
-	// per-tile transition shares that lock; the cadence flags stay
-	// under mu. executedSet records every executed owned tile's intKey
-	// for duplicate-edge filtering and checkpointing; started holds
-	// tiles whose dependences are complete (queued or executing) so
-	// their still-held edges stay checkpointable until the executed
-	// mark.
-	ft          bool
-	executedSet map[uint64]struct{}
-	started     map[uint64]*pendTile
-	ckptPath    string
-	ckptEvery   int64
-	ckptDue     bool
-	ckptBusy    bool
-	crashAt     int64
-	crashed     bool
-	resumeCk    *checkpoint
+	// Checkpoint cadence and crash injection (Config.Checkpoint,
+	// Config.CrashAfterTiles), under mu.
+	ckptPath  string
+	ckptEvery int64
+	ckptDue   bool
+	ckptBusy  bool
+	crashAt   int64
+	crashed   bool
 
 	// Elastic membership state (Config.Elastic; see elastic.go).
 	// paused/executingN/elasticFin/leaveSent are under mu: pauseCond
 	// parks workers during a view change, quietCond wakes the pauser
-	// when the last in-flight tile retires. executedPerSlab — this
-	// rank's contribution to the global executed census, indexed like
-	// assign.Slabs() — is under stripes[0].mu next to executedSet.
-	elastic         bool
-	et              elasticTransport
-	paused          bool
-	executingN      int
-	elasticFin      bool
-	leaveSent       bool
-	pauseCond       *sync.Cond
-	quietCond       *sync.Cond
-	curEpoch        atomic.Uint32
-	executedPerSlab []int64
-	stopElastic     chan struct{}
-	elasticWG       sync.WaitGroup
+	// when the last in-flight tile retires.
+	elastic     bool
+	et          elasticTransport
+	paused      bool
+	executingN  int
+	elasticFin  bool
+	leaveSent   bool
+	pauseCond   *sync.Cond
+	quietCond   *sync.Cond
+	curEpoch    atomic.Uint32
+	stopElastic chan struct{}
+	elasticWG   sync.WaitGroup
 
 	// Counters off the hot locks: edge-memory accounting plus the
 	// scheduler and traffic totals folded into st after the run.
@@ -843,38 +783,23 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		n.shards[i].heap = tileHeap{prio: e.cfg.Priority}
 		n.shards[i].rng = uint64(i+1) * 0x9E3779B97F4A7C15
 	}
-	// Stripe count: a few stripes per worker, power of two for the
-	// mask; one stripe under fault tolerance or elastic membership
-	// (see pstripe — both need one lock over every per-tile transition).
-	nstripes := 1
-	if e.cfg.Checkpoint.Dir == "" && !e.cfg.Elastic.Enabled {
-		nstripes = 4
-		for nstripes < 4*threads && nstripes < 64 {
-			nstripes *= 2
-		}
+	// Fault tolerance and elastic membership both need the table's
+	// tracking regime — checkpoint and migration serialise exactly the
+	// same live state; only elastic runs keep the per-slab census.
+	var slabs *balance.Assignment
+	if e.cfg.Elastic.Enabled {
+		slabs = e.owners.Load()
 	}
-	n.stripes = make([]pstripe, nstripes)
-	for i := range n.stripes {
-		n.stripes[i].pending = make(map[uint64]*pendTile)
-	}
-	n.smask = uint64(nstripes - 1)
-	if e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled {
-		// Elastic runs reuse the fault-tolerance tracking (dedup maps,
-		// edge retention until the executed mark) without the on-disk
-		// checkpoints: migration needs exactly the same live state.
-		n.ft = true
-		n.executedSet = make(map[uint64]struct{})
-		n.started = make(map[uint64]*pendTile)
-	}
+	n.live = newLiveTable(threads, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, slabs, n.prepTile)
 	if e.cfg.Checkpoint.Dir != "" {
 		n.ckptPath = CheckpointPath(e.cfg.Checkpoint.Dir, id)
 		n.ckptEvery = e.cfg.Checkpoint.EveryTiles
 	}
 	if e.cfg.Elastic.Enabled {
 		n.elastic = true
+		n.et = rank.(elasticTransport) // resolve checked the assertion
 		n.pauseCond = sync.NewCond(&n.mu)
 		n.quietCond = sync.NewCond(&n.mu)
-		n.executedPerSlab = make([]int64, len(e.assign.Slabs()))
 		n.stopElastic = make(chan struct{})
 	}
 	n.crashAt = e.cfg.CrashAfterTiles
@@ -912,13 +837,12 @@ func (n *node) worker(w int, lane *obs.Lane) {
 		p, stolen := n.popAny(w)
 		if p != nil {
 			n.execTile(p, ws, stolen)
-			if n.elastic {
-				n.execDone()
-			}
-			continue
 		}
 		if n.elastic {
 			n.execDone()
+		}
+		if p != nil {
+			continue
 		}
 		n.mu.Lock()
 		if n.done {
@@ -992,37 +916,8 @@ func (n *node) receiver(lane *obs.Lane) {
 		if !ok {
 			return
 		}
-		if n.elastic {
-			if m.Tag < 0 {
-				// A migration blob (see elastic.go). The slot — and with
-				// it the acknowledgement — is released only after the
-				// blob is fully applied, so the sender's next quiescence
-				// point proves these tiles live here now.
-				n.applyMigration(m.Data, m.Meta, lane, ds)
-				mpi.PutData(m.Data)
-				m.ReleaseSlot()
-				mpi.PutMeta(m.Meta)
-				continue
-			}
-			if m.Epoch < n.curEpoch.Load() {
-				// An edge sent under an older membership epoch. The view
-				// change drained all data traffic, so this cannot happen
-				// in supported configurations — but if it does, a tile
-				// that moved away gets its edge forwarded to the current
-				// owner instead of being dropped or double-applied (the
-				// duplicate filter below handles the still-owned case).
-				if o := n.eng.ownerOf(m.Meta); o != n.id {
-					meta := mpi.GetMeta(len(m.Meta))
-					copy(meta, m.Meta)
-					n.rank.Send(o, m.Tag, m.Data, meta)
-					n.mu.Lock()
-					n.st.EdgesForwarded++
-					n.mu.Unlock()
-					m.ReleaseSlot()
-					mpi.PutMeta(m.Meta)
-					continue
-				}
-			}
+		if n.elastic && n.routeElastic(m, lane, ds) {
+			continue
 		}
 		n.deliver(m.Meta, m.Tag, m.Data, true, lane, ds)
 		m.ReleaseSlot()
@@ -1030,9 +925,41 @@ func (n *node) receiver(lane *obs.Lane) {
 	}
 }
 
+// routeElastic handles the two message kinds only an elastic run sees,
+// and reports whether it consumed m.
+func (n *node) routeElastic(m *mpi.Message, lane *obs.Lane, ds *delivState) bool {
+	switch {
+	case m.Tag < 0:
+		// A migration payload (see elastic.go). The slot — and with it
+		// the acknowledgement — is released only after the payload is
+		// fully applied, so the sender's next quiescence point proves
+		// these tiles live here now.
+		n.applyMigration(m.Data, lane, ds)
+		mpi.PutData(m.Data)
+	case m.Epoch < n.curEpoch.Load() && n.eng.ownerOf(m.Meta) != n.id:
+		// An edge sent under an older membership epoch for a tile that
+		// has since moved away. The view change drained all data
+		// traffic, so this cannot happen in supported configurations —
+		// but if it does, the edge is forwarded to the current owner
+		// instead of being dropped or double-applied (the duplicate
+		// filter handles the still-owned case).
+		meta := mpi.GetMeta(len(m.Meta))
+		copy(meta, m.Meta)
+		n.rank.Send(n.eng.ownerOf(m.Meta), m.Tag, m.Data, meta)
+		n.mu.Lock()
+		n.st.EdgesForwarded++
+		n.mu.Unlock()
+	default:
+		return false
+	}
+	m.ReleaseSlot()
+	mpi.PutMeta(m.Meta)
+	return true
+}
+
 // delivState is per-goroutine delivery scratch: a reusable polytope
-// probe and a recycled pending-table entry, so the steady-state deliver
-// path allocates nothing.
+// probe and a recycled pending-table entry (an executed tile's), so the
+// steady-state deliver path allocates nothing.
 type delivState struct {
 	probe *tiling.TileProbe
 	spare *pendTile
@@ -1040,19 +967,6 @@ type delivState struct {
 
 func newDelivState(e *engine) *delivState {
 	return &delivState{probe: e.tl.NewProbe(e.params)}
-}
-
-// recycle offers an executed tile's entry for reuse by the next
-// pending-table miss on this goroutine.
-func (ds *delivState) recycle(p *pendTile) {
-	if ds.spare != nil {
-		return
-	}
-	for i := range p.edges {
-		p.edges[i] = edge{}
-	}
-	p.edges = p.edges[:0]
-	ds.spare = p
 }
 
 // prepTile builds a ready-to-insert pending-table entry. The dependence
@@ -1071,7 +985,6 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 	}
 	copy(p.tile, consumer)
 	p.remaining = ds.probe.DepCount(p.tile)
-	p.got = 0
 	e.makeKey(p.tile, p.key)
 	p.level = -sum64(p.key)
 	p.group = n.shardOf(p.tile)
@@ -1088,14 +1001,26 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
+// seedTile queues a tile that has no producers — an initial tile, at
+// start-up or migrated in — unless the table says it is already past
+// counting.
+func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
+	p := n.prepTile(ds, t)
+	if !n.live.seed(p, n.eng.intKey(t)) {
+		ds.spare = p
+		return
+	}
+	p.seq = n.seqA.Add(1)
+	n.enqueue(p, lane)
+}
+
 // deliver records one incoming edge for a consumer tile. Static tiles
 // take a lock-free path: the edge lands directly in its preassigned
 // slot (the producer is the slot's only writer, and the wavefront
 // frontier cannot release the tile before the producer retires).
-// Dynamic tiles go through the consumer's pending-table stripe and move
-// to their home shard when the last dependence arrives. lane is the
-// calling goroutine's trace lane (nil when untraced); ds is its
-// delivery scratch.
+// Dynamic tiles go through the live table and move to their home shard
+// when the last dependence arrives. lane is the calling goroutine's
+// trace lane (nil when untraced); ds is its delivery scratch.
 func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, lane *obs.Lane, ds *delivState) {
 	e := n.eng
 	if remote && lane != nil {
@@ -1115,74 +1040,20 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 			return
 		}
 	}
-	st := n.stripeFor(k)
-	st.mu.Lock()
-	if n.ft {
-		// Duplicate-edge filter: after a peer restart its replayed
-		// history re-delivers edges this rank already applied. A tile
-		// that executed, or whose dependences are already complete
-		// (started), or that already received this dependence (got bit)
-		// drops the copy — each cell stays computed exactly once from
-		// determined inputs, so recovery preserves bit-identity.
-		_, executed := n.executedSet[k]
-		if !executed {
-			_, executed = n.started[k]
-		}
-		if executed {
-			n.st.EdgesDroppedDup++
-			st.mu.Unlock()
-			n.pendingEdges.Add(-1)
-			n.bufferedElems.Add(-int64(len(data)))
-			mpi.PutData(data)
-			return
-		}
-	}
-	p := st.pending[k]
-	if p == nil {
-		// First edge for this tile. The entry needs polytope work
-		// (prepTile), which must not run under the lock: release it,
-		// prepare, re-check. Another deliverer may win the race, in
-		// which case the prepared entry is kept as the next spare.
-		st.mu.Unlock()
-		prep := n.prepTile(ds, consumer)
-		st.mu.Lock()
-		if p = st.pending[k]; p == nil {
-			p = prep
-			st.pending[k] = p
-			n.pendingTiles.Add(1)
-		} else {
-			ds.spare = prep
-		}
-	}
-	if n.ft {
-		if p.got&(1<<uint(dep)) != 0 {
-			n.st.EdgesDroppedDup++
-			st.mu.Unlock()
-			n.pendingEdges.Add(-1)
-			n.bufferedElems.Add(-int64(len(data)))
-			mpi.PutData(data)
-			return
-		}
-		p.got |= 1 << uint(dep)
+	p, dup := n.live.addEdge(ds, consumer, k, dep, data)
+	if dup {
+		n.pendingEdges.Add(-1)
+		n.bufferedElems.Add(-int64(len(data)))
+		mpi.PutData(data)
+		return
 	}
 	if remote {
 		n.edgesRecvRemoteA.Add(1)
 	} else {
 		n.edgesLocalA.Add(1)
 	}
-	p.edges = append(p.edges, edge{dep: dep, data: data})
-	p.remaining--
-	ready := p.remaining == 0
-	if ready {
-		delete(st.pending, k)
-		n.pendingTiles.Add(-1)
-		if n.ft {
-			n.started[k] = p
-		}
-	}
-	st.mu.Unlock()
-	atomicMax(&n.peakPendingTiles, n.pendingTiles.Load()+n.qlen.Load())
-	if ready {
+	atomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.qlen.Load())
+	if p != nil {
 		p.seq = n.seqA.Add(1)
 		n.enqueue(p, lane)
 	}
@@ -1239,11 +1110,11 @@ func newWorkerState(e *engine) *workerState {
 	return w
 }
 
-// execTile runs one tile: unpack edges, execute cells, pack and deliver
-// outgoing edges, and update termination and scheduler state. stolen
-// marks a tile claimed from another worker's shard (recorded on the
-// pop event). A panicking user kernel still crashes the run (there is
-// no safe way to unwind a half-computed distributed wavefront), but the
+// execTile runs one tile through its phases: unpack the buffered edges,
+// execute the cells, pack and send the outgoing edges, retire. stolen
+// marks a tile claimed from another worker's shard (recorded on the pop
+// event). A panicking user kernel still crashes the run (there is no
+// safe way to unwind a half-computed distributed wavefront), but the
 // panic is annotated with the tile so the kernel bug is findable.
 func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	defer func() {
@@ -1252,9 +1123,6 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		}
 	}()
 	e := n.eng
-	tl := e.tl
-	d := len(tl.Spec.Vars)
-	fast := !e.cfg.DisableFastPath
 
 	// Tracing: one nil check per phase; tid and timestamps are only
 	// computed when a tracer is attached.
@@ -1271,63 +1139,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		t0 = lane.Now()
 	}
 
-	// Unpack received edges into the ghost shell. The producer of edge
-	// dep j is p.tile + offset_j; pack and unpack share that producer's
-	// slab order, so the elements match exactly. A full-slab edge (its
-	// length equals the dense size) unpacks with the precompiled strided
-	// copy regardless of how the producer packed it; partial boundary
-	// slabs walk the producer's slab rows.
-	var freedElems int64
-	var nEdges int64
-	for _, ed := range p.edges {
-		if ed.data == nil {
-			// A static tile's slot for a producer that does not exist
-			// (an out-of-space neighbor whose ghost cells no valid
-			// dependence ever reads).
-			continue
-		}
-		nEdges++
-		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
-			tl.UnpackInterior(ed.dep, w.buf, ed.data)
-		} else {
-			producer := w.tbuf
-			off := tl.TileDeps[ed.dep].Offset
-			for k := 0; k < d; k++ {
-				producer[k] = p.tile[k] + off[k]
-			}
-			var got int
-			if fast {
-				got = w.rows.UnpackPartial(ed.dep, producer, w.buf, ed.data)
-			} else {
-				tl.ForEachEdgeCell(e.params, producer, ed.dep, func(i []int64) bool {
-					if got < len(ed.data) {
-						w.buf[tl.UnpackLoc(ed.dep, i)] = ed.data[got]
-					}
-					got++
-					return true
-				})
-			}
-			if got != len(ed.data) {
-				panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells",
-					ed.dep, p.tile, len(ed.data), got))
-			}
-		}
-		freedElems += int64(len(ed.data))
-		// Edge storage returns to the shared pool once unpacked — except
-		// in fault-tolerance mode, where the edges stay attached (and
-		// checkpointable) until the tile's executed mark below.
-		if !n.ft {
-			mpi.PutData(ed.data)
-		}
-	}
-	n.pendingEdges.Add(-nEdges)
-	n.bufferedElems.Add(-freedElems)
-	if !n.ft {
-		for i := range p.edges {
-			p.edges[i] = edge{}
-		}
-		p.edges = p.edges[:0]
-	}
+	n.unpackEdges(p, w)
 	if lane != nil {
 		lane.Span(obs.KUnpack, tid, -1, 0, t0)
 		t0 = lane.Now()
@@ -1337,7 +1149,8 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	// bound row plan (an interior tile is its all-rows-full, all-valid
 	// case), or cell by cell through the checked reference enumerator.
 	var cells int64
-	tileMax := math.Inf(-1)
+	var tileMax float64
+	fast := !e.cfg.DisableFastPath
 	interior := fast && (p.static || w.probe.Interior(p.tile))
 	if fast {
 		cells, tileMax = n.execRows(p, w, interior)
@@ -1347,37 +1160,94 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	if lane != nil {
 		lane.Span(obs.KKernel, tid, -1, cells, t0)
 	}
-
-	if sameTile(p.tile, e.goalTile) {
-		v := w.buf[tl.Loc(e.goalLocal)]
+	if goal := slices.Equal(p.tile, e.goalTile); goal || cells > 0 {
 		e.goalMu.Lock()
-		e.goalVal = v
-		e.goalSet = true
-		e.goalMu.Unlock()
-	}
-	if cells > 0 {
-		e.goalMu.Lock()
-		if !e.maxSet || tileMax > e.maxVal {
-			e.maxVal = tileMax
-			e.maxSet = true
+		if goal {
+			e.goalVal, e.goalSet = w.buf[e.tl.Loc(e.goalLocal)], true
+		}
+		if cells > 0 && (!e.maxSet || tileMax > e.maxVal) {
+			e.maxVal, e.maxSet = tileMax, true
 		}
 		e.goalMu.Unlock()
 	}
 
-	// Pack and deliver outgoing edges (steps 4a/4b of Section V-A).
-	// Buffers come from the shared pool, sized by the dense slab bound,
-	// so packing never grows a slice; interior tiles fill with strided
-	// copies.
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	var sentRemote int64
-	var stallSum time.Duration
+	sentRemote, stall := n.sendEdges(p, w, interior, tid)
+	if lane != nil {
+		lane.Span(obs.KPack, tid, -1, 0, t0)
+	}
+
+	// The tile's sends are issued: it is executed.
+	n.live.retire(p, e.intKey(p.tile))
+	n.tileDone(p, w, cells, sentRemote, stall)
+}
+
+// unpackEdges copies the tile's received edges into the ghost shell.
+// The producer of edge dep j is p.tile + offset_j; pack and unpack
+// share that producer's slab order, so the elements match exactly. A
+// full-slab edge (its length equals the dense size) unpacks with the
+// precompiled strided copy regardless of how the producer packed it;
+// partial boundary slabs walk the producer's slab rows.
+func (n *node) unpackEdges(p *pendTile, w *workerState) {
+	e := n.eng
+	tl := e.tl
+	fast := !e.cfg.DisableFastPath
+	var freedElems, nEdges int64
+	for _, ed := range p.edges {
+		if ed.data == nil {
+			// A static tile's slot for a producer that does not exist
+			// (an out-of-space neighbor whose ghost cells no valid
+			// dependence ever reads).
+			continue
+		}
+		nEdges++
+		freedElems += int64(len(ed.data))
+		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
+			tl.UnpackInterior(ed.dep, w.buf, ed.data)
+			continue
+		}
+		producer := w.tbuf
+		for k, off := range tl.TileDeps[ed.dep].Offset {
+			producer[k] = p.tile[k] + off
+		}
+		var got int
+		if fast {
+			got = w.rows.UnpackPartial(ed.dep, producer, w.buf, ed.data)
+		} else {
+			tl.ForEachEdgeCell(e.params, producer, ed.dep, func(i []int64) bool {
+				if got < len(ed.data) {
+					w.buf[tl.UnpackLoc(ed.dep, i)] = ed.data[got]
+				}
+				got++
+				return true
+			})
+		}
+		if got != len(ed.data) {
+			panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells",
+				ed.dep, p.tile, len(ed.data), got))
+		}
+	}
+	n.pendingEdges.Add(-nEdges)
+	n.bufferedElems.Add(-freedElems)
+	n.live.unpacked(p)
+}
+
+// sendEdges packs the tile's outgoing edges and delivers them locally
+// or sends them to the owning rank (steps 4a/4b of Section V-A).
+// Buffers come from the shared pool, sized by the dense slab bound, so
+// packing never grows a slice; interior tiles fill with strided copies.
+// Returns the remote sends issued and the time they spent stalled.
+func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string) (sentRemote int64, stallSum time.Duration) {
+	e := n.eng
+	tl := e.tl
+	lane := w.lane
+	fast := !e.cfg.DisableFastPath
 	for j := range tl.TileDeps {
-		off := tl.TileDeps[j].Offset
 		consumer := w.tbuf
-		for k := 0; k < d; k++ {
-			consumer[k] = p.tile[k] - off[k]
+		for k, off := range tl.TileDeps[j].Offset {
+			consumer[k] = p.tile[k] - off
 		}
 		if !w.probe.InSpace(consumer) {
 			continue
@@ -1398,72 +1268,50 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		owner := e.ownerOf(consumer)
 		if owner == n.id {
 			n.deliver(consumer, j, data, false, lane, &w.ds)
-		} else {
-			meta := mpi.GetMeta(d)
-			copy(meta, consumer)
-			var sendT0 int64
-			if lane != nil {
-				sendT0 = lane.Now()
-			}
-			var stall time.Duration
-			if e.cfg.PollingRecv {
-				stall = n.rank.SendPolling(owner, j, data, meta, func() {
-					if !n.poll(lane, &w.ds) {
-						runtime.Gosched()
-					}
-				})
-			} else {
-				stall = n.rank.Send(owner, j, data, meta)
-			}
-			if lane != nil {
-				if stall > 0 {
-					lane.Emit(obs.Event{Kind: obs.KStall, Start: sendT0, Dur: int64(stall), Tile: tid, Dep: int32(j)})
+			continue
+		}
+		meta := mpi.GetMeta(len(consumer))
+		copy(meta, consumer)
+		var sendT0 int64
+		if lane != nil {
+			sendT0 = lane.Now()
+		}
+		var stall time.Duration
+		if e.cfg.PollingRecv {
+			stall = n.rank.SendPolling(owner, j, data, meta, func() {
+				if !n.poll(lane, &w.ds) {
+					runtime.Gosched()
 				}
-				lane.Span(obs.KSend, obs.TileID(consumer), int32(j), int64(len(data)), sendT0)
+			})
+		} else {
+			stall = n.rank.Send(owner, j, data, meta)
+		}
+		if lane != nil {
+			if stall > 0 {
+				lane.Emit(obs.Event{Kind: obs.KStall, Start: sendT0, Dur: int64(stall), Tile: tid, Dep: int32(j)})
 			}
-			sentRemote++
-			stallSum += stall
+			lane.Span(obs.KSend, obs.TileID(consumer), int32(j), int64(len(data)), sendT0)
 		}
+		sentRemote++
+		stallSum += stall
 	}
-	if lane != nil {
-		lane.Span(obs.KPack, tid, -1, 0, t0)
-	}
+	return sentRemote, stallSum
+}
 
-	// Executed mark for fault tolerance, under the (single) pending
-	// stripe's lock so checkpoints see the dedup-set insert and the
-	// edge release as one transition: the tile's sends are issued, so
-	// it joins the dedup set and its retained edges finally return to
-	// the pool.
-	if n.ft {
-		k := e.intKey(p.tile)
-		st0 := &n.stripes[0]
-		st0.mu.Lock()
-		delete(n.started, k)
-		n.executedSet[k] = struct{}{}
-		if n.elastic {
-			// Slab indices are stable across rebalances (the slab table
-			// is shared), so the census can use the initial assignment.
-			if si := e.assign.SlabIndex(p.tile); si >= 0 {
-				n.executedPerSlab[si]++
-			}
-		}
-		for i := range p.edges {
-			mpi.PutData(p.edges[i].data)
-			p.edges[i] = edge{}
-		}
-		p.edges = p.edges[:0]
-		st0.mu.Unlock()
-	}
-
-	// One batched stats update per tile.
+// tileDone is execTile's epilogue: the batched per-tile stats, the
+// checkpoint cadence, crash injection and voluntary leave triggers, the
+// wavefront-level retirement and the termination check.
+func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, stall time.Duration) {
+	e := n.eng
+	lane := w.lane
 	var crash, wantLeave bool
 	n.mu.Lock()
 	n.st.TilesExecuted++
 	n.st.CellsComputed += cells
 	n.st.EdgesSentRemote += sentRemote
-	n.st.SendStallTime += stallSum
+	n.st.SendStallTime += stall
 	n.executed++
-	if n.ft && n.ckptEvery > 0 && !n.crashed && n.executed%n.ckptEvery == 0 {
+	if n.ckptEvery > 0 && !n.crashed && n.executed%n.ckptEvery == 0 {
 		n.ckptDue = true
 	}
 	if n.crashAt > 0 && !n.crashed && n.executed >= n.crashAt {
@@ -1490,8 +1338,8 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	}
 	// Retire the tile from its wavefront level, releasing the next
 	// static level if this drained the frontier. Must follow the
-	// outgoing-edge deliveries above: a released consumer's slots are
-	// only complete once every lower-level producer has delivered.
+	// outgoing-edge deliveries: a released consumer's slots are only
+	// complete once every lower-level producer has delivered.
 	n.tileRetired(p, lane)
 	// Sample the pending-edge curve (the Figure 4 quantity as a time
 	// series) and the ready-queue depth at every tile completion.
@@ -1499,8 +1347,8 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		lane.Instant(obs.KPending, "", -1, n.pendingEdges.Load())
 		lane.Instant(obs.KQueueDepth, "", -1, n.qlen.Load())
 	}
-	if !p.static {
-		w.ds.recycle(p)
+	if !p.static && w.ds.spare == nil {
+		w.ds.spare = p // reused by this worker's next pending-table miss
 	}
 	if finished {
 		n.checkFinished()
@@ -1612,23 +1460,17 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 // elastic membership it additionally waits for the coordinator's FIN:
 // owning zero tiles is transient there (a standby may be admitted, a
 // view change may migrate tiles in), so only the FIN broadcast makes
-// "nothing owned, nothing left" final.
+// "nothing owned, nothing left" final. A node whose injected crash has
+// fired never finishes: CrashFn runs outside mu, and if another worker
+// retired the last tile in that window the rank would enter the final
+// merge and die inside it — the one death recovery cannot repair.
 func (n *node) checkFinished() {
 	n.mu.Lock()
-	done := n.executed == n.ownedTotal && (!n.elastic || n.elasticFin)
+	done := n.executed == n.ownedTotal && !n.crashed && (!n.elastic || n.elasticFin)
 	n.mu.Unlock()
 	if done {
 		n.finishOnce.Do(n.eng.finished.Done)
 	}
-}
-
-func sameTile(a, b []int64) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func sum64(v []int64) int64 {

@@ -613,6 +613,24 @@ func TestKernelPanicAnnotated(t *testing.T) {
 	n.execTile(p, newWorkerState(e), false)
 }
 
+// TestCrashedNodeNeverFinishes: once the injected crash has fired, the
+// node must not report completion even if another worker retires its
+// last tile before CrashFn runs — otherwise the rank enters the final
+// merge and dies inside it, which recovery cannot repair (the
+// TestKillRecoverBitIdentical/seed3 failure).
+func TestCrashedNodeNeverFinishes(t *testing.T) {
+	e := &engine{tl: bandit2Tiling(t, 6, nil), params: []int64{5}, cfg: Config{}.withDefaults()}
+	n := newNode2ForTest(e)
+	e.finished.Add(1)
+	n.ownedTotal, n.executed, n.crashed = 4, 4, true
+	n.checkFinished()
+	stillArmed := false
+	n.finishOnce.Do(func() { stillArmed = true })
+	if !stillArmed {
+		t.Fatal("a node whose crash fired reported itself finished")
+	}
+}
+
 // newNode2ForTest builds a minimal node wired to a 1-rank comm.
 func newNode2ForTest(e *engine) *node {
 	c, err := mpi.NewComm(1, 1, 1)

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dpgen/internal/balance"
@@ -17,27 +18,31 @@ import (
 )
 
 // Prepared is the reusable front half of a run for one fixed
-// (tiling, params, nodes, balance method) tuple: the load-balance
-// assignment, the initial-tile set and the bound row plan. It is
-// immutable after Prepare and safe to share across concurrent Run calls
-// — the same guarantee the tiling analysis itself gives.
+// (tiling, params, nodes, members, balance method) tuple: the
+// load-balance assignment, the initial-tile set and the bound row plan.
+// It is immutable after Prepare and safe to share across concurrent Run
+// calls — the same guarantee the tiling analysis itself gives. Every
+// run executes from one: Run builds its own, Prepared.Run reuses this.
 type Prepared struct {
 	tl          *tiling.Tiling
 	params      []int64
 	nodes       int
+	members     []int // sorted ranks the balance gave tiles to
 	method      balance.Method
 	assign      *balance.Assignment
 	initial     [][]int64
 	ownedTotals []int64 // nil when assign.Tiles is already exact
 	rows        *tiling.RowPlan
-	balanceTime time.Duration
+	// balanceTime is the load balance (Section IV-J), scanTime the
+	// initial-tile scan (Section IV-K) and row binding.
+	balanceTime, scanTime time.Duration
 }
 
 // Prepare computes the reusable front half of a run: the static load
 // balance (Section IV-J) and the initial-tile scan (Section IV-K) for
 // the given parameter values, node count (minimum 1) and balance
-// method. The result can back any number of concurrent Run calls whose
-// Config agrees on nodes and balance method.
+// method, with every node a member. The result can back any number of
+// concurrent Run calls whose Config agrees on nodes and balance method.
 func Prepare(tl *tiling.Tiling, params []int64, nodes int, method balance.Method) (*Prepared, error) {
 	if tl == nil {
 		return nil, fmt.Errorf("engine: Prepare with nil tiling")
@@ -48,33 +53,56 @@ func Prepare(tl *tiling.Tiling, params []int64, nodes int, method balance.Method
 	if len(params) != len(tl.Spec.Params) {
 		return nil, fmt.Errorf("engine: got %d params, spec has %d", len(params), len(tl.Spec.Params))
 	}
+	members, _ := normalizeMembers(nil, nodes)
+	return prepare(tl, params, nodes, members, method, true)
+}
+
+// prepare is Prepare over an explicit, normalized member set. bindRows
+// is false only for a single run that will not take the fast path.
+func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method balance.Method, bindRows bool) (*Prepared, error) {
 	start := time.Now()
-	assign, err := balance.Build(tl, params, nodes, method)
+	assign, err := balance.BuildMembers(tl, params, nodes, members, method)
 	if err != nil {
 		return nil, err
 	}
+	balanceTime := time.Since(start)
 	initial, ownedTotals := initialAndTotals(tl, params, assign, nodes)
+	var rows *tiling.RowPlan
+	if bindRows {
+		rows = tl.BindRows(params)
+	}
 	return &Prepared{
 		tl:          tl,
 		params:      append([]int64(nil), params...),
 		nodes:       nodes,
+		members:     members,
 		method:      method,
 		assign:      assign,
 		initial:     initial,
 		ownedTotals: ownedTotals,
-		rows:        tl.BindRows(params),
-		balanceTime: time.Since(start),
+		rows:        rows,
+		balanceTime: balanceTime,
+		scanTime:    time.Since(start) - balanceTime,
 	}, nil
 }
 
 // Run executes the prepared problem with the given kernel. cfg.Nodes
-// (or cfg.Transport's size, in distributed mode) and cfg.Balance must
-// match the values the program was prepared for; everything else —
-// threads, scheduler, priority, buffers, tracing, checkpointing — is
-// free to vary per run. Results are bit-identical to an unprepared
-// engine.Run with the same configuration.
+// (or cfg.Transport's size, in distributed mode), cfg.Balance and — for
+// an elastic run — the initial member set must match what the program
+// was prepared for; everything else — threads, scheduler, priority,
+// buffers, tracing, checkpointing — is free to vary per run. Results
+// are bit-identical to an unprepared engine.Run with the same
+// configuration.
 func (p *Prepared) Run(kernel Kernel, cfg Config) (*Result, error) {
-	return run(p.tl, kernel, p.params, cfg, p)
+	start := time.Now()
+	cfg, members, err := resolve(p.tl, kernel, p.params, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.check(cfg, members); err != nil {
+		return nil, err
+	}
+	return run(p, kernel, cfg, start)
 }
 
 // Tiling returns the analysis the program was prepared from.
@@ -90,15 +118,17 @@ func (p *Prepared) Nodes() int { return p.nodes }
 // cells per node), for capacity planning and diagnostics.
 func (p *Prepared) Work() []int64 { return append([]int64(nil), p.assign.Work...) }
 
-// check validates a resolved run Config against the prepared state;
-// cfg must already have defaults applied and the transport size folded
-// into Nodes.
-func (p *Prepared) check(cfg Config) error {
+// check validates a resolved run (see resolve) against the prepared
+// state.
+func (p *Prepared) check(cfg Config, members []int) error {
 	if cfg.Nodes != p.nodes {
 		return fmt.Errorf("engine: program prepared for %d nodes, config wants %d", p.nodes, cfg.Nodes)
 	}
 	if cfg.Balance != p.method {
 		return fmt.Errorf("engine: program prepared with balance method %v, config wants %v", p.method, cfg.Balance)
+	}
+	if !slices.Equal(members, p.members) {
+		return fmt.Errorf("engine: program prepared for members %v, config wants %v", p.members, members)
 	}
 	return nil
 }

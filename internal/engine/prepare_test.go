@@ -121,6 +121,11 @@ func TestPreparedRunConfigMismatch(t *testing.T) {
 	if _, err := prep.Run(prepKernel, Config{Nodes: 2, Balance: balance.Hyperplane}); err == nil || !strings.Contains(err.Error(), "balance method") {
 		t.Errorf("balance mismatch: got %v, want balance-method error", err)
 	}
+	// A Prepared is balanced over every rank; an elastic run that starts
+	// from a subset needs its own balance.
+	if err := prep.check(Config{Nodes: 2}, []int{0}); err == nil || !strings.Contains(err.Error(), "prepared for members [0 1]") {
+		t.Errorf("member mismatch: got %v, want prepared-for-members error", err)
+	}
 	if _, err := Prepare(tl, []int64{1, 2}, 1, balance.Prefix); err == nil {
 		t.Error("Prepare with wrong param arity: got nil error")
 	}

@@ -34,29 +34,6 @@ func (p Priority) String() string {
 	return "unknown"
 }
 
-// pendTile is a tile known to a node: pending (waiting on dependence
-// edges) and then queued for execution.
-type pendTile struct {
-	tile      []int64 // Vars order
-	remaining int     // unsatisfied dependence edges
-	edges     []edge  // received, still-packed edges
-	key       []int64 // priority key (see makeKey)
-	level     int64   // wavefront level (-sum of key), for LevelSet and sched.go
-	seq       int64   // arrival order, for FIFO and tie-breaking
-	index     int     // heap index
-	group     int     // home shard (computed off-lock at insert)
-	got       uint64  // per-dep arrival bitmask for fault-tolerance dedup
-	// static marks a wavefront-scheduled tile (sched.go): its edges
-	// slice is preallocated with one slot per tile dependence, filled
-	// in place by producers instead of appended under a lock.
-	static bool
-}
-
-type edge struct {
-	dep  int
-	data []float64
-}
-
 // tileHeap orders ready tiles by the configured priority.
 type tileHeap struct {
 	items []*pendTile

@@ -52,22 +52,6 @@ func (s Sched) String() string {
 	return "unknown"
 }
 
-// pstripe is one stripe of the dynamic pending table. Deliveries hash
-// their consumer's integer key to a stripe, so two workers delivering
-// edges for different tiles almost never contend. Fault tolerance
-// collapses the table to a single stripe: the dedup maps
-// (executedSet/started) need one lock covering every per-tile
-// transition, and recovery runs are not scheduler-bound.
-type pstripe struct {
-	mu      sync.Mutex
-	pending map[uint64]*pendTile
-}
-
-// stripeFor returns the pending-table stripe owning an integer tile key.
-func (n *node) stripeFor(k uint64) *pstripe {
-	return &n.stripes[k&n.smask]
-}
-
 // maxStaticLevels bounds the per-level counter array; a level range
 // beyond it (degenerate chain-shaped tile spaces) just skips the static
 // phase rather than allocating a huge array.
@@ -146,10 +130,11 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 	probe := e.tl.NewProbe(e.params)
 	prod := make([]int64, d)
 	single := e.cfg.Nodes == 1
+	assign := e.owners.Load() // fixed for the run: the static phase excludes elastic membership
 	e.tl.ForEachTileLevel(e.params, func(t []int64, level int64, interior bool) bool {
 		owner := 0
 		if !single {
-			owner = e.assign.Owner(t)
+			owner = assign.Owner(t)
 		}
 		n := nodeByRank[owner]
 		if n == nil {
@@ -177,7 +162,7 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 				continue
 			}
 			nprod++
-			if !single && e.assign.Owner(prod) != owner {
+			if !single && assign.Owner(prod) != owner {
 				static = false
 				break
 			}
