@@ -7,7 +7,10 @@
 package dpgen
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"dpgen/internal/balance"
 	"dpgen/internal/ehrhart"
@@ -17,7 +20,9 @@ import (
 	"dpgen/internal/loopgen"
 	"dpgen/internal/obs"
 	"dpgen/internal/problems"
+	"dpgen/internal/serve"
 	"dpgen/internal/simsched"
+	"dpgen/internal/spec"
 	"dpgen/internal/tiling"
 	"dpgen/internal/workload"
 )
@@ -537,5 +542,74 @@ func BenchmarkSimplexRedundant(b *testing.B) {
 		if _, err := fm.Simplify(sys, fm.Options{Prune: fm.PruneSimplex}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// triangleSpecText is the triangular spec the serve-mix workload posts
+// (benchmark/wl_serve.go): i+j <= N with unit steps, 16x16 tiles.
+const triangleSpecText = `name tri
+params N
+vars i j
+constraint i >= 0
+constraint j >= 0
+constraint i + j <= N
+dep down <1, 0>
+dep right <0, 1>
+balance i
+tile 16 16
+goal 0 0
+`
+
+// BenchmarkSetup measures cold set-up — spec.Parse, tiling.New and
+// engine.Prepare from spec text, the cost every cold door pays (dprun,
+// each rank of a distributed run, a dpserve compile miss) — at the
+// repository benchmark's instance sizes. The polyhedral analysis and the
+// per-instance balance/initial-tile work are reported as separate
+// metrics so a change to either is localised.
+func BenchmarkSetup(b *testing.B) {
+	readSpec := func(name string) string {
+		text, err := os.ReadFile(filepath.Join("specs", name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return string(text)
+	}
+	lcs2, err := problems.Get("lcs2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		text   string
+		params []int64
+	}{
+		{"lcs2", serve.Canonicalize(lcs2.Spec), lcs2.DefaultParams},
+		{"bandit2@100", readSpec("bandit2.dps"), []int64{100}},
+		{"knap@1000x4000x3", readSpec("knap.dps"), []int64{1000, 4000, 3}},
+		{"triangle@350", triangleSpecText, []int64{350}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var analyze, prepare time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				sp, err := spec.Parse(tc.text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tl, err := tiling.New(sp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if _, err := engine.Prepare(tl, tc.params, 1, balance.Prefix); err != nil {
+					b.Fatal(err)
+				}
+				analyze += t1.Sub(t0)
+				prepare += time.Since(t1)
+			}
+			b.ReportMetric(analyze.Seconds()*1e3/float64(b.N), "analyze-ms")
+			b.ReportMetric(prepare.Seconds()*1e3/float64(b.N), "prepare-ms")
+		})
 	}
 }

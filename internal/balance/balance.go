@@ -1,9 +1,11 @@
 // Package balance implements the static load balancers of the paper:
 //
-//   - Prefix (Section IV-J): work — counted per load-balancing slab with
-//     the Ehrhart machinery — is accumulated over the load-balancing
-//     cells in priority-lexicographic order and cut into equal-work
-//     contiguous ranges, one per node. Cuts fall on lb1 boundaries and
+//   - Prefix (Section IV-J): work — counted exactly per load-balancing
+//     slab (tiling.Slabs), the value the paper's second Ehrhart
+//     polynomial takes at the run's parameters — is accumulated over the
+//     load-balancing cells in priority-lexicographic order and cut into
+//     equal-work contiguous ranges, one per node. Cuts fall on lb1
+//     boundaries and
 //     are refined within a boundary slab by lb2 and so on, exactly the
 //     "highest priority dimension cuts, lesser dimensions refine"
 //     behaviour of Figure 2.
@@ -20,8 +22,6 @@ package balance
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"dpgen/internal/tiling"
 )
@@ -47,13 +47,9 @@ func (m Method) String() string {
 }
 
 // Slab is one load-balancing cell: the set of tiles sharing
-// load-balancing coordinates, all owned by one node. Work and Tiles are
-// the slab's Ehrhart-counted iteration-space cells and tile count.
-type Slab struct {
-	LB    []int64
-	Work  int64
-	Tiles int64
-}
+// load-balancing coordinates, all owned by one node, with its counted
+// iteration-space cells and tiles.
+type Slab = tiling.Slab
 
 // Assignment maps tiles to nodes for fixed parameter values.
 type Assignment struct {
@@ -71,10 +67,12 @@ type Assignment struct {
 	// polynomial evaluated at the parameters.
 	Total int64
 
+	// slabs holds the instance's counts for as long as the assignment
+	// (and any Rebalance of it) lives, so nothing is ever counted twice.
 	slabs     []Slab
 	slabOwner []int
-	lbIdx     []int
-	index     map[string]int // lb key -> slab index
+	key       *tiling.TileKey
+	index     map[uint64]int32 // LB key -> slab index
 }
 
 // Build computes the node assignment for the given tiling, parameter
@@ -107,35 +105,14 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 			return nil, fmt.Errorf("balance: member rank %d out of range [0,%d)", r, world)
 		}
 	}
-	nest, err := tl.LBNest()
+	key, err := tl.NewLBKey(params)
 	if err != nil {
 		return nil, err
 	}
-	var slabs []Slab
-	np := len(params)
+	slabs := tl.Slabs(params, key)
 	var total int64
-	var walkErr error
-	nest.Enumerate(params, func(vals []int64) bool {
-		lb := append([]int64(nil), vals[np:]...)
-		w, err := tl.SlabWork(params, lb)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		if w == 0 {
-			return true // empty slab: no tiles to own
-		}
-		nt, err := tl.SlabTiles(params, lb)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		slabs = append(slabs, Slab{LB: lb, Work: w, Tiles: nt})
-		total += w
-		return true
-	})
-	if walkErr != nil {
-		return nil, walkErr
+	for _, s := range slabs {
+		total += s.Work
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("balance: problem has no work for params %v", params)
@@ -143,8 +120,8 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 
 	if m == Hyperplane {
 		// Order by diagonal level first, keeping lexicographic refinement
-		// within a level. Enumeration order is already lexicographic, so a
-		// stable sort by level suffices.
+		// within a level. Slabs come in lexicographic order, so a stable
+		// sort by level suffices.
 		sort.SliceStable(slabs, func(i, j int) bool {
 			return sum(slabs[i].LB) < sum(slabs[j].LB)
 		})
@@ -158,8 +135,8 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 		Total:     total,
 		slabs:     slabs,
 		slabOwner: make([]int, len(slabs)),
-		lbIdx:     tl.LBIndices(),
-		index:     make(map[string]int, len(slabs)),
+		key:       key,
+		index:     make(map[uint64]int32, len(slabs)),
 	}
 	n := len(members)
 	var cum int64
@@ -172,7 +149,7 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 			pos = n - 1
 		}
 		node := members[pos]
-		a.index[key(s.LB)] = i
+		a.index[key.OfLB(s.LB)] = int32(i)
 		a.slabOwner[i] = node
 		a.Work[node] += s.Work
 		a.Tiles[node] += s.Tiles
@@ -203,15 +180,12 @@ func (a *Assignment) SlabOwner(i int) int { return a.slabOwner[i] }
 // SlabIndex returns the index into Slabs of the slab containing the
 // given tile, or -1 if the tile is outside the load-balancing space.
 func (a *Assignment) SlabIndex(t []int64) int {
-	lb := make([]int64, len(a.lbIdx))
-	for i, k := range a.lbIdx {
-		lb[i] = t[k]
+	if k, ok := a.key.Of(t); ok {
+		if i, ok := a.index[k]; ok {
+			return int(i)
+		}
 	}
-	i, ok := a.index[key(lb)]
-	if !ok {
-		return -1
-	}
-	return i
+	return -1
 }
 
 // Imbalance returns max(Work)/mean(Work); 1.0 is perfect.
@@ -227,15 +201,6 @@ func (a *Assignment) Imbalance() float64 {
 		return 1
 	}
 	return float64(max) / mean
-}
-
-func key(lb []int64) string {
-	var b strings.Builder
-	for _, v := range lb {
-		b.WriteString(strconv.FormatInt(v, 10))
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 func sum(v []int64) int64 {

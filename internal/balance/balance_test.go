@@ -96,12 +96,12 @@ func TestOwnershipDependsOnlyOnLBDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners := map[string]int{}
+	owners := map[[2]int64]int{}
 	tl.ForEachTile(params, func(tile []int64) bool {
-		k := key([]int64{tile[0], tile[1]})
+		k := [2]int64{tile[0], tile[1]}
 		n := a.Owner(tile)
 		if prev, ok := owners[k]; ok && prev != n {
-			t.Fatalf("tiles sharing lb coords %s owned by %d and %d", k, prev, n)
+			t.Fatalf("tiles sharing lb coords %v owned by %d and %d", k, prev, n)
 		}
 		owners[k] = n
 		return true

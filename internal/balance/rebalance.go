@@ -71,7 +71,7 @@ func Rebalance(prev *Assignment, members []int, executed []int64) (*Assignment, 
 		Total:     prev.Total,
 		slabs:     prev.slabs,
 		slabOwner: make([]int, len(prev.slabs)),
-		lbIdx:     prev.lbIdx,
+		key:       prev.key,
 		index:     prev.index,
 	}
 	capLoad := (totalRem + int64(len(members)) - 1) / int64(len(members))

@@ -7,7 +7,17 @@
 // notes, duplicate and redundant constraints must be removed after each
 // iteration to keep the method practical. This package removes exact
 // duplicates always, and optionally prunes redundant inequalities with an
-// exact rational simplex (see dpgen/internal/simplex).
+// exact rational simplex (dpgen/internal/simplex).
+//
+// All coefficients are int64 and every combination step is
+// overflow-checked (dpgen/internal/ints). Pruning hands the whole
+// system to simplex.Prune once: one feasibility solve and then one
+// re-optimisation per inequality on a single small-rational tableau,
+// walking the inequalities in order and dropping each one the remaining
+// ones imply — not a fresh LP per candidate. Which inequalities survive
+// is a property of the system (each decision is the sign of an exact LP
+// optimum), so the synthesized nests do not depend on how the pruner
+// solves them.
 package fm
 
 import (
@@ -123,24 +133,18 @@ func prune(sys *lin.System, opts Options) {
 			return
 		}
 	}
-	// An infeasible system must not be pruned: every inequality of an
-	// infeasible system is vacuously implied by the rest, so the greedy
-	// removal below would strip constraints until the leftovers are
-	// feasible — and meaningless. Parametrically empty systems (e.g. a
-	// pack slab for a tile offset no real tile index ever crosses) are
-	// legitimate inputs here; left intact, their emptiness surfaces
-	// correctly as empty loop bounds or a constant contradiction in a
-	// later elimination step.
-	if !simplex.Feasible(sys) {
-		return
+	// simplex.Prune leaves an infeasible system whole. Parametrically
+	// empty systems (e.g. a pack slab for a tile offset no real tile index
+	// ever crosses) are legitimate inputs here; left intact, their
+	// emptiness surfaces correctly as empty loop bounds or a constant
+	// contradiction in a later elimination step.
+	kept := simplex.Prune(sys)
+	if pruneObserver != nil {
+		pruneObserver(sys, kept)
 	}
-	// Greedy removal: walk the list, dropping any inequality implied by
-	// the others that remain.
-	for i := 0; i < len(sys.Ineqs); {
-		if simplex.Redundant(sys, i) {
-			sys.Ineqs = append(sys.Ineqs[:i], sys.Ineqs[i+1:]...)
-			continue
-		}
-		i++
-	}
+	sys.Ineqs = kept
 }
+
+// pruneObserver, set only by tests, sees every system handed to the
+// pruner and what it kept.
+var pruneObserver func(in *lin.System, kept []lin.Ineq)

@@ -8,12 +8,31 @@
 // panics with a descriptive message rather than silently wrapping.
 package ints
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// AddOK returns a+b and whether the sum fits in an int64.
+func AddOK(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
+
+// MulOK returns a*b and whether the product fits in an int64.
+func MulOK(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	// MinInt64 * -1 wraps to MinInt64, which the division check misses.
+	return p, p/b == a && !(a == -1 && b == math.MinInt64) && !(b == -1 && a == math.MinInt64)
+}
 
 // AddChecked returns a+b, panicking on int64 overflow.
 func AddChecked(a, b int64) int64 {
-	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+	s, ok := AddOK(a, b)
+	if !ok {
 		panic(fmt.Sprintf("ints: overflow in %d + %d", a, b))
 	}
 	return s
@@ -30,11 +49,8 @@ func SubChecked(a, b int64) int64 {
 
 // MulChecked returns a*b, panicking on int64 overflow.
 func MulChecked(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a {
+	p, ok := MulOK(a, b)
+	if !ok {
 		panic(fmt.Sprintf("ints: overflow in %d * %d", a, b))
 	}
 	return p

@@ -168,3 +168,29 @@ func TestMinMaxAbs(t *testing.T) {
 		t.Error("Abs wrong")
 	}
 }
+
+func TestAddMulOK(t *testing.T) {
+	for _, c := range []struct {
+		a, b int64
+		add  bool // a+b fits
+		mul  bool // a*b fits
+	}{
+		{3, 4, true, true},
+		{math.MaxInt64, 1, false, true},
+		{math.MaxInt64, -1, true, true},
+		{math.MinInt64, -1, false, false}, // the product wraps back to MinInt64
+		{-1, math.MinInt64, false, false},
+		{math.MinInt64, 1, true, true},
+		{math.MinInt64, 0, true, true},
+		{1 << 32, 1 << 31, true, false},
+		{-(1 << 32), 1 << 31, true, true}, // exactly MinInt64
+		{math.MinInt64, math.MinInt64, false, false},
+	} {
+		if s, ok := AddOK(c.a, c.b); ok != c.add || (ok && s != c.a+c.b) {
+			t.Errorf("AddOK(%d, %d) = %d, %v; want ok=%v", c.a, c.b, s, ok, c.add)
+		}
+		if p, ok := MulOK(c.a, c.b); ok != c.mul || (ok && p != c.a*c.b) {
+			t.Errorf("MulOK(%d, %d) = %d, %v; want ok=%v", c.a, c.b, p, ok, c.mul)
+		}
+	}
+}

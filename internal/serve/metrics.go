@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"dpgen/internal/obs"
+	"dpgen/internal/simplex"
 )
 
 // serveLatencyBounds are the request/compile/run latency buckets:
@@ -155,6 +156,21 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) error {
 	if err := m.compileHist.Snapshot().WritePrometheus(w, "dp_serve_compile_seconds",
 		"Spec compile latency (cache misses only).", ""); err != nil {
 		return err
+	}
+	// What the compiles above asked of the exact LP solver, process-wide:
+	// a tenant spec whose coefficients push it off the small-rational
+	// arithmetic shows up as big.Rat fallbacks (and slow compiles).
+	lp := simplex.ReadStats()
+	for _, c := range []struct {
+		name, help string
+		v          uint64
+	}{
+		{"solves", "LP questions (feasibility, redundancy, optimum) the polyhedral analysis put to the simplex.", lp.Solves},
+		{"pivots", "Small-rational simplex pivots.", lp.Pivots},
+		{"bigrat_fallbacks", "LP questions whose arithmetic left int64 and were answered again on math/big rationals.", lp.BigFallbacks},
+	} {
+		fmt.Fprintf(w, "# HELP dpserve_analysis_simplex_%s_total %s\n# TYPE dpserve_analysis_simplex_%s_total counter\ndpserve_analysis_simplex_%s_total %d\n",
+			c.name, c.help, c.name, c.name, c.v)
 	}
 	if err := m.runHist.Snapshot().WritePrometheus(w, "dp_serve_run_seconds",
 		"Engine run latency (memo misses only).", ""); err != nil {

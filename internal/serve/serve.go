@@ -39,7 +39,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -148,7 +147,7 @@ type Server struct {
 
 // compiledSpec is one compiled-spec cache entry: the parsed spec and
 // its tiling analysis, or the negatively cached compile failure, plus
-// the prepared per-(params, nodes) run fronts.
+// the most recently used prepared per-(params, nodes) run fronts.
 type compiledSpec struct {
 	hash      string
 	canonical string
@@ -157,9 +156,16 @@ type compiledSpec struct {
 	err       error // non-nil: negative entry
 	compileMs float64
 
-	mu       sync.Mutex
-	prepared map[string]*engine.Prepared
+	prepared *lruCache // "nodes|params" -> *engine.Prepared
 }
+
+// preparedPerSpec bounds one spec's prepared run fronts. Each holds an
+// instance's slab counts, initial tiles and row plan, so a tenant
+// cycling through parameter values would otherwise grow the entry for
+// as long as the spec stays cached. A front is cheap to rebuild
+// (engine.Prepare is one pass over the tiles), and the result memo
+// answers repeated instances before this cache is consulted.
+const preparedPerSpec = 64
 
 // memoResult is one result-memo entry.
 type memoResult struct {
@@ -431,7 +437,7 @@ func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec
 		}
 		t0 := time.Now()
 		defer s.compileGate.leave(t0)
-		cs := &compiledSpec{hash: r.hash, canonical: r.canonical, prepared: map[string]*engine.Prepared{}}
+		cs := &compiledSpec{hash: r.hash, canonical: r.canonical, prepared: newLRU(preparedPerSpec, 0)}
 		if r.parseErr != nil {
 			cs.err = r.parseErr
 		} else {
@@ -461,26 +467,18 @@ func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec
 // building and caching it on first use (coalesced per key).
 func (s *Server) getPrepared(cs *compiledSpec, params []int64, nodes int) (*engine.Prepared, error) {
 	key := fmt.Sprintf("%d|%v", nodes, params)
-	cs.mu.Lock()
-	prep, ok := cs.prepared[key]
-	cs.mu.Unlock()
-	if ok {
-		return prep, nil
+	if prep, ok := cs.prepared.get(key); ok {
+		return prep.(*engine.Prepared), nil
 	}
 	v, err, _ := s.flights.do("p:"+cs.hash+"|"+key, func() (any, error) {
-		cs.mu.Lock()
-		prep, ok := cs.prepared[key]
-		cs.mu.Unlock()
-		if ok {
+		if prep, ok := cs.prepared.get(key); ok {
 			return prep, nil
 		}
 		prep, err := engine.Prepare(cs.tl, params, nodes, balance.Prefix)
 		if err != nil {
 			return nil, err
 		}
-		cs.mu.Lock()
-		cs.prepared[key] = prep
-		cs.mu.Unlock()
+		cs.prepared.add(key, prep, 0)
 		return prep, nil
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -409,6 +410,9 @@ func TestStatsAndMetrics(t *testing.T) {
 		"dp_serve_run_seconds_count 1",
 		"dp_serve_request_seconds_count",
 		`dp_serve_queue_depth{queue="run"}`,
+		"dpserve_analysis_simplex_solves_total ",
+		"dpserve_analysis_simplex_pivots_total ",
+		"dpserve_analysis_simplex_bigrat_fallbacks_total 0",
 	} {
 		if !strings.Contains(string(body), family) {
 			t.Errorf("/metrics missing %q", family)
@@ -458,5 +462,46 @@ func TestResultMemoEvictionUnderByteBound(t *testing.T) {
 	old1 := query(t, ts.URL, QueryRequest{Spec: triSpecA, Params: []int64{20}})
 	if old1.Cached {
 		t.Error("oldest result survived a 2-entry budget")
+	}
+}
+
+// TestParameterChurnIsBounded: one tenant posting thousands of distinct
+// sizes against one spec cannot grow the server — the compiled spec
+// keeps a bounded number of prepared run fronts (and the analysis keeps
+// no per-instance memo at all: slab counts live on the Prepared) — while
+// a size it has seen recently is still served from the front it built.
+func TestParameterChurnIsBounded(t *testing.T) {
+	s := New(Options{})
+	req := QueryRequest{Spec: "name tri\nparams N\nvars i j\nconstraint i >= 0\nconstraint j >= 0\nconstraint i + j <= N\n" +
+		"dep down <1, 0>\ndep right <0, 1>\nbalance i\ntile 16 16\ngoal 0 0\n", Kernel: "longest", Params: []int64{1}}
+	r, apiErr := s.resolve(&req)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	cs, _, err := s.getCompiled(context.Background(), r)
+	if err != nil || cs.err != nil {
+		t.Fatal(err, cs.err)
+	}
+	const sizes = 5000
+	instance := func(i int) ([]int64, int) { return []int64{int64(1 + i%625)}, 1 + i/625 } // distinct (size, nodes) pairs
+	for i := 0; i < sizes; i++ {
+		params, nodes := instance(i)
+		if _, err := s.getPrepared(cs, params, nodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, _, hits, _, evictions := cs.prepared.stats()
+	if entries > preparedPerSpec || evictions != sizes-preparedPerSpec {
+		t.Errorf("%d prepared fronts held after %d sizes (%d evictions), bound is %d", entries, sizes, evictions, preparedPerSpec)
+	}
+	params, nodes := instance(sizes - 1)
+	first, err := s.getPrepared(cs, params, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := s.getPrepared(cs, params, nodes)
+	_, _, hitsAfter, _, _ := cs.prepared.stats()
+	if first != again || hitsAfter != hits+2 {
+		t.Errorf("a repeated size was rebuilt: %p vs %p, hits %d -> %d", first, again, hits, hitsAfter)
 	}
 }

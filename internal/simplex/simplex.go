@@ -1,22 +1,50 @@
-// Package simplex implements an exact two-phase primal simplex method
-// over arbitrary-precision rationals (math/big.Rat) with Bland's
-// anti-cycling rule.
+// Package simplex is the exact LP solver under the polyhedral layer. It
+// answers the questions Fourier–Motzkin elimination needs —
 //
-// It answers the two questions the polyhedral layer needs:
+//   - is a system of linear inequalities feasible over the rationals,
+//   - what is the minimum of an affine objective over the system, and
+//   - which inequalities of a system are implied by the others (Prune) —
 //
-//   - is a system of linear inequalities feasible over the rationals, and
-//   - what is the minimum of an affine objective over the system,
+// with exact rational arithmetic, so an inequality e >= 0 is reported
+// redundant iff min e >= 0 over the rest, never "up to rounding".
+// Variables are free (unrestricted in sign), matching the
+// iteration-space setting where lower bounds are ordinary inequalities
+// rather than implicit nonnegativity.
 //
-// which together give exact redundancy tests for Fourier–Motzkin
-// elimination (an inequality e >= 0 is redundant iff min e >= 0 over the
-// remaining system). Variables are free (unrestricted in sign), matching
-// the iteration-space setting where lower bounds are ordinary
-// inequalities rather than implicit nonnegativity.
+// There are two implementations of the arithmetic and of the method.
+//
+// The production path (small.go) is a simplex dictionary over small
+// rationals: int64 numerator and denominator, gcd-normalised, every
+// multiply and add overflow-checked (internal/ints). The systems this
+// generator builds have coefficients of ±1 and tile widths, and their
+// pivots stay far inside int64. The free variables are pivoted into
+// rows once and dropped from consideration, so the table is one row
+// per inequality by one column per variable — no x = u - v split, no
+// artificial variables. Prune decides a whole system on one such table:
+// feasibility once, then each inequality's slack is minimized from the
+// current feasible vertex with that row's own sign constraint relaxed,
+// stopping as soon as the slack can go negative; every pivot keeps the
+// whole system feasible, and a redundant row leaves the table for
+// good, so the greedy walk sees the same shrinking system a sequence of
+// fresh solves would. Redundancy is the sign of an LP optimum, which
+// does not depend on pivot order: the kept inequalities are identical
+// to what any exact method keeps.
+//
+// The reference path (this file) is a dense two-phase primal tableau
+// over math/big.Rat, one fresh solve per question. When any
+// small-rational operation overflows, that question is abandoned and
+// answered here instead (within a Prune, so are the questions after
+// it); the *Big functions expose it directly as the oracle the
+// differential tests and FuzzRedundant compare against. ReadStats
+// counts questions, pivots and fallbacks process-wide; dpserve exports
+// them on /metrics. Both paths use Bland's anti-cycling rule.
 package simplex
 
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sync/atomic"
 
 	"dpgen/internal/lin"
 )
@@ -61,6 +89,26 @@ func Minimize(sys *lin.System, obj lin.Expr) Solution {
 	if !obj.Space().Equal(sys.Space()) {
 		panic("simplex: objective space mismatch")
 	}
+	t := newTab(sys.Space().N(), sys.Ineqs, &obj)
+	sol := Solution{Status: Infeasible}
+	if t.feasible() {
+		sol.Status = Unbounded
+		if r := slices.Index(t.rowVar, objVar); t.minimize(r, false) {
+			sol = Solution{Status: Optimal, Value: t.rows[r][t.nc].big(), Point: make([]*big.Rat, t.nx)}
+			for j := range sol.Point {
+				sol.Point[j] = t.value(j).big()
+			}
+		}
+	}
+	if t.done() {
+		return sol
+	}
+	return MinimizeBig(sys, obj)
+}
+
+// MinimizeBig is Minimize on the big.Rat tableau alone: what Minimize
+// falls back to, and the oracle the tests compare it with.
+func MinimizeBig(sys *lin.System, obj lin.Expr) Solution {
 	t := newTableau(sys)
 	if !t.phaseOne() {
 		return Solution{Status: Infeasible}
@@ -88,22 +136,35 @@ func Maximize(sys *lin.System, obj lin.Expr) Solution {
 
 // Feasible reports whether sys has a rational solution.
 func Feasible(sys *lin.System) bool {
-	t := newTableau(sys)
-	return t.phaseOne()
+	t := newTab(sys.Space().N(), sys.Ineqs, nil)
+	if ok := t.feasible(); t.done() {
+		return ok
+	}
+	return FeasibleBig(sys)
+}
+
+// FeasibleBig is Feasible on the big.Rat tableau alone.
+func FeasibleBig(sys *lin.System) bool {
+	return newTableau(sys).phaseOne()
 }
 
 // Redundant reports whether inequality index idx of sys is implied by the
 // other inequalities over the rationals. An inequality is also considered
 // redundant when the remaining system is infeasible.
 func Redundant(sys *lin.System, idx int) bool {
+	return redundant(sys, idx, Minimize)
+}
+
+// RedundantBig is Redundant on the big.Rat tableau alone: one fresh
+// two-phase solve per question.
+func RedundantBig(sys *lin.System, idx int) bool {
+	return redundant(sys, idx, MinimizeBig)
+}
+
+func redundant(sys *lin.System, idx int, minimize func(*lin.System, lin.Expr) Solution) bool {
 	rest := lin.NewSystem(sys.Space())
-	for i, q := range sys.Ineqs {
-		if i == idx {
-			continue
-		}
-		rest.Ineqs = append(rest.Ineqs, q)
-	}
-	sol := Minimize(rest, sys.Ineqs[idx].Expr)
+	rest.Ineqs = slices.Delete(slices.Clone(sys.Ineqs), idx, idx+1)
+	sol := minimize(rest, sys.Ineqs[idx].Expr)
 	switch sol.Status {
 	case Infeasible:
 		return true
@@ -112,6 +173,84 @@ func Redundant(sys *lin.System, idx int) bool {
 	default:
 		return sol.Value.Sign() >= 0
 	}
+}
+
+// Prune returns the inequalities of sys that survive greedy redundancy
+// removal: walking the list in order, an inequality implied by the
+// others that remain is dropped. Redundancy is the sign of an LP
+// optimum, so the result does not depend on how the LPs are solved.
+//
+// An infeasible system is returned whole: each of its inequalities is
+// vacuously implied by the rest, so the walk would strip constraints
+// until the leftovers were feasible — and meaningless.
+//
+// The whole walk runs on one small-rational dictionary: feasibility
+// once, then each inequality's slack is minimized from the current
+// vertex with its own row relaxed, and a redundant row leaves the
+// table. If the arithmetic overflows, the question at hand and those
+// after it are each answered by a fresh big.Rat solve.
+func Prune(sys *lin.System) []lin.Ineq {
+	t := newTab(sys.Space().N(), sys.Ineqs, nil)
+	feasible := t.feasible()
+	if !t.done() {
+		feasible = FeasibleBig(sys)
+	}
+	if !feasible {
+		return sys.Ineqs
+	}
+	cur := lin.NewSystem(sys.Space())
+	cur.Ineqs = slices.Clone(sys.Ineqs)
+	// ids[i] is cur.Ineqs[i]'s index in sys, which names its slack.
+	ids := make([]int, len(cur.Ineqs))
+	for i := range ids {
+		ids[i] = i
+	}
+	for i := 0; i < len(ids); {
+		var red bool
+		if !t.ovf {
+			red = t.redundant(ids[i])
+		}
+		if !t.done() {
+			red = RedundantBig(cur, i)
+		}
+		if red {
+			cur.Ineqs = slices.Delete(cur.Ineqs, i, i+1)
+			ids = slices.Delete(ids, i, i+1)
+		} else {
+			i++
+		}
+	}
+	return cur.Ineqs
+}
+
+// Stats counts the LP questions this process has asked: Solves the
+// feasibility, optimization and redundancy questions put to the
+// small-rational dictionary, Pivots its pivots, and BigFallbacks the
+// questions whose arithmetic left int64 and were answered again on the
+// big.Rat tableau.
+type Stats struct {
+	Solves, Pivots, BigFallbacks uint64
+}
+
+var solves, pivots, bigFallbacks atomic.Uint64
+
+// ReadStats returns the process-wide counters.
+func ReadStats() Stats {
+	return Stats{Solves: solves.Load(), Pivots: pivots.Load(), BigFallbacks: bigFallbacks.Load()}
+}
+
+// done closes one question put to the dictionary: it books the
+// question and the pivots since the last one, and reports whether the
+// answer stands (false: the arithmetic overflowed, ask the big.Rat
+// tableau).
+func (t *tab) done() bool {
+	solves.Add(1)
+	pivots.Add(t.pivots)
+	t.pivots = 0
+	if t.ovf {
+		bigFallbacks.Add(1)
+	}
+	return !t.ovf
 }
 
 // tableau is a dense simplex tableau in standard form:

@@ -31,20 +31,25 @@ func (tl *Tiling) InitialTilesFast(params []int64) (initial [][]int64, total int
 	if err := tl.buildBandNests(); err != nil {
 		return nil, 0, err
 	}
+	key, err := tl.newKey(params, tl.orderIdx)
+	if err != nil {
+		return nil, 0, err
+	}
 	total = tl.TileNest.Count(params)
-	seen := map[string]bool{}
+	probe := tl.NewProbe(params)
+	seen := map[uint64]bool{}
 	d := len(tl.Spec.Vars)
 	t := make([]int64, d)
 	for _, nest := range tl.bandNests {
 		np := len(params)
 		nest.Enumerate(params, func(vals []int64) bool {
 			copy(t, vals[np:])
-			k := fmt.Sprint(t)
+			k, _ := key.Of(t) // a band is inside the tile space
 			if seen[k] {
 				return true
 			}
 			seen[k] = true
-			if tl.DepCount(params, t) == 0 {
+			if probe.DepCount(t) == 0 {
 				initial = append(initial, append([]int64(nil), t...))
 			}
 			return true

@@ -2,10 +2,8 @@ package tiling
 
 import (
 	"fmt"
-
-	"dpgen/internal/fm"
-	"dpgen/internal/lin"
-	"dpgen/internal/loopgen"
+	"math"
+	"slices"
 )
 
 // LBIndices returns the variable indexes of the load-balancing dimensions
@@ -19,196 +17,6 @@ func (tl *Tiling) LBIndices() []int {
 	return out
 }
 
-// LBNest returns a nest scanning the load-balancing iteration space
-// (Section IV-J): the tile space with all non-load-balanced tile indices
-// eliminated by Fourier–Motzkin, ordered by balance priority. Safe for
-// concurrent use, as are the other lazily built scans, so one analysis
-// can back several engine runs at once (e.g. in-process multi-rank
-// tests).
-func (tl *Tiling) LBNest() (*loopgen.Nest, error) {
-	tl.lazyMu.Lock()
-	defer tl.lazyMu.Unlock()
-	if tl.lbNest != nil {
-		return tl.lbNest, nil
-	}
-	lb := tl.Spec.Balance()
-	isLB := map[string]bool{}
-	lbT := make([]string, len(lb))
-	for i, v := range lb {
-		lbT[i] = tName(v)
-		isLB[tName(v)] = true
-	}
-	var drop []string
-	for _, v := range tl.Spec.Vars {
-		if !isLB[tName(v)] {
-			drop = append(drop, tName(v))
-		}
-	}
-	sys, err := fm.EliminateAll(tl.TileSys, drop, fm.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("tiling: lb space: %w", err)
-	}
-	lbSpace, err := lin.NewSpace(tl.Spec.Params, lbT)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := sys.Project(lbSpace)
-	if err != nil {
-		return nil, fmt.Errorf("tiling: lb projection: %w", err)
-	}
-	tl.lbNest, err = loopgen.Build(proj, lbT, fm.Options{Prune: fm.PruneSimplex})
-	if err != nil {
-		return nil, fmt.Errorf("tiling: lb nest: %w", err)
-	}
-	return tl.lbNest, nil
-}
-
-// SlabWork counts the iteration-space cells of all tiles whose
-// load-balancing tile indices equal lb (in balance priority order) — the
-// quantity the paper evaluates with its second Ehrhart polynomial.
-// Results are memoized (the balancer asks for the same slabs on every
-// Build for a given instance).
-func (tl *Tiling) SlabWork(params, lb []int64) (int64, error) {
-	tl.lazyMu.Lock()
-	if tl.slabNest == nil {
-		if err := tl.buildSlabNest(); err != nil {
-			tl.lazyMu.Unlock()
-			return 0, err
-		}
-	}
-	slabNest := tl.slabNest
-	tl.lazyMu.Unlock()
-	p := make([]int64, 0, len(params)+len(lb))
-	p = append(p, params...)
-	p = append(p, lb...)
-	key := fmt.Sprint(p)
-	tl.slabMu.Lock()
-	if v, ok := tl.slabMemo[key]; ok {
-		tl.slabMu.Unlock()
-		return v, nil
-	}
-	tl.slabMu.Unlock()
-	v := slabNest.Count(p)
-	tl.slabMu.Lock()
-	if tl.slabMemo == nil {
-		tl.slabMemo = map[string]int64{}
-	}
-	tl.slabMemo[key] = v
-	tl.slabMu.Unlock()
-	return v, nil
-}
-
-// buildSlabNest builds a nest whose parameters are (params, t_lb...) and
-// whose loop variables are the remaining tile indices followed by the
-// local indices, so Count gives the slab's cell total.
-func (tl *Tiling) buildSlabNest() error {
-	sp := tl.Spec
-	lb := sp.Balance()
-	isLB := map[string]bool{}
-	lbT := make([]string, len(lb))
-	for i, v := range lb {
-		lbT[i] = tName(v)
-		isLB[tName(v)] = true
-	}
-	var restT []string
-	for _, k := range tl.orderIdx {
-		v := sp.Vars[k]
-		if !isLB[tName(v)] {
-			restT = append(restT, tName(v))
-		}
-	}
-	var iOrder []string
-	for _, k := range tl.orderIdx {
-		iOrder = append(iOrder, iName(sp.Vars[k]))
-	}
-	space, err := lin.NewSpace(append(append([]string{}, sp.Params...), lbT...), append(append([]string{}, restT...), iOrder...))
-	if err != nil {
-		return err
-	}
-	ext, err := tl.extended()
-	if err != nil {
-		return err
-	}
-	sys, err := ext.Project(space)
-	if err != nil {
-		return fmt.Errorf("tiling: slab projection: %w", err)
-	}
-	nest, err := loopgen.Build(sys, append(append([]string{}, restT...), iOrder...), fm.Options{Prune: fm.PruneSimplex})
-	if err != nil {
-		return fmt.Errorf("tiling: slab nest: %w", err)
-	}
-	tl.slabNest = nest
-	return nil
-}
-
-// SlabTiles counts the tiles whose load-balancing indices equal lb —
-// the per-slab denominator the runtime needs for per-node owned-tile
-// totals without a full tile-space scan. Memoized like SlabWork.
-func (tl *Tiling) SlabTiles(params, lb []int64) (int64, error) {
-	tl.lazyMu.Lock()
-	if tl.slabTilesNest == nil {
-		if err := tl.buildSlabTilesNest(); err != nil {
-			tl.lazyMu.Unlock()
-			return 0, err
-		}
-	}
-	slabTilesNest := tl.slabTilesNest
-	tl.lazyMu.Unlock()
-	p := make([]int64, 0, len(params)+len(lb))
-	p = append(p, params...)
-	p = append(p, lb...)
-	key := "t" + fmt.Sprint(p)
-	tl.slabMu.Lock()
-	if v, ok := tl.slabMemo[key]; ok {
-		tl.slabMu.Unlock()
-		return v, nil
-	}
-	tl.slabMu.Unlock()
-	v := slabTilesNest.Count(p)
-	tl.slabMu.Lock()
-	if tl.slabMemo == nil {
-		tl.slabMemo = map[string]int64{}
-	}
-	tl.slabMemo[key] = v
-	tl.slabMu.Unlock()
-	return v, nil
-}
-
-// buildSlabTilesNest builds a nest over the non-load-balanced tile
-// indices with (params, t_lb) as parameters.
-func (tl *Tiling) buildSlabTilesNest() error {
-	sp := tl.Spec
-	lb := sp.Balance()
-	isLB := map[string]bool{}
-	lbT := make([]string, len(lb))
-	for i, v := range lb {
-		lbT[i] = tName(v)
-		isLB[tName(v)] = true
-	}
-	var restT []string
-	for _, k := range tl.orderIdx {
-		v := sp.Vars[k]
-		if !isLB[tName(v)] {
-			restT = append(restT, tName(v))
-		}
-	}
-	space, err := lin.NewSpace(append(append([]string{}, sp.Params...), lbT...), restT)
-	if err != nil {
-		return err
-	}
-	// Same names as the tile space, different parameter split.
-	sys, err := tl.TileSys.Project(space)
-	if err != nil {
-		return fmt.Errorf("tiling: slab-tiles projection: %w", err)
-	}
-	nest, err := loopgen.Build(sys, restT, fm.Options{Prune: fm.PruneSimplex})
-	if err != nil {
-		return fmt.Errorf("tiling: slab-tiles nest: %w", err)
-	}
-	tl.slabTilesNest = nest
-	return nil
-}
-
 // LBCoords extracts the load-balancing coordinates (priority order) from
 // a tile index vector (Vars order).
 func (tl *Tiling) LBCoords(t []int64, dst []int64) []int64 {
@@ -220,4 +28,116 @@ func (tl *Tiling) LBCoords(t []int64, dst []int64) []int64 {
 		dst[i] = t[k]
 	}
 	return dst
+}
+
+// Slab is one load-balancing cell (Section IV-J): the set of tiles
+// sharing load-balancing coordinates LB (priority order). Work is the
+// slab's iteration-space cell count — the quantity the paper evaluates
+// with its second Ehrhart polynomial — and Tiles its tile count.
+type Slab struct {
+	LB    []int64
+	Work  int64
+	Tiles int64
+}
+
+// TileKey packs chosen coordinates of a tile into one integer: mixed
+// radix over the bounding box of the tile space, the first chosen
+// dimension most significant, so keys order tiles lexicographically in
+// those dimensions and tiles that differ in one never share a key.
+type TileKey struct {
+	dims   []int
+	lo, hi []int64
+	mul    []uint64
+}
+
+// NewLBKey sizes the key over the load-balancing dimensions (priority
+// order): one key per Slab.
+func (tl *Tiling) NewLBKey(params []int64) (*TileKey, error) {
+	return tl.newKey(params, tl.LBIndices())
+}
+
+// newKey sizes a key over dims for the given parameters. It fails when
+// the bounding box holds more points than an int64 counts.
+func (tl *Tiling) newKey(params []int64, dims []int) (*TileKey, error) {
+	k := &TileKey{dims: dims}
+	lo, hi := tl.TileBounds(params)
+	n := len(dims)
+	k.lo, k.hi, k.mul = make([]int64, n), make([]int64, n), make([]uint64, n)
+	m := int64(1)
+	for i := n - 1; i >= 0; i-- {
+		d := dims[i]
+		k.lo[i], k.hi[i], k.mul[i] = lo[d], hi[d], uint64(m)
+		if ext := hi[d] - lo[d] + 1; ext > 1 {
+			if ext > math.MaxInt64/m {
+				return nil, fmt.Errorf("tiling: tile space too large for integer keys (tile bounds %v..%v)", lo, hi)
+			}
+			m *= ext
+		}
+	}
+	return k, nil
+}
+
+// Of returns tile t's key (t in Vars order), and false when t lies
+// outside the bounding box and so in no slab. It does not allocate.
+func (k *TileKey) Of(t []int64) (uint64, bool) {
+	var key uint64
+	for i, d := range k.dims {
+		v := t[d]
+		if v < k.lo[i] || v > k.hi[i] {
+			return 0, false
+		}
+		key += uint64(v-k.lo[i]) * k.mul[i]
+	}
+	return key, true
+}
+
+// OfLB returns the key of coordinates lb, given in the key's own
+// dimensions and inside the bounding box — a Slab's LB under NewLBKey.
+func (k *TileKey) OfLB(lb []int64) uint64 {
+	var key uint64
+	for i, v := range lb {
+		key += uint64(v-k.lo[i]) * k.mul[i]
+	}
+	return key
+}
+
+// Slabs counts every load-balancing cell's work and tiles in one pass
+// over the tile space — what the generated program does at start-up —
+// and returns the cells that hold any work, in lexicographic order of
+// their coordinates. An interior tile (one affine test) contributes
+// its box volume; a boundary tile the sum of its row lengths under the
+// bound row plan, in plain arithmetic. When the row plan's overflow
+// proof fails for these parameters every tile is counted by the checked
+// local nest instead.
+func (tl *Tiling) Slabs(params []int64, key *TileKey) []Slab {
+	probe := tl.NewProbe(params)
+	rw := tl.BindRows(params).NewWalker()
+	box := int64(1)
+	for _, w := range tl.Widths {
+		box *= w // at most AllocLen, which New computed checked
+	}
+	var slabs []Slab
+	at := map[uint64]int{}
+	tl.ForEachTile(params, func(t []int64) bool {
+		k, _ := key.Of(t) // every tile is inside the tile bounds
+		i, ok := at[k]
+		if !ok {
+			i = len(slabs)
+			at[k] = i
+			slabs = append(slabs, Slab{LB: tl.LBCoords(t, nil)})
+		}
+		switch {
+		case rw == nil:
+			slabs[i].Work += tl.CellCount(params, t)
+		case probe.Interior(t):
+			slabs[i].Work += box
+		default:
+			slabs[i].Work += rw.CountCells(t)
+		}
+		slabs[i].Tiles++
+		return true
+	})
+	slabs = slices.DeleteFunc(slabs, func(s Slab) bool { return s.Work == 0 })
+	slices.SortFunc(slabs, func(a, b Slab) int { return slices.Compare(a.LB, b.LB) })
+	return slabs
 }

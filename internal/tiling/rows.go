@@ -683,6 +683,18 @@ func (rw *RowWalker) CellLens(i int64) {
 	}
 }
 
+// CountCells returns the number of cells of tile t — the sum of its row
+// lengths, equal to CellCount.
+func (rw *RowWalker) CountCells(t []int64) int64 {
+	var n int64
+	if rw.begin(&rw.plan.cells, t, rw.ascending, false) {
+		for rw.next() {
+			n += rw.hi - rw.lo + 1
+		}
+	}
+	return n
+}
+
 // PackPartial appends producer tile t's slab cells for tile dependence
 // dep to out, in ForEachEdgeCell order: the outer levels by bound, the
 // innermost level (stride 1) as one copy per row.

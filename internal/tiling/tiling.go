@@ -10,7 +10,6 @@ package tiling
 
 import (
 	"fmt"
-	"sync"
 
 	"dpgen/internal/fm"
 	"dpgen/internal/ints"
@@ -98,18 +97,12 @@ type Tiling struct {
 	// bound down, Fig 3), +1 otherwise. Indexed like Spec.Vars.
 	ExecDirs []int
 
-	tileSpace     *lin.Space    // (params | t...) in Vars order
-	localSpace    *lin.Space    // (params, t... | i...) — params+tiles as parameters
-	orderIdx      []int         // loop order as indexes into Spec.Vars
-	lazyMu        sync.Mutex    // guards lazy nest construction below
-	lbNest        *loopgen.Nest // cached load-balancing space scan
-	slabNest      *loopgen.Nest // cached slab work counter
-	slabMu        sync.Mutex
-	slabMemo      map[string]int64 // memoized slab work per (params, lb)
-	bandNests     []*loopgen.Nest  // boundary band scans for InitialTilesFast
-	slabTilesNest *loopgen.Nest    // per-slab tile counter
-	interiorScan  []denseScan      // dense edge-slab scans per tile dep
-	dimNests      []*loopgen.Nest  // per-dimension tile bounds (integer keys)
+	tileSpace    *lin.Space      // (params | t...) in Vars order
+	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
+	orderIdx     []int           // loop order as indexes into Spec.Vars
+	bandNests    []*loopgen.Nest // boundary band scans for InitialTilesFast
+	interiorScan []denseScan     // dense edge-slab scans per tile dep
+	dimNests     []*loopgen.Nest // per-dimension tile bounds (integer keys)
 }
 
 // tName and iName build the internal tile/local index names. The "$"

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dpgen/internal/spec"
@@ -558,8 +559,9 @@ func TestInitialTilesFastVisitsFewerTiles(t *testing.T) {
 	}
 }
 
-// TestLBSpacesDirect exercises the load-balancing projections directly:
-// slab works and slab tile counts must partition the totals.
+// TestLBSpacesDirect exercises the load-balancing slab counts directly:
+// slab works and slab tile counts must partition the totals, come in
+// lexicographic order, and agree tile by tile with the checked nest.
 func TestLBSpacesDirect(t *testing.T) {
 	sp := bandit2(t, 4)
 	sp.LBDims = []string{"s1", "f1"}
@@ -571,28 +573,21 @@ func TestLBSpacesDirect(t *testing.T) {
 		t.Fatalf("LBIndices = %v", got)
 	}
 	params := []int64{14}
-	nest, err := tl.LBNest()
+	key, err := tl.NewLBKey(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells, works, tiles int64
-	nest.Enumerate(params, func(vals []int64) bool {
-		lb := []int64{vals[1], vals[2]}
-		cells++
-		w, err := tl.SlabWork(params, lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		works += w
-		nt, err := tl.SlabTiles(params, lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tiles += nt
-		return true
-	})
-	if cells == 0 {
+	slabs := tl.Slabs(params, key)
+	if len(slabs) == 0 {
 		t.Fatal("no lb cells")
+	}
+	var works, tiles int64
+	for i, s := range slabs {
+		works += s.Work
+		tiles += s.Tiles
+		if i > 0 && (slices.Compare(slabs[i-1].LB, s.LB) >= 0 || key.OfLB(slabs[i-1].LB) >= key.OfLB(s.LB)) {
+			t.Errorf("slabs %v, %v out of lexicographic order", slabs[i-1].LB, s.LB)
+		}
 	}
 	wantWork := (params[0] + 1) * (params[0] + 2) * (params[0] + 3) * (params[0] + 4) / 24
 	if works != wantWork {
@@ -601,11 +596,23 @@ func TestLBSpacesDirect(t *testing.T) {
 	if want := tl.TileCount(params); tiles != want {
 		t.Errorf("slab tiles sum to %d, want %d", tiles, want)
 	}
-	// Memoization must not change values.
-	w2, _ := tl.SlabWork(params, []int64{0, 0})
-	w3, _ := tl.SlabWork(params, []int64{0, 0})
-	if w2 != w3 {
-		t.Error("memoized slab work differs")
+	// Each slab against the checked local nest, tile by tile.
+	work := map[uint64]int64{}
+	tl.ForEachTile(params, func(tile []int64) bool {
+		k, ok := key.Of(tile)
+		if !ok {
+			t.Fatalf("tile %v outside the key's box", tile)
+		}
+		work[k] += tl.CellCount(params, tile)
+		return true
+	})
+	for _, s := range slabs {
+		if got := work[key.OfLB(s.LB)]; got != s.Work {
+			t.Errorf("slab %v: work %d, checked nest counts %d", s.LB, s.Work, got)
+		}
+	}
+	if _, ok := key.Of([]int64{-1, 0, 0, 0}); ok {
+		t.Error("a tile outside the bounding box got a key")
 	}
 	// LBCoords extraction.
 	lb := tl.LBCoords([]int64{3, 1, 2, 0}, nil)
@@ -618,8 +625,8 @@ func TestLBSpacesDirect(t *testing.T) {
 	}
 }
 
-// TestAllDimsLoadBalanced: LB over every dimension leaves an empty rest
-// nest; slab tiles must be 0/1 per cell.
+// TestAllDimsLoadBalanced: with every dimension load-balanced each slab
+// is one tile.
 func TestAllDimsLoadBalanced(t *testing.T) {
 	sp := diag2(t, 4)
 	sp.LBDims = []string{"x", "y"}
@@ -628,22 +635,17 @@ func TestAllDimsLoadBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := []int64{9}
-	var tiles int64
-	nest, err := tl.LBNest()
+	key, err := tl.NewLBKey(params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nest.Enumerate(params, func(vals []int64) bool {
-		nt, err := tl.SlabTiles(params, []int64{vals[1], vals[2]})
-		if err != nil {
-			t.Fatal(err)
+	var tiles int64
+	for _, s := range tl.Slabs(params, key) {
+		if s.Tiles != 1 {
+			t.Fatalf("slab %v has %d tiles with all dims balanced", s.LB, s.Tiles)
 		}
-		if nt != 0 && nt != 1 {
-			t.Fatalf("slab tiles = %d with all dims balanced", nt)
-		}
-		tiles += nt
-		return true
-	})
+		tiles++
+	}
 	if want := tl.TileCount(params); tiles != want {
 		t.Errorf("tiles %d, want %d", tiles, want)
 	}
