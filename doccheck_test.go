@@ -17,6 +17,7 @@ var docCheckedPackages = []string{
 	"internal/mpi",
 	"internal/mpi/tcp",
 	"internal/engine",
+	"internal/sched",
 	"internal/tiling",
 	"internal/obs",
 	"internal/serve",

@@ -1,14 +1,16 @@
 package codegen
 
-// runtimeSrc is the problem-independent half of every generated program:
-// the hybrid scheduler of Section V, monomorphized against the generated
-// dp* symbols. It mirrors the library engine's hybrid static/dynamic
-// scheduler (internal/engine/sched.go): per-worker ready-queue shards
-// with randomized work stealing, and a precomputed wavefront order for
-// tiles whose producers are all node-local, gated by one atomic counter
-// per level instead of a pending-table entry each. It deliberately
-// avoids backquoted strings so it can live in this raw literal.
+// runtimeSrc is the generated side of the runtime of Section V: what
+// binds the generated dp* symbols to the tile scheduler, whose source
+// (dpgen/internal/sched: the ready pool and the wavefront release) is
+// emitted ahead of this text, instantiated here with fixed-size tile
+// arrays. It holds the ownership and classification scans, edge
+// delivery, tile execution and main. It deliberately avoids backquoted
+// strings so it can live in this raw literal.
 const runtimeSrc = `// ---- hybrid runtime (generated, problem independent) ----
+//
+// The scheduler above (Pool, Wavefront, Item) is the generator
+// library's own, instantiated with this program's tile type.
 //
 // Inter-node edges travel over bounded channels with send-buffer
 // slots, the in-memory form of the transport contract specified in
@@ -52,15 +54,6 @@ func dpMin(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func dpAtomicMax(addr *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(addr)
-		if v <= old || atomic.CompareAndSwapInt64(addr, old, v) {
-			return
-		}
-	}
 }
 
 // dpDepCount counts the tile dependencies of t that exist in the tile
@@ -172,128 +165,31 @@ type dpMsg struct {
 	slot     chan struct{}
 }
 
-type dpPend struct {
-	tile      [dpDims]int64
+// dpTile is this program's per-tile state inside a scheduler item.
+type dpTile struct {
+	at        [dpDims]int64
+	key       [dpDims]int64 // backs the item's Key
 	remaining int
-	edges     []dpEdgeMsg
-	key       [dpDims]int64
-	level     int64
-	seq       int64
-	index     int
-	group     int
-	// static marks a wavefront-scheduled tile: its edges slice has one
-	// preallocated slot per tile dependence, written in place by its
-	// producers instead of appended under the pending-table lock.
-	static bool
+	// edges holds the received edges. A static (wavefront-scheduled)
+	// tile's slice has one preallocated slot per tile dependence,
+	// written in place by its producers instead of appended under the
+	// pending-table lock.
+	edges []dpEdgeMsg
 }
 
-type dpHeap []*dpPend
+type dpItem = Item[dpTile]
 
-func (h dpHeap) Len() int { return len(h) }
-func (h dpHeap) Less(a, b int) bool {
-	x, y := h[a], h[b]
-	for k := 0; k < dpDims; k++ {
-		if x.key[k] != y.key[k] {
-			return x.key[k] < y.key[k]
-		}
-	}
-	return x.seq < y.seq
-}
-func (h dpHeap) Swap(a, b int) {
-	h[a], h[b] = h[b], h[a]
-	h[a].index = a
-	h[b].index = b
-}
-func (h *dpHeap) Push(v interface{}) {
-	p := v.(*dpPend)
-	p.index = len(*h)
-	*h = append(*h, p)
-}
-func (h *dpHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+func dpNewItem(t [dpDims]int64) *dpItem {
+	p := &dpItem{Level: dpLevelOf(&t), Tile: dpTile{at: t, key: dpKeyOf(&t)}}
+	p.Key = p.Tile.key[:]
 	return p
-}
-
-// dpShard is one worker's slice of its node's ready queue: a priority
-// heap of dynamically released tiles and a deque of statically released
-// wavefront tiles. The owner pops the heap first, then the deque's tail
-// (LIFO); a thief takes the victim's best heap tile or the deque's head
-// (FIFO).
-type dpShard struct {
-	mu     sync.Mutex
-	heap   dpHeap
-	dq     []*dpPend
-	dqHead int
-	rng    uint64
-}
-
-func (s *dpShard) popLocal() *dpPend {
-	if s.heap.Len() > 0 {
-		return heap.Pop(&s.heap).(*dpPend)
-	}
-	if n := len(s.dq); n > s.dqHead {
-		p := s.dq[n-1]
-		s.dq[n-1] = nil
-		s.dq = s.dq[:n-1]
-		if s.dqHead == len(s.dq) {
-			s.dq = s.dq[:0]
-			s.dqHead = 0
-		}
-		return p
-	}
-	return nil
-}
-
-func (s *dpShard) stealOne() *dpPend {
-	if s.heap.Len() > 0 {
-		return heap.Pop(&s.heap).(*dpPend)
-	}
-	if s.dqHead < len(s.dq) {
-		p := s.dq[s.dqHead]
-		s.dq[s.dqHead] = nil
-		s.dqHead++
-		if s.dqHead == len(s.dq) {
-			s.dq = s.dq[:0]
-			s.dqHead = 0
-		}
-		return p
-	}
-	return nil
-}
-
-func dpXorshift(s *uint64) uint64 {
-	x := *s
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*s = x
-	return x
-}
-
-// dpSched is a node's static-phase state: wavefront-ordered same-owner
-// tiles and one release counter per level. remain counts every owned
-// tile of the level (static or dynamic) because a static tile may
-// consume edges from a dynamic tile at any lower level.
-type dpSched struct {
-	minLevel int64
-	remain   []int64
-	levels   [][]*dpPend
-	idx      map[[dpDims]int64]*dpPend
-	total    int64
-
-	fmu      sync.Mutex
-	frontier int
-	rr       int
 }
 
 // dpBuildStatic classifies tiles at partition time: a tile whose
 // producers all exist on the owning node becomes a static entry,
-// executed in wavefront-level order with no pending-table traffic.
-func dpBuildStatic(g *dpGlobal) {
+// executed in wavefront-level order with no pending-table traffic. A
+// level range too long to count leaves every node all-dynamic.
+func dpBuildStatic(g *dpGlobal, threads int) {
 	lo, hi := int64(1)<<62, -(int64(1) << 62)
 	dpForEachTile(func(t [dpDims]int64) bool {
 		lv := dpLevelOf(&t)
@@ -305,24 +201,19 @@ func dpBuildStatic(g *dpGlobal) {
 		}
 		return true
 	})
-	if hi < lo {
-		return
-	}
-	nlv := int(hi - lo + 1)
 	for _, n := range g.nodes {
-		n.sd = &dpSched{
-			minLevel: lo,
-			remain:   make([]int64, nlv),
-			levels:   make([][]*dpPend, nlv),
-			idx:      map[[dpDims]int64]*dpPend{},
+		if n.wf = NewWavefront[dpTile](lo, hi, threads); n.wf == nil {
+			return
 		}
+		n.staticIdx = map[[dpDims]int64]*dpItem{}
 	}
 	dpForEachTile(func(t [dpDims]int64) bool {
 		own := g.owner[dpLBKeyOf(&t)]
 		n := g.nodes[own]
-		lv := dpLevelOf(&t)
-		li := int(lv - lo)
-		n.sd.remain[li]++
+		// Every owned tile counts toward its level, static or not: a
+		// static tile may consume edges from a dynamic tile at any lower
+		// level.
+		n.wf.Count(dpLevelOf(&t))
 		nprod := 0
 		static := true
 		for j := 0; j < dpNumTileDeps; j++ {
@@ -342,68 +233,26 @@ func dpBuildStatic(g *dpGlobal) {
 		if !static || nprod == 0 {
 			return true // initial tiles are seeded, not released
 		}
-		p := &dpPend{tile: t, key: dpKeyOf(&t), level: lv, static: true,
-			edges: make([]dpEdgeMsg, dpNumTileDeps)}
-		n.sd.levels[li] = append(n.sd.levels[li], p)
-		n.sd.idx[t] = p
-		n.sd.total++
+		p := dpNewItem(t)
+		p.Tile.edges = make([]dpEdgeMsg, dpNumTileDeps)
+		n.wf.Add(p)
+		n.staticIdx[t] = p
 		return true
 	})
 }
 
-// advance releases every fully unblocked level: the frontier level's
-// static tiles go round-robin into the worker shards, then the frontier
-// moves past each level whose owned-tile counter has drained. A static
-// tile's producers all sit at strictly lower levels, so release at
-// frontier arrival is safe; released levels are nilled, making
-// re-entry idempotent.
-func (sd *dpSched) advance(n *dpNode) {
-	sd.fmu.Lock()
-	for sd.frontier < len(sd.remain) {
-		for _, p := range sd.levels[sd.frontier] {
-			p.seq = atomic.AddInt64(&n.seqA, 1)
-			p.group = sd.rr % len(n.shards)
-			sd.rr++
-			n.enqueue(p)
-		}
-		sd.levels[sd.frontier] = nil
-		if atomic.LoadInt64(&sd.remain[sd.frontier]) != 0 {
-			break
-		}
-		sd.frontier++
-	}
-	sd.fmu.Unlock()
-}
-
-// tileRetired is the scheduler epilogue of every executed tile: its
-// level counter drops, and a drained frontier level releases the next
-// wavefront.
-func (n *dpNode) tileRetired(p *dpPend) {
-	sd := n.sd
-	if sd == nil {
-		return
-	}
-	if atomic.AddInt64(&sd.remain[p.level-sd.minLevel], -1) == 0 {
-		sd.advance(n)
-	}
-}
-
 type dpNode struct {
-	id   int
-	mu   sync.Mutex
-	cond *sync.Cond
-	done bool
+	id int
+	mu sync.Mutex // guards executed and the per-tile counters
 
 	pendMu  sync.Mutex
-	pending map[[dpDims]int64]*dpPend
+	pending map[[dpDims]int64]*dpItem
 
-	shards   []dpShard
-	qlen     int64
-	epoch    uint64
-	sleepers int32
-	seqA     int64
-
-	sd *dpSched
+	pool *Pool[dpTile]
+	// wf and staticIdx are the static phase (nil when all-dynamic);
+	// staticIdx is read-only once workers start.
+	wf        *Wavefront[dpTile]
+	staticIdx map[[dpDims]int64]*dpItem
 
 	owned    int64
 	executed int64
@@ -411,7 +260,7 @@ type dpNode struct {
 	inbox chan dpMsg
 	slots chan struct{}
 
-	steals, localPops, recvRemote, liveEdges, peakEdges int64
+	recvRemote, liveEdges, peakEdges atomic.Int64
 
 	tiles, cells, sentRemote, localEdges, sentElems int64
 }
@@ -428,167 +277,92 @@ type dpGlobal struct {
 	maxSet  bool
 }
 
-// dpShardOf hashes a tile to its home shard (FNV-1a), fixing which
-// worker's queue a dynamic tile lands in.
-func dpShardOf(n *dpNode, t *[dpDims]int64) int {
-	if len(n.shards) <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for k := 0; k < dpDims; k++ {
-		h ^= uint64(t[k])
-		h *= 1099511628211
-	}
-	return int(h % uint64(len(n.shards)))
-}
-
-// popAny claims a tile for worker w: its own shard first, then the
-// other shards in a randomized rotation.
-func (n *dpNode) popAny(w int) *dpPend {
-	s := &n.shards[w]
-	s.mu.Lock()
-	p := s.popLocal()
-	s.mu.Unlock()
-	if p != nil {
-		atomic.AddInt64(&n.qlen, -1)
-		atomic.AddInt64(&n.localPops, 1)
-		return p
-	}
-	ns := len(n.shards)
-	if ns == 1 || atomic.LoadInt64(&n.qlen) == 0 {
-		return nil
-	}
-	start := int(dpXorshift(&s.rng) % uint64(ns-1))
-	for i := 0; i < ns-1; i++ {
-		v := &n.shards[(w+1+(start+i)%(ns-1))%ns]
-		v.mu.Lock()
-		p = v.stealOne()
-		v.mu.Unlock()
-		if p != nil {
-			atomic.AddInt64(&n.qlen, -1)
-			atomic.AddInt64(&n.steals, 1)
-			return p
-		}
-	}
-	return nil
-}
-
-// enqueue makes a tile runnable. The epoch bump makes the wakeup
-// race-free: a worker only commits to sleeping if the epoch it read
-// before its empty scan is still current, so either it sees this push
-// and rescans, or its sleeper registration is visible here and the
-// signal lands.
-func (n *dpNode) enqueue(p *dpPend) {
-	s := &n.shards[p.group]
-	s.mu.Lock()
-	if p.static {
-		s.dq = append(s.dq, p)
-	} else {
-		heap.Push(&s.heap, p)
-	}
-	s.mu.Unlock()
-	atomic.AddInt64(&n.qlen, 1)
-	atomic.AddUint64(&n.epoch, 1)
-	if atomic.LoadInt32(&n.sleepers) > 0 {
-		n.mu.Lock()
-		n.cond.Signal()
-		n.mu.Unlock()
+// release queues a wavefront level's static tiles.
+func (n *dpNode) release(tiles []*dpItem) {
+	for _, p := range tiles {
+		n.pool.Push(p)
 	}
 }
 
 func (n *dpNode) worker(g *dpGlobal, w int) {
 	V := make([]dpElem, dpAllocLen)
 	for {
-		e0 := atomic.LoadUint64(&n.epoch)
-		if p := n.popAny(w); p != nil {
+		e0 := n.pool.Epoch()
+		if p, _ := n.pool.Pop(w); p != nil {
 			n.exec(g, p, V)
 			continue
 		}
-		n.mu.Lock()
-		if n.done {
-			n.mu.Unlock()
+		if _, open := n.pool.Park(e0); !open {
 			return
 		}
-		atomic.AddInt32(&n.sleepers, 1)
-		if atomic.LoadUint64(&n.epoch) != e0 {
-			atomic.AddInt32(&n.sleepers, -1)
-			n.mu.Unlock()
-			continue
-		}
-		n.cond.Wait()
-		atomic.AddInt32(&n.sleepers, -1)
-		n.mu.Unlock()
 	}
 }
 
 func (n *dpNode) receiver(g *dpGlobal) {
 	for m := range n.inbox {
-		atomic.AddInt64(&n.recvRemote, 1)
+		n.recvRemote.Add(1)
 		n.deliver(m.dep, m.consumer, m.data)
 		<-m.slot // release the sender's send buffer
 	}
 }
 
 func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
-	if sd := n.sd; sd != nil {
-		if p := sd.idx[consumer]; p != nil {
-			// Static consumer: each edge slot has exactly one producer,
-			// and the frontier releases the tile only after every lower
-			// level - the producer included - has retired, so the plain
-			// slot write is safe and skips the pending table entirely.
-			p.edges[dep] = dpEdgeMsg{dep: dep, data: data}
-			return
-		}
+	if p := n.staticIdx[consumer]; p != nil {
+		// Static consumer: each edge slot has exactly one producer, and
+		// the frontier releases the tile only after every lower level -
+		// the producer included - has retired, so the plain slot write
+		// is safe and skips the pending table entirely.
+		p.Tile.edges[dep] = dpEdgeMsg{dep: dep, data: data}
+		return
 	}
 	n.pendMu.Lock()
 	p := n.pending[consumer]
 	if p == nil {
-		p = &dpPend{tile: consumer, remaining: dpDepCount(&consumer), level: dpLevelOf(&consumer)}
+		p = dpNewItem(consumer)
+		p.Tile.remaining = dpDepCount(&consumer)
+		p.Shard = n.pool.Home(consumer[:])
 		n.pending[consumer] = p
 	}
-	p.edges = append(p.edges, dpEdgeMsg{dep: dep, data: data})
-	p.remaining--
-	ready := p.remaining == 0
+	p.Tile.edges = append(p.Tile.edges, dpEdgeMsg{dep: dep, data: data})
+	p.Tile.remaining--
+	ready := p.Tile.remaining == 0
 	if ready {
 		delete(n.pending, consumer)
-		p.key = dpKeyOf(&p.tile)
-		p.group = dpShardOf(n, &consumer)
-		p.seq = atomic.AddInt64(&n.seqA, 1)
 	}
 	n.pendMu.Unlock()
-	live := atomic.AddInt64(&n.liveEdges, 1)
-	dpAtomicMax(&n.peakEdges, live)
+	AtomicMax(&n.peakEdges, n.liveEdges.Add(1))
 	if ready {
-		n.enqueue(p)
+		n.pool.Push(p)
 	}
 }
 
-func (n *dpNode) exec(g *dpGlobal, p *dpPend, V []dpElem) {
+func (n *dpNode) exec(g *dpGlobal, p *dpItem, V []dpElem) {
 	// Unpack received edges into the ghost shell (static tiles may have
 	// empty slots: dependences whose producer is outside the space).
 	nEdges := int64(0)
-	for _, ed := range p.edges {
+	tile := &p.Tile.at
+	for _, ed := range p.Tile.edges {
 		if ed.data == nil {
 			continue
 		}
 		nEdges++
 		var prod [dpDims]int64
 		for k := 0; k < dpDims; k++ {
-			prod[k] = p.tile[k] + dpTileDepOffsets[ed.dep][k]
+			prod[k] = tile[k] + dpTileDepOffsets[ed.dep][k]
 		}
 		dpUnpackEdge(ed.dep, &prod, V, ed.data)
 	}
-	p.edges = nil
-	if !p.static {
+	p.Tile.edges = nil
+	if !p.Static {
 		// Static tiles' edges bypass the pending table and are never
 		// counted live.
-		atomic.AddInt64(&n.liveEdges, -nEdges)
+		n.liveEdges.Add(-nEdges)
 	}
 
-	cells, tmax := dpExecTile(&p.tile, V)
+	cells, tmax := dpExecTile(tile, V)
 
 	g.goalMu.Lock()
-	if p.tile == dpGoalTile {
+	if *tile == dpGoalTile {
 		g.goalVal = V[dpGoalLocIndex]
 		g.goalSet = true
 	}
@@ -603,12 +377,12 @@ func (n *dpNode) exec(g *dpGlobal, p *dpPend, V []dpElem) {
 	for j := 0; j < dpNumTileDeps; j++ {
 		var consumer [dpDims]int64
 		for k := 0; k < dpDims; k++ {
-			consumer[k] = p.tile[k] - dpTileDepOffsets[j][k]
+			consumer[k] = tile[k] - dpTileDepOffsets[j][k]
 		}
 		if !dpTileInSpace(&consumer) {
 			continue
 		}
-		data := dpPackEdge(j, &p.tile, V, make([]dpElem, 0, dpEdgeCap[j]))
+		data := dpPackEdge(j, tile, V, make([]dpElem, 0, dpEdgeCap[j]))
 		dst := g.owner[dpLBKeyOf(&consumer)]
 		if dst == n.id {
 			n.deliver(j, consumer, data)
@@ -630,7 +404,11 @@ func (n *dpNode) exec(g *dpGlobal, p *dpPend, V []dpElem) {
 	n.executed++
 	finished := n.executed == n.owned
 	n.mu.Unlock()
-	n.tileRetired(p)
+	// Retire after the deliveries above: a released consumer's slots are
+	// complete only once every lower-level producer has delivered.
+	if n.wf != nil {
+		n.release(n.wf.Retire(p.Level))
+	}
 	if finished {
 		g.wg.Done()
 	}
@@ -664,34 +442,27 @@ func main() {
 	}
 	g := &dpGlobal{owner: owner, nodes: make([]*dpNode, nodes)}
 	for i := range g.nodes {
-		n := &dpNode{
+		g.nodes[i] = &dpNode{
 			id:      i,
-			pending: make(map[[dpDims]int64]*dpPend),
-			shards:  make([]dpShard, threads),
+			pending: make(map[[dpDims]int64]*dpItem),
+			pool:    NewPool[dpTile](threads, ColumnMajor),
 			inbox:   make(chan dpMsg, *flagRecvBufs),
 			slots:   make(chan struct{}, *flagSendBufs),
 			owned:   ownedTotal[i],
 		}
-		for w := range n.shards {
-			n.shards[w].rng = uint64(w+1) * 0x9E3779B97F4A7C15
-		}
-		n.cond = sync.NewCond(&n.mu)
-		g.nodes[i] = n
 	}
 	if staticOn {
-		dpBuildStatic(g)
+		dpBuildStatic(g, threads)
 	}
-	for idx := range initial {
-		t := initial[idx]
+	for _, t := range initial {
 		n := g.nodes[owner[dpLBKeyOf(&t)]]
-		p := &dpPend{tile: t, key: dpKeyOf(&t), level: dpLevelOf(&t)}
-		p.seq = atomic.AddInt64(&n.seqA, 1)
-		p.group = dpShardOf(n, &t)
-		n.enqueue(p)
+		p := dpNewItem(t)
+		p.Shard = n.pool.Home(t[:])
+		n.pool.Push(p)
 	}
-	if staticOn {
-		for _, n := range g.nodes {
-			n.sd.advance(n)
+	for _, n := range g.nodes {
+		if n.wf != nil {
+			n.release(n.wf.Advance())
 		}
 	}
 	initSecs := time.Since(start).Seconds()
@@ -720,10 +491,7 @@ func main() {
 		close(n.inbox)
 	}
 	for _, n := range g.nodes {
-		n.mu.Lock()
-		n.done = true
-		n.cond.Broadcast()
-		n.mu.Unlock()
+		n.pool.Close()
 	}
 	workers.Wait()
 	receivers.Wait()
@@ -742,11 +510,12 @@ func main() {
 	if *flagStats {
 		for _, n := range g.nodes {
 			static := int64(0)
-			if n.sd != nil {
-				static = n.sd.total
+			if n.wf != nil {
+				static = n.wf.Static()
 			}
+			steals, localPops, _ := n.pool.Counts()
 			fmt.Printf("node %d tiles %d cells %d sent %d sent_elems %d recv %d local %d peak_edges %d static %d steals %d local_pops %d\n",
-				n.id, n.tiles, n.cells, n.sentRemote, n.sentElems, n.recvRemote, n.localEdges, n.peakEdges, static, n.steals, n.localPops)
+				n.id, n.tiles, n.cells, n.sentRemote, n.sentElems, n.recvRemote.Load(), n.localEdges, n.peakEdges.Load(), static, steals, localPops)
 		}
 	}
 }

@@ -167,10 +167,10 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	evil = sealBlob(binary.LittleEndian.AppendUint64(evil, 1<<40)) // params count
 
 	// One 2-D tile with one three-element edge, as applyEpoch ships it.
-	mig := sealBlob(appendRecords(nil, []*pendTile{{
-		tile:  []int64{3, 5},
+	mig := sealBlob(appendRecords(nil, []*pendTile{{Tile: tileState{
+		coord: []int64{3, 5},
 		edges: []edge{{dep: 1, data: []float64{1, 2.5, -4}}},
-	}}))
+	}}}))
 	loadMig := func(_ *testing.T, b []byte) error {
 		_, err := decodeMigration(b, 2, 2)
 		return err

@@ -42,7 +42,6 @@
 package engine
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -187,8 +186,8 @@ func (n *node) resumeWorkers() {
 	n.mu.Lock()
 	n.paused = false
 	n.pauseCond.Broadcast()
-	n.cond.Broadcast()
 	n.mu.Unlock()
+	n.pool.Wake()
 }
 
 // ---- wire payloads (64-bit words, read back through blobReader) ----
@@ -342,7 +341,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	// tile popped, so the queues hold all of them.
 	out, queued := n.live.extract(n.id, next.Owner)
 	if len(queued) > 0 {
-		n.dropQueued(queued)
+		n.pool.RemoveIf(func(p *pendTile) bool { return queued[p] })
 	}
 
 	// New owned-tile total: everything this rank already executed plus
@@ -393,35 +392,6 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	}
 	// A leaver may now own exactly what it already executed.
 	n.checkFinished()
-}
-
-// dropQueued removes migrated-out ready tiles from the shard heaps by
-// pointer identity, restoring the heap invariant afterwards. (The
-// static deques are empty: staticEnabled excludes elastic runs.)
-func (n *node) dropQueued(drop map[*pendTile]bool) {
-	var removed int64
-	for si := range n.shards {
-		s := &n.shards[si]
-		s.mu.Lock()
-		kept := s.heap.items[:0]
-		before := len(s.heap.items)
-		for _, p := range s.heap.items {
-			if drop[p] {
-				removed++
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) != before {
-			for i := len(kept); i < before; i++ {
-				s.heap.items[i] = nil
-			}
-			s.heap.items = kept
-			heap.Init(&s.heap)
-		}
-		s.mu.Unlock()
-	}
-	n.qlen.Add(-removed)
 }
 
 // ---- the per-rank elastic loop ----

@@ -8,14 +8,15 @@
 // striped pending table with per-tile dependence counting, while
 // interior tiles with all-local producers are precomputed into a
 // wavefront order released level by level through one atomic counter
-// per level. Ready tiles land in per-worker shards (steal.go); worker
-// goroutines loop popping locally (priority heap first, then the
-// static deque LIFO), stealing from other shards when empty, then
-// unpack the tile's edges into a per-worker buffer with a ghost-cell
-// shell, run the user kernel over the tile's cells in dependence
-// order, pack the outgoing edges, and deliver them locally or send
-// them to the owning rank. A receiver goroutine per node plays the
-// role of the paper's "poll for incoming edges" step.
+// per level. Ready tiles land in the per-worker shards of the shared
+// ready pool (dpgen/internal/sched, the scheduler generated programs
+// run too); worker goroutines loop popping locally (priority heap
+// first, then the static deque LIFO), stealing from other shards when
+// empty, then unpack the tile's edges into a per-worker buffer with a
+// ghost-cell shell, run the user kernel over the tile's cells in
+// dependence order, pack the outgoing edges, and deliver them locally
+// or send them to the owning rank. A receiver goroutine per node plays
+// the role of the paper's "poll for incoming edges" step.
 //
 // The hot path runs on a row plan bound to the run's parameters
 // (tiling.RowPlan): a tile is walked row by row, bounds evaluated once
@@ -49,6 +50,7 @@ import (
 	"dpgen/internal/balance"
 	"dpgen/internal/mpi"
 	"dpgen/internal/obs"
+	"dpgen/internal/sched"
 	"dpgen/internal/tiling"
 )
 
@@ -285,14 +287,12 @@ type engine struct {
 	depStride []int64
 	rows      *tiling.RowPlan
 
-	keyDims   []int // priority key dimension order (var indexes)
 	goalTile  []int64
 	goalLocal []int64
 
-	// Mixed-radix packing of tile coordinates into the collision-free
-	// uint64 pending-table key (see buildIntKeys).
-	keyLo  []int64
-	keyMul []uint64
+	// key packs tile coordinates into the collision-free integer the
+	// live table, the static index and checkpoints name a tile by.
+	key *tiling.TileKey
 
 	goalMu  sync.Mutex
 	goalVal float64
@@ -395,11 +395,11 @@ func run(prep *Prepared, kernel Kernel, cfg Config, start time.Time) (*Result, e
 	for _, n := range nodes {
 		n.mu.Lock()
 		n.done = true
-		n.cond.Broadcast()
 		if n.elastic {
 			n.pauseCond.Broadcast()
 		}
 		n.mu.Unlock()
+		n.pool.Close()
 	}
 	running.Wait()
 	if runErr != nil {
@@ -452,9 +452,9 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 	e.goalTile, e.goalLocal = e.tl.GoalTile()
 	e.depLocOff = e.tl.DepLocOffAt(e.params)
 	e.depStride = e.tl.DepStrideAt(e.params)
-	e.buildKeyDims()
-	if err := e.buildIntKeys(); err != nil {
-		return nil, nil, err
+	var err error
+	if e.key, err = e.tl.NewTileKey(e.params); err != nil {
+		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
 	var nodes []*node
 	if tr := cfg.Transport; tr != nil {
@@ -610,17 +610,15 @@ func (e *engine) collect(nodes []*node, merged *mergedResult) (*Result, error) {
 		Work:  e.prep.assign.Work,
 	}
 	for _, n := range nodes {
-		n.st.Steals = n.stealsA.Load()
-		n.st.LocalPops = n.localPopsA.Load()
+		n.st.Steals, n.st.LocalPops, n.st.QueueDepthPeak = n.pool.Counts()
 		n.st.EdgesLocal = n.edgesLocalA.Load()
 		n.st.EdgesRecvRemote = n.edgesRecvRemoteA.Load()
 		n.st.EdgesDroppedDup = n.live.dups
 		n.st.PeakPendingEdges = n.peakPendingEdges.Load()
 		n.st.PeakBufferedElems = n.peakBufferedElems.Load()
 		n.st.PeakPendingTiles = n.peakPendingTiles.Load()
-		n.st.QueueDepthPeak = n.peakQueueDepth.Load()
-		if n.sd != nil {
-			n.st.StaticTiles = n.sd.staticTotal
+		if n.wf != nil {
+			n.st.StaticTiles = n.wf.Static()
 		}
 		res.Stats[n.id] = n.st
 	}
@@ -643,53 +641,10 @@ func (e *engine) collect(nodes []*node, merged *mergedResult) (*Result, error) {
 	return res, nil
 }
 
-// buildKeyDims orders the priority key dimensions: load-balancing
-// dimensions first (priority order), then the remaining dimensions in
-// loop order (Figure 5).
-func (e *engine) buildKeyDims() {
-	inLB := map[int]bool{}
-	for _, k := range e.tl.LBIndices() {
-		e.keyDims = append(e.keyDims, k)
-		inLB[k] = true
-	}
-	for _, v := range e.tl.Spec.Order() {
-		k := e.tl.Spec.VarIndex(v)
-		if !inLB[k] {
-			e.keyDims = append(e.keyDims, k)
-		}
-	}
-}
-
-// buildIntKeys derives the mixed-radix strides that pack a tile's
-// coordinates into one uint64: coordinates are offset by the tile-space
-// bounding box and weighted by the running extent product, so distinct
-// tiles always map to distinct keys.
-func (e *engine) buildIntKeys() error {
-	lo, hi := e.tl.TileBounds(e.params)
-	e.keyLo = lo
-	e.keyMul = make([]uint64, len(lo))
-	m := int64(1)
-	for k := range lo {
-		e.keyMul[k] = uint64(m)
-		ext := hi[k] - lo[k] + 1
-		if ext < 1 {
-			ext = 1
-		}
-		if m > math.MaxInt64/ext {
-			return fmt.Errorf("engine: tile space too large for integer keys (extents %v)", hi)
-		}
-		m *= ext
-	}
-	return nil
-}
-
-// intKey packs tile coordinates into the collision-free pending-table
-// key.
-func (e *engine) intKey(t []int64) uint64 {
-	k := uint64(0)
-	for i, v := range t {
-		k += uint64(v-e.keyLo[i]) * e.keyMul[i]
-	}
+// tileKey packs tile coordinates into the collision-free table key.
+// Every tile the runtime names is inside the tile bounds.
+func (e *engine) tileKey(t []int64) uint64 {
+	k, _ := e.key.Of(t)
 	return k
 }
 
@@ -702,25 +657,21 @@ type node struct {
 	rank mpi.Transport
 
 	// mu guards the done flag, the batched per-tile stats, and the
-	// fault-tolerance cadence; workers with nothing to do sleep on
-	// cond. Lock order: see liveTable.
+	// fault-tolerance cadence. Lock order: see liveTable.
 	mu   sync.Mutex
-	cond *sync.Cond
 	done bool
 
-	// Scheduler state: the live-tile table (live.go), the per-worker
-	// ready-queue shards (steal.go), and (under SchedHybrid) the static
-	// wavefront phase (sched.go).
-	live   *liveTable
-	shards []shard
-	sd     *nodeSched
-
-	// epoch/sleepers implement the lost-wakeup-free worker sleep of
-	// steal.go; qlen counts queued tiles across shards.
-	epoch    atomic.Uint64
-	sleepers atomic.Int32
-	qlen     atomic.Int64
-	seqA     atomic.Int64
+	// Scheduler state: the live-tile table (live.go), the ready pool
+	// workers pop, steal and park on, and (under SchedHybrid) the static
+	// wavefront phase with its tile index (sched.go). staticIdx maps a
+	// static tile's key to its entry, so deliver can write producer
+	// edges straight into their slot with no lock: each slot has
+	// exactly one producer, and the frontier can only release the tile
+	// after that producer finished. Read-only once workers start.
+	live      *liveTable
+	pool      *sched.Pool[tileState]
+	wf        *sched.Wavefront[tileState]
+	staticIdx map[uint64]*pendTile
 
 	ownedTotal int64
 	executed   int64
@@ -758,9 +709,6 @@ type node struct {
 	peakPendingEdges  atomic.Int64
 	peakBufferedElems atomic.Int64
 	peakPendingTiles  atomic.Int64
-	peakQueueDepth    atomic.Int64
-	stealsA           atomic.Int64
-	localPopsA        atomic.Int64
 	edgesLocalA       atomic.Int64
 	edgesRecvRemoteA  atomic.Int64
 
@@ -773,16 +721,11 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		id:   id,
 		rank: rank,
 	}
-	n.cond = sync.NewCond(&n.mu)
 	threads := e.cfg.Threads
 	if threads < 1 {
 		threads = 1
 	}
-	n.shards = make([]shard, threads)
-	for i := range n.shards {
-		n.shards[i].heap = tileHeap{prio: e.cfg.Priority}
-		n.shards[i].rng = uint64(i+1) * 0x9E3779B97F4A7C15
-	}
+	n.pool = sched.NewPool[tileState](threads, e.cfg.Priority)
 	// Fault tolerance and elastic membership both need the table's
 	// tracking regime — checkpoint and migration serialise exactly the
 	// same live state; only elastic runs keep the per-slab census.
@@ -820,9 +763,9 @@ func (n *node) initLane() *obs.Lane {
 
 // worker is the per-thread main loop (Section V-A): claim a ready tile
 // — own shard first, stealing otherwise — execute it, repeat. With
-// nothing claimable anywhere the worker sleeps; the epoch check makes
-// the empty-scan-then-sleep sequence race-free against concurrent
-// enqueues (see enqueue).
+// nothing claimable anywhere the worker parks; the epoch read before
+// the scan makes the empty-scan-then-park sequence race-free against
+// concurrent enqueues (see sched.Pool.Push).
 func (n *node) worker(w int, lane *obs.Lane) {
 	ws := newWorkerState(n.eng)
 	ws.lane = lane
@@ -833,8 +776,8 @@ func (n *node) worker(w int, lane *obs.Lane) {
 			// wait for a true tile boundary (see elastic.go).
 			n.pauseGate()
 		}
-		e0 := n.epoch.Load()
-		p, stolen := n.popAny(w)
+		e0 := n.pool.Epoch()
+		p, stolen := n.pool.Pop(w)
 		if p != nil {
 			n.execTile(p, ws, stolen)
 		}
@@ -844,22 +787,16 @@ func (n *node) worker(w int, lane *obs.Lane) {
 		if p != nil {
 			continue
 		}
-		n.mu.Lock()
-		if n.done {
-			n.mu.Unlock()
+		idleStart := time.Now()
+		slept, open := n.pool.Park(e0)
+		if !open {
 			return
 		}
-		n.sleepers.Add(1)
-		if n.epoch.Load() != e0 {
-			// An enqueue landed after the empty scan; rescan.
-			n.sleepers.Add(-1)
-			n.mu.Unlock()
-			continue
+		if !slept {
+			continue // an enqueue landed after the empty scan; rescan
 		}
-		idleStart := time.Now()
-		n.cond.Wait()
-		n.sleepers.Add(-1)
 		idle := time.Since(idleStart)
+		n.mu.Lock()
 		n.st.IdleTime += idle
 		n.mu.Unlock()
 		if lane != nil {
@@ -875,7 +812,7 @@ func (n *node) workerPolling(w int, lane *obs.Lane) {
 	ws := newWorkerState(n.eng)
 	ws.lane = lane
 	for {
-		p, stolen := n.popAny(w)
+		p, stolen := n.pool.Pop(w)
 		if p != nil {
 			n.execTile(p, ws, stolen)
 			continue
@@ -979,26 +916,25 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 		ds.spare = nil
 	} else {
 		p = &pendTile{
-			tile: make([]int64, len(consumer)),
-			key:  make([]int64, len(e.keyDims)),
+			Key:  make([]int64, len(consumer)),
+			Tile: tileState{coord: make([]int64, len(consumer))},
 		}
 	}
-	copy(p.tile, consumer)
-	p.remaining = ds.probe.DepCount(p.tile)
-	e.makeKey(p.tile, p.key)
-	p.level = -sum64(p.key)
-	p.group = n.shardOf(p.tile)
+	copy(p.Tile.coord, consumer)
+	p.Tile.remaining = ds.probe.DepCount(p.Tile.coord)
+	e.tl.PriorityKey(p.Tile.coord, p.Key)
+	p.Level = e.tl.TileLevel(p.Tile.coord)
+	p.Shard = n.pool.Home(p.Tile.coord)
 	return p
 }
 
-// atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
+// enqueue makes a tile runnable: emit its ready event, then push it
+// onto its shard of the ready pool. lane is the caller's trace lane.
+func (n *node) enqueue(p *pendTile, lane *obs.Lane) {
+	if lane != nil {
+		lane.Instant(obs.KReady, obs.TileID(p.Tile.coord), -1, 0)
 	}
+	n.pool.Push(p)
 }
 
 // seedTile queues a tile that has no producers — an initial tile, at
@@ -1006,11 +942,10 @@ func atomicMax(a *atomic.Int64, v int64) {
 // counting.
 func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 	p := n.prepTile(ds, t)
-	if !n.live.seed(p, n.eng.intKey(t)) {
+	if !n.live.seed(p, n.eng.tileKey(t)) {
 		ds.spare = p
 		return
 	}
-	p.seq = n.seqA.Add(1)
 	n.enqueue(p, lane)
 }
 
@@ -1026,19 +961,16 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 	if remote && lane != nil {
 		lane.Instant(obs.KRecv, obs.TileID(consumer), int32(dep), int64(len(data)))
 	}
-	atomicMax(&n.peakPendingEdges, n.pendingEdges.Add(1))
-	atomicMax(&n.peakBufferedElems, n.bufferedElems.Add(int64(len(data))))
+	sched.AtomicMax(&n.peakPendingEdges, n.pendingEdges.Add(1))
+	sched.AtomicMax(&n.peakBufferedElems, n.bufferedElems.Add(int64(len(data))))
 
-	k := e.intKey(consumer)
-	if sd := n.sd; sd != nil {
-		if p := sd.idx[k]; p != nil {
-			// sd.idx is read-only after buildStatic, and remote edges
-			// never target static tiles (their producers are all
-			// node-local by classification).
-			p.edges[dep] = edge{dep: dep, data: data}
-			n.edgesLocalA.Add(1)
-			return
-		}
+	k := e.tileKey(consumer)
+	if p := n.staticIdx[k]; p != nil {
+		// Remote edges never target static tiles (their producers are
+		// all node-local by classification).
+		p.Tile.edges[dep] = edge{dep: dep, data: data}
+		n.edgesLocalA.Add(1)
+		return
 	}
 	p, dup := n.live.addEdge(ds, consumer, k, dep, data)
 	if dup {
@@ -1052,9 +984,8 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 	} else {
 		n.edgesLocalA.Add(1)
 	}
-	atomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.qlen.Load())
+	sched.AtomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.pool.Len())
 	if p != nil {
-		p.seq = n.seqA.Add(1)
 		n.enqueue(p, lane)
 	}
 }
@@ -1119,7 +1050,7 @@ func newWorkerState(e *engine) *workerState {
 func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			panic(fmt.Sprintf("engine: kernel panic in tile %v on node %d: %v", p.tile, n.id, r))
+			panic(fmt.Sprintf("engine: kernel panic in tile %v on node %d: %v", p.Tile.coord, n.id, r))
 		}
 	}()
 	e := n.eng
@@ -1130,7 +1061,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	var tid string
 	var t0 int64
 	if lane != nil {
-		tid = obs.TileID(p.tile)
+		tid = obs.TileID(p.Tile.coord)
 		var stolenVal int64
 		if stolen {
 			stolenVal = 1
@@ -1151,7 +1082,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	var cells int64
 	var tileMax float64
 	fast := !e.cfg.DisableFastPath
-	interior := fast && (p.static || w.probe.Interior(p.tile))
+	interior := fast && (p.Static || w.probe.Interior(p.Tile.coord))
 	if fast {
 		cells, tileMax = n.execRows(p, w, interior)
 	} else {
@@ -1160,7 +1091,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	if lane != nil {
 		lane.Span(obs.KKernel, tid, -1, cells, t0)
 	}
-	if goal := slices.Equal(p.tile, e.goalTile); goal || cells > 0 {
+	if goal := slices.Equal(p.Tile.coord, e.goalTile); goal || cells > 0 {
 		e.goalMu.Lock()
 		if goal {
 			e.goalVal, e.goalSet = w.buf[e.tl.Loc(e.goalLocal)], true
@@ -1180,12 +1111,12 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	}
 
 	// The tile's sends are issued: it is executed.
-	n.live.retire(p, e.intKey(p.tile))
+	n.live.retire(p, e.tileKey(p.Tile.coord))
 	n.tileDone(p, w, cells, sentRemote, stall)
 }
 
 // unpackEdges copies the tile's received edges into the ghost shell.
-// The producer of edge dep j is p.tile + offset_j; pack and unpack
+// The producer of edge dep j is p.Tile.coord + offset_j; pack and unpack
 // share that producer's slab order, so the elements match exactly. A
 // full-slab edge (its length equals the dense size) unpacks with the
 // precompiled strided copy regardless of how the producer packed it;
@@ -1195,7 +1126,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	tl := e.tl
 	fast := !e.cfg.DisableFastPath
 	var freedElems, nEdges int64
-	for _, ed := range p.edges {
+	for _, ed := range p.Tile.edges {
 		if ed.data == nil {
 			// A static tile's slot for a producer that does not exist
 			// (an out-of-space neighbor whose ghost cells no valid
@@ -1210,7 +1141,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 		}
 		producer := w.tbuf
 		for k, off := range tl.TileDeps[ed.dep].Offset {
-			producer[k] = p.tile[k] + off
+			producer[k] = p.Tile.coord[k] + off
 		}
 		var got int
 		if fast {
@@ -1226,7 +1157,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 		}
 		if got != len(ed.data) {
 			panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells",
-				ed.dep, p.tile, len(ed.data), got))
+				ed.dep, p.Tile.coord, len(ed.data), got))
 		}
 	}
 	n.pendingEdges.Add(-nEdges)
@@ -1247,7 +1178,7 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 	for j := range tl.TileDeps {
 		consumer := w.tbuf
 		for k, off := range tl.TileDeps[j].Offset {
-			consumer[k] = p.tile[k] - off
+			consumer[k] = p.Tile.coord[k] - off
 		}
 		if !w.probe.InSpace(consumer) {
 			continue
@@ -1257,10 +1188,10 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		case interior:
 			tl.PackInterior(j, w.buf, data)
 		case fast:
-			data = w.rows.PackPartial(j, p.tile, w.buf, data[:0])
+			data = w.rows.PackPartial(j, p.Tile.coord, w.buf, data[:0])
 		default:
 			data = data[:0]
-			tl.ForEachEdgeCell(e.params, p.tile, j, func(i []int64) bool {
+			tl.ForEachEdgeCell(e.params, p.Tile.coord, j, func(i []int64) bool {
 				data = append(data, w.buf[tl.Loc(i)])
 				return true
 			})
@@ -1340,14 +1271,16 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 	// static level if this drained the frontier. Must follow the
 	// outgoing-edge deliveries: a released consumer's slots are only
 	// complete once every lower-level producer has delivered.
-	n.tileRetired(p, lane)
+	if n.wf != nil {
+		n.release(n.wf.Retire(p.Level), lane)
+	}
 	// Sample the pending-edge curve (the Figure 4 quantity as a time
 	// series) and the ready-queue depth at every tile completion.
 	if lane != nil {
 		lane.Instant(obs.KPending, "", -1, n.pendingEdges.Load())
-		lane.Instant(obs.KQueueDepth, "", -1, n.qlen.Load())
+		lane.Instant(obs.KQueueDepth, "", -1, n.pool.Len())
 	}
-	if !p.static && w.ds.spare == nil {
+	if !p.Static && w.ds.spare == nil {
 		w.ds.spare = p // reused by this worker's next pending-table miss
 	}
 	if finished {
@@ -1365,11 +1298,11 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 	tl := e.tl
 	np := len(e.params)
 	tileMax = math.Inf(-1)
-	tl.ForEachCell(e.params, p.tile, func(i []int64) bool {
+	tl.ForEachCell(e.params, p.Tile.coord, func(i []int64) bool {
 		cells++
 		loc := tl.Loc(i)
 		for k := range i {
-			w.x[k] = i[k] + tl.Widths[k]*p.tile[k]
+			w.x[k] = i[k] + tl.Widths[k]*p.Tile.coord[k]
 			w.specVals[np+k] = w.x[k]
 		}
 		w.ctx.Loc = loc
@@ -1414,12 +1347,12 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 	onCell := e.cfg.OnCell
 	buf, x, xbase := w.buf, w.x, w.xbase
 	for k, wd := range tl.Widths {
-		xbase[k] = wd * p.tile[k]
+		xbase[k] = wd * p.Tile.coord[k]
 	}
 	outer, in := tl.Dense[:len(tl.Dense)-1], tl.Dense[len(tl.Dense)-1]
 	li, xi, xb := &rw.I[in.Var], &x[in.Var], xbase[in.Var]
 	tileMax = math.Inf(-1)
-	rw.Begin(p.tile, interior)
+	rw.Begin(p.Tile.coord, interior)
 	for rw.NextRow() {
 		for _, L := range outer {
 			x[L.Var] = xbase[L.Var] + rw.I[L.Var]
@@ -1471,12 +1404,4 @@ func (n *node) checkFinished() {
 	if done {
 		n.finishOnce.Do(n.eng.finished.Done)
 	}
-}
-
-func sum64(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }

@@ -607,9 +607,8 @@ func TestKernelPanicAnnotated(t *testing.T) {
 	// exercise the annotation through a direct worker call.
 	e := &engine{tl: tl, params: []int64{5}, kernel: func(c *Ctx) { panic("boom") },
 		cfg: Config{}.withDefaults()}
-	e.buildKeyDims()
 	n := newNode2ForTest(e)
-	p := &pendTile{tile: []int64{0, 0, 0, 0}}
+	p := &pendTile{Tile: tileState{coord: []int64{0, 0, 0, 0}}}
 	n.execTile(p, newWorkerState(e), false)
 }
 

@@ -36,25 +36,25 @@ import (
 	"dpgen/internal/balance"
 	"dpgen/internal/mpi"
 	"dpgen/internal/obs"
+	"dpgen/internal/sched"
 )
 
 // pendTile is a tile known to a node: pending (waiting on dependence
-// edges) and then queued for execution.
-type pendTile struct {
-	tile      []int64 // Vars order
+// edges) and then queued for execution. The scheduling header (priority
+// key, wavefront level, arrival order, home shard) is the shared
+// scheduler's; Static marks a wavefront-scheduled tile (sched.go), which
+// never enters the table.
+type pendTile = sched.Item[tileState]
+
+// tileState is the engine's own part of a pendTile.
+type tileState struct {
+	coord     []int64 // tile index, Vars order
 	remaining int     // unsatisfied dependence edges
-	edges     []edge  // received, still-packed edges
-	key       []int64 // priority key (see makeKey)
-	level     int64   // wavefront level (-sum of key), for LevelSet and sched.go
-	seq       int64   // arrival order, for FIFO and tie-breaking
-	index     int     // heap index
-	group     int     // home shard (computed off-lock at insert)
-	got       uint64  // per-dep arrival bitmask, the duplicate filter's finest grain
-	// static marks a wavefront-scheduled tile (sched.go): its edges
+	// edges holds the received, still-packed edges. A static tile's
 	// slice is preallocated with one slot per tile dependence, filled
-	// in place by producers instead of appended under a lock. Static
-	// tiles never enter the table.
-	static bool
+	// in place by producers instead of appended under a lock.
+	edges []edge
+	got   uint64 // per-dep arrival bitmask, the duplicate filter's finest grain
 }
 
 type edge struct {
@@ -65,15 +65,15 @@ type edge struct {
 // releaseEdges returns a tile's edge buffers to the shared pool and
 // reports how many edges and elements that freed.
 func releaseEdges(p *pendTile) (edges, elems int64) {
-	for i, ed := range p.edges {
+	for i, ed := range p.Tile.edges {
 		if ed.data != nil {
 			edges++
 			elems += int64(len(ed.data))
 			mpi.PutData(ed.data)
 		}
-		p.edges[i] = edge{}
+		p.Tile.edges[i] = edge{}
 	}
-	p.edges = p.edges[:0]
+	p.Tile.edges = p.Tile.edges[:0]
 	return edges, elems
 }
 
@@ -172,7 +172,7 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, k uint64, dep int
 		st.mu.Lock()
 		if p = st.pending[k]; p == nil && !(lt.track && lt.past(k)) {
 			p = fresh
-			p.got = 0
+			p.Tile.got = 0
 			st.pending[k] = p
 			lt.npending.Add(1)
 		} else {
@@ -180,16 +180,16 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, k uint64, dep int
 		}
 	}
 	bit := uint64(1) << uint(dep)
-	if p == nil || (lt.track && p.got&bit != 0) {
+	if p == nil || (lt.track && p.Tile.got&bit != 0) {
 		// The tile is past counting, or already holds this dependence.
 		lt.dups++
 		st.mu.Unlock()
 		return nil, true
 	}
-	p.got |= bit
-	p.edges = append(p.edges, edge{dep: dep, data: data})
-	p.remaining--
-	if p.remaining == 0 {
+	p.Tile.got |= bit
+	p.Tile.edges = append(p.Tile.edges, edge{dep: dep, data: data})
+	p.Tile.remaining--
+	if p.Tile.remaining == 0 {
 		delete(st.pending, k)
 		lt.npending.Add(-1)
 		if lt.track {
@@ -238,7 +238,7 @@ func (lt *liveTable) retire(p *pendTile, k uint64) {
 	delete(lt.started, k)
 	lt.executed[k] = struct{}{}
 	if lt.census != nil {
-		if si := lt.slabs.SlabIndex(p.tile); si >= 0 {
+		if si := lt.slabs.SlabIndex(p.Tile.coord); si >= 0 {
 			lt.census[si]++
 		}
 	}
@@ -256,14 +256,14 @@ func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[in
 	st := &lt.stripes[0]
 	st.mu.Lock()
 	for k, p := range st.pending {
-		if o := owner(p.tile); o != self {
+		if o := owner(p.Tile.coord); o != self {
 			delete(st.pending, k)
 			lt.npending.Add(-1)
 			out[o] = append(out[o], p)
 		}
 	}
 	for k, p := range lt.started {
-		if o := owner(p.tile); o != self {
+		if o := owner(p.Tile.coord); o != self {
 			delete(lt.started, k)
 			out[o] = append(out[o], p)
 			queued[p] = true
@@ -290,7 +290,7 @@ func (lt *liveTable) snapshot(b []byte) []byte {
 	var tiles []*pendTile
 	for _, m := range []map[uint64]*pendTile{lt.stripes[0].pending, lt.started} {
 		for _, p := range m {
-			if len(p.edges) > 0 {
+			if len(p.Tile.edges) > 0 {
 				tiles = append(tiles, p)
 			}
 		}
@@ -332,11 +332,11 @@ func appendRecords(b []byte, tiles []*pendTile) []byte {
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u64(uint64(len(tiles)))
 	for _, p := range tiles {
-		for _, c := range p.tile {
+		for _, c := range p.Tile.coord {
 			u64(uint64(c))
 		}
-		u64(uint64(len(p.edges)))
-		for _, ed := range p.edges {
+		u64(uint64(len(p.Tile.edges)))
+		for _, ed := range p.Tile.edges {
 			u64(uint64(ed.dep))
 			u64(uint64(len(ed.data)))
 			for _, v := range ed.data {

@@ -7,18 +7,19 @@
 // order up front, and a single atomic counter per level replaces their
 // pending-table entries. When the counter for the frontier level drains
 // to zero the next level's tiles are released wholesale into the
-// per-worker deques of steal.go. Boundary tiles and tiles fed by remote
-// edges keep full dynamic counting, and keep their column-major
-// priority, so the Figure 5 communication-first ordering still governs
-// everything that talks to other nodes.
+// per-worker deques. Boundary tiles and tiles fed by remote edges keep
+// full dynamic counting, and keep their column-major priority, so the
+// Figure 5 communication-first ordering still governs everything that
+// talks to other nodes. The ready pool and the
+// wavefront release are dpgen/internal/sched, shared with generated
+// programs; this file is the engine's side of it: which configurations
+// get a static phase, and the classification scan that fills it.
 
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"dpgen/internal/obs"
+	"dpgen/internal/sched"
 )
 
 // Sched selects the engine's tile scheduler (Config.Sched).
@@ -52,38 +53,6 @@ func (s Sched) String() string {
 	return "unknown"
 }
 
-// maxStaticLevels bounds the per-level counter array; a level range
-// beyond it (degenerate chain-shaped tile spaces) just skips the static
-// phase rather than allocating a huge array.
-const maxStaticLevels = 1 << 22
-
-// nodeSched is a node's static-phase state: the wavefront-ordered
-// interior tiles and the per-level release counters. Built once before
-// workers launch; idx and levels are read-only afterwards, remain is
-// atomic, and frontier/rr are guarded by fmu.
-type nodeSched struct {
-	minLevel int64
-	// remain[l] counts the node's not-yet-executed owned tiles at level
-	// minLevel+l — every owned tile, static or dynamic, because a static
-	// tile at level L may consume edges from a dynamic (boundary) tile
-	// at any lower level.
-	remain []atomic.Int64
-	// levels[l] holds the static tiles of level minLevel+l in priority
-	// order, awaiting release.
-	levels [][]*pendTile
-	// idx maps a static tile's integer key to its entry, so deliver can
-	// write producer edges straight into their slot with no lock: each
-	// slot has exactly one producer, and the frontier can only release
-	// the tile after that producer finished.
-	idx map[uint64]*pendTile
-
-	staticTotal int64
-
-	fmu      sync.Mutex
-	frontier int // next unreleased level index (≤ len(levels))
-	rr       int // round-robin shard cursor for released tiles
-}
-
 // staticEnabled reports whether the configuration admits a static
 // phase. Fault tolerance disables it because a resumed rank re-executes
 // only part of each level, and DisableFastPath disables it because the
@@ -111,19 +80,14 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 		return
 	}
 	lo, hi := e.tl.TileLevelBounds(e.params)
-	if hi < lo || hi-lo+1 > maxStaticLevels {
-		return
-	}
-	nlv := int(hi - lo + 1)
 	for _, n := range nodeByRank {
-		if n != nil {
-			n.sd = &nodeSched{
-				minLevel: lo,
-				remain:   make([]atomic.Int64, nlv),
-				levels:   make([][]*pendTile, nlv),
-				idx:      make(map[uint64]*pendTile),
-			}
+		if n == nil {
+			continue
 		}
+		if n.wf = sched.NewWavefront[tileState](lo, hi, e.cfg.Threads); n.wf == nil {
+			return // no levels, or too many to count: all-dynamic
+		}
+		n.staticIdx = make(map[uint64]*pendTile)
 	}
 	d := len(e.tl.Spec.Vars)
 	ndeps := len(e.tl.TileDeps)
@@ -140,9 +104,7 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 		if n == nil {
 			return true
 		}
-		sd := n.sd
-		li := int(level - lo)
-		sd.remain[li].Add(1)
+		n.wf.Count(level)
 		if !interior {
 			return true
 		}
@@ -171,62 +133,28 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 			return true
 		}
 		p := &pendTile{
-			tile:   append([]int64(nil), t...),
-			key:    make([]int64, len(e.keyDims)),
-			edges:  make([]edge, ndeps),
-			level:  level,
-			static: true,
+			Key:   e.tl.PriorityKey(t, nil),
+			Level: level,
+			Tile: tileState{
+				coord: append([]int64(nil), t...),
+				edges: make([]edge, ndeps),
+			},
 		}
-		e.makeKey(p.tile, p.key)
-		sd.levels[li] = append(sd.levels[li], p)
-		sd.idx[e.intKey(t)] = p
-		sd.staticTotal++
+		n.wf.Add(p)
+		n.staticIdx[e.tileKey(t)] = p
 		return true
 	})
 	for _, n := range nodeByRank {
 		if n != nil {
-			n.sd.advance(n, n.initLane())
+			n.release(n.wf.Advance(), n.initLane())
 		}
 	}
 }
 
-// advance releases every fully unblocked level. A static tile's
-// producers all sit at strictly lower levels on the same node, so once
-// every level below f has retired, level f's static tiles are safe to
-// run: advance releases the frontier level's tiles round-robin into the
-// worker deques, then moves the frontier past each level whose
-// owned-tile counter has drained. Any goroutine whose decrement zeroes
-// a counter calls advance; frontier movement is serialized by fmu, and
-// only the zeroing of the *frontier* level can unblock it, so no
-// release is ever missed (a released level is nilled, making re-entry
-// idempotent). lane is the caller's trace lane.
-func (sd *nodeSched) advance(n *node, lane *obs.Lane) {
-	sd.fmu.Lock()
-	for sd.frontier < len(sd.remain) {
-		for _, p := range sd.levels[sd.frontier] {
-			p.seq = n.seqA.Add(1)
-			p.group = sd.rr % len(n.shards)
-			sd.rr++
-			n.enqueue(p, lane)
-		}
-		sd.levels[sd.frontier] = nil
-		if sd.remain[sd.frontier].Load() != 0 {
-			break
-		}
-		sd.frontier++
-	}
-	sd.fmu.Unlock()
-}
-
-// tileRetired is execTile's scheduler epilogue: the executed tile comes
-// off its level counter, and a drained frontier level releases the next
-// wavefront. No-op on nodes without a static phase.
-func (n *node) tileRetired(p *pendTile, lane *obs.Lane) {
-	sd := n.sd
-	if sd == nil {
-		return
-	}
-	if sd.remain[p.level-sd.minLevel].Add(-1) == 0 {
-		sd.advance(n, lane)
+// release queues a wavefront level's static tiles (what Advance or
+// Retire returned). lane is the caller's trace lane.
+func (n *node) release(tiles []*pendTile, lane *obs.Lane) {
+	for _, p := range tiles {
+		n.enqueue(p, lane)
 	}
 }

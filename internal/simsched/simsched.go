@@ -18,8 +18,8 @@ import (
 	"strconv"
 
 	"dpgen/internal/balance"
-	"dpgen/internal/engine"
 	"dpgen/internal/obs"
+	"dpgen/internal/sched"
 	"dpgen/internal/tiling"
 )
 
@@ -63,7 +63,7 @@ type Config struct {
 	Nodes    int // MPI ranks (default 1)
 	Cores    int // cores per node (default 1)
 	SendBufs int // in-flight sends per node before the sender stalls (default 16)
-	Priority engine.Priority
+	Priority sched.Priority
 	Balance  balance.Method
 	Cost     CostModel // zero value means DefaultCostModel
 	// Cache, if non-nil, memoizes per-tile cell and edge counts across
@@ -88,13 +88,19 @@ type Config struct {
 // CostCache memoizes tile geometry counts for repeated simulations of
 // the same problem instance (e.g. a thread-count sweep).
 type CostCache struct {
-	cells map[string]int64
-	edges map[string]int64
+	cells map[uint64]int64
+	edges map[edgeKey]int64
+}
+
+// edgeKey names one outgoing edge of a tile (by its integer key).
+type edgeKey struct {
+	tile uint64
+	dep  int
 }
 
 // NewCostCache creates an empty cache.
 func NewCostCache() *CostCache {
-	return &CostCache{cells: map[string]int64{}, edges: map[string]int64{}}
+	return &CostCache{cells: map[uint64]int64{}, edges: map[edgeKey]int64{}}
 }
 
 func (c Config) withDefaults() Config {
@@ -137,62 +143,19 @@ type Result struct {
 // Speedup returns SerialWork / Makespan.
 func (r *Result) Speedup() float64 { return r.SerialWork / r.Makespan }
 
-// simTile is the simulator's per-tile state.
-type simTile struct {
+// simTile is a tile in the simulator: the shared scheduler's item (so
+// the per-node ready set is the shared priority heap) around the
+// simulator's own state.
+type simTile = sched.Item[simState]
+
+type simState struct {
 	tile      []int64
 	remaining int
 	inElems   int64 // received edge elements (unpack cost)
-	key       []int64
-	level     int64
-	seq       int64
-	index     int
 
 	// Tracing state (only maintained when a Tracer is attached).
 	core  int   // simulated core the tile ran on
 	cells int64 // cell count, recorded by tileCost
-}
-
-// readyHeap mirrors the engine's priority queue.
-type readyHeap struct {
-	items []*simTile
-	prio  engine.Priority
-}
-
-func (h *readyHeap) Len() int { return len(h.items) }
-func (h *readyHeap) Less(a, b int) bool {
-	x, y := h.items[a], h.items[b]
-	switch h.prio {
-	case engine.FIFO:
-		return x.seq < y.seq
-	case engine.LevelSet:
-		if x.level != y.level {
-			return x.level < y.level
-		}
-	}
-	for k := range x.key {
-		if x.key[k] != y.key[k] {
-			return x.key[k] < y.key[k]
-		}
-	}
-	return x.seq < y.seq
-}
-func (h *readyHeap) Swap(a, b int) {
-	h.items[a], h.items[b] = h.items[b], h.items[a]
-	h.items[a].index = a
-	h.items[b].index = b
-}
-func (h *readyHeap) Push(v any) {
-	p := v.(*simTile)
-	p.index = len(h.items)
-	h.items = append(h.items, p)
-}
-func (h *readyHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return p
 }
 
 // event is a point in simulated time.
@@ -225,8 +188,8 @@ func (h *eventHeap) empty() bool      { return h.Len() == 0 }
 
 // simNode is the per-node simulator state.
 type simNode struct {
-	ready     readyHeap
-	pending   map[string]*simTile
+	ready     sched.Heap[simState]
+	pending   map[uint64]*simTile
 	freeCores int
 	busy      float64
 	seq       int64
@@ -253,16 +216,16 @@ type simNode struct {
 }
 
 type sim struct {
-	tl      *tiling.Tiling
-	params  []int64
-	cfg     Config
-	assign  *balance.Assignment
-	nodes   []*simNode
-	events  eventHeap
-	eseq    int64
-	keyDims []int
-	now     float64
-	res     Result
+	tl     *tiling.Tiling
+	params []int64
+	cfg    Config
+	assign *balance.Assignment
+	nodes  []*simNode
+	events eventHeap
+	eseq   int64
+	key    *tiling.TileKey
+	now    float64
+	res    Result
 }
 
 // Simulate runs the model to completion.
@@ -278,13 +241,16 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	} else if assign.Nodes != cfg.Nodes {
 		return nil, fmt.Errorf("simsched: assignment built for %d nodes, config wants %d", assign.Nodes, cfg.Nodes)
 	}
-	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign}
-	s.buildKeyDims()
+	key, err := tl.NewTileKey(params)
+	if err != nil {
+		return nil, fmt.Errorf("simsched: %w", err)
+	}
+	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign, key: key}
 	s.nodes = make([]*simNode, cfg.Nodes)
 	for i := range s.nodes {
 		n := &simNode{
-			ready:     readyHeap{prio: cfg.Priority},
-			pending:   make(map[string]*simTile),
+			ready:     sched.Heap[simState]{Prio: cfg.Priority},
+			pending:   make(map[uint64]*simTile),
 			freeCores: cfg.Cores,
 			slotTimes: make([]float64, cfg.SendBufs),
 		}
@@ -308,9 +274,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 		if tl.DepCount(params, t) == 0 {
 			st := s.newSimTile(t, 0)
 			n := s.nodes[owner]
-			st.seq = n.seq
-			n.seq++
-			heap.Push(&n.ready, st)
+			n.makeReady(st)
 			if n.initLane != nil {
 				n.initLane.Emit(obs.Event{Kind: obs.KReady, Tile: obs.TileID(t), Dep: -1})
 			}
@@ -366,54 +330,50 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	return &s.res, nil
 }
 
-func (s *sim) buildKeyDims() {
-	inLB := map[int]bool{}
-	for _, k := range s.tl.LBIndices() {
-		s.keyDims = append(s.keyDims, k)
-		inLB[k] = true
-	}
-	for _, v := range s.tl.Spec.Order() {
-		k := s.tl.Spec.VarIndex(v)
-		if !inLB[k] {
-			s.keyDims = append(s.keyDims, k)
-		}
-	}
+// tileKey packs a tile of the space into its integer key.
+func (s *sim) tileKey(t []int64) uint64 {
+	k, _ := s.key.Of(t)
+	return k
 }
 
 func (s *sim) newSimTile(t []int64, remaining int) *simTile {
-	st := &simTile{tile: append([]int64(nil), t...), remaining: remaining}
-	st.key = make([]int64, len(s.keyDims))
-	for i, k := range s.keyDims {
-		// Most-advanced-first orientation; see engine.makeKey.
-		if (s.tl.ExecDirs[k] < 0) != s.cfg.ReverseKey {
-			st.key[i] = t[k]
-		} else {
-			st.key[i] = -t[k]
+	st := &simTile{Tile: simState{tile: append([]int64(nil), t...), remaining: remaining}}
+	st.Key = s.tl.PriorityKey(t, nil)
+	if s.cfg.ReverseKey {
+		for i := range st.Key {
+			st.Key[i] = -st.Key[i]
 		}
 	}
-	for _, v := range st.key {
-		st.level -= v
+	for _, v := range st.Key {
+		st.Level -= v
 	}
 	return st
+}
+
+// makeReady queues a tile whose dependencies have all arrived.
+func (n *simNode) makeReady(st *simTile) {
+	st.Seq = n.seq
+	n.seq++
+	n.ready.Push(st)
 }
 
 // dispatch starts ready tiles on free cores of node id.
 func (s *sim) dispatch(id int) {
 	n := s.nodes[id]
 	for n.freeCores > 0 && n.ready.Len() > 0 {
-		st := heap.Pop(&n.ready).(*simTile)
+		st := n.ready.Pop()
 		n.freeCores--
 		cost := s.tileCost(st)
 		n.busy += cost
 		s.res.SerialWork += cost
 		if n.coreLanes != nil {
-			st.core = n.freeCoreIDs[len(n.freeCoreIDs)-1]
+			st.Tile.core = n.freeCoreIDs[len(n.freeCoreIDs)-1]
 			n.freeCoreIDs = n.freeCoreIDs[:len(n.freeCoreIDs)-1]
-			lane := n.coreLanes[st.core]
-			tid := obs.TileID(st.tile)
+			lane := n.coreLanes[st.Tile.core]
+			tid := obs.TileID(st.Tile.tile)
 			lane.Emit(obs.Event{Kind: obs.KPop, Start: ns(s.now), Tile: tid, Dep: -1})
 			lane.Emit(obs.Event{Kind: obs.KKernel, Start: ns(s.now),
-				Dur: ns(s.now+cost) - ns(s.now), Tile: tid, Dep: -1, Val: st.cells})
+				Dur: ns(s.now+cost) - ns(s.now), Tile: tid, Dep: -1, Val: st.Tile.cells})
 		}
 		s.eseq++
 		s.events.push(&event{at: s.now + cost, seq: s.eseq, kind: 0, node: id, tile: st})
@@ -426,23 +386,23 @@ func ns(sec float64) int64 { return int64(sec * 1e9) }
 
 // tileCost models one tile's core time: overhead + cells + pack/unpack.
 func (s *sim) tileCost(st *simTile) float64 {
-	cells := s.cellCount(st.tile)
-	st.cells = cells
+	cells := s.cellCount(st.Tile.tile)
+	st.Tile.cells = cells
 	s.res.TotalCells += cells
 	var outElems int64
-	probe := make([]int64, len(st.tile))
+	probe := make([]int64, len(st.Tile.tile))
 	for j := range s.tl.TileDeps {
-		for k := range st.tile {
-			probe[k] = st.tile[k] - s.tl.TileDeps[j].Offset[k]
+		for k := range st.Tile.tile {
+			probe[k] = st.Tile.tile[k] - s.tl.TileDeps[j].Offset[k]
 		}
 		if s.tl.InTileSpace(s.params, probe) {
-			outElems += s.edgeSize(st.tile, j)
+			outElems += s.edgeSize(st.Tile.tile, j)
 		}
 	}
 	c := s.cfg.Cost
 	contention := 1 + c.CoreContention*float64(s.cfg.Cores-1)
 	return c.TileOverhead + float64(cells)*c.CellTime*contention +
-		float64(st.inElems+outElems)*c.ElemCPU*contention
+		float64(st.Tile.inElems+outElems)*c.ElemCPU*contention
 }
 
 // cellCount and edgeSize consult the optional cross-run cache.
@@ -450,7 +410,7 @@ func (s *sim) cellCount(tile []int64) int64 {
 	if s.cfg.Cache == nil {
 		return s.tl.CellCount(s.params, tile)
 	}
-	k := tileKey(tile)
+	k := s.tileKey(tile)
 	if v, ok := s.cfg.Cache.cells[k]; ok {
 		return v
 	}
@@ -463,7 +423,7 @@ func (s *sim) edgeSize(tile []int64, dep int) int64 {
 	if s.cfg.Cache == nil {
 		return s.tl.EdgeSize(s.params, tile, dep)
 	}
-	k := tileKey(tile) + "|" + string(rune('0'+dep))
+	k := edgeKey{s.tileKey(tile), dep}
 	if v, ok := s.cfg.Cache.edges[k]; ok {
 		return v
 	}
@@ -480,19 +440,19 @@ func (s *sim) finishTile(e *event) {
 	var lane *obs.Lane
 	var tid string
 	if n.coreLanes != nil {
-		lane = n.coreLanes[st.core]
-		tid = obs.TileID(st.tile)
+		lane = n.coreLanes[st.Tile.core]
+		tid = obs.TileID(st.Tile.tile)
 	}
 	coreTime := s.now
-	probe := make([]int64, len(st.tile))
+	probe := make([]int64, len(st.Tile.tile))
 	for j := range s.tl.TileDeps {
-		for k := range st.tile {
-			probe[k] = st.tile[k] - s.tl.TileDeps[j].Offset[k]
+		for k := range st.Tile.tile {
+			probe[k] = st.Tile.tile[k] - s.tl.TileDeps[j].Offset[k]
 		}
 		if !s.tl.InTileSpace(s.params, probe) {
 			continue
 		}
-		elems := s.edgeSize(st.tile, j)
+		elems := s.edgeSize(st.Tile.tile, j)
 		owner := s.assign.Owner(probe)
 		if owner == e.node {
 			s.deliver(owner, probe, j, elems, s.now)
@@ -542,28 +502,28 @@ func (s *sim) finishTile(e *event) {
 		// (all send buffers in flight); release it when the slot frees.
 		n.busy += coreTime - s.now
 		s.eseq++
-		s.events.push(&event{at: coreTime, seq: s.eseq, kind: 2, node: e.node, core: st.core})
+		s.events.push(&event{at: coreTime, seq: s.eseq, kind: 2, node: e.node, core: st.Tile.core})
 		return
 	}
 	n.freeCores++
 	if n.coreLanes != nil {
-		n.freeCoreIDs = append(n.freeCoreIDs, st.core)
+		n.freeCoreIDs = append(n.freeCoreIDs, st.Tile.core)
 	}
 	s.dispatch(e.node)
 }
 
 // consumerStub wraps a consumer tile index for an arrival event.
 func (s *sim) consumerStub(t []int64) *simTile {
-	return &simTile{tile: append([]int64(nil), t...)}
+	return &simTile{Tile: simState{tile: append([]int64(nil), t...)}}
 }
 
 // arrive processes a remote edge arrival at its consumer node.
 func (s *sim) arrive(e *event) {
 	if n := s.nodes[e.node]; n.recvLane != nil {
 		n.recvLane.Emit(obs.Event{Kind: obs.KRecv, Start: ns(s.now),
-			Tile: obs.TileID(e.tile.tile), Dep: int32(e.dep), Val: e.data})
+			Tile: obs.TileID(e.tile.Tile.tile), Dep: int32(e.dep), Val: e.data})
 	}
-	s.deliver(e.node, e.tile.tile, e.dep, e.data, s.now)
+	s.deliver(e.node, e.tile.Tile.tile, e.dep, e.data, s.now)
 	s.dispatch(e.node)
 }
 
@@ -571,28 +531,26 @@ func (s *sim) arrive(e *event) {
 // dependencies have arrived.
 func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64) {
 	n := s.nodes[id]
-	k := tileKey(consumer)
+	k := s.tileKey(consumer)
 	st := n.pending[k]
 	if st == nil {
 		st = s.newSimTile(consumer, s.tl.DepCount(s.params, consumer))
 		n.pending[k] = st
 	}
-	st.remaining--
-	st.inElems += elems
+	st.Tile.remaining--
+	st.Tile.inElems += elems
 	n.pendingEdges++
 	if n.pendingEdges > n.peakEdges {
 		n.peakEdges = n.pendingEdges
 	}
-	if st.remaining == 0 {
+	if st.Tile.remaining == 0 {
 		delete(n.pending, k)
 		// Its buffered edges are consumed when execution starts; account
 		// them as released at dispatch. Simplification: release now.
-		n.pendingEdges -= int64(countEdges(s.tl, s.params, st.tile))
-		st.seq = n.seq
-		n.seq++
-		heap.Push(&n.ready, st)
+		n.pendingEdges -= int64(countEdges(s.tl, s.params, st.Tile.tile))
+		n.makeReady(st)
 		if n.recvLane != nil {
-			n.recvLane.Emit(obs.Event{Kind: obs.KReady, Start: ns(at), Tile: obs.TileID(st.tile), Dep: -1})
+			n.recvLane.Emit(obs.Event{Kind: obs.KReady, Start: ns(at), Tile: obs.TileID(st.Tile.tile), Dep: -1})
 		}
 		s.dispatch(id)
 	}
@@ -600,31 +558,4 @@ func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64
 
 func countEdges(tl *tiling.Tiling, params []int64, t []int64) int {
 	return tl.DepCount(params, t)
-}
-
-func tileKey(t []int64) string {
-	b := make([]byte, 0, len(t)*4)
-	for _, v := range t {
-		b = appendInt(b, v)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
 }

@@ -31,7 +31,7 @@ func (tl *Tiling) InitialTilesFast(params []int64) (initial [][]int64, total int
 	if err := tl.buildBandNests(); err != nil {
 		return nil, 0, err
 	}
-	key, err := tl.newKey(params, tl.orderIdx)
+	key, err := tl.NewTileKey(params)
 	if err != nil {
 		return nil, 0, err
 	}

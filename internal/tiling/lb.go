@@ -56,6 +56,17 @@ func (tl *Tiling) NewLBKey(params []int64) (*TileKey, error) {
 	return tl.newKey(params, tl.LBIndices())
 }
 
+// NewTileKey sizes the key over every dimension (Vars order): one key
+// per tile, the collision-free integer the runtimes index their tile
+// tables by.
+func (tl *Tiling) NewTileKey(params []int64) (*TileKey, error) {
+	dims := make([]int, len(tl.Spec.Vars))
+	for k := range dims {
+		dims[k] = k
+	}
+	return tl.newKey(params, dims)
+}
+
 // newKey sizes a key over dims for the given parameters. It fails when
 // the bounding box holds more points than an int64 counts.
 func (tl *Tiling) newKey(params []int64, dims []int) (*TileKey, error) {

@@ -27,6 +27,20 @@ func (tl *Tiling) TileLevel(t []int64) int64 {
 	return l
 }
 
+// PriorityKey writes tile t's Figure 5 priority key into dst (length
+// len(t); nil allocates) and returns it: the coordinates arranged by
+// KeyDims and oriented by KeyDirs, so that the lexicographically smaller
+// key executes first. The components sum to -TileLevel(t).
+func (tl *Tiling) PriorityKey(t, dst []int64) []int64 {
+	if dst == nil {
+		dst = make([]int64, len(tl.KeyDims))
+	}
+	for i, k := range tl.KeyDims {
+		dst[i] = tl.KeyDirs[i] * t[k]
+	}
+	return dst
+}
+
 // TileLevelBounds returns the inclusive range [lo, hi] that TileLevel
 // can take over the tile space at the given parameter values, by
 // interval arithmetic over the per-dimension tile bounds. The range may

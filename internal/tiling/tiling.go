@@ -10,6 +10,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 
 	"dpgen/internal/fm"
 	"dpgen/internal/ints"
@@ -97,6 +98,18 @@ type Tiling struct {
 	// bound down, Fig 3), +1 otherwise. Indexed like Spec.Vars.
 	ExecDirs []int
 
+	// KeyDims and KeyDirs define the ready-tile priority key of Figure 5
+	// (PriorityKey): component i is KeyDirs[i] * t[KeyDims[i]]. KeyDims
+	// lists the load-balancing dimensions first (priority order), then
+	// the remaining dimensions in loop order. KeyDirs orients each
+	// component so that tiles further along the execution direction
+	// sort first (+1 where execution descends, -1 where it ascends):
+	// those are the tiles whose edges feed neighbouring nodes ("tiles
+	// that cause communication execute more quickly", Section V-B),
+	// which keeps the cross-node pipeline fed.
+	KeyDims []int
+	KeyDirs []int64
+
 	tileSpace    *lin.Space      // (params | t...) in Vars order
 	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
 	orderIdx     []int           // loop order as indexes into Spec.Vars
@@ -174,6 +187,16 @@ func New(sp *spec.Spec) (*Tiling, error) {
 		} else {
 			tl.ExecDirs[k] = 1
 		}
+	}
+	tl.KeyDims = tl.LBIndices()
+	for _, k := range tl.orderIdx {
+		if !slices.Contains(tl.KeyDims, k) {
+			tl.KeyDims = append(tl.KeyDims, k)
+		}
+	}
+	tl.KeyDirs = make([]int64, d)
+	for i, k := range tl.KeyDims {
+		tl.KeyDirs[i] = int64(-tl.ExecDirs[k])
 	}
 
 	if err := tl.buildSpaces(); err != nil {
