@@ -70,7 +70,6 @@ func main() {
 		threads  = flag.Int("threads", 1, "worker threads per node")
 		sendBufs = flag.Int("sendbufs", 4, "send buffers per node")
 		recvBufs = flag.Int("recvbufs", 16, "receive buffers per node")
-		polling  = flag.Bool("polling", false, "poll for edges in workers instead of a receiver goroutine (Sec V-A)")
 		priority = flag.String("priority", "column", "tile priority: column, levelset, fifo")
 		sched    = flag.String("sched", "hybrid", "tile scheduler: hybrid (static wavefront + dynamic), dynamic (dependence-count everything)")
 		balOpt   = flag.String("balance", "prefix", "load balancer: prefix, hyperplane")
@@ -171,7 +170,6 @@ func main() {
 	cfg := dpgen.Config{
 		Nodes: *nodes, Threads: *threads,
 		SendBufs: *sendBufs, RecvBufs: *recvBufs,
-		PollingRecv: *polling,
 		Checkpoint: dpgen.CheckpointConfig{
 			Dir:        *ckptDir,
 			EveryTiles: *ckptEvery,

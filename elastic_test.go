@@ -215,9 +215,9 @@ func TestElasticBitIdentical(t *testing.T) {
 
 // TestElasticConfigRejections pins the compositions elastic membership
 // refuses, each with the structural reason its error must state:
-// in-process runs (nothing to join or leave), PollingRecv (paused
-// polling workers are the receivers), Checkpoint (no checkpoint records
-// the ownership map), and member lists that omit the coordinator.
+// in-process runs (nothing to join or leave), Checkpoint (no checkpoint
+// records the ownership map), and member lists that omit the
+// coordinator.
 func TestElasticConfigRejections(t *testing.T) {
 	p, err := problems.Get("bandit2")
 	if err != nil {
@@ -235,8 +235,6 @@ func TestElasticConfigRejections(t *testing.T) {
 		cfg    Config
 		reason string
 	}{
-		{Config{PollingRecv: true, Elastic: ElasticConfig{Enabled: true}},
-			"polling workers are the receivers, so acknowledgements could not drain"},
 		{Config{Checkpoint: CheckpointConfig{Dir: t.TempDir()}, Elastic: ElasticConfig{Enabled: true}},
 			"no checkpoint records the epoch's ownership map"},
 		{Config{Elastic: ElasticConfig{Enabled: true, Members: []int{1}}},

@@ -35,43 +35,37 @@ func TestFastPathEquivalence(t *testing.T) {
 			serial := p.Serial(params)
 			for _, nodes := range []int{1, 4} {
 				for _, threads := range []int{1, 4} {
-					for _, polling := range []bool{false, true} {
-						for _, sched := range []engine.Sched{engine.SchedHybrid, engine.SchedDynamic} {
-							cfg := engine.Config{
-								Nodes: nodes, Threads: threads,
-								PollingRecv: polling, Sched: sched,
+					for _, sched := range []engine.Sched{engine.SchedHybrid, engine.SchedDynamic} {
+						cfg := engine.Config{Nodes: nodes, Threads: threads, Sched: sched}
+						label := fmt.Sprintf("nodes=%d threads=%d sched=%v", nodes, threads, sched)
+						fast, err := engine.Run(tl, p.Kernel, params, cfg)
+						if err != nil {
+							t.Fatalf("%s: fast: %v", label, err)
+						}
+						slowCfg := cfg
+						slowCfg.DisableFastPath = true
+						slow, err := engine.Run(tl, p.Kernel, params, slowCfg)
+						if err != nil {
+							t.Fatalf("%s: slow: %v", label, err)
+						}
+						if fast.Value != slow.Value {
+							t.Fatalf("%s: Value fast %.17g != slow %.17g", label, fast.Value, slow.Value)
+						}
+						if fast.Max != slow.Max && !(math.IsNaN(fast.Max) && math.IsNaN(slow.Max)) {
+							t.Fatalf("%s: Max fast %.17g != slow %.17g", label, fast.Max, slow.Max)
+						}
+						for i := range fast.Stats {
+							if fast.Stats[i].CellsComputed != slow.Stats[i].CellsComputed {
+								t.Fatalf("%s: node %d CellsComputed fast %d != slow %d",
+									label, i, fast.Stats[i].CellsComputed, slow.Stats[i].CellsComputed)
 							}
-							label := fmt.Sprintf("nodes=%d threads=%d polling=%v sched=%v",
-								nodes, threads, polling, sched)
-							fast, err := engine.Run(tl, p.Kernel, params, cfg)
-							if err != nil {
-								t.Fatalf("%s: fast: %v", label, err)
-							}
-							slowCfg := cfg
-							slowCfg.DisableFastPath = true
-							slow, err := engine.Run(tl, p.Kernel, params, slowCfg)
-							if err != nil {
-								t.Fatalf("%s: slow: %v", label, err)
-							}
-							if fast.Value != slow.Value {
-								t.Fatalf("%s: Value fast %.17g != slow %.17g", label, fast.Value, slow.Value)
-							}
-							if fast.Max != slow.Max && !(math.IsNaN(fast.Max) && math.IsNaN(slow.Max)) {
-								t.Fatalf("%s: Max fast %.17g != slow %.17g", label, fast.Max, slow.Max)
-							}
-							for i := range fast.Stats {
-								if fast.Stats[i].CellsComputed != slow.Stats[i].CellsComputed {
-									t.Fatalf("%s: node %d CellsComputed fast %d != slow %d",
-										label, i, fast.Stats[i].CellsComputed, slow.Stats[i].CellsComputed)
-								}
-							}
-							got := fast.Value
-							if p.UseMax {
-								got = fast.Max
-							}
-							if got != serial {
-								t.Fatalf("%s: hybrid %.17g != serial reference %.17g", label, got, serial)
-							}
+						}
+						got := fast.Value
+						if p.UseMax {
+							got = fast.Max
+						}
+						if got != serial {
+							t.Fatalf("%s: hybrid %.17g != serial reference %.17g", label, got, serial)
 						}
 					}
 				}

@@ -210,7 +210,7 @@ func CheckEngine(in *Instance) error {
 		Nodes: in.Nodes, Threads: in.Threads,
 		SendBufs: in.SendBufs, RecvBufs: in.RecvBufs,
 		Priority: in.Priority, Sched: in.Sched,
-		Balance: in.Balance, PollingRecv: in.PollingRecv,
+		Balance: in.Balance,
 	}
 	noFast := multi
 	noFast.DisableFastPath = true

@@ -24,8 +24,8 @@ func GoLiteral(in *Instance) string {
 	}
 	fmt.Fprintf(&b, "\tNodes: %d, Threads: %d, SendBufs: %d, RecvBufs: %d,\n",
 		in.Nodes, in.Threads, in.SendBufs, in.RecvBufs)
-	fmt.Fprintf(&b, "\tPriority: %s, Sched: %s, Balance: %s, PollingRecv: %v,\n",
-		priorityName(in.Priority), schedName(in.Sched), balanceName(in.Balance), in.PollingRecv)
+	fmt.Fprintf(&b, "\tPriority: %s, Sched: %s, Balance: %s,\n",
+		priorityName(in.Priority), schedName(in.Sched), balanceName(in.Balance))
 	fmt.Fprintf(&b, "}\n")
 	fmt.Fprintf(&b, "sp := spec.MustNew(%q, %s, %s)\n", sp.Name, stringsLit(sp.Params), stringsLit(sp.Vars))
 	for _, q := range sp.Constraints {

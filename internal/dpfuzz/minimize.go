@@ -137,9 +137,9 @@ func candidates(in *Instance) []*Instance {
 		out = append(out, c)
 	}
 	// Calm the runtime knobs.
-	if in.Nodes > 2 || in.Threads > 2 || in.PollingRecv {
+	if in.Nodes > 2 || in.Threads > 2 {
 		c := clone(in)
-		c.Nodes, c.Threads, c.PollingRecv = 2, 2, false
+		c.Nodes, c.Threads = 2, 2
 		out = append(out, c)
 	}
 	return out

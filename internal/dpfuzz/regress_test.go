@@ -185,7 +185,7 @@ var regressionCases = []struct {
 			in := &Instance{
 				Seed: 0xc0de0004, N: 7,
 				Nodes: 3, Threads: 3, SendBufs: 4, RecvBufs: 1,
-				Priority: engine.ColumnMajor, Balance: balance.Prefix, PollingRecv: true,
+				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_rev", []string{"N"}, []string{"v0", "v1", "v2"})
 			sp.MustConstrain("0 <= v0 <= N")

@@ -49,17 +49,14 @@ func (e *engine) awaitLocal(tr mpi.Transport) error {
 }
 
 // mergeDistributed runs the fixed collective sequence that combines
-// per-rank results: a barrier (every rank finished), the goal-executed
-// census, the goal-value selection, the global max, and the traffic
-// totals. The goal value crosses ranks via a selecting reduction — the
-// owner contributes its value, everyone else NaN, and the first
-// non-NaN wins — so no floating-point arithmetic touches it and the
-// result is bit-identical to a single-process run.
+// per-rank results: the goal-executed census (which no rank leaves
+// before every rank has finished its tiles and entered, so it is the
+// barrier too), the goal-value selection, the global max, and the
+// traffic totals. The goal value crosses ranks via a selecting
+// reduction — the owner contributes its value, everyone else NaN, and
+// the first non-NaN wins — so no floating-point arithmetic touches it
+// and the result is bit-identical to a single-process run.
 func (e *engine) mergeDistributed(tr mpi.Transport) (*mergedResult, error) {
-	if err := tr.Barrier(); err != nil {
-		return nil, err
-	}
-
 	e.goalMu.Lock()
 	goalSet, goalVal := e.goalSet, e.goalVal
 	maxSet, maxVal := e.maxSet, e.maxVal

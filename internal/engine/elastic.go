@@ -66,7 +66,7 @@ type ScaleEvent struct {
 // ElasticConfig enables elastic membership (Config.Elastic). It
 // requires a distributed run over a transport that supports the
 // membership frames (dpgen/internal/mpi/tcp). It cannot run with
-// PollingRecv or Checkpoint; Config.Elastic says why.
+// Checkpoint; Config.Elastic says why.
 type ElasticConfig struct {
 	Enabled bool
 	// Members is the initial member set (rank numbers within the

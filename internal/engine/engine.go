@@ -15,8 +15,10 @@
 // empty, then unpack the tile's edges into a per-worker buffer with a
 // ghost-cell shell, run the user kernel over the tile's cells in
 // dependence order, pack the outgoing edges, and deliver them locally
-// or send them to the owning rank. A receiver goroutine per node plays
-// the role of the paper's "poll for incoming edges" step.
+// or send them to the owning rank. A receiver goroutine per node,
+// blocked in Transport.Recv, stands in for the paper's "poll for
+// incoming edges" step (Section V-A step 6: an MPI rank has no progress
+// thread, so its workers probe between tiles; a goroutine is one).
 //
 // The hot path runs on a row plan bound to the run's parameters
 // (tiling.RowPlan): a tile is walked row by row, bounds evaluated once
@@ -40,7 +42,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -71,12 +72,7 @@ type Config struct {
 	// ownership are recomputed identically on each process. Run takes
 	// ownership of the transport and closes it. See docs/TRANSPORT.md.
 	Transport mpi.Transport
-	// PollingRecv replaces each node's receiver goroutine with the
-	// paper's polling progress model (Section V-A step 6): workers probe
-	// the MPI inbox between tiles and while blocked in sends. The
-	// default (false) uses a dedicated receiver goroutine per node.
-	PollingRecv bool
-	Priority    Priority
+	Priority  Priority
 	// Sched selects the tile scheduler: SchedHybrid (default) uses the
 	// static wavefront phase for interior all-local tiles, SchedDynamic
 	// counts every tile's dependences dynamically. Bit-identical either
@@ -124,12 +120,9 @@ type Config struct {
 	// leaving mid-run with live re-partitioning and migration of the
 	// in-flight tile state. Requires a distributed run over a
 	// transport with membership support (dpgen/internal/mpi/tcp). It
-	// cannot run with PollingRecv — a view change pauses the workers,
-	// and polling workers are the receivers, so the acknowledgements the
-	// pause waits for could not drain — nor with Checkpoint: no
-	// checkpoint records the epoch's ownership map yet, so a resumed
-	// rank could not tell which tiles it still owns. See
-	// docs/ELASTICITY.md.
+	// cannot run with Checkpoint: no checkpoint records the epoch's
+	// ownership map yet, so a resumed rank could not tell which tiles it
+	// still owns. See docs/ELASTICITY.md.
 	Elastic ElasticConfig
 }
 
@@ -363,8 +356,6 @@ func resolve(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (Conf
 	switch {
 	case tr == nil:
 		return cfg, nil, fmt.Errorf("engine: Elastic requires a Transport (distributed run): an in-process simulation has no processes to join or leave")
-	case cfg.PollingRecv:
-		return cfg, nil, fmt.Errorf("engine: Elastic cannot run with PollingRecv: a view change pauses the workers, and polling workers are the receivers, so acknowledgements could not drain")
 	case ft:
 		return cfg, nil, fmt.Errorf("engine: Elastic cannot run with Checkpoint: no checkpoint records the epoch's ownership map yet")
 	}
@@ -516,10 +507,10 @@ func (e *engine) seed(nodes []*node) error {
 	return nil
 }
 
-// launch starts each node's goroutines — Threads workers, one receiver
-// (unless workers poll), the checkpointer and the elastic loop where
-// configured — each owning one trace lane (workers 0..Threads-1, the
-// others after them), so event emission is lock-free.
+// launch starts each node's goroutines — Threads workers, one receiver,
+// the checkpointer and the elastic loop where configured — each owning
+// one trace lane (workers 0..Threads-1, the others after them), so
+// event emission is lock-free.
 func (e *engine) launch(nodes []*node, running *sync.WaitGroup) {
 	cfg := e.cfg
 	spawn := func(wg *sync.WaitGroup, n *node, laneIdx int, name string, body func(*obs.Lane)) {
@@ -536,21 +527,15 @@ func (e *engine) launch(nodes []*node, running *sync.WaitGroup) {
 	for _, n := range nodes {
 		e.finished.Add(1)
 		n.checkFinished() // nodes owning zero tiles are already done
-		if !cfg.PollingRecv {
-			spawn(running, n, cfg.Threads, "recv", n.receiver)
-		}
+		spawn(running, n, cfg.Threads, "recv", n.receiver)
 		if n.ckptPath != "" {
 			spawn(running, n, laneInit(cfg)+1, "ckpt", n.checkpointer)
 		}
 		if n.elastic {
 			spawn(&n.elasticWG, n, laneInit(cfg)+3, "elastic", func(lane *obs.Lane) { e.elasticLoop(n, lane) })
 		}
-		loop := n.worker
-		if cfg.PollingRecv {
-			loop = n.workerPolling
-		}
 		for w := 0; w < cfg.Threads; w++ {
-			spawn(running, n, w, "worker"+strconv.Itoa(w), func(lane *obs.Lane) { loop(w, lane) })
+			spawn(running, n, w, "worker"+strconv.Itoa(w), func(lane *obs.Lane) { n.worker(w, lane) })
 		}
 	}
 }
@@ -805,47 +790,11 @@ func (n *node) worker(w int, lane *obs.Lane) {
 	}
 }
 
-// workerPolling is the worker loop of the paper's progress model: no
-// receiver goroutine exists, so workers probe the inbox whenever they
-// have no ready tile and while blocked inside sends; they never sleep.
-func (n *node) workerPolling(w int, lane *obs.Lane) {
-	ws := newWorkerState(n.eng)
-	ws.lane = lane
-	for {
-		p, stolen := n.pool.Pop(w)
-		if p != nil {
-			n.execTile(p, ws, stolen)
-			continue
-		}
-		if n.poll(lane, &ws.ds) {
-			continue
-		}
-		n.mu.Lock()
-		done := n.done
-		n.mu.Unlock()
-		if done {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// poll drains at most one pending inbox message; reports whether one was
-// processed. Delivered-edge events go to the polling goroutine's lane.
-func (n *node) poll(lane *obs.Lane, ds *delivState) bool {
-	m, ok := n.rank.Iprobe()
-	if !ok {
-		return false
-	}
-	n.deliver(m.Meta, m.Tag, m.Data, true, lane, ds)
-	m.ReleaseSlot()
-	mpi.PutMeta(m.Meta)
-	return true
-}
-
 // receiver drains the node's MPI inbox, delivering edges into the
-// pending table. It is the progress engine standing in for the paper's
-// lock-guarded polling step; it exits when the communicator closes.
+// pending table. It is the node's progress engine, standing in for the
+// paper's lock-guarded polling step: because it never executes tiles, a
+// worker blocked in Send cannot starve the node's own inbox. It exits
+// when the communicator closes.
 func (n *node) receiver(lane *obs.Lane) {
 	ds := newDelivState(n.eng)
 	for {
@@ -1207,16 +1156,7 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		if lane != nil {
 			sendT0 = lane.Now()
 		}
-		var stall time.Duration
-		if e.cfg.PollingRecv {
-			stall = n.rank.SendPolling(owner, j, data, meta, func() {
-				if !n.poll(lane, &w.ds) {
-					runtime.Gosched()
-				}
-			})
-		} else {
-			stall = n.rank.Send(owner, j, data, meta)
-		}
+		stall := n.rank.Send(owner, j, data, meta)
 		if lane != nil {
 			if stall > 0 {
 				lane.Emit(obs.Event{Kind: obs.KStall, Start: sendT0, Dur: int64(stall), Tile: tid, Dep: int32(j)})

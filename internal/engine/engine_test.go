@@ -139,6 +139,13 @@ func TestBandit2HybridConfigsAgree(t *testing.T) {
 		{Nodes: 1, Threads: 8},
 		{Nodes: 4, Threads: 2},
 		{Nodes: 8, Threads: 1, SendBufs: 1, RecvBufs: 1},
+		// The deadlock-prone shape the paper's ranks poll for — one
+		// thread per node, one send and one receive buffer, every node
+		// sending at once — completes because each node's receiver
+		// drains its inbox while its worker is blocked in Send.
+		{Nodes: 4, Threads: 1, SendBufs: 1, RecvBufs: 1},
+		{Nodes: 2, Threads: 2},
+		{Nodes: 3, Threads: 2},
 		{Nodes: 2, Threads: 3, Priority: LevelSet},
 		{Nodes: 2, Threads: 3, Priority: FIFO},
 		{Nodes: 3, Threads: 2, Balance: balance.Hyperplane},
@@ -152,13 +159,18 @@ func TestBandit2HybridConfigsAgree(t *testing.T) {
 		} else if res.Value != base {
 			t.Errorf("cfg %d: Value = %v, want %v", i, res.Value, base)
 		}
-		var cells int64
+		var cells, sent, recv int64
 		for _, st := range res.Stats {
 			cells += st.CellsComputed
+			sent += st.EdgesSentRemote
+			recv += st.EdgesRecvRemote
 		}
 		want := (N + 1) * (N + 2) * (N + 3) * (N + 4) / 24
 		if cells != want {
 			t.Errorf("cfg %d: computed %d cells, want %d", i, cells, want)
+		}
+		if sent != recv {
+			t.Errorf("cfg %d: sent %d != recv %d", i, sent, recv)
 		}
 	}
 	if base <= float64(N)/2 || base > float64(N) {
@@ -550,39 +562,6 @@ func TestEmptyParamSpace(t *testing.T) {
 	// And a valid param works.
 	if _, err := Run(tl, k, []int64{5}, Config{}); err != nil {
 		t.Errorf("valid params failed: %v", err)
-	}
-}
-
-// TestPollingRecvMode runs the paper's polling progress model, including
-// a deadlock-prone configuration (1 send and 1 receive buffer, single
-// thread per node) that only completes because blocked sends poll.
-func TestPollingRecvMode(t *testing.T) {
-	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
-	N := int64(14)
-	base, err := Run(tl, bandit2Kernel, []int64{N}, Config{Nodes: 2, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Nodes: 2, Threads: 2, PollingRecv: true},
-		{Nodes: 4, Threads: 1, PollingRecv: true, SendBufs: 1, RecvBufs: 1},
-		{Nodes: 3, Threads: 2, PollingRecv: true},
-	} {
-		res, err := Run(tl, bandit2Kernel, []int64{N}, cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if res.Value != base.Value {
-			t.Errorf("%+v: Value %v != %v", cfg, res.Value, base.Value)
-		}
-		var sent, recv int64
-		for _, st := range res.Stats {
-			sent += st.EdgesSentRemote
-			recv += st.EdgesRecvRemote
-		}
-		if sent != recv {
-			t.Errorf("%+v: sent %d != recv %d", cfg, sent, recv)
-		}
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package mpi is an in-process message-passing substrate with the shape
 // of the MPI subset the generated programs use: ranks, tagged
-// point-to-point sends, blocking receive, non-blocking probe (the
-// engine's "poll for incoming edges" step), barrier and all-reduce.
+// point-to-point sends, blocking receive and all-reduce. The paper's
+// ranks poll MPI for incoming edges (Section V-A step 6) because an MPI
+// rank has no progress thread; here a receiver goroutine per node
+// blocks in Recv instead, so the substrate needs no non-blocking probe.
 //
 // It exists because this reproduction has no MPI ecosystem to link
 // against: every "node" of the hybrid program is a set of goroutines
@@ -162,11 +164,13 @@ type Comm struct {
 	inbox     []chan *Message
 	sendSlots []chan struct{}
 
-	// Barrier state.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	gen   int
+	// Barrier state, and the slot of the one reduction in flight (the
+	// barrier generation serialises reductions), all under mu.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	count  int
+	gen    int
+	reduce []float64
 
 	// Per-sending-rank statistics (atomic).
 	messages []atomic.Int64
@@ -188,6 +192,7 @@ func NewComm(size, sendBufs, recvBufs int) (*Comm, error) {
 	}
 	c := &Comm{size: size}
 	c.cond = sync.NewCond(&c.mu)
+	c.reduce = make([]float64, size)
 	c.inbox = make([]chan *Message, size)
 	c.sendSlots = make([]chan struct{}, size)
 	c.messages = make([]atomic.Int64, size)
@@ -292,48 +297,6 @@ func (r *Rank) Send(dst, tag int, data []float64, meta []int64) (stall time.Dura
 	return stall
 }
 
-// SendPolling delivers like Send, but instead of blocking while send
-// buffers or the destination's receive buffers are exhausted, it invokes
-// poll() between attempts. This is how a single-threaded rank avoids
-// deadlock when every peer is simultaneously trying to send: the poll
-// callback drains the caller's own inbox (the generated programs'
-// "poll for incoming edges" step).
-//
-// The returned stall is the time spent retrying (including the poll
-// work, since the worker cannot make tile progress until the send
-// completes); zero on the uncontended fast path.
-func (r *Rank) SendPolling(dst, tag int, data []float64, meta []int64, poll func()) (stall time.Duration) {
-	slot := r.c.sendSlots[r.id]
-	select {
-	case slot <- struct{}{}:
-	default:
-		t0 := time.Now()
-		for {
-			poll()
-			select {
-			case slot <- struct{}{}:
-			default:
-				continue
-			}
-			break
-		}
-		stall = time.Since(t0)
-	}
-	m := &Message{Src: r.id, Tag: tag, Data: data, Meta: meta, slot: slot}
-	for {
-		select {
-		case r.c.inbox[dst] <- m:
-			r.c.messages[r.id].Add(1)
-			r.c.elems[r.id].Add(int64(len(data)))
-			return stall
-		default:
-		}
-		t0 := time.Now()
-		poll()
-		stall += time.Since(t0)
-	}
-}
-
 // Recv blocks for the next message. ok is false when the communicator
 // has been closed and the inbox drained.
 func (r *Rank) Recv() (m *Message, ok bool) {
@@ -341,42 +304,20 @@ func (r *Rank) Recv() (m *Message, ok bool) {
 	return m, ok
 }
 
-// Iprobe returns a pending message without blocking, or ok=false if none
-// is queued (or the communicator is closed and drained).
-func (r *Rank) Iprobe() (m *Message, ok bool) {
-	select {
-	case m, ok = <-r.c.inbox[r.id]:
-		return m, ok
-	default:
-		return nil, false
-	}
-}
-
-// Barrier blocks until every rank has entered it. The in-process
-// implementation cannot fail; the error return exists for the
-// Transport contract.
-func (r *Rank) Barrier() error {
-	c := r.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// barrier blocks, with c.mu held, until every rank has entered it.
+func (c *Comm) barrier() {
 	gen := c.gen
 	c.count++
 	if c.count == c.size {
 		c.count = 0
 		c.gen++
 		c.cond.Broadcast()
-		return nil
+		return
 	}
 	for gen == c.gen {
 		c.cond.Wait()
 	}
-	return nil
 }
-
-// allreduceState carries one in-progress reduction; Comm serializes
-// reductions through the barrier generation, so one slot suffices.
-var allreduceMu sync.Mutex
-var allreduceVals = map[*Comm][]float64{}
 
 // AllReduce combines one float64 per rank with f (applied in rank order)
 // and returns the result on every rank. All ranks must call it
@@ -385,24 +326,14 @@ var allreduceVals = map[*Comm][]float64{}
 // non-nil error.
 func (r *Rank) AllReduce(v float64, f func(a, b float64) float64) (float64, error) {
 	c := r.c
-	allreduceMu.Lock()
-	vals := allreduceVals[c]
-	if vals == nil {
-		vals = make([]float64, c.size)
-		allreduceVals[c] = vals
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reduce[r.id] = v
+	c.barrier()
+	acc := c.reduce[0]
+	for _, x := range c.reduce[1:] {
+		acc = f(acc, x)
 	}
-	vals[r.id] = v
-	allreduceMu.Unlock()
-
-	r.Barrier()
-
-	allreduceMu.Lock()
-	acc := vals[0]
-	for i := 1; i < c.size; i++ {
-		acc = f(acc, vals[i])
-	}
-	allreduceMu.Unlock()
-
-	r.Barrier() // keep vals stable until everyone has read
+	c.barrier() // keep reduce stable until everyone has read
 	return acc, nil
 }

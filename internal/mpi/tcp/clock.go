@@ -36,6 +36,11 @@ type clockSample struct {
 	offset int64 // midpoint offset estimate: responder clock - local clock
 }
 
+// clockProbes is the number of ping-pong rounds of the clock-offset
+// estimation. The estimate keeps the minimum-RTT round, so more probes
+// tighten the rtt/2 error bound on a jittery link.
+const clockProbes = 8
+
 // pickClockOffset selects the estimate of the minimum-RTT sample —
 // the round with the tightest rtt/2 error bound. ok is false for an
 // empty sample set.
@@ -48,7 +53,7 @@ func pickClockOffset(samples []clockSample) (offset, rtt int64, ok bool) {
 	return offset, rtt, ok
 }
 
-// syncClock runs Options.ClockProbes ping-pong rounds against rank 0
+// syncClock runs clockProbes ping-pong rounds against rank 0
 // and stores the min-RTT offset estimate. Best effort: on a stopped
 // transport or all probes timing out it leaves the offset at zero and
 // logs, rather than failing the run over degraded trace alignment.
@@ -81,9 +86,9 @@ func (t *Transport) syncClock() {
 		<-timeout.C
 	}
 	defer timeout.Stop()
-	for i := 0; i < t.opts.ClockProbes; i++ {
+	for i := 0; i < clockProbes; i++ {
 		t0 := time.Now().UnixNano()
-		if _, err := pc.sendFrame(t, nil, kClockReq, func(b []byte) []byte {
+		if err := pc.sendFrame(t, kClockReq, func(b []byte) []byte {
 			return appendU64(b, uint64(t0))
 		}); err != nil {
 			t.opts.logf("tcp: rank %d: clock probe %d write failed: %v", t.rank, i, err)
@@ -130,7 +135,7 @@ func (t *Transport) syncClock() {
 	t.clockOff.Store(off)
 	t.clockRTT.Store(rtt)
 	t.opts.logf("tcp: rank %d: clock offset to rank 0: %s (min rtt %s over %d/%d probes)",
-		t.rank, time.Duration(off), time.Duration(rtt), len(samples), t.opts.ClockProbes)
+		t.rank, time.Duration(off), time.Duration(rtt), len(samples), clockProbes)
 }
 
 // alignedNow returns the local wall clock shifted onto rank 0's

@@ -7,6 +7,7 @@ package tcp_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -159,7 +160,7 @@ func TestPeerDownTimeout(t *testing.T) {
 }
 
 // TestContextCancelUnblocks: cancelling the endpoint's context must
-// promptly unblock Recv and Barrier, and Close must reap every
+// promptly unblock Recv and AllReduce, and Close must reap every
 // goroutine the mesh started.
 func TestContextCancelUnblocks(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -168,13 +169,14 @@ func TestContextCancelUnblocks(t *testing.T) {
 	t0, t1, _ := recoveryPair(t, func(o *tcp.Options) { o.Context = ctx })
 
 	recvOK := make(chan bool, 1)
-	barrierErr := make(chan error, 1)
+	reduceErr := make(chan error, 1)
 	go func() {
 		_, ok := t0.Recv()
 		recvOK <- ok
 	}()
 	go func() {
-		barrierErr <- t1.Barrier() // rank 0 never arrives
+		_, err := t1.AllReduce(1, math.Max) // rank 0 never arrives
+		reduceErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -188,12 +190,12 @@ func TestContextCancelUnblocks(t *testing.T) {
 		t.Fatal("Recv hung after context cancellation")
 	}
 	select {
-	case err := <-barrierErr:
+	case err := <-reduceErr:
 		if err == nil {
-			t.Error("Barrier returned nil error after context cancellation")
+			t.Error("AllReduce returned nil error after context cancellation")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Barrier hung after context cancellation")
+		t.Fatal("AllReduce hung after context cancellation")
 	}
 	t0.Close()
 	t1.Close()

@@ -17,11 +17,11 @@
 //     the message sends an ACK frame back, which frees one of the
 //     sender's Options.SendBufs send-buffer slots. This reproduces the
 //     in-process transport's two backpressure mechanisms over the wire.
-//   - Collectives: Barrier and AllReduce are coordinated by rank 0
-//     with ARRIVE/RELEASE and VALUE/RESULT frames.
+//   - Collective: AllReduce is coordinated by rank 0 with VALUE and
+//     RESULT frames; no rank leaves before all have entered, so it is
+//     the barrier too.
 //   - Shutdown: Close drains outstanding ACKs, exchanges BYE frames,
-//     and only then tears the sockets down, bounded by
-//     Options.DrainTimeout.
+//     and only then tears the sockets down, bounded by drainTimeout.
 //   - Failure: a connection that dies before BYE marks the transport
 //     failed — Recv returns ok=false, Err reports the cause (a typed
 //     *mpi.PeerDownError for peer death), and blocked collectives
@@ -34,16 +34,19 @@
 //     deduplicates. Heartbeat frames bound detection latency; a peer
 //     that stays down past Options.PeerDownTimeout fails the transport
 //     with *mpi.PeerDownError. See docs/FAULT_TOLERANCE.md.
+//
+// The package is split along the contract (docs/TRANSPORT.md has the
+// file map): frame.go is the codec, pure functions over []byte;
+// conn.go one connection's write path and reader loop; this file and
+// dial.go the mesh — Options, Dial, Send/Recv, Close/Kill;
+// collective.go, recovery.go, membership.go and clock.go the protocols
+// on top.
 package tcp
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,45 +56,19 @@ import (
 	"dpgen/internal/obs"
 )
 
-// Frame kinds (the byte after the length prefix; docs/TRANSPORT.md).
+// Fixed timing of the mesh: constants rather than Options, because no
+// two callers want different values.
 const (
-	kHello      = byte(1)  // u32 dialer rank
-	kData       = byte(2)  // u32 src | i64 tag | i64 sendAt | u64 seq | u32 nmeta | u32 ndata | meta | data
-	kAck        = byte(3)  // empty: one send-buffer slot released
-	kBarrier    = byte(4)  // u32 seq: barrier arrival, sent to rank 0
-	kBarrierRel = byte(5)  // u32 seq: barrier release, sent by rank 0
-	kARVal      = byte(6)  // u32 seq | u32 src | f64: all-reduce contribution
-	kARRes      = byte(7)  // u32 seq | f64: all-reduce result
-	kBye        = byte(8)  // empty: graceful end-of-stream
-	kHeartbeat  = byte(9)  // empty: liveness probe (Options.Recovery)
-	kRejoin     = byte(10) // u32 rank: restarted rank reconnecting
-	kClockReq   = byte(11) // i64 t0: clock-sync probe, echoed by the responder
-	kClockResp  = byte(12) // i64 t0 echo | i64 responder aligned unix nanos
-
-	// Elastic membership control frames (docs/ELASTICITY.md). The wire
-	// kind is kElasticBase plus the mpi.Elastic* message kind; the body
-	// is an opaque payload owned by the engine's membership coordinator.
-	kElasticBase = byte(12)                                  // + mpi.ElasticJoin..mpi.ElasticFin = 13..18
-	kJoin        = kElasticBase + byte(mpi.ElasticJoin)      // 13
-	kLeave       = kElasticBase + byte(mpi.ElasticLeave)     // 14
-	kEpochPrep   = kElasticBase + byte(mpi.ElasticEpochPrep) // 15
-	kEpochAck    = kElasticBase + byte(mpi.ElasticEpochAck)  // 16
-	kEpoch       = kElasticBase + byte(mpi.ElasticEpoch)     // 17
-	kFin         = kElasticBase + byte(mpi.ElasticFin)       // 18
+	// retryMax caps the dial-retry backoff, which doubles per attempt
+	// from Options.RetryBase.
+	retryMax = time.Second
+	// sendTimeout is the per-message write deadline; a send that cannot
+	// complete within it fails the transport.
+	sendTimeout = 30 * time.Second
+	// drainTimeout bounds the graceful Close drain: waiting for
+	// outstanding ACKs and the peers' BYE frames.
+	drainTimeout = 10 * time.Second
 )
-
-// dataHdrLen is the fixed DATA body header size: src, tag, send
-// timestamp, sequence number, meta and data lengths, and the sender's
-// membership epoch (zero on meshes that never change membership).
-const dataHdrLen = 40
-
-// maxFrame bounds a frame's body length; larger lengths indicate a
-// corrupt stream and fail the transport.
-const maxFrame = 1 << 28
-
-// writeChunk is the per-attempt write deadline used by SendPolling so a
-// blocked send can interleave inbox polls with partial writes.
-const writeChunk = 50 * time.Millisecond
 
 // Options configures a TCP transport endpoint. Zero values select the
 // defaults noted on each field.
@@ -106,16 +83,8 @@ type Options struct {
 	// start in any order inside this window.
 	DialTimeout time.Duration
 	// RetryBase is the first dial-retry backoff (default 25ms); it
-	// doubles per attempt up to RetryMax (default 1s).
+	// doubles per attempt up to one second.
 	RetryBase time.Duration
-	// RetryMax caps the dial-retry backoff (default 1s).
-	RetryMax time.Duration
-	// SendTimeout is the per-message write deadline (default 30s); a
-	// send that cannot complete within it fails the transport.
-	SendTimeout time.Duration
-	// DrainTimeout bounds the graceful Close drain: waiting for
-	// outstanding ACKs and the peers' BYE frames (default 10s).
-	DrainTimeout time.Duration
 	// Listener, if non-nil, is a pre-bound listener for this rank's
 	// address, overriding peers[rank]; tests use it to avoid port
 	// races. The transport takes ownership and closes it.
@@ -129,7 +98,7 @@ type Options struct {
 	// from the same peer — can arrive out of order. Delayed messages
 	// bypass the inbox's TCP backpressure while they are held, so keep
 	// delays short. A zero return delivers immediately. Control frames
-	// (ACK, barrier, all-reduce, BYE) are never delayed.
+	// (ACK, all-reduce, BYE) are never delayed.
 	ChaosDelay func(src, tag int) time.Duration
 	// Recovery enables the fault-tolerance protocol: peer death marks
 	// the peer down instead of failing the transport, DATA sends are
@@ -152,7 +121,7 @@ type Options struct {
 	// inside this window.
 	PeerDownTimeout time.Duration
 	// Context, if non-nil, cancels the endpoint: dial retries stop, and
-	// blocked sends, Recv, Barrier and AllReduce return promptly with
+	// blocked sends, Recv and AllReduce return promptly with
 	// the context's error once it is done. Ctrl-C handling in cmd/dprun
 	// wires os.Interrupt here.
 	Context context.Context
@@ -162,10 +131,6 @@ type Options struct {
 	// alignment guarantee. The overhead benchmarks use it to isolate
 	// the cost of the handshake.
 	DisableClockSync bool
-	// ClockProbes is the number of ping-pong rounds of the clock-offset
-	// estimation (default 8). The estimate keeps the minimum-RTT round,
-	// so more probes tighten the rtt/2 error bound on a jittery link.
-	ClockProbes int
 	// Observer, if non-nil, receives recovery-protocol transitions
 	// (ObsPeerDown, ObsPark, ObsRejoin, ObsReplay) as they happen. It
 	// is called from transport goroutines — reader, heartbeat and send
@@ -206,15 +171,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryBase == 0 {
 		o.RetryBase = 25 * time.Millisecond
 	}
-	if o.RetryMax == 0 {
-		o.RetryMax = time.Second
-	}
-	if o.SendTimeout == 0 {
-		o.SendTimeout = 30 * time.Second
-	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
 	if o.HeartbeatEvery == 0 {
 		o.HeartbeatEvery = 250 * time.Millisecond
 	}
@@ -223,9 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PeerDownTimeout == 0 {
 		o.PeerDownTimeout = 2 * time.Minute
-	}
-	if o.ClockProbes == 0 {
-		o.ClockProbes = 8
 	}
 	return o
 }
@@ -241,47 +194,6 @@ func (o Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-// ctrl is one decoded control frame routed to a collective waiter.
-type ctrl struct {
-	kind byte
-	seq  uint32
-	src  int
-	val  float64
-}
-
-// peerConn is one connection of the mesh, with a serialized writer.
-type peerConn struct {
-	peer int
-	c    net.Conn
-	r    *bufio.Reader
-
-	wmu  sync.Mutex
-	wbuf []byte
-}
-
-func newPeerConn(peer int, c net.Conn) *peerConn {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	return &peerConn{peer: peer, c: c, r: bufio.NewReaderSize(c, 1<<16)}
-}
-
-// peerState is the per-peer bookkeeping the Recovery protocol needs:
-// liveness tracking for heartbeat failure detection, the retained
-// DATA-frame history replayed when the peer rejoins, and the count of
-// unacknowledged sends on the current connection (whose send-buffer
-// slots must be returned when the peer dies, because their ACKs will
-// never arrive).
-type peerState struct {
-	lastHeard atomic.Int64 // unix nanos of the last frame from this peer
-
-	mu        sync.Mutex
-	down      bool
-	downSince time.Time
-	inflight  int      // unacked DATA sends on the current connection
-	retained  [][]byte // encoded DATA frames, replayed on rejoin
 }
 
 // conn returns the current connection to peer (nil at the self index,
@@ -375,8 +287,7 @@ type Transport struct {
 	hbMisses     atomic.Int64
 	peerRestarts atomic.Int64
 
-	seqMu sync.Mutex
-	seq   uint32
+	seq atomic.Uint32 // all-reduce sequence number
 
 	// epoch is the current membership epoch stamped into outgoing DATA
 	// frames; elasticCh carries decoded membership control frames to the
@@ -384,8 +295,8 @@ type Transport struct {
 	epoch     atomic.Uint32
 	elasticCh chan mpi.ElasticMsg
 
-	coordCh chan ctrl // rank 0: barrier arrivals / all-reduce values
-	relCh   chan ctrl // non-zero ranks: releases / results
+	coordCh chan ctrl // rank 0: all-reduce values
+	relCh   chan ctrl // non-zero ranks: all-reduce results
 
 	byeMu   sync.Mutex
 	byes    int
@@ -395,264 +306,6 @@ type Transport struct {
 }
 
 var _ mpi.Transport = (*Transport)(nil)
-
-// Dial establishes this rank's endpoint of a full TCP mesh over the
-// given peer addresses (peers[r] is rank r's listen address; rank is
-// this process's index into it). It blocks until every connection is
-// up or Options.DialTimeout expires; peers may start in any order
-// inside that window — dials retry with exponential backoff.
-func Dial(rank int, peers []string, opts Options) (*Transport, error) {
-	size := len(peers)
-	if size < 1 {
-		return nil, errors.New("tcp: no peers")
-	}
-	if rank < 0 || rank >= size {
-		return nil, fmt.Errorf("tcp: rank %d out of range [0,%d)", rank, size)
-	}
-	o := opts.withDefaults()
-	t := newTransport(rank, size, o)
-	if size == 1 {
-		return t, nil
-	}
-
-	ln := o.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", peers[rank])
-		if err != nil {
-			return nil, fmt.Errorf("tcp: rank %d listen %s: %w", rank, peers[rank], err)
-		}
-	}
-	t.ln = ln
-	deadline := time.Now().Add(o.DialTimeout)
-
-	// Cancel mesh establishment promptly when the caller's context is
-	// done: fail the transport (dialPeer's backoff sleeps watch t.stop)
-	// and close the listener to unblock the accept side.
-	dialDone := make(chan struct{})
-	defer close(dialDone)
-	if ctx := o.Context; ctx != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				t.fail(fmt.Errorf("tcp: rank %d: %w", rank, ctx.Err()))
-				ln.Close()
-			case <-dialDone:
-			case <-t.stop:
-			}
-		}()
-	}
-
-	// Higher ranks dial us; we dial lower ranks. One result per side.
-	nres := rank
-	naccept := size - 1 - rank
-	if naccept > 0 {
-		nres++
-	}
-	errs := make(chan error, nres)
-	var pending sync.WaitGroup
-	if naccept > 0 {
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			errs <- t.acceptPeers(naccept, deadline)
-		}()
-	}
-	for s := 0; s < rank; s++ {
-		pending.Add(1)
-		go func(s int) {
-			defer pending.Done()
-			errs <- t.dialPeer(s, peers[s], deadline)
-		}(s)
-	}
-
-	var firstErr error
-	timeout := time.NewTimer(time.Until(deadline) + 2*time.Second)
-	defer timeout.Stop()
-	stopCh := t.stop
-	for got := 0; got < nres; {
-		select {
-		case err := <-errs:
-			got++
-			if err != nil && firstErr == nil {
-				firstErr = err
-				ln.Close() // unblock the accept loop
-			}
-		case <-timeout.C:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("tcp: rank %d: mesh not established within %s", rank, o.DialTimeout)
-			}
-			ln.Close()
-		case <-stopCh:
-			// Context cancellation (or Kill) during mesh establishment.
-			if firstErr == nil {
-				firstErr = t.errOr()
-			}
-			ln.Close()
-			stopCh = nil // collect the remaining results without respinning
-		}
-	}
-	pending.Wait()
-	if firstErr != nil {
-		t.closeAllConns()
-		ln.Close()
-		return nil, firstErr
-	}
-	for _, pc := range t.snapshotConns() {
-		if pc != nil {
-			t.readers.Add(1)
-			go t.reader(pc)
-		}
-	}
-	t.startBackground()
-	// Asynchronous on purpose: peers whose Dial already returned start
-	// sending DATA immediately, and with a small inbox this endpoint's
-	// reader parks on delivery until the engine drains — a synchronous
-	// sync here would starve its own responses behind that backlog and,
-	// under Recovery, trip the heartbeat monitor (see syncClock).
-	go t.syncClock()
-	return t, nil
-}
-
-// newTransport builds the endpoint skeleton shared by Dial and
-// DialRejoin.
-func newTransport(rank, size int, o Options) *Transport {
-	t := &Transport{
-		rank:       rank,
-		size:       size,
-		opts:       o,
-		conns:      make([]*peerConn, size),
-		pstate:     make([]*peerState, size),
-		inbox:      make(chan *mpi.Message, o.RecvBufs),
-		slots:      make(chan struct{}, o.SendBufs),
-		stop:       make(chan struct{}),
-		coordCh:    make(chan ctrl, 4*size),
-		relCh:      make(chan ctrl, 4),
-		elasticCh:  make(chan mpi.ElasticMsg, 8*size),
-		allByes:    make(chan struct{}),
-		framesTo:   make([]atomic.Int64, size),
-		framesFrom: make([]atomic.Int64, size),
-		bytesTo:    make([]atomic.Int64, size),
-		bytesFrom:  make([]atomic.Int64, size),
-		dataSeq:    make([]atomic.Uint64, size),
-		clockCh:    make(chan clockResp, 4),
-		clockDone:  make(chan struct{}),
-		latHist:    obs.NewHistogram(),
-	}
-	for i := range t.pstate {
-		t.pstate[i] = &peerState{}
-	}
-	if rank == 0 || size == 1 || o.DisableClockSync {
-		// Nothing to estimate: rank 0 defines the timeline, and a
-		// disabled sync stamps raw local clocks. Marking readiness here
-		// keeps the endpoint's very first sends aligned-stamped.
-		t.clockReady.Store(true)
-	}
-	return t
-}
-
-// startBackground launches the post-mesh service goroutines: the
-// context watcher, and — under Recovery — the heartbeat prober and the
-// rejoin accept loop.
-func (t *Transport) startBackground() {
-	now := time.Now().UnixNano()
-	for i, ps := range t.pstate {
-		if i != t.rank {
-			ps.lastHeard.Store(now)
-		}
-	}
-	if ctx := t.opts.Context; ctx != nil {
-		t.bg.Add(1)
-		go func() {
-			defer t.bg.Done()
-			select {
-			case <-ctx.Done():
-				t.fail(fmt.Errorf("tcp: rank %d: %w", t.rank, ctx.Err()))
-				// Unblock readers (stuck in ReadFull) and writers.
-				if t.ln != nil {
-					t.ln.Close()
-				}
-				t.closeAllConns()
-			case <-t.stop:
-			}
-		}()
-	}
-	if t.opts.Recovery {
-		t.bg.Add(2)
-		go t.heartbeatLoop()
-		go t.acceptLoop()
-	}
-}
-
-// acceptPeers accepts and handshakes the connections from all higher
-// ranks.
-func (t *Transport) acceptPeers(n int, deadline time.Time) error {
-	for i := 0; i < n; i++ {
-		c, err := t.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("tcp: rank %d accept: %w", t.rank, err)
-		}
-		c.SetReadDeadline(deadline)
-		kind, peer, err := readIdent(c)
-		if err != nil || kind != kHello {
-			c.Close()
-			return fmt.Errorf("tcp: rank %d handshake: %v", t.rank, err)
-		}
-		if peer <= t.rank || peer >= t.size || t.conn(peer) != nil {
-			c.Close()
-			return fmt.Errorf("tcp: rank %d: unexpected hello from rank %d", t.rank, peer)
-		}
-		c.SetReadDeadline(time.Time{})
-		t.setConn(peer, newPeerConn(peer, c))
-	}
-	return nil
-}
-
-// dialPeer connects to a lower rank during mesh establishment.
-func (t *Transport) dialPeer(s int, addr string, deadline time.Time) error {
-	return t.dialPeerIdent(s, addr, deadline, kHello)
-}
-
-// dialPeerIdent connects to rank s, retrying with exponential backoff
-// until the deadline, and opens the stream with the given identity
-// frame (HELLO during mesh establishment, REJOIN when a restarted rank
-// reconnects). A transport stop (context cancellation, Kill) aborts the
-// backoff wait promptly.
-func (t *Transport) dialPeerIdent(s int, addr string, deadline time.Time, kind byte) error {
-	backoff := t.opts.RetryBase
-	for attempt := 0; ; attempt++ {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			if werr := writeIdent(c, kind, t.rank); werr == nil {
-				t.setConn(s, newPeerConn(s, c))
-				return nil
-			} else {
-				err = werr
-				c.Close()
-			}
-		}
-		if t.stopped() {
-			return fmt.Errorf("tcp: rank %d dial rank %d (%s): %w", t.rank, s, addr, t.errOr())
-		}
-		if time.Now().Add(backoff).After(deadline) {
-			return fmt.Errorf("tcp: rank %d dial rank %d (%s) after %d attempts: %w",
-				t.rank, s, addr, attempt+1, err)
-		}
-		t.opts.logf("tcp: rank %d dial rank %d (%s) attempt %d: %v; retrying in %s",
-			t.rank, s, addr, attempt+1, err, backoff)
-		timer := time.NewTimer(backoff)
-		select {
-		case <-timer.C:
-		case <-t.stop:
-			timer.Stop()
-			return fmt.Errorf("tcp: rank %d dial rank %d (%s): %w", t.rank, s, addr, t.errOr())
-		}
-		backoff *= 2
-		if backoff > t.opts.RetryMax {
-			backoff = t.opts.RetryMax
-		}
-	}
-}
 
 // ID returns this endpoint's rank.
 func (t *Transport) ID() int { return t.rank }
@@ -708,50 +361,30 @@ func (t *Transport) errOr() error {
 	return errors.New("tcp: transport closed")
 }
 
+// releaseSlot frees one send-buffer slot without blocking: on an ACK,
+// or for a send whose ACK will never come.
+func (t *Transport) releaseSlot() {
+	select {
+	case <-t.slots:
+	default:
+	}
+}
+
 // Send delivers a tagged message to dst, blocking while all
 // Options.SendBufs send-buffer slots are in flight. The returned stall
-// is the time spent blocked on a slot or on a congested socket (zero on
-// the uncontended fast path). On a failed transport Send drops the
-// message and returns immediately; the failure surfaces through Err,
-// Recv and the collectives.
-func (t *Transport) Send(dst, tag int, data []float64, meta []int64) time.Duration {
-	return t.send(dst, tag, data, meta, nil)
-}
-
-// SendPolling delivers like Send but invokes poll() whenever it would
-// block — waiting for a send-buffer slot or for socket buffer space —
-// so a single-threaded rank can keep draining its own inbox mid-send.
-func (t *Transport) SendPolling(dst, tag int, data []float64, meta []int64, poll func()) time.Duration {
-	if poll == nil {
-		poll = func() {}
-	}
-	return t.send(dst, tag, data, meta, poll)
-}
-
-func (t *Transport) send(dst, tag int, data []float64, meta []int64, poll func()) (stall time.Duration) {
+// is the time spent blocked on a slot (zero on the uncontended fast
+// path). On a failed transport Send drops the message and returns
+// immediately; the failure surfaces through Err, Recv and AllReduce.
+func (t *Transport) Send(dst, tag int, data []float64, meta []int64) (stall time.Duration) {
 	// Acquire a send-buffer slot (freed by the receiver's ACK).
 	select {
 	case t.slots <- struct{}{}:
 	default:
 		t0 := time.Now()
-		if poll == nil {
-			select {
-			case t.slots <- struct{}{}:
-			case <-t.stop:
-				return time.Since(t0)
-			}
-		} else {
-			for {
-				select {
-				case t.slots <- struct{}{}:
-				case <-t.stop:
-					return time.Since(t0)
-				default:
-					poll()
-					continue
-				}
-				break
-			}
+		select {
+		case t.slots <- struct{}{}:
+		case <-t.stop:
+			return time.Since(t0)
 		}
 		stall = time.Since(t0)
 	}
@@ -760,12 +393,7 @@ func (t *Transport) send(dst, tag int, data []float64, meta []int64, poll func()
 	if dst == t.rank {
 		// Self-delivery short-circuits the wire; the slot frees when
 		// the local receiver releases the message.
-		m := mpi.NewMessage(t.rank, tag, data, meta, func() {
-			select {
-			case <-t.slots:
-			default:
-			}
-		})
+		m := mpi.NewMessage(t.rank, tag, data, meta, t.releaseSlot)
 		m.Epoch = t.epoch.Load()
 		select {
 		case t.inbox <- m:
@@ -776,77 +404,19 @@ func (t *Transport) send(dst, tag int, data []float64, meta []int64, poll func()
 	if dst < 0 || dst >= t.size {
 		panic(fmt.Sprintf("tcp: send to rank %d out of range [0,%d)", dst, t.size))
 	}
+	f := dataFrame{src: t.rank, tag: tag, epoch: t.epoch.Load(), meta: meta, data: data}
+	f.sendAt, f.seq = t.stampData(dst)
 	if t.opts.Recovery {
-		return stall + t.sendRecovery(dst, tag, data, meta, poll)
+		t.sendRecovery(dst, f)
+		return stall
 	}
-	pc := t.conn(dst)
-	sendAt, seq := t.stampData(dst)
-	epoch := t.epoch.Load()
-	wstall, err := pc.sendFrame(t, poll, kData, func(b []byte) []byte {
-		return appendDataBody(b, t.rank, tag, sendAt, seq, epoch, data, meta)
-	})
-	stall += wstall
+	err := t.conn(dst).sendFrame(t, kData, func(b []byte) []byte { return appendDataBody(b, f) })
 	if err != nil {
 		t.fail(fmt.Errorf("tcp: rank %d send to rank %d: %w", t.rank, dst, err))
 		// No ACK will come for this message; return the slot so Close's
 		// drain does not wait on it.
-		select {
-		case <-t.slots:
-		default:
-		}
+		t.releaseSlot()
 	}
-	return stall
-}
-
-// sendRecovery is the Recovery-mode remote DATA send: the fully
-// encoded frame is retained for rejoin replay before the write, sends
-// to a down peer are parked (the frame stays retained, the send-buffer
-// slot is returned immediately), and a write failure marks the peer
-// down instead of failing the transport. A send-buffer slot has
-// already been acquired by the caller.
-func (t *Transport) sendRecovery(dst, tag int, data []float64, meta []int64, poll func()) (stall time.Duration) {
-	sendAt, seq := t.stampData(dst)
-	frame := make([]byte, 0, 4+1+dataHdrLen+8*len(meta)+8*len(data))
-	frame = append(frame, 0, 0, 0, 0, kData)
-	frame = appendDataBody(frame, t.rank, tag, sendAt, seq, t.epoch.Load(), data, meta)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-
-	ps := t.pstate[dst]
-	ps.mu.Lock()
-	ps.retained = append(ps.retained, frame)
-	retained := len(ps.retained)
-	down := ps.down
-	ps.mu.Unlock()
-	if down {
-		// Parked: no ACK will come until the peer rejoins and the frame
-		// is replayed; give the slot back so live traffic keeps flowing.
-		t.opts.observe(ObsPark, dst, int64(retained))
-		select {
-		case <-t.slots:
-		default:
-		}
-		return 0
-	}
-	pc := t.conn(dst)
-	if pc == nil {
-		select {
-		case <-t.slots:
-		default:
-		}
-		return 0
-	}
-	stall, err := pc.writeFrame(t, poll, frame)
-	if err != nil {
-		t.markPeerDown(dst, pc, fmt.Errorf("send: %w", err))
-		select {
-		case <-t.slots:
-		default:
-		}
-		return stall
-	}
-	ps.mu.Lock()
-	ps.inflight++
-	ps.mu.Unlock()
 	return stall
 }
 
@@ -863,365 +433,6 @@ func (t *Transport) stampData(dst int) (sendAt int64, seq uint64) {
 		return 0, seq
 	}
 	return t.alignedNow(), seq
-}
-
-// appendDataBody encodes a DATA frame body (src, tag, send stamp,
-// sequence, meta/data lengths, membership epoch, meta, data) after the
-// length prefix and kind byte.
-func appendDataBody(b []byte, src, tag int, sendAt int64, seq uint64, epoch uint32, data []float64, meta []int64) []byte {
-	b = appendU32(b, uint32(src))
-	b = appendU64(b, uint64(tag))
-	b = appendU64(b, uint64(sendAt))
-	b = appendU64(b, seq)
-	b = appendU32(b, uint32(len(meta)))
-	b = appendU32(b, uint32(len(data)))
-	b = appendU32(b, epoch)
-	for _, v := range meta {
-		b = appendU64(b, uint64(v))
-	}
-	for _, v := range data {
-		b = appendU64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-// sendFrame encodes one frame under the connection's write lock and
-// writes it with per-message deadlines; see writeLocked for the stall
-// accounting.
-func (pc *peerConn) sendFrame(t *Transport, poll func(), kind byte, body func([]byte) []byte) (time.Duration, error) {
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	b := append(pc.wbuf[:0], 0, 0, 0, 0, kind)
-	if body != nil {
-		b = body(b)
-	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-	pc.wbuf = b
-	return pc.writeLocked(t, b, poll)
-}
-
-// writeFrame writes an already-encoded frame under the connection's
-// write lock — the Recovery send and rejoin-replay path, where frames
-// are retained and must not share the connection's scratch buffer.
-func (pc *peerConn) writeFrame(t *Transport, poll func(), b []byte) (time.Duration, error) {
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	return pc.writeLocked(t, b, poll)
-}
-
-// writeLocked writes b fully, honouring the per-message SendTimeout.
-// With a poll callback, writes proceed in short deadline chunks and
-// poll() runs between them, so a rank blocked on a congested socket
-// keeps draining its own inbox; the time from the first blocked chunk
-// to completion is reported as stall.
-func (pc *peerConn) writeLocked(t *Transport, b []byte, poll func()) (stall time.Duration, err error) {
-	total := time.Now().Add(t.opts.SendTimeout)
-	var stallStart time.Time
-	wrote := 0
-	for wrote < len(b) {
-		if t.stopped() {
-			return stall, errors.New("transport stopped")
-		}
-		dl := total
-		if poll != nil {
-			if chunk := time.Now().Add(writeChunk); chunk.Before(dl) {
-				dl = chunk
-			}
-		}
-		pc.c.SetWriteDeadline(dl)
-		n, werr := pc.c.Write(b[wrote:])
-		wrote += n
-		if werr == nil {
-			continue
-		}
-		var ne net.Error
-		if errors.As(werr, &ne) && ne.Timeout() && time.Now().Before(total) {
-			if stallStart.IsZero() {
-				stallStart = time.Now()
-			}
-			if poll != nil {
-				poll()
-			}
-			continue
-		}
-		return stall, werr
-	}
-	if !stallStart.IsZero() {
-		stall = time.Since(stallStart)
-	}
-	t.bytesOut.Add(int64(len(b)))
-	if pc.peer >= 0 && pc.peer < len(t.bytesTo) {
-		t.bytesTo[pc.peer].Add(int64(len(b)))
-		t.framesTo[pc.peer].Add(1)
-	}
-	return stall, nil
-}
-
-// ack sends the slot-release acknowledgement for a message received
-// from peer pc.
-func (t *Transport) ack(pc *peerConn) {
-	if _, err := pc.sendFrame(t, nil, kAck, nil); err != nil && !t.closing.Load() {
-		if t.opts.Recovery {
-			// The sender is gone; its restarted incarnation starts with
-			// fresh slots, so a lost ACK is harmless.
-			t.markPeerDown(pc.peer, pc, fmt.Errorf("ack: %w", err))
-			return
-		}
-		t.fail(fmt.Errorf("tcp: rank %d ack to rank %d: %w", t.rank, pc.peer, err))
-	}
-}
-
-// reader is the per-connection receive loop: it decodes frames,
-// enqueues DATA into the inbox, applies ACKs to the slot semaphore and
-// routes collective frames to their waiters. It exits on BYE, on
-// transport stop, or on a connection error (which fails the transport
-// unless a Close is in progress).
-func (t *Transport) reader(pc *peerConn) {
-	defer t.readers.Done()
-	var hdr [4]byte
-	var body []byte
-	for {
-		if _, err := io.ReadFull(pc.r, hdr[:]); err != nil {
-			t.readerExit(pc, err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n < 1 || n > maxFrame {
-			t.fail(fmt.Errorf("tcp: rank %d: bad frame length %d from rank %d", t.rank, n, pc.peer))
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(pc.r, body); err != nil {
-			t.readerExit(pc, err)
-			return
-		}
-		t.bytesIn.Add(int64(4 + n))
-		if pc.peer >= 0 && pc.peer < len(t.bytesFrom) {
-			t.bytesFrom[pc.peer].Add(int64(4 + n))
-			t.framesFrom[pc.peer].Add(1)
-		}
-		if t.opts.Recovery {
-			t.pstate[pc.peer].lastHeard.Store(time.Now().UnixNano())
-		}
-		kind, p := body[0], body[1:]
-		switch kind {
-		case kData:
-			m, err := t.decodeData(pc, p)
-			if err != nil {
-				t.fail(fmt.Errorf("tcp: rank %d: corrupt data frame from rank %d: %v", t.rank, pc.peer, err))
-				return
-			}
-			if f := t.opts.ChaosDelay; f != nil {
-				if d := f(m.Src, m.Tag); d > 0 {
-					t.chaosWG.Add(1)
-					go t.deliverLate(m, d)
-					continue
-				}
-			}
-			select {
-			case t.inbox <- m:
-			case <-t.stop:
-				return
-			}
-		case kAck:
-			select {
-			case <-t.slots:
-			default: // spurious ACK (e.g. for a replayed frame); harmless
-			}
-			if t.opts.Recovery {
-				ps := t.pstate[pc.peer]
-				ps.mu.Lock()
-				if ps.inflight > 0 {
-					ps.inflight--
-				}
-				ps.mu.Unlock()
-			}
-		case kHeartbeat:
-			// Liveness only; lastHeard was updated above.
-		case kClockReq:
-			if len(p) != 8 {
-				t.fail(fmt.Errorf("tcp: rank %d: corrupt clock request from rank %d", t.rank, pc.peer))
-				return
-			}
-			echo := binary.LittleEndian.Uint64(p)
-			if d := t.opts.clockRespDelay; d != nil {
-				if dd := d(); dd > 0 {
-					time.Sleep(dd)
-				}
-			}
-			// Respond with our aligned clock so offsets compose: probing
-			// any already-synced rank yields rank 0's timeline.
-			if _, err := pc.sendFrame(t, nil, kClockResp, func(b []byte) []byte {
-				b = appendU64(b, echo)
-				return appendU64(b, uint64(t.alignedNow()))
-			}); err != nil && !t.closing.Load() {
-				if t.opts.Recovery {
-					t.markPeerDown(pc.peer, pc, fmt.Errorf("clock response: %w", err))
-					return
-				}
-				t.fail(fmt.Errorf("tcp: rank %d clock response to rank %d: %w", t.rank, pc.peer, err))
-				return
-			}
-		case kClockResp:
-			if len(p) != 16 {
-				t.fail(fmt.Errorf("tcp: rank %d: corrupt clock response from rank %d", t.rank, pc.peer))
-				return
-			}
-			r := clockResp{
-				echo:   int64(binary.LittleEndian.Uint64(p[0:8])),
-				server: int64(binary.LittleEndian.Uint64(p[8:16])),
-				at:     time.Now().UnixNano(),
-			}
-			select {
-			case t.clockCh <- r:
-			default: // probe already timed out; drop the stale response
-			}
-		case kBarrier, kARVal:
-			c, err := decodeCtrl(kind, p)
-			if err != nil {
-				t.fail(fmt.Errorf("tcp: rank %d: corrupt control frame from rank %d: %v", t.rank, pc.peer, err))
-				return
-			}
-			select {
-			case t.coordCh <- c:
-			case <-t.stop:
-				return
-			}
-		case kBarrierRel, kARRes:
-			c, err := decodeCtrl(kind, p)
-			if err != nil {
-				t.fail(fmt.Errorf("tcp: rank %d: corrupt control frame from rank %d: %v", t.rank, pc.peer, err))
-				return
-			}
-			select {
-			case t.relCh <- c:
-			case <-t.stop:
-				return
-			}
-		case kBye:
-			t.noteBye()
-			return
-		case kJoin, kLeave, kEpochPrep, kEpochAck, kEpoch, kFin:
-			// The frame body buffer is reused by the next read, so the
-			// payload handed to the coordinator must be a copy.
-			var payload []byte
-			if len(p) > 0 {
-				payload = make([]byte, len(p))
-				copy(payload, p)
-			}
-			select {
-			case t.elasticCh <- mpi.ElasticMsg{Kind: kind - kElasticBase, Src: pc.peer, Payload: payload}:
-			case <-t.stop:
-				return
-			}
-		default:
-			t.fail(fmt.Errorf("tcp: rank %d: unknown frame kind %d from rank %d", t.rank, kind, pc.peer))
-			return
-		}
-	}
-}
-
-// deliverLate enqueues a ChaosDelay-held message after its delay. A
-// transport stop cuts the hold short; a message that can no longer be
-// delivered after stop is dropped (the run is already over or failed).
-func (t *Transport) deliverLate(m *mpi.Message, d time.Duration) {
-	defer t.chaosWG.Done()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-t.stop:
-	}
-	select {
-	case t.inbox <- m:
-	default:
-		select {
-		case t.inbox <- m:
-		case <-t.stop:
-		}
-	}
-}
-
-// readerExit handles a connection read error: silent during an
-// intentional shutdown, a peer-down transition under Recovery, and a
-// fatal typed *mpi.PeerDownError otherwise.
-func (t *Transport) readerExit(pc *peerConn, err error) {
-	if t.closing.Load() || t.stopped() {
-		return
-	}
-	if t.opts.Recovery {
-		t.markPeerDown(pc.peer, pc, fmt.Errorf("connection died before BYE: %w", err))
-		return
-	}
-	t.fail(fmt.Errorf("tcp: rank %d: %w", t.rank,
-		&mpi.PeerDownError{Rank: pc.peer, Cause: fmt.Errorf("connection died before BYE: %w", err)}))
-}
-
-// decodeData builds a Message from a DATA frame body, drawing payload
-// buffers from the shared mpi pools; releasing the message ACKs the
-// sender.
-func (t *Transport) decodeData(pc *peerConn, p []byte) (*mpi.Message, error) {
-	if len(p) < dataHdrLen {
-		return nil, fmt.Errorf("short body (%d bytes)", len(p))
-	}
-	src := int(binary.LittleEndian.Uint32(p[0:4]))
-	tag := int(int64(binary.LittleEndian.Uint64(p[4:12])))
-	sendAt := int64(binary.LittleEndian.Uint64(p[12:20]))
-	seq := binary.LittleEndian.Uint64(p[20:28])
-	nmeta := int(binary.LittleEndian.Uint32(p[28:32]))
-	ndata := int(binary.LittleEndian.Uint32(p[32:36]))
-	epoch := binary.LittleEndian.Uint32(p[36:40])
-	if want := dataHdrLen + 8*nmeta + 8*ndata; want != len(p) {
-		return nil, fmt.Errorf("length mismatch: %d cells declared, %d bytes", want, len(p))
-	}
-	p = p[dataHdrLen:]
-	meta := mpi.GetMeta(nmeta)
-	for i := range meta {
-		meta[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	p = p[8*nmeta:]
-	data := mpi.GetData(ndata)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	if sendAt > 0 {
-		// Both stamps are on rank 0's clock, so the difference is the
-		// edge latency to within the clock-sync error bound.
-		t.latHist.ObserveNs(t.alignedNow() - sendAt)
-	}
-	m := mpi.NewMessage(src, tag, data, meta, func() { t.ack(pc) })
-	m.SendAtUnixNanos = sendAt
-	m.Seq = seq
-	m.Epoch = epoch
-	return m, nil
-}
-
-func decodeCtrl(kind byte, p []byte) (ctrl, error) {
-	c := ctrl{kind: kind}
-	switch kind {
-	case kBarrier, kBarrierRel:
-		if len(p) != 4 {
-			return c, fmt.Errorf("barrier frame body %d bytes", len(p))
-		}
-		c.seq = binary.LittleEndian.Uint32(p)
-	case kARVal:
-		if len(p) != 16 {
-			return c, fmt.Errorf("allreduce value frame body %d bytes", len(p))
-		}
-		c.seq = binary.LittleEndian.Uint32(p[0:4])
-		c.src = int(binary.LittleEndian.Uint32(p[4:8]))
-		c.val = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
-	case kARRes:
-		if len(p) != 12 {
-			return c, fmt.Errorf("allreduce result frame body %d bytes", len(p))
-		}
-		c.seq = binary.LittleEndian.Uint32(p[0:4])
-		c.val = math.Float64frombits(binary.LittleEndian.Uint64(p[4:12]))
-	}
-	return c, nil
 }
 
 // noteBye records one peer's graceful end-of-stream.
@@ -1252,143 +463,8 @@ func (t *Transport) Recv() (*mpi.Message, bool) {
 	}
 }
 
-// Iprobe returns a pending message without blocking, or ok=false when
-// none is queued.
-func (t *Transport) Iprobe() (*mpi.Message, bool) {
-	select {
-	case m, ok := <-t.inbox:
-		return m, ok
-	default:
-		return nil, false
-	}
-}
-
-func (t *Transport) nextSeq() uint32 {
-	t.seqMu.Lock()
-	defer t.seqMu.Unlock()
-	t.seq++
-	return t.seq
-}
-
-// Barrier blocks until every rank has entered it, coordinated by
-// rank 0 (ARRIVE frames in, RELEASE frames out). It returns an error
-// instead of hanging when the transport has failed.
-func (t *Transport) Barrier() error {
-	if t.size == 1 {
-		return t.Err()
-	}
-	seq := t.nextSeq()
-	if t.rank == 0 {
-		for got := 0; got < t.size-1; got++ {
-			select {
-			case c := <-t.coordCh:
-				if c.kind != kBarrier || c.seq != seq {
-					err := fmt.Errorf("tcp: rank 0: barrier %d: unexpected control frame (kind %d seq %d)", seq, c.kind, c.seq)
-					t.fail(err)
-					return err
-				}
-			case <-t.stop:
-				return t.errOr()
-			}
-		}
-		for _, pc := range t.snapshotConns() {
-			if pc == nil {
-				continue
-			}
-			if _, err := pc.sendFrame(t, nil, kBarrierRel, func(b []byte) []byte {
-				return appendU32(b, seq)
-			}); err != nil {
-				t.fail(fmt.Errorf("tcp: rank 0: barrier release to rank %d: %w", pc.peer, err))
-				return t.errOr()
-			}
-		}
-		return nil
-	}
-	if _, err := t.conn(0).sendFrame(t, nil, kBarrier, func(b []byte) []byte {
-		return appendU32(b, seq)
-	}); err != nil {
-		t.fail(fmt.Errorf("tcp: rank %d: barrier arrive: %w", t.rank, err))
-		return t.errOr()
-	}
-	select {
-	case c := <-t.relCh:
-		if c.kind != kBarrierRel || c.seq != seq {
-			err := fmt.Errorf("tcp: rank %d: barrier %d: unexpected release (kind %d seq %d)", t.rank, seq, c.kind, c.seq)
-			t.fail(err)
-			return err
-		}
-		return nil
-	case <-t.stop:
-		return t.errOr()
-	}
-}
-
-// AllReduce combines one float64 per rank with f, applied in rank
-// order by the rank-0 coordinator, and returns the result on every
-// rank. All ranks must call it collectively with the same f; it errors
-// instead of hanging on a failed transport.
-func (t *Transport) AllReduce(v float64, f func(a, b float64) float64) (float64, error) {
-	if t.size == 1 {
-		return v, t.Err()
-	}
-	seq := t.nextSeq()
-	if t.rank == 0 {
-		vals := make([]float64, t.size)
-		vals[0] = v
-		for got := 1; got < t.size; got++ {
-			select {
-			case c := <-t.coordCh:
-				if c.kind != kARVal || c.seq != seq || c.src <= 0 || c.src >= t.size {
-					err := fmt.Errorf("tcp: rank 0: allreduce %d: unexpected control frame (kind %d seq %d src %d)", seq, c.kind, c.seq, c.src)
-					t.fail(err)
-					return 0, err
-				}
-				vals[c.src] = c.val
-			case <-t.stop:
-				return 0, t.errOr()
-			}
-		}
-		acc := vals[0]
-		for i := 1; i < t.size; i++ {
-			acc = f(acc, vals[i])
-		}
-		for _, pc := range t.snapshotConns() {
-			if pc == nil {
-				continue
-			}
-			if _, err := pc.sendFrame(t, nil, kARRes, func(b []byte) []byte {
-				b = appendU32(b, seq)
-				return appendU64(b, math.Float64bits(acc))
-			}); err != nil {
-				t.fail(fmt.Errorf("tcp: rank 0: allreduce result to rank %d: %w", pc.peer, err))
-				return 0, t.errOr()
-			}
-		}
-		return acc, nil
-	}
-	if _, err := t.conn(0).sendFrame(t, nil, kARVal, func(b []byte) []byte {
-		b = appendU32(b, seq)
-		b = appendU32(b, uint32(t.rank))
-		return appendU64(b, math.Float64bits(v))
-	}); err != nil {
-		t.fail(fmt.Errorf("tcp: rank %d: allreduce value: %w", t.rank, err))
-		return 0, t.errOr()
-	}
-	select {
-	case c := <-t.relCh:
-		if c.kind != kARRes || c.seq != seq {
-			err := fmt.Errorf("tcp: rank %d: allreduce %d: unexpected result (kind %d seq %d)", t.rank, seq, c.kind, c.seq)
-			t.fail(err)
-			return 0, err
-		}
-		return c.val, nil
-	case <-t.stop:
-		return 0, t.errOr()
-	}
-}
-
 // Close shuts the endpoint down gracefully: it waits (bounded by
-// Options.DrainTimeout) for outstanding sends to be acknowledged,
+// drainTimeout) for outstanding sends to be acknowledged,
 // exchanges BYE frames with every peer, then tears down the sockets
 // and closes the inbox so Recv returns ok=false. Close after a
 // transport failure skips the drain. It returns Err().
@@ -1396,22 +472,22 @@ func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		t.closing.Store(true)
 		if t.size > 1 && t.Err() == nil {
-			deadline := time.Now().Add(t.opts.DrainTimeout)
+			deadline := time.Now().Add(drainTimeout)
 			for len(t.slots) > 0 && time.Now().Before(deadline) && !t.stopped() {
 				time.Sleep(time.Millisecond)
 			}
 			if n := len(t.slots); n > 0 {
-				t.opts.logf("tcp: rank %d: close with %d unacknowledged sends after %s drain", t.rank, n, t.opts.DrainTimeout)
+				t.opts.logf("tcp: rank %d: close with %d unacknowledged sends after %s drain", t.rank, n, drainTimeout)
 			}
 			for _, pc := range t.snapshotConns() {
 				if pc != nil {
-					pc.sendFrame(t, nil, kBye, nil) // best effort
+					pc.sendFrame(t, kBye, nil) // best effort
 				}
 			}
 			select {
 			case <-t.allByes:
 			case <-time.After(time.Until(deadline)):
-				t.opts.logf("tcp: rank %d: close without all BYEs after %s drain", t.rank, t.opts.DrainTimeout)
+				t.opts.logf("tcp: rank %d: close without all BYEs after %s drain", t.rank, drainTimeout)
 			case <-t.stop:
 			}
 		}
@@ -1432,362 +508,7 @@ func (t *Transport) Close() error {
 // simulating process death — the fault-injection hook used by the
 // transport conformance tests. The surviving peers observe a
 // connection error: their Recv returns ok=false, Err reports the
-// death, and blocked collectives return errors.
+// death, and a blocked AllReduce returns an error.
 func (t *Transport) Kill() {
-	t.fail(fmt.Errorf("tcp: rank %d killed", t.rank))
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	t.closeAllConns()
-}
-
-// ---- recovery protocol ----
-
-// markPeerDown transitions a peer to the down state under Recovery:
-// the failed connection is closed, the slots of its unacknowledged
-// sends are returned (their ACKs will never arrive; the retained
-// frames are replayed on rejoin), and subsequent sends to the peer are
-// parked. Without Recovery it fails the whole transport with a typed
-// *mpi.PeerDownError. A stale call — the observed connection has
-// already been replaced by a rejoin — is ignored.
-func (t *Transport) markPeerDown(peer int, pc *peerConn, cause error) {
-	if t.closing.Load() || t.stopped() {
-		return
-	}
-	if !t.opts.Recovery {
-		t.fail(fmt.Errorf("tcp: rank %d: %w", t.rank, &mpi.PeerDownError{Rank: peer, Cause: cause}))
-		return
-	}
-	t.connMu.RLock()
-	stale := pc != nil && t.conns[peer] != pc
-	t.connMu.RUnlock()
-	if stale {
-		return
-	}
-	ps := t.pstate[peer]
-	ps.mu.Lock()
-	if ps.down {
-		ps.mu.Unlock()
-		return
-	}
-	ps.down = true
-	ps.downSince = time.Now()
-	lost := ps.inflight
-	ps.inflight = 0
-	ps.mu.Unlock()
-	if pc != nil {
-		pc.c.Close()
-	}
-	for i := 0; i < lost; i++ {
-		select {
-		case <-t.slots:
-		default:
-		}
-	}
-	t.opts.observe(ObsPeerDown, peer, int64(lost))
-	t.opts.logf("tcp: rank %d: peer %d down (%v); %d unacked sends returned, awaiting rejoin",
-		t.rank, peer, cause, lost)
-}
-
-// heartbeatLoop probes every live peer each Options.HeartbeatEvery: it
-// sends a HEARTBEAT frame, counts a miss for every peer not heard from
-// within 1.5 intervals, declares a peer down after
-// Options.HeartbeatMisses intervals of silence, and fails the
-// transport with a typed *mpi.PeerDownError once a down peer has
-// stayed down past Options.PeerDownTimeout without rejoining.
-func (t *Transport) heartbeatLoop() {
-	defer t.bg.Done()
-	tick := time.NewTicker(t.opts.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-		}
-		now := time.Now()
-		for peer, ps := range t.pstate {
-			if peer == t.rank {
-				continue
-			}
-			ps.mu.Lock()
-			down, since := ps.down, ps.downSince
-			ps.mu.Unlock()
-			if down {
-				if now.Sub(since) > t.opts.PeerDownTimeout {
-					t.fail(fmt.Errorf("tcp: rank %d: %w", t.rank, &mpi.PeerDownError{
-						Rank:  peer,
-						Cause: fmt.Errorf("no rejoin within %s", t.opts.PeerDownTimeout),
-					}))
-					return
-				}
-				continue
-			}
-			pc := t.conn(peer)
-			if pc == nil {
-				continue
-			}
-			if _, err := pc.sendFrame(t, nil, kHeartbeat, nil); err != nil {
-				t.markPeerDown(peer, pc, fmt.Errorf("heartbeat write: %w", err))
-				continue
-			}
-			silent := now.Sub(time.Unix(0, ps.lastHeard.Load()))
-			if silent > t.opts.HeartbeatEvery+t.opts.HeartbeatEvery/2 {
-				t.hbMisses.Add(1)
-				if silent > time.Duration(t.opts.HeartbeatMisses)*t.opts.HeartbeatEvery {
-					t.markPeerDown(peer, pc, fmt.Errorf("no frames for %s (%d heartbeat intervals)",
-						silent.Round(time.Millisecond), t.opts.HeartbeatMisses))
-				}
-			}
-		}
-	}
-}
-
-// acceptLoop keeps the listener alive after mesh establishment under
-// Recovery, accepting REJOIN connections from restarted peers. It
-// exits when Close (or a context cancellation) closes the listener.
-func (t *Transport) acceptLoop() {
-	defer t.bg.Done()
-	for {
-		c, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.bg.Add(1)
-		go t.handleRejoin(c)
-	}
-}
-
-// handleRejoin validates a REJOIN handshake, swaps the peer's entry in
-// the connection table to the new socket, restarts its reader, and
-// replays the full retained DATA history — the receiving engine
-// deduplicates edges it has already applied (docs/FAULT_TOLERANCE.md).
-func (t *Transport) handleRejoin(c net.Conn) {
-	defer t.bg.Done()
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	kind, peer, err := readIdent(c)
-	if err != nil || kind != kRejoin || peer < 0 || peer >= t.size || peer == t.rank {
-		c.Close()
-		return
-	}
-	c.SetReadDeadline(time.Time{})
-	pc := newPeerConn(peer, c)
-	t.connMu.Lock()
-	if t.stopped() {
-		t.connMu.Unlock()
-		c.Close()
-		return
-	}
-	old := t.conns[peer]
-	t.conns[peer] = pc
-	t.connMu.Unlock()
-	if old != nil {
-		old.c.Close() // the stale reader exits; its markPeerDown is a no-op
-	}
-	ps := t.pstate[peer]
-	ps.lastHeard.Store(time.Now().UnixNano())
-	ps.mu.Lock()
-	wasDown := ps.down
-	ps.down = false
-	ps.downSince = time.Time{}
-	ps.inflight = 0
-	replay := make([][]byte, len(ps.retained))
-	copy(replay, ps.retained)
-	ps.mu.Unlock()
-	if wasDown {
-		t.peerRestarts.Add(1)
-	}
-	t.opts.observe(ObsRejoin, peer, int64(len(replay)))
-	t.readers.Add(1)
-	go t.reader(pc)
-	for i, frame := range replay {
-		if _, err := pc.writeFrame(t, nil, frame); err != nil {
-			t.opts.logf("tcp: rank %d: rejoin replay to peer %d failed at frame %d/%d: %v",
-				t.rank, peer, i, len(replay), err)
-			t.markPeerDown(peer, pc, fmt.Errorf("rejoin replay: %w", err))
-			return
-		}
-	}
-	t.opts.observe(ObsReplay, peer, int64(len(replay)))
-	t.opts.logf("tcp: rank %d: peer %d rejoined; replayed %d data frames", t.rank, peer, len(replay))
-}
-
-// DialRejoin reconnects a restarted rank into an existing Recovery
-// mesh: it listens on peers[rank] again (or Options.Listener), dials
-// every other rank and identifies itself with a REJOIN frame, which
-// makes each live peer swap in the new connection and replay its
-// retained send history. The caller then resumes the engine from the
-// rank's checkpoint (engine.Config.Checkpoint.Resume). Recovery is
-// implied: opts.Recovery is forced on.
-func DialRejoin(rank int, peers []string, opts Options) (*Transport, error) {
-	opts.Recovery = true
-	size := len(peers)
-	if size < 2 {
-		return nil, errors.New("tcp: rejoin needs at least two ranks")
-	}
-	if rank < 0 || rank >= size {
-		return nil, fmt.Errorf("tcp: rank %d out of range [0,%d)", rank, size)
-	}
-	o := opts.withDefaults()
-	t := newTransport(rank, size, o)
-	ln := o.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", peers[rank])
-		if err != nil {
-			return nil, fmt.Errorf("tcp: rank %d relisten %s: %w", rank, peers[rank], err)
-		}
-	}
-	t.ln = ln
-	deadline := time.Now().Add(o.DialTimeout)
-	dialDone := make(chan struct{})
-	defer close(dialDone)
-	if ctx := o.Context; ctx != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				t.fail(fmt.Errorf("tcp: rank %d: %w", rank, ctx.Err()))
-				ln.Close()
-			case <-dialDone:
-			case <-t.stop:
-			}
-		}()
-	}
-	errs := make(chan error, size-1)
-	for s := 0; s < size; s++ {
-		if s == rank {
-			continue
-		}
-		go func(s int) { errs <- t.dialPeerIdent(s, peers[s], deadline, kRejoin) }(s)
-	}
-	var firstErr error
-	for i := 0; i < size-1; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		ln.Close()
-		t.closeAllConns()
-		return nil, firstErr
-	}
-	for _, pc := range t.snapshotConns() {
-		if pc != nil {
-			t.readers.Add(1)
-			go t.reader(pc)
-		}
-	}
-	t.startBackground()
-	// Asynchronous on purpose: survivors replay retained DATA the
-	// moment the rejoin connections are up, and a replay larger than
-	// the inbox parks this endpoint's readers until the engine starts
-	// draining — a synchronous sync here would starve its own
-	// responses and trip the heartbeat monitor (see syncClock).
-	go t.syncClock()
-	return t, nil
-}
-
-// RecoveryStats reports the cumulative heartbeat misses and peer
-// restarts (successful rejoins of a previously-down peer) this
-// endpoint has observed — the sources of the dp_heartbeat_misses_total
-// and dp_peer_restarts_total metrics.
-func (t *Transport) RecoveryStats() (heartbeatMisses, peerRestarts int64) {
-	return t.hbMisses.Load(), t.peerRestarts.Load()
-}
-
-// PendingSends reports the number of in-flight sends that have not yet
-// been acknowledged. The engine's checkpointer waits for zero before
-// serializing, which guarantees every tile recorded as executed has
-// had its outgoing edges *received* (not merely written to a socket
-// buffer that process death could discard).
-func (t *Transport) PendingSends() int { return len(t.slots) }
-
-// ---- elastic membership ----
-
-// SetEpoch installs the membership epoch stamped into every subsequent
-// outgoing DATA frame. The engine's membership coordinator calls it
-// when a new view is applied; receivers use the stamp to detect edges
-// sent under a previous ownership map (docs/ELASTICITY.md).
-func (t *Transport) SetEpoch(e uint32) { t.epoch.Store(e) }
-
-// Epoch returns the currently installed membership epoch.
-func (t *Transport) Epoch() uint32 { return t.epoch.Load() }
-
-// ElasticCh returns the channel on which membership control messages
-// (JOIN/LEAVE/EPOCH_PREP/EPOCH_ACK/EPOCH/FIN frames, plus self-sends)
-// are delivered. Only the engine's membership coordinator should
-// consume it.
-func (t *Transport) ElasticCh() <-chan mpi.ElasticMsg { return t.elasticCh }
-
-// SendElastic delivers a membership control message to dst. Unlike
-// DATA sends it consumes no send-buffer slot — the elastic protocol
-// must make progress while workers are paused and DATA slots drained.
-// A send to self is delivered directly into this endpoint's own
-// elastic channel, so the rank-0 coordinator handles its own messages
-// through the same path as everyone else's.
-func (t *Transport) SendElastic(dst int, kind byte, payload []byte) error {
-	if kind < mpi.ElasticJoin || kind > mpi.ElasticFin {
-		return fmt.Errorf("tcp: bad elastic kind %d", kind)
-	}
-	if dst == t.rank {
-		var p []byte
-		if len(payload) > 0 {
-			p = make([]byte, len(payload))
-			copy(p, payload)
-		}
-		select {
-		case t.elasticCh <- mpi.ElasticMsg{Kind: kind, Src: t.rank, Payload: p}:
-			return nil
-		case <-t.stop:
-			return t.errOr()
-		}
-	}
-	if dst < 0 || dst >= t.size {
-		return fmt.Errorf("tcp: elastic send to rank %d out of range [0,%d)", dst, t.size)
-	}
-	pc := t.conn(dst)
-	if pc == nil {
-		return fmt.Errorf("tcp: elastic send to rank %d: no connection", dst)
-	}
-	if _, err := pc.sendFrame(t, nil, kElasticBase+kind, func(b []byte) []byte {
-		return append(b, payload...)
-	}); err != nil {
-		err = fmt.Errorf("tcp: rank %d elastic send to rank %d: %w", t.rank, dst, err)
-		t.fail(err)
-		return err
-	}
-	return nil
-}
-
-// ---- framing helpers ----
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// writeIdent sends the dialer's identity (a HELLO or REJOIN frame) as
-// the first frame of a connection.
-func writeIdent(c net.Conn, kind byte, rank int) error {
-	b := appendU32([]byte{5, 0, 0, 0, kind}, uint32(rank))
-	_, err := c.Write(b)
-	return err
-}
-
-// readIdent reads and validates the identity frame (HELLO or REJOIN)
-// that opens a dialed connection, returning its kind and the dialer's
-// rank.
-func readIdent(c net.Conn) (byte, int, error) {
-	var b [9]byte
-	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, 0, err
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != 5 || (b[4] != kHello && b[4] != kRejoin) {
-		return 0, 0, errors.New("malformed identity frame")
-	}
-	return b[4], int(binary.LittleEndian.Uint32(b[5:9])), nil
+	t.abort(fmt.Errorf("tcp: rank %d killed", t.rank))
 }

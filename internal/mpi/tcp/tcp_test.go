@@ -70,9 +70,6 @@ func TestSingleRankMesh(t *testing.T) {
 		t.Fatalf("self message wrong: %+v ok=%v", m, ok)
 	}
 	m.Release()
-	if err := tr.Barrier(); err != nil {
-		t.Errorf("single-rank barrier: %v", err)
-	}
 	if v, err := tr.AllReduce(7, func(a, b float64) float64 { return a + b }); err != nil || v != 7 {
 		t.Errorf("single-rank allreduce = %v, %v", v, err)
 	}

@@ -4,20 +4,22 @@ import "time"
 
 // Transport is one rank's endpoint view of the inter-node message
 // layer: tagged point-to-point sends with bounded-buffer backpressure,
-// blocking and non-blocking receive, and the two collectives the engine
-// needs (barrier, all-reduce). It is the seam between the hybrid
-// runtime and the network: the in-process channel implementation
-// (*Rank, this package) runs every rank as goroutines in one address
-// space, and dpgen/internal/mpi/tcp runs each rank as a separate OS
-// process connected over framed TCP. docs/TRANSPORT.md specifies the
-// contract in full, including the buffer-ownership rules shared with
-// the Message pools of this package.
+// a blocking receive, and the one collective the engine needs
+// (all-reduce, which is also its barrier). Every method has a caller in
+// dpgen/internal/engine; a new transport implements these eight and
+// nothing else. It is the seam between the hybrid runtime and the
+// network: the in-process channel implementation (*Rank, this package)
+// runs every rank as goroutines in one address space, and
+// dpgen/internal/mpi/tcp runs each rank as a separate OS process
+// connected over framed TCP. docs/TRANSPORT.md specifies the contract
+// in full, including the buffer-ownership rules shared with the
+// Message pools of this package.
 //
 // Implementations must honour the pooled-buffer contract: payload
-// slices passed to Send/SendPolling are handed off (drawn from
-// GetData/GetMeta by well-behaved callers), delivered Messages recycle
-// through Message.Release/ReleaseSlot, and a released send-buffer slot
-// must eventually unblock a sender waiting in Send.
+// slices passed to Send are handed off (drawn from GetData/GetMeta by
+// well-behaved callers), delivered Messages recycle through
+// Message.Release/ReleaseSlot, and a released send-buffer slot must
+// eventually unblock a sender waiting in Send.
 type Transport interface {
 	// ID returns this endpoint's rank in [0, Size()).
 	ID() int
@@ -29,24 +31,15 @@ type Transport interface {
 	// blocked — zero on the uncontended fast path. data and meta are
 	// handed off and must not be touched by the caller afterwards.
 	Send(dst, tag int, data []float64, meta []int64) time.Duration
-	// SendPolling delivers like Send but invokes poll() instead of
-	// blocking while buffers are exhausted, so a single-threaded rank
-	// can drain its own inbox mid-send and avoid deadlock.
-	SendPolling(dst, tag int, data []float64, meta []int64, poll func()) time.Duration
 	// Recv blocks for the next message; ok is false once the transport
 	// has been closed (or has failed) and the inbox is drained.
 	Recv() (m *Message, ok bool)
-	// Iprobe returns a pending message without blocking, or ok=false
-	// when none is queued.
-	Iprobe() (m *Message, ok bool)
-	// Barrier blocks until every rank has entered it. It returns a
-	// non-nil error (instead of hanging) when the transport has failed,
-	// e.g. on peer death.
-	Barrier() error
 	// AllReduce combines one float64 per rank with f, applied in rank
 	// order, and returns the result on every rank. All ranks must call
-	// it collectively; like Barrier it errors instead of hanging on a
-	// failed transport.
+	// it collectively, and no rank returns before every rank has
+	// entered, so it doubles as a barrier. It returns a non-nil error
+	// (instead of hanging) when the transport has failed, e.g. on peer
+	// death.
 	AllReduce(v float64, f func(a, b float64) float64) (float64, error)
 	// Stats returns the messages and float64 elements sent by this
 	// endpoint.

@@ -314,7 +314,7 @@ func TestDistributedTracingCost(t *testing.T) {
 	const (
 		frameOverhead = 4 + 1
 		dataHeader    = 40
-		clockProbes   = 8 // tcp.Options.ClockProbes default
+		clockProbes   = 8 // the tcp package's clockProbes
 		clockReqBytes = frameOverhead + 8
 		clockResBytes = frameOverhead + 16
 	)
