@@ -496,6 +496,52 @@ func BenchmarkEnginePaperLCS2(b *testing.B) {
 	}
 }
 
+// benchNsPerCell runs the job b.N times on a single node with default
+// settings and reports ns per computed cell.
+func benchNsPerCell(b *testing.B, tl *tiling.Tiling, kernel engine.Kernel, params []int64) {
+	var cells int64
+	for i := 0; i < b.N; i++ {
+		res, err := engine.Run(tl, kernel, params, engine.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = 0
+		for _, st := range res.Stats {
+			cells += st.CellsComputed
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(cells)*1e9, "ns/cell")
+}
+
+// BenchmarkRunKernel isolates the run contract: the converted builtins
+// at the repository benchmark's sizes, as shipped (run: the kernel
+// takes the N cells it is offered) and behind perCell (cell: the same
+// body offered one cell per call, the cost before the contract
+// existed), single node, default threads.
+func BenchmarkRunKernel(b *testing.B) {
+	lcs := problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10))
+	for _, tc := range []struct {
+		name   string
+		p      *problems.Problem
+		params []int64
+	}{
+		{"lcs2", lcs, lcs.DefaultParams},
+		{"bandit2", problems.Bandit2(), []int64{100}},
+		{"knap", problems.Knapsack(), []int64{1000, 4000, 3}},
+	} {
+		tl, err := tiling.New(tc.p.Spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []struct {
+			name   string
+			kernel engine.Kernel
+		}{{"run", tc.p.Kernel}, {"cell", perCell(tc.p.Kernel)}} {
+			b.Run(tc.name+"/"+form.name, func(b *testing.B) { benchNsPerCell(b, tl, form.kernel, tc.params) })
+		}
+	}
+}
+
 // BenchmarkEngineNonserial runs the three bounded-template builtins —
 // matrix-chain multiplication, optimal binary search trees, and the
 // bounded knapsack — at their default parameters on a single node,
@@ -513,18 +559,7 @@ func BenchmarkEngineNonserial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var cells int64
-			for i := 0; i < b.N; i++ {
-				res, err := engine.Run(tl, p.Kernel, p.DefaultParams, engine.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = 0
-				for _, st := range res.Stats {
-					cells += st.CellsComputed
-				}
-			}
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(cells)*1e9, "ns/cell")
+			benchNsPerCell(b, tl, p.Kernel, p.DefaultParams)
 		})
 	}
 }

@@ -52,12 +52,19 @@ type Spec = spec.Spec
 // Dep is a template dependence vector.
 type Dep = spec.Dep
 
-// Kernel is the center-loop body executed once per location.
+// Kernel is the center-loop body, called with a run of Ctx.N cells
+// along the innermost loop variable. It computes the first Done of them
+// (Done is preset to 1, so a body that computes V[Loc] and returns is a
+// complete kernel) and is offered the rest again.
 type Kernel = engine.Kernel
 
-// Ctx is the per-location kernel context: the state array V, the
-// current location Loc, the dependence locations DepLoc, the validity
-// flags DepValid, and the loop variable and parameter values.
+// Ctx is the kernel's view of one run: the state array V, the current
+// location Loc, the dependence locations DepLoc, validity flags
+// DepValid and lengths DepLen, the loop variable and parameter values —
+// all for the run's first cell — and the run itself: N cells, Loc and
+// every DepLoc advancing by Step and X[Inner] by Dir from one to the
+// next, validity and lengths constant throughout. N is 1 under
+// Config.OnCell and Config.DisableFastPath.
 type Ctx = engine.Ctx
 
 // Config controls an in-process run: nodes, threads per node, buffer

@@ -54,6 +54,7 @@ func main() {
 	sp.TileWidths = []int64{8, 8, 8}
 	sp.LBDims = []string{"i", "j"}
 
+	// A per-cell body: it never sets cx.Done, so it runs at Done = 1.
 	kernel := func(cx *dpgen.Ctx) {
 		i, j, k := cx.X[0], cx.X[1], cx.X[2]
 		if cx.DepValid[3] && a[i] == b[j] && a[i] == c[k] {

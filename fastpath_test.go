@@ -3,12 +3,24 @@ package dpgen
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"dpgen/internal/engine"
 	"dpgen/internal/problems"
 	"dpgen/internal/tiling"
 )
+
+// perCell hides the run from a kernel: N is 1 at every call, so a
+// run-capable kernel executes its one body a cell at a time — the
+// reference its run form is diffed against, and the "cell" side of
+// BenchmarkRunKernel.
+func perCell(k engine.Kernel) engine.Kernel {
+	return func(c *engine.Ctx) {
+		c.N = 1
+		k(c)
+	}
+}
 
 // TestFastPathEquivalence is the bit-for-bit contract of the interior
 // fast path: for every builtin problem and every runtime configuration,
@@ -17,8 +29,13 @@ import (
 // CellsComputed — and the value must equal the serial reference solver
 // exactly. Floating-point results are compared with ==, not a tolerance:
 // the fast path reorders no arithmetic, it only skips checks that are
-// statically known to pass.
+// statically known to pass. That diff also compares every run-form
+// kernel at the run lengths the row path offers against the same body at
+// run length 1; the builtins shipped in run form get a second axis that
+// keeps the row path and changes only the run length (perCell), and must
+// take fewer calls than cells as shipped.
 func TestFastPathEquivalence(t *testing.T) {
+	runForm := map[string]bool{"lcs2": true, "bandit2": true, "knap": true}
 	for _, name := range problems.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -38,9 +55,31 @@ func TestFastPathEquivalence(t *testing.T) {
 					for _, sched := range []engine.Sched{engine.SchedHybrid, engine.SchedDynamic} {
 						cfg := engine.Config{Nodes: nodes, Threads: threads, Sched: sched}
 						label := fmt.Sprintf("nodes=%d threads=%d sched=%v", nodes, threads, sched)
-						fast, err := engine.Run(tl, p.Kernel, params, cfg)
+						var calls atomic.Int64
+						fast, err := engine.Run(tl, func(c *engine.Ctx) { calls.Add(1); p.Kernel(c) }, params, cfg)
 						if err != nil {
 							t.Fatalf("%s: fast: %v", label, err)
+						}
+						if runForm[name] {
+							cell, err := engine.Run(tl, perCell(p.Kernel), params, cfg)
+							if err != nil {
+								t.Fatalf("%s: perCell: %v", label, err)
+							}
+							if fast.Value != cell.Value || fast.Max != cell.Max {
+								t.Fatalf("%s: run form Value %.17g Max %.17g != one cell per call %.17g %.17g",
+									label, fast.Value, fast.Max, cell.Value, cell.Max)
+							}
+							var cells int64
+							for i := range fast.Stats {
+								cells += fast.Stats[i].CellsComputed
+								if fast.Stats[i].CellsComputed != cell.Stats[i].CellsComputed {
+									t.Fatalf("%s: node %d CellsComputed run form %d != one cell per call %d",
+										label, i, fast.Stats[i].CellsComputed, cell.Stats[i].CellsComputed)
+								}
+							}
+							if calls.Load() >= cells {
+								t.Fatalf("%s: %d kernel calls for %d cells: the run form took no runs", label, calls.Load(), cells)
+							}
 						}
 						slowCfg := cfg
 						slowCfg.DisableFastPath = true

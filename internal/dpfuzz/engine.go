@@ -47,20 +47,32 @@ func cellValue(x []int64, deps [][]float64) float64 {
 // fuzzKernel adapts cellValue to the engine's kernel contract: the
 // footprint of dependence j is the DepLen[j] cells starting at
 // DepLoc[j], spaced DepStride[j] apart (point dependences have length
-// 1/0 and stride 0, so this collapses to the classic DepValid read).
+// 1/0 and stride 0, so this collapses to the classic DepValid read). It
+// is in run form — one call computes all c.N cells on offer, cell t at
+// off = t*c.Step from c.Loc and every DepLoc[j], with coordinate
+// X[Inner] + t*Dir — so the oracle's fast-path layers exercise the run
+// contract and its DisableFastPath layer the same body at run length 1.
 func fuzzKernel(ndeps int) engine.Kernel {
 	return func(c *engine.Ctx) {
 		var vbuf [64]float64
 		var deps [8][]float64
-		vals := vbuf[:0]
-		for j := 0; j < ndeps; j++ {
-			start := len(vals)
-			for t := int64(0); t < c.DepLen[j]; t++ {
-				vals = append(vals, c.V[c.DepLoc[j]+t*c.DepStride[j]])
+		var xbuf [8]int64
+		x := append(xbuf[:0], c.X...)
+		n := c.N
+		c.Done = n
+		for off := int64(0); n > 0; n-- {
+			vals := vbuf[:0]
+			for j := 0; j < ndeps; j++ {
+				start := len(vals)
+				for t := int64(0); t < c.DepLen[j]; t++ {
+					vals = append(vals, c.V[c.DepLoc[j]+off+t*c.DepStride[j]])
+				}
+				deps[j] = vals[start:len(vals):len(vals)]
 			}
-			deps[j] = vals[start:len(vals):len(vals)]
+			c.V[c.Loc+off] = cellValue(x, deps[:ndeps])
+			off += c.Step
+			x[c.Inner] += c.Dir
 		}
-		c.V[c.Loc] = cellValue(c.X, deps[:ndeps])
 	}
 }
 

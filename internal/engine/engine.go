@@ -970,6 +970,7 @@ func newWorkerState(e *engine) *workerState {
 	w.ds = delivState{probe: w.probe}
 	copy(w.specVals, e.params)
 	nd := len(e.tl.Spec.Deps)
+	in := e.tl.Dense[d-1]
 	w.ctx = Ctx{
 		V:      w.buf,
 		DepLoc: make([]int64, nd),
@@ -978,6 +979,11 @@ func newWorkerState(e *engine) *workerState {
 		DepStride: e.depStride,
 		X:         w.x,
 		P:         e.params,
+		// A run advances along the innermost loop level.
+		N:     1,
+		Step:  int64(in.Dir) * in.Stride,
+		Inner: in.Var,
+		Dir:   int64(in.Dir),
 	}
 	if e.rows != nil {
 		// The walker maintains validity, lengths and local indices in
@@ -995,11 +1001,14 @@ func newWorkerState(e *engine) *workerState {
 // marks a tile claimed from another worker's shard (recorded on the pop
 // event). A panicking user kernel still crashes the run (there is no
 // safe way to unwind a half-computed distributed wavefront), but the
-// panic is annotated with the tile so the kernel bug is findable.
+// panic is annotated with the tile and the run last offered — its first
+// cell and length, since a run-form kernel fails somewhere inside its
+// own loop over N — so the kernel bug is findable.
 func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			panic(fmt.Sprintf("engine: kernel panic in tile %v on node %d: %v", p.Tile.coord, n.id, r))
+			panic(fmt.Sprintf("engine: kernel panic in tile %v on node %d (last run offered: X=%v N=%d): %v",
+				p.Tile.coord, n.id, w.ctx.X, w.ctx.N, r))
 		}
 	}()
 	e := n.eng
@@ -1228,11 +1237,17 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 	}
 }
 
+// badDone reports a kernel that answered outside [1, N].
+func badDone(c *Ctx, tile []int64) {
+	panic(fmt.Sprintf("engine: kernel set Done=%d of N=%d in tile %v", c.Done, c.N, tile))
+}
+
 // execCellsChecked is the reference cell loop: the exact
 // bound-evaluating enumerator with DepLenAt at every cell, all in
 // overflow-checked arithmetic. It runs when DisableFastPath is set or
 // the row plan's overflow proof failed, and is what the oracle diffs the
-// row path against.
+// row path against: every call offers a run of one cell, so a
+// run-capable kernel executes the same body at run length 1.
 func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileMax float64) {
 	e := n.eng
 	tl := e.tl
@@ -1253,7 +1268,11 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 			w.ctx.DepLen[j] = ln
 			w.ctx.DepValid[j] = ln > 0
 		}
+		w.ctx.Done = 1 // N stays at the 1 newWorkerState set
 		e.kernel(&w.ctx)
+		if w.ctx.Done != 1 {
+			badDone(&w.ctx, p.Tile.coord)
+		}
 		if v := w.buf[loc]; v > tileMax {
 			tileMax = v
 		}
@@ -1268,13 +1287,15 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 // execRows is the row runner: it executes a tile through the row plan.
 // The walker yields the tile's rows in execution order with bounds
 // evaluated once per row, and each row's runs of constant dependence
-// validity; the one inner cell loop below executes a run along the
-// innermost loop variable, in either direction, with the buffer
-// location advanced incrementally. Validity and point-dependence
-// lengths are already in place for the whole run; only a valid range
-// dependence's length is refreshed per cell. For an interior tile every
-// row is full and every run all-valid, with no bound or validity
-// evaluation at all.
+// validity; the one inner cell loop below hands the kernel what is left
+// of the run — in either direction, N cells from the current one — and
+// advances by the Done cells the kernel took. Validity and
+// point-dependence lengths are in place for the whole run; where a valid
+// range dependence's length varies along it, the offer is cut to the
+// cells that share the current lengths. With OnCell set every offer is
+// one cell, so the hook keeps its cell-by-cell interleaving. For an
+// interior tile every row is full and every run all-valid, with no
+// bound or validity evaluation at all.
 func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64, tileMax float64) {
 	e := n.eng
 	tl := e.tl
@@ -1291,6 +1312,7 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 	}
 	outer, in := tl.Dense[:len(tl.Dense)-1], tl.Dense[len(tl.Dense)-1]
 	li, xi, xb := &rw.I[in.Var], &x[in.Var], xbase[in.Var]
+	dir, step := ctx.Dir, ctx.Step
 	tileMax = math.Inf(-1)
 	rw.Begin(p.Tile.coord, interior)
 	for rw.NextRow() {
@@ -1298,30 +1320,39 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 			x[L.Var] = xbase[L.Var] + rw.I[L.Var]
 		}
 		for rw.NextRun() {
-			i, step, cnt := rw.From, int64(1), rw.To-rw.From+1
-			if rw.From > rw.To {
-				step, cnt = -1, rw.From-rw.To+1
-			}
+			i, cnt := rw.From, (rw.To-rw.From)*dir+1
 			cells += cnt
 			ranged := rw.Ranged
-			for loc := rw.RowLoc + i*in.Stride; cnt > 0; cnt-- {
+			for loc := rw.RowLoc + i*in.Stride; cnt > 0; {
 				*li, *xi = i, xb+i
 				ctx.Loc = loc
 				for j, off := range depOff {
 					depLoc[j] = loc + off
 				}
+				offer := cnt
 				if ranged {
-					rw.CellLens(i)
-				}
-				kernel(ctx)
-				if v := buf[loc]; v > tileMax {
-					tileMax = v
+					offer = rw.LenRun(i, cnt)
 				}
 				if onCell != nil {
-					onCell(x, buf[loc])
+					offer = 1
 				}
-				i += step
-				loc += step * in.Stride
+				ctx.N, ctx.Done = offer, 1
+				kernel(ctx)
+				done := ctx.Done
+				if done < 1 || done > offer {
+					badDone(ctx, p.Tile.coord)
+				}
+				i += done * dir
+				cnt -= done
+				if onCell != nil {
+					onCell(x, buf[loc]) // the offer was this one cell
+				}
+				for ; done > 0; done-- {
+					if v := buf[loc]; v > tileMax {
+						tileMax = v
+					}
+					loc += step
+				}
 			}
 		}
 	}

@@ -1,10 +1,20 @@
 package engine
 
-// Ctx is the per-location view handed to a Kernel, mirroring the symbols
-// the generator provides to the user's center-loop code (Section IV-B):
-// the state array V, the current location loc, the constant-offset
-// dependence locations loc_rj, the dependence validity flags
-// is_valid_rj, the original loop variable values, and the parameters.
+// Ctx is the view of one run handed to a Kernel: N consecutive cells
+// along the innermost loop variable, starting at the current one. It
+// mirrors the symbols the generator provides to the user's center-loop
+// code (Section IV-B) — the state array V, the current location loc, the
+// constant-offset dependence locations loc_rj, the dependence validity
+// flags is_valid_rj, the original loop variable values and the
+// parameters — with the innermost loop itself handed over as well.
+//
+// Constant over the N cells: DepValid, DepLen, DepStride, P, and every
+// entry of X and I but the one at Inner. Advancing from one cell to the
+// next: Loc and every DepLoc[j] by Step, X[Inner] and I[Inner] by Dir.
+// The fields describe the first cell; cell t of the run (0 <= t < N) is
+// at Loc + t*Step, reads dependence j at DepLoc[j] + t*Step and has
+// coordinate X[Inner] + t*Dir. A kernel that ignores N and Done
+// computes exactly the current cell, which is always valid.
 type Ctx struct {
 	// V is the tile's state buffer, including the ghost-cell shell.
 	V []float64
@@ -37,12 +47,39 @@ type Ctx struct {
 	I []int64
 	// P holds the parameter values.
 	P []int64
+
+	// N is the number of cells on offer: the current one and the N-1
+	// after it in execution order, all with the DepValid and DepLen
+	// above. Always >= 1; it is 1 for every call when Config.OnCell or
+	// Config.DisableFastPath is set.
+	N int64
+	// Done is the kernel's answer: how many of the N cells it computed,
+	// counted from the current one. The engine presets 1 before every
+	// call and panics on a value outside [1, N]. The kernel must have
+	// written exactly those Done cells; the rest of the run is offered
+	// again in a later call.
+	Done int64
+	// Step is the signed buffer distance from one cell of a run to the
+	// next, for Loc and for every DepLoc[j]. Constant for the whole job.
+	Step int64
+	// Inner is the index in X and I of the innermost loop variable, the
+	// one that advances along a run. Constant for the whole job.
+	Inner int
+	// Dir is +1 or -1: how X[Inner] and I[Inner] change from one cell of
+	// a run to the next. Constant for the whole job.
+	Dir int64
 }
 
-// Kernel is the center-loop body: it computes V[Loc] from the
-// dependencies. It must write only the current location and must not
-// assume any particular cell execution order beyond dependence validity
-// (Section IV-B). Kernels are called concurrently from many workers on
-// different tiles; they must not share mutable state without
+// Kernel is the center-loop body. Called with a run of c.N cells, it
+// computes the first k of them for a k of its choice in [1, N] — cell t
+// is V[Loc + t*Step], from the dependences at DepLoc[j] + t*Step — and
+// reports k in c.Done. Done is preset to 1, so the per-cell body of
+// Section IV-B, which computes V[Loc] and returns, is a complete
+// Kernel. It must compute the cells it takes in order t = 0, 1, ... (a
+// cell of a run may depend on the ones before it), must write only the
+// cells it reports — the ones it did not take come back in another
+// call — and must not assume any particular cell execution order
+// beyond dependence validity. Kernels are called concurrently from many
+// workers on different tiles; they must not share mutable state without
 // synchronization.
 type Kernel func(c *Ctx)

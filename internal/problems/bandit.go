@@ -36,21 +36,35 @@ if v1 > v2 {
 	V[loc] = v2
 }`
 
+	// The body in run form: one call sweeps the N cells of a row run,
+	// along which s1, f1, s2 — hence p1 — and the validity flag are
+	// constant and f2 and the buffer locations advance. Under a loop
+	// order with another variable innermost it takes one cell per call.
 	kernel := func(c *engine.Ctx) {
+		n := takeRun(c, 3)
+		V, loc, step := c.V, c.Loc, c.Step
 		if !c.DepValid[0] { // the four deps share the single sum constraint
-			c.V[c.Loc] = 0
+			for ; n > 0; n-- {
+				V[loc] = 0
+				loc += step
+			}
 			return
 		}
-		s1, f1 := float64(c.X[0]), float64(c.X[1])
-		s2, f2 := float64(c.X[2]), float64(c.X[3])
+		r1, r2, r3, r4 := c.DepLoc[0]-loc, c.DepLoc[1]-loc, c.DepLoc[2]-loc, c.DepLoc[3]-loc
+		s1, f1, s2 := float64(c.X[0]), float64(c.X[1]), float64(c.X[2])
 		p1 := (s1 + 1) / (s1 + f1 + 2)
-		p2 := (s2 + 1) / (s2 + f2 + 2)
-		v1 := p1*(1+c.V[c.DepLoc[0]]) + (1-p1)*c.V[c.DepLoc[1]]
-		v2 := p2*(1+c.V[c.DepLoc[2]]) + (1-p2)*c.V[c.DepLoc[3]]
-		if v1 > v2 {
-			c.V[c.Loc] = v1
-		} else {
-			c.V[c.Loc] = v2
+		for x3, dir := c.X[3], c.Dir; n > 0; n-- {
+			f2 := float64(x3)
+			p2 := (s2 + 1) / (s2 + f2 + 2)
+			v1 := p1*(1+V[loc+r1]) + (1-p1)*V[loc+r2]
+			v2 := p2*(1+V[loc+r3]) + (1-p2)*V[loc+r4]
+			if v1 > v2 {
+				V[loc] = v1
+			} else {
+				V[loc] = v2
+			}
+			loc += step
+			x3 += dir
 		}
 	}
 

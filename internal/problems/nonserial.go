@@ -253,30 +253,44 @@ func Knapsack() *Problem {
 	sp.TileWidths = []int64{8, 8}
 	sp.LBDims = []string{"a"}
 
+	// The body in run form: one call sweeps the N cells of a row run,
+	// along which a — hence knapVal(a) — and the usable length are
+	// constant and u and the buffer locations advance. Under a loop
+	// order that puts a innermost it takes one cell per call.
 	kernel := func(c *engine.Ctx) {
-		a, u := c.X[0], c.X[1]
+		cnt := takeRun(c, 1)
+		V, loc, step := c.V, c.Loc, c.Step
+		val := knapVal(c.X[0])
 		n := c.DepLen[0]
 		if n == 0 {
 			// Last item kind (the footprint row a+1 is out of space):
 			// greedily count the feasible copies of item a.
-			best := 0.0
 			C, W := c.P[1], c.P[2]
-			for k := int64(1); k <= knapMaxCopies && u+k*W <= C; k++ {
-				if v := float64(k) * knapVal(a); v > best {
-					best = v
+			for u := c.X[1]; cnt > 0; cnt-- {
+				best := 0.0
+				for k := int64(1); k <= knapMaxCopies && u+k*W <= C; k++ {
+					if v := float64(k) * val; v > best {
+						best = v
+					}
 				}
+				V[loc] = best
+				loc += step
+				u += c.Dir
 			}
-			c.V[c.Loc] = best
 			return
 		}
 		s := c.DepStride[0]
-		var best float64
-		for k := int64(0); k < n; k++ {
-			if v := float64(k)*knapVal(a) + c.V[c.DepLoc[0]+k*s]; v > best {
-				best = v
+		for take := c.DepLoc[0]; cnt > 0; cnt-- {
+			var best float64
+			for k := int64(0); k < n; k++ {
+				if v := float64(k)*val + V[take+k*s]; v > best {
+					best = v
+				}
 			}
+			V[loc] = best
+			loc += step
+			take += step
 		}
-		c.V[c.Loc] = best
 	}
 
 	serial := func(params []int64) float64 {

@@ -19,6 +19,20 @@ import (
 	"dpgen/internal/spec"
 )
 
+// takeRun starts a run-form kernel body written for the loop order whose
+// innermost variable is Vars[inner]: it returns how many of the cells on
+// offer the body computes — all c.N of them, or one when another
+// variable is innermost and the body's hoisting does not apply — and
+// reports that count in c.Done.
+func takeRun(c *engine.Ctx, inner int) int64 {
+	n := c.N
+	if c.Inner != inner {
+		n = 1
+	}
+	c.Done = n
+	return n
+}
+
 // Problem is a ready-to-run dynamic programming problem.
 type Problem struct {
 	// Spec is the generator input description.

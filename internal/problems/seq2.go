@@ -123,20 +123,36 @@ func LCS2(a, b string) *Problem {
 	sp.TileWidths = []int64{32, 32}
 	sp.LBDims = []string{"i"}
 
+	// The body in run form: one call sweeps the N cells of a row run,
+	// along which i, a[i] and the three validity flags are constant and
+	// j and the buffer locations advance. Under a loop order that puts i
+	// innermost it takes the run one cell at a time.
 	kernel := func(c *engine.Ctx) {
-		i, j := c.X[0], c.X[1]
-		if c.DepValid[2] && a[i] == b[j] {
-			c.V[c.Loc] = 1 + c.V[c.DepLoc[2]]
-			return
+		n := takeRun(c, 1)
+		V, loc, step := c.V, c.Loc, c.Step
+		di, dj, diag := c.DepLoc[0]-loc, c.DepLoc[1]-loc, c.DepLoc[2]-loc
+		vi, vj, vdiag := c.DepValid[0], c.DepValid[1], c.DepValid[2]
+		j, dir := c.X[1], c.Dir
+		var ai byte
+		if vdiag { // i < L1 and every j of the run < L2
+			ai = a[c.X[0]]
 		}
-		var best float64
-		if c.DepValid[0] && c.V[c.DepLoc[0]] > best {
-			best = c.V[c.DepLoc[0]]
+		for ; n > 0; n-- {
+			if vdiag && ai == b[j] {
+				V[loc] = 1 + V[loc+diag]
+			} else {
+				var best float64
+				if vi && V[loc+di] > best {
+					best = V[loc+di]
+				}
+				if vj && V[loc+dj] > best {
+					best = V[loc+dj]
+				}
+				V[loc] = best
+			}
+			loc += step
+			j += dir
 		}
-		if c.DepValid[1] && c.V[c.DepLoc[1]] > best {
-			best = c.V[c.DepLoc[1]]
-		}
-		c.V[c.Loc] = best
 	}
 
 	serial := func(params []int64) float64 {

@@ -25,7 +25,9 @@ func GenericKernels() []string { return []string{"mix", "sum", "longest"} }
 // lookupKernel resolves a generic kernel by name; every generic kernel
 // adapts to the spec's dependence count through the Ctx slices and
 // walks full range-template footprints through DepLen/DepStride (a
-// point dependence is the one-cell footprint).
+// point dependence is the one-cell footprint). Each is in run form: one
+// call computes all c.N cells on offer, cell t of the run sitting at
+// off = t*c.Step from c.Loc and from every c.DepLoc[j].
 func lookupKernel(name string) (engine.Kernel, error) {
 	switch name {
 	case "", DefaultKernel:
@@ -34,55 +36,83 @@ func lookupKernel(name string) (engine.Kernel, error) {
 		// bounded along any dependence chain (the dpfuzz reference
 		// kernel's recipe).
 		return func(c *engine.Ctx) {
-			v := 1.0
-			for k, xv := range c.X {
-				v += float64((int64(k+1)*31+xv*17)%23) * 0.0625
-			}
-			for j := range c.DepValid {
-				if !c.DepValid[j] {
-					v -= float64(j+1) * 0.125
-					continue
+			n := c.N
+			c.Done = n
+			V, xin := c.V, c.X[c.Inner]
+			for off := int64(0); n > 0; n-- {
+				v := 1.0
+				for k, xv := range c.X {
+					if k == c.Inner {
+						xv = xin
+					}
+					v += float64((int64(k+1)*31+xv*17)%23) * 0.0625
 				}
-				w := 0.5 / float64(j+1)
-				for t := int64(0); t < c.DepLen[j]; t++ {
-					v += c.V[c.DepLoc[j]+t*c.DepStride[j]] * w
-					w *= 0.5
+				for j, ok := range c.DepValid {
+					if !ok {
+						v -= float64(j+1) * 0.125
+						continue
+					}
+					w := 0.5 / float64(j+1)
+					at, s := c.DepLoc[j]+off, c.DepStride[j]
+					for m := c.DepLen[j]; m > 0; m-- {
+						v += V[at] * w
+						w *= 0.5
+						at += s
+					}
 				}
+				V[c.Loc+off] = v
+				off += c.Step
+				xin += c.Dir
 			}
-			c.V[c.Loc] = v
 		}, nil
 	case "sum":
 		// Path counting: 1 plus the sum over every valid dependence
 		// footprint cell. Can overflow to +Inf on large spaces; still
 		// deterministic.
 		return func(c *engine.Ctx) {
-			v := 1.0
-			for j := range c.DepValid {
-				if !c.DepValid[j] {
-					continue
+			n := c.N
+			c.Done = n
+			V := c.V
+			for off := int64(0); n > 0; n-- {
+				v := 1.0
+				for j, ok := range c.DepValid {
+					if !ok {
+						continue
+					}
+					at, s := c.DepLoc[j]+off, c.DepStride[j]
+					for m := c.DepLen[j]; m > 0; m-- {
+						v += V[at]
+						at += s
+					}
 				}
-				for t := int64(0); t < c.DepLen[j]; t++ {
-					v += c.V[c.DepLoc[j]+t*c.DepStride[j]]
-				}
+				V[c.Loc+off] = v
+				off += c.Step
 			}
-			c.V[c.Loc] = v
 		}, nil
 	case "longest":
 		// Longest dependence chain: max over valid dependence footprint
 		// cells plus one.
 		return func(c *engine.Ctx) {
-			v := 0.0
-			for j := range c.DepValid {
-				if !c.DepValid[j] {
-					continue
-				}
-				for t := int64(0); t < c.DepLen[j]; t++ {
-					if d := c.V[c.DepLoc[j]+t*c.DepStride[j]] + 1; d > v {
-						v = d
+			n := c.N
+			c.Done = n
+			V := c.V
+			for off := int64(0); n > 0; n-- {
+				v := 0.0
+				for j, ok := range c.DepValid {
+					if !ok {
+						continue
+					}
+					at, s := c.DepLoc[j]+off, c.DepStride[j]
+					for m := c.DepLen[j]; m > 0; m-- {
+						if d := V[at] + 1; d > v {
+							v = d
+						}
+						at += s
 					}
 				}
+				V[c.Loc+off] = v
+				off += c.Step
 			}
-			c.V[c.Loc] = v
 		}, nil
 	default:
 		return nil, fmt.Errorf("serve: unknown kernel %q (have %v)", name, GenericKernels())

@@ -683,6 +683,65 @@ func (rw *RowWalker) CellLens(i int64) {
 	}
 }
 
+// LenRun fills DepLen at innermost local index i, like CellLens, and
+// returns how many of the cnt cells from i onwards in execution order
+// share those lengths: the longest prefix of the run's remainder over
+// which no range dependence's usable length changes. It works on the
+// row forms — every term of a length, the declared r + c·i and each
+// clamp, is monotone along the row, so where it leaves its current
+// value is one division — not by evaluating the lengths cell by cell.
+func (rw *RowWalker) LenRun(i, cnt int64) int64 {
+	rw.CellLens(i)
+	dir := int64(rw.dirs[len(rw.dirs)-1])
+	for _, rr := range rw.active {
+		n := rw.DepLen[rr.dep]
+		// The declared length is the clamp form (r-1 + c·i)/1 + 1.
+		cnt = holdLen(rangeClamp{rr.r - 1, rr.c, 1}, rr.chk, i, dir, n, cnt)
+	}
+	return cnt
+}
+
+// holdLen returns for how many of the cnt steps t = 0, 1, ... from index
+// i in direction dir the min over the terms {first, rest...} of
+// (r + c·(i + dir·t))/neg + 1 stays at n, its value at t = 0: at least
+// 1, at most cnt. Every numerator is non-negative on a valid run, so /
+// is floor.
+func holdLen(first rangeClamp, rest []rangeClamp, i, dir, n, cnt int64) int64 {
+	// The minimum holds while no term has fallen below n (before fall)
+	// and some term still equals n: a rising term that starts at n
+	// equals it on [0, rise), a falling one from when it reaches n
+	// (reach) until it falls below.
+	fall, rise, reach := cnt, int64(0), cnt
+	for k := -1; k < len(rest); k++ {
+		ck := first
+		if k >= 0 {
+			ck = rest[k]
+		}
+		num, slope := ck.r+ck.c*i, ck.c*dir
+		switch {
+		case slope < 0:
+			// Below n once num < (n-1)·neg; at most n once num < n·neg.
+			fall = min(fall, (num-(n-1)*ck.neg)/-slope+1)
+			if over := num - n*ck.neg; over < 0 {
+				reach = 0
+			} else {
+				reach = min(reach, over/-slope+1)
+			}
+		case num/ck.neg+1 > n:
+			// Level or rising above n: never the minimum.
+		case slope == 0:
+			reach = 0
+		default:
+			// Above n once num >= n·neg.
+			rise = max(rise, (n*ck.neg-num+slope-1)/slope)
+		}
+	}
+	if reach <= rise {
+		return fall
+	}
+	return min(fall, rise)
+}
+
 // CountCells returns the number of cells of tile t — the sum of its row
 // lengths, equal to CellCount.
 func (rw *RowWalker) CountCells(t []int64) int64 {

@@ -41,35 +41,59 @@ func referenceCells(tl *tiling.Tiling, params, t []int64) []cellRec {
 }
 
 // walkerCells walks tile t with the row walker, the way the engine's
-// row runner does.
-func walkerCells(tl *tiling.Tiling, rw *tiling.RowWalker, t []int64, interior bool) []cellRec {
+// row runner does: a run whose range lengths vary is taken in LenRun
+// prefixes, every cell of a prefix recorded with the lengths LenRun
+// filled at its first cell. A prefix that stops short of a cell with
+// the same lengths is an error — LenRun promises the longest one — and
+// CellLens must agree with LenRun at every prefix start.
+func walkerCells(tl *tiling.Tiling, rw *tiling.RowWalker, t []int64, interior bool) ([]cellRec, error) {
 	inner := tl.Dense[len(tl.Dense)-1]
+	step := int64(inner.Dir)
 	var out []cellRec
 	rw.Begin(t, interior)
 	for rw.NextRow() {
 		for rw.NextRun() {
-			step := int64(1)
-			if rw.From > rw.To {
-				step = -1
-			}
-			for i := rw.From; ; i += step {
-				rw.I[inner.Var] = i
+			var prev []int64
+			for i, cnt := rw.From, (rw.To-rw.From)*step+1; cnt > 0; {
+				n := int64(1)
 				if rw.Ranged {
-					rw.CellLens(i)
+					n = rw.LenRun(i, cnt)
+					if n < 1 || n > cnt {
+						return nil, fmt.Errorf("LenRun(%d, %d) = %d at row %v", i, cnt, n, rw.I)
+					}
+					lens := append([]int64(nil), rw.DepLen...)
+					if rw.CellLens(i); fmt.Sprint(lens) != fmt.Sprint(rw.DepLen) {
+						return nil, fmt.Errorf("LenRun(%d) filled %v, CellLens %v at row %v", i, lens, rw.DepLen, rw.I)
+					}
+					if fmt.Sprint(lens) == fmt.Sprint(prev) {
+						return nil, fmt.Errorf("LenRun stopped before i=%d with lengths %v unchanged at row %v", i, lens, rw.I)
+					}
+					prev = lens
 				}
-				out = append(out, cellRec{
-					i:     append([]int64(nil), rw.I...),
-					loc:   rw.RowLoc + i*inner.Stride,
-					valid: append([]bool(nil), rw.DepValid...),
-					lens:  append([]int64(nil), rw.DepLen...),
-				})
-				if i == rw.To {
-					break
+				for ; n > 0; n-- {
+					rw.I[inner.Var] = i
+					out = append(out, cellRec{
+						i:     append([]int64(nil), rw.I...),
+						loc:   rw.RowLoc + i*inner.Stride,
+						valid: append([]bool(nil), rw.DepValid...),
+						lens:  append([]int64(nil), rw.DepLen...),
+					})
+					i += step
+					cnt--
 				}
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// diffWalk diffs the walker's cells of tile t against the reference.
+func diffWalk(tl *tiling.Tiling, rw *tiling.RowWalker, t []int64, interior bool, want []cellRec) error {
+	got, err := walkerCells(tl, rw, t, interior)
+	if err != nil {
+		return err
+	}
+	return diffCells(got, want)
 }
 
 func diffCells(got, want []cellRec) error {
@@ -110,7 +134,7 @@ func checkRowPlan(tl *tiling.Tiling, params []int64) (interiorTiles int, err err
 	nb := make([]int64, d)
 	tl.ForEachTile(params, func(t []int64) bool {
 		want := referenceCells(tl, params, t)
-		if err = diffCells(walkerCells(tl, rw, t, false), want); err != nil {
+		if err = diffWalk(tl, rw, t, false, want); err != nil {
 			err = fmt.Errorf("tile %v: %w", t, err)
 			return false
 		}
@@ -123,7 +147,7 @@ func checkRowPlan(tl *tiling.Tiling, params []int64) (interiorTiles int, err err
 		}
 		if interior {
 			interiorTiles++
-			if err = diffCells(walkerCells(tl, rw, t, true), want); err != nil {
+			if err = diffWalk(tl, rw, t, true, want); err != nil {
 				err = fmt.Errorf("interior tile %v: %w", t, err)
 				return false
 			}
