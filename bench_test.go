@@ -542,6 +542,52 @@ func BenchmarkRunKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkTileOverhead measures what a tile costs before it computes
+// anything (ROADMAP item 2(c)): the repository benchmark's three tile
+// shapes — knap's 8×8 with five range-footprint edges, the served
+// triangle's 16×16 and lcs2's 32×32 — prepared once and run on one
+// worker under a kernel that only accepts the run it is offered. What is
+// left is the scheduler, the pending table, the probes, the row walker's
+// bounds and the edge pack/unpack copies: ns/tile, and its inverse.
+func BenchmarkTileOverhead(b *testing.B) {
+	tri, err := spec.Parse(triangleSpecText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		sp     *spec.Spec
+		params []int64
+	}{
+		{"knap8x8", problems.Knapsack().Spec, []int64{1000, 4000, 3}},
+		{"triangle16x16", tri, []int64{2000}},
+		{"lcs2-32x32", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec, []int64{2000, 2000}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tl, err := tiling.New(tc.sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep, err := engine.Prepare(tl, tc.params, 1, balance.Prefix)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var tiles int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := prep.Run(func(c *engine.Ctx) { c.Done = c.N }, engine.Config{Threads: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				tiles = res.Stats[0].TilesExecuted
+			}
+			perTile := b.Elapsed().Seconds() / float64(b.N) / float64(tiles)
+			b.ReportMetric(perTile*1e9, "ns/tile")
+			b.ReportMetric(1/perTile, "tiles/s")
+		})
+	}
+}
+
 // BenchmarkEngineNonserial runs the three bounded-template builtins —
 // matrix-chain multiplication, optimal binary search trees, and the
 // bounded knapsack — at their default parameters on a single node,

@@ -73,6 +73,10 @@ type Assignment struct {
 	slabOwner []int
 	key       *tiling.TileKey
 	index     map[uint64]int32 // LB key -> slab index
+	// single: one member owns every slab (a one-rank run), so Owner
+	// needs no slab lookup. Never set by Rebalance, whose executed slabs
+	// keep their old owner labels.
+	single bool
 }
 
 // Build computes the node assignment for the given tiling, parameter
@@ -137,6 +141,7 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 		slabOwner: make([]int, len(slabs)),
 		key:       key,
 		index:     make(map[uint64]int32, len(slabs)),
+		single:    len(members) == 1,
 	}
 	n := len(members)
 	var cum int64
@@ -160,6 +165,9 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 
 // Owner returns the node owning the given tile (Vars-order tile index).
 func (a *Assignment) Owner(t []int64) int {
+	if a.single {
+		return a.slabOwner[0]
+	}
 	i := a.SlabIndex(t)
 	if i < 0 {
 		// Tiles outside the load-balancing space should not exist; owning

@@ -86,8 +86,10 @@ func (run *checkpoint) mismatch(ck *checkpoint) error {
 }
 
 // encodeCheckpoint serializes the node's durable state. The caller has
-// the live table frozen and holds n.mu; goalMu is taken briefly inside.
-// No code path acquires any of them in the reverse order.
+// the live table frozen — which orders it after the maximum fold of
+// every tile the table records as executed — and holds n.mu; goalMu is
+// taken briefly inside. No code path acquires any of them in the reverse
+// order.
 func (n *node) encodeCheckpoint() []byte {
 	e := n.eng
 	b := make([]byte, 0, 256)
@@ -109,18 +111,19 @@ func (n *node) encodeCheckpoint() []byte {
 	i64(n.executed)
 
 	e.goalMu.Lock()
+	goalSet, goalVal := e.goalSet, e.goalVal
+	e.goalMu.Unlock()
+	max := n.cellMax()
 	var flags uint64
-	if e.goalSet {
+	if goalSet {
 		flags |= 1
 	}
-	if e.maxSet {
+	if max.set {
 		flags |= 2
 	}
-	goalVal, maxVal := e.goalVal, e.maxVal
-	e.goalMu.Unlock()
 	u64(flags)
 	f64(goalVal)
-	f64(maxVal)
+	f64(max.max)
 
 	return sealBlob(n.live.snapshot(b))
 }
@@ -219,16 +222,13 @@ func (n *node) loadResume() ([]ckptTile, error) {
 	}
 	n.live.restoreExecuted(ck.executedKeys)
 	n.executed = ck.executed
-	e.goalMu.Lock()
 	if ck.goalSet {
-		e.goalVal = ck.goalVal
-		e.goalSet = true
+		e.goalMu.Lock()
+		e.goalVal, e.goalSet = ck.goalVal, true
+		e.goalMu.Unlock()
 	}
-	if ck.maxSet && (!e.maxSet || ck.maxVal > e.maxVal) {
-		e.maxVal = ck.maxVal
-		e.maxSet = true
-	}
-	e.goalMu.Unlock()
+	// No worker exists yet: the restored maximum seeds the first one's fold.
+	n.maxes[0].merge(cellMax{max: ck.maxVal, set: ck.maxSet})
 	return ck.tiles, nil
 }
 

@@ -51,15 +51,15 @@ func (e *engine) awaitLocal(tr mpi.Transport) error {
 // mergeDistributed runs the fixed collective sequence that combines
 // per-rank results: the goal-executed census (which no rank leaves
 // before every rank has finished its tiles and entered, so it is the
-// barrier too), the goal-value selection, the global max, and the
-// traffic totals. The goal value crosses ranks via a selecting
-// reduction — the owner contributes its value, everyone else NaN, and
-// the first non-NaN wins — so no floating-point arithmetic touches it
-// and the result is bit-identical to a single-process run.
-func (e *engine) mergeDistributed(tr mpi.Transport) (*mergedResult, error) {
+// barrier too), the goal-value selection, the global max (localMax is
+// this rank's fold, read after its finish), and the traffic totals. The
+// goal value crosses ranks via a selecting reduction — the owner
+// contributes its value, everyone else NaN, and the first non-NaN wins —
+// so no floating-point arithmetic touches it and the result is
+// bit-identical to a single-process run.
+func (e *engine) mergeDistributed(tr mpi.Transport, localMax cellMax) (*mergedResult, error) {
 	e.goalMu.Lock()
 	goalSet, goalVal := e.goalSet, e.goalVal
-	maxSet, maxVal := e.maxSet, e.maxVal
 	e.goalMu.Unlock()
 
 	executed := 0.0
@@ -86,8 +86,8 @@ func (e *engine) mergeDistributed(tr mpi.Transport) (*mergedResult, error) {
 	}
 
 	contrib = math.NaN()
-	if maxSet {
-		contrib = maxVal
+	if localMax.set {
+		contrib = localMax.max
 	}
 	max, err := tr.AllReduce(contrib, maxIgnoringNaN)
 	if err != nil {

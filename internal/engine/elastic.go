@@ -373,7 +373,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 	for dst, tiles := range out {
 		data := blobToFloats(sealBlob(appendRecords(nil, tiles)))
 		for _, p := range tiles {
-			edges, elems := releaseEdges(p)
+			edges, elems := releaseEdges(p, nil)
 			n.pendingEdges.Add(-edges)
 			n.bufferedElems.Add(-elems)
 			edgesOut += edges

@@ -28,9 +28,13 @@
 // dpgen/internal/tiling) need no evaluation at all, and their
 // pack/unpack collapse to strided copies. The checked per-cell
 // enumerator remains as the reference path (Config.DisableFastPath).
-// Edge buffers cycle through the mpi package's pools and the pending
-// table is keyed by a collision-free integer packing of the tile
-// coordinates, so the steady-state loop allocates nothing.
+// Edge buffers cycle through a per-worker free stack backed by the mpi
+// package's pools and the pending table is keyed by a collision-free
+// integer packing of the tile coordinates, so the steady-state loop
+// allocates nothing. A tile's fixed toll is paid once per tile, not once
+// per edge: one polytope probe settles a core tile's whole neighbourhood
+// (tiling.TileProbe.Core), and the edge accounting of its deliveries is
+// published in one step after its sends.
 //
 // Only tiles in execution have full buffers; tiles awaiting execution
 // hold just their edges, giving the O(n^{d-1}) memory behaviour of
@@ -185,7 +189,7 @@ type NodeStats struct {
 	PeakPendingEdges  int64
 	PeakBufferedElems int64
 	// PeakPendingTiles is the maximum size of the pending table plus
-	// ready queue.
+	// ready queue, sampled after each tile's sends.
 	PeakPendingTiles int64
 	// IdleTime is total worker time spent waiting for ready tiles.
 	IdleTime time.Duration
@@ -280,6 +284,11 @@ type engine struct {
 	depStride []int64
 	rows      *tiling.RowPlan
 
+	// sameSlab[j]: tile dependence j's offset is zero on every
+	// load-balancing dimension, so a tile and its consumer along j share
+	// a slab — and an owner, under any assignment.
+	sameSlab []bool
+
 	goalTile  []int64
 	goalLocal []int64
 
@@ -287,11 +296,9 @@ type engine struct {
 	// live table, the static index and checkpoints name a tile by.
 	key *tiling.TileKey
 
-	goalMu  sync.Mutex
+	goalMu  sync.Mutex // guards goalVal and goalSet: taken by the goal tile alone
 	goalVal float64
 	goalSet bool
-	maxVal  float64
-	maxSet  bool
 
 	finished sync.WaitGroup // one per node: all owned tiles executed
 }
@@ -443,6 +450,11 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 	e.goalTile, e.goalLocal = e.tl.GoalTile()
 	e.depLocOff = e.tl.DepLocOffAt(e.params)
 	e.depStride = e.tl.DepStrideAt(e.params)
+	lb := e.tl.LBIndices()
+	e.sameSlab = make([]bool, len(e.tl.TileDeps))
+	for j, dep := range e.tl.TileDeps {
+		e.sameSlab[j] = !slices.ContainsFunc(lb, func(k int) bool { return dep.Offset[k] != 0 })
+	}
 	var err error
 	if e.key, err = e.tl.NewTileKey(e.params); err != nil {
 		return nil, nil, fmt.Errorf("engine: %w", err)
@@ -557,7 +569,7 @@ func (e *engine) await(nodes []*node) (*mergedResult, error) {
 	var merged *mergedResult
 	err := e.awaitLocal(tr)
 	if err == nil {
-		merged, err = e.mergeDistributed(tr)
+		merged, err = e.mergeDistributed(tr, n.cellMax())
 	}
 	if rs, ok := tr.(interface{ RecoveryStats() (int64, int64) }); ok {
 		hb, pr := rs.RecoveryStats()
@@ -619,11 +631,25 @@ func (e *engine) collect(nodes []*node, merged *mergedResult) (*Result, error) {
 		return nil, fmt.Errorf("engine: goal tile %v never executed", e.goalTile)
 	}
 	res.Value = e.goalVal
+	var max cellMax
+	for _, n := range nodes {
+		max.merge(n.cellMax())
+	}
 	res.Max = math.NaN()
-	if e.maxSet {
-		res.Max = e.maxVal
+	if max.set {
+		res.Max = max.max
 	}
 	return res, nil
+}
+
+// cellMax merges the node's per-worker maxima. The caller is ordered
+// after the folds it needs: it holds the frozen live table (a
+// checkpoint), or the node has finished.
+func (n *node) cellMax() (max cellMax) {
+	for _, m := range n.maxes {
+		max.merge(m)
+	}
+	return max
 }
 
 // tileKey packs tile coordinates into the collision-free table key.
@@ -687,8 +713,12 @@ type node struct {
 	stopElastic chan struct{}
 	elasticWG   sync.WaitGroup
 
+	// maxes holds one fold of the executed tiles' maxima per worker.
+	maxes []cellMax
+
 	// Counters off the hot locks: edge-memory accounting plus the
-	// scheduler and traffic totals folded into st after the run.
+	// scheduler and traffic totals folded into st after the run. A
+	// goroutine's deliveries reach them through flush.
 	pendingEdges      atomic.Int64
 	bufferedElems     atomic.Int64
 	peakPendingEdges  atomic.Int64
@@ -711,6 +741,7 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		threads = 1
 	}
 	n.pool = sched.NewPool[tileState](threads, e.cfg.Priority)
+	n.maxes = make([]cellMax, threads)
 	// Fault tolerance and elastic membership both need the table's
 	// tracking regime — checkpoint and migration serialise exactly the
 	// same live state; only elastic runs keep the per-slab census.
@@ -752,7 +783,7 @@ func (n *node) initLane() *obs.Lane {
 // the scan makes the empty-scan-then-park sequence race-free against
 // concurrent enqueues (see sched.Pool.Push).
 func (n *node) worker(w int, lane *obs.Lane) {
-	ws := newWorkerState(n.eng)
+	ws := n.newWorkerState(w)
 	ws.lane = lane
 	for {
 		if n.elastic {
@@ -806,6 +837,7 @@ func (n *node) receiver(lane *obs.Lane) {
 			continue
 		}
 		n.deliver(m.Meta, m.Tag, m.Data, true, lane, ds)
+		n.flush(ds)
 		m.ReleaseSlot()
 		mpi.PutMeta(m.Meta)
 	}
@@ -845,10 +877,28 @@ func (n *node) routeElastic(m *mpi.Message, lane *obs.Lane, ds *delivState) bool
 
 // delivState is per-goroutine delivery scratch: a reusable polytope
 // probe and a recycled pending-table entry (an executed tile's), so the
-// steady-state deliver path allocates nothing.
+// steady-state deliver path allocates nothing — and the edge accounting
+// of the deliveries made since the last flush, so the node's shared
+// counters are touched once per tile, not once per edge.
 type delivState struct {
 	probe *tiling.TileProbe
 	spare *pendTile
+	// Buffered edges, their elements, and how many arrived locally.
+	edges, elems, local int64
+}
+
+// flush publishes ds's edge accounting to the node's counters and
+// samples the peaks. Between a tile's unpack and the end of its sends
+// the buffered totals only rise, so sampling after the last delivery
+// sees the same peak a sample per edge would.
+func (n *node) flush(ds *delivState) {
+	if ds.edges > 0 {
+		sched.AtomicMax(&n.peakPendingEdges, n.pendingEdges.Add(ds.edges))
+		sched.AtomicMax(&n.peakBufferedElems, n.bufferedElems.Add(ds.elems))
+		n.edgesLocalA.Add(ds.local)
+		ds.edges, ds.elems, ds.local = 0, 0, 0
+	}
+	sched.AtomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.pool.Len())
 }
 
 func newDelivState(e *engine) *delivState {
@@ -857,7 +907,10 @@ func newDelivState(e *engine) *delivState {
 
 // prepTile builds a ready-to-insert pending-table entry. The dependence
 // count, priority key, level and home shard are all polytope
-// evaluations, so this runs outside the stripe lock.
+// evaluations, so this runs outside the stripe lock. The one Core probe
+// settles a core tile here for good: all its producers exist, it is
+// interior, and all its consumers exist. Other tiles — and every tile of
+// the checked reference — take the exact per-neighbour queries.
 func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 	e := n.eng
 	p := ds.spare
@@ -870,7 +923,11 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 		}
 	}
 	copy(p.Tile.coord, consumer)
-	p.Tile.remaining = ds.probe.DepCount(p.Tile.coord)
+	if p.Tile.core = !e.cfg.DisableFastPath && ds.probe.Core(p.Tile.coord); p.Tile.core {
+		p.Tile.remaining = len(e.tl.TileDeps)
+	} else {
+		p.Tile.remaining = ds.probe.DepCount(p.Tile.coord)
+	}
 	e.tl.PriorityKey(p.Tile.coord, p.Key)
 	p.Level = e.tl.TileLevel(p.Tile.coord)
 	p.Shard = n.pool.Home(p.Tile.coord)
@@ -904,44 +961,42 @@ func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 // frontier cannot release the tile before the producer retires).
 // Dynamic tiles go through the live table and move to their home shard
 // when the last dependence arrives. lane is the calling goroutine's
-// trace lane (nil when untraced); ds is its delivery scratch.
+// trace lane (nil when untraced); ds is its delivery scratch, which the
+// caller flushes when its batch of deliveries ends.
 func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, lane *obs.Lane, ds *delivState) {
 	e := n.eng
 	if remote && lane != nil {
 		lane.Instant(obs.KRecv, obs.TileID(consumer), int32(dep), int64(len(data)))
 	}
-	sched.AtomicMax(&n.peakPendingEdges, n.pendingEdges.Add(1))
-	sched.AtomicMax(&n.peakBufferedElems, n.bufferedElems.Add(int64(len(data))))
-
 	k := e.tileKey(consumer)
+	var ready *pendTile
 	if p := n.staticIdx[k]; p != nil {
 		// Remote edges never target static tiles (their producers are
 		// all node-local by classification).
 		p.Tile.edges[dep] = edge{dep: dep, data: data}
-		n.edgesLocalA.Add(1)
-		return
+	} else {
+		var dup bool
+		if ready, dup = n.live.addEdge(ds, consumer, k, dep, data); dup {
+			mpi.PutData(data)
+			return
+		}
 	}
-	p, dup := n.live.addEdge(ds, consumer, k, dep, data)
-	if dup {
-		n.pendingEdges.Add(-1)
-		n.bufferedElems.Add(-int64(len(data)))
-		mpi.PutData(data)
-		return
-	}
+	ds.edges++
+	ds.elems += int64(len(data))
 	if remote {
 		n.edgesRecvRemoteA.Add(1)
 	} else {
-		n.edgesLocalA.Add(1)
+		ds.local++
 	}
-	sched.AtomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.pool.Len())
-	if p != nil {
-		n.enqueue(p, lane)
+	if ready != nil {
+		n.enqueue(ready, lane)
 	}
 }
 
 // workerState is per-worker scratch: the tile buffer with its ghost
 // shell, the kernel context, the row walker (nil on the checked
-// reference path) and the reusable polytope probe.
+// reference path), the reusable polytope probe, the free stack of edge
+// buffers and the worker's slot of the node's maximum folds.
 type workerState struct {
 	buf      []float64
 	ctx      Ctx
@@ -952,12 +1007,17 @@ type workerState struct {
 	rows     *tiling.RowWalker
 	probe    *tiling.TileProbe
 	ds       delivState
+	bufs     edgeBufs
+	max      *cellMax
 	lane     *obs.Lane // trace timeline; nil when untraced
 }
 
-func newWorkerState(e *engine) *workerState {
+// newWorkerState builds the scratch of the node's worker number slot.
+func (n *node) newWorkerState(slot int) *workerState {
+	e := n.eng
 	d := len(e.tl.Spec.Vars)
 	w := &workerState{
+		max:      &n.maxes[slot],
 		buf:      make([]float64, e.tl.AllocLen),
 		specVals: make([]int64, e.tl.Spec.Space().N()),
 		x:        make([]int64, d),
@@ -968,6 +1028,12 @@ func newWorkerState(e *engine) *workerState {
 	// The probe is shared with the delivery scratch: all uses are
 	// call-scoped on this worker's goroutine.
 	w.ds = delivState{probe: w.probe}
+	// A tile unpacks and packs at most one edge per tile dependence, so
+	// twice that many buffers ride out any alternation of the two.
+	w.bufs.free = make([][]float64, 0, 2*len(e.tl.TileDeps))
+	for _, sz := range e.tl.InteriorEdgeSize {
+		w.bufs.size = max(w.bufs.size, int(sz))
+	}
 	copy(w.specVals, e.params)
 	nd := len(e.tl.Spec.Deps)
 	in := e.tl.Dense[d-1]
@@ -1040,7 +1106,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	var cells int64
 	var tileMax float64
 	fast := !e.cfg.DisableFastPath
-	interior := fast && (p.Static || w.probe.Interior(p.Tile.coord))
+	interior := fast && (p.Static || p.Tile.core || w.probe.Interior(p.Tile.coord))
 	if fast {
 		cells, tileMax = n.execRows(p, w, interior)
 	} else {
@@ -1049,14 +1115,9 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	if lane != nil {
 		lane.Span(obs.KKernel, tid, -1, cells, t0)
 	}
-	if goal := slices.Equal(p.Tile.coord, e.goalTile); goal || cells > 0 {
+	if slices.Equal(p.Tile.coord, e.goalTile) {
 		e.goalMu.Lock()
-		if goal {
-			e.goalVal, e.goalSet = w.buf[e.tl.Loc(e.goalLocal)], true
-		}
-		if cells > 0 && (!e.maxSet || tileMax > e.maxVal) {
-			e.maxVal, e.maxSet = tileMax, true
-		}
+		e.goalVal, e.goalSet = w.buf[e.tl.Loc(e.goalLocal)], true
 		e.goalMu.Unlock()
 	}
 
@@ -1064,12 +1125,13 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 		t0 = lane.Now()
 	}
 	sentRemote, stall := n.sendEdges(p, w, interior, tid)
+	n.flush(&w.ds)
 	if lane != nil {
 		lane.Span(obs.KPack, tid, -1, 0, t0)
 	}
 
 	// The tile's sends are issued: it is executed.
-	n.live.retire(p, e.tileKey(p.Tile.coord))
+	n.live.retire(p, e.tileKey(p.Tile.coord), w.max, cellMax{max: tileMax, set: cells > 0})
 	n.tileDone(p, w, cells, sentRemote, stall)
 }
 
@@ -1120,13 +1182,15 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	}
 	n.pendingEdges.Add(-nEdges)
 	n.bufferedElems.Add(-freedElems)
-	n.live.unpacked(p)
+	n.live.unpacked(p, &w.bufs)
 }
 
 // sendEdges packs the tile's outgoing edges and delivers them locally
 // or sends them to the owning rank (steps 4a/4b of Section V-A).
-// Buffers come from the shared pool, sized by the dense slab bound, so
-// packing never grows a slice; interior tiles fill with strided copies.
+// Buffers come from the worker's free stack, sized by the dense slab
+// bound, so packing never grows a slice; interior tiles fill with
+// strided copies. A core tile's consumers all exist, and a consumer in
+// the tile's own load-balancing slab is this node's without a lookup.
 // Returns the remote sends issued and the time they spent stalled.
 func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string) (sentRemote int64, stallSum time.Duration) {
 	e := n.eng
@@ -1138,10 +1202,10 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		for k, off := range tl.TileDeps[j].Offset {
 			consumer[k] = p.Tile.coord[k] - off
 		}
-		if !w.probe.InSpace(consumer) {
+		if !p.Tile.core && !w.probe.InSpace(consumer) {
 			continue
 		}
-		data := mpi.GetData(int(tl.InteriorEdgeSize[j]))
+		data := w.bufs.get(int(tl.InteriorEdgeSize[j]))
 		switch {
 		case interior:
 			tl.PackInterior(j, w.buf, data)
@@ -1154,7 +1218,10 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 				return true
 			})
 		}
-		owner := e.ownerOf(consumer)
+		owner := n.id
+		if !e.sameSlab[j] {
+			owner = e.ownerOf(consumer)
+		}
 		if owner == n.id {
 			n.deliver(consumer, j, data, false, lane, &w.ds)
 			continue

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -378,6 +379,35 @@ func TestPriorityMemoryFig4(t *testing.T) {
 	}
 }
 
+// TestMaxAcrossWorkersAndNodes: Result.Max is folded per worker and
+// merged over workers and nodes; whichever worker of whichever node ran
+// the tile holding the maximum, the merge must find it. The values
+// depend on the coordinates alone, so the maximum sits away from the
+// goal and is known by brute force.
+func TestMaxAcrossWorkersAndNodes(t *testing.T) {
+	tl := pipe2(t, 16)
+	N := int64(31)
+	val := func(x, y int64) float64 { return float64((x*37 + y*101) % 997) }
+	want := math.Inf(-1)
+	for x := int64(0); x <= N; x++ {
+		for y := int64(0); y <= N; y++ {
+			want = math.Max(want, val(x, y))
+		}
+	}
+	k := func(c *Ctx) { c.V[c.Loc] = val(c.X[0], c.X[1]) }
+	for _, cfg := range []Config{{}, {Threads: 2}, {Nodes: 2, Threads: 2}, {Nodes: 2, Threads: 2, Sched: SchedDynamic}} {
+		for i := 0; i < 5; i++ { // the worker that gets the tile varies run to run
+			res, err := Run(tl, k, []int64{N}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Max != want {
+				t.Fatalf("nodes %d threads %d sched %v: Max %v, want %v", cfg.Nodes, cfg.Threads, cfg.Sched, res.Max, want)
+			}
+		}
+	}
+}
+
 // ---- error paths ----
 
 func TestRunErrors(t *testing.T) {
@@ -588,7 +618,7 @@ func TestKernelPanicAnnotated(t *testing.T) {
 		cfg: Config{}.withDefaults()}
 	n := newNode2ForTest(e)
 	p := &pendTile{Tile: tileState{coord: []int64{0, 0, 0, 0}}}
-	n.execTile(p, newWorkerState(e), false)
+	n.execTile(p, n.newWorkerState(0), false)
 }
 
 // TestCrashedNodeNeverFinishes: once the injected crash has fired, the

@@ -50,6 +50,10 @@ type pendTile = sched.Item[tileState]
 type tileState struct {
 	coord     []int64 // tile index, Vars order
 	remaining int     // unsatisfied dependence edges
+	// core is tiling.TileProbe.Core's answer, taken when the entry is
+	// built: the tile is interior and every producer and consumer tile
+	// exists, so nothing further is asked of the polytope about it.
+	core bool
 	// edges holds the received, still-packed edges. A static tile's
 	// slice is preallocated with one slot per tile dependence, filled
 	// in place by producers instead of appended under a lock.
@@ -62,14 +66,47 @@ type edge struct {
 	data []float64
 }
 
-// releaseEdges returns a tile's edge buffers to the shared pool and
-// reports how many edges and elements that freed.
-func releaseEdges(p *pendTile) (edges, elems int64) {
+// edgeBufs is a worker's free stack of edge buffers: what a tile
+// unpacked is what it next packs into, so on a steady wavefront the
+// buffers cycle on their worker and the shared pool (two sync.Pool
+// operations per Get or Put) sees only the imbalance — underflow, and
+// overflow past the stack's fixed capacity. Every buffer it hands out has
+// the capacity of the run's largest edge slab, so any of them serves any
+// edge. A nil *edgeBufs is the pool alone.
+type edgeBufs struct {
+	free [][]float64
+	size int // capacity every buffer handed out has at least
+}
+
+// get returns a buffer of length n <= size with unspecified contents.
+func (b *edgeBufs) get(n int) []float64 {
+	if l := len(b.free); l > 0 {
+		s := b.free[l-1]
+		b.free[l-1] = nil
+		b.free = b.free[:l-1]
+		return s[:n]
+	}
+	return mpi.GetData(b.size)[:n]
+}
+
+// put recycles a buffer no longer in use. One too small to serve every
+// edge (a received message's, a checkpoint record's) goes to the pool.
+func (b *edgeBufs) put(s []float64) {
+	if b == nil || len(b.free) == cap(b.free) || cap(s) < b.size {
+		mpi.PutData(s)
+		return
+	}
+	b.free = append(b.free, s)
+}
+
+// releaseEdges recycles a tile's edge buffers through bufs and reports
+// how many edges and elements that freed.
+func releaseEdges(p *pendTile, bufs *edgeBufs) (edges, elems int64) {
 	for i, ed := range p.Tile.edges {
 		if ed.data != nil {
 			edges++
 			elems += int64(len(ed.data))
-			mpi.PutData(ed.data)
+			bufs.put(ed.data)
 		}
 		p.Tile.edges[i] = edge{}
 	}
@@ -219,18 +256,40 @@ func (lt *liveTable) seed(p *pendTile, k uint64) bool {
 }
 
 // unpacked is called once a tile's edges are copied into its buffer: a
-// plain run pools them at once, a tracking run holds them until retire.
-func (lt *liveTable) unpacked(p *pendTile) {
+// plain run recycles them at once, onto the unpacking worker's free
+// stack; a tracking run holds them until retire.
+func (lt *liveTable) unpacked(p *pendTile, bufs *edgeBufs) {
 	if !lt.track {
-		releaseEdges(p)
+		releaseEdges(p, bufs)
 	}
 }
 
-// retire marks a tile executed once its sends are issued: started →
-// executed, census bump and edge release are one transition under the
-// table lock, so a cut never sees the tile in two states or in none.
-func (lt *liveTable) retire(p *pendTile, k uint64) {
+// cellMax is a running maximum over computed cells: one worker's fold of
+// the tiles it executed (the run's Result.Max is the merge over workers
+// and nodes). Each worker writes only its own, padded to a cache line of
+// its own; readers are ordered after the writes by the table lock (a
+// tracking run's cut) or by the node's finish.
+type cellMax struct {
+	max float64
+	set bool // some cell was computed
+	_   [48]byte
+}
+
+// merge folds another maximum in.
+func (m *cellMax) merge(o cellMax) {
+	if o.set && (!m.set || o.max > m.max) {
+		m.max, m.set = o.max, true
+	}
+}
+
+// retire marks a tile executed once its sends are issued and folds its
+// maximum into the executing worker's. On a tracking run started →
+// executed, census bump, fold and edge release are one transition under
+// the table lock, so a cut never sees the tile in two states or in none,
+// nor an executed tile whose maximum is missing.
+func (lt *liveTable) retire(p *pendTile, k uint64, fold *cellMax, tile cellMax) {
 	if !lt.track {
+		fold.merge(tile)
 		return
 	}
 	st := &lt.stripes[0]
@@ -242,7 +301,8 @@ func (lt *liveTable) retire(p *pendTile, k uint64) {
 			lt.census[si]++
 		}
 	}
-	releaseEdges(p)
+	fold.merge(tile)
+	releaseEdges(p, nil)
 	st.mu.Unlock()
 }
 
@@ -390,6 +450,7 @@ func (n *node) applyRecords(recs []ckptTile, lane *obs.Lane, ds *delivState) (ed
 			edges++
 		}
 	}
+	n.flush(ds)
 	return edges
 }
 

@@ -394,12 +394,12 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, nodes, err := newEngine(prep, k, cfg)
+		_, nodes, err := newEngine(prep, k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { msg = fmt.Sprint(recover()) }()
-		nodes[0].execTile(&pendTile{Tile: tileState{coord: prep.initial[0]}}, newWorkerState(e), false)
+		nodes[0].execTile(&pendTile{Tile: tileState{coord: prep.initial[0]}}, nodes[0].newWorkerState(0), false)
 		return ""
 	}
 	for _, disable := range []bool{false, true} {

@@ -113,6 +113,9 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 		// edges can then never target it, so its edge slots have
 		// exactly one local writer each. With a single node the
 		// same-owner half is vacuous — only the producer count matters.
+		// A core tile's producers all exist, unasked; the answer stays on
+		// the tile for its sends.
+		core := probe.Core(t)
 		nprod := 0
 		static := true
 		for j := 0; j < ndeps; j++ {
@@ -120,7 +123,7 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 			for k := 0; k < d; k++ {
 				prod[k] = t[k] + off[k]
 			}
-			if !probe.InSpace(prod) {
+			if !core && !probe.InSpace(prod) {
 				continue
 			}
 			nprod++
@@ -138,6 +141,7 @@ func (e *engine) buildStatic(nodeByRank []*node) {
 			Tile: tileState{
 				coord: append([]int64(nil), t...),
 				edges: make([]edge, ndeps),
+				core:  core,
 			},
 		}
 		n.wf.Add(p)

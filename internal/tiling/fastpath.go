@@ -53,6 +53,7 @@ type denseScan struct {
 // from New after the tile deps exist.
 func (tl *Tiling) buildFastPath() error {
 	tl.buildInteriorSys()
+	tl.buildCoreSys()
 	tl.buildDense()
 	tl.buildInteriorScans()
 	return tl.buildDimNests()
@@ -94,6 +95,31 @@ func (tl *Tiling) buildInteriorSys() {
 		sys.Add(lin.Ineq{Expr: e})
 	}
 	tl.InteriorSys = sys
+}
+
+// buildCoreSys conjoins InteriorSys with TileSys tightened to hold at
+// every neighbour tile. A tile-space row q with tile coefficients c takes
+// the value q(t) ± c·off_j at the producer t + off_j and the consumer
+// t − off_j, so all of them satisfy q iff q(t) − max_j |c·off_j| >= 0:
+// the minimum of an affine form over a point set, as in buildInteriorSys,
+// and exact because the set is finite. One row per TileSys and
+// InteriorSys row, nothing pruned.
+func (tl *Tiling) buildCoreSys() {
+	np := len(tl.Spec.Params)
+	sys := lin.NewSystem(tl.tileSpace)
+	for _, q := range tl.TileSys.Ineqs {
+		var worst int64
+		for _, dep := range tl.TileDeps {
+			var shift int64
+			for k, o := range dep.Offset {
+				shift = ints.AddChecked(shift, ints.MulChecked(q.Coef[np+k], o))
+			}
+			worst = ints.Max(worst, mag(shift))
+		}
+		sys.Add(lin.Ineq{Expr: q.Expr.AddConst(-worst)})
+	}
+	sys.Add(tl.InteriorSys.Ineqs...)
+	tl.CoreSys = sys
 }
 
 // buildDense records the precompiled interior cell nest: full tile
@@ -242,24 +268,25 @@ func unpackRuns(outer []scanLevel, run, loc int64, buf, data []float64, idx int6
 
 // TileProbe is reusable allocation-free scratch for the per-tile
 // polytope queries of the runtime hot path (membership, dependence
-// count, interior classification). A probe is bound to one parameter
-// vector and must not be shared between goroutines.
+// count, interior and core classification). A probe is bound to one
+// parameter vector and must not be shared between goroutines.
 //
-// Binding folds the parameters into TileSys and InteriorSys and proves
-// (as BindRows does, see rows.go) that no form can overflow at a tile
-// inside the tile space's bounding box, so a query is a box test plus
-// plain dot products. When the proof fails the queries evaluate the
-// systems with checked arithmetic instead.
+// Binding folds the parameters into TileSys, InteriorSys and CoreSys and
+// proves (as BindRows does, see rows.go) that no form can overflow at a
+// tile inside the tile space's bounding box, so a query is a box test
+// plus plain dot products. When the proof fails the queries evaluate
+// the systems with checked arithmetic instead.
 type TileProbe struct {
 	tl *Tiling
 	// Folded systems and the bounding box; folded is false when the
 	// overflow proof failed.
-	folded          bool
-	space, interior []affine
-	lo, hi          []int64
-	vals            []int64 // (params | t) scratch for the checked path, params prefilled
-	nb              []int64 // neighbour-tile scratch
-	np              int
+	folded                bool
+	space, interior, core []affine
+	lo, hi                []int64
+	vals                  []int64 // (params | t) scratch for the checked path, params prefilled
+	nb                    []int64 // neighbour-tile scratch
+	np                    int
+	evals                 int64 // system evaluations so far (Evals)
 }
 
 // NewProbe creates a probe for the given parameters.
@@ -281,14 +308,23 @@ func (tl *Tiling) NewProbe(params []int64) *TileProbe {
 	for _, q := range tl.InteriorSys.Ineqs {
 		pr.interior = append(pr.interior, b.bindTile(q.Expr))
 	}
+	for _, q := range tl.CoreSys.Ineqs {
+		pr.core = append(pr.core, b.bindTile(q.Expr))
+	}
 	pr.folded = b.ok
 	return pr
 }
+
+// Evals returns how many system evaluations the probe has made: one per
+// InSpace, Interior or Core query, one per neighbour of a DepCount. It
+// is the per-tile toll the runtime's tests hold to one per core tile.
+func (pr *TileProbe) Evals() int64 { return pr.evals }
 
 // contains reports whether t satisfies the folded system forms (sys is
 // the same system unfolded, for the checked path). A tile outside the
 // bounding box is in neither the tile space nor its interior.
 func (pr *TileProbe) contains(forms []affine, sys *lin.System, t []int64) bool {
+	pr.evals++
 	if !pr.folded {
 		copy(pr.vals[pr.np:], t)
 		return sys.Contains(pr.vals)
@@ -319,6 +355,15 @@ func (pr *TileProbe) InSpace(t []int64) bool {
 // the iteration space.
 func (pr *TileProbe) Interior(t []int64) bool {
 	return pr.contains(pr.interior, pr.tl.InteriorSys, t)
+}
+
+// Core reports whether tile t is interior and every neighbour the
+// runtime would ask about exists: each producer t + off_j and each
+// consumer t − off_j, for every tile dependence j. One evaluation
+// answers what Interior, DepCount and an InSpace per consumer answer
+// separately.
+func (pr *TileProbe) Core(t []int64) bool {
+	return pr.contains(pr.core, pr.tl.CoreSys, t)
 }
 
 // DepCount counts the tile dependencies of t that exist in the tile

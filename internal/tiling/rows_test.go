@@ -298,7 +298,8 @@ func TestRowsOverflowProof(t *testing.T) {
 	}
 	probe, ref := tl.NewProbe(huge), tl.NewProbe(small)
 	tl.ForEachTile(huge, func(tt []int64) bool {
-		if !probe.InSpace(tt) || probe.Interior(tt) != ref.Interior(tt) || probe.DepCount(tt) != ref.DepCount(tt) {
+		if !probe.InSpace(tt) || probe.Interior(tt) != ref.Interior(tt) || probe.DepCount(tt) != ref.DepCount(tt) ||
+			probe.Core(tt) != ref.Core(tt) {
 			t.Errorf("tile %v: checked probe disagrees with the folded probe of the same space", tt)
 		}
 		return true

@@ -86,6 +86,10 @@ type Tiling struct {
 	// iteration space and every template dependence valid at every cell,
 	// so the runtime may use the dense fast path (see fastpath.go).
 	InteriorSys *lin.System
+	// CoreSys is InteriorSys conjoined with TileSys tightened to hold at
+	// every neighbour: a tile satisfying it is interior and each producer
+	// t + Offset_j and consumer t − Offset_j exists (see fastpath.go).
+	CoreSys *lin.System
 	// Dense is the precompiled interior-tile cell nest, in loop order.
 	Dense []DenseLevel
 	// InteriorEdgeSize[j] is the cell count of tile dependence j's full
