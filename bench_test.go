@@ -8,7 +8,10 @@ package dpgen
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -691,6 +694,60 @@ func BenchmarkSetup(b *testing.B) {
 			}
 			b.ReportMetric(analyze.Seconds()*1e3/float64(b.N), "analyze-ms")
 			b.ReportMetric(prepare.Seconds()*1e3/float64(b.N), "prepare-ms")
+		})
+	}
+}
+
+// BenchmarkGeneratedRun times the paper's deliverable as its user runs
+// it: specs/bandit2.dps through Generate and go build, once, then the
+// process at -N 60 on one and two worker threads. ns/cell is process
+// wall — runtime start-up, ownership scan and solve — over the cells
+// the program reports; bufs_alloc/tile is how many edge buffers it
+// allocated per tile (one per edge, ~3.2, before buffers recycled).
+func BenchmarkGeneratedRun(b *testing.B) {
+	sp, err := LoadSpec("specs/bandit2.dps")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := Generate(sp, GenOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module generated\n\ngo 1.22\n"), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	bin := filepath.Join(dir, "prog")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		b.Fatalf("go build of the generated program: %v\n%s", err, out)
+	}
+	for _, threads := range []string{"1", "2"} {
+		b.Run("t"+threads, func(b *testing.B) {
+			stat := map[string]float64{}
+			for i := 0; i < b.N; i++ {
+				cmd := exec.Command(bin, "-N", "60", "-threads", threads, "-stats")
+				cmd.Env = append(os.Environ(), "GOMAXPROCS="+threads)
+				out, err := cmd.Output()
+				if err != nil {
+					b.Fatalf("generated program: %v\n%s", err, out)
+				}
+				// node 0 tiles T cells C ... bufs_alloc A
+				_, line, _ := strings.Cut(string(out), "\nnode 0 ")
+				f := strings.Fields(line)
+				for k := 0; k+1 < len(f); k += 2 {
+					stat[f[k]], _ = strconv.ParseFloat(f[k+1], 64)
+				}
+			}
+			if stat["cells"] == 0 || stat["tiles"] == 0 {
+				b.Fatalf("no node statistics from the program: %v", stat)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/stat["cells"], "ns/cell")
+			b.ReportMetric(stat["bufs_alloc"]/stat["tiles"], "bufs_alloc/tile")
 		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"dpgen/internal/dpfuzz"
 	"dpgen/internal/engine"
 	"dpgen/internal/problems"
+	"dpgen/internal/spec"
 	"dpgen/internal/tiling"
 )
 
@@ -24,16 +25,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // grew template classes; seed 20 now draws a single-dependence spec.)
 const goldenSeed = 2
 
-// TestGoldenFuzzSpec generates the complete program for a
-// dpfuzz-generated spec and compares it byte-for-byte against the
-// committed golden file, so any unintended change to emitted loop
-// bounds, mapping functions, pack/unpack scans or the runtime skeleton
-// shows up as a readable diff. Regenerate intentionally with
-//
-//	go test ./internal/codegen -run TestGoldenFuzzSpec -update
-func TestGoldenFuzzSpec(t *testing.T) {
-	in := dpfuzz.Generate(goldenSeed)
-	sp := in.Spec
+// fuzzSeed2Spec is the golden fuzz spec with its kernel source attached.
+func fuzzSeed2Spec(t *testing.T) *spec.Spec {
+	t.Helper()
+	sp := dpfuzz.Generate(goldenSeed).Spec
 	if d := len(sp.Vars); d != 3 {
 		t.Fatalf("seed %d no longer draws a 3-D spec (got %d-D); pick a new goldenSeed", goldenSeed, d)
 	}
@@ -48,6 +43,18 @@ if is_valid_r3 {
 	v += 0.125 * V[loc_r3]
 }
 V[loc] = v`
+	return sp
+}
+
+// TestGoldenFuzzSpec generates the complete program for a
+// dpfuzz-generated spec and compares it byte-for-byte against the
+// committed golden file, so any unintended change to emitted loop
+// bounds, mapping functions, pack/unpack scans or the runtime skeleton
+// shows up as a readable diff. Regenerate intentionally with
+//
+//	go test ./internal/codegen -run TestGoldenFuzzSpec -update
+func TestGoldenFuzzSpec(t *testing.T) {
+	sp := fuzzSeed2Spec(t)
 
 	src, err := Generate(sp, Options{ParamDefaults: []int64{9}})
 	if err != nil {
@@ -92,19 +99,7 @@ func TestGoldenFuzzSpecRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a program")
 	}
-	in := dpfuzz.Generate(goldenSeed)
-	sp := in.Spec
-	sp.KernelCode = `v := 1.0 + 0.0625*float64((v0*17+v1*3+v2*7)%23)
-if is_valid_r1 {
-	v += 0.5 * V[loc_r1]
-}
-if is_valid_r2 {
-	v += 0.25 * V[loc_r2]
-}
-if is_valid_r3 {
-	v += 0.125 * V[loc_r3]
-}
-V[loc] = v`
+	sp := fuzzSeed2Spec(t)
 	N := int64(9)
 	got := buildAndRun(t, sp, "-N", fmt.Sprint(N), "-nodes", "2", "-threads", "2")
 

@@ -243,7 +243,6 @@ func dpBuildStatic(g *dpGlobal, threads int) {
 
 type dpNode struct {
 	id int
-	mu sync.Mutex // guards executed and the per-tile counters
 
 	pendMu  sync.Mutex
 	pending map[[dpDims]int64]*dpItem
@@ -255,14 +254,62 @@ type dpNode struct {
 	staticIdx map[[dpDims]int64]*dpItem
 
 	owned    int64
-	executed int64
+	executed atomic.Int64
 
 	inbox chan dpMsg
 	slots chan struct{}
 
 	recvRemote, liveEdges, peakEdges atomic.Int64
 
-	tiles, cells, sentRemote, localEdges, sentElems int64
+	// workers holds each worker's private state, for main to fold once
+	// they have exited.
+	workers []*dpWorker
+}
+
+// dpWorker is what one worker thread owns and no other touches: its
+// tile buffer, its counters and tile maximum, and a free stack of edge
+// buffers. A buffer is pushed when the tile that received it has
+// unpacked it and popped for the next pack, so an edge's storage moves
+// with the data, between workers and between nodes alike, and retires
+// wherever it was consumed. A full stack leaves the buffer to the
+// garbage collector; an empty one allocates.
+type dpWorker struct {
+	V    []dpElem
+	free [][]dpElem
+
+	tiles, cells, sentRemote, localEdges, sentElems, bufsAlloc int64
+
+	maxVal dpElem
+	maxSet bool
+}
+
+func (w *dpWorker) getBuf() []dpElem {
+	if k := len(w.free) - 1; k >= 0 {
+		b := w.free[k]
+		w.free = w.free[:k]
+		return b
+	}
+	w.bufsAlloc++
+	return make([]dpElem, dpMaxEdgeCap)
+}
+
+func (w *dpWorker) putBuf(b []dpElem) {
+	if len(w.free) < 2*dpNumTileDeps {
+		w.free = append(w.free, b[:dpMaxEdgeCap])
+	}
+}
+
+// add folds another worker's counters and tile maximum into w.
+func (w *dpWorker) add(o *dpWorker) {
+	w.tiles += o.tiles
+	w.cells += o.cells
+	w.sentRemote += o.sentRemote
+	w.localEdges += o.localEdges
+	w.sentElems += o.sentElems
+	w.bufsAlloc += o.bufsAlloc
+	if o.maxSet && (!w.maxSet || o.maxVal > w.maxVal) {
+		w.maxVal, w.maxSet = o.maxVal, true
+	}
 }
 
 type dpGlobal struct {
@@ -273,8 +320,6 @@ type dpGlobal struct {
 	goalMu  sync.Mutex
 	goalVal dpElem
 	goalSet bool
-	maxVal  dpElem
-	maxSet  bool
 }
 
 // release queues a wavefront level's static tiles.
@@ -285,11 +330,12 @@ func (n *dpNode) release(tiles []*dpItem) {
 }
 
 func (n *dpNode) worker(g *dpGlobal, w int) {
-	V := make([]dpElem, dpAllocLen)
+	ws := &dpWorker{V: make([]dpElem, dpAllocLen)}
+	n.workers[w] = ws
 	for {
 		e0 := n.pool.Epoch()
 		if p, _ := n.pool.Pop(w); p != nil {
-			n.exec(g, p, V)
+			n.exec(g, p, ws)
 			continue
 		}
 		if _, open := n.pool.Park(e0); !open {
@@ -336,11 +382,11 @@ func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
 	}
 }
 
-func (n *dpNode) exec(g *dpGlobal, p *dpItem, V []dpElem) {
+func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 	// Unpack received edges into the ghost shell (static tiles may have
 	// empty slots: dependences whose producer is outside the space).
 	nEdges := int64(0)
-	tile := &p.Tile.at
+	tile, V := &p.Tile.at, w.V
 	for _, ed := range p.Tile.edges {
 		if ed.data == nil {
 			continue
@@ -351,6 +397,7 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, V []dpElem) {
 			prod[k] = tile[k] + dpTileDepOffsets[ed.dep][k]
 		}
 		dpUnpackEdge(ed.dep, &prod, V, ed.data)
+		w.putBuf(ed.data)
 	}
 	p.Tile.edges = nil
 	if !p.Static {
@@ -361,19 +408,20 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, V []dpElem) {
 
 	cells, tmax := dpExecTile(tile, V)
 
-	g.goalMu.Lock()
 	if *tile == dpGoalTile {
+		g.goalMu.Lock()
 		g.goalVal = V[dpGoalLocIndex]
 		g.goalSet = true
+		g.goalMu.Unlock()
 	}
-	if cells > 0 && (!g.maxSet || tmax > g.maxVal) {
-		g.maxVal = tmax
-		g.maxSet = true
+	if cells > 0 && (!w.maxSet || tmax > w.maxVal) {
+		w.maxVal = tmax
+		w.maxSet = true
 	}
-	g.goalMu.Unlock()
+	w.tiles++
+	w.cells += cells
 
 	// Pack and ship the outgoing edges.
-	var localDelivered, sent, sentElems int64
 	for j := 0; j < dpNumTileDeps; j++ {
 		var consumer [dpDims]int64
 		for k := 0; k < dpDims; k++ {
@@ -382,28 +430,20 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, V []dpElem) {
 		if !dpTileInSpace(&consumer) {
 			continue
 		}
-		data := dpPackEdge(j, tile, V, make([]dpElem, 0, dpEdgeCap[j]))
+		data := w.getBuf()
+		data = data[:dpPackEdge(j, tile, V, data[:dpEdgeCap[j]:dpEdgeCap[j]])]
 		dst := g.owner[dpLBKeyOf(&consumer)]
 		if dst == n.id {
 			n.deliver(j, consumer, data)
-			localDelivered++
+			w.localEdges++
 		} else {
 			n.slots <- struct{}{}
 			g.nodes[dst].inbox <- dpMsg{dep: j, consumer: consumer, data: data, slot: n.slots}
-			sent++
-			sentElems += int64(len(data))
+			w.sentRemote++
+			w.sentElems += int64(len(data))
 		}
 	}
-
-	n.mu.Lock()
-	n.tiles++
-	n.cells += cells
-	n.localEdges += localDelivered
-	n.sentRemote += sent
-	n.sentElems += sentElems
-	n.executed++
-	finished := n.executed == n.owned
-	n.mu.Unlock()
+	finished := n.executed.Add(1) == n.owned
 	// Retire after the deliveries above: a released consumer's slots are
 	// complete only once every lower-level producer has delivered.
 	if n.wf != nil {
@@ -449,6 +489,7 @@ func main() {
 			inbox:   make(chan dpMsg, *flagRecvBufs),
 			slots:   make(chan struct{}, *flagSendBufs),
 			owned:   ownedTotal[i],
+			workers: make([]*dpWorker, threads),
 		}
 	}
 	if staticOn {
@@ -501,21 +542,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "goal tile never executed")
 		os.Exit(1)
 	}
+	totals := make([]dpWorker, nodes) // each node's workers, folded
+	var all dpWorker
+	for i, n := range g.nodes {
+		for _, w := range n.workers {
+			totals[i].add(w)
+		}
+		all.add(&totals[i])
+	}
 	fmt.Printf("problem %s\n", dpProblemName)
 	fmt.Printf("value %.17g\n", float64(g.goalVal))
-	fmt.Printf("max %.17g\n", float64(g.maxVal))
+	fmt.Printf("max %.17g\n", float64(all.maxVal))
 	fmt.Printf("locations %d\n", totalWork)
 	fmt.Printf("init_seconds %.6f\n", initSecs)
 	fmt.Printf("total_seconds %.6f\n", elapsed)
 	if *flagStats {
-		for _, n := range g.nodes {
+		for i, n := range g.nodes {
 			static := int64(0)
 			if n.wf != nil {
 				static = n.wf.Static()
 			}
 			steals, localPops, _ := n.pool.Counts()
-			fmt.Printf("node %d tiles %d cells %d sent %d sent_elems %d recv %d local %d peak_edges %d static %d steals %d local_pops %d\n",
-				n.id, n.tiles, n.cells, n.sentRemote, n.sentElems, n.recvRemote.Load(), n.localEdges, n.peakEdges.Load(), static, steals, localPops)
+			t := &totals[i]
+			fmt.Printf("node %d tiles %d cells %d sent %d sent_elems %d recv %d local %d peak_edges %d static %d steals %d local_pops %d bufs_alloc %d\n",
+				n.id, t.tiles, t.cells, t.sentRemote, t.sentElems, n.recvRemote.Load(), t.localEdges, n.peakEdges.Load(), static, steals, localPops, t.bufsAlloc)
 		}
 	}
 }
