@@ -25,18 +25,15 @@ import (
 // and compare against a previous snapshot with -bench-against.
 
 type benchRow struct {
-	Problem string  `json:"problem"`
-	Params  []int64 `json:"params"`
-	Nodes   int     `json:"nodes"`
-	Threads int     `json:"threads"`
-	// Sched names the tile scheduler the row ran under ("hybrid" or
-	// "dynamic", engine.Sched.String()).
-	Sched string  `json:"sched"`
-	Cells int64   `json:"cells"`
+	Problem     string  `json:"problem"`
+	Params      []int64 `json:"params"`
+	Nodes       int     `json:"nodes"`
+	Threads     int     `json:"threads"`
+	Cells       int64   `json:"cells"`
 	NsPerCell   float64 `json:"ns_per_cell"`
 	CellsPerSec float64 `json:"cells_per_sec"`
 	// SpeedupVsT1 relates this row's throughput to the same-snapshot
-	// single-thread row of the same problem and scheduler (thread-scaling
+	// single-thread row of the same problem (thread-scaling
 	// within one machine and run, not across snapshots).
 	SpeedupVsT1 float64 `json:"speedup_vs_t1,omitempty"`
 	// BaselineNsPerCell and Speedup are filled when -bench-against
@@ -85,7 +82,7 @@ func benchCases(threads []int) []benchCase {
 	return cases
 }
 
-func runBenchJSON(out, against string, threads []int, sched engine.Sched, minScaling string) error {
+func runBenchJSON(out, against string, threads []int, minScaling string) error {
 	const reps = 3
 	var prev map[string]benchRow
 	if against != "" {
@@ -114,7 +111,7 @@ func runBenchJSON(out, against string, threads []int, sched engine.Sched, minSca
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		cfg := engine.Config{Nodes: c.nodes, Threads: c.threads, Sched: sched}
+		cfg := engine.Config{Nodes: c.nodes, Threads: c.threads}
 		var cells int64
 		best := time.Duration(0)
 		// One warmup run, then best-of-reps wall time around engine.Run.
@@ -135,7 +132,6 @@ func runBenchJSON(out, against string, threads []int, sched engine.Sched, minSca
 		}
 		row := benchRow{
 			Problem: c.name, Params: c.params, Nodes: c.nodes, Threads: c.threads,
-			Sched:       sched.String(),
 			Cells:       cells,
 			NsPerCell:   float64(best.Nanoseconds()) / float64(cells),
 			CellsPerSec: float64(cells) / best.Seconds(),
@@ -168,13 +164,13 @@ func runBenchJSON(out, against string, threads []int, sched engine.Sched, minSca
 }
 
 // fillSpeedupVsT1 relates every multi-threaded row to its same-run
-// single-thread counterpart (same problem, nodes and scheduler), giving
+// single-thread counterpart (same problem and nodes), giving
 // the within-snapshot thread-scaling curve.
 func fillSpeedupVsT1(rows []benchRow) {
 	t1 := map[string]float64{}
 	for _, r := range rows {
 		if r.Threads == 1 {
-			t1[r.Problem+"/"+r.Sched] = r.NsPerCell
+			t1[r.Problem] = r.NsPerCell
 		}
 	}
 	for i := range rows {
@@ -182,7 +178,7 @@ func fillSpeedupVsT1(rows []benchRow) {
 		if r.Threads == 1 {
 			continue
 		}
-		if base, ok := t1[r.Problem+"/"+r.Sched]; ok && r.NsPerCell > 0 {
+		if base, ok := t1[r.Problem]; ok && r.NsPerCell > 0 {
 			r.SpeedupVsT1 = base / r.NsPerCell
 			fmt.Printf("%-16s t%d vs t1: %.2fx\n", r.Problem, r.Threads, r.SpeedupVsT1)
 		}

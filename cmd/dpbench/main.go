@@ -26,8 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"dpgen/internal/engine"
 )
 
 type experiment struct {
@@ -53,14 +51,13 @@ var experiments = []experiment{
 
 func main() {
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		quick   = flag.Bool("quick", false, "smaller instances for a fast pass")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		metrics = flag.String("metrics", "", "directory for per-run metrics snapshots (<exp>-<n>.json and .prom) of the runtime experiments")
-		benchJSON = flag.String("bench-json", "", "write an engine throughput snapshot (ns/cell per builtin at fixed configs) to this file and exit")
-		benchBase = flag.String("bench-against", "", "older -bench-json snapshot to compare against (fills baseline_ns_per_cell/speedup)")
+		expFlag      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		quick        = flag.Bool("quick", false, "smaller instances for a fast pass")
+		list         = flag.Bool("list", false, "list experiment ids and exit")
+		metrics      = flag.String("metrics", "", "directory for per-run metrics snapshots (<exp>-<n>.json and .prom) of the runtime experiments")
+		benchJSON    = flag.String("bench-json", "", "write an engine throughput snapshot (ns/cell per builtin at fixed configs) to this file and exit")
+		benchBase    = flag.String("bench-against", "", "older -bench-json snapshot to compare against (fills baseline_ns_per_cell/speedup)")
 		benchThreads = flag.String("bench-threads", "1,4", "comma-separated thread counts for the paper-scale -bench-json rows, measured back-to-back")
-		benchSched   = flag.String("bench-sched", "hybrid", "tile scheduler for -bench-json rows: hybrid, dynamic")
 		minScaling   = flag.String("min-scaling", "", "thread-scaling assertions for -bench-json, e.g. 'lcs2@paper=1.5' (skipped when the host has fewer CPUs than the row's threads)")
 	)
 	flag.Parse()
@@ -70,17 +67,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
 			os.Exit(1)
 		}
-		var sched engine.Sched
-		switch *benchSched {
-		case "hybrid":
-			sched = engine.SchedHybrid
-		case "dynamic":
-			sched = engine.SchedDynamic
-		default:
-			fmt.Fprintf(os.Stderr, "dpbench: unknown -bench-sched %q\n", *benchSched)
-			os.Exit(1)
-		}
-		if err := runBenchJSON(*benchJSON, *benchBase, threads, sched, *minScaling); err != nil {
+		if err := runBenchJSON(*benchJSON, *benchBase, threads, *minScaling); err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -106,7 +106,6 @@ func main() {
 		tenants   = flag.Int("tenants", 2, "distinct tenants to spread requests over")
 		nodes     = flag.Int("nodes", 1, "nodes per query")
 		threads   = flag.Int("threads", 1, "threads per query")
-		sched     = flag.String("sched", "hybrid", "tile scheduler per query")
 		seed      = flag.Int64("seed", 1, "mix RNG seed")
 		noMemo    = flag.Bool("no-result-cache", false, "set noResultCache on every query (forces a run per non-coalesced request; used to provoke shedding)")
 		benchJSON = flag.String("bench-json", "", "write a dpgen-bench-serve/v1 snapshot to this file")
@@ -115,7 +114,7 @@ func main() {
 	)
 	flag.Parse()
 
-	reqs, err := buildMix(*probList, *spread, *nodes, *threads, *sched, *noMemo)
+	reqs, err := buildMix(*probList, *spread, *nodes, *threads, *noMemo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -174,7 +173,7 @@ func main() {
 
 // buildMix expands the problem list and parameter spread into the pool
 // of distinct requests the clients draw from.
-func buildMix(probList string, spread, nodes, threads int, sched string, noMemo bool) ([]serve.QueryRequest, error) {
+func buildMix(probList string, spread, nodes, threads int, noMemo bool) ([]serve.QueryRequest, error) {
 	if spread < 1 {
 		spread = 1
 	}
@@ -200,7 +199,7 @@ func buildMix(probList string, spread, nodes, threads int, sched string, noMemo 
 					params[0] += int64(k)
 				}
 				reqs = append(reqs, serve.QueryRequest{
-					Problem: name, Params: params, Nodes: nodes, Threads: threads, Sched: sched,
+					Problem: name, Params: params, Nodes: nodes, Threads: threads,
 					NoResultCache: noMemo,
 				})
 			}
@@ -208,7 +207,7 @@ func buildMix(probList string, spread, nodes, threads int, sched string, noMemo 
 	}
 	for k := 0; k < spread; k++ {
 		reqs = append(reqs, serve.QueryRequest{
-			Spec: triSpec, Params: []int64{int64(48 + k)}, Nodes: nodes, Threads: threads, Sched: sched,
+			Spec: triSpec, Params: []int64{int64(48 + k)}, Nodes: nodes, Threads: threads,
 			NoResultCache: noMemo,
 		})
 	}

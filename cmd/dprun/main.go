@@ -71,7 +71,6 @@ func main() {
 		sendBufs = flag.Int("sendbufs", 4, "send buffers per node")
 		recvBufs = flag.Int("recvbufs", 16, "receive buffers per node")
 		priority = flag.String("priority", "column", "tile priority: column, levelset, fifo")
-		sched    = flag.String("sched", "hybrid", "tile scheduler: hybrid (static wavefront + dynamic), dynamic (dependence-count everything)")
 		balOpt   = flag.String("balance", "prefix", "load balancer: prefix, hyperplane")
 		check    = flag.Bool("check", false, "verify against the serial reference solver")
 		stats    = flag.Bool("stats", false, "print per-node statistics")
@@ -255,14 +254,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -balance %q", *balOpt))
 	}
-	switch *sched {
-	case "hybrid":
-		cfg.Sched = dpgen.SchedHybrid
-	case "dynamic":
-		cfg.Sched = dpgen.SchedDynamic
-	default:
-		fatal(fmt.Errorf("unknown -sched %q", *sched))
-	}
 
 	if *obsAddr != "" {
 		srv, err := dpgen.ServeObs(*obsAddr, liveMetrics(cfg.Transport))
@@ -300,8 +291,8 @@ func main() {
 			fmt.Printf("node %d: tiles %d cells %d sent %d recv %d local %d peak_edges %d peak_elems %d idle %s send_stall %s\n",
 				i, st.TilesExecuted, st.CellsComputed, st.EdgesSentRemote, st.EdgesRecvRemote,
 				st.EdgesLocal, st.PeakPendingEdges, st.PeakBufferedElems, st.IdleTime, st.SendStallTime)
-			fmt.Printf("node %d: sched static_tiles %d steals %d local_pops %d queue_peak %d\n",
-				i, st.StaticTiles, st.Steals, st.LocalPops, st.QueueDepthPeak)
+			fmt.Printf("node %d: sched steals %d local_pops %d queue_peak %d\n",
+				i, st.Steals, st.LocalPops, st.QueueDepthPeak)
 			if *ckptDir != "" {
 				fmt.Printf("node %d: ckpts %d ckpt_bytes %d dup_dropped %d hb_misses %d peer_restarts %d\n",
 					i, st.Checkpoints, st.CheckpointBytes, st.EdgesDroppedDup,

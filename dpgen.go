@@ -87,18 +87,6 @@ const (
 	FIFO        = engine.FIFO
 )
 
-// Sched selects the tile scheduler (Config.Sched).
-type Sched = engine.Sched
-
-// Schedulers: SchedHybrid (the default) precomputes a wavefront order
-// for interior tiles with node-local producers and dependence-counts the
-// rest; SchedDynamic dependence-counts every tile. Bit-identical
-// results.
-const (
-	SchedHybrid  = engine.SchedHybrid
-	SchedDynamic = engine.SchedDynamic
-)
-
 // BalanceMethod selects the static load balancer.
 type BalanceMethod = balance.Method
 
@@ -213,7 +201,7 @@ type Prepared = engine.Prepared
 
 // Prepare builds a Prepared run front for repeated executions of one
 // (analysis, params, nodes) combination. The kernel and the remaining
-// Config knobs (threads, scheduler, tracing) stay free per run;
+// Config knobs (threads, priority, tracing) stay free per run;
 // Config.Nodes and Config.Balance must match what was prepared.
 func Prepare(tl *Analysis, params []int64, nodes int, method BalanceMethod) (*Prepared, error) {
 	return engine.Prepare(tl, params, nodes, method)

@@ -52,60 +52,58 @@ func TestFastPathEquivalence(t *testing.T) {
 			serial := p.Serial(params)
 			for _, nodes := range []int{1, 4} {
 				for _, threads := range []int{1, 4} {
-					for _, sched := range []engine.Sched{engine.SchedHybrid, engine.SchedDynamic} {
-						cfg := engine.Config{Nodes: nodes, Threads: threads, Sched: sched}
-						label := fmt.Sprintf("nodes=%d threads=%d sched=%v", nodes, threads, sched)
-						var calls atomic.Int64
-						fast, err := engine.Run(tl, func(c *engine.Ctx) { calls.Add(1); p.Kernel(c) }, params, cfg)
+					cfg := engine.Config{Nodes: nodes, Threads: threads}
+					label := fmt.Sprintf("nodes=%d threads=%d", nodes, threads)
+					var calls atomic.Int64
+					fast, err := engine.Run(tl, func(c *engine.Ctx) { calls.Add(1); p.Kernel(c) }, params, cfg)
+					if err != nil {
+						t.Fatalf("%s: fast: %v", label, err)
+					}
+					if runForm[name] {
+						cell, err := engine.Run(tl, perCell(p.Kernel), params, cfg)
 						if err != nil {
-							t.Fatalf("%s: fast: %v", label, err)
+							t.Fatalf("%s: perCell: %v", label, err)
 						}
-						if runForm[name] {
-							cell, err := engine.Run(tl, perCell(p.Kernel), params, cfg)
-							if err != nil {
-								t.Fatalf("%s: perCell: %v", label, err)
-							}
-							if fast.Value != cell.Value || fast.Max != cell.Max {
-								t.Fatalf("%s: run form Value %.17g Max %.17g != one cell per call %.17g %.17g",
-									label, fast.Value, fast.Max, cell.Value, cell.Max)
-							}
-							var cells int64
-							for i := range fast.Stats {
-								cells += fast.Stats[i].CellsComputed
-								if fast.Stats[i].CellsComputed != cell.Stats[i].CellsComputed {
-									t.Fatalf("%s: node %d CellsComputed run form %d != one cell per call %d",
-										label, i, fast.Stats[i].CellsComputed, cell.Stats[i].CellsComputed)
-								}
-							}
-							if calls.Load() >= cells {
-								t.Fatalf("%s: %d kernel calls for %d cells: the run form took no runs", label, calls.Load(), cells)
-							}
+						if fast.Value != cell.Value || fast.Max != cell.Max {
+							t.Fatalf("%s: run form Value %.17g Max %.17g != one cell per call %.17g %.17g",
+								label, fast.Value, fast.Max, cell.Value, cell.Max)
 						}
-						slowCfg := cfg
-						slowCfg.DisableFastPath = true
-						slow, err := engine.Run(tl, p.Kernel, params, slowCfg)
-						if err != nil {
-							t.Fatalf("%s: slow: %v", label, err)
-						}
-						if fast.Value != slow.Value {
-							t.Fatalf("%s: Value fast %.17g != slow %.17g", label, fast.Value, slow.Value)
-						}
-						if fast.Max != slow.Max && !(math.IsNaN(fast.Max) && math.IsNaN(slow.Max)) {
-							t.Fatalf("%s: Max fast %.17g != slow %.17g", label, fast.Max, slow.Max)
-						}
+						var cells int64
 						for i := range fast.Stats {
-							if fast.Stats[i].CellsComputed != slow.Stats[i].CellsComputed {
-								t.Fatalf("%s: node %d CellsComputed fast %d != slow %d",
-									label, i, fast.Stats[i].CellsComputed, slow.Stats[i].CellsComputed)
+							cells += fast.Stats[i].CellsComputed
+							if fast.Stats[i].CellsComputed != cell.Stats[i].CellsComputed {
+								t.Fatalf("%s: node %d CellsComputed run form %d != one cell per call %d",
+									label, i, fast.Stats[i].CellsComputed, cell.Stats[i].CellsComputed)
 							}
 						}
-						got := fast.Value
-						if p.UseMax {
-							got = fast.Max
+						if calls.Load() >= cells {
+							t.Fatalf("%s: %d kernel calls for %d cells: the run form took no runs", label, calls.Load(), cells)
 						}
-						if got != serial {
-							t.Fatalf("%s: hybrid %.17g != serial reference %.17g", label, got, serial)
+					}
+					slowCfg := cfg
+					slowCfg.DisableFastPath = true
+					slow, err := engine.Run(tl, p.Kernel, params, slowCfg)
+					if err != nil {
+						t.Fatalf("%s: slow: %v", label, err)
+					}
+					if fast.Value != slow.Value {
+						t.Fatalf("%s: Value fast %.17g != slow %.17g", label, fast.Value, slow.Value)
+					}
+					if fast.Max != slow.Max && !(math.IsNaN(fast.Max) && math.IsNaN(slow.Max)) {
+						t.Fatalf("%s: Max fast %.17g != slow %.17g", label, fast.Max, slow.Max)
+					}
+					for i := range fast.Stats {
+						if fast.Stats[i].CellsComputed != slow.Stats[i].CellsComputed {
+							t.Fatalf("%s: node %d CellsComputed fast %d != slow %d",
+								label, i, fast.Stats[i].CellsComputed, slow.Stats[i].CellsComputed)
 						}
+					}
+					got := fast.Value
+					if p.UseMax {
+						got = fast.Max
+					}
+					if got != serial {
+						t.Fatalf("%s: engine %.17g != serial reference %.17g", label, got, serial)
 					}
 				}
 			}

@@ -2,15 +2,14 @@ package codegen
 
 // runtimeSrc is the generated side of the runtime of Section V: what
 // binds the generated dp* symbols to the tile scheduler, whose source
-// (dpgen/internal/sched: the ready pool and the wavefront release) is
-// emitted ahead of this text, instantiated here with fixed-size tile
-// arrays. It holds the ownership and classification scans, edge
-// delivery, tile execution and main. It deliberately avoids backquoted
-// strings so it can live in this raw literal.
+// (dpgen/internal/sched: the ready pool) is emitted ahead of this text,
+// instantiated here with fixed-size tile arrays. It holds the ownership
+// scan, edge delivery, tile execution and main. It deliberately avoids
+// backquoted strings so it can live in this raw literal.
 const runtimeSrc = `// ---- hybrid runtime (generated, problem independent) ----
 //
-// The scheduler above (Pool, Wavefront, Item) is the generator
-// library's own, instantiated with this program's tile type.
+// The scheduler above (Pool, Item) is the generator library's own,
+// instantiated with this program's tile type.
 //
 // Inter-node edges travel over bounded channels with send-buffer
 // slots, the in-memory form of the transport contract specified in
@@ -22,7 +21,6 @@ var (
 	flagThreads  = flag.Int("threads", runtime.NumCPU(), "worker threads per node (OpenMP analog)")
 	flagSendBufs = flag.Int("sendbufs", 4, "send buffers per node")
 	flagRecvBufs = flag.Int("recvbufs", 16, "receive buffers per node")
-	flagSched    = flag.String("sched", "hybrid", "tile scheduler: hybrid (precomputed wavefront for same-owner work) or dynamic (dependence-count everything)")
 	flagStats    = flag.Bool("stats", false, "print per-node statistics")
 )
 
@@ -92,18 +90,6 @@ func dpKeyOf(t *[dpDims]int64) [dpDims]int64 {
 	return k
 }
 
-// dpLevelOf is the wavefront level of a tile: the negated sum of its
-// oriented priority-key components. Every producer sits at a strictly
-// lower level than its consumers, so levels are a topological order of
-// the tile DAG.
-func dpLevelOf(t *[dpDims]int64) int64 {
-	var lv int64
-	for i := 0; i < dpDims; i++ {
-		lv -= dpKeyDirs[i] * t[dpKeyDims[i]]
-	}
-	return lv
-}
-
 // dpBuildOwnership statically assigns tiles to nodes: slab work along
 // the load-balancing dimensions is accumulated in priority-lexicographic
 // order and cut into equal-work contiguous ranges (Section IV-J).
@@ -170,75 +156,16 @@ type dpTile struct {
 	at        [dpDims]int64
 	key       [dpDims]int64 // backs the item's Key
 	remaining int
-	// edges holds the received edges. A static (wavefront-scheduled)
-	// tile's slice has one preallocated slot per tile dependence,
-	// written in place by its producers instead of appended under the
-	// pending-table lock.
-	edges []dpEdgeMsg
+	edges     []dpEdgeMsg // the received edges
 }
 
 type dpItem = Item[dpTile]
 
-func dpNewItem(t [dpDims]int64) *dpItem {
-	p := &dpItem{Level: dpLevelOf(&t), Tile: dpTile{at: t, key: dpKeyOf(&t)}}
+// newItem builds tile t's scheduler item on node n's pool.
+func (n *dpNode) newItem(t [dpDims]int64) *dpItem {
+	p := &dpItem{Shard: n.pool.Home(t[:]), Tile: dpTile{at: t, key: dpKeyOf(&t)}}
 	p.Key = p.Tile.key[:]
 	return p
-}
-
-// dpBuildStatic classifies tiles at partition time: a tile whose
-// producers all exist on the owning node becomes a static entry,
-// executed in wavefront-level order with no pending-table traffic. A
-// level range too long to count leaves every node all-dynamic.
-func dpBuildStatic(g *dpGlobal, threads int) {
-	lo, hi := int64(1)<<62, -(int64(1) << 62)
-	dpForEachTile(func(t [dpDims]int64) bool {
-		lv := dpLevelOf(&t)
-		if lv < lo {
-			lo = lv
-		}
-		if lv > hi {
-			hi = lv
-		}
-		return true
-	})
-	for _, n := range g.nodes {
-		if n.wf = NewWavefront[dpTile](lo, hi, threads); n.wf == nil {
-			return
-		}
-		n.staticIdx = map[[dpDims]int64]*dpItem{}
-	}
-	dpForEachTile(func(t [dpDims]int64) bool {
-		own := g.owner[dpLBKeyOf(&t)]
-		n := g.nodes[own]
-		// Every owned tile counts toward its level, static or not: a
-		// static tile may consume edges from a dynamic tile at any lower
-		// level.
-		n.wf.Count(dpLevelOf(&t))
-		nprod := 0
-		static := true
-		for j := 0; j < dpNumTileDeps; j++ {
-			var pr [dpDims]int64
-			for k := 0; k < dpDims; k++ {
-				pr[k] = t[k] + dpTileDepOffsets[j][k]
-			}
-			if !dpTileInSpace(&pr) {
-				continue
-			}
-			nprod++
-			if g.owner[dpLBKeyOf(&pr)] != own {
-				static = false
-				break
-			}
-		}
-		if !static || nprod == 0 {
-			return true // initial tiles are seeded, not released
-		}
-		p := dpNewItem(t)
-		p.Tile.edges = make([]dpEdgeMsg, dpNumTileDeps)
-		n.wf.Add(p)
-		n.staticIdx[t] = p
-		return true
-	})
 }
 
 type dpNode struct {
@@ -248,10 +175,6 @@ type dpNode struct {
 	pending map[[dpDims]int64]*dpItem
 
 	pool *Pool[dpTile]
-	// wf and staticIdx are the static phase (nil when all-dynamic);
-	// staticIdx is read-only once workers start.
-	wf        *Wavefront[dpTile]
-	staticIdx map[[dpDims]int64]*dpItem
 
 	owned    int64
 	executed atomic.Int64
@@ -322,13 +245,6 @@ type dpGlobal struct {
 	goalSet bool
 }
 
-// release queues a wavefront level's static tiles.
-func (n *dpNode) release(tiles []*dpItem) {
-	for _, p := range tiles {
-		n.pool.Push(p)
-	}
-}
-
 func (n *dpNode) worker(g *dpGlobal, w int) {
 	ws := &dpWorker{V: make([]dpElem, dpAllocLen)}
 	n.workers[w] = ws
@@ -353,20 +269,11 @@ func (n *dpNode) receiver(g *dpGlobal) {
 }
 
 func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
-	if p := n.staticIdx[consumer]; p != nil {
-		// Static consumer: each edge slot has exactly one producer, and
-		// the frontier releases the tile only after every lower level -
-		// the producer included - has retired, so the plain slot write
-		// is safe and skips the pending table entirely.
-		p.Tile.edges[dep] = dpEdgeMsg{dep: dep, data: data}
-		return
-	}
 	n.pendMu.Lock()
 	p := n.pending[consumer]
 	if p == nil {
-		p = dpNewItem(consumer)
+		p = n.newItem(consumer)
 		p.Tile.remaining = dpDepCount(&consumer)
-		p.Shard = n.pool.Home(consumer[:])
 		n.pending[consumer] = p
 	}
 	p.Tile.edges = append(p.Tile.edges, dpEdgeMsg{dep: dep, data: data})
@@ -383,15 +290,9 @@ func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
 }
 
 func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
-	// Unpack received edges into the ghost shell (static tiles may have
-	// empty slots: dependences whose producer is outside the space).
-	nEdges := int64(0)
+	// Unpack received edges into the ghost shell.
 	tile, V := &p.Tile.at, w.V
 	for _, ed := range p.Tile.edges {
-		if ed.data == nil {
-			continue
-		}
-		nEdges++
 		var prod [dpDims]int64
 		for k := 0; k < dpDims; k++ {
 			prod[k] = tile[k] + dpTileDepOffsets[ed.dep][k]
@@ -399,12 +300,8 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 		dpUnpackEdge(ed.dep, &prod, V, ed.data)
 		w.putBuf(ed.data)
 	}
+	n.liveEdges.Add(-int64(len(p.Tile.edges)))
 	p.Tile.edges = nil
-	if !p.Static {
-		// Static tiles' edges bypass the pending table and are never
-		// counted live.
-		n.liveEdges.Add(-nEdges)
-	}
 
 	cells, tmax := dpExecTile(tile, V)
 
@@ -443,13 +340,7 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 			w.sentElems += int64(len(data))
 		}
 	}
-	finished := n.executed.Add(1) == n.owned
-	// Retire after the deliveries above: a released consumer's slots are
-	// complete only once every lower-level producer has delivered.
-	if n.wf != nil {
-		n.release(n.wf.Retire(p.Level))
-	}
-	if finished {
+	if n.executed.Add(1) == n.owned {
 		g.wg.Done()
 	}
 }
@@ -461,17 +352,6 @@ func main() {
 	nodes, threads := *flagNodes, *flagThreads
 	if nodes < 1 || threads < 1 || *flagSendBufs < 1 || *flagRecvBufs < 1 {
 		fmt.Fprintln(os.Stderr, "invalid -nodes/-threads/-sendbufs/-recvbufs")
-		os.Exit(2)
-	}
-	staticOn := false
-	switch *flagSched {
-	case "hybrid":
-		// A single worker per node has no scheduler synchronization for
-		// the static phase to remove; skip the classification scan.
-		staticOn = threads > 1
-	case "dynamic":
-	default:
-		fmt.Fprintln(os.Stderr, "invalid -sched (want hybrid or dynamic)")
 		os.Exit(2)
 	}
 	start := time.Now()
@@ -492,19 +372,9 @@ func main() {
 			workers: make([]*dpWorker, threads),
 		}
 	}
-	if staticOn {
-		dpBuildStatic(g, threads)
-	}
 	for _, t := range initial {
 		n := g.nodes[owner[dpLBKeyOf(&t)]]
-		p := dpNewItem(t)
-		p.Shard = n.pool.Home(t[:])
-		n.pool.Push(p)
-	}
-	for _, n := range g.nodes {
-		if n.wf != nil {
-			n.release(n.wf.Advance())
-		}
+		n.pool.Push(n.newItem(t))
 	}
 	initSecs := time.Since(start).Seconds()
 
@@ -558,14 +428,10 @@ func main() {
 	fmt.Printf("total_seconds %.6f\n", elapsed)
 	if *flagStats {
 		for i, n := range g.nodes {
-			static := int64(0)
-			if n.wf != nil {
-				static = n.wf.Static()
-			}
 			steals, localPops, _ := n.pool.Counts()
 			t := &totals[i]
-			fmt.Printf("node %d tiles %d cells %d sent %d sent_elems %d recv %d local %d peak_edges %d static %d steals %d local_pops %d bufs_alloc %d\n",
-				n.id, t.tiles, t.cells, t.sentRemote, t.sentElems, n.recvRemote.Load(), t.localEdges, n.peakEdges.Load(), static, steals, localPops, t.bufsAlloc)
+			fmt.Printf("node %d tiles %d cells %d sent %d sent_elems %d recv %d local %d peak_edges %d steals %d local_pops %d bufs_alloc %d\n",
+				n.id, t.tiles, t.cells, t.sentRemote, t.sentElems, n.recvRemote.Load(), t.localEdges, n.peakEdges.Load(), steals, localPops, t.bufsAlloc)
 		}
 	}
 }

@@ -171,9 +171,8 @@ func serialSolve(sp *spec.Spec, params []int64) *serialResult {
 // independent serial sweep, a single-threaded engine run (compared
 // cell by cell via OnCell), the threaded multi-node run with the
 // instance's randomized knobs, the same run with the interior-tile
-// fast path disabled, the same run under both tile schedulers (hybrid
-// static/dynamic and pure-dynamic), and a two-rank run over real
-// localhost TCP sockets must all produce bit-identical values.
+// fast path disabled, and a two-rank run over real localhost TCP
+// sockets must all produce bit-identical values.
 func CheckEngine(in *Instance) error {
 	sp := in.Spec
 	params := in.pvals(in.N)
@@ -215,26 +214,18 @@ func CheckEngine(in *Instance) error {
 	}
 
 	// Threaded differential: randomized knobs, then the same with the
-	// fast path disabled, then the scheduler axis — the hybrid
-	// static/dynamic scheduler against pure-dynamic dependence counting
-	// must be bit-identical tile for tile.
+	// fast path disabled.
 	multi := engine.Config{
 		Nodes: in.Nodes, Threads: in.Threads,
 		SendBufs: in.SendBufs, RecvBufs: in.RecvBufs,
-		Priority: in.Priority, Sched: in.Sched,
-		Balance: in.Balance,
+		Priority: in.Priority, Balance: in.Balance,
 	}
 	noFast := multi
 	noFast.DisableFastPath = true
-	hybridSched := multi
-	hybridSched.Sched = engine.SchedHybrid
-	dynSched := multi
-	dynSched.Sched = engine.SchedDynamic
 	for _, c := range []struct {
 		name string
 		cfg  engine.Config
-	}{{"threaded", multi}, {"nofastpath", noFast},
-		{"hybrid-sched", hybridSched}, {"dynamic-sched", dynSched}} {
+	}{{"threaded", multi}, {"nofastpath", noFast}} {
 		name, cfg := c.name, c.cfg
 		res, err := engine.Run(tl, kernel, params, cfg)
 		if err != nil {

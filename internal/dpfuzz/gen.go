@@ -59,7 +59,6 @@ type Instance struct {
 	// stays so GoLiteral seeds recorded before its removal still compile.
 	QueueGroups int
 	Priority    engine.Priority
-	Sched       engine.Sched
 	Balance     balance.Method
 
 	// Lazily built pipeline artifacts, shared across the oracle layers
@@ -453,7 +452,7 @@ func GenerateClass(seed uint64, class Class) *Instance {
 	in.RecvBufs = 1 + rng.Intn(4)
 	rng.Intn(2) // the retired QueueGroups axis: the draw stays so every seed still yields the same instance
 	in.Priority = []engine.Priority{engine.ColumnMajor, engine.LevelSet, engine.FIFO}[rng.Intn(3)]
-	in.Sched = []engine.Sched{engine.SchedHybrid, engine.SchedDynamic}[rng.Intn(2)]
+	rng.Intn(2) // the retired Sched axis: the draw stays so every seed still yields the same instance
 	in.Balance = []balance.Method{balance.Prefix, balance.Hyperplane}[rng.Intn(2)]
 	// The retired PollingRecv axis drew last; nothing consumes the stream
 	// after it, so every seed still yields the same instance without it.

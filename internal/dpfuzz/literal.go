@@ -24,8 +24,8 @@ func GoLiteral(in *Instance) string {
 	}
 	fmt.Fprintf(&b, "\tNodes: %d, Threads: %d, SendBufs: %d, RecvBufs: %d,\n",
 		in.Nodes, in.Threads, in.SendBufs, in.RecvBufs)
-	fmt.Fprintf(&b, "\tPriority: %s, Sched: %s, Balance: %s,\n",
-		priorityName(in.Priority), schedName(in.Sched), balanceName(in.Balance))
+	fmt.Fprintf(&b, "\tPriority: %s, Balance: %s,\n",
+		priorityName(in.Priority), balanceName(in.Balance))
 	fmt.Fprintf(&b, "}\n")
 	fmt.Fprintf(&b, "sp := spec.MustNew(%q, %s, %s)\n", sp.Name, stringsLit(sp.Params), stringsLit(sp.Vars))
 	for _, q := range sp.Constraints {
@@ -97,16 +97,6 @@ func priorityName(p engine.Priority) string {
 		return "engine.FIFO"
 	}
 	return fmt.Sprintf("engine.Priority(%d)", p)
-}
-
-func schedName(s engine.Sched) string {
-	switch s {
-	case engine.SchedHybrid:
-		return "engine.SchedHybrid"
-	case engine.SchedDynamic:
-		return "engine.SchedDynamic"
-	}
-	return fmt.Sprintf("engine.Sched(%d)", s)
 }
 
 func balanceName(m balance.Method) string {

@@ -319,18 +319,17 @@ var regressionCases = []struct {
 		},
 	},
 	{
-		// All-boundary shape for the hybrid scheduler: a 1-D chain of
-		// six tiles spread over six nodes, so every non-initial tile's
-		// single producer lives on another rank and the static wavefront
-		// set is empty on every node. Pins the hybrid scheduler's pure
-		// fallback path (StaticTiles == 0, all tiles through dynamic
-		// dependence counting) against the serial reference.
+		// All-boundary shape: a 1-D chain of six tiles spread over six
+		// nodes, so every non-initial tile's single producer lives on
+		// another rank. Found against the retired static wavefront phase
+		// (whose set was empty on every node here); kept as a chain whose
+		// every edge crosses ranks, against the serial reference.
 		name: "all-boundary-empty-static-set",
 		build: func() *Instance {
 			in := &Instance{
 				Seed: 0xc0de0007, N: 11,
 				Nodes: 6, Threads: 2, SendBufs: 1, RecvBufs: 1,
-				Priority: engine.ColumnMajor, Sched: engine.SchedHybrid, Balance: balance.Prefix,
+				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_allboundary", []string{"N"}, []string{"v0"})
 			sp.MustConstrain("0 <= v0 <= N")
@@ -356,7 +355,7 @@ var regressionCases = []struct {
 			in := &Instance{
 				Seed: 0xc0de000c, N: 11, D: 2,
 				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 2,
-				Priority: engine.ColumnMajor, Sched: engine.SchedHybrid, Balance: balance.Prefix,
+				Priority: engine.ColumnMajor, Balance: balance.Prefix,
 			}
 			sp := spec.MustNew("regress_rowsband", []string{"N", "D"}, []string{"v0", "v1"})
 			sp.MustConstrain("0 <= v0 <= N")
@@ -389,10 +388,12 @@ func TestRowsRegressionShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		params := in.pvals(in.N)
+		probe := tl.NewProbe(params)
 		tiles := 0
-		tl.ForEachTileLevel(in.pvals(in.N), func(tile []int64, _ int64, interior bool) bool {
+		tl.ForEachTile(params, func(tile []int64) bool {
 			tiles++
-			if interior {
+			if probe.Interior(tile) {
 				t.Errorf("tile %v is interior", tile)
 			}
 			return true

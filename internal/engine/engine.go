@@ -3,16 +3,13 @@
 // OpenMP threads and dpgen/internal/mpi standing in for MPI ranks.
 //
 // Each simulated node owns a set of tiles (static load balancing,
-// Section IV-J) and schedules them with the hybrid static/dynamic
-// scheduler of sched.go: boundary and remote-fed tiles go through a
-// striped pending table with per-tile dependence counting, while
-// interior tiles with all-local producers are precomputed into a
-// wavefront order released level by level through one atomic counter
-// per level. Ready tiles land in the per-worker shards of the shared
-// ready pool (dpgen/internal/sched, the scheduler generated programs
-// run too); worker goroutines loop popping locally (priority heap
-// first, then the static deque LIFO), stealing from other shards when
-// empty, then unpack the tile's edges into a per-worker buffer with a
+// Section IV-J) and schedules them by per-tile dependence counting: a
+// tile waits in the striped pending table (live.go) until its last edge
+// arrives, then lands in its home shard of the shared ready pool
+// (dpgen/internal/sched, the scheduler generated programs run too),
+// ordered by the Figure 5 priority. Worker goroutines loop popping
+// their own shard's best tile, stealing from other shards when empty,
+// then unpack the tile's edges into a per-worker buffer with a
 // ghost-cell shell, run the user kernel over the tile's cells in
 // dependence order, pack the outgoing edges, and deliver them locally
 // or send them to the owning rank. A receiver goroutine per node,
@@ -77,15 +74,7 @@ type Config struct {
 	// ownership of the transport and closes it. See docs/TRANSPORT.md.
 	Transport mpi.Transport
 	Priority  Priority
-	// Sched selects the tile scheduler: SchedHybrid (default) uses the
-	// static wavefront phase for interior all-local tiles, SchedDynamic
-	// counts every tile's dependences dynamically. Bit-identical either
-	// way; see sched.go. The static phase is skipped under Checkpoint (a
-	// resumed rank re-executes only part of each precomputed level) and
-	// under Elastic (ownership, the basis of the classification, is no
-	// longer fixed at partition time).
-	Sched   Sched
-	Balance balance.Method
+	Balance   balance.Method
 	// DisableFastPath forces every tile through the checked reference
 	// machinery (the bound-evaluating cell enumerator with per-cell
 	// validity checks, nest-driven pack/unpack), bypassing the row plan
@@ -205,9 +194,10 @@ type NodeStats struct {
 	// QueueDepthPeak is the maximum number of ready tiles queued across
 	// the node's shards at once.
 	QueueDepthPeak int64
-	// StaticTiles counts tiles scheduled by the static wavefront phase
-	// (zero with SchedDynamic, DisableFastPath, fault tolerance, or an
-	// all-boundary tile space).
+	// Deprecated: StaticTiles is always 0. It counted the tiles of a
+	// static wavefront phase that no longer exists; every tile is
+	// dependence-counted. The field stays for readers that still print
+	// it.
 	StaticTiles int64
 	// EdgesDroppedDup counts duplicate edges dropped by the
 	// fault-tolerance deduplication layer — replayed traffic after a
@@ -293,7 +283,7 @@ type engine struct {
 	goalLocal []int64
 
 	// key packs tile coordinates into the collision-free integer the
-	// live table, the static index and checkpoints name a tile by.
+	// live table and checkpoints name a tile by.
 	key *tiling.TileKey
 
 	goalMu  sync.Mutex // guards goalVal and goalSet: taken by the goal tile alone
@@ -487,8 +477,7 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 // come from the boundary band scan, so startup touches only O(n^{d-1})
 // tiles, and every process seeds only its own. A resumed rank restores
 // its executed set first (executed seeds are not queued again) and
-// replays its checkpointed edges after. Last, the static phase orders
-// interior all-local tiles while no worker exists to lock against.
+// replays its checkpointed edges after.
 func (e *engine) seed(nodes []*node) error {
 	nodeByRank := make([]*node, e.cfg.Nodes)
 	for _, n := range nodes {
@@ -515,7 +504,6 @@ func (e *engine) seed(nodes []*node) error {
 			nodes[i].replay(recs)
 		}
 	}
-	e.buildStatic(nodeByRank)
 	return nil
 }
 
@@ -614,9 +602,6 @@ func (e *engine) collect(nodes []*node, merged *mergedResult) (*Result, error) {
 		n.st.PeakPendingEdges = n.peakPendingEdges.Load()
 		n.st.PeakBufferedElems = n.peakBufferedElems.Load()
 		n.st.PeakPendingTiles = n.peakPendingTiles.Load()
-		if n.wf != nil {
-			n.st.StaticTiles = n.wf.Static()
-		}
 		res.Stats[n.id] = n.st
 	}
 	if merged != nil {
@@ -672,17 +657,10 @@ type node struct {
 	mu   sync.Mutex
 	done bool
 
-	// Scheduler state: the live-tile table (live.go), the ready pool
-	// workers pop, steal and park on, and (under SchedHybrid) the static
-	// wavefront phase with its tile index (sched.go). staticIdx maps a
-	// static tile's key to its entry, so deliver can write producer
-	// edges straight into their slot with no lock: each slot has
-	// exactly one producer, and the frontier can only release the tile
-	// after that producer finished. Read-only once workers start.
-	live      *liveTable
-	pool      *sched.Pool[tileState]
-	wf        *sched.Wavefront[tileState]
-	staticIdx map[uint64]*pendTile
+	// Scheduler state: the live-tile table (live.go) and the ready pool
+	// workers pop, steal and park on.
+	live *liveTable
+	pool *sched.Pool[tileState]
 
 	ownedTotal int64
 	executed   int64
@@ -955,12 +933,9 @@ func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 	n.enqueue(p, lane)
 }
 
-// deliver records one incoming edge for a consumer tile. Static tiles
-// take a lock-free path: the edge lands directly in its preassigned
-// slot (the producer is the slot's only writer, and the wavefront
-// frontier cannot release the tile before the producer retires).
-// Dynamic tiles go through the live table and move to their home shard
-// when the last dependence arrives. lane is the calling goroutine's
+// deliver records one incoming edge for a consumer tile in the live
+// table; the tile moves to its home shard when the last dependence
+// arrives. lane is the calling goroutine's
 // trace lane (nil when untraced); ds is its delivery scratch, which the
 // caller flushes when its batch of deliveries ends.
 func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, lane *obs.Lane, ds *delivState) {
@@ -968,18 +943,10 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 	if remote && lane != nil {
 		lane.Instant(obs.KRecv, obs.TileID(consumer), int32(dep), int64(len(data)))
 	}
-	k := e.tileKey(consumer)
-	var ready *pendTile
-	if p := n.staticIdx[k]; p != nil {
-		// Remote edges never target static tiles (their producers are
-		// all node-local by classification).
-		p.Tile.edges[dep] = edge{dep: dep, data: data}
-	} else {
-		var dup bool
-		if ready, dup = n.live.addEdge(ds, consumer, k, dep, data); dup {
-			mpi.PutData(data)
-			return
-		}
+	ready, dup := n.live.addEdge(ds, consumer, e.tileKey(consumer), dep, data)
+	if dup {
+		mpi.PutData(data)
+		return
 	}
 	ds.edges++
 	ds.elems += int64(len(data))
@@ -1106,7 +1073,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	var cells int64
 	var tileMax float64
 	fast := !e.cfg.DisableFastPath
-	interior := fast && (p.Static || p.Tile.core || w.probe.Interior(p.Tile.coord))
+	interior := fast && (p.Tile.core || w.probe.Interior(p.Tile.coord))
 	if fast {
 		cells, tileMax = n.execRows(p, w, interior)
 	} else {
@@ -1145,15 +1112,8 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	e := n.eng
 	tl := e.tl
 	fast := !e.cfg.DisableFastPath
-	var freedElems, nEdges int64
+	var freedElems int64
 	for _, ed := range p.Tile.edges {
-		if ed.data == nil {
-			// A static tile's slot for a producer that does not exist
-			// (an out-of-space neighbor whose ghost cells no valid
-			// dependence ever reads).
-			continue
-		}
-		nEdges++
 		freedElems += int64(len(ed.data))
 		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
 			tl.UnpackInterior(ed.dep, w.buf, ed.data)
@@ -1180,7 +1140,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 				ed.dep, p.Tile.coord, len(ed.data), got))
 		}
 	}
-	n.pendingEdges.Add(-nEdges)
+	n.pendingEdges.Add(-int64(len(p.Tile.edges)))
 	n.bufferedElems.Add(-freedElems)
 	n.live.unpacked(p, &w.bufs)
 }
@@ -1246,8 +1206,8 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 }
 
 // tileDone is execTile's epilogue: the batched per-tile stats, the
-// checkpoint cadence, crash injection and voluntary leave triggers, the
-// wavefront-level retirement and the termination check.
+// checkpoint cadence, crash injection and voluntary leave triggers and
+// the termination check.
 func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, stall time.Duration) {
 	e := n.eng
 	lane := w.lane
@@ -1283,20 +1243,13 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 	if wantLeave {
 		n.et.SendElastic(0, mpi.ElasticLeave, nil)
 	}
-	// Retire the tile from its wavefront level, releasing the next
-	// static level if this drained the frontier. Must follow the
-	// outgoing-edge deliveries: a released consumer's slots are only
-	// complete once every lower-level producer has delivered.
-	if n.wf != nil {
-		n.release(n.wf.Retire(p.Level), lane)
-	}
 	// Sample the pending-edge curve (the Figure 4 quantity as a time
 	// series) and the ready-queue depth at every tile completion.
 	if lane != nil {
 		lane.Instant(obs.KPending, "", -1, n.pendingEdges.Load())
 		lane.Instant(obs.KQueueDepth, "", -1, n.pool.Len())
 	}
-	if !p.Static && w.ds.spare == nil {
+	if w.ds.spare == nil {
 		w.ds.spare = p // reused by this worker's next pending-table miss
 	}
 	if finished {

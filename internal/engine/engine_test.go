@@ -358,10 +358,7 @@ func TestPriorityMemoryFig4(t *testing.T) {
 	N := 2*n - 1 // w=2 -> n tiles per dim
 	peak := map[Priority]int64{}
 	for _, prio := range []Priority{ColumnMajor, LevelSet} {
-		// SchedDynamic: the figure measures what the *priority policy*
-		// buffers; hybrid static release frees whole levels at once and
-		// erases the difference between the policies.
-		res, err := Run(tl, sumKernel, []int64{N}, Config{Priority: prio, Sched: SchedDynamic})
+		res, err := Run(tl, sumKernel, []int64{N}, Config{Priority: prio})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,14 +392,14 @@ func TestMaxAcrossWorkersAndNodes(t *testing.T) {
 		}
 	}
 	k := func(c *Ctx) { c.V[c.Loc] = val(c.X[0], c.X[1]) }
-	for _, cfg := range []Config{{}, {Threads: 2}, {Nodes: 2, Threads: 2}, {Nodes: 2, Threads: 2, Sched: SchedDynamic}} {
+	for _, cfg := range []Config{{}, {Threads: 2}, {Nodes: 2, Threads: 2}} {
 		for i := 0; i < 5; i++ { // the worker that gets the tile varies run to run
 			res, err := Run(tl, k, []int64{N}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Max != want {
-				t.Fatalf("nodes %d threads %d sched %v: Max %v, want %v", cfg.Nodes, cfg.Threads, cfg.Sched, res.Max, want)
+				t.Fatalf("nodes %d threads %d: Max %v, want %v", cfg.Nodes, cfg.Threads, res.Max, want)
 			}
 		}
 	}

@@ -42,8 +42,7 @@ import (
 // pendTile is a tile known to a node: pending (waiting on dependence
 // edges) and then queued for execution. The scheduling header (priority
 // key, wavefront level, arrival order, home shard) is the shared
-// scheduler's; Static marks a wavefront-scheduled tile (sched.go), which
-// never enters the table.
+// scheduler's.
 type pendTile = sched.Item[tileState]
 
 // tileState is the engine's own part of a pendTile.
@@ -54,9 +53,7 @@ type tileState struct {
 	// built: the tile is interior and every producer and consumer tile
 	// exists, so nothing further is asked of the polytope about it.
 	core bool
-	// edges holds the received, still-packed edges. A static tile's
-	// slice is preallocated with one slot per tile dependence, filled
-	// in place by producers instead of appended under a lock.
+	// edges holds the received, still-packed edges.
 	edges []edge
 	got   uint64 // per-dep arrival bitmask, the duplicate filter's finest grain
 }

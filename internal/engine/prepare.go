@@ -89,7 +89,7 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 // Run executes the prepared problem with the given kernel. cfg.Nodes
 // (or cfg.Transport's size, in distributed mode), cfg.Balance and — for
 // an elastic run — the initial member set must match what the program
-// was prepared for; everything else — threads, scheduler, priority,
+// was prepared for; everything else — threads, priority,
 // buffers, tracing, checkpointing — is free to vary per run. Results
 // are bit-identical to an unprepared engine.Run with the same
 // configuration.

@@ -54,8 +54,8 @@ func sumSerial(N int64) map[[2]int64]float64 {
 // TestRowsOverflowTakesCheckedPath: parameters that defeat the row
 // plan's overflow proof (every checked evaluation still fits int64)
 // must run the whole job on the checked reference path — as if
-// DisableFastPath were set, so no static tiles either — and still match
-// the serial table cell for cell.
+// DisableFastPath were set — and still match the serial table cell for
+// cell.
 func TestRowsOverflowTakesCheckedPath(t *testing.T) {
 	tl := slackGrid(t)
 	const N = 15
@@ -92,9 +92,6 @@ func TestRowsOverflowTakesCheckedPath(t *testing.T) {
 		}
 		if res.Value != want[[2]int64{0, 0}] {
 			t.Errorf("%s: Value %v, serial %v", tc.scenario, res.Value, want[[2]int64{0, 0}])
-		}
-		if static := res.Stats[0].StaticTiles; (static > 0) != tc.rowPath {
-			t.Errorf("%s: %d static tiles", tc.scenario, static)
 		}
 	}
 }

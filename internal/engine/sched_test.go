@@ -5,100 +5,67 @@ import (
 	"testing"
 )
 
-// ---- hybrid static/dynamic scheduler ----
+// ---- tile scheduling ----
 
-// TestSchedulersBitIdentical: the hybrid and pure-dynamic schedulers
-// must produce bit-identical cell values under every node/thread shape
-// — the static wavefront phase may only change execution order within
-// what the dependence DAG already allows.
+// TestSchedulersBitIdentical: every schedule the scheduler produces —
+// one worker, several workers stealing from each other, several nodes,
+// and the three priority policies — computes bit-identical cell values:
+// the order may only change within what the dependence DAG allows.
 func TestSchedulersBitIdentical(t *testing.T) {
 	n := int64(10)
 	tl := pipe2(t, n)
 	N := 2*n - 1
-	for _, shape := range []struct{ nodes, threads int }{
-		{1, 1}, {1, 4}, {3, 2},
+	var ref map[[2]int64]float64
+	for _, cfg := range []Config{
+		{Nodes: 1, Threads: 1},
+		{Nodes: 1, Threads: 4},
+		{Nodes: 3, Threads: 2},
+		{Nodes: 3, Threads: 2, Priority: LevelSet},
+		{Nodes: 3, Threads: 2, Priority: FIFO},
 	} {
-		var ref map[[2]int64]float64
-		for _, sched := range []Sched{SchedHybrid, SchedDynamic} {
-			var mu sync.Mutex
-			got := map[[2]int64]float64{}
-			res, err := Run(tl, sumKernel, []int64{N}, Config{
-				Nodes: shape.nodes, Threads: shape.threads, Sched: sched,
-				OnCell: func(x []int64, v float64) {
-					mu.Lock()
-					got[[2]int64{x[0], x[1]}] = v
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatalf("%dx%d %v: %v", shape.nodes, shape.threads, sched, err)
-			}
-			if res.Value == 0 {
-				t.Fatalf("%dx%d %v: zero goal value", shape.nodes, shape.threads, sched)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("%dx%d %v: %d cells, hybrid computed %d",
-					shape.nodes, shape.threads, sched, len(got), len(ref))
-			}
-			for k, want := range ref {
-				if got[k] != want {
-					t.Fatalf("%dx%d %v: cell %v = %v, hybrid %v",
-						shape.nodes, shape.threads, sched, k, got[k], want)
-				}
-			}
+		var mu sync.Mutex
+		got := map[[2]int64]float64{}
+		cfg.OnCell = func(x []int64, v float64) {
+			mu.Lock()
+			got[[2]int64{x[0], x[1]}] = v
+			mu.Unlock()
 		}
-	}
-}
-
-// TestStaticTilesOnInteriorRichProblem: a large single-node square
-// grid is dominated by interior tiles with local producers, so the
-// hybrid scheduler must classify most of them static; with multiple
-// nodes, boundary rows flip back to dynamic but plenty remain.
-func TestStaticTilesOnInteriorRichProblem(t *testing.T) {
-	n := int64(12)
-	tl := pipe2(t, n)
-	N := 2*n - 1
-	for _, nodes := range []int{1, 2} {
-		res, err := Run(tl, sumKernel, []int64{N}, Config{Nodes: nodes, Threads: 2})
+		res, err := Run(tl, sumKernel, []int64{N}, cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%dx%d %v: %v", cfg.Nodes, cfg.Threads, cfg.Priority, err)
 		}
-		var static, tiles int64
-		for _, st := range res.Stats {
-			static += st.StaticTiles
-			tiles += st.TilesExecuted
+		if res.Value == 0 {
+			t.Fatalf("%dx%d %v: zero goal value", cfg.Nodes, cfg.Threads, cfg.Priority)
 		}
-		if static == 0 {
-			t.Errorf("nodes=%d: no static tiles on an interior-rich grid", nodes)
+		if ref == nil {
+			ref = got
+			continue
 		}
-		if static > tiles {
-			t.Errorf("nodes=%d: static %d exceeds executed %d", nodes, static, tiles)
+		if len(got) != len(ref) {
+			t.Fatalf("%dx%d %v: %d cells, one worker computed %d",
+				cfg.Nodes, cfg.Threads, cfg.Priority, len(got), len(ref))
 		}
-		// Single node, all producers local: everything but the edge
-		// rows/columns (non-interior) and the initial tile is static.
-		if nodes == 1 && static < tiles/2 {
-			t.Errorf("single node: only %d of %d tiles static", static, tiles)
+		for k, want := range ref {
+			if got[k] != want {
+				t.Fatalf("%dx%d %v: cell %v = %v, one worker %v",
+					cfg.Nodes, cfg.Threads, cfg.Priority, k, got[k], want)
+			}
 		}
 	}
 }
 
-// TestStaticPhaseDisabledPaths: every configuration that must fall
-// back to pure-dynamic scheduling reports zero static tiles.
+// TestStaticPhaseDisabledPaths: there is no static phase on any path.
+// NodeStats.StaticTiles stays for its readers and reports zero
+// everywhere, including the multi-worker fast path that once ran one.
 func TestStaticPhaseDisabledPaths(t *testing.T) {
 	n := int64(8)
 	tl := pipe2(t, n)
 	N := 2*n - 1
 	for name, cfg := range map[string]Config{
-		"dynamic":    {Threads: 2, Sched: SchedDynamic},
+		"threads":    {Threads: 2},
+		"nodes":      {Nodes: 2, Threads: 2},
 		"nofastpath": {Threads: 2, DisableFastPath: true},
 		"checkpoint": {Threads: 2, Checkpoint: CheckpointConfig{Dir: t.TempDir(), EveryTiles: 1}},
-		// One worker: nothing for the static phase to desynchronize,
-		// so the classification scan is skipped outright.
-		"singlethread": {Threads: 1},
 	} {
 		res, err := Run(tl, sumKernel, []int64{N}, cfg)
 		if err != nil {
@@ -113,7 +80,7 @@ func TestStaticPhaseDisabledPaths(t *testing.T) {
 }
 
 // TestPopAccounting: every executed tile is either a local pop or a
-// steal, under both schedulers and any thread count.
+// steal, at any node and thread count.
 func TestPopAccounting(t *testing.T) {
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	N := int64(15)
@@ -121,7 +88,6 @@ func TestPopAccounting(t *testing.T) {
 		{Nodes: 1, Threads: 1},
 		{Nodes: 1, Threads: 4},
 		{Nodes: 2, Threads: 3},
-		{Nodes: 2, Threads: 3, Sched: SchedDynamic},
 	} {
 		res, err := Run(tl, bandit2Kernel, []int64{N}, cfg)
 		if err != nil {
@@ -129,8 +95,8 @@ func TestPopAccounting(t *testing.T) {
 		}
 		for i, st := range res.Stats {
 			if st.Steals+st.LocalPops != st.TilesExecuted {
-				t.Errorf("nodes=%d threads=%d sched=%v node %d: steals %d + local %d != executed %d",
-					cfg.Nodes, cfg.Threads, cfg.Sched, i, st.Steals, st.LocalPops, st.TilesExecuted)
+				t.Errorf("nodes=%d threads=%d node %d: steals %d + local %d != executed %d",
+					cfg.Nodes, cfg.Threads, i, st.Steals, st.LocalPops, st.TilesExecuted)
 			}
 			if st.TilesExecuted > 0 && st.QueueDepthPeak < 1 {
 				t.Errorf("node %d executed %d tiles with queue peak %d", i, st.TilesExecuted, st.QueueDepthPeak)
@@ -138,17 +104,6 @@ func TestPopAccounting(t *testing.T) {
 			if cfg.Threads == 1 && st.Steals != 0 {
 				t.Errorf("node %d stole %d tiles with a single worker", i, st.Steals)
 			}
-		}
-	}
-}
-
-// TestSchedStringer covers the flag-facing names.
-func TestSchedStringer(t *testing.T) {
-	for s, want := range map[Sched]string{
-		SchedHybrid: "hybrid", SchedDynamic: "dynamic", Sched(7): "unknown",
-	} {
-		if got := s.String(); got != want {
-			t.Errorf("Sched(%d).String() = %q, want %q", s, got, want)
 		}
 	}
 }

@@ -116,8 +116,8 @@ func TestTollCountersUnchanged(t *testing.T) {
 	}{
 		{"knap-quick", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1}, 663, 3087, 78, 1812},
 		{"knap-quick/level-set", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1, Priority: LevelSet}, 663, 3087, 111, 2032},
-		{"fig4/column-major", fig4, sumKernel, []int64{15}, Config{Sched: SchedDynamic}, 64, 112, 9, 18},
-		{"fig4/level-set", fig4, sumKernel, []int64{15}, Config{Sched: SchedDynamic, Priority: LevelSet}, 64, 112, 14, 28},
+		{"fig4/column-major", fig4, sumKernel, []int64{15}, Config{}, 64, 112, 9, 18},
+		{"fig4/level-set", fig4, sumKernel, []int64{15}, Config{Priority: LevelSet}, 64, 112, 14, 28},
 	} {
 		res, err := Run(tc.tl, tc.kernel, tc.params, tc.cfg)
 		if err != nil {

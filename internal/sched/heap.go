@@ -35,12 +35,11 @@ func (p Priority) String() string {
 // Item is one schedulable tile: the header the scheduler orders and
 // places by, and the runtime's own per-tile state.
 type Item[T any] struct {
-	Key    []int64 // oriented Figure 5 priority key: the lexicographically smaller runs first
-	Level  int64   // wavefront level: the LevelSet order, and the counter a Wavefront files it under
-	Seq    int64   // arrival order, assigned by Pool.Push: the FIFO order and every policy's tie-break
-	Shard  int     // worker queue it lands in: Pool.Home if dynamic, set by Wavefront.Advance if static
-	Static bool    // wavefront-released: queues on its shard's deque, not its heap
-	Tile   T       // the runtime's per-tile state
+	Key   []int64 // oriented Figure 5 priority key: the lexicographically smaller runs first
+	Level int64   // wavefront level: the LevelSet order
+	Seq   int64   // arrival order, assigned by Pool.Push: the FIFO order and every policy's tie-break
+	Shard int     // worker queue it lands in: Pool.Home of the tile's coordinates
+	Tile  T       // the runtime's per-tile state
 }
 
 // Heap is a binary min-heap of ready items under one Priority. Seq makes
@@ -115,29 +114,22 @@ func (h *Heap[T]) down(i int) {
 	}
 }
 
-// removeIf drops every item drop reports and restores the heap order.
+// removeIf drops every item drop reports, clearing the vacated tail,
+// and restores the heap order.
 func (h *Heap[T]) removeIf(drop func(*Item[T]) bool) (removed int) {
-	h.items, removed = filterItems(h.items, drop)
+	kept := h.items[:0]
+	for _, it := range h.items {
+		if !drop(it) {
+			kept = append(kept, it)
+		}
+	}
+	removed = len(h.items) - len(kept)
+	clear(h.items[len(kept):])
+	h.items = kept
 	if removed > 0 {
 		for i := len(h.items)/2 - 1; i >= 0; i-- {
 			h.down(i)
 		}
 	}
 	return removed
-}
-
-// filterItems compacts items in place to those drop does not report,
-// clearing the vacated tail.
-func filterItems[T any](items []*Item[T], drop func(*Item[T]) bool) (kept []*Item[T], removed int) {
-	kept = items[:0]
-	for _, it := range items {
-		if !drop(it) {
-			kept = append(kept, it)
-		}
-	}
-	removed = len(items) - len(kept)
-	for i := len(kept); i < len(items); i++ {
-		items[i] = nil
-	}
-	return kept, removed
 }

@@ -8,54 +8,10 @@ import (
 // shard is one worker's slice of the ready pool.
 type shard[T any] struct {
 	mu   sync.Mutex
-	heap Heap[T]    // dynamically released items, priority order
-	dq   []*Item[T] // statically released items; [dqHead:] is live
-	// dqHead indexes the deque's steal end; popping from the head just
-	// advances it, and the slice recycles once it empties.
-	dqHead int
+	heap Heap[T] // ready items, priority order
 	// rng seeds the owning worker's victim-selection PRNG (xorshift).
 	// Only the owner touches it, so it needs no lock.
 	rng uint64
-}
-
-// popLocal removes the owner's preferred item (mu held): best dynamic
-// item first, else the newest static item.
-func (s *shard[T]) popLocal() *Item[T] {
-	if s.heap.Len() > 0 {
-		return s.heap.Pop()
-	}
-	if n := len(s.dq); n > s.dqHead {
-		it := s.dq[n-1]
-		s.dq[n-1] = nil
-		s.dq = s.dq[:n-1]
-		s.recycle()
-		return it
-	}
-	return nil
-}
-
-// stealOne removes a thief's item (mu held): the victim's best dynamic
-// item first, else the oldest static item.
-func (s *shard[T]) stealOne() *Item[T] {
-	if s.heap.Len() > 0 {
-		return s.heap.Pop()
-	}
-	if s.dqHead < len(s.dq) {
-		it := s.dq[s.dqHead]
-		s.dq[s.dqHead] = nil
-		s.dqHead++
-		s.recycle()
-		return it
-	}
-	return nil
-}
-
-// recycle rewinds an emptied deque to the start of its backing array.
-func (s *shard[T]) recycle() {
-	if s.dqHead == len(s.dq) {
-		s.dq = s.dq[:0]
-		s.dqHead = 0
-	}
 }
 
 func xorshift64(s *uint64) uint64 {
@@ -78,15 +34,11 @@ func AtomicMax(a *atomic.Int64, v int64) {
 }
 
 // Pool is a node's ready queue: one shard per worker, each holding a
-// priority heap of dynamically released items (boundary and remote-fed
-// work, kept in priority order so communication-causing tiles leave
-// first) and a deque of statically released wavefront items. The owner
-// pops the heap first, then the deque's tail (LIFO, the hottest cache
-// lines); a thief scans the other shards from a random start and takes
-// the victim's best heap item or the deque's head (FIFO, the oldest
-// item, the one the owner is least likely to want next). An
-// epoch/sleeper protocol parks workers when every shard is empty
-// without losing wakeups.
+// priority heap of the tiles whose dependences have all arrived, so
+// communication-causing tiles leave first (Figure 5). The owner pops its
+// own heap's best item; a thief scans the other shards from a random
+// start and takes the first victim's best. An epoch/sleeper protocol
+// parks workers when every shard is empty without losing wakeups.
 type Pool[T any] struct {
 	shards []shard[T]
 
@@ -118,7 +70,7 @@ func NewPool[T any](workers int, prio Priority) *Pool[T] {
 }
 
 // Home hashes tile coordinates to a shard (FNV-1a), fixing which
-// worker's queue a dynamically released tile lands in.
+// worker's queue a released tile lands in.
 func (p *Pool[T]) Home(coords []int64) int {
 	if len(p.shards) <= 1 {
 		return 0
@@ -141,11 +93,7 @@ func (p *Pool[T]) Push(it *Item[T]) {
 	it.Seq = p.seq.Add(1)
 	s := &p.shards[it.Shard]
 	s.mu.Lock()
-	if it.Static {
-		s.dq = append(s.dq, it)
-	} else {
-		s.heap.Push(it)
-	}
+	s.heap.Push(it)
 	s.mu.Unlock()
 	AtomicMax(&p.peak, p.qlen.Add(1))
 	p.epoch.Add(1)
@@ -156,16 +104,23 @@ func (p *Pool[T]) Push(it *Item[T]) {
 	}
 }
 
+// take removes shard s's best item, or returns nil when it is empty.
+func (s *shard[T]) take() (it *Item[T]) {
+	s.mu.Lock()
+	if s.heap.Len() > 0 {
+		it = s.heap.Pop()
+	}
+	s.mu.Unlock()
+	return it
+}
+
 // Pop claims an item for worker w: its own shard first, then, if the
 // pool-wide count says there is anything to take, the other shards in a
 // randomized rotation. Reports whether the item was stolen; nil when
 // nothing was claimable.
 func (p *Pool[T]) Pop(w int) (it *Item[T], stolen bool) {
 	s := &p.shards[w]
-	s.mu.Lock()
-	it = s.popLocal()
-	s.mu.Unlock()
-	if it != nil {
+	if it = s.take(); it != nil {
 		p.qlen.Add(-1)
 		p.localPops.Add(1)
 		return it, false
@@ -176,11 +131,7 @@ func (p *Pool[T]) Pop(w int) (it *Item[T], stolen bool) {
 	}
 	start := int(xorshift64(&s.rng) % uint64(ns-1))
 	for i := 0; i < ns-1; i++ {
-		v := &p.shards[(w+1+(start+i)%(ns-1))%ns]
-		v.mu.Lock()
-		it = v.stealOne()
-		v.mu.Unlock()
-		if it != nil {
+		if it = p.shards[(w+1+(start+i)%(ns-1))%ns].take(); it != nil {
 			p.qlen.Add(-1)
 			p.steals.Add(1)
 			return it, true
@@ -248,12 +199,8 @@ func (p *Pool[T]) RemoveIf(drop func(*Item[T]) bool) int64 {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		n := s.heap.removeIf(drop)
-		live, m := filterItems(s.dq[s.dqHead:], drop)
-		s.dq = s.dq[:s.dqHead+len(live)]
-		s.recycle()
+		removed += int64(s.heap.removeIf(drop))
 		s.mu.Unlock()
-		removed += int64(n + m)
 	}
 	p.qlen.Add(-removed)
 	return removed

@@ -1,12 +1,11 @@
 // Package sched is the problem-independent tile scheduler of Section V,
 // written once for every runtime in the repository: the ready pool
-// (per-worker shards holding a priority heap and a static deque,
-// randomized stealing, a lost-wakeup-free park) and the wavefront
-// release of the hybrid static/dynamic schedule (arXiv:1610.07236).
-// All of it is generic over the runtime's per-tile state, so
-// dpgen/internal/engine instantiates it with slice-backed tiles, a
-// generated program with fixed-size arrays and dpgen/internal/simsched
-// with its cost-model state, each without interface dispatch.
+// (per-worker shards holding a Figure 5 priority heap, randomized
+// stealing, a lost-wakeup-free park). It is generic over the runtime's
+// per-tile state, so dpgen/internal/engine instantiates it with
+// slice-backed tiles, a generated program with fixed-size arrays and
+// dpgen/internal/simsched with its cost-model state, each without
+// interface dispatch.
 //
 // The package imports only the standard library, because generated
 // programs do not import it: codegen.Generate emits the text of the
@@ -23,8 +22,6 @@ var (
 	heapGo string
 	//go:embed pool.go
 	poolGo string
-	//go:embed wavefront.go
-	wavefrontGo string
 )
 
 // Source is one file of the scheduler.
@@ -35,5 +32,5 @@ type Source struct {
 
 // Sources returns the scheduler's source files in name order.
 func Sources() []Source {
-	return []Source{{"heap.go", heapGo}, {"pool.go", poolGo}, {"wavefront.go", wavefrontGo}}
+	return []Source{{"heap.go", heapGo}, {"pool.go", poolGo}}
 }

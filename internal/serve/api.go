@@ -30,9 +30,6 @@ type QueryRequest struct {
 	// capped by the server's -max-nodes/-max-threads).
 	Nodes   int `json:"nodes,omitempty"`
 	Threads int `json:"threads,omitempty"`
-	// Sched selects the tile scheduler: "hybrid" (default) or
-	// "dynamic".
-	Sched string `json:"sched,omitempty"`
 	// NoResultCache skips the result memo for this request (it still
 	// coalesces with identical in-flight queries and still uses the
 	// compiled-spec cache).
@@ -95,7 +92,7 @@ type ErrorResponse struct {
 // Stable error codes carried in ErrorResponse.Code.
 const (
 	// ErrBadRequest: malformed JSON, missing/conflicting fields, bad
-	// parameters or unknown problem/kernel/scheduler names (HTTP 400).
+	// parameters or unknown problem/kernel names (HTTP 400).
 	ErrBadRequest = "bad_request"
 	// ErrCompile: the spec failed to parse, validate or analyze; the
 	// failure is negatively cached under the spec's hash (HTTP 400).

@@ -15,7 +15,7 @@
 //   - request coalescing: identical in-flight (spec, kernel, params)
 //     queries share one engine run via singleflight (single.go);
 //   - a size-bounded LRU result memo (lru.go) — results are
-//     bit-identical across node/thread/scheduler configurations by the
+//     bit-identical across node/thread configurations by the
 //     engine's determinism guarantee, so the memo key deliberately
 //     excludes them;
 //   - admission control (admission.go): bounded compile and run queues
@@ -303,7 +303,6 @@ type resolved struct {
 	params     []int64
 	nodes      int
 	threads    int
-	sched      engine.Sched
 	// parse rebuilds the compiled artifacts on a spec-cache miss.
 	parse func() (*spec.Spec, error)
 	// parseErr is a spec-text parse/validate failure: the request is a
@@ -334,15 +333,6 @@ func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
 	if r.threads < 1 || r.threads > s.opts.MaxThreads {
 		return nil, badRequest("serve: threads %d out of range [1, %d]", r.threads, s.opts.MaxThreads)
 	}
-	switch req.Sched {
-	case "", "hybrid":
-		r.sched = engine.SchedHybrid
-	case "dynamic":
-		r.sched = engine.SchedDynamic
-	default:
-		return nil, badRequest("serve: unknown scheduler %q (want hybrid or dynamic)", req.Sched)
-	}
-
 	if req.Problem != "" {
 		if req.Kernel != "" {
 			return nil, badRequest("serve: kernel applies only to spec requests (builtin problems carry their own)")
@@ -487,8 +477,8 @@ func (s *Server) getPrepared(cs *compiledSpec, params []int64, nodes int) (*engi
 	return v.(*engine.Prepared), nil
 }
 
-// resultKey is the result-memo and coalescing key. Node, thread and
-// scheduler counts are deliberately absent: the engine guarantees
+// resultKey is the result-memo and coalescing key. Node and thread
+// counts are deliberately absent: the engine guarantees
 // bit-identical cell values across them, so configurations share
 // results.
 func (r *resolved) resultKey() string {
@@ -541,7 +531,7 @@ func (s *Server) compute(ctx context.Context, r *resolved, tenant string, memoiz
 	if s.testRunStarted != nil {
 		s.testRunStarted()
 	}
-	cfg := engine.Config{Nodes: r.nodes, Threads: r.threads, Sched: r.sched}
+	cfg := engine.Config{Nodes: r.nodes, Threads: r.threads}
 	var tracer *obs.Tracer
 	if withTrace {
 		tracer = obs.NewTracer()

@@ -325,7 +325,6 @@ func TestBadRequests(t *testing.T) {
 		{"wrong param count", QueryRequest{Problem: "lcs2", Params: []int64{1, 2, 3, 4, 5}}},
 		{"non-default params on a fixed-params problem", QueryRequest{Problem: "editdist", Params: []int64{10, 10}}},
 		{"nodes over cap", QueryRequest{Problem: "lcs2", Nodes: 3}},
-		{"bad scheduler", QueryRequest{Problem: "lcs2", Sched: "static"}},
 		{"builtin param over declared bound", QueryRequest{Problem: "mcm", Params: []int64{1000}}},
 		{"builtin param under declared bound", QueryRequest{Problem: "knap", Params: []int64{10, 30, 0}}},
 		{"spec template param out of bounds", QueryRequest{Spec: vardistSpecA, Params: []int64{8, 9}}},
@@ -333,6 +332,33 @@ func TestBadRequests(t *testing.T) {
 		status, body, _ := post(t, ts.URL, "/v1/query", tc.req, nil)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400\n%s", tc.name, status, body)
+		}
+	}
+}
+
+// An old client still sending the retired "sched" field is served: the
+// decoder ignores unknown fields, and the answer is the serial
+// reference's, bit for bit.
+func TestRetiredSchedFieldIgnored(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	p, err := problems.Get("bandit2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []string{"hybrid", "dynamic", "static"} {
+		body := `{"problem":"bandit2","threads":2,"noResultCache":true,"sched":"` + sched + `"}`
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("sched %q: status %d, decode %v", sched, resp.StatusCode, err)
+		}
+		if want := p.Serial(p.DefaultParams); qr.Value != want {
+			t.Errorf("sched %q: value %v, serial reference %v", sched, qr.Value, want)
 		}
 	}
 }
