@@ -546,12 +546,13 @@ func BenchmarkRunKernel(b *testing.B) {
 }
 
 // BenchmarkTileOverhead measures what a tile costs before it computes
-// anything (ROADMAP item 2(c)): the repository benchmark's three tile
+// anything (ROADMAP item 2(c)): the repository benchmark's four tile
 // shapes — knap's 8×8 with five range-footprint edges, the served
-// triangle's 16×16 and lcs2's 32×32 — prepared once and run on one
-// worker under a kernel that only accepts the run it is offered. What is
-// left is the scheduler, the pending table, the probes, the row walker's
-// bounds and the edge pack/unpack copies: ns/tile, and its inverse.
+// triangle's 16×16, lcs2's 32×32 and bandit2's 6×6×6×6, whose tiles are
+// mostly boundary tiles — prepared once and run on one worker under a
+// kernel that only accepts the run it is offered. What is left is the
+// scheduler, the pending table, the probes, the shape replay of rows and
+// partial slabs and the edge copies: ns/tile, and its inverse.
 func BenchmarkTileOverhead(b *testing.B) {
 	tri, err := spec.Parse(triangleSpecText)
 	if err != nil {
@@ -565,6 +566,7 @@ func BenchmarkTileOverhead(b *testing.B) {
 		{"knap8x8", problems.Knapsack().Spec, []int64{1000, 4000, 3}},
 		{"triangle16x16", tri, []int64{2000}},
 		{"lcs2-32x32", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec, []int64{2000, 2000}},
+		{"bandit2-6x6x6x6", problems.Bandit2().Spec, []int64{100}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			tl, err := tiling.New(tc.sp)

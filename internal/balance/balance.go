@@ -82,7 +82,7 @@ type Assignment struct {
 // Build computes the node assignment for the given tiling, parameter
 // values and node count.
 func Build(tl *tiling.Tiling, params []int64, nodes int, m Method) (*Assignment, error) {
-	return BuildMembers(tl, params, nodes, nil, m)
+	return BuildMembers(tl, params, nodes, nil, m, nil)
 }
 
 // BuildMembers computes an assignment over a world of `world` ranks in
@@ -90,8 +90,9 @@ func Build(tl *tiling.Tiling, params []int64, nodes int, m Method) (*Assignment,
 // equal-work cuts are made among the members and mapped onto their rank
 // numbers, so an elastic run can start with a subset of the mesh active
 // and admit the rest later. Work and Tiles are indexed by rank over the
-// full world.
-func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m Method) (*Assignment, error) {
+// full world. rows, when not nil, is the row plan the caller bound for
+// params: counting the slabs fills its shape table (tiling.Slabs).
+func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m Method, rows *tiling.RowPlan) (*Assignment, error) {
 	if world < 1 {
 		return nil, fmt.Errorf("balance: need at least 1 node, got %d", world)
 	}
@@ -113,7 +114,7 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 	if err != nil {
 		return nil, err
 	}
-	slabs := tl.Slabs(params, key)
+	slabs := tl.Slabs(params, key, rows)
 	var total int64
 	for _, s := range slabs {
 		total += s.Work

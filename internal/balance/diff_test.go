@@ -67,7 +67,7 @@ func checkAgainstReference(t *testing.T, name string, tl *tiling.Tiling, params 
 				memberSets = append(memberSets, []int{0, world - 1}) // a strict subset
 			}
 			for _, members := range memberSets {
-				a, err := balance.BuildMembers(tl, params, world, members, m)
+				a, err := balance.BuildMembers(tl, params, world, members, m, nil)
 				if err != nil {
 					t.Fatalf("%s %v world %d members %v: %v", name, m, world, members, err)
 				}

@@ -7,7 +7,7 @@ func TestBuildMembersSubset(t *testing.T) {
 	// member, and the non-members must carry zero work.
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	params := []int64{16}
-	a, err := BuildMembers(tl, params, 4, []int{0, 2}, Prefix)
+	a, err := BuildMembers(tl, params, 4, []int{0, 2}, Prefix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBuildMembersSubset(t *testing.T) {
 func TestRebalanceDeterministicAndConserving(t *testing.T) {
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	params := []int64{16}
-	prev, err := BuildMembers(tl, params, 4, []int{0, 1}, Prefix)
+	prev, err := BuildMembers(tl, params, 4, []int{0, 1}, Prefix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRebalanceShrinkKeepsSurvivors(t *testing.T) {
 	// all move off it.
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	params := []int64{16}
-	prev, err := BuildMembers(tl, params, 3, nil, Prefix)
+	prev, err := BuildMembers(tl, params, 3, nil, Prefix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

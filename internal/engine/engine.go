@@ -18,13 +18,14 @@
 // thread, so its workers probe between tiles; a goroutine is one).
 //
 // The hot path runs on a row plan bound to the run's parameters
-// (tiling.RowPlan): a tile is walked row by row, bounds evaluated once
-// per row and dependence validity as intervals, and one cell loop
-// executes the runs. Tiles whose whole dependence shell lies inside the
-// iteration space (the interior-tile classification of
-// dpgen/internal/tiling) need no evaluation at all, and their
-// pack/unpack collapse to strided copies. The checked per-cell
-// enumerator remains as the reference path (Config.DisableFastPath).
+// (tiling.RowPlan): Prepare walks each distinct tile shape once — its
+// rows, with bounds and dependence validity as intervals, and its
+// partial edge slabs as copy spans — and a run replays a tile's shape
+// around one cell loop. Tiles whose whole dependence shell lies inside
+// the iteration space (the interior-tile classification of
+// dpgen/internal/tiling) share one shape, and their pack/unpack collapse
+// to strided copies. The checked per-cell enumerator remains as the
+// reference path (Config.DisableFastPath).
 // Edge buffers cycle through a per-worker free stack backed by the mpi
 // package's pools and the pending table is keyed by a collision-free
 // integer packing of the tile coordinates, so the steady-state loop
@@ -303,7 +304,7 @@ func Run(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	prep, err := prepare(tl, params, cfg.Nodes, members, cfg.Balance, !cfg.DisableFastPath)
+	prep, err := prepare(tl, params, cfg.Nodes, members, cfg.Balance)
 	if err != nil {
 		return nil, err
 	}
@@ -961,7 +962,7 @@ func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, l
 }
 
 // workerState is per-worker scratch: the tile buffer with its ghost
-// shell, the kernel context, the row walker (nil on the checked
+// shell, the kernel context, the shape reader (nil on the checked
 // reference path), the reusable polytope probe, the free stack of edge
 // buffers and the worker's slot of the node's maximum folds.
 type workerState struct {
@@ -971,7 +972,7 @@ type workerState struct {
 	x        []int64
 	xbase    []int64 // global coordinates of the current tile's local origin
 	tbuf     []int64 // producer/consumer tile scratch
-	rows     *tiling.RowWalker
+	shapes   *tiling.ShapeReader
 	probe    *tiling.TileProbe
 	ds       delivState
 	bufs     edgeBufs
@@ -1011,6 +1012,9 @@ func (n *node) newWorkerState(slot int) *workerState {
 		// shares the engine's read-only slice.
 		DepStride: e.depStride,
 		X:         w.x,
+		I:         make([]int64, d),
+		DepValid:  make([]bool, nd),
+		DepLen:    make([]int64, nd),
 		P:         e.params,
 		// A run advances along the innermost loop level.
 		N:     1,
@@ -1019,12 +1023,7 @@ func (n *node) newWorkerState(slot int) *workerState {
 		Dir:   int64(in.Dir),
 	}
 	if e.rows != nil {
-		// The walker maintains validity, lengths and local indices in
-		// place, one update per run instead of one per cell.
-		w.rows = e.rows.NewWalker()
-		w.ctx.DepValid, w.ctx.DepLen, w.ctx.I = w.rows.DepValid, w.rows.DepLen, w.rows.I
-	} else {
-		w.ctx.DepValid, w.ctx.DepLen = make([]bool, nd), make([]int64, nd)
+		w.shapes = e.rows.NewReader()
 	}
 	return w
 }
@@ -1107,7 +1106,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 // share that producer's slab order, so the elements match exactly. A
 // full-slab edge (its length equals the dense size) unpacks with the
 // precompiled strided copy regardless of how the producer packed it;
-// partial boundary slabs walk the producer's slab rows.
+// partial boundary slabs copy the spans of the producer's slab shape.
 func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	e := n.eng
 	tl := e.tl
@@ -1125,7 +1124,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 		}
 		var got int
 		if fast {
-			got = w.rows.UnpackPartial(ed.dep, producer, w.buf, ed.data)
+			got = w.shapes.UnpackPartial(ed.dep, producer, w.buf, ed.data)
 		} else {
 			tl.ForEachEdgeCell(e.params, producer, ed.dep, func(i []int64) bool {
 				if got < len(ed.data) {
@@ -1136,8 +1135,12 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 			})
 		}
 		if got != len(ed.data) {
-			panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells",
-				ed.dep, p.Tile.coord, len(ed.data), got))
+			side := "short"
+			if len(ed.data) > got {
+				side = "long"
+			}
+			panic(fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells (the edge is %s)",
+				ed.dep, p.Tile.coord, len(ed.data), got, side))
 		}
 	}
 	n.pendingEdges.Add(-int64(len(p.Tile.edges)))
@@ -1170,7 +1173,7 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		case interior:
 			tl.PackInterior(j, w.buf, data)
 		case fast:
-			data = w.rows.PackPartial(j, p.Tile.coord, w.buf, data[:0])
+			data = w.shapes.PackPartial(j, p.Tile.coord, w.buf, data[:0])
 		default:
 			data = data[:0]
 			tl.ForEachEdgeCell(e.params, p.Tile.coord, j, func(i []int64) bool {
@@ -1304,75 +1307,84 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 	return cells, tileMax
 }
 
-// execRows is the row runner: it executes a tile through the row plan.
-// The walker yields the tile's rows in execution order with bounds
-// evaluated once per row, and each row's runs of constant dependence
-// validity; the one inner cell loop below hands the kernel what is left
-// of the run — in either direction, N cells from the current one — and
-// advances by the Done cells the kernel took. Validity and
-// point-dependence lengths are in place for the whole run; where a valid
-// range dependence's length varies along it, the offer is cut to the
-// cells that share the current lengths. With OnCell set every offer is
-// one cell, so the hook keeps its cell-by-cell interleaving. For an
-// interior tile every row is full and every run all-valid, with no
-// bound or validity evaluation at all.
+// execRows is the row runner: it replays the tile's shape (tiling.Shape:
+// its rows' runs of constant dependence validity, in execution order)
+// around the one inner cell loop below, which hands the kernel
+// what is left of the run — in either direction, N cells from the
+// current one — and advances by the Done cells the kernel took. Validity
+// is set where it changes, so once per interior tile; where a valid range
+// dependence's length varies along a run, the offer is cut to the cells
+// that share the current lengths. With OnCell set every offer is one
+// cell, so the hook keeps its cell-by-cell interleaving.
 func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64, tileMax float64) {
 	e := n.eng
 	tl := e.tl
-	rw := w.rows
 	ctx := &w.ctx
 	// Slice headers live in locals: the kernel call cannot change them,
 	// so the cell loop reloads and re-checks nothing.
 	depOff, depLoc := e.depLocOff, ctx.DepLoc[:len(e.depLocOff)]
+	depValid, depLen := ctx.DepValid, ctx.DepLen
 	kernel := e.kernel
 	onCell := e.cfg.OnCell
-	buf, x, xbase := w.buf, w.x, w.xbase
+	buf, x, xbase, idx := w.buf, w.x, w.xbase, ctx.I
 	for k, wd := range tl.Widths {
 		xbase[k] = wd * p.Tile.coord[k]
 	}
 	outer, in := tl.Dense[:len(tl.Dense)-1], tl.Dense[len(tl.Dense)-1]
-	li, xi, xb := &rw.I[in.Var], &x[in.Var], xbase[in.Var]
+	no := len(outer)
+	li, xi, xb := &idx[in.Var], &x[in.Var], xbase[in.Var]
 	dir, step := ctx.Dir, ctx.Step
 	tileMax = math.Inf(-1)
-	rw.Begin(p.Tile.coord, interior)
-	for rw.NextRow() {
-		for _, L := range outer {
-			x[L.Var] = xbase[L.Var] + rw.I[L.Var]
+	sh := w.shapes.Cells(p.Tile.coord, interior)
+	valid := ^uint64(0) // no run's: bit 63 is never a dependence
+	row, rowLoc := int32(-1), int64(0)
+	for q := range sh.Runs {
+		run := &sh.Runs[q]
+		if run.Row != row {
+			row, rowLoc = run.Row, sh.Loc[run.Row]
+			for l, L := range outer {
+				v := sh.Outer[int(row)*no+l]
+				idx[L.Var], x[L.Var] = v, xbase[L.Var]+v
+			}
 		}
-		for rw.NextRun() {
-			i, cnt := rw.From, (rw.To-rw.From)*dir+1
-			cells += cnt
-			ranged := rw.Ranged
-			for loc := rw.RowLoc + i*in.Stride; cnt > 0; {
-				*li, *xi = i, xb+i
-				ctx.Loc = loc
-				for j, off := range depOff {
-					depLoc[j] = loc + off
+		if run.Valid != valid {
+			valid = run.Valid
+			for j := range depValid {
+				depValid[j], depLen[j] = valid>>j&1 != 0, int64(valid>>j&1)
+			}
+		}
+		i, cnt := run.From, (run.To-run.From)*dir+1
+		cells += cnt
+		ranged := run.Ranged()
+		for loc := rowLoc + i*in.Stride; cnt > 0; {
+			*li, *xi = i, xb+i
+			ctx.Loc = loc
+			for j, off := range depOff {
+				depLoc[j] = loc + off
+			}
+			offer := cnt
+			if ranged {
+				offer = w.shapes.LenRun(run, i, cnt, depLen)
+			}
+			if onCell != nil {
+				offer = 1
+			}
+			ctx.N, ctx.Done = offer, 1
+			kernel(ctx)
+			done := ctx.Done
+			if done < 1 || done > offer {
+				badDone(ctx, p.Tile.coord)
+			}
+			i += done * dir
+			cnt -= done
+			if onCell != nil {
+				onCell(x, buf[loc]) // the offer was this one cell
+			}
+			for ; done > 0; done-- {
+				if v := buf[loc]; v > tileMax {
+					tileMax = v
 				}
-				offer := cnt
-				if ranged {
-					offer = rw.LenRun(i, cnt)
-				}
-				if onCell != nil {
-					offer = 1
-				}
-				ctx.N, ctx.Done = offer, 1
-				kernel(ctx)
-				done := ctx.Done
-				if done < 1 || done > offer {
-					badDone(ctx, p.Tile.coord)
-				}
-				i += done * dir
-				cnt -= done
-				if onCell != nil {
-					onCell(x, buf[loc]) // the offer was this one cell
-				}
-				for ; done > 0; done-- {
-					if v := buf[loc]; v > tileMax {
-						tileMax = v
-					}
-					loc += step
-				}
+				loc += step
 			}
 		}
 	}

@@ -33,8 +33,9 @@ type Prepared struct {
 	initial     [][]int64
 	ownedTotals []int64 // nil when assign.Tiles is already exact
 	rows        *tiling.RowPlan
-	// balanceTime is the load balance (Section IV-J), scanTime the
-	// initial-tile scan (Section IV-K) and row binding.
+	// balanceTime is the row binding and the load balance (Section
+	// IV-J) with the shape table it fills, scanTime the initial-tile scan
+	// (Section IV-K).
 	balanceTime, scanTime time.Duration
 }
 
@@ -54,23 +55,21 @@ func Prepare(tl *tiling.Tiling, params []int64, nodes int, method balance.Method
 		return nil, fmt.Errorf("engine: got %d params, spec has %d", len(params), len(tl.Spec.Params))
 	}
 	members, _ := normalizeMembers(nil, nodes)
-	return prepare(tl, params, nodes, members, method, true)
+	return prepare(tl, params, nodes, members, method)
 }
 
-// prepare is Prepare over an explicit, normalized member set. bindRows
-// is false only for a single run that will not take the fast path.
-func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method balance.Method, bindRows bool) (*Prepared, error) {
+// prepare is Prepare over an explicit, normalized member set. The one
+// row plan it binds is the one the balance's slab count walks: that pass
+// fills the plan's shape table, which every run then replays.
+func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method balance.Method) (*Prepared, error) {
 	start := time.Now()
-	assign, err := balance.BuildMembers(tl, params, nodes, members, method)
+	rows := tl.BindRows(params)
+	assign, err := balance.BuildMembers(tl, params, nodes, members, method, rows)
 	if err != nil {
 		return nil, err
 	}
 	balanceTime := time.Since(start)
 	initial, ownedTotals := initialAndTotals(tl, params, assign, nodes)
-	var rows *tiling.RowPlan
-	if bindRows {
-		rows = tl.BindRows(params)
-	}
 	return &Prepared{
 		tl:          tl,
 		params:      append([]int64(nil), params...),

@@ -387,7 +387,7 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 	// and returns what it panicked with.
 	firstTile := func(k Kernel, cfg Config) (msg string) {
 		cfg = cfg.withDefaults()
-		prep, err := prepare(fx.tl, fx.params, 1, []int{0}, cfg.Balance, true)
+		prep, err := prepare(fx.tl, fx.params, 1, []int{0}, cfg.Balance)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,6 +414,67 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 		msg = firstTile(func(c *Ctx) { x, n = fmt.Sprint(c.X), c.N; panic("boom") }, cfg)
 		if want := fmt.Sprintf("(last run offered: X=%s N=%d): boom", x, n); !strings.Contains(msg, "kernel panic in tile") || !strings.Contains(msg, want) {
 			t.Errorf("disable=%v: kernel panic reported as %q, want the tile and %q", disable, msg, want)
+		}
+	}
+}
+
+// TestRowsUnpackMismatchNamesSizes: an edge shorter or longer than its
+// partial slab is refused with both sizes and the side that is wrong, on
+// the shape path and on the checked path.
+func TestRowsUnpackMismatchNamesSizes(t *testing.T) {
+	tl, params := bandit2Tiling(t, 4, nil), []int64{13}
+	probe := tl.NewProbe(params)
+	// A consumer whose producer along some dependence is a boundary tile
+	// with a partial slab, short enough that one extra value is not the
+	// full slab either.
+	var consumer []int64
+	var dep, cells int
+	tl.ForEachTile(params, func(c []int64) bool {
+		for j, td := range tl.TileDeps {
+			producer := make([]int64, len(c))
+			for k, off := range td.Offset {
+				producer[k] = c[k] + off
+			}
+			if !probe.InSpace(producer) {
+				continue
+			}
+			n := 0
+			tl.ForEachEdgeCell(params, producer, j, func([]int64) bool { n++; return true })
+			if n > 0 && int64(n+1) < tl.InteriorEdgeSize[j] {
+				consumer, dep, cells = slices.Clone(c), j, n
+				return false
+			}
+		}
+		return true
+	})
+	if consumer == nil {
+		t.Fatal("no partial slab in the space")
+	}
+	for _, disable := range []bool{false, true} {
+		cfg := Config{DisableFastPath: disable}.withDefaults()
+		prep, err := prepare(tl, params, 1, []int{0}, cfg.Balance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, nodes, err := newEngine(prep, bandit2Kernel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			values int
+			side   string
+		}{{cells - 1, "short"}, {cells + 1, "long"}} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				p := &pendTile{Tile: tileState{coord: consumer, edges: []edge{{dep: dep, data: make([]float64, tc.values)}}}}
+				nodes[0].unpackEdges(p, nodes[0].newWorkerState(0))
+				return ""
+			}()
+			want := fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells (the edge is %s)",
+				dep, consumer, tc.values, cells, tc.side)
+			if msg != want {
+				t.Errorf("disable=%v: %s edge panicked with %q, want %q", disable, tc.side, msg, want)
+			}
 		}
 	}
 }

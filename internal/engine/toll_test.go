@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"dpgen/internal/balance"
 	"dpgen/internal/spec"
 	"dpgen/internal/tiling"
 )
@@ -36,7 +37,7 @@ func noopKernel(c *Ctx) { c.Done = c.N }
 func serialWorker(t testing.TB, tl *tiling.Tiling, params []int64) (n *node, w *workerState, step func() bool) {
 	t.Helper()
 	cfg := Config{}.withDefaults()
-	prep, err := prepare(tl, params, 1, []int{0}, cfg.Balance, true)
+	prep, err := prepare(tl, params, 1, []int{0}, cfg.Balance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +134,53 @@ func TestTollCountersUnchanged(t *testing.T) {
 
 // TestEdgeBufsSteadyState: once the wavefront is under way a tile's
 // unpack → release → pack → deliver cycle runs on the worker's free
-// stack and the recycled table entry, allocating nothing.
+// stack and the recycled table entry, allocating nothing — on knap's
+// core tiles and on bandit2's boundary tiles, whose cells and partial
+// slabs replay shapes from the plan's table.
 func TestEdgeBufsSteadyState(t *testing.T) {
-	_, w, step := serialWorker(t, knapTiling(t), []int64{1000, 4000, 3})
-	for i := 0; i < 2000; i++ { // past the first tile rows, where the live set still grows
-		step()
+	for _, tc := range []struct {
+		name   string
+		tl     *tiling.Tiling
+		params []int64
+	}{
+		{"knap", knapTiling(t), []int64{1000, 4000, 3}},
+		{"bandit2", bandit2Tiling(t, 6, []string{"s1", "f1"}), []int64{100}},
+	} {
+		_, w, step := serialWorker(t, tc.tl, tc.params)
+		for i := 0; i < 2000; i++ { // past the first tile rows, where the live set still grows
+			step()
+		}
+		if len(w.bufs.free) == 0 {
+			t.Fatalf("%s: no edge buffer reached the worker's free stack", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
+			t.Errorf("%s: %v allocations per steady-state tile, want 0", tc.name, allocs)
+		}
 	}
-	if len(w.bufs.free) == 0 {
-		t.Fatal("no edge buffer reached the worker's free stack")
+}
+
+// TestTollRowsWalkedOncePerShape pins replay where a timing cannot: on
+// bandit2 at N = 100, Prepare walks the rows of the distinct shapes —
+// not the 449 451 rows of the 3 025 boundary tiles — and a run, on one
+// worker or two, walks none.
+func TestTollRowsWalkedOncePerShape(t *testing.T) {
+	tl, params := bandit2Tiling(t, 6, []string{"s1", "f1"}), []int64{100}
+	prep, err := Prepare(tl, params, 1, balance.Prefix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
-		t.Errorf("%v allocations per steady-state tile, want 0", allocs)
+	st := prep.rows.ShapeStats()
+	t.Logf("after Prepare: %+v", st)
+	if st.Cells != 4 || st.Slabs != 16 || st.Walked != st.Rows {
+		t.Fatalf("Prepare interned %d cell and %d slab shapes walking %d rows for %d; want 4, 16 and every row once",
+			st.Cells, st.Slabs, st.Walked, st.Rows)
+	}
+	for _, threads := range []int{1, 2} {
+		if _, err := prep.Run(noopKernel, Config{Threads: threads}); err != nil {
+			t.Fatal(err)
+		}
+		if walked := prep.rows.ShapeStats().Walked; walked != st.Walked {
+			t.Errorf("%d threads: the run walked %d rows", threads, walked-st.Walked)
+		}
 	}
 }

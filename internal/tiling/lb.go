@@ -116,34 +116,47 @@ func (k *TileKey) OfLB(lb []int64) uint64 {
 // over the tile space — what the generated program does at start-up —
 // and returns the cells that hold any work, in lexicographic order of
 // their coordinates. An interior tile (one affine test) contributes
-// its box volume; a boundary tile the sum of its row lengths under the
-// bound row plan, in plain arithmetic. When the row plan's overflow
-// proof fails for these parameters every tile is counted by the checked
-// local nest instead.
-func (tl *Tiling) Slabs(params []int64, key *TileKey) []Slab {
+// its box volume; a boundary tile its shape's cell count, interning the
+// tile's shapes in rows (shapes.go) — each distinct one walked once —
+// for the runs that replay them. rows must be bound to params and not yet
+// read by a run; nil binds one for this pass alone. When the row plan
+// cannot be walked every tile is counted by the checked local nest.
+func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) []Slab {
+	if rows == nil {
+		rows = tl.BindRows(params)
+	}
 	probe := tl.NewProbe(params)
-	rw := tl.BindRows(params).NewWalker()
+	rd := rows.NewReader()
+	if rd != nil {
+		rd.interning = true
+	}
 	box := int64(1)
 	for _, w := range tl.Widths {
 		box *= w // at most AllocLen, which New computed checked
 	}
 	var slabs []Slab
 	at := map[uint64]int{}
+	lastKey, i := uint64(math.MaxUint64), 0 // consecutive tiles mostly share a slab
 	tl.ForEachTile(params, func(t []int64) bool {
-		k, _ := key.Of(t) // every tile is inside the tile bounds
-		i, ok := at[k]
-		if !ok {
-			i = len(slabs)
-			at[k] = i
-			slabs = append(slabs, Slab{LB: tl.LBCoords(t, nil)})
+		if k, _ := key.Of(t); k != lastKey { // every tile is inside the tile bounds
+			var ok bool
+			if i, ok = at[k]; !ok {
+				i = len(slabs)
+				at[k] = i
+				slabs = append(slabs, Slab{LB: tl.LBCoords(t, nil)})
+			}
+			lastKey = k
 		}
 		switch {
-		case rw == nil:
+		case rd == nil:
 			slabs[i].Work += tl.CellCount(params, t)
 		case probe.Interior(t):
 			slabs[i].Work += box
+			if (rows.table.interior == nil || rows.lnVaries) && !rows.table.full {
+				rd.fill(t)
+			}
 		default:
-			slabs[i].Work += rw.CountCells(t)
+			slabs[i].Work += rd.fill(t)
 		}
 		slabs[i].Tiles++
 		return true

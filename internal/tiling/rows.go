@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math"
+	"sync/atomic"
 
 	"dpgen/internal/ints"
 	"dpgen/internal/lin"
@@ -33,9 +34,10 @@ type affine struct {
 	tc, ic []int64
 }
 
-// proofLimit bounds |k| + Σ|tc|·max|t| + Σ|ic|·max|i| for every bound
-// form: below it no partial sum, negation, ±1 or division result of a
-// row evaluation can leave int64.
+// proofLimit bounds |k| + Σ|tc|·max|t| + Σ|ic|·max|i| for every form:
+// below it no partial sum, negation, ±1 or division result of a row
+// evaluation, nor a shape key's extreme over the tile box, can leave
+// int64.
 const proofLimit = int64(1) << 62
 
 // satAdd and satMul are saturating arithmetic on magnitudes (>= 0).
@@ -217,9 +219,11 @@ type depPlan struct {
 }
 
 // RowPlan is the run-bound compiled form of a tiling's cell nest,
-// dependence validity and edge-slab nests for one parameter vector. It
-// is immutable and safe to share; per-goroutine state lives in the
-// RowWalkers made from it.
+// dependence validity and edge-slab nests for one parameter vector, with
+// the table of tile shapes compiled from it (shapes.go). It is safe to
+// share: the table is filled by Slabs before any run reads it and is
+// read-only afterwards; per-goroutine state lives in the RowWalkers and
+// ShapeReaders made from it.
 type RowPlan struct {
 	tl     *Tiling
 	ok     bool
@@ -228,6 +232,18 @@ type RowPlan struct {
 	nrange int
 	packs  []nestPlan
 	nforms int // largest forms slice: walker scratch size
+
+	// Shape keys (shapes.go): the local system's inequalities that vary
+	// with the tile, and the rules of the dependence forms (index minus
+	// cells.nnest). lnVaries: a range length varies with the tile, so
+	// interior tiles may differ in shape.
+	sysForms           []affine
+	sysRules, depRules []clampRule
+	lnVaries           bool
+
+	table  shapeTable
+	budget int64        // the table's bound in rows: shapeBudget
+	walked atomic.Int64 // rows walked compiling shapes
 }
 
 // BindRows compiles the row plan for params. It does no
@@ -243,24 +259,37 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 		}
 	}
 	b, _, _ := tl.newBinder(params, reach)
-	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps))}
+	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps)), budget: shapeBudget}
+	for _, q := range tl.localSys.Ineqs {
+		if f := b.bindLocal(q.Expr, 1); !allZero(f.tc) {
+			p.sysForms = append(p.sysForms, f)
+			p.sysRules = append(p.sysRules, tl.boxRule(f.ic, 0))
+		}
+	}
 	forms := p.cells.forms
+	// A dependence form is read as r + c·i >= 0 at every cell, a length
+	// form as length >= 1.
+	depForm := func(f affine, k int64) {
+		forms = append(forms, f)
+		p.depRules = append(p.depRules, tl.boxRule(f.ic, k))
+	}
 	for j := range sp.Deps {
 		dp := depPlan{v0: len(forms), rng: -1}
 		if sp.Deps[j].IsRange() {
 			dp.rng = p.nrange
 			p.nrange++
 			for _, rc := range tl.RangeChecks[j] {
-				forms = append(forms, b.bindSpec(rc.Base.Expr))
 				step := b.bindSpec(rc.Step).k
 				dp.neg = append(dp.neg, ints.Max(0, -step))
+				depForm(b.bindSpec(rc.Base.Expr), 0)
 			}
 			dp.v1 = len(forms)
 			dp.ln = len(forms)
-			forms = append(forms, b.bindSpec(tl.LenExprs[j]))
+			depForm(b.bindSpec(tl.LenExprs[j]), -1)
+			p.lnVaries = p.lnVaries || !allZero(forms[dp.ln].tc)
 		} else {
 			for _, q := range tl.Validity[j] {
-				forms = append(forms, b.bindSpec(q.Expr))
+				depForm(b.bindSpec(q.Expr), 0)
 			}
 			dp.v1 = len(forms)
 		}
@@ -273,41 +302,50 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 		p.nforms = max(p.nforms, len(np.forms))
 		p.packs = append(p.packs, np)
 	}
-	p.ok = b.ok
+	p.table = shapeTable{cells: map[string]*Shape{}, slabs: map[string][][]int64{}}
+	// A shape's run holds its validity as a 64-bit mask, bit 63 clear.
+	p.ok = b.ok && len(sp.Deps) < 64
 	return p
 }
 
-// OK reports whether the overflow proof held. When it did not, the
-// plan must not be walked: callers keep to the checked enumerators.
+// OK reports whether the overflow proof held and the spec has fewer than
+// 64 dependences. When not, the plan must not be walked: callers keep to
+// the checked enumerators.
 func (p *RowPlan) OK() bool { return p.ok }
 
-// rangeRow is one range dependence's length along the current row:
-// r + c·i, clamped by each chk to (chk.r + chk.c·i)/chk.neg + 1.
-type rangeRow struct {
-	dep  int
-	r, c int64
-	chk  []rangeClamp
+// lenRow is one range dependence's length along a row: r + c·i with r
+// relative to the tile's folded base of form ln, clamped by the row's
+// clamps[c0:c1]. Being relative, it is the same row for every tile of a
+// shape.
+type lenRow struct {
+	dep, ln int32
+	c0, c1  int32
+	r, c    int64
 }
 
-type rangeClamp struct{ r, c, neg int64 }
+// rangeClamp caps a range length at (base[f] + r + c·i)/neg + 1: a
+// footprint check whose step is negative, r relative to form f's base.
+type rangeClamp struct {
+	f         int
+	r, c, neg int64
+}
 
 // RowWalker is per-goroutine scratch for walking tiles of one RowPlan:
 //
-//	rw.Begin(t, interior)
-//	for rw.NextRow() {        // rw.I, rw.RowLoc: the row's outer indices and origin
+//	rw.Begin(t)
+//	for rw.NextRow() {        // rw.RowLoc: the row's origin
 //		for rw.NextRun() {    // rw.From..rw.To: cells with constant rw.DepValid
-//			...               // rw.CellLens(i) per cell when rw.Ranged
+//			...
 //		}
 //	}
 //
 // Rows and the cells of their runs come in ForEachCell order, and
-// DepValid/DepLen equal DepLenAt at every cell.
+// DepValid and the run's length rows agree with DepLenAt at every cell.
+// The walker compiles shapes (shapes.go) and is the tests' reference for
+// them; runs replay shapes rather than walk.
 type RowWalker struct {
 	plan *RowPlan
 
-	// I holds the current row's local indices (Spec.Vars order); the
-	// innermost loop variable's entry belongs to the caller.
-	I []int64
 	// RowLoc is the buffer index of the row's cell with innermost local
 	// index 0.
 	RowLoc int64
@@ -315,12 +353,8 @@ type RowWalker struct {
 	// indices in execution order (From > To when the innermost loop
 	// descends).
 	From, To int64
-	// DepValid and DepLen hold the current run's per-dependence validity
-	// and usable length. A valid range dependence's length varies along
-	// the run: Ranged is set and CellLens fills it per cell.
+	// DepValid holds the current run's per-dependence validity.
 	DepValid []bool
-	DepLen   []int64
-	Ranged   bool
 
 	// Nest cursor: base[f] is forms[f] at the current tile with the
 	// local indices zero; clo..chi is each level's range from its
@@ -334,20 +368,20 @@ type RowWalker struct {
 	lo, hi   int64
 	first    bool // no row visited yet
 	done     bool // the nest is empty for this tile
-	interior bool
 
 	cellDirs, ascending []int
-	widths, strides     []int64 // per loop level
-	outerVars           []int   // variable index of each loop level but the innermost
+	strides             []int64 // per loop level
 
 	// Row dependence state: per-dependence validity interval, the
-	// ascending cut points splitting the row into runs, the range rows
-	// and those active in the current run.
+	// ascending cut points splitting the row into runs, the row's length
+	// rows (one per range dependence) with their clamps, and the rows of
+	// the range dependences valid in the current run.
 	vlo, vhi []int64
 	cuts     []int64
 	run      int
-	ranges   []rangeRow
-	active   []*rangeRow
+	lens     []lenRow
+	clamps   []rangeClamp
+	active   []lenRow
 }
 
 // NewWalker creates a walker, or nil when the plan's overflow proof
@@ -361,9 +395,7 @@ func (p *RowPlan) NewWalker() *RowWalker {
 	nd := len(p.deps)
 	rw := &RowWalker{
 		plan:      p,
-		I:         make([]int64, d),
 		DepValid:  make([]bool, nd),
-		DepLen:    make([]int64, nd),
 		base:      make([]int64, p.nforms),
 		clo:       make([]int64, d),
 		chi:       make([]int64, d),
@@ -371,49 +403,37 @@ func (p *RowPlan) NewWalker() *RowWalker {
 		end:       make([]int64, d),
 		cellDirs:  make([]int, d),
 		ascending: make([]int, d),
-		widths:    make([]int64, d),
 		strides:   make([]int64, d),
 		vlo:       make([]int64, nd),
 		vhi:       make([]int64, nd),
 		cuts:      make([]int64, 0, 2*nd),
-		ranges:    make([]rangeRow, p.nrange),
-		active:    make([]*rangeRow, 0, p.nrange),
+		lens:      make([]lenRow, p.nrange),
+		active:    make([]lenRow, 0, p.nrange),
 	}
 	for l, k := range tl.orderIdx {
 		rw.cellDirs[l] = tl.ExecDirs[k]
 		rw.ascending[l] = 1
-		rw.widths[l] = tl.Widths[k]
 		rw.strides[l] = tl.Strides[k]
-	}
-	rw.outerVars = tl.orderIdx[:d-1]
-	for j, dp := range p.deps {
-		if dp.rng >= 0 {
-			rw.ranges[dp.rng] = rangeRow{dep: j, chk: make([]rangeClamp, 0, len(dp.neg))}
-		}
 	}
 	return rw
 }
 
-// fold evaluates forms[from:to] at tile t into base.
-func (rw *RowWalker) fold(t []int64, from, to int) {
-	forms := rw.np.forms
-	for f := from; f < to; f++ {
-		v := forms[f].k
-		for k, c := range forms[f].tc {
-			v += c * t[k]
-		}
-		rw.base[f] = v
+// at evaluates the form at tile t with the local indices zero.
+func (f *affine) at(t []int64) int64 {
+	v := f.k
+	for k, c := range f.tc {
+		v += c * t[k]
 	}
+	return v
 }
 
 // begin points the cursor at nest np for tile t. It reports false when
 // the nest is empty for that tile outright.
-func (rw *RowWalker) begin(np *nestPlan, t []int64, dirs []int, interior bool) bool {
-	rw.np, rw.dirs, rw.interior, rw.first, rw.done = np, dirs, interior, true, false
-	if interior {
-		return true
+func (rw *RowWalker) begin(np *nestPlan, t []int64, dirs []int) bool {
+	rw.np, rw.dirs, rw.first, rw.done = np, dirs, true, false
+	for f := range np.forms {
+		rw.base[f] = np.forms[f].at(t)
 	}
-	rw.fold(t, 0, len(np.forms))
 	for f := np.res0; f < np.nnest; f++ {
 		if rw.base[f] < 0 {
 			rw.done = true
@@ -446,9 +466,6 @@ func (rw *RowWalker) formAt(f, l int) int64 {
 // levelBounds evaluates loop level l's range given the enclosing
 // levels' indices.
 func (rw *RowWalker) levelBounds(l int) (lo, hi int64) {
-	if rw.interior {
-		return 0, rw.widths[l] - 1
-	}
 	forms, lf := rw.np.forms, rw.np.levels[l]
 	lo, hi = rw.clo[l], rw.chi[l]
 	for f := lf.lo0; f < lf.lov; f++ {
@@ -518,22 +535,9 @@ func (rw *RowWalker) rowLoc() int64 {
 	return loc
 }
 
-// Begin starts walking tile t's cells. interior asserts that t
-// satisfies InteriorSys: every row is then the full tile width and
-// every dependence valid, with no bound or validity evaluation (range
-// lengths still follow their length forms, unclamped).
-func (rw *RowWalker) Begin(t []int64, interior bool) {
-	p := rw.plan
-	if !rw.begin(&p.cells, t, rw.cellDirs, interior) || !interior {
-		return
-	}
-	for j, dp := range p.deps {
-		rw.DepValid[j], rw.DepLen[j] = true, 1
-		if dp.rng >= 0 {
-			rw.fold(t, dp.ln, dp.ln+1)
-		}
-	}
-	rw.Ranged = false
+// Begin starts walking tile t's cells.
+func (rw *RowWalker) Begin(t []int64) {
+	rw.begin(&rw.plan.cells, t, rw.cellDirs)
 }
 
 // NextRow advances to the tile's next non-empty row in execution order.
@@ -541,15 +545,10 @@ func (rw *RowWalker) NextRow() bool {
 	if !rw.next() {
 		return false
 	}
-	for l, k := range rw.outerVars {
-		rw.I[k] = rw.il[l]
-	}
 	rw.RowLoc = rw.rowLoc()
 	rw.run = 0
 	rw.cuts = rw.cuts[:0]
-	if !rw.interior || rw.plan.nrange > 0 {
-		rw.rowDeps()
-	}
+	rw.rowDeps()
 	return true
 }
 
@@ -581,26 +580,28 @@ func clip(a, b, r, c int64) (int64, int64) {
 // interval along the row and collects the interval ends inside the row
 // as cut points.
 func (rw *RowWalker) rowDeps() {
+	rw.clamps = rw.clamps[:0]
 	for j := range rw.plan.deps {
 		dp := &rw.plan.deps[j]
 		a, b := rw.lo, rw.hi
-		var rr *rangeRow
+		var lr *lenRow
 		if dp.rng >= 0 {
 			// Usable length > 0 needs the declared length >= 1 ...
-			rr = &rw.ranges[dp.rng]
-			rr.chk = rr.chk[:0]
-			rr.r, rr.c = rw.rowForm(dp.ln)
-			a, b = clip(a, b, rr.r-1, rr.c)
+			r, c := rw.rowForm(dp.ln)
+			lr = &rw.lens[dp.rng]
+			*lr = lenRow{dep: int32(j), ln: int32(dp.ln), c0: int32(len(rw.clamps)), r: r - rw.base[dp.ln], c: c}
+			a, b = clip(a, b, r-1, c)
 		}
-		if !rw.interior {
-			// ... and the footprint's first cell inside every constraint.
-			for f := dp.v0; f < dp.v1 && a <= b; f++ {
-				r, c := rw.rowForm(f)
-				a, b = clip(a, b, r, c)
-				if rr != nil && dp.neg[f-dp.v0] > 0 {
-					rr.chk = append(rr.chk, rangeClamp{r, c, dp.neg[f-dp.v0]})
-				}
+		// ... and the footprint's first cell inside every constraint.
+		for f := dp.v0; f < dp.v1 && a <= b; f++ {
+			r, c := rw.rowForm(f)
+			a, b = clip(a, b, r, c)
+			if lr != nil && dp.neg[f-dp.v0] > 0 {
+				rw.clamps = append(rw.clamps, rangeClamp{f, r - rw.base[f], c, dp.neg[f-dp.v0]})
 			}
+		}
+		if lr != nil {
+			lr.c1 = int32(len(rw.clamps))
 		}
 		rw.vlo[j], rw.vhi[j] = a, b
 		if a <= b {
@@ -651,62 +652,52 @@ func (rw *RowWalker) NextRun() bool {
 	if desc {
 		rw.From, rw.To = e, s
 	}
-	if rw.interior && rw.plan.nrange == 0 {
-		return true
-	}
 	rw.active = rw.active[:0]
 	for j := range rw.DepValid {
 		v := rw.vlo[j] <= s && s <= rw.vhi[j]
 		rw.DepValid[j] = v
-		rw.DepLen[j] = 0
-		if !v {
-			continue
-		}
-		rw.DepLen[j] = 1
-		if g := rw.plan.deps[j].rng; g >= 0 {
-			rw.active = append(rw.active, &rw.ranges[g])
+		if g := rw.plan.deps[j].rng; v && g >= 0 {
+			rw.active = append(rw.active, rw.lens[g])
 		}
 	}
-	rw.Ranged = len(rw.active) > 0
 	return true
 }
 
-// CellLens fills DepLen for the run's valid range dependences at
-// innermost local index i.
-func (rw *RowWalker) CellLens(i int64) {
-	for _, rr := range rw.active {
-		n := rr.r + rr.c*i
-		for _, ck := range rr.chk {
-			n = min(n, (ck.r+ck.c*i)/ck.neg+1)
+// cellLens fills lens for the range dependences of rows at innermost
+// local index i; base holds the tile's folded forms.
+func cellLens(rows []lenRow, clamps []rangeClamp, base []int64, i int64, lens []int64) {
+	for _, lr := range rows {
+		n := base[lr.ln] + lr.r + lr.c*i
+		for _, ck := range clamps[lr.c0:lr.c1] {
+			n = min(n, (base[ck.f]+ck.r+ck.c*i)/ck.neg+1)
 		}
-		rw.DepLen[rr.dep] = n
+		lens[lr.dep] = n
 	}
 }
 
-// LenRun fills DepLen at innermost local index i, like CellLens, and
-// returns how many of the cnt cells from i onwards in execution order
-// share those lengths: the longest prefix of the run's remainder over
-// which no range dependence's usable length changes. It works on the
-// row forms — every term of a length, the declared r + c·i and each
-// clamp, is monotone along the row, so where it leaves its current
-// value is one division — not by evaluating the lengths cell by cell.
-func (rw *RowWalker) LenRun(i, cnt int64) int64 {
-	rw.CellLens(i)
-	dir := int64(rw.dirs[len(rw.dirs)-1])
-	for _, rr := range rw.active {
-		n := rw.DepLen[rr.dep]
+// lenRun fills lens at innermost local index i, like cellLens, and
+// returns how many of the cnt cells from i onwards in direction dir share
+// those lengths: the longest prefix of the run's remainder over which no
+// range dependence's usable length changes. It works on the row forms —
+// every term of a length, the declared r + c·i and each clamp, is
+// monotone along the row, so where it leaves its current value is one
+// division — not by evaluating the lengths cell by cell.
+func lenRun(rows []lenRow, clamps []rangeClamp, base []int64, i, cnt, dir int64, lens []int64) int64 {
+	cellLens(rows, clamps, base, i, lens)
+	for _, lr := range rows {
 		// The declared length is the clamp form (r-1 + c·i)/1 + 1.
-		cnt = holdLen(rangeClamp{rr.r - 1, rr.c, 1}, rr.chk, i, dir, n, cnt)
+		decl := rangeClamp{int(lr.ln), lr.r - 1, lr.c, 1}
+		cnt = holdLen(decl, clamps[lr.c0:lr.c1], base, i, dir, lens[lr.dep], cnt)
 	}
 	return cnt
 }
 
 // holdLen returns for how many of the cnt steps t = 0, 1, ... from index
 // i in direction dir the min over the terms {first, rest...} of
-// (r + c·(i + dir·t))/neg + 1 stays at n, its value at t = 0: at least
-// 1, at most cnt. Every numerator is non-negative on a valid run, so /
-// is floor.
-func holdLen(first rangeClamp, rest []rangeClamp, i, dir, n, cnt int64) int64 {
+// (base[f] + r + c·(i + dir·t))/neg + 1 stays at n, its value at t = 0:
+// at least 1, at most cnt. Every numerator is non-negative on a valid
+// run, so / is floor.
+func holdLen(first rangeClamp, rest []rangeClamp, base []int64, i, dir, n, cnt int64) int64 {
 	// The minimum holds while no term has fallen below n (before fall)
 	// and some term still equals n: a rising term that starts at n
 	// equals it on [0, rise), a falling one from when it reaches n
@@ -717,7 +708,7 @@ func holdLen(first rangeClamp, rest []rangeClamp, i, dir, n, cnt int64) int64 {
 		if k >= 0 {
 			ck = rest[k]
 		}
-		num, slope := ck.r+ck.c*i, ck.c*dir
+		num, slope := base[ck.f]+ck.r+ck.c*i, ck.c*dir
 		switch {
 		case slope < 0:
 			// Below n once num < (n-1)·neg; at most n once num < n·neg.
@@ -740,52 +731,4 @@ func holdLen(first rangeClamp, rest []rangeClamp, i, dir, n, cnt int64) int64 {
 		return fall
 	}
 	return min(fall, rise)
-}
-
-// CountCells returns the number of cells of tile t — the sum of its row
-// lengths, equal to CellCount.
-func (rw *RowWalker) CountCells(t []int64) int64 {
-	var n int64
-	if rw.begin(&rw.plan.cells, t, rw.ascending, false) {
-		for rw.next() {
-			n += rw.hi - rw.lo + 1
-		}
-	}
-	return n
-}
-
-// PackPartial appends producer tile t's slab cells for tile dependence
-// dep to out, in ForEachEdgeCell order: the outer levels by bound, the
-// innermost level (stride 1) as one copy per row.
-func (rw *RowWalker) PackPartial(dep int, t []int64, buf, out []float64) []float64 {
-	if !rw.begin(&rw.plan.packs[dep], t, rw.ascending, false) {
-		return out
-	}
-	for rw.next() {
-		loc := rw.rowLoc()
-		out = append(out, buf[loc+rw.lo:loc+rw.hi+1]...)
-	}
-	return out
-}
-
-// UnpackPartial writes an edge packed by producer tile t for tile
-// dependence dep into the consumer's ghost shell, and returns the
-// slab's cell count; it stops early with -1 when data is shorter than
-// the slab.
-func (rw *RowWalker) UnpackPartial(dep int, t []int64, buf, data []float64) int {
-	if !rw.begin(&rw.plan.packs[dep], t, rw.ascending, false) {
-		return 0
-	}
-	shift := rw.plan.tl.interiorScan[dep].shift
-	idx := 0
-	for rw.next() {
-		n := int(rw.hi - rw.lo + 1)
-		if idx+n > len(data) {
-			return -1
-		}
-		loc := rw.rowLoc() + shift + rw.lo
-		copy(buf[loc:loc+int64(n)], data[idx:idx+n])
-		idx += n
-	}
-	return idx
 }

@@ -116,6 +116,7 @@ type Tiling struct {
 
 	tileSpace    *lin.Space      // (params | t...) in Vars order
 	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
+	localSys     *lin.System     // the local system LocalNest and the pack nests scan
 	orderIdx     []int           // loop order as indexes into Spec.Vars
 	bandNests    []*loopgen.Nest // boundary band scans for InitialTilesFast
 	interiorScan []denseScan     // dense edge-slab scans per tile dep
@@ -299,6 +300,7 @@ func (tl *Tiling) buildSpaces() error {
 	if err != nil {
 		return fmt.Errorf("tiling: local projection: %w", err)
 	}
+	tl.localSys = local.Clone()
 	iOrder := make([]string, d)
 	for i, k := range tl.orderIdx {
 		iOrder[i] = iNames[k]
@@ -421,10 +423,7 @@ func (tl *Tiling) buildTileDeps(hull *spec.Hull) error {
 // partial boundary tiles pack exactly their valid band.
 func (tl *Tiling) buildPackNest(off []int64) (*loopgen.Nest, error) {
 	sp := tl.Spec
-	local, err := tl.localSystem()
-	if err != nil {
-		return nil, err
-	}
+	local := tl.localSys.Clone()
 	for k, o := range off {
 		in := iName(sp.Vars[k])
 		switch {
@@ -451,16 +450,6 @@ func (tl *Tiling) buildPackNest(off []int64) (*loopgen.Nest, error) {
 		return nil, fmt.Errorf("tiling: pack nest for offset %v: %w", off, err)
 	}
 	return nest, nil
-}
-
-// localSystem rebuilds the local iteration system (over localSpace);
-// used as the base for pack nests.
-func (tl *Tiling) localSystem() (*lin.System, error) {
-	ext, err := tl.extended()
-	if err != nil {
-		return nil, err
-	}
-	return ext.Project(tl.localSpace)
 }
 
 func sortOffsets(offs [][]int64) {

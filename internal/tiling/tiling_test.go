@@ -577,7 +577,7 @@ func TestLBSpacesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slabs := tl.Slabs(params, key)
+	slabs := tl.Slabs(params, key, nil)
 	if len(slabs) == 0 {
 		t.Fatal("no lb cells")
 	}
@@ -640,7 +640,7 @@ func TestAllDimsLoadBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tiles int64
-	for _, s := range tl.Slabs(params, key) {
+	for _, s := range tl.Slabs(params, key, nil) {
 		if s.Tiles != 1 {
 			t.Fatalf("slab %v has %d tiles with all dims balanced", s.LB, s.Tiles)
 		}
