@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -280,20 +281,6 @@ func BenchmarkBufferSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkInitialTiles measures the serial initial-tile generation scan
-// of Section IV-K.
-func BenchmarkInitialTiles(b *testing.B) {
-	tl := benchTiling(b, "bandit2", 6)
-	params := []int64{100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		initial, total := tl.InitialTiles(params)
-		if len(initial) == 0 || total == 0 {
-			b.Fatal("no tiles")
-		}
-	}
-}
-
 // BenchmarkPendingMemory measures a full run and reports the peak
 // buffered-edge memory relative to the full-space table (Section V-B).
 func BenchmarkPendingMemory(b *testing.B) {
@@ -451,8 +438,7 @@ func BenchmarkEngineCellThroughput(b *testing.B) {
 
 // BenchmarkEnginePaperBandit2 runs the 2-arm bandit at the paper's
 // N=100 on a single node, with the interior fast path on (default) and
-// forced off, reporting ns/cell. The snapshot in BENCH_engine.json is
-// produced from the same workload by cmd/dpbench -bench-json.
+// forced off, reporting ns/cell.
 func BenchmarkEnginePaperBandit2(b *testing.B) {
 	tl := benchTiling(b, "bandit2", 0)
 	kernel := benchKernel(b, "bandit2")
@@ -496,6 +482,50 @@ func BenchmarkEnginePaperLCS2(b *testing.B) {
 			}
 			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(cells)*1e9, "ns/cell")
 		})
+	}
+}
+
+// TestThreadScalingGuard is the tile scheduler's scaling gate on real
+// cores: lcs2 on two 2000-base DNA strings, one node, one warm-up run
+// and then the best of three at 1 and at 4 threads, must reach a 1.5x
+// speedup at 4. A wall-clock ratio, so it runs only with
+// DPGEN_TIMING_GUARDS=1, and only on a host with 4 CPUs to give it.
+func TestThreadScalingGuard(t *testing.T) {
+	if os.Getenv("DPGEN_TIMING_GUARDS") == "" {
+		t.Skip("wall-clock guard: set DPGEN_TIMING_GUARDS=1 to run it")
+	}
+	if n := runtime.NumCPU(); n < 4 {
+		t.Skipf("4 threads need 4 CPUs, host has %d", n)
+	}
+	p := problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10))
+	tl, err := tiling.New(p.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Serial(p.DefaultParams)
+	best := func(threads int) time.Duration {
+		var fastest time.Duration
+		for rep := 0; rep <= 3; rep++ { // rep 0 is the warm-up
+			t0 := time.Now()
+			res, err := engine.Run(tl, p.Kernel, p.DefaultParams, engine.Config{Threads: threads})
+			d := time.Since(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Value != want {
+				t.Fatalf("t%d: value %v, serial reference %v", threads, res.Value, want)
+			}
+			if rep > 0 && (fastest == 0 || d < fastest) {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+	t1, t4 := best(1), best(4)
+	speedup := float64(t1) / float64(t4)
+	t.Logf("lcs2 2000x2000: t1 %v, t4 %v, speedup %.2fx on %d CPUs", t1, t4, speedup, runtime.NumCPU())
+	if speedup < 1.5 {
+		t.Errorf("t4 speedup %.2fx, want >= 1.5x (t1 %v, t4 %v)", speedup, t1, t4)
 	}
 }
 

@@ -23,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -51,28 +49,12 @@ var experiments = []experiment{
 
 func main() {
 	var (
-		expFlag      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		quick        = flag.Bool("quick", false, "smaller instances for a fast pass")
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		metrics      = flag.String("metrics", "", "directory for per-run metrics snapshots (<exp>-<n>.json and .prom) of the runtime experiments")
-		benchJSON    = flag.String("bench-json", "", "write an engine throughput snapshot (ns/cell per builtin at fixed configs) to this file and exit")
-		benchBase    = flag.String("bench-against", "", "older -bench-json snapshot to compare against (fills baseline_ns_per_cell/speedup)")
-		benchThreads = flag.String("bench-threads", "1,4", "comma-separated thread counts for the paper-scale -bench-json rows, measured back-to-back")
-		minScaling   = flag.String("min-scaling", "", "thread-scaling assertions for -bench-json, e.g. 'lcs2@paper=1.5' (skipped when the host has fewer CPUs than the row's threads)")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		quick   = flag.Bool("quick", false, "smaller instances for a fast pass")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		metrics = flag.String("metrics", "", "directory for per-run metrics snapshots (<exp>-<n>.json and .prom) of the runtime experiments")
 	)
 	flag.Parse()
-	if *benchJSON != "" {
-		threads, err := parseThreadList(*benchThreads)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runBenchJSON(*benchJSON, *benchBase, threads, *minScaling); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *metrics != "" {
 		if err := os.MkdirAll(*metrics, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
@@ -114,20 +96,4 @@ func pick(quick bool, q, full int64) int64 {
 		return q
 	}
 	return full
-}
-
-// parseThreadList parses the -bench-threads comma list into ascending
-// positive thread counts (ascending so every sweep row can be related
-// to an earlier t1 row).
-func parseThreadList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -bench-threads entry %q", f)
-		}
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out, nil
 }

@@ -3,8 +3,7 @@
 // (builtin problems and spec-text variants, spread over tenants and
 // parameter values), and the tool reports throughput, p50/p95/p99
 // latency, and the cache/coalescing/shedding behaviour per concurrency
-// level. With -bench-json it writes a machine-readable snapshot
-// (schema dpgen-bench-serve/v1, committed as BENCH_serve.json).
+// level.
 //
 // Usage:
 //
@@ -27,7 +26,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,50 +65,36 @@ type sample struct {
 // rest of the run.
 const maxRetryAfter = 2 * time.Second
 
-// levelRow is one concurrency level's aggregate, the unit of the
-// BENCH_serve.json snapshot.
+// levelRow is one concurrency level's aggregate.
 type levelRow struct {
-	Clients   int     `json:"clients"`
-	DurationS float64 `json:"duration_s"`
-	Requests  int     `json:"requests"`
-	OK        int     `json:"ok"`
-	Cached    int     `json:"cached"`
-	Coalesced int     `json:"coalesced"`
-	Shed      int     `json:"shed"`
-	Err4xx    int     `json:"err_4xx"`
-	Err5xx    int     `json:"err_5xx"`
-	QPS       float64 `json:"qps"`
-	P50Ms     float64 `json:"p50_ms"`
-	P95Ms     float64 `json:"p95_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	MeanMs    float64 `json:"mean_ms"`
-}
-
-type benchSnapshot struct {
-	Schema string     `json:"schema"`
-	Go     string     `json:"go"`
-	GOOS   string     `json:"goos"`
-	GOARCH string     `json:"goarch"`
-	CPUs   int        `json:"cpus"`
-	Mix    string     `json:"mix"`
-	Levels []levelRow `json:"levels"`
+	Clients   int
+	Requests  int
+	OK        int
+	Cached    int
+	Coalesced int
+	Shed      int
+	Err4xx    int
+	Err5xx    int
+	QPS       float64
+	P50Ms     float64
+	P95Ms     float64
+	P99Ms     float64
 }
 
 func main() {
 	var (
-		addr      = flag.String("addr", "http://localhost:8080", "dpserve base URL")
-		clients   = flag.String("clients", "4,16", "comma-separated concurrency levels, run in order")
-		duration  = flag.Duration("duration", 10*time.Second, "wall time per level")
-		probList  = flag.String("problems", "editdist,lcs2,bandit2", "builtin problems in the mix (empty: spec-only)")
-		spread    = flag.Int("param-spread", 4, "distinct parameter variants per problem (1: maximal memo hits)")
-		tenants   = flag.Int("tenants", 2, "distinct tenants to spread requests over")
-		nodes     = flag.Int("nodes", 1, "nodes per query")
-		threads   = flag.Int("threads", 1, "threads per query")
-		seed      = flag.Int64("seed", 1, "mix RNG seed")
-		noMemo    = flag.Bool("no-result-cache", false, "set noResultCache on every query (forces a run per non-coalesced request; used to provoke shedding)")
-		benchJSON = flag.String("bench-json", "", "write a dpgen-bench-serve/v1 snapshot to this file")
-		wantHits  = flag.Bool("require-cache-hits", false, "exit 1 unless cached or coalesced responses occurred")
-		max5xx    = flag.Int("max-5xx", -1, "exit 1 if 5xx responses exceed this (-1: no gate)")
+		addr     = flag.String("addr", "http://localhost:8080", "dpserve base URL")
+		clients  = flag.String("clients", "4,16", "comma-separated concurrency levels, run in order")
+		duration = flag.Duration("duration", 10*time.Second, "wall time per level")
+		probList = flag.String("problems", "editdist,lcs2,bandit2", "builtin problems in the mix (empty: spec-only)")
+		spread   = flag.Int("param-spread", 4, "distinct parameter variants per problem (1: maximal memo hits)")
+		tenants  = flag.Int("tenants", 2, "distinct tenants to spread requests over")
+		nodes    = flag.Int("nodes", 1, "nodes per query")
+		threads  = flag.Int("threads", 1, "threads per query")
+		seed     = flag.Int64("seed", 1, "mix RNG seed")
+		noMemo   = flag.Bool("no-result-cache", false, "set noResultCache on every query (forces a run per non-coalesced request; used to provoke shedding)")
+		wantHits = flag.Bool("require-cache-hits", false, "exit 1 unless cached or coalesced responses occurred")
+		max5xx   = flag.Int("max-5xx", -1, "exit 1 if 5xx responses exceed this (-1: no gate)")
 	)
 	flag.Parse()
 
@@ -129,37 +113,16 @@ func main() {
 		levels = append(levels, n)
 	}
 
-	snap := benchSnapshot{
-		Schema: "dpgen-bench-serve/v1",
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-		Mix:    fmt.Sprintf("problems=%s spread=%d tenants=%d spec=loadtri", *probList, *spread, *tenants),
-	}
-	fmt.Printf("%-8s %9s %7s %7s %9s %5s %5s %5s %9s %9s %9s\n",
-		"clients", "requests", "ok", "cached", "coalesced", "shed", "4xx", "5xx", "p50(ms)", "p95(ms)", "p99(ms)")
+	fmt.Printf("%-8s %9s %7s %7s %9s %5s %5s %5s %9s %9s %9s %9s\n",
+		"clients", "requests", "ok", "cached", "coalesced", "shed", "4xx", "5xx", "p50(ms)", "p95(ms)", "p99(ms)", "qps")
 	total5xx, totalHits := 0, 0
 	for _, n := range levels {
 		row := runLevel(*addr, reqs, n, *duration, *tenants, *seed)
-		snap.Levels = append(snap.Levels, row)
 		total5xx += row.Err5xx
 		totalHits += row.Cached + row.Coalesced
-		fmt.Printf("%-8d %9d %7d %7d %9d %5d %5d %5d %9.2f %9.2f %9.2f\n",
+		fmt.Printf("%-8d %9d %7d %7d %9d %5d %5d %5d %9.2f %9.2f %9.2f %9.1f\n",
 			row.Clients, row.Requests, row.OK, row.Cached, row.Coalesced, row.Shed,
-			row.Err4xx, row.Err5xx, row.P50Ms, row.P95Ms, row.P99Ms)
-	}
-
-	if *benchJSON != "" {
-		data, err := json.MarshalIndent(&snap, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchJSON, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dploadgen: write %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
+			row.Err4xx, row.Err5xx, row.P50Ms, row.P95Ms, row.P99Ms, row.QPS)
 	}
 	if *wantHits && totalHits == 0 {
 		fmt.Fprintln(os.Stderr, "dploadgen: FAIL: no cached or coalesced responses observed")
@@ -242,9 +205,8 @@ func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration, te
 	}
 	wg.Wait()
 
-	row := levelRow{Clients: n, DurationS: d.Seconds()}
+	row := levelRow{Clients: n}
 	var all []int64
-	var sumNs int64
 	for _, cs := range samples {
 		for _, s := range cs {
 			row.Requests++
@@ -265,7 +227,6 @@ func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration, te
 				row.Err4xx++
 			}
 			all = append(all, s.ns)
-			sumNs += s.ns
 		}
 	}
 	if len(all) > 0 {
@@ -273,7 +234,6 @@ func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration, te
 		row.P50Ms = pctMs(all, 50)
 		row.P95Ms = pctMs(all, 95)
 		row.P99Ms = pctMs(all, 99)
-		row.MeanMs = float64(sumNs) / float64(len(all)) / 1e6
 		row.QPS = float64(row.Requests) / d.Seconds()
 	}
 	return row

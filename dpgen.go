@@ -194,9 +194,10 @@ func RunProblem(p *Problem, params []int64, cfg Config) (*Result, error) {
 }
 
 // Prepared is an analyzed spec additionally load-balanced for fixed
-// parameter values and node count: Prepared.Run skips both the balance
-// computation and the initial-tile scan on every execution. This is the
-// unit dpserve's compiled-spec cache stores per (spec, params, nodes).
+// parameter values and node count: Prepared.Run skips the balance's pass
+// over the tile space, which also finds the initial tiles, on every
+// execution. This is the unit dpserve's compiled-spec cache stores per
+// (spec, params, nodes).
 type Prepared = engine.Prepared
 
 // Prepare builds a Prepared run front for repeated executions of one

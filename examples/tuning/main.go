@@ -7,9 +7,9 @@
 //
 // The sweep uses dpgen.DefaultCostModel's nominal machine constants.
 // To tune for a real machine, calibrate CellTime (and TileOverhead)
-// from the measured per-cell rates in BENCH_engine.json — regenerate
-// with `go run ./cmd/dpbench -bench-json BENCH_engine.json` — and pass
-// the adjusted model via SimConfig.Cost.
+// from the measured per-cell rates — the ns_per_cell each workload of
+// `bash benchmark/run.sh` reports — and pass the adjusted model via
+// SimConfig.Cost.
 //
 //	go run ./examples/tuning [-N 120] [-nodes 4] [-cores 24]
 package main

@@ -66,6 +66,10 @@ type Assignment struct {
 	// Total is the problem's total work, the paper's first Ehrhart
 	// polynomial evaluated at the parameters.
 	Total int64
+	// Initial lists the tiles with no producer in the space (Section
+	// IV-K), which the runtime seeds; the slab count finds them in the
+	// same pass.
+	Initial [][]int64
 
 	// slabs holds the instance's counts for as long as the assignment
 	// (and any Rebalance of it) lives, so nothing is ever counted twice.
@@ -114,7 +118,7 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 	if err != nil {
 		return nil, err
 	}
-	slabs := tl.Slabs(params, key, rows)
+	slabs, initial := tl.Slabs(params, key, rows)
 	var total int64
 	for _, s := range slabs {
 		total += s.Work
@@ -138,6 +142,7 @@ func BuildMembers(tl *tiling.Tiling, params []int64, world int, members []int, m
 		Work:      make([]int64, world),
 		Tiles:     make([]int64, world),
 		Total:     total,
+		Initial:   initial,
 		slabs:     slabs,
 		slabOwner: make([]int, len(slabs)),
 		key:       key,

@@ -22,7 +22,7 @@ type MoveStats struct {
 // The result is fully deterministic in its inputs: every rank computes
 // the same new assignment locally, so no ownership table ever crosses
 // the wire. Work and Tiles of the returned assignment count only the
-// remaining (unexecuted) load; Total is inherited from prev.
+// remaining (unexecuted) load; Total and Initial are inherited from prev.
 //
 // The algorithm is three passes over the slabs in assignment order:
 // fully-executed slabs keep their owner (nothing left to move); then
@@ -69,6 +69,7 @@ func Rebalance(prev *Assignment, members []int, executed []int64) (*Assignment, 
 		Work:      make([]int64, prev.Nodes),
 		Tiles:     make([]int64, prev.Nodes),
 		Total:     prev.Total,
+		Initial:   prev.Initial,
 		slabs:     prev.slabs,
 		slabOwner: make([]int, len(prev.slabs)),
 		key:       prev.key,

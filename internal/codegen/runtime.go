@@ -90,11 +90,14 @@ func dpKeyOf(t *[dpDims]int64) [dpDims]int64 {
 	return k
 }
 
-// dpBuildOwnership statically assigns tiles to nodes: slab work along
-// the load-balancing dimensions is accumulated in priority-lexicographic
-// order and cut into equal-work contiguous ranges (Section IV-J).
+// dpBuildOwnership statically assigns tiles to nodes in one pass over
+// the tile space: slab work and tiles along the load-balancing
+// dimensions are counted, with the initial tiles (Section IV-K), then
+// the work is accumulated in priority-lexicographic order and cut into
+// equal-work contiguous ranges (Section IV-J).
 func dpBuildOwnership(nodes int) (owner map[[dpDims]int64]int, ownedTotal []int64, initial [][dpDims]int64, totalWork int64) {
 	work := map[[dpDims]int64]int64{}
+	tiles := map[[dpDims]int64]int64{}
 	var keys [][dpDims]int64
 	dpForEachTile(func(t [dpDims]int64) bool {
 		k := dpLBKeyOf(&t)
@@ -102,6 +105,10 @@ func dpBuildOwnership(nodes int) (owner map[[dpDims]int64]int, ownedTotal []int6
 			keys = append(keys, k)
 		}
 		work[k] += dpTileCellCount(&t)
+		tiles[k]++
+		if dpDepCount(&t) == 0 {
+			initial = append(initial, t)
+		}
 		return true
 	})
 	sort.Slice(keys, func(a, b int) bool {
@@ -116,6 +123,7 @@ func dpBuildOwnership(nodes int) (owner map[[dpDims]int64]int, ownedTotal []int6
 		totalWork += work[k]
 	}
 	owner = make(map[[dpDims]int64]int, len(keys))
+	ownedTotal = make([]int64, nodes)
 	var cum int64
 	for _, k := range keys {
 		mid := cum + work[k]/2
@@ -124,16 +132,9 @@ func dpBuildOwnership(nodes int) (owner map[[dpDims]int64]int, ownedTotal []int6
 			n = nodes - 1
 		}
 		owner[k] = n
+		ownedTotal[n] += tiles[k]
 		cum += work[k]
 	}
-	ownedTotal = make([]int64, nodes)
-	dpForEachTile(func(t [dpDims]int64) bool {
-		ownedTotal[owner[dpLBKeyOf(&t)]]++
-		if dpDepCount(&t) == 0 {
-			initial = append(initial, t)
-		}
-		return true
-	})
 	return owner, ownedTotal, initial, totalWork
 }
 

@@ -3,7 +3,6 @@ package dpfuzz
 import (
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,9 +21,8 @@ import (
 // the independent serial reference.
 //
 // Specs outside the elastic engine's envelope — more than 64 tile
-// dependences (the fault-tolerance dedup mask it reuses) or tilings
-// without exact per-slab tile counts — are skipped, mirroring the
-// engine's own rejection.
+// dependences (the fault-tolerance dedup mask it reuses) — are skipped,
+// mirroring the engine's own rejection.
 func CheckElastic(in *Instance) error {
 	sp := in.Spec
 	params := in.pvals(in.N)
@@ -96,12 +94,6 @@ func CheckElastic(in *Instance) error {
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			// The exactness rejection is deterministic and identical on
-			// every rank: the spec is outside the elastic envelope, not a
-			// differential failure.
-			if strings.Contains(err.Error(), "exact per-slab tile counts") {
-				return nil
-			}
 			return fmt.Errorf("elastic rank %d: %w", r, err)
 		}
 	}

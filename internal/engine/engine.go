@@ -2,10 +2,14 @@
 // (Section V of the paper), with goroutine worker pools standing in for
 // OpenMP threads and dpgen/internal/mpi standing in for MPI ranks.
 //
-// Each simulated node owns a set of tiles (static load balancing,
-// Section IV-J) and schedules them by per-tile dependence counting: a
-// tile waits in the striped pending table (live.go) until its last edge
-// arrives, then lands in its home shard of the shared ready pool
+// Set-up (Prepare) is one pass over the tile space, the one the
+// generated program makes at start-up: it counts each load-balancing
+// slab's cells and tiles for the static balance (Section IV-J), collects
+// the initial tiles (Section IV-K) and fills the row plan's shape table.
+// Each simulated node owns a set of tiles and schedules them by per-tile
+// dependence counting: a tile waits in the striped pending table
+// (live.go) until its last edge arrives, then lands in its home shard
+// of the shared ready pool
 // (dpgen/internal/sched, the scheduler generated programs run too),
 // ordered by the Figure 5 priority. Worker goroutines loop popping
 // their own shard's best tile, stealing from other shards when empty,
@@ -246,9 +250,10 @@ type Result struct {
 	// Messages and Elems are communicator totals.
 	Messages, Elems int64
 	// BalanceTime is the load-balancing cost (Section IV-J; the paper
-	// evaluates precomputed Ehrhart polynomials here, we count directly).
-	// InitTime is the serial initial-tile generation scan of Section
-	// IV-K. TotalTime covers the whole run.
+	// evaluates precomputed Ehrhart polynomials here, we count directly),
+	// which includes finding the initial tiles of Section IV-K in the
+	// same pass. InitTime is the serial seeding of those tiles into the
+	// nodes' schedulers. TotalTime covers the whole run.
 	BalanceTime, InitTime, TotalTime time.Duration
 	// Assignment records per-node work for balance diagnostics.
 	Work []int64
@@ -376,7 +381,7 @@ func run(prep *Prepared, kernel Kernel, cfg Config, start time.Time) (*Result, e
 	if err := e.seed(nodes); err != nil {
 		return nil, err
 	}
-	initTime := prep.scanTime + time.Since(initStart)
+	initTime := time.Since(initStart)
 
 	var running sync.WaitGroup
 	e.launch(nodes, &running)
@@ -412,13 +417,7 @@ func run(prep *Prepared, kernel Kernel, cfg Config, start time.Time) (*Result, e
 // an in-process simulation, or this process's one rank of a distributed
 // job.
 func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, error) {
-	if cfg.Elastic.Enabled && prep.ownedTotals != nil {
-		// The rebalancer's owned-tile arithmetic needs the exact
-		// per-slab tile counts; a tiling whose totals come from the
-		// fallback full scan cannot provide them.
-		return nil, nil, fmt.Errorf("engine: Elastic requires exact per-slab tile counts for this tiling")
-	}
-	if len(prep.initial) == 0 {
+	if len(prep.assign.Initial) == 0 {
 		return nil, nil, fmt.Errorf("engine: no initial tiles — the dependence graph is cyclic or the space is empty")
 	}
 	e := &engine{
@@ -463,22 +462,18 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 			nodes = append(nodes, newNode(e, i, comm.Rank(i)))
 		}
 	}
-	// Owned-tile totals come from the balancer's per-slab tile counts;
-	// the exhaustive scan's remain as a fallback.
+	// Owned-tile totals come from the balancer's per-slab tile counts.
 	for _, n := range nodes {
 		n.ownedTotal = prep.assign.Tiles[n.id]
-		if prep.ownedTotals != nil {
-			n.ownedTotal = prep.ownedTotals[n.id]
-		}
 	}
 	return e, nodes, nil
 }
 
 // seed is the serial initialization of Section IV-K: the initial tiles
-// come from the boundary band scan, so startup touches only O(n^{d-1})
-// tiles, and every process seeds only its own. A resumed rank restores
-// its executed set first (executed seeds are not queued again) and
-// replays its checkpointed edges after.
+// come from the balance's pass over the tile space (Prepare), and every
+// process seeds only its own. A resumed rank restores its executed set
+// first (executed seeds are not queued again) and replays its
+// checkpointed edges after.
 func (e *engine) seed(nodes []*node) error {
 	nodeByRank := make([]*node, e.cfg.Nodes)
 	for _, n := range nodes {
@@ -495,7 +490,7 @@ func (e *engine) seed(nodes []*node) error {
 	}
 	owners := e.owners.Load()
 	ds := newDelivState(e)
-	for _, t := range e.prep.initial {
+	for _, t := range e.prep.assign.Initial {
 		if n := nodeByRank[owners.Owner(t)]; n != nil {
 			n.seedTile(t, n.initLane(), ds)
 		}

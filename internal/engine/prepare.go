@@ -1,10 +1,11 @@
 // Prepared-program reuse: the front half of a run — the static load
-// balance and the initial-tile scan, both pure functions of
-// (tiling, params, nodes, balance method) — computed once and replayed
-// across runs. This is the engine-side entry point behind the dpserve
-// compiled-spec cache (dpgen/internal/serve): the expensive polyhedral
-// analysis lives in tiling.New, the per-(params, nodes) remainder lives
-// here, and a repeat query pays for neither.
+// balance and the initial tiles its one pass over the tile space finds,
+// both pure functions of (tiling, params, nodes, balance method) —
+// computed once and replayed across runs. This is the engine-side entry
+// point behind the dpserve compiled-spec cache (dpgen/internal/serve):
+// the expensive polyhedral analysis lives in tiling.New, the
+// per-(params, nodes) remainder lives here, and a repeat query pays for
+// neither.
 
 package engine
 
@@ -24,23 +25,22 @@ import (
 // calls — the same guarantee the tiling analysis itself gives. Every
 // run executes from one: Run builds its own, Prepared.Run reuses this.
 type Prepared struct {
-	tl          *tiling.Tiling
-	params      []int64
-	nodes       int
-	members     []int // sorted ranks the balance gave tiles to
-	method      balance.Method
-	assign      *balance.Assignment
-	initial     [][]int64
-	ownedTotals []int64 // nil when assign.Tiles is already exact
-	rows        *tiling.RowPlan
-	// balanceTime is the row binding and the load balance (Section
-	// IV-J) with the shape table it fills, scanTime the initial-tile scan
-	// (Section IV-K).
-	balanceTime, scanTime time.Duration
+	tl      *tiling.Tiling
+	params  []int64
+	nodes   int
+	members []int // sorted ranks the balance gave tiles to
+	method  balance.Method
+	// assign carries the owned-tile totals and the initial tiles too.
+	assign *balance.Assignment
+	rows   *tiling.RowPlan
+	// balanceTime is the row binding and the load balance (Section IV-J)
+	// with the shape table and the initial tiles (Section IV-K) its pass
+	// finds.
+	balanceTime time.Duration
 }
 
 // Prepare computes the reusable front half of a run: the static load
-// balance (Section IV-J) and the initial-tile scan (Section IV-K) for
+// balance (Section IV-J) and the initial tiles (Section IV-K) for
 // the given parameter values, node count (minimum 1) and balance
 // method, with every node a member. The result can back any number of
 // concurrent Run calls whose Config agrees on nodes and balance method.
@@ -68,8 +68,6 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 	if err != nil {
 		return nil, err
 	}
-	balanceTime := time.Since(start)
-	initial, ownedTotals := initialAndTotals(tl, params, assign, nodes)
 	return &Prepared{
 		tl:          tl,
 		params:      append([]int64(nil), params...),
@@ -77,11 +75,8 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 		members:     members,
 		method:      method,
 		assign:      assign,
-		initial:     initial,
-		ownedTotals: ownedTotals,
 		rows:        rows,
-		balanceTime: balanceTime,
-		scanTime:    time.Since(start) - balanceTime,
+		balanceTime: time.Since(start),
 	}, nil
 }
 
@@ -130,23 +125,4 @@ func (p *Prepared) check(cfg Config, members []int) error {
 		return fmt.Errorf("engine: program prepared for members %v, config wants %v", p.members, members)
 	}
 	return nil
-}
-
-// initialAndTotals computes the initial (no in-space producer) tile set
-// and, when the fast boundary-band scan cannot prove its totals, the
-// exact per-node owned-tile counts via a full tile-space scan.
-// ownedTotals is nil when assign.Tiles is already exact (the fast path
-// succeeded).
-func initialAndTotals(tl *tiling.Tiling, params []int64, assign *balance.Assignment, nodes int) (initial [][]int64, ownedTotals []int64) {
-	initial, _, err := tl.InitialTilesFast(params)
-	if err == nil {
-		return initial, nil
-	}
-	ownedTotals = make([]int64, nodes)
-	tl.ForEachTile(params, func(t []int64) bool {
-		ownedTotals[assign.Owner(t)]++
-		return true
-	})
-	initial, _ = tl.InitialTiles(params)
-	return initial, ownedTotals
 }

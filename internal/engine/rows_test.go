@@ -396,7 +396,7 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { msg = fmt.Sprint(recover()) }()
-		nodes[0].execTile(&pendTile{Tile: tileState{coord: prep.initial[0]}}, nodes[0].newWorkerState(0), false)
+		nodes[0].execTile(&pendTile{Tile: tileState{coord: prep.assign.Initial[0]}}, nodes[0].newWorkerState(0), false)
 		return ""
 	}
 	for _, disable := range []bool{false, true} {

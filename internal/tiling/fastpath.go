@@ -381,3 +381,18 @@ func (pr *TileProbe) DepCount(t []int64) int {
 	}
 	return n
 }
+
+// hasProducer reports whether some tile dependence of t has its producer
+// in the tile space, stopping at the first that does.
+func (pr *TileProbe) hasProducer(t []int64) bool {
+	for j := range pr.tl.TileDeps {
+		off := pr.tl.TileDeps[j].Offset
+		for k := range t {
+			pr.nb[k] = t[k] + off[k]
+		}
+		if pr.InSpace(pr.nb) {
+			return true
+		}
+	}
+	return false
+}

@@ -115,13 +115,15 @@ func (k *TileKey) OfLB(lb []int64) uint64 {
 // Slabs counts every load-balancing cell's work and tiles in one pass
 // over the tile space — what the generated program does at start-up —
 // and returns the cells that hold any work, in lexicographic order of
-// their coordinates. An interior tile (one affine test) contributes
-// its box volume; a boundary tile its shape's cell count, interning the
-// tile's shapes in rows (shapes.go) — each distinct one walked once —
-// for the runs that replay them. rows must be bound to params and not yet
-// read by a run; nil binds one for this pass alone. When the row plan
-// cannot be walked every tile is counted by the checked local nest.
-func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) []Slab {
+// their coordinates, with the initial tiles (Section IV-K: no producer
+// in the space) in loop order. An interior tile (one affine test)
+// contributes its box volume; a boundary tile its shape's cell count,
+// interning the tile's shapes in rows (shapes.go) — each distinct one
+// walked once — for the runs that replay them. rows must be bound to
+// params and not yet read by a run; nil binds one for this pass alone.
+// When the row plan cannot be walked every tile is counted by the
+// checked local nest.
+func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) (slabs []Slab, initial [][]int64) {
 	if rows == nil {
 		rows = tl.BindRows(params)
 	}
@@ -134,7 +136,10 @@ func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) []Slab {
 	for _, w := range tl.Widths {
 		box *= w // at most AllocLen, which New computed checked
 	}
-	var slabs []Slab
+	// An interior tile's dependence shell lies inside the iteration space
+	// and reaches into every producer, so only a boundary tile can be
+	// initial — or every tile, when there is no tile dependence.
+	noDeps := len(tl.TileDeps) == 0
 	at := map[uint64]int{}
 	lastKey, i := uint64(math.MaxUint64), 0 // consecutive tiles mostly share a slab
 	tl.ForEachTile(params, func(t []int64) bool {
@@ -147,10 +152,11 @@ func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) []Slab {
 			}
 			lastKey = k
 		}
+		interior := probe.Interior(t)
 		switch {
 		case rd == nil:
 			slabs[i].Work += tl.CellCount(params, t)
-		case probe.Interior(t):
+		case interior:
 			slabs[i].Work += box
 			if (rows.table.interior == nil || rows.lnVaries) && !rows.table.full {
 				rd.fill(t)
@@ -159,9 +165,12 @@ func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) []Slab {
 			slabs[i].Work += rd.fill(t)
 		}
 		slabs[i].Tiles++
+		if (!interior || noDeps) && !probe.hasProducer(t) {
+			initial = append(initial, slices.Clone(t))
+		}
 		return true
 	})
 	slabs = slices.DeleteFunc(slabs, func(s Slab) bool { return s.Work == 0 })
 	slices.SortFunc(slabs, func(a, b Slab) int { return slices.Compare(a.LB, b.LB) })
-	return slabs
+	return slabs, initial
 }

@@ -116,9 +116,9 @@ func (tl *Tiling) ForEachTile(params []int64, visit func(t []int64) bool) {
 }
 
 // InitialTiles scans the tile space for tiles with no satisfiable
-// dependencies (Section IV-K). This runs serially at startup, as in the
-// paper; the scan also yields the total tile count, which the runtime
-// uses for termination.
+// dependencies (Section IV-K), counting every tile's producers, and
+// returns them with the total tile count. It is the exhaustive reference
+// for the initial tiles Slabs collects in the runtime's one pass.
 func (tl *Tiling) InitialTiles(params []int64) (initial [][]int64, total int64) {
 	tl.ForEachTile(params, func(t []int64) bool {
 		total++

@@ -118,7 +118,6 @@ type Tiling struct {
 	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
 	localSys     *lin.System     // the local system LocalNest and the pack nests scan
 	orderIdx     []int           // loop order as indexes into Spec.Vars
-	bandNests    []*loopgen.Nest // boundary band scans for InitialTilesFast
 	interiorScan []denseScan     // dense edge-slab scans per tile dep
 	dimNests     []*loopgen.Nest // per-dimension tile bounds (integer keys)
 }
@@ -217,12 +216,6 @@ func New(sp *spec.Spec) (*Tiling, error) {
 	if err := tl.buildFastPath(); err != nil {
 		return nil, err
 	}
-	// The boundary band nests for initial tile generation (Section IV-K)
-	// are part of the generation-time analysis; building them here keeps
-	// the runtime's serial startup to the scan itself. A failure is not
-	// fatal — InitialTilesFast reports it and callers fall back to the
-	// exhaustive scan.
-	_ = tl.buildBandNests()
 	return tl, nil
 }
 
