@@ -199,11 +199,10 @@ func BenchmarkFig45Memory(b *testing.B) {
 func BenchmarkFig6SharedScaling(b *testing.B) {
 	tl := benchTiling(b, "bandit2", 6)
 	params := []int64{90}
-	cache := simsched.NewCostCache()
 	var sp float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := simsched.Simulate(tl, params, simsched.Config{Nodes: 1, Cores: 24, Cache: cache})
+		res, err := simsched.Simulate(tl, params, simsched.Config{Nodes: 1, Cores: 24})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,11 +220,10 @@ func BenchmarkFig7WeakScaling(b *testing.B) {
 		b.Fatal(err)
 	}
 	basePerLoc := base.Makespan / float64(base.TotalCells)
-	cache := simsched.NewCostCache()
 	var eff float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := simsched.Simulate(tl, []int64{103}, simsched.Config{Nodes: 8, Cores: 24, Cache: cache})
+		res, err := simsched.Simulate(tl, []int64{103}, simsched.Config{Nodes: 8, Cores: 24})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,14 +237,13 @@ func BenchmarkFig7WeakScaling(b *testing.B) {
 func BenchmarkTileWidthSweep(b *testing.B) {
 	for _, w := range []int64{6, 24} {
 		tl := benchTiling(b, "bandit2", w)
-		cache := simsched.NewCostCache()
 		cost := simsched.DefaultCostModel()
 		cost.TileOverhead = 20e-6
 		b.Run(map[int64]string{6: "w6", 24: "w24"}[w], func(b *testing.B) {
 			var mk float64
 			for i := 0; i < b.N; i++ {
 				res, err := simsched.Simulate(tl, []int64{120}, simsched.Config{
-					Nodes: 8, Cores: 24, Cache: cache, Cost: cost,
+					Nodes: 8, Cores: 24, Cost: cost,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -264,12 +261,11 @@ func BenchmarkBufferSweep(b *testing.B) {
 	cost := simsched.DefaultCostModel()
 	cost.MsgLatency = 100e-6
 	for _, bufs := range []int{1, 16} {
-		cache := simsched.NewCostCache()
 		b.Run(map[int]string{1: "bufs1", 16: "bufs16"}[bufs], func(b *testing.B) {
 			var mk float64
 			for i := 0; i < b.N; i++ {
 				res, err := simsched.Simulate(tl, []int64{60}, simsched.Config{
-					Nodes: 8, Cores: 24, SendBufs: bufs, Cost: cost, Cache: cache,
+					Nodes: 8, Cores: 24, SendBufs: bufs, Cost: cost,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -307,12 +303,11 @@ func BenchmarkFig8Hyperplane(b *testing.B) {
 		name string
 		m    balance.Method
 	}{{"Prefix", balance.Prefix}, {"Hyperplane", balance.Hyperplane}} {
-		cache := simsched.NewCostCache()
 		b.Run(tc.name, func(b *testing.B) {
 			var mk float64
 			for i := 0; i < b.N; i++ {
 				res, err := simsched.Simulate(tl, []int64{60}, simsched.Config{
-					Nodes: 4, Cores: 24, Balance: tc.m, Cache: cache,
+					Nodes: 4, Cores: 24, Balance: tc.m,
 				})
 				if err != nil {
 					b.Fatal(err)

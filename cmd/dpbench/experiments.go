@@ -255,17 +255,10 @@ func expFig6(quick bool) {
 	}
 	fmt.Printf("  %s\n", "eff@24")
 	for _, inst := range fig6Instances(quick) {
-		cache := simsched.NewCostCache()
-		assign, err := balance.Build(inst.tl, inst.params, 1, balance.Prefix)
-		if err != nil {
-			panic(err)
-		}
 		fmt.Printf("%-10s", inst.name)
 		var last, t1 float64
 		for _, c := range cores {
-			res, err := simsched.Simulate(inst.tl, inst.params, simsched.Config{
-				Nodes: 1, Cores: c, Cache: cache, Assign: assign,
-			})
+			res, err := simsched.Simulate(inst.tl, inst.params, simsched.Config{Nodes: 1, Cores: c})
 			if err != nil {
 				panic(err)
 			}
@@ -287,14 +280,13 @@ func expFig7(quick bool) {
 	fmt.Println("the node count so locations per node stay roughly constant; times")
 	fmt.Println("are normalized per location as in the paper")
 	for _, series := range []struct {
-		name  string
-		inst  func(n int) ([]int64, *tiling.Tiling)
-		cache bool
+		name string
+		inst func(n int) ([]int64, *tiling.Tiling)
 	}{
-		{"bandit2", weakBandit2(quick), false},
-		{"bandit3", weakBandit3(quick), false},
-		{"editdist", weakEditDist(quick), false},
-		{"lcs3", weakLCS3(quick), false},
+		{"bandit2", weakBandit2(quick)},
+		{"bandit3", weakBandit3(quick)},
+		{"editdist", weakEditDist(quick)},
+		{"lcs3", weakLCS3(quick)},
 	} {
 		fmt.Printf("\n%s:\n%-6s %-16s %-14s %-12s %-10s %s\n",
 			series.name, "nodes", "params", "locations", "makespan", "eff", "msgs")
@@ -380,9 +372,10 @@ func weakLCS3(quick bool) func(n int) ([]int64, *tiling.Tiling) {
 // ---- tile width sweep (Sec VI-C) ----
 
 func expTileSweep(quick bool) {
-	// The paper swept the 3-arm bandit up to width 15; a 6-D problem with
-	// many tiles per dimension is beyond what the simulator can replay
-	// tile-by-tile, so the sweep runs on the 4-D bandit where the same
+	// The paper swept the 3-arm bandit up to width 15; at width 15 every
+	// 6-D boundary tile is its own shape, walked row by row, so one
+	// simulation with several tiles per dimension takes tens of seconds
+	// (EXPERIMENTS.md). The sweep runs on the 4-D bandit, where the same
 	// overhead-vs-starvation trade-off is reachable.
 	p := problems.Bandit2()
 	N := pick(quick, 120, 240)
@@ -406,10 +399,9 @@ func expTileSweep(quick bool) {
 	bestW := map[int]int64{}
 	for _, w := range widths {
 		tl := mustTiling(p, w, nil)
-		cache := simsched.NewCostCache()
 		fmt.Printf("%-8d", w)
 		for _, n := range nodeCounts {
-			res, err := simsched.Simulate(tl, []int64{N}, simsched.Config{Nodes: n, Cores: 24, Cache: cache, Cost: cost})
+			res, err := simsched.Simulate(tl, []int64{N}, simsched.Config{Nodes: n, Cores: 24, Cost: cost})
 			if err != nil {
 				panic(err)
 			}
@@ -434,7 +426,6 @@ func expPrio(quick bool) {
 	p := problems.Bandit2()
 	N := pick(quick, 100, 200)
 	tl := mustTiling(p, 6, nil)
-	cache := simsched.NewCostCache()
 	fmt.Printf("2-arm bandit N=%d on 4 nodes x 24 cores: simulated makespan by ready-tile policy\n\n", N)
 	type variant struct {
 		name    string
@@ -449,7 +440,7 @@ func expPrio(quick bool) {
 		{"fifo", engine.FIFO, false},
 	} {
 		res, err := simsched.Simulate(tl, []int64{N}, simsched.Config{
-			Nodes: 4, Cores: 24, Priority: v.prio, ReverseKey: v.reverse, Cache: cache,
+			Nodes: 4, Cores: 24, Priority: v.prio, ReverseKey: v.reverse,
 		})
 		if err != nil {
 			panic(err)
@@ -472,7 +463,6 @@ func expBufSweep(quick bool) {
 	tl := mustTiling(p, 6, nil)
 	cost := simsched.DefaultCostModel()
 	cost.MsgLatency = 100e-6 // long-haul latency: exhausted buffers degenerate to rendezvous
-	cache := simsched.NewCostCache()
 	fmt.Printf("2-arm bandit N=%d on 8 nodes x 24 cores, 100us message latency\n\n", N)
 	fmt.Printf("%-10s %-14s %s\n", "sendbufs", "makespan", "vs 16 bufs")
 	var base float64
@@ -480,7 +470,7 @@ func expBufSweep(quick bool) {
 	bufs := []int{16, 8, 4, 2, 1}
 	for _, b := range bufs {
 		res, err := simsched.Simulate(tl, []int64{N}, simsched.Config{
-			Nodes: 8, Cores: 24, SendBufs: b, Cost: cost, Cache: cache,
+			Nodes: 8, Cores: 24, SendBufs: b, Cost: cost,
 		})
 		if err != nil {
 			panic(err)
@@ -544,7 +534,6 @@ func expFig8(quick bool) {
 	p := problems.Bandit2()
 	N := pick(quick, 50, 100)
 	tl := mustTiling(p, 5, nil)
-	cache := simsched.NewCostCache()
 	fmt.Printf("2-arm bandit N=%d, 24 cores per node: makespan and mean idle fraction\n", N)
 	fmt.Println("(the paper reports reduced idle for the hyperplane method; see EXPERIMENTS.md")
 	fmt.Println(" for why this reproduction's communication-first priority reverses that)")
@@ -554,7 +543,7 @@ func expFig8(quick bool) {
 		var out [2]string
 		for i, m := range []balance.Method{balance.Prefix, balance.Hyperplane} {
 			res, err := simsched.Simulate(tl, []int64{N}, simsched.Config{
-				Nodes: n, Cores: 24, Balance: m, Cache: cache,
+				Nodes: n, Cores: 24, Balance: m,
 			})
 			if err != nil {
 				panic(err)

@@ -14,9 +14,9 @@
 //
 // Usage:
 //
-//	dpbench -exp all          # everything (several minutes)
+//	dpbench -exp all          # everything (about 16 s on a 2-CPU host)
 //	dpbench -exp fig6,fig7    # a subset
-//	dpbench -exp all -quick   # smaller instances (~tens of seconds)
+//	dpbench -exp all -quick   # smaller instances (under a second)
 package main
 
 import (

@@ -226,7 +226,7 @@ func (t *Transport) acceptPeers(n int, deadline time.Time) error {
 // reconnects). A transport stop (context cancellation, Kill) aborts the
 // backoff wait promptly.
 func (t *Transport) dialPeer(s int, addr string, deadline time.Time, kind byte) error {
-	backoff := t.opts.RetryBase
+	backoff := retryBase
 	for attempt := 0; ; attempt++ {
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {

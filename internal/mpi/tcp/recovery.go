@@ -114,10 +114,10 @@ func (t *Transport) markPeerDown(peer int, pc *peerConn, cause error) {
 
 // heartbeatLoop probes every live peer each Options.HeartbeatEvery: it
 // sends a HEARTBEAT frame, counts a miss for every peer not heard from
-// within 1.5 intervals, declares a peer down after
-// Options.HeartbeatMisses intervals of silence, and fails the
-// transport with a typed *mpi.PeerDownError once a down peer has
-// stayed down past Options.PeerDownTimeout without rejoining.
+// within 1.5 intervals, declares a peer down after heartbeatMisses
+// intervals of silence, and fails the transport with a typed
+// *mpi.PeerDownError once a down peer has stayed down past
+// Options.PeerDownTimeout without rejoining.
 func (t *Transport) heartbeatLoop() {
 	defer t.bg.Done()
 	tick := time.NewTicker(t.opts.HeartbeatEvery)
@@ -157,9 +157,9 @@ func (t *Transport) heartbeatLoop() {
 			silent := now.Sub(time.Unix(0, ps.lastHeard.Load()))
 			if silent > t.opts.HeartbeatEvery+t.opts.HeartbeatEvery/2 {
 				t.hbMisses.Add(1)
-				if silent > time.Duration(t.opts.HeartbeatMisses)*t.opts.HeartbeatEvery {
+				if silent > heartbeatMisses*t.opts.HeartbeatEvery {
 					t.markPeerDown(peer, pc, fmt.Errorf("no frames for %s (%d heartbeat intervals)",
-						silent.Round(time.Millisecond), t.opts.HeartbeatMisses))
+						silent.Round(time.Millisecond), heartbeatMisses))
 				}
 			}
 		}

@@ -131,7 +131,6 @@ func TestRejoinRedelivery(t *testing.T) {
 func TestPeerDownTimeout(t *testing.T) {
 	t0, t1, _ := recoveryPair(t, func(o *tcp.Options) {
 		o.HeartbeatEvery = 10 * time.Millisecond
-		o.HeartbeatMisses = 3
 		o.PeerDownTimeout = 150 * time.Millisecond
 	})
 	defer t0.Close()

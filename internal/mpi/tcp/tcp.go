@@ -59,9 +59,15 @@ import (
 // Fixed timing of the mesh: constants rather than Options, because no
 // two callers want different values.
 const (
-	// retryMax caps the dial-retry backoff, which doubles per attempt
-	// from Options.RetryBase.
-	retryMax = time.Second
+	// retryBase is the first dial-retry backoff; it doubles per attempt
+	// up to retryMax.
+	retryBase = 25 * time.Millisecond
+	retryMax  = time.Second
+	// heartbeatMisses is how many Options.HeartbeatEvery intervals may
+	// pass without any frame from a peer before it is declared down. TCP
+	// read errors usually detect process death much sooner; heartbeats
+	// catch wedged-but-connected peers.
+	heartbeatMisses = 8
 	// sendTimeout is the per-message write deadline; a send that cannot
 	// complete within it fails the transport.
 	sendTimeout = 30 * time.Second
@@ -82,9 +88,6 @@ type Options struct {
 	// DialTimeout bounds mesh establishment (default 20s). Peers may
 	// start in any order inside this window.
 	DialTimeout time.Duration
-	// RetryBase is the first dial-retry backoff (default 25ms); it
-	// doubles per attempt up to one second.
-	RetryBase time.Duration
 	// Listener, if non-nil, is a pre-bound listener for this rank's
 	// address, overriding peers[rank]; tests use it to avoid port
 	// races. The transport takes ownership and closes it.
@@ -110,11 +113,6 @@ type Options struct {
 	// HeartbeatEvery is the heartbeat send interval under Recovery
 	// (default 250ms).
 	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many HeartbeatEvery intervals may pass
-	// without any frame from a peer before it is declared down
-	// (default 8). TCP read errors usually detect process death much
-	// sooner; heartbeats catch wedged-but-connected peers.
-	HeartbeatMisses int
 	// PeerDownTimeout bounds how long a down peer may stay down before
 	// the transport gives up and fails with *mpi.PeerDownError
 	// (default 2m). The dprun supervisor's restart budget should fit
@@ -168,14 +166,8 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 20 * time.Second
 	}
-	if o.RetryBase == 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
 	if o.HeartbeatEvery == 0 {
 		o.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if o.HeartbeatMisses == 0 {
-		o.HeartbeatMisses = 8
 	}
 	if o.PeerDownTimeout == 0 {
 		o.PeerDownTimeout = 2 * time.Minute

@@ -96,7 +96,6 @@ func TestDialRetry(t *testing.T) {
 	var retries int
 	opts := Options{
 		DialTimeout: 10 * time.Second,
-		RetryBase:   5 * time.Millisecond,
 		Logf:        func(string, ...any) { retries++ },
 	}
 	t1Done := make(chan error, 1)

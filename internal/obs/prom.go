@@ -32,8 +32,8 @@ type NodeMetrics struct {
 	// on every transport; the TCP transport additionally counts exact
 	// frame bytes (tcp.Transport.Bytes), which exceed this figure by
 	// the frame and metadata overhead documented in docs/TRANSPORT.md.
-	BytesSent        int64  `json:"bytes_sent"`
-	PendingEdgesPeak int64  `json:"pending_edges_peak"`
+	BytesSent        int64 `json:"bytes_sent"`
+	PendingEdgesPeak int64 `json:"pending_edges_peak"`
 	// Steals and LocalPops split tile claims by origin, folded from KPop
 	// events (Val 1 = taken from another worker's shard, 0 = the popping
 	// worker's own). QueueDepthPeak is the highest sampled ready-queue

@@ -311,16 +311,58 @@ type resolved struct {
 	parseErr error
 }
 
-// resolve validates a QueryRequest into a resolved query.
-func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
+// resolveSpec is the spec half of resolving a request, shared by
+// /v1/query and /v1/compile: it names the spec — a builtin problem p, or
+// spec text parsed into sp — canonicalises and hashes it, and binds the
+// rebuild a spec-cache miss runs. Unparseable text is not an error here:
+// it comes back as parseErr, hashed by its raw text for the negative
+// cache, with sp nil.
+func (s *Server) resolveSpec(req *QueryRequest) (r *resolved, p *problems.Problem, sp *spec.Spec, ae *apiError) {
 	if (req.Problem == "") == (req.Spec == "") {
-		return nil, badRequest("serve: exactly one of problem and spec must be set")
+		return nil, nil, nil, badRequest("serve: exactly one of problem and spec must be set")
 	}
-	r := &resolved{
-		params:  append([]int64(nil), req.Params...),
-		nodes:   req.Nodes,
-		threads: req.Threads,
+	r = &resolved{}
+	if req.Problem != "" {
+		p, err := problems.Get(req.Problem)
+		if err != nil {
+			return nil, nil, nil, badRequest("%v", err)
+		}
+		r.canonical = Canonicalize(p.Spec)
+		r.hash = SpecHash(r.canonical)
+		name := req.Problem
+		r.parse = func() (*spec.Spec, error) {
+			p, err := problems.Get(name)
+			if err != nil {
+				return nil, err
+			}
+			return p.Spec, nil
+		}
+		return r, p, p.Spec, nil
 	}
+	text := req.Spec
+	sp, err := spec.Parse(text)
+	if err != nil {
+		// Unparseable text cannot be canonicalized; negative-cache it
+		// under the hash of the raw text so repeats stay out of the
+		// compile queue.
+		r.hash = SpecHash("raw:" + text)
+		r.parseErr = err
+		return r, nil, nil, nil
+	}
+	r.canonical = Canonicalize(sp)
+	r.hash = SpecHash(r.canonical)
+	r.parse = func() (*spec.Spec, error) { return spec.Parse(text) }
+	return r, nil, sp, nil
+}
+
+// resolve validates a QueryRequest into a resolved query: the spec half,
+// then the run's shape, kernel and parameters.
+func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
+	r, p, sp, ae := s.resolveSpec(req)
+	if ae != nil {
+		return nil, ae
+	}
+	r.params, r.nodes, r.threads = append([]int64(nil), req.Params...), req.Nodes, req.Threads
 	if r.nodes == 0 {
 		r.nodes = 1
 	}
@@ -333,76 +375,47 @@ func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
 	if r.threads < 1 || r.threads > s.opts.MaxThreads {
 		return nil, badRequest("serve: threads %d out of range [1, %d]", r.threads, s.opts.MaxThreads)
 	}
-	if req.Problem != "" {
+	var what string
+	if p != nil {
 		if req.Kernel != "" {
 			return nil, badRequest("serve: kernel applies only to spec requests (builtin problems carry their own)")
 		}
-		p, err := problems.Get(req.Problem)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		r.canonical = Canonicalize(p.Spec)
-		r.hash = SpecHash(r.canonical)
-		r.kernelName = "builtin:" + req.Problem
-		r.kernel = p.Kernel
+		r.kernelName, r.kernel = "builtin:"+req.Problem, p.Kernel
 		if len(r.params) == 0 {
 			r.params = append([]int64(nil), p.DefaultParams...)
 		}
-		if len(r.params) != len(p.Spec.Params) {
-			return nil, badRequest("serve: problem %s wants %d params, got %d", req.Problem, len(p.Spec.Params), len(r.params))
+		what = "problem " + req.Problem
+	} else {
+		kname := req.Kernel
+		if kname == "" {
+			kname = DefaultKernel
 		}
-		if err := p.Spec.CheckParams(r.params); err != nil {
+		kernel, err := lookupKernel(kname)
+		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		if p.FixedParams {
-			// The kernel closes over inputs sized by the defaults; other
-			// values would index out of the baked-in data.
-			for i, v := range r.params {
-				if v != p.DefaultParams[i] {
-					return nil, badRequest("serve: problem %s has fixed params %v (its inputs are baked into the kernel)", req.Problem, p.DefaultParams)
-				}
-			}
+		r.kernelName, r.kernel = kname, kernel
+		if r.parseErr != nil {
+			return r, nil
 		}
-		name := req.Problem
-		r.parse = func() (*spec.Spec, error) {
-			p, err := problems.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return p.Spec, nil
-		}
-		return r, nil
+		what = "spec " + sp.Name
 	}
-
-	kname := req.Kernel
-	if kname == "" {
-		kname = DefaultKernel
-	}
-	kernel, err := lookupKernel(kname)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	r.kernelName, r.kernel = kname, kernel
-	text := req.Spec
-	sp, err := spec.Parse(text)
-	if err != nil {
-		// Unparseable text cannot be canonicalized; negative-cache it
-		// under the hash of the raw text so repeats stay out of the
-		// compile queue.
-		r.hash = SpecHash("raw:" + text)
-		r.parseErr = err
-		return r, nil
-	}
-	r.canonical = Canonicalize(sp)
-	r.hash = SpecHash(r.canonical)
-	r.parse = func() (*spec.Spec, error) { return spec.Parse(text) }
 	if len(r.params) != len(sp.Params) {
-		return nil, badRequest("serve: spec %s wants %d params, got %d", sp.Name, len(sp.Params), len(r.params))
+		return nil, badRequest("serve: %s wants %d params, got %d", what, len(sp.Params), len(r.params))
 	}
 	// Out-of-bounds template parameters would step outside the ghost
 	// shells and tile crossings the compiled program was sized for.
 	if err := sp.CheckParams(r.params); err != nil {
 		return nil, badRequest("%v", err)
+	}
+	if p != nil && p.FixedParams {
+		// The kernel closes over inputs sized by the defaults; other
+		// values would index out of the baked-in data.
+		for i, v := range r.params {
+			if v != p.DefaultParams[i] {
+				return nil, badRequest("serve: problem %s has fixed params %v (its inputs are baked into the kernel)", req.Problem, p.DefaultParams)
+			}
+		}
 	}
 	return r, nil
 }
@@ -675,9 +688,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ae)
 		return
 	}
-	// Parameter arity is unknowable without the spec; tolerate missing
-	// params on compile by resolving with a placeholder count.
-	rq, ae := s.resolveForCompile(&req)
+	// /v1/compile takes no parameters: the spec half is the whole request.
+	rq, _, _, ae := s.resolveSpec(&req)
 	if ae != nil {
 		s.count(tenant, ae)
 		writeError(w, ae)
@@ -704,37 +716,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		CompileMs:     cs.compileMs,
 		Canonical:     cs.canonical,
 	})
-}
-
-// resolveForCompile is resolve without the parameter-arity check —
-// /v1/compile takes no parameters.
-func (s *Server) resolveForCompile(req *QueryRequest) (*resolved, *apiError) {
-	if (req.Problem == "") == (req.Spec == "") {
-		return nil, badRequest("serve: exactly one of problem and spec must be set")
-	}
-	if req.Problem != "" {
-		p, err := problems.Get(req.Problem)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		canon := Canonicalize(p.Spec)
-		name := req.Problem
-		return &resolved{canonical: canon, hash: SpecHash(canon), parse: func() (*spec.Spec, error) {
-			p, err := problems.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return p.Spec, nil
-		}}, nil
-	}
-	text := req.Spec
-	sp, err := spec.Parse(text)
-	if err != nil {
-		return &resolved{hash: SpecHash("raw:" + text), parseErr: err}, nil
-	}
-	canon := Canonicalize(sp)
-	return &resolved{canonical: canon, hash: SpecHash(canon),
-		parse: func() (*spec.Spec, error) { return spec.Parse(text) }}, nil
 }
 
 // handleCatalog serves GET /v1/catalog: builtin problems and generic

@@ -29,7 +29,7 @@ func TestPinnedResults(t *testing.T) {
 			0x3f62a2ca112fd6d1, 4110, 667560, []int64{215, 272, 231, 217, 108, 230, 298, 156}},
 		{"n60-4x24-reverse", 60, Config{Nodes: 4, Cores: 24, ReverseKey: true},
 			0x3f4ddc389d08803a, 505, 66185, []int64{96, 133, 154, 79}},
-		{"n60-4x24-fifo-cached", 60, Config{Nodes: 4, Cores: 24, Priority: sched.FIFO, Cache: NewCostCache()},
+		{"n60-4x24-fifo-cached", 60, Config{Nodes: 4, Cores: 24, Priority: sched.FIFO},
 			0x3f4b70fa919da10c, 505, 66185, []int64{98, 131, 99, 85}},
 	} {
 		res, err := Simulate(tl, []int64{c.N}, c.cfg)

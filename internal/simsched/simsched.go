@@ -66,13 +66,6 @@ type Config struct {
 	Priority sched.Priority
 	Balance  balance.Method
 	Cost     CostModel // zero value means DefaultCostModel
-	// Cache, if non-nil, memoizes per-tile cell and edge counts across
-	// Simulate calls. A cache is only valid for one (tiling, params)
-	// pair; the caller owns that scoping.
-	Cache *CostCache
-	// Assign, if non-nil, overrides the load-balance computation (it
-	// must have been built for the same tiling, params and node count).
-	Assign *balance.Assignment
 	// ReverseKey flips the column-major key orientation to prefer the
 	// least-advanced tiles — the naive reading of "column-major" that
 	// starves the cross-node pipeline. Exists to demonstrate the
@@ -83,24 +76,6 @@ type Config struct {
 	// with simulated seconds mapped to trace nanoseconds from t=0. A
 	// real run and its model can then be diffed timeline to timeline.
 	Tracer *obs.Tracer
-}
-
-// CostCache memoizes tile geometry counts for repeated simulations of
-// the same problem instance (e.g. a thread-count sweep).
-type CostCache struct {
-	cells map[uint64]int64
-	edges map[edgeKey]int64
-}
-
-// edgeKey names one outgoing edge of a tile (by its integer key).
-type edgeKey struct {
-	tile uint64
-	dep  int
-}
-
-// NewCostCache creates an empty cache.
-func NewCostCache() *CostCache {
-	return &CostCache{cells: map[uint64]int64{}, edges: map[edgeKey]int64{}}
 }
 
 func (c Config) withDefaults() Config {
@@ -151,7 +126,8 @@ type simTile = sched.Item[simState]
 type simState struct {
 	tile      []int64
 	remaining int
-	inElems   int64 // received edge elements (unpack cost)
+	inElems   int64   // received edge elements (unpack cost)
+	out       []int64 // per tile dependence, the elements it packs (tileCost)
 
 	// Tracing state (only maintained when a Tracer is attached).
 	core  int   // simulated core the tile ran on
@@ -220,6 +196,10 @@ type sim struct {
 	params []int64
 	cfg    Config
 	assign *balance.Assignment
+	probe  *tiling.TileProbe
+	shapes *tiling.ShapeReader // nil when the row plan cannot be walked
+	box    int64               // an interior tile's cells
+	nb     []int64             // tileCost's consumer scratch
 	nodes  []*simNode
 	events eventHeap
 	eseq   int64
@@ -228,24 +208,26 @@ type sim struct {
 	res    Result
 }
 
-// Simulate runs the model to completion.
+// Simulate runs the model to completion. It builds the engine's set-up
+// (engine.Prepare: the bound row plan and the balance whose one pass
+// over the tiles counts ownership, finds the initial tiles and fills the
+// plan's shape table) and reads every tile's cells and edges from it.
 func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	assign := cfg.Assign
-	if assign == nil {
-		var err error
-		assign, err = balance.Build(tl, params, cfg.Nodes, cfg.Balance)
-		if err != nil {
-			return nil, err
-		}
-	} else if assign.Nodes != cfg.Nodes {
-		return nil, fmt.Errorf("simsched: assignment built for %d nodes, config wants %d", assign.Nodes, cfg.Nodes)
+	rows := tl.BindRows(params)
+	assign, err := balance.BuildMembers(tl, params, cfg.Nodes, nil, cfg.Balance, rows)
+	if err != nil {
+		return nil, err
 	}
 	key, err := tl.NewTileKey(params)
 	if err != nil {
 		return nil, fmt.Errorf("simsched: %w", err)
 	}
-	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign, key: key}
+	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign, key: key,
+		probe: tl.NewProbe(params), shapes: rows.NewReader(), box: 1, nb: make([]int64, len(tl.Widths))}
+	for _, w := range tl.Widths {
+		s.box *= w
+	}
 	s.nodes = make([]*simNode, cfg.Nodes)
 	for i := range s.nodes {
 		n := &simNode{
@@ -253,6 +235,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 			pending:   make(map[uint64]*simTile),
 			freeCores: cfg.Cores,
 			slotTimes: make([]float64, cfg.SendBufs),
+			owned:     assign.Tiles[i],
 		}
 		if cfg.Tracer != nil {
 			n.coreLanes = make([]*obs.Lane, cfg.Cores)
@@ -267,20 +250,14 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 		s.nodes[i] = n
 	}
 
-	// Initial tiles and ownership.
-	tl.ForEachTile(params, func(t []int64) bool {
-		owner := assign.Owner(t)
-		s.nodes[owner].owned++
-		if tl.DepCount(params, t) == 0 {
-			st := s.newSimTile(t, 0)
-			n := s.nodes[owner]
-			n.makeReady(st)
-			if n.initLane != nil {
-				n.initLane.Emit(obs.Event{Kind: obs.KReady, Tile: obs.TileID(t), Dep: -1})
-			}
+	// The initial tiles, in loop order as the balance's pass found them.
+	for _, t := range assign.Initial {
+		n := s.nodes[assign.Owner(t)]
+		n.makeReady(s.newSimTile(t, 0))
+		if n.initLane != nil {
+			n.initLane.Emit(obs.Event{Kind: obs.KReady, Tile: obs.TileID(t), Dep: -1})
 		}
-		return true
-	})
+	}
 
 	// Start as many tiles as there are free cores.
 	for id := range s.nodes {
@@ -385,19 +362,36 @@ func (s *sim) dispatch(id int) {
 func ns(sec float64) int64 { return int64(sec * 1e9) }
 
 // tileCost models one tile's core time: overhead + cells + pack/unpack.
+// It records the tile's cell count and the size of each edge it packs.
 func (s *sim) tileCost(st *simTile) float64 {
-	cells := s.cellCount(st.Tile.tile)
+	t := st.Tile.tile
+	interior := s.probe.Interior(t)
+	var cells int64
+	switch {
+	case interior:
+		cells = s.box
+	case s.shapes != nil:
+		cells = s.shapes.Cells(t, false).Cells
+	default:
+		cells = s.tl.CellCount(s.params, t)
+	}
 	st.Tile.cells = cells
 	s.res.TotalCells += cells
+	st.Tile.out = make([]int64, len(s.tl.TileDeps))
 	var outElems int64
-	probe := make([]int64, len(st.Tile.tile))
 	for j := range s.tl.TileDeps {
-		for k := range st.Tile.tile {
-			probe[k] = st.Tile.tile[k] - s.tl.TileDeps[j].Offset[k]
+		if !s.consumer(s.nb, t, j) {
+			continue
 		}
-		if s.tl.InTileSpace(s.params, probe) {
-			outElems += s.edgeSize(st.Tile.tile, j)
+		switch {
+		case interior:
+			st.Tile.out[j] = s.tl.InteriorEdgeSize[j]
+		case s.shapes != nil:
+			st.Tile.out[j] = s.shapes.EdgeCells(j, t)
+		default:
+			st.Tile.out[j] = s.tl.EdgeSize(s.params, t, j)
 		}
+		outElems += st.Tile.out[j]
 	}
 	c := s.cfg.Cost
 	contention := 1 + c.CoreContention*float64(s.cfg.Cores-1)
@@ -405,31 +399,13 @@ func (s *sim) tileCost(st *simTile) float64 {
 		float64(st.Tile.inElems+outElems)*c.ElemCPU*contention
 }
 
-// cellCount and edgeSize consult the optional cross-run cache.
-func (s *sim) cellCount(tile []int64) int64 {
-	if s.cfg.Cache == nil {
-		return s.tl.CellCount(s.params, tile)
+// consumer writes into dst the tile that consumes what tile t packs for
+// tile dependence dep, and reports whether it exists.
+func (s *sim) consumer(dst, t []int64, dep int) bool {
+	for k, off := range s.tl.TileDeps[dep].Offset {
+		dst[k] = t[k] - off
 	}
-	k := s.tileKey(tile)
-	if v, ok := s.cfg.Cache.cells[k]; ok {
-		return v
-	}
-	v := s.tl.CellCount(s.params, tile)
-	s.cfg.Cache.cells[k] = v
-	return v
-}
-
-func (s *sim) edgeSize(tile []int64, dep int) int64 {
-	if s.cfg.Cache == nil {
-		return s.tl.EdgeSize(s.params, tile, dep)
-	}
-	k := edgeKey{s.tileKey(tile), dep}
-	if v, ok := s.cfg.Cache.edges[k]; ok {
-		return v
-	}
-	v := s.tl.EdgeSize(s.params, tile, dep)
-	s.cfg.Cache.edges[k] = v
-	return v
+	return s.probe.InSpace(dst)
 }
 
 // finishTile delivers the finished tile's edges and frees its core.
@@ -444,15 +420,12 @@ func (s *sim) finishTile(e *event) {
 		tid = obs.TileID(st.Tile.tile)
 	}
 	coreTime := s.now
-	probe := make([]int64, len(st.Tile.tile))
+	probe := make([]int64, len(st.Tile.tile)) // deliver may dispatch, and tileCost use s.nb
 	for j := range s.tl.TileDeps {
-		for k := range st.Tile.tile {
-			probe[k] = st.Tile.tile[k] - s.tl.TileDeps[j].Offset[k]
-		}
-		if !s.tl.InTileSpace(s.params, probe) {
+		if !s.consumer(probe, st.Tile.tile, j) {
 			continue
 		}
-		elems := s.edgeSize(st.Tile.tile, j)
+		elems := st.Tile.out[j]
 		owner := s.assign.Owner(probe)
 		if owner == e.node {
 			s.deliver(owner, probe, j, elems, s.now)
@@ -534,7 +507,7 @@ func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64
 	k := s.tileKey(consumer)
 	st := n.pending[k]
 	if st == nil {
-		st = s.newSimTile(consumer, s.tl.DepCount(s.params, consumer))
+		st = s.newSimTile(consumer, s.probe.DepCount(consumer))
 		n.pending[k] = st
 	}
 	st.Tile.remaining--
@@ -547,15 +520,11 @@ func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64
 		delete(n.pending, k)
 		// Its buffered edges are consumed when execution starts; account
 		// them as released at dispatch. Simplification: release now.
-		n.pendingEdges -= int64(countEdges(s.tl, s.params, st.Tile.tile))
+		n.pendingEdges -= int64(s.probe.DepCount(st.Tile.tile))
 		n.makeReady(st)
 		if n.recvLane != nil {
 			n.recvLane.Emit(obs.Event{Kind: obs.KReady, Start: ns(at), Tile: obs.TileID(st.Tile.tile), Dep: -1})
 		}
 		s.dispatch(id)
 	}
-}
-
-func countEdges(tl *tiling.Tiling, params []int64, t []int64) int {
-	return tl.DepCount(params, t)
 }

@@ -179,12 +179,12 @@ func TestValidateCatches(t *testing.T) {
 		"unbounded param": func(sp *Spec) { sp.MustAddDepSpec("z", "N, 0", "", "") },
 		"bad bound":       func(sp *Spec) { sp.Bound("N", 5, 1) },
 		"bound non-param": func(sp *Spec) { sp.Bound("x", 0, 1) },
-		"tile arity":     func(sp *Spec) { sp.TileWidths = []int64{4} },
-		"goal arity":     func(sp *Spec) { sp.Goal = []int64{0} },
-		"bad elem":       func(sp *Spec) { sp.Elem = "complex128" },
-		"no deps":        func(sp *Spec) { sp.Deps = nil },
-		"no constraints": func(sp *Spec) { sp.Constraints = nil },
-		"unnamed spec":   func(sp *Spec) { sp.Name = "" },
+		"tile arity":      func(sp *Spec) { sp.TileWidths = []int64{4} },
+		"goal arity":      func(sp *Spec) { sp.Goal = []int64{0} },
+		"bad elem":        func(sp *Spec) { sp.Elem = "complex128" },
+		"no deps":         func(sp *Spec) { sp.Deps = nil },
+		"no constraints":  func(sp *Spec) { sp.Constraints = nil },
+		"unnamed spec":    func(sp *Spec) { sp.Name = "" },
 	}
 	for name, mod := range cases {
 		if err := mk(mod); err == nil {

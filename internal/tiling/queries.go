@@ -73,23 +73,6 @@ func (tl *Tiling) DepCount(params, t []int64) int {
 	return n
 }
 
-// Consumers appends to dst the tiles that consume edges produced by t:
-// for each tile dependence offset o, the tile t - o when it exists.
-// The returned slices are freshly allocated.
-func (tl *Tiling) Consumers(params, t []int64) (tiles [][]int64, deps []int) {
-	probe := make([]int64, len(t))
-	for j, dep := range tl.TileDeps {
-		for k := range t {
-			probe[k] = t[k] - dep.Offset[k]
-		}
-		if tl.InTileSpace(params, probe) {
-			tiles = append(tiles, append([]int64(nil), probe...))
-			deps = append(deps, j)
-		}
-	}
-	return tiles, deps
-}
-
 // TileCount returns the number of tiles for the given parameters.
 func (tl *Tiling) TileCount(params []int64) int64 { return tl.TileNest.Count(params) }
 

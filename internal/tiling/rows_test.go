@@ -286,12 +286,16 @@ func checkRowPlanBudget(tl *tiling.Tiling, params []int64, budget int64) (interi
 }
 
 // checkSlab packs and unpacks producer tile t's slab for dep through rd
-// against the reference order, and feeds it an edge one value short and
-// one value long: both must be refused with the slab's cell count.
+// against the reference order, checks its EdgeCells count, and feeds it
+// an edge one value short and one value long: both must be refused with
+// the slab's cell count.
 func checkSlab(tl *tiling.Tiling, rd *tiling.ShapeReader, t []int64, dep int, buf, wantPack []float64, wantUnpack map[int64]float64) error {
 	gotPack := rd.PackPartial(dep, t, buf, nil)
 	if fmt.Sprint(gotPack) != fmt.Sprint(wantPack) {
 		return fmt.Errorf("packed %v, reference %v", gotPack, wantPack)
+	}
+	if n := rd.EdgeCells(dep, t); n != int64(len(wantPack)) {
+		return fmt.Errorf("EdgeCells %d, reference %d", n, len(wantPack))
 	}
 	data := make([]float64, len(wantPack)+1)
 	for i := range data {

@@ -248,17 +248,28 @@ func (rd *ShapeReader) PackPartial(dep int, t []int64, buf, out []float64) []flo
 	return out
 }
 
+// EdgeCells returns the cell count of producer tile t's slab for tile
+// dependence dep: the length of the edge PackPartial packs.
+func (rd *ShapeReader) EdgeCells(dep int, t []int64) int64 {
+	return spanCells(rd.slab(dep, t))
+}
+
+// spanCells counts a slab's cells.
+func spanCells(sp []int64) int64 {
+	var cells int64
+	for k := 0; k < len(sp); k += 2 {
+		cells += sp[k+1] - sp[k]
+	}
+	return cells
+}
+
 // UnpackPartial writes an edge packed by producer tile t for tile
 // dependence dep into the consumer's ghost shell and returns the slab's
 // cell count. An edge whose length differs from that count is not
 // written.
 func (rd *ShapeReader) UnpackPartial(dep int, t []int64, buf, data []float64) int {
 	sp := rd.slab(dep, t)
-	var cells int64
-	for k := 0; k < len(sp); k += 2 {
-		cells += sp[k+1] - sp[k]
-	}
-	if cells != int64(len(data)) {
+	if cells := spanCells(sp); cells != int64(len(data)) {
 		return int(cells)
 	}
 	shift := rd.plan.tl.interiorScan[dep].shift

@@ -314,30 +314,6 @@ func TestEdgeCoverage(t *testing.T) {
 	}
 }
 
-func TestConsumersMatchDepCount(t *testing.T) {
-	tl, err := New(bandit2(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := []int64{7}
-	var sumDeps, sumCons int
-	tl.ForEachTile(params, func(tile []int64) bool {
-		sumDeps += tl.DepCount(params, tile)
-		tiles, deps := tl.Consumers(params, tile)
-		if len(tiles) != len(deps) {
-			t.Fatal("Consumers arity mismatch")
-		}
-		sumCons += len(tiles)
-		return true
-	})
-	if sumDeps != sumCons {
-		t.Errorf("dep edges %d != consumer edges %d", sumDeps, sumCons)
-	}
-	if sumDeps == 0 {
-		t.Error("no edges at all")
-	}
-}
-
 func TestInitialTiles(t *testing.T) {
 	tl, err := New(bandit2(t, 3))
 	if err != nil {
