@@ -7,8 +7,8 @@
 // slab's cells and tiles for the static balance (Section IV-J), collects
 // the initial tiles (Section IV-K) and fills the row plan's shape table.
 // Each simulated node owns a set of tiles and schedules them by per-tile
-// dependence counting: a tile waits in the striped pending table
-// (live.go) until its last edge arrives, then lands in its home shard
+// dependence counting: a tile waits in the pending table's page for its
+// slab (live.go) until its last edge arrives, then lands in its home shard
 // of the shared ready pool
 // (dpgen/internal/sched, the scheduler generated programs run too),
 // ordered by the Figure 5 priority. Worker goroutines loop popping
@@ -31,12 +31,13 @@
 // to strided copies. The checked per-cell enumerator remains as the
 // reference path (Config.DisableFastPath).
 // Edge buffers cycle through a per-worker free stack backed by the mpi
-// package's pools and the pending table is keyed by a collision-free
-// integer packing of the tile coordinates, so the steady-state loop
-// allocates nothing. A tile's fixed toll is paid once per tile, not once
-// per edge: one polytope probe settles a core tile's whole neighbourhood
-// (tiling.TileProbe.Core), and the edge accounting of its deliveries is
-// published in one step after its sends.
+// package's pools and the pending table's pages are indexed by integer
+// packings of the tile coordinates and recycled slab to slab, so the
+// steady-state loop allocates nothing. A tile's fixed toll is paid once
+// per tile, not once per edge: one polytope probe settles a core tile's
+// whole neighbourhood (tiling.TileProbe.Core), an interior tile's range
+// lengths are settled once where none varies over it, and the edge
+// accounting of its deliveries is published in one step after its sends.
 //
 // Only tiles in execution have full buffers; tiles awaiting execution
 // hold just their edges, giving the O(n^{d-1}) memory behaviour of
@@ -182,8 +183,10 @@ type NodeStats struct {
 	// float64 elements.
 	PeakPendingEdges  int64
 	PeakBufferedElems int64
-	// PeakPendingTiles is the maximum size of the pending table plus
-	// ready queue, sampled after each tile's sends.
+	// PeakPendingTiles is the maximum of the pending-table entries plus
+	// the ready queue, sampled after each tile's sends. The entries are
+	// counted where they are installed and completed, per delivering
+	// goroutine, and published with its edge accounting.
 	PeakPendingTiles int64
 	// IdleTime is total worker time spent waiting for ready tiles.
 	IdleTime time.Duration
@@ -287,10 +290,6 @@ type engine struct {
 
 	goalTile  []int64
 	goalLocal []int64
-
-	// key packs tile coordinates into the collision-free integer the
-	// live table and checkpoints name a tile by.
-	key *tiling.TileKey
 
 	goalMu  sync.Mutex // guards goalVal and goalSet: taken by the goal tile alone
 	goalVal float64
@@ -444,10 +443,6 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 	e.sameSlab = make([]bool, len(e.tl.TileDeps))
 	for j, dep := range e.tl.TileDeps {
 		e.sameSlab[j] = !slices.ContainsFunc(lb, func(k int) bool { return dep.Offset[k] != 0 })
-	}
-	var err error
-	if e.key, err = e.tl.NewTileKey(e.params); err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
 	var nodes []*node
 	if tr := cfg.Transport; tr != nil {
@@ -633,13 +628,6 @@ func (n *node) cellMax() (max cellMax) {
 	return max
 }
 
-// tileKey packs tile coordinates into the collision-free table key.
-// Every tile the runtime names is inside the tile bounds.
-func (e *engine) tileKey(t []int64) uint64 {
-	k, _ := e.key.Of(t)
-	return k
-}
-
 // node is one simulated shared-memory node. Its rank endpoint is an
 // mpi.Transport: an in-process *mpi.Rank in simulated runs, or (in
 // distributed mode) the process's single external transport endpoint.
@@ -723,7 +711,7 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 	if e.cfg.Elastic.Enabled {
 		slabs = e.owners.Load()
 	}
-	n.live = newLiveTable(threads, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, slabs, n.prepTile)
+	n.live = newLiveTable(e.prep.layout, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, slabs, n.prepTile)
 	if e.cfg.Checkpoint.Dir != "" {
 		n.ckptPath = CheckpointPath(e.cfg.Checkpoint.Dir, id)
 		n.ckptEvery = e.cfg.Checkpoint.EveryTiles
@@ -851,18 +839,20 @@ func (n *node) routeElastic(m *mpi.Message, lane *obs.Lane, ds *delivState) bool
 
 // delivState is per-goroutine delivery scratch: a reusable polytope
 // probe and a recycled pending-table entry (an executed tile's), so the
-// steady-state deliver path allocates nothing — and the edge accounting
-// of the deliveries made since the last flush, so the node's shared
-// counters are touched once per tile, not once per edge.
+// steady-state deliver path allocates nothing — and the edge and entry
+// accounting of the deliveries made since the last flush, so the node's
+// shared counters are touched once per tile, not once per edge.
 type delivState struct {
 	probe *tiling.TileProbe
 	spare *pendTile
 	// Buffered edges, their elements, and how many arrived locally.
 	edges, elems, local int64
+	// Pending-table entries installed less those completed.
+	entries int64
 }
 
-// flush publishes ds's edge accounting to the node's counters and
-// samples the peaks. Between a tile's unpack and the end of its sends
+// flush publishes ds's edge and entry accounting to the node's counters
+// and samples the peaks. Between a tile's unpack and the end of its sends
 // the buffered totals only rise, so sampling after the last delivery
 // sees the same peak a sample per edge would.
 func (n *node) flush(ds *delivState) {
@@ -872,16 +862,16 @@ func (n *node) flush(ds *delivState) {
 		n.edgesLocalA.Add(ds.local)
 		ds.edges, ds.elems, ds.local = 0, 0, 0
 	}
-	sched.AtomicMax(&n.peakPendingTiles, n.live.npending.Load()+n.pool.Len())
+	sched.AtomicMax(&n.peakPendingTiles, n.live.publish(ds)+n.pool.Len())
 }
 
 func newDelivState(e *engine) *delivState {
 	return &delivState{probe: e.tl.NewProbe(e.params)}
 }
 
-// prepTile builds a ready-to-insert pending-table entry. The dependence
-// count, priority key, level and home shard are all polytope
-// evaluations, so this runs outside the stripe lock. The one Core probe
+// prepTile builds a ready-to-insert pending-table entry: the dependence
+// count, priority key, level and home shard, all polytope evaluations,
+// and one empty edge slot per tile dependence. The one Core probe
 // settles a core tile here for good: all its producers exist, it is
 // interior, and all its consumers exist. Other tiles — and every tile of
 // the checked reference — take the exact per-neighbour queries.
@@ -893,14 +883,14 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 	} else {
 		p = &pendTile{
 			Key:  make([]int64, len(consumer)),
-			Tile: tileState{coord: make([]int64, len(consumer))},
+			Tile: tileState{coord: make([]int64, len(consumer)), edges: make([]edge, len(e.tl.TileDeps))},
 		}
 	}
 	copy(p.Tile.coord, consumer)
 	if p.Tile.core = !e.cfg.DisableFastPath && ds.probe.Core(p.Tile.coord); p.Tile.core {
-		p.Tile.remaining = len(e.tl.TileDeps)
+		p.Tile.remaining.Store(int64(len(e.tl.TileDeps)))
 	} else {
-		p.Tile.remaining = ds.probe.DepCount(p.Tile.coord)
+		p.Tile.remaining.Store(int64(ds.probe.DepCount(p.Tile.coord)))
 	}
 	e.tl.PriorityKey(p.Tile.coord, p.Key)
 	p.Level = e.tl.TileLevel(p.Tile.coord)
@@ -922,7 +912,7 @@ func (n *node) enqueue(p *pendTile, lane *obs.Lane) {
 // counting.
 func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 	p := n.prepTile(ds, t)
-	if !n.live.seed(p, n.eng.tileKey(t)) {
+	if !n.live.seed(p) {
 		ds.spare = p
 		return
 	}
@@ -935,11 +925,10 @@ func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 // trace lane (nil when untraced); ds is its delivery scratch, which the
 // caller flushes when its batch of deliveries ends.
 func (n *node) deliver(consumer []int64, dep int, data []float64, remote bool, lane *obs.Lane, ds *delivState) {
-	e := n.eng
 	if remote && lane != nil {
 		lane.Instant(obs.KRecv, obs.TileID(consumer), int32(dep), int64(len(data)))
 	}
-	ready, dup := n.live.addEdge(ds, consumer, e.tileKey(consumer), dep, data)
+	ready, dup := n.live.addEdge(ds, consumer, dep, data)
 	if dup {
 		mpi.PutData(data)
 		return
@@ -973,6 +962,7 @@ type workerState struct {
 	bufs     edgeBufs
 	max      *cellMax
 	lane     *obs.Lane // trace timeline; nil when untraced
+	lenRuns  int64     // offers cut by ShapeReader.LenRun, for the tests' pins
 }
 
 // newWorkerState builds the scratch of the node's worker number slot.
@@ -1092,7 +1082,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	}
 
 	// The tile's sends are issued: it is executed.
-	n.live.retire(p, e.tileKey(p.Tile.coord), w.max, cellMax{max: tileMax, set: cells > 0})
+	n.live.retire(p, w.max, cellMax{max: tileMax, set: cells > 0})
 	n.tileDone(p, w, cells, sentRemote, stall)
 }
 
@@ -1106,8 +1096,12 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	e := n.eng
 	tl := e.tl
 	fast := !e.cfg.DisableFastPath
-	var freedElems int64
+	var freedEdges, freedElems int64
 	for _, ed := range p.Tile.edges {
+		if ed.data == nil {
+			continue
+		}
+		freedEdges++
 		freedElems += int64(len(ed.data))
 		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
 			tl.UnpackInterior(ed.dep, w.buf, ed.data)
@@ -1138,7 +1132,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 				ed.dep, p.Tile.coord, len(ed.data), got, side))
 		}
 	}
-	n.pendingEdges.Add(-int64(len(p.Tile.edges)))
+	n.pendingEdges.Add(-freedEdges)
 	n.bufferedElems.Add(-freedElems)
 	n.live.unpacked(p, &w.bufs)
 }
@@ -1307,7 +1301,9 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 // around the one inner cell loop below, which hands the kernel
 // what is left of the run — in either direction, N cells from the
 // current one — and advances by the Done cells the kernel took. Validity
-// is set where it changes, so once per interior tile; where a valid range
+// is set where it changes, so once per interior tile, and with it an
+// interior tile's range lengths when none varies over the tile
+// (tiling.ShapeReader.ConstLens); elsewhere, where a valid range
 // dependence's length varies along a run, the offer is cut to the cells
 // that share the current lengths. With OnCell set every offer is one
 // cell, so the hook keeps its cell-by-cell interleaving.
@@ -1332,6 +1328,7 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 	tileMax = math.Inf(-1)
 	sh := w.shapes.Cells(p.Tile.coord, interior)
 	valid := ^uint64(0) // no run's: bit 63 is never a dependence
+	settled := false    // every range length is constant over the tile and set
 	row, rowLoc := int32(-1), int64(0)
 	for q := range sh.Runs {
 		run := &sh.Runs[q]
@@ -1347,10 +1344,13 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 			for j := range depValid {
 				depValid[j], depLen[j] = valid>>j&1 != 0, int64(valid>>j&1)
 			}
+			// An interior tile's runs share one validity, so this is once
+			// per tile: lengths constant over it are set here, for good.
+			settled = interior && w.shapes.ConstLens(depLen)
 		}
 		i, cnt := run.From, (run.To-run.From)*dir+1
 		cells += cnt
-		ranged := run.Ranged()
+		ranged := run.Ranged() && !settled
 		for loc := rowLoc + i*in.Stride; cnt > 0; {
 			*li, *xi = i, xb+i
 			ctx.Loc = loc
@@ -1360,6 +1360,7 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 			offer := cnt
 			if ranged {
 				offer = w.shapes.LenRun(run, i, cnt, depLen)
+				w.lenRuns++
 			}
 			if onCell != nil {
 				offer = 1

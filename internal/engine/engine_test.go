@@ -636,8 +636,14 @@ func TestCrashedNodeNeverFinishes(t *testing.T) {
 	}
 }
 
-// newNode2ForTest builds a minimal node wired to a 1-rank comm.
+// newNode2ForTest builds a minimal node wired to a 1-rank comm, preparing
+// the engine's tiling at its parameters.
 func newNode2ForTest(e *engine) *node {
+	prep, err := prepare(e.tl, e.params, 1, []int{0}, e.cfg.Balance)
+	if err != nil {
+		panic(err)
+	}
+	e.prep = prep
 	c, err := mpi.NewComm(1, 1, 1)
 	if err != nil {
 		panic(err)

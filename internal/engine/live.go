@@ -2,19 +2,27 @@
 // buffered edge and its retirement — the pending-tile table of Section
 // V-B holding the O(n^{d-1}) buffered edges. A tile here is pending
 // (dependence edges still missing), started (complete, queued or
-// executing) or executed. This file owns those maps, the lock rule over
-// them and the one serialisation of a live tile; checkpointing, resume
+// executing) or executed. This file owns that state, the lock rule over
+// it and the one serialisation of a live tile; checkpointing, resume
 // (checkpoint.go) and elastic migration (elastic.go) are its callers.
 //
-// A plain run stripes the pending map by tile key so concurrent
-// deliveries rarely share a lock, releases a tile's edges as soon as
-// they are unpacked, and keeps no started or executed state. A tracking
-// run (fault tolerance or elastic membership) needs consistent cuts, so
-// the table collapses to one stripe whose lock covers every per-tile
-// transition, edges stay attached until retire, and a duplicate filter
-// drops any edge for a tile already complete or executed (a restarted
-// peer's replayed history, a resumed rank's recomputed sends, a stale
-// migration). Tracking runs are not scheduler-bound.
+// Pending tiles sit in pages, one per load-balancing slab that has any:
+// a page is an array of entry slots over the box every slab's tiles lie
+// in, so a tile's entry is found by two integer keys (pageLayout) with
+// no hashing. A plain run takes no lock per edge: the first delivery for
+// a tile installs its entry by compare-and-swap, each edge fills its own
+// dependence's slot of the entry, and the delivery that counts the last
+// one down empties the slot and hands the tile on. Once every entry a
+// slab will ever hold has completed, its page goes to a free list for the
+// next slab, so pages live only while their slab is in flight, and the
+// table's edges are released as soon as they are unpacked; a plain run
+// keeps no started or executed state. A tracking run (fault tolerance or
+// elastic membership) needs consistent cuts, so one lock covers every
+// per-tile transition over the same pages, edges stay attached until
+// retire, pages are recycled as soon as they are empty, and a duplicate
+// filter drops any edge for a tile already complete or executed (a
+// restarted peer's replayed history, a resumed rank's recomputed sends,
+// a stale migration). Tracking runs are not scheduler-bound.
 //
 // Record section, shared by the DPCKPT1 file and the migration payload
 // (little-endian 64-bit words; diagram in docs/FAULT_TOLERANCE.md):
@@ -37,6 +45,7 @@ import (
 	"dpgen/internal/mpi"
 	"dpgen/internal/obs"
 	"dpgen/internal/sched"
+	"dpgen/internal/tiling"
 )
 
 // pendTile is a tile known to a node: pending (waiting on dependence
@@ -47,20 +56,34 @@ type pendTile = sched.Item[tileState]
 
 // tileState is the engine's own part of a pendTile.
 type tileState struct {
-	coord     []int64 // tile index, Vars order
-	remaining int     // unsatisfied dependence edges
+	coord []int64 // tile index, Vars order
+	// remaining counts the dependence edges still missing. Deliveries
+	// count it down without a lock: the one that reaches zero is ordered
+	// after every other's edge, and makes the tile ready.
+	remaining atomic.Int64
 	// core is tiling.TileProbe.Core's answer, taken when the entry is
 	// built: the tile is interior and every producer and consumer tile
 	// exists, so nothing further is asked of the polytope about it.
 	core bool
-	// edges holds the received, still-packed edges.
+	// edges holds the received, still-packed edges, slot j for tile
+	// dependence j (data nil until it arrives): a delivery writes its own.
 	edges []edge
-	got   uint64 // per-dep arrival bitmask, the duplicate filter's finest grain
+	got   uint64 // tracking runs: per-dep arrival bitmask, the duplicate filter
 }
 
 type edge struct {
 	dep  int
 	data []float64
+}
+
+// nedges counts the edges the tile holds.
+func (s *tileState) nedges() (n int) {
+	for _, ed := range s.edges {
+		if ed.data != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // edgeBufs is a worker's free stack of edge buffers: what a tile
@@ -107,64 +130,95 @@ func releaseEdges(p *pendTile, bufs *edgeBufs) (edges, elems int64) {
 		}
 		p.Tile.edges[i] = edge{}
 	}
-	p.Tile.edges = p.Tile.edges[:0]
 	return edges, elems
 }
 
-// pstripe is one stripe of the pending map. Deliveries hash their
-// consumer's integer key to a stripe, so two workers delivering edges
-// for different tiles almost never contend.
-type pstripe struct {
-	mu      sync.Mutex
-	pending map[uint64]*pendTile
+// pageLayout places one prepared instance's tiles in the pending table:
+// the slab key picks a tile's page, the rest key its slot in the page,
+// and the tile key names it to the tracking state and to checkpoints.
+// expect holds, per slab key, the entries a plain run's page for that
+// slab sees: the slab's tiles less its initial ones, which no edge
+// announces. It is computed at Prepare and shared by every run.
+type pageLayout struct {
+	slab, rest, tile *tiling.TileKey
+	expect           []int64
+}
+
+// newPageLayout lays out the pending table of the instance a balances.
+func newPageLayout(tl *tiling.Tiling, params []int64, a *balance.Assignment) (*pageLayout, error) {
+	l := &pageLayout{}
+	var err error
+	if l.tile, err = tl.NewTileKey(params); err != nil {
+		return nil, err
+	}
+	if l.slab, err = tl.NewLBKey(params); err != nil {
+		return nil, err
+	}
+	if l.rest, err = tl.NewRestKey(params); err != nil {
+		return nil, err
+	}
+	l.expect = make([]int64, l.slab.Len())
+	for _, s := range a.Slabs() {
+		l.expect[l.slab.OfLB(s.LB)] = s.Tiles
+	}
+	for _, t := range a.Initial {
+		k, _ := l.slab.Of(t)
+		l.expect[k]--
+	}
+	return l, nil
+}
+
+// page is one slab's entry slots, indexed by rest key. left counts down
+// to the page's recycling: on a plain run the entries its slab has yet
+// to complete, from the slab's expected count; on a tracking run the
+// entries it holds.
+type page struct {
+	slots []atomic.Pointer[pendTile]
+	left  atomic.Int64
+	next  *page // free list
 }
 
 // liveTable is a node's dynamic tile state. Its methods are the only
-// code that touches the maps below. Lock order where several locks are
-// held: stripe lock → shard.mu → node.mu (the reverse never occurs).
+// code that touches the pages and maps below. Lock order where several
+// locks are held: mu (a tracking run's) → shard.mu → node.mu (the
+// reverse never occurs); pageMu is a leaf. A plain run takes pageMu twice
+// per slab and no lock per edge.
 type liveTable struct {
-	stripes []pstripe
-	smask   uint64
+	layout *pageLayout
+	pages  []atomic.Pointer[page] // by slab key; nil where the slab holds no entry
 
-	// Tracking state, all guarded by stripes[0].mu (a tracking run's
-	// only stripe): the executed tiles' keys, the started tiles (edges
-	// still attached until retire), and for elastic runs this rank's
-	// executed-tile census per load-balancing slab, indexed like
-	// slabs.Slabs() — stable across rebalances.
+	// pageMu guards taking and recycling pages: the free list and the
+	// count of pages allocated, which is the most ever live at once —
+	// one is allocated only when none is free.
+	pageMu    sync.Mutex
+	free      *page
+	allocated int
+
+	// entries counts the pending entries: each delivery scratch adds the
+	// entries it installed less those it completed when it is flushed.
+	entries atomic.Int64
+
+	// Tracking state, all guarded by mu: the executed tiles' keys, the
+	// started tiles (edges still attached until retire), and for elastic
+	// runs this rank's executed-tile census per load-balancing slab,
+	// indexed like slabs.Slabs() — stable across rebalances.
 	track    bool
+	mu       sync.Mutex
 	started  map[uint64]*pendTile
 	executed map[uint64]struct{}
 	slabs    *balance.Assignment
 	census   []int64
 	dups     int64 // edges the duplicate filter dropped
 
-	// newTile builds a pending entry for a tile's first edge. It does
-	// polytope work, so addEdge calls it with no lock held.
+	// newTile builds a pending entry for a tile's first edge; it does
+	// polytope work but takes no lock.
 	newTile func(ds *delivState, consumer []int64) *pendTile
-
-	// npending counts entries across all stripes. Every worker writes
-	// it, so it sits a cache line away from the read-only fields above.
-	_        [64]byte
-	npending atomic.Int64
 }
 
-// newLiveTable sizes the table for a node's worker count. track selects
-// the tracking regime; a non-nil slabs adds the per-slab census.
-func newLiveTable(threads int, track bool, slabs *balance.Assignment, newTile func(*delivState, []int64) *pendTile) *liveTable {
-	lt := &liveTable{track: track, newTile: newTile}
-	// A few stripes per worker, power of two for the mask.
-	nstripes := 1
-	if !track {
-		nstripes = 4
-		for nstripes < 4*threads && nstripes < 64 {
-			nstripes *= 2
-		}
-	}
-	lt.stripes = make([]pstripe, nstripes)
-	for i := range lt.stripes {
-		lt.stripes[i].pending = make(map[uint64]*pendTile)
-	}
-	lt.smask = uint64(nstripes - 1)
+// newLiveTable builds a node's table over layout. track selects the
+// tracking regime; a non-nil slabs adds the per-slab census.
+func newLiveTable(layout *pageLayout, track bool, slabs *balance.Assignment, newTile func(*delivState, []int64) *pendTile) *liveTable {
+	lt := &liveTable{layout: layout, pages: make([]atomic.Pointer[page], layout.slab.Len()), track: track, newTile: newTile}
 	if track {
 		lt.started = make(map[uint64]*pendTile)
 		lt.executed = make(map[uint64]struct{})
@@ -176,8 +230,74 @@ func newLiveTable(threads int, track bool, slabs *balance.Assignment, newTile fu
 	return lt
 }
 
+// page returns the page of slab key sk, taking one — off the free list
+// when one is there — if the slab has none.
+func (lt *liveTable) page(sk uint64) *page {
+	if pg := lt.pages[sk].Load(); pg != nil {
+		return pg
+	}
+	lt.pageMu.Lock()
+	defer lt.pageMu.Unlock()
+	pg := lt.pages[sk].Load()
+	if pg != nil {
+		return pg
+	}
+	if pg = lt.free; pg != nil {
+		lt.free, pg.next = pg.next, nil
+	} else {
+		pg = &page{slots: make([]atomic.Pointer[pendTile], lt.layout.rest.Len())}
+		lt.allocated++
+	}
+	if !lt.track {
+		pg.left.Store(lt.layout.expect[sk])
+	}
+	lt.pages[sk].Store(pg)
+	return pg
+}
+
+// drop counts one entry out of page pg of slab key sk, its slot already
+// emptied, and recycles the page once nothing can reach it again. On a
+// plain run that is when its slab has completed every expected entry:
+// each edge arrives once, and a tile's deliverers are done with the page
+// before its last edge completes it. On a tracking run, all under mu, it
+// is when the page is empty.
+func (lt *liveTable) drop(sk uint64, pg *page) {
+	if pg.left.Add(-1) != 0 {
+		return
+	}
+	lt.pageMu.Lock()
+	lt.pages[sk].Store(nil)
+	pg.next, lt.free = lt.free, pg
+	lt.pageMu.Unlock()
+}
+
+// publish adds ds's entries installed less completed to the table's
+// count, and returns the count.
+func (lt *liveTable) publish(ds *delivState) int64 {
+	if ds.entries == 0 {
+		return lt.entries.Load()
+	}
+	n := lt.entries.Add(ds.entries)
+	ds.entries = 0
+	return n
+}
+
+// keys returns a tile's slab and rest keys. Every tile the runtime names
+// is inside the tile bounds.
+func (lt *liveTable) keys(t []int64) (slab, rest uint64) {
+	slab, _ = lt.layout.slab.Of(t)
+	rest, _ = lt.layout.rest.Of(t)
+	return slab, rest
+}
+
+// tileKey returns a tile's key in the tracking state and checkpoints.
+func (lt *liveTable) tileKey(t []int64) uint64 {
+	k, _ := lt.layout.tile.Of(t)
+	return k
+}
+
 // past reports whether tile k is beyond dependence counting: executed,
-// or complete and queued. Tracking runs only; stripes[0].mu held.
+// or complete and queued. Tracking runs only; mu held.
 func (lt *liveTable) past(k uint64) bool {
 	if _, ok := lt.executed[k]; ok {
 		return true
@@ -186,65 +306,88 @@ func (lt *liveTable) past(k uint64) bool {
 	return ok
 }
 
-// addEdge buffers one dependence edge for the tile with key k. It
-// returns the tile when this edge completed its dependences (the caller
-// enqueues it), and dup when the duplicate filter dropped the edge (the
-// caller still owns data) — so each cell stays computed exactly once
-// from determined inputs, which keeps recovery and migration
-// bit-identical.
-func (lt *liveTable) addEdge(ds *delivState, consumer []int64, k uint64, dep int, data []float64) (ready *pendTile, dup bool) {
-	st := &lt.stripes[k&lt.smask]
-	st.mu.Lock()
-	p := st.pending[k]
-	if p == nil && !(lt.track && lt.past(k)) {
-		// First edge for this tile. The entry needs polytope work that
-		// must not run under the lock: release it, prepare, re-check.
-		// If another deliverer won the race, or the tile went past
-		// counting meanwhile, the prepared entry is the next spare.
-		st.mu.Unlock()
+// addEdge buffers one dependence edge for a consumer tile. It returns the
+// tile when this edge completed its dependences (the caller enqueues
+// it), and dup when the duplicate filter dropped the edge (the caller
+// still owns data) — so each cell stays computed exactly once from
+// determined inputs, which keeps recovery and migration bit-identical.
+func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
+	if lt.track {
+		return lt.addEdgeTracked(ds, consumer, dep, data)
+	}
+	sk, rk := lt.keys(consumer)
+	pg := lt.page(sk)
+	slot := &pg.slots[rk]
+	p := slot.Load()
+	if p == nil {
+		// First edge for this tile. If another deliverer installs an entry
+		// first, this one is the next spare.
 		fresh := lt.newTile(ds, consumer)
-		st.mu.Lock()
-		if p = st.pending[k]; p == nil && !(lt.track && lt.past(k)) {
+		if slot.CompareAndSwap(nil, fresh) {
 			p = fresh
-			p.Tile.got = 0
-			st.pending[k] = p
-			lt.npending.Add(1)
+			ds.entries++
 		} else {
-			ds.spare = fresh
+			ds.spare, p = fresh, slot.Load()
 		}
 	}
+	return lt.put(ds, sk, pg, slot, p, dep, data), false
+}
+
+// addEdgeTracked is addEdge on a tracking run: the same steps under mu,
+// behind the duplicate filter.
+func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
+	k := lt.tileKey(consumer)
+	sk, rk := lt.keys(consumer)
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	bit := uint64(1) << uint(dep)
-	if p == nil || (lt.track && p.Tile.got&bit != 0) {
-		// The tile is past counting, or already holds this dependence.
+	if lt.past(k) {
 		lt.dups++
-		st.mu.Unlock()
+		return nil, true
+	}
+	pg := lt.page(sk)
+	slot := &pg.slots[rk]
+	p := slot.Load()
+	if p == nil {
+		p = lt.newTile(ds, consumer)
+		p.Tile.got = 0
+		slot.Store(p)
+		pg.left.Add(1)
+		ds.entries++
+	} else if p.Tile.got&bit != 0 {
+		lt.dups++
 		return nil, true
 	}
 	p.Tile.got |= bit
-	p.Tile.edges = append(p.Tile.edges, edge{dep: dep, data: data})
-	p.Tile.remaining--
-	if p.Tile.remaining == 0 {
-		delete(st.pending, k)
-		lt.npending.Add(-1)
-		if lt.track {
-			lt.started[k] = p
-		}
-		ready = p
+	if ready = lt.put(ds, sk, pg, slot, p, dep, data); ready != nil {
+		lt.started[k] = ready
 	}
-	st.mu.Unlock()
 	return ready, false
+}
+
+// put files an edge in entry p, held in slot of slab key sk's page pg,
+// and returns p, its slot emptied, if that was its last missing edge.
+func (lt *liveTable) put(ds *delivState, sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile, dep int, data []float64) *pendTile {
+	p.Tile.edges[dep] = edge{dep: dep, data: data}
+	if p.Tile.remaining.Add(-1) != 0 {
+		return nil
+	}
+	slot.Store(nil)
+	ds.entries--
+	lt.drop(sk, pg)
+	return p
 }
 
 // seed admits a tile with no producers (an initial tile, which no edge
 // will ever announce) as started. False means it is already past
 // counting — a resumed rank's executed seed — and must not be queued.
-func (lt *liveTable) seed(p *pendTile, k uint64) bool {
+func (lt *liveTable) seed(p *pendTile) bool {
 	if !lt.track {
 		return true
 	}
-	st := &lt.stripes[0]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	k := lt.tileKey(p.Tile.coord)
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	if lt.past(k) {
 		return false
 	}
@@ -284,13 +427,13 @@ func (m *cellMax) merge(o cellMax) {
 // executed, census bump, fold and edge release are one transition under
 // the table lock, so a cut never sees the tile in two states or in none,
 // nor an executed tile whose maximum is missing.
-func (lt *liveTable) retire(p *pendTile, k uint64, fold *cellMax, tile cellMax) {
+func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 	if !lt.track {
 		fold.merge(tile)
 		return
 	}
-	st := &lt.stripes[0]
-	st.mu.Lock()
+	k := lt.tileKey(p.Tile.coord)
+	lt.mu.Lock()
 	delete(lt.started, k)
 	lt.executed[k] = struct{}{}
 	if lt.census != nil {
@@ -300,7 +443,21 @@ func (lt *liveTable) retire(p *pendTile, k uint64, fold *cellMax, tile cellMax) 
 	}
 	fold.merge(tile)
 	releaseEdges(p, nil)
-	st.mu.Unlock()
+	lt.mu.Unlock()
+}
+
+// eachPending calls f on every pending entry of a tracking table, mu
+// held, with the page and slot holding it.
+func (lt *liveTable) eachPending(f func(sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile)) {
+	for sk := range lt.pages {
+		if pg := lt.pages[sk].Load(); pg != nil {
+			for i := range pg.slots {
+				if p := pg.slots[i].Load(); p != nil {
+					f(uint64(sk), pg, &pg.slots[i], p)
+				}
+			}
+		}
+	}
 }
 
 // extract removes every live tile whose owner is no longer self,
@@ -310,15 +467,15 @@ func (lt *liveTable) retire(p *pendTile, k uint64, fold *cellMax, tile cellMax) 
 func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[int][]*pendTile, queued map[*pendTile]bool) {
 	out = make(map[int][]*pendTile)
 	queued = make(map[*pendTile]bool)
-	st := &lt.stripes[0]
-	st.mu.Lock()
-	for k, p := range st.pending {
+	lt.mu.Lock()
+	lt.eachPending(func(sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile) {
 		if o := owner(p.Tile.coord); o != self {
-			delete(st.pending, k)
-			lt.npending.Add(-1)
+			slot.Store(nil)
+			lt.entries.Add(-1)
+			lt.drop(sk, pg)
 			out[o] = append(out[o], p)
 		}
-	}
+	})
 	for k, p := range lt.started {
 		if o := owner(p.Tile.coord); o != self {
 			delete(lt.started, k)
@@ -326,15 +483,15 @@ func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[in
 			queued[p] = true
 		}
 	}
-	st.mu.Unlock()
+	lt.mu.Unlock()
 	return out, queued
 }
 
 // freeze and thaw bracket a consistent cut of a tracking table: while
 // frozen no edge arrives and no tile starts or retires, so snapshot and
 // the node's counters (read under node.mu inside) describe one instant.
-func (lt *liveTable) freeze() { lt.stripes[0].mu.Lock() }
-func (lt *liveTable) thaw()   { lt.stripes[0].mu.Unlock() }
+func (lt *liveTable) freeze() { lt.mu.Lock() }
+func (lt *liveTable) thaw()   { lt.mu.Unlock() }
 
 // snapshot appends the frozen table's durable state: the executed keys
 // as count | keys, then the records of every tile holding edges —
@@ -345,11 +502,12 @@ func (lt *liveTable) snapshot(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint64(b, k)
 	}
 	var tiles []*pendTile
-	for _, m := range []map[uint64]*pendTile{lt.stripes[0].pending, lt.started} {
-		for _, p := range m {
-			if len(p.Tile.edges) > 0 {
-				tiles = append(tiles, p)
-			}
+	lt.eachPending(func(_ uint64, _ *page, _ *atomic.Pointer[pendTile], p *pendTile) {
+		tiles = append(tiles, p)
+	})
+	for _, p := range lt.started {
+		if p.Tile.nedges() > 0 {
+			tiles = append(tiles, p)
 		}
 	}
 	return appendRecords(b, tiles)
@@ -365,9 +523,8 @@ func (lt *liveTable) restoreExecuted(keys []uint64) {
 
 // censusCopy snapshots the per-slab executed counts.
 func (lt *liveTable) censusCopy() []int64 {
-	st := &lt.stripes[0]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
 	return append([]int64(nil), lt.census...)
 }
 
@@ -392,8 +549,11 @@ func appendRecords(b []byte, tiles []*pendTile) []byte {
 		for _, c := range p.Tile.coord {
 			u64(uint64(c))
 		}
-		u64(uint64(len(p.Tile.edges)))
+		u64(uint64(p.Tile.nedges()))
 		for _, ed := range p.Tile.edges {
+			if ed.data == nil {
+				continue
+			}
 			u64(uint64(ed.dep))
 			u64(uint64(len(ed.data)))
 			for _, v := range ed.data {

@@ -20,7 +20,8 @@ import (
 
 // Prepared is the reusable front half of a run for one fixed
 // (tiling, params, nodes, members, balance method) tuple: the
-// load-balance assignment, the initial-tile set and the bound row plan.
+// load-balance assignment, the initial-tile set, the bound row plan and
+// the pending table's layout.
 // It is immutable after Prepare and safe to share across concurrent Run
 // calls — the same guarantee the tiling analysis itself gives. Every
 // run executes from one: Run builds its own, Prepared.Run reuses this.
@@ -33,6 +34,7 @@ type Prepared struct {
 	// assign carries the owned-tile totals and the initial tiles too.
 	assign *balance.Assignment
 	rows   *tiling.RowPlan
+	layout *pageLayout
 	// balanceTime is the row binding and the load balance (Section IV-J)
 	// with the shape table and the initial tiles (Section IV-K) its pass
 	// finds.
@@ -68,6 +70,10 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 	if err != nil {
 		return nil, err
 	}
+	layout, err := newPageLayout(tl, params, assign)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	return &Prepared{
 		tl:          tl,
 		params:      append([]int64(nil), params...),
@@ -76,6 +82,7 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 		method:      method,
 		assign:      assign,
 		rows:        rows,
+		layout:      layout,
 		balanceTime: time.Since(start),
 	}, nil
 }

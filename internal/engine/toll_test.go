@@ -102,51 +102,59 @@ func TestTollPaidOncePerTile(t *testing.T) {
 	}
 }
 
-// TestTollCountersUnchanged: publishing a tile's edge accounting once,
-// after its sends, reports what the per-edge updates did. The values
-// are those of one-worker runs at the commit before the change.
+// TestTollCountersUnchanged: publishing a tile's edge and entry
+// accounting once, after its sends, reports what per-edge updates of
+// shared counters did. The values are those of one-worker runs whose
+// counters were updated at every edge and every table entry.
 func TestTollCountersUnchanged(t *testing.T) {
 	knap, fig4 := knapTiling(t), pipe2(t, 8)
 	for _, tc := range []struct {
-		name                            string
-		tl                              *tiling.Tiling
-		kernel                          Kernel
-		params                          []int64
-		cfg                             Config
-		tiles, local, peakEdges, peakEl int64
+		name                                       string
+		tl                                         *tiling.Tiling
+		kernel                                     Kernel
+		params                                     []int64
+		cfg                                        Config
+		tiles, local, peakEdges, peakEl, peakTiles int64
 	}{
-		{"knap-quick", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1}, 663, 3087, 78, 1812},
-		{"knap-quick/level-set", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1, Priority: LevelSet}, 663, 3087, 111, 2032},
-		{"fig4/column-major", fig4, sumKernel, []int64{15}, Config{}, 64, 112, 9, 18},
-		{"fig4/level-set", fig4, sumKernel, []int64{15}, Config{Priority: LevelSet}, 64, 112, 14, 28},
+		{"knap-quick", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1}, 663, 3087, 78, 1812, 27},
+		{"knap-quick/level-set", knap, noopKernel, []int64{100, 400, 3}, Config{Threads: 1, Priority: LevelSet}, 663, 3087, 111, 2032, 38},
+		{"knap", knap, noopKernel, []int64{1000, 4000, 3}, Config{Threads: 1}, 62625, 310875, 750, 18004, 251},
+		{"fig4/column-major", fig4, sumKernel, []int64{15}, Config{}, 64, 112, 9, 18, 8},
+		{"fig4/level-set", fig4, sumKernel, []int64{15}, Config{Priority: LevelSet}, 64, 112, 14, 28, 8},
 	} {
 		res, err := Run(tc.tl, tc.kernel, tc.params, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		s := res.Stats[0]
-		if s.TilesExecuted != tc.tiles || s.EdgesLocal != tc.local || s.PeakPendingEdges != tc.peakEdges || s.PeakBufferedElems != tc.peakEl {
-			t.Errorf("%s: tiles %d, local edges %d, peak edges %d, peak elems %d; want %d, %d, %d, %d", tc.name,
-				s.TilesExecuted, s.EdgesLocal, s.PeakPendingEdges, s.PeakBufferedElems, tc.tiles, tc.local, tc.peakEdges, tc.peakEl)
+		if s.TilesExecuted != tc.tiles || s.EdgesLocal != tc.local || s.PeakPendingEdges != tc.peakEdges ||
+			s.PeakBufferedElems != tc.peakEl || s.PeakPendingTiles != tc.peakTiles {
+			t.Errorf("%s: tiles %d, local edges %d, peak edges %d, peak elems %d, peak tiles %d; want %d, %d, %d, %d, %d", tc.name,
+				s.TilesExecuted, s.EdgesLocal, s.PeakPendingEdges, s.PeakBufferedElems, s.PeakPendingTiles,
+				tc.tiles, tc.local, tc.peakEdges, tc.peakEl, tc.peakTiles)
 		}
 	}
 }
 
 // TestEdgeBufsSteadyState: once the wavefront is under way a tile's
 // unpack → release → pack → deliver cycle runs on the worker's free
-// stack and the recycled table entry, allocating nothing — on knap's
-// core tiles and on bandit2's boundary tiles, whose cells and partial
-// slabs replay shapes from the plan's table.
+// stack, the recycled table entry and the table's pages, allocating
+// nothing — on knap's core tiles and on bandit2's boundary tiles, whose
+// cells and partial slabs replay shapes from the plan's table. knap keeps
+// every slab's page live all run; bandit2's slabs finish in turn, and
+// from its 3 600th tile on every page a slab takes is one a finished
+// slab recycled.
 func TestEdgeBufsSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		tl     *tiling.Tiling
 		params []int64
+		reuse  int // tiles after which pages are taken only off the free list; 0: never
 	}{
-		{"knap", knapTiling(t), []int64{1000, 4000, 3}},
-		{"bandit2", bandit2Tiling(t, 6, []string{"s1", "f1"}), []int64{100}},
+		{"knap", knapTiling(t), []int64{1000, 4000, 3}, 0},
+		{"bandit2", bandit2Tiling(t, 6, []string{"s1", "f1"}), []int64{100}, 3600},
 	} {
-		_, w, step := serialWorker(t, tc.tl, tc.params)
+		n, w, step := serialWorker(t, tc.tl, tc.params)
 		for i := 0; i < 2000; i++ { // past the first tile rows, where the live set still grows
 			step()
 		}
@@ -155,6 +163,30 @@ func TestEdgeBufsSteadyState(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
 			t.Errorf("%s: %v allocations per steady-state tile, want 0", tc.name, allocs)
+		}
+		if tc.reuse == 0 {
+			continue
+		}
+		for i := 2001 + 1000; i < tc.reuse; i++ {
+			step()
+		}
+		had := make([]bool, len(n.live.pages))
+		for sk := range had {
+			had[sk] = n.live.pages[sk].Load() != nil
+		}
+		allocated, taken := n.live.allocated, 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			step()
+			for sk := range had {
+				if !had[sk] && n.live.pages[sk].Load() != nil {
+					had[sk] = true
+					taken++
+				}
+			}
+		})
+		if allocs != 0 || taken == 0 || n.live.allocated != allocated {
+			t.Errorf("%s: %v allocations per tile while %d slabs took pages, %d of them new; want 0, some, 0",
+				tc.name, allocs, taken, n.live.allocated-allocated)
 		}
 	}
 }
@@ -181,6 +213,64 @@ func TestTollRowsWalkedOncePerShape(t *testing.T) {
 		}
 		if walked := prep.rows.ShapeStats().Walked; walked != st.Walked {
 			t.Errorf("%d threads: the run walked %d rows", threads, walked-st.Walked)
+		}
+	}
+}
+
+// mcmTiling is the mcm builtin's geometry: two range dependences whose
+// length N-m-1 changes from one cell to the next along m.
+func mcmTiling(t testing.TB) *tiling.Tiling {
+	t.Helper()
+	sp := spec.MustNew("mcm", []string{"N"}, []string{"m", "i"})
+	sp.MustConstrain("0 <= i")
+	sp.MustConstrain("i <= m")
+	sp.MustConstrain("m <= N - 1")
+	sp.Bound("N", 1, 24)
+	sp.MustAddDepSpec("left", "1, 0", "1, 0", "N - m - 1")
+	sp.MustAddDepSpec("right", "1, 1", "1, 1", "N - m - 1")
+	sp.TileWidths = []int64{8, 8}
+	sp.LBDims = []string{"m"}
+	tl, err := tiling.New(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
+// TestTollLenRunOnlyWhereLengthsVary pins where a run cuts its offers by
+// tiling.ShapeReader.LenRun: every interior tile of knap at the
+// benchmark's size settles its range length once (ConstLens) and makes
+// no call, while mcm, whose lengths vary along its rows, still makes them.
+func TestTollLenRunOnlyWhereLengthsVary(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		tl       *tiling.Tiling
+		params   []int64
+		interior bool // the calls counted are the interior tiles' alone
+		want     func(calls int64) bool
+	}{
+		{"knap", knapTiling(t), []int64{1000, 4000, 3}, true, func(calls int64) bool { return calls == 0 }},
+		{"mcm", mcmTiling(t), []int64{24}, false, func(calls int64) bool { return calls > 0 }},
+	} {
+		n, w, _ := serialWorker(t, tc.tl, tc.params)
+		ref := tc.tl.NewProbe(tc.params)
+		var tiles, calls int64
+		for {
+			p, _ := n.pool.Pop(0)
+			if p == nil {
+				break
+			}
+			counted := !tc.interior || ref.Interior(p.Tile.coord)
+			before := w.lenRuns
+			n.execTile(p, w, false)
+			if counted {
+				tiles++
+				calls += w.lenRuns - before
+			}
+		}
+		t.Logf("%s: %d LenRun calls over %d tiles", tc.name, calls, tiles)
+		if tiles == 0 || !tc.want(calls) {
+			t.Errorf("%s: %d LenRun calls over %d tiles", tc.name, calls, tiles)
 		}
 	}
 }

@@ -48,12 +48,27 @@ type TileKey struct {
 	dims   []int
 	lo, hi []int64
 	mul    []uint64
+	n      uint64 // keys in the bounding box
 }
 
 // NewLBKey sizes the key over the load-balancing dimensions (priority
 // order): one key per Slab.
 func (tl *Tiling) NewLBKey(params []int64) (*TileKey, error) {
 	return tl.newKey(params, tl.LBIndices())
+}
+
+// NewRestKey sizes the key over the dimensions that are not
+// load-balancing (Vars order): with NewLBKey's, it names a tile by its
+// slab and its place in the box every slab's tiles lie in.
+func (tl *Tiling) NewRestKey(params []int64) (*TileKey, error) {
+	lb := tl.LBIndices()
+	var dims []int
+	for k := range tl.Spec.Vars {
+		if !slices.Contains(lb, k) {
+			dims = append(dims, k)
+		}
+	}
+	return tl.newKey(params, dims)
 }
 
 // NewTileKey sizes the key over every dimension (Vars order): one key
@@ -85,8 +100,13 @@ func (tl *Tiling) newKey(params []int64, dims []int) (*TileKey, error) {
 			m *= ext
 		}
 	}
+	k.n = uint64(m)
 	return k, nil
 }
+
+// Len returns how many keys the bounding box holds: every key Of returns
+// is below it.
+func (k *TileKey) Len() uint64 { return k.n }
 
 // Of returns tile t's key (t in Vars order), and false when t lies
 // outside the bounding box and so in no slab. It does not allocate.

@@ -236,10 +236,12 @@ type RowPlan struct {
 	// Shape keys (shapes.go): the local system's inequalities that vary
 	// with the tile, and the rules of the dependence forms (index minus
 	// cells.nnest). lnVaries: a range length varies with the tile, so
-	// interior tiles may differ in shape.
+	// interior tiles may differ in shape. lnFlat: no range length varies
+	// with the local indices, so a tile may settle its lengths once
+	// (ShapeReader.ConstLens).
 	sysForms           []affine
 	sysRules, depRules []clampRule
-	lnVaries           bool
+	lnVaries, lnFlat   bool
 
 	table  shapeTable
 	budget int64        // the table's bound in rows: shapeBudget
@@ -259,7 +261,7 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 		}
 	}
 	b, _, _ := tl.newBinder(params, reach)
-	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps)), budget: shapeBudget}
+	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps)), budget: shapeBudget, lnFlat: true}
 	for _, q := range tl.localSys.Ineqs {
 		if f := b.bindLocal(q.Expr, 1); !allZero(f.tc) {
 			p.sysForms = append(p.sysForms, f)
@@ -287,6 +289,7 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 			dp.ln = len(forms)
 			depForm(b.bindSpec(tl.LenExprs[j]), -1)
 			p.lnVaries = p.lnVaries || !allZero(forms[dp.ln].tc)
+			p.lnFlat = p.lnFlat && allZero(forms[dp.ln].ic)
 		} else {
 			for _, q := range tl.Validity[j] {
 				depForm(b.bindSpec(q.Expr), 0)

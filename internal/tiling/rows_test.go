@@ -165,30 +165,30 @@ func shapeCells(tl *tiling.Tiling, rd *tiling.ShapeReader, t []int64, interior b
 // shape) and a ShapeReader on a plan whose table Slabs filled (every
 // tile replayed). It diffs the cell sequence with its per-cell
 // DepValid/DepLen (the readers in boundary mode everywhere, interior
-// mode additionally where the tile classifies as interior), the
-// partial-slab pack and
+// mode additionally where the tile classifies as interior, with the
+// lengths ConstLens settles there), the partial-slab pack and
 // unpack element order of both readers, and the folded probe queries.
 // A replayed tile must walk nothing. It returns the number of tiles that
-// took the interior mode.
-func checkRowPlan(tl *tiling.Tiling, params []int64) (interiorTiles int, err error) {
-	interiorTiles, _, err = checkRowPlanBudget(tl, params, 0)
-	return interiorTiles, err
+// took the interior mode and how many of them ConstLens settled.
+func checkRowPlan(tl *tiling.Tiling, params []int64) (interiorTiles, settledTiles int, err error) {
+	interiorTiles, settledTiles, _, err = checkRowPlanBudget(tl, params, 0)
+	return interiorTiles, settledTiles, err
 }
 
 // checkRowPlanBudget is checkRowPlan with the replayed plan's shape
 // budget set to budget rows (0 keeps the default, under which no tile
 // may be walked on replay); it also returns that plan's table.
-func checkRowPlanBudget(tl *tiling.Tiling, params []int64, budget int64) (interiorTiles int, stats tiling.ShapeStats, err error) {
+func checkRowPlanBudget(tl *tiling.Tiling, params []int64, budget int64) (interiorTiles, settledTiles int, stats tiling.ShapeStats, err error) {
 	plan, filled := tl.BindRows(params), tl.BindRows(params)
 	if !plan.OK() {
-		return 0, stats, fmt.Errorf("overflow proof failed at params %v", params)
+		return 0, 0, stats, fmt.Errorf("overflow proof failed at params %v", params)
 	}
 	if budget > 0 {
 		filled.SetShapeBudget(budget)
 	}
 	key, err := tl.NewLBKey(params)
 	if err != nil {
-		return 0, stats, err
+		return 0, 0, stats, err
 	}
 	tl.Slabs(params, key, filled)
 	rw, compile, replay := plan.NewWalker(), plan.NewReader(), filled.NewReader()
@@ -247,6 +247,20 @@ func checkRowPlanBudget(tl *tiling.Tiling, params []int64, budget int64) (interi
 				err = fmt.Errorf("interior tile %v: %w", t, err)
 				return false
 			}
+			var got [2]bool
+			for n, rd := range readers {
+				if got[n], err = checkConstLens(tl, rd, want); err != nil {
+					err = fmt.Errorf("interior tile %v, %s: %w", t, [...]string{"compiled shape", "replayed shape"}[n], err)
+					return false
+				}
+			}
+			if got[0] != got[1] {
+				err = fmt.Errorf("interior tile %v: ConstLens %v compiled, %v replayed", t, got[0], got[1])
+				return false
+			}
+			if got[0] {
+				settledTiles++
+			}
 		}
 		if got, ref := probe.DepCount(t), tl.DepCount(params, t); got != ref {
 			err = fmt.Errorf("tile %v: probe DepCount %d, reference %d", t, got, ref)
@@ -282,7 +296,26 @@ func checkRowPlanBudget(tl *tiling.Tiling, params []int64, budget int64) (interi
 		}
 		return true
 	})
-	return interiorTiles, filled.ShapeStats(), err
+	return interiorTiles, settledTiles, filled.ShapeStats(), err
+}
+
+// checkConstLens asks rd, which has just replayed an interior tile whose
+// reference cells are want, whether the tile's range lengths are
+// constant; where it says so, every cell's DepLenAt must be the length
+// it filled.
+func checkConstLens(tl *tiling.Tiling, rd *tiling.ShapeReader, want []cellRec) (bool, error) {
+	lens := make([]int64, len(tl.Spec.Deps))
+	if !rd.ConstLens(lens) {
+		return false, nil
+	}
+	for _, c := range want {
+		for j := range lens {
+			if tl.Spec.Deps[j].IsRange() && c.lens[j] != lens[j] {
+				return true, fmt.Errorf("cell %v: ConstLens filled length %d for dependence %d, DepLenAt %d", c.i, lens[j], j, c.lens[j])
+			}
+		}
+	}
+	return true, nil
 }
 
 // checkSlab packs and unpacks producer tile t's slab for dep through rd
@@ -345,10 +378,29 @@ func TestRowsMatchEnumeratorBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := checkRowPlan(tl, p.DefaultParams); err != nil {
+			if _, _, err := checkRowPlan(tl, p.DefaultParams); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRowsConstLens: knap's range length is W+1 wherever the capacity
+// does not clamp it, which no interior tile's box reaches, so every
+// interior tile settles its length once — what lets the engine offer
+// knap's interior runs whole (checkRowPlan checks each such length
+// against DepLenAt at every cell).
+func TestRowsConstLens(t *testing.T) {
+	tl, err := tiling.New(problems.Knapsack().Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interior, settled, err := checkRowPlan(tl, []int64{100, 400, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interior != 576 || settled != interior {
+		t.Errorf("%d of %d interior tiles settled; want all 576", settled, interior)
 	}
 }
 
@@ -368,7 +420,7 @@ func TestRowsMatchEnumeratorFuzz(t *testing.T) {
 		class := class
 		t.Run(class.String(), func(t *testing.T) {
 			t.Parallel()
-			interior, n4D := 0, 0
+			interior, settled, n4D := 0, 0, 0
 			for seed, done := uint64(1), 0; done < specs; seed++ {
 				in := dpfuzz.GenerateClass(seed, class)
 				if len(in.Spec.Vars) == 4 {
@@ -387,15 +439,19 @@ func TestRowsMatchEnumeratorFuzz(t *testing.T) {
 					if len(in.Spec.Params) > 1 {
 						params = append(params, in.D)
 					}
-					k, err := checkRowPlan(tl, params)
+					k, s, err := checkRowPlan(tl, params)
 					if err != nil {
 						t.Fatalf("seed %d params %v: %v\n%s", seed, params, err, dpfuzz.GoLiteral(in))
 					}
-					interior += k
+					interior, settled = interior+k, settled+s
 				}
 			}
+			t.Logf("%d interior tiles, %d with settled range lengths", interior, settled)
 			if interior == 0 {
 				t.Errorf("no generated tile was interior: the interior mode went untested")
+			}
+			if class == dpfuzz.ClassRange && (settled == 0 || settled == interior) {
+				t.Errorf("ConstLens settled %d of %d interior tiles: one of its answers went untested", settled, interior)
 			}
 		})
 	}
@@ -412,7 +468,7 @@ func TestRowsOverflowProof(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []int64{20, 50}
-	if _, err := checkRowPlan(tl, small); err != nil {
+	if _, _, err := checkRowPlan(tl, small); err != nil {
 		t.Fatalf("small M: %v", err)
 	}
 	huge := []int64{20, hugeParam}
@@ -554,7 +610,7 @@ func TestRowsShapeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 20
-	_, st, err := checkRowPlanBudget(tl, params, budget)
+	_, _, st, err := checkRowPlanBudget(tl, params, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,42 @@ func (rd *ShapeReader) LenRun(run *ShapeRun, i, cnt int64, lens []int64) int64 {
 	return lenRun(sh.lens[run.l0:run.l1], sh.clamps, rd.base, i, cnt, rd.dir, lens)
 }
 
+// ConstLens reports whether every range dependence of the interior tile
+// Cells last returned has one length over the whole tile box, and if so
+// fills lens with those lengths, which are then what LenRun would fill at
+// every cell. It reads the forms Cells folded: a length n is constant
+// when its declared form has no local coefficient, n >= 1, and every
+// clamping range check stays at or above it — the check's least value
+// over the box, its clampRule's, is at least (n-1)·neg.
+func (rd *ShapeReader) ConstLens(lens []int64) bool {
+	p := rd.plan
+	if !p.lnFlat {
+		return false
+	}
+	nnest := p.cells.nnest
+	for j := range p.deps {
+		dp := &p.deps[j]
+		if dp.rng < 0 {
+			continue
+		}
+		n := rd.base[dp.ln]
+		if n < 1 {
+			return false
+		}
+		for c, neg := range dp.neg {
+			if f := dp.v0 + c; neg > 0 && rd.base[f]+p.depRules[f-nnest].min < (n-1)*neg {
+				return false
+			}
+		}
+	}
+	for j := range p.deps {
+		if dp := &p.deps[j]; dp.rng >= 0 {
+			lens[j] = rd.base[dp.ln]
+		}
+	}
+	return true
+}
+
 // Cells returns tile t's shape and makes t the tile LenRun reads.
 // interior asserts that t satisfies InteriorSys: only its range lengths
 // are then keyed.
