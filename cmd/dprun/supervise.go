@@ -248,12 +248,7 @@ func launchLocal(lc launchConfig) int {
 			running--
 			continue
 		}
-		if ret != 0 {
-			// Already failing: just reap the remaining children.
-			running--
-			continue
-		}
-		recoverable := lc.ckptDir != "" && ex.rank != 0 && restarts[ex.rank] < lc.maxRestarts
+		recoverable := ret == 0 && lc.ckptDir != "" && ex.rank != 0 && restarts[ex.rank] < lc.maxRestarts
 		if recoverable {
 			restarts[ex.rank]++
 			fmt.Fprintf(os.Stderr, "supervisor: rank %d exited (%v); restart %d/%d with -resume -rejoin\n",
@@ -267,18 +262,22 @@ func launchLocal(lc launchConfig) int {
 				fmt.Fprintf(os.Stderr, "supervisor: restart of rank %d failed: %v\n", ex.rank, err)
 			}
 		}
-		// Terminal: report the failure, propagate the child's status and
-		// take the rest of the mesh down rather than letting it hang out
-		// its peer-down timeout.
+		// Terminal: report the failure — every failed child's, since the
+		// crashed rank and the peer that saw it die exit in either order
+		// — propagate the first child's status and take the rest of the
+		// mesh down rather than letting it hang out its peer-down timeout.
 		running--
-		ret = ex.code
-		if ret <= 0 {
-			ret = 1
-		}
 		fmt.Fprintf(os.Stderr, "supervisor: rank %d failed (%v, exit code %d) after %d restarts\n",
 			ex.rank, ex.err, ex.code, restarts[ex.rank])
 		for _, line := range ex.tail {
 			fmt.Fprintf(os.Stderr, "supervisor: [rank %d] %s\n", ex.rank, line)
+		}
+		if ret != 0 {
+			continue
+		}
+		ret = ex.code
+		if ret <= 0 {
+			ret = 1
 		}
 		mu.Lock()
 		for r, cmd := range procs {

@@ -3,13 +3,15 @@
 // (Checkpoint.Resume). A checkpoint records exactly the rank's durable
 // progress — the executed-tile set, the buffered dependence edges of
 // tiles still waiting or queued (the O(n^{d-1}) live state), and the
-// goal/max accumulators. It is encoded only while the transport reports
-// zero unacknowledged sends and the node lock is held, so every tile it
-// records as executed has had its outgoing edges received by their
-// consumers; a tile missing from the checkpoint simply re-executes and
-// re-sends on resume, and the receivers' duplicate-edge filter keeps
-// every cell computed exactly once. Correctness therefore never depends
-// on how fresh (or whether) a checkpoint file is.
+// goal/max accumulators. It is encoded at the rank's cut — workers
+// paused at a tile boundary and every send acknowledged, the same cut a
+// view change takes (elastic.go) — so every tile it records as executed
+// has had its outgoing edges received by their consumers, and no tile
+// sits between unpack and retire. A tile missing from the checkpoint
+// simply re-executes and re-sends on resume, and the receivers'
+// duplicate-edge filter keeps every cell computed exactly once.
+// Correctness therefore never depends on how fresh (or whether) a
+// checkpoint file is.
 //
 // Format (little-endian 64-bit words, "DPCKPT1\n" magic, trailing FNV-1a
 // sum; the record section is live.go's, shared with migration):
@@ -27,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"time"
 
 	"dpgen/internal/obs"
 )
@@ -249,76 +250,45 @@ func (n *node) replay(recs []ckptTile) {
 	}
 }
 
-// quiescer is the optional transport facet the checkpointer consults:
-// zero pending (unacknowledged) sends means every issued edge has been
-// received, which is what makes the executed-tile frontier durable.
-// Transports without the method (the in-memory communicator, whose
-// deliveries are synchronous) are always quiescent.
-type quiescer interface {
-	PendingSends() int
-}
-
-// checkpointer is the per-node background loop that writes due
-// checkpoints. It exists so waiting for transport quiescence happens
-// off the worker hot path: a tile's completion instant almost always
-// has that tile's own sends still unacknowledged, so an inline check at
-// completion would nearly always skip on sender-heavy ranks. Polling at
-// a millisecond cadence instead catches the short quiescent windows
-// between send bursts. The loop exits after the node is marked done,
-// with one final attempt so the on-disk snapshot reflects the finished
-// frontier.
+// checkpointer is the per-node loop that writes checkpoints: one per
+// due signal from tileDone. The run closes the signal at done, so the
+// loop ends after a final checkpoint if one was still due, and the
+// on-disk snapshot reflects the finished frontier.
 func (n *node) checkpointer(lane *obs.Lane) {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		n.mu.Lock()
-		done := n.done
-		due := n.ckptDue && !n.crashed
-		n.mu.Unlock()
-		if due {
-			n.maybeCheckpoint(lane)
-		}
-		if done {
-			return
-		}
-		<-tick.C
+	for range n.ckptDue {
+		n.checkpoint(lane)
 	}
 }
 
-// maybeCheckpoint writes a checkpoint if one is due (ckptEvery executed
-// tiles elapsed) and the transport is quiescent. Encoding happens under
-// the node lock; the file write does not. A failed or skipped write
-// just leaves the checkpoint due — the checkpointer retries.
-func (n *node) maybeCheckpoint(lane *obs.Lane) {
-	n.live.freeze()
-	n.mu.Lock()
-	q, _ := n.rank.(quiescer)
-	if !n.ckptDue || n.ckptBusy || n.crashed || (q != nil && q.PendingSends() != 0) {
-		n.mu.Unlock()
-		n.live.thaw()
-		return
-	}
-	n.ckptBusy = true
-	n.ckptDue = false
+// checkpoint takes the cut (elastic.go), encodes the rank's state
+// under it with the table frozen and the node lock held, resumes the
+// workers, and only then writes the file. A cut the transport's stop
+// cut short, a crashed rank or a failed write leaves the previous file
+// in place; the next due signal writes a fresh one.
+func (n *node) checkpoint(lane *obs.Lane) {
 	var t0 int64
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	blob := n.encodeCheckpoint()
-	n.mu.Unlock()
-	n.live.thaw()
-
-	err := writeCheckpointFile(n.ckptPath, blob)
-	n.mu.Lock()
-	n.ckptBusy = false
-	if err == nil {
-		n.st.Checkpoints++
-		n.st.CheckpointBytes += int64(len(blob))
-	} else {
-		n.ckptDue = true
+	var blob []byte
+	if n.cut(nil) {
+		n.live.freeze()
+		n.mu.Lock()
+		if !n.crashed {
+			blob = n.encodeCheckpoint()
+		}
+		n.mu.Unlock()
+		n.live.thaw()
 	}
+	n.resumeWorkers()
+	if blob == nil || writeCheckpointFile(n.ckptPath, blob) != nil {
+		return
+	}
+	n.mu.Lock()
+	n.st.Checkpoints++
+	n.st.CheckpointBytes += int64(len(blob))
 	n.mu.Unlock()
-	if err == nil && lane != nil {
+	if lane != nil {
 		lane.Span(obs.KCheckpoint, "", -1, int64(len(blob)), t0)
 	}
 }

@@ -128,6 +128,49 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointFinalFile decodes what a real run encoded: a completed
+// in-process run at 2 nodes x 2 threads, checkpointing after every
+// tile, must leave each rank a file that loads against the run's
+// header and holds the finished frontier — every owned tile executed
+// once, and no live tile.
+func TestCheckpointFinalFile(t *testing.T) {
+	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
+	params := []int64{12}
+	prep, err := Prepare(tl, params, 2, Config{}.Balance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, err := prep.Run(bandit2Kernel, Config{Nodes: 2, Threads: 2,
+		Checkpoint: CheckpointConfig{Dir: dir, EveryTiles: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if res.Stats[r].Checkpoints < 1 {
+			t.Errorf("rank %d wrote %d checkpoints", r, res.Stats[r].Checkpoints)
+		}
+		owned := prep.assign.Tiles[r]
+		run := &checkpoint{rank: r, nodes: 2, d: len(tl.Spec.Vars), nd: len(tl.Spec.Deps),
+			params: params, ownedTotal: owned}
+		ck, err := loadCheckpoint(CheckpointPath(dir, r), run, len(tl.TileDeps))
+		if err != nil || ck == nil {
+			t.Fatalf("rank %d: load = %v, %v", r, ck, err)
+		}
+		keys := make(map[uint64]bool)
+		for _, k := range ck.executedKeys {
+			keys[k] = true
+		}
+		if ck.executed != owned || int64(len(keys)) != owned || len(ck.executedKeys) != len(keys) {
+			t.Errorf("rank %d: executed %d with %d keys (%d distinct), want %d owned tiles",
+				r, ck.executed, len(ck.executedKeys), len(keys), owned)
+		}
+		if len(ck.tiles) != 0 {
+			t.Errorf("rank %d: finished checkpoint holds %d live tiles", r, len(ck.tiles))
+		}
+	}
+}
+
 // TestCheckpointMissingFile: a rank with no snapshot resumes from
 // scratch, so a missing file is (nil, nil), not an error.
 func TestCheckpointMissingFile(t *testing.T) {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"time"
 
 	"dpgen/internal/mpi"
 )
@@ -22,30 +21,24 @@ type mergedResult struct {
 	messages, elems int64
 }
 
-// awaitLocal waits for the local rank to finish its owned tiles while
-// watching the transport for failure, so peer death aborts the run
-// instead of stalling it forever on edges that will never arrive. On a
-// transport error the waiter goroutine stays blocked in Wait until
-// Run's teardown force-finishes the aborted nodes, at which point it
-// exits — no goroutine outlives Run.
-func (e *engine) awaitLocal(tr mpi.Transport) error {
+// awaitLocal waits for the local rank to finish its owned tiles or for
+// its receiver to exit — which it does exactly when the transport fails
+// or closes — so peer death aborts the run instead of stalling it
+// forever on edges that will never arrive. On a transport error the
+// waiter goroutine stays blocked in Wait until Run's teardown
+// force-finishes the aborted nodes, at which point it exits — no
+// goroutine outlives Run.
+func (e *engine) awaitLocal(tr mpi.Transport, recvExit <-chan struct{}) error {
 	done := make(chan struct{})
 	go func() {
 		e.finished.Wait()
 		close(done)
 	}()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			return tr.Err()
-		case <-tick.C:
-			if err := tr.Err(); err != nil {
-				return err
-			}
-		}
+	select {
+	case <-done:
+	case <-recvExit:
 	}
+	return tr.Err()
 }
 
 // mergeDistributed runs the fixed collective sequence that combines

@@ -3,10 +3,11 @@
 // transport mesh is fixed at the world size W up front; membership is
 // the subset of ranks that own tiles. Rank 0 coordinates view changes:
 //
-//	PREP(e)  rank 0 -> all W ranks. Each rank pauses its workers at a
-//	         tile boundary, drains its unacknowledged sends to zero,
-//	         and answers ACK(e, census) with its executed-per-slab
-//	         counts. ACKs are sent at the transport's quiescence point
+//	PREP(e)  rank 0 -> all W ranks. Each rank takes its cut (below,
+//	         shared with checkpoints): workers paused at a tile
+//	         boundary, every send acknowledged. It then answers
+//	         ACK(e, census) with its executed-per-slab counts. ACKs
+//	         are sent at the transport's quiescence point
 //	         (acknowledgements fire after delivery), so all W ACKs at
 //	         rank 0 mean every dependence edge ever sent has been
 //	         applied somewhere — nothing is in flight.
@@ -47,7 +48,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"dpgen/internal/balance"
 	"dpgen/internal/mpi"
@@ -102,7 +102,14 @@ type elasticTransport interface {
 	SendElastic(dst int, kind byte, payload []byte) error
 	ElasticCh() <-chan mpi.ElasticMsg
 	SetEpoch(e uint32)
-	PendingSends() int
+}
+
+// drainer is the transport facet a cut waits on (dpgen/internal/mpi/tcp):
+// WaitDrained returns true once every send is acknowledged, false if
+// abort closes or the transport stops first. A transport without it
+// (the in-memory communicator) counts as drained.
+type drainer interface {
+	WaitDrained(abort <-chan struct{}) bool
 }
 
 // normalizeMembers validates and sorts an initial member list.
@@ -136,19 +143,28 @@ func (e *engine) ownerOf(t []int64) int {
 	return e.owners.Load().Owner(t)
 }
 
-// ---- worker pause protocol ----
+// ---- the cut: worker pause and send drain ----
 //
-// A view change must observe the rank at a tile boundary: no tile in
-// execution, so the executed census and the live-tile tables are a
-// consistent cut. Workers claim an executing slot *before* popping a
-// tile (so a popped tile is always covered by a slot) and release it
-// after the tile retires or the pop comes up empty. The pauser raises
-// paused, which parks workers at the gate, and waits for the in-flight
-// slots to drain. Receivers never pause — acknowledgements must keep
-// flowing or no rank could ever drain its sends.
+// A checkpoint (checkpoint.go) and a view change's PREP observe the
+// rank at one consistent cut: no tile in execution, so the executed
+// set, the census and the live table agree, and every send
+// acknowledged, so every edge an executed tile sent has been received.
+// A tracking run's workers claim an executing slot *before* popping a
+// tile and release it after the tile retires or the pop comes up empty;
+// the pauser parks them at the gate and waits for the slots to drain.
+// Receivers never pause: acknowledgements must keep flowing.
 
-// pauseGate parks the worker while a view change is in progress, then
-// claims an executing slot.
+// cut pauses the workers at a tile boundary, then waits until every
+// send this rank issued is acknowledged. It returns false, workers
+// still paused, if abort closes or the transport stops first.
+func (n *node) cut(abort <-chan struct{}) bool {
+	n.pauseWorkers()
+	d, ok := n.rank.(drainer)
+	return !ok || d.WaitDrained(abort)
+}
+
+// pauseGate parks the worker while a cut is in progress, then claims
+// an executing slot.
 func (n *node) pauseGate() {
 	n.mu.Lock()
 	for n.paused && !n.done {
@@ -170,7 +186,7 @@ func (n *node) execDone() {
 }
 
 // pauseWorkers stops tile execution at the next tile boundary and
-// waits until no tile is in flight. Called from the elastic loop.
+// waits until no tile is in flight.
 func (n *node) pauseWorkers() {
 	n.mu.Lock()
 	n.paused = true
@@ -427,14 +443,6 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		census = make([]int64, len(e.owners.Load().Slabs()))
 	}
 
-	aborted := func() bool {
-		select {
-		case <-n.stopElastic:
-			return true
-		default:
-			return false
-		}
-	}
 	startView := func(m []int) {
 		epoch++
 		nextM = m
@@ -543,15 +551,10 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			if len(m.Payload) < 4 {
 				return true
 			}
-			prepEpoch := binary.LittleEndian.Uint32(m.Payload)
-			n.pauseWorkers()
-			for et.PendingSends() != 0 {
-				if aborted() {
-					return false
-				}
-				time.Sleep(20 * time.Microsecond)
+			if !n.cut(n.stopElastic) {
+				return false
 			}
-			et.SendElastic(0, mpi.ElasticEpochAck, n.encodeAck(prepEpoch))
+			et.SendElastic(0, mpi.ElasticEpochAck, n.encodeAck(binary.LittleEndian.Uint32(m.Payload)))
 		case mpi.ElasticEpochAck:
 			if n.id != 0 || acksLeft == 0 {
 				return true
@@ -590,9 +593,9 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 	}
 
 	// maybeLeave is the zero-work fallback for the voluntary-leave
-	// trigger in execTile: a rank that owns no tiles at all (or finished
+	// trigger in tileDone: a rank that owns no tiles at all (or finished
 	// everything it owned before reaching its threshold) never executes
-	// another tile, so the ticker fires the request once the rank is
+	// another tile, so the loop fires the request once the rank is
 	// locally idle. Without it a tile-less leaver would leave rank 0
 	// waiting on ExpectLeaves forever.
 	maybeLeave := func() {
@@ -610,9 +613,11 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		}
 	}
 
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
+	// The triggers read state only tileDone (which kicks) and handle
+	// (applyEpoch included) change, so a check per wake-up misses nothing.
 	for {
+		maybeLeave()
+		maybeAct()
 		select {
 		case <-n.stopElastic:
 			return
@@ -620,10 +625,7 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 			if !handle(m) {
 				return
 			}
-			maybeAct()
-		case <-tick.C:
-			maybeLeave()
-			maybeAct()
+		case <-n.kick:
 		}
 	}
 }

@@ -128,11 +128,11 @@ type Config struct {
 // CheckpointConfig configures the engine's fault-tolerance checkpoints
 // (Config.Checkpoint). The checkpoint holds the rank's executed-tile
 // set, its buffered dependence edges (the O(n^{d-1}) live state), and
-// the goal/max accumulators; it is written only when the transport
-// reports no unacknowledged sends, which guarantees every recorded
-// tile's outgoing edges were received by their consumers. Correctness
-// never depends on checkpoint recency — a missing or stale checkpoint
-// only means more tiles are recomputed on resume.
+// the goal/max accumulators; it is encoded at the rank's cut, with the
+// workers paused and every send acknowledged, which guarantees every
+// recorded tile's outgoing edges were received by their consumers.
+// Correctness never depends on checkpoint recency — a missing or stale
+// checkpoint only means more tiles are recomputed on resume.
 type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables the
 	// fault-tolerance layer. Each rank writes Dir/rank-<id>.ckpt
@@ -388,8 +388,9 @@ func run(prep *Prepared, kernel Kernel, cfg Config, start time.Time) (*Result, e
 	for _, n := range nodes {
 		n.mu.Lock()
 		n.done = true
-		if n.elastic {
-			n.pauseCond.Broadcast()
+		n.pauseCond.Broadcast()
+		if n.ckptDue != nil {
+			close(n.ckptDue) // the checkpointer's last wake-up
 		}
 		n.mu.Unlock()
 		n.pool.Close()
@@ -546,7 +547,7 @@ func (e *engine) await(nodes []*node) (*mergedResult, error) {
 	}
 	n := nodes[0]
 	var merged *mergedResult
-	err := e.awaitLocal(tr)
+	err := e.awaitLocal(tr, n.recvExit)
 	if err == nil {
 		merged, err = e.mergeDistributed(tr, n.cellMax())
 	}
@@ -650,27 +651,36 @@ type node struct {
 	executed   int64
 	finishOnce sync.Once
 
+	// recvExit closes when the receiver returns: the transport failed
+	// or closed.
+	recvExit chan struct{}
+
 	// Checkpoint cadence and crash injection (Config.Checkpoint,
-	// Config.CrashAfterTiles), under mu.
+	// Config.CrashAfterTiles), under mu. ckptDue holds one wake-up for
+	// the checkpointer while a checkpoint is due; the run closes it at
+	// done.
 	ckptPath  string
 	ckptEvery int64
-	ckptDue   bool
-	ckptBusy  bool
+	ckptDue   chan struct{}
 	crashAt   int64
 	crashed   bool
 
+	// The cut (elastic.go), under mu; only a tracking run's workers
+	// take the gate. pauseCond parks workers while paused, quietCond
+	// wakes the pauser when the last in-flight tile retires.
+	paused     bool
+	executingN int
+	pauseCond  *sync.Cond
+	quietCond  *sync.Cond
+
 	// Elastic membership state (Config.Elastic; see elastic.go).
-	// paused/executingN/elasticFin/leaveSent are under mu: pauseCond
-	// parks workers during a view change, quietCond wakes the pauser
-	// when the last in-flight tile retires.
+	// elasticFin/leaveSent are under mu; kick holds one wake-up for the
+	// elastic loop after a tile completes.
 	elastic     bool
 	et          elasticTransport
-	paused      bool
-	executingN  int
 	elasticFin  bool
 	leaveSent   bool
-	pauseCond   *sync.Cond
-	quietCond   *sync.Cond
+	kick        chan struct{}
 	curEpoch    atomic.Uint32
 	stopElastic chan struct{}
 	elasticWG   sync.WaitGroup
@@ -694,9 +704,10 @@ type node struct {
 
 func newNode(e *engine, id int, rank mpi.Transport) *node {
 	n := &node{
-		eng:  e,
-		id:   id,
-		rank: rank,
+		eng:      e,
+		id:       id,
+		rank:     rank,
+		recvExit: make(chan struct{}),
 	}
 	threads := e.cfg.Threads
 	if threads < 1 {
@@ -712,15 +723,16 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		slabs = e.owners.Load()
 	}
 	n.live = newLiveTable(e.prep.layout, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, slabs, n.prepTile)
+	n.pauseCond, n.quietCond = sync.NewCond(&n.mu), sync.NewCond(&n.mu)
 	if e.cfg.Checkpoint.Dir != "" {
 		n.ckptPath = CheckpointPath(e.cfg.Checkpoint.Dir, id)
 		n.ckptEvery = e.cfg.Checkpoint.EveryTiles
+		n.ckptDue = make(chan struct{}, 1)
 	}
 	if e.cfg.Elastic.Enabled {
 		n.elastic = true
 		n.et = rank.(elasticTransport) // resolve checked the assertion
-		n.pauseCond = sync.NewCond(&n.mu)
-		n.quietCond = sync.NewCond(&n.mu)
+		n.kick = make(chan struct{}, 1)
 		n.stopElastic = make(chan struct{})
 	}
 	n.crashAt = e.cfg.CrashAfterTiles
@@ -747,11 +759,12 @@ func (n *node) initLane() *obs.Lane {
 func (n *node) worker(w int, lane *obs.Lane) {
 	ws := n.newWorkerState(w)
 	ws.lane = lane
+	track := n.live.track
 	for {
-		if n.elastic {
+		if track {
 			// Claim the executing slot before the pop, so a popped tile
-			// is always covered by a slot and the view-change pauser can
-			// wait for a true tile boundary (see elastic.go).
+			// is always covered by a slot and the cut can wait for a true
+			// tile boundary (see elastic.go).
 			n.pauseGate()
 		}
 		e0 := n.pool.Epoch()
@@ -759,7 +772,7 @@ func (n *node) worker(w int, lane *obs.Lane) {
 		if p != nil {
 			n.execTile(p, ws, stolen)
 		}
-		if n.elastic {
+		if track {
 			n.execDone()
 		}
 		if p != nil {
@@ -789,6 +802,7 @@ func (n *node) worker(w int, lane *obs.Lane) {
 // worker blocked in Send cannot starve the node's own inbox. It exits
 // when the communicator closes.
 func (n *node) receiver(lane *obs.Lane) {
+	defer close(n.recvExit)
 	ds := newDelivState(n.eng)
 	for {
 		m, ok := n.rank.Recv()
@@ -1096,13 +1110,10 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	e := n.eng
 	tl := e.tl
 	fast := !e.cfg.DisableFastPath
-	var freedEdges, freedElems int64
 	for _, ed := range p.Tile.edges {
 		if ed.data == nil {
 			continue
 		}
-		freedEdges++
-		freedElems += int64(len(ed.data))
 		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
 			tl.UnpackInterior(ed.dep, w.buf, ed.data)
 			continue
@@ -1132,9 +1143,11 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 				ed.dep, p.Tile.coord, len(ed.data), got, side))
 		}
 	}
+	// Released at once, onto this worker's free stack: no cut sees a
+	// tile between unpack and retire.
+	freedEdges, freedElems := releaseEdges(p, &w.bufs)
 	n.pendingEdges.Add(-freedEdges)
 	n.bufferedElems.Add(-freedElems)
-	n.live.unpacked(p, &w.bufs)
 }
 
 // sendEdges packs the tile's outgoing edges and delivers them locally
@@ -1210,8 +1223,11 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 	n.st.EdgesSentRemote += sentRemote
 	n.st.SendStallTime += stall
 	n.executed++
-	if n.ckptEvery > 0 && !n.crashed && n.executed%n.ckptEvery == 0 {
-		n.ckptDue = true
+	if n.ckptEvery > 0 && !n.crashed && !n.done && n.executed%n.ckptEvery == 0 {
+		select {
+		case n.ckptDue <- struct{}{}:
+		default: // already due
+		}
 	}
 	if n.crashAt > 0 && !n.crashed && n.executed >= n.crashAt {
 		n.crashed = true // no further checkpoints: the crash point is final
@@ -1234,6 +1250,12 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 	}
 	if wantLeave {
 		n.et.SendElastic(0, mpi.ElasticLeave, nil)
+	}
+	if n.elastic {
+		select {
+		case n.kick <- struct{}{}:
+		default:
+		}
 	}
 	// Sample the pending-edge curve (the Figure 4 quantity as a time
 	// series) and the ready-queue depth at every tile completion.

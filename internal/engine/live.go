@@ -14,15 +14,17 @@
 // dependence's slot of the entry, and the delivery that counts the last
 // one down empties the slot and hands the tile on. Once every entry a
 // slab will ever hold has completed, its page goes to a free list for the
-// next slab, so pages live only while their slab is in flight, and the
-// table's edges are released as soon as they are unpacked; a plain run
-// keeps no started or executed state. A tracking run (fault tolerance or
-// elastic membership) needs consistent cuts, so one lock covers every
-// per-tile transition over the same pages, edges stay attached until
-// retire, pages are recycled as soon as they are empty, and a duplicate
-// filter drops any edge for a tile already complete or executed (a
-// restarted peer's replayed history, a resumed rank's recomputed sends,
-// a stale migration). Tracking runs are not scheduler-bound.
+// next slab, so pages live only while their slab is in flight; a plain
+// run keeps no started or executed state. A tracking run (fault
+// tolerance or elastic membership) needs consistent cuts, so one lock
+// covers every per-tile transition over the same pages, pages are
+// recycled as soon as they are empty, and a duplicate filter drops any
+// edge for a tile already complete or executed (a restarted peer's
+// replayed history, a resumed rank's recomputed sends, a stale
+// migration). On every run a tile's edges are released at its unpack:
+// the cut (elastic.go) pauses workers at a tile boundary, so no
+// snapshot sees a tile between unpack and retire. Tracking runs are not
+// scheduler-bound.
 //
 // Record section, shared by the DPCKPT1 file and the migration payload
 // (little-endian 64-bit words; diagram in docs/FAULT_TOLERANCE.md):
@@ -199,7 +201,7 @@ type liveTable struct {
 	entries atomic.Int64
 
 	// Tracking state, all guarded by mu: the executed tiles' keys, the
-	// started tiles (edges still attached until retire), and for elastic
+	// started tiles (complete, queued or executing), and for elastic
 	// runs this rank's executed-tile census per load-balancing slab,
 	// indexed like slabs.Slabs() — stable across rebalances.
 	track    bool
@@ -395,15 +397,6 @@ func (lt *liveTable) seed(p *pendTile) bool {
 	return true
 }
 
-// unpacked is called once a tile's edges are copied into its buffer: a
-// plain run recycles them at once, onto the unpacking worker's free
-// stack; a tracking run holds them until retire.
-func (lt *liveTable) unpacked(p *pendTile, bufs *edgeBufs) {
-	if !lt.track {
-		releaseEdges(p, bufs)
-	}
-}
-
 // cellMax is a running maximum over computed cells: one worker's fold of
 // the tiles it executed (the run's Result.Max is the merge over workers
 // and nodes). Each worker writes only its own, padded to a cache line of
@@ -424,9 +417,9 @@ func (m *cellMax) merge(o cellMax) {
 
 // retire marks a tile executed once its sends are issued and folds its
 // maximum into the executing worker's. On a tracking run started →
-// executed, census bump, fold and edge release are one transition under
-// the table lock, so a cut never sees the tile in two states or in none,
-// nor an executed tile whose maximum is missing.
+// executed, census bump and fold are one transition under the table
+// lock, so a cut never sees the tile in two states or in none, nor an
+// executed tile whose maximum is missing.
 func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 	if !lt.track {
 		fold.merge(tile)
@@ -442,7 +435,6 @@ func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 		}
 	}
 	fold.merge(tile)
-	releaseEdges(p, nil)
 	lt.mu.Unlock()
 }
 
@@ -495,7 +487,7 @@ func (lt *liveTable) thaw()   { lt.mu.Unlock() }
 
 // snapshot appends the frozen table's durable state: the executed keys
 // as count | keys, then the records of every tile holding edges —
-// pending ones, and started ones not yet unpacked and executed.
+// pending ones, and started ones still queued.
 func (lt *liveTable) snapshot(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(lt.executed)))
 	for k := range lt.executed {

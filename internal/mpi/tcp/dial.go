@@ -106,6 +106,7 @@ func open(rank int, peers []string, opts Options, verb string) (*Transport, erro
 		pstate:     make([]*peerState, size),
 		inbox:      make(chan *mpi.Message, o.RecvBufs),
 		slots:      make(chan struct{}, o.SendBufs),
+		drained:    make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		coordCh:    make(chan ctrl, 4*size),
 		relCh:      make(chan ctrl, 4),

@@ -210,16 +210,15 @@ func (t *Transport) handleRejoin(c net.Conn) {
 	ps := t.pstate[peer]
 	ps.lastHeard.Store(time.Now().UnixNano())
 	ps.mu.Lock()
-	wasDown := ps.down
 	ps.down = false
 	ps.downSince = time.Time{}
 	ps.inflight = 0
 	replay := make([][]byte, len(ps.retained))
 	copy(replay, ps.retained)
 	ps.mu.Unlock()
-	if wasDown {
-		t.peerRestarts.Add(1)
-	}
+	// Only a restarted process sends REJOIN, so this is a restart even
+	// when it overtakes the old connection's observed death.
+	t.peerRestarts.Add(1)
 	t.opts.observe(ObsRejoin, peer, int64(len(replay)))
 	t.readers.Add(1)
 	go t.reader(pc)
@@ -274,16 +273,9 @@ func DialRejoin(rank int, peers []string, opts Options) (*Transport, error) {
 }
 
 // RecoveryStats reports the cumulative heartbeat misses and peer
-// restarts (successful rejoins of a previously-down peer) this
+// restarts (successful rejoins of a restarted peer) this
 // endpoint has observed — the sources of the dp_heartbeat_misses_total
 // and dp_peer_restarts_total metrics.
 func (t *Transport) RecoveryStats() (heartbeatMisses, peerRestarts int64) {
 	return t.hbMisses.Load(), t.peerRestarts.Load()
 }
-
-// PendingSends reports the number of in-flight sends that have not yet
-// been acknowledged. The engine's checkpointer waits for zero before
-// serializing, which guarantees every tile recorded as executed has
-// had its outgoing edges *received* (not merely written to a socket
-// buffer that process death could discard).
-func (t *Transport) PendingSends() int { return len(t.slots) }

@@ -237,6 +237,9 @@ type Transport struct {
 
 	inbox chan *mpi.Message
 	slots chan struct{}
+	// drained holds one wake-up for WaitDrained, left by the release
+	// that empties slots.
+	drained chan struct{}
 
 	msgs     atomic.Int64
 	elems    atomic.Int64
@@ -354,12 +357,37 @@ func (t *Transport) errOr() error {
 }
 
 // releaseSlot frees one send-buffer slot without blocking: on an ACK,
-// or for a send whose ACK will never come.
+// or for a send whose ACK will never come. The release that empties
+// the semaphore wakes WaitDrained.
 func (t *Transport) releaseSlot() {
 	select {
 	case <-t.slots:
+		if len(t.slots) == 0 {
+			select {
+			case t.drained <- struct{}{}:
+			default:
+			}
+		}
 	default:
 	}
+}
+
+// WaitDrained blocks until no send is waiting for an acknowledgement
+// and returns true; it returns false if abort closes or the transport
+// stops first. Acknowledgements fire after the receiver's release, so
+// a true return means every edge this endpoint sent has been received.
+// Other senders are not held up: the wait takes no slot.
+func (t *Transport) WaitDrained(abort <-chan struct{}) bool {
+	for len(t.slots) > 0 {
+		select {
+		case <-t.drained:
+		case <-abort:
+			return false
+		case <-t.stop:
+			return false
+		}
+	}
+	return true
 }
 
 // Send delivers a tagged message to dst, blocking while all
@@ -464,12 +492,10 @@ func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		t.closing.Store(true)
 		if t.size > 1 && t.Err() == nil {
-			deadline := time.Now().Add(drainTimeout)
-			for len(t.slots) > 0 && time.Now().Before(deadline) && !t.stopped() {
-				time.Sleep(time.Millisecond)
-			}
-			if n := len(t.slots); n > 0 {
-				t.opts.logf("tcp: rank %d: close with %d unacknowledged sends after %s drain", t.rank, n, drainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+			defer cancel()
+			if !t.WaitDrained(ctx.Done()) {
+				t.opts.logf("tcp: rank %d: close with %d unacknowledged sends after %s drain", t.rank, len(t.slots), drainTimeout)
 			}
 			for _, pc := range t.snapshotConns() {
 				if pc != nil {
@@ -478,7 +504,7 @@ func (t *Transport) Close() error {
 			}
 			select {
 			case <-t.allByes:
-			case <-time.After(time.Until(deadline)):
+			case <-ctx.Done():
 				t.opts.logf("tcp: rank %d: close without all BYEs after %s drain", t.rank, drainTimeout)
 			case <-t.stop:
 			}

@@ -198,6 +198,86 @@ func TestBytesOnWire(t *testing.T) {
 	}
 }
 
+// TestWaitDrained: with k sends unreleased at the peer, WaitDrained
+// holds until the last one is acknowledged — not after k-1 — and
+// returns false on abort and on Kill. A marker message from the peer,
+// sent after its releases on the same connection, orders the test
+// after rank 0 has applied their ACKs; WaitDrained with a closed abort
+// is the non-blocking "drained now?" probe.
+func TestWaitDrained(t *testing.T) {
+	const k = 3
+	t0, t1 := dialPair(t, Options{SendBufs: k})
+	closed := make(chan struct{})
+	close(closed)
+	hold := func() []func() {
+		var rel []func()
+		for i := 0; i < k; i++ {
+			t0.Send(1, i, []float64{float64(i)}, nil)
+		}
+		for i := 0; i < k; i++ {
+			m, ok := t1.Recv()
+			if !ok {
+				t.Fatal("recv failed")
+			}
+			rel = append(rel, m.Release)
+		}
+		return rel
+	}
+	barrier := func() {
+		t1.Send(0, 99, []float64{0}, nil)
+		m, ok := t0.Recv()
+		if !ok || m.Tag != 99 {
+			t.Fatalf("marker: %+v ok=%v", m, ok)
+		}
+		m.Release()
+	}
+	wait := func(abort <-chan struct{}) <-chan bool {
+		res := make(chan bool, 1)
+		go func() { res <- t0.WaitDrained(abort) }()
+		return res
+	}
+
+	rel := hold()
+	done := wait(nil)
+	abort := make(chan struct{})
+	aborted := wait(abort)
+	close(abort)
+	if <-aborted {
+		t.Fatal("WaitDrained returned true on abort with sends unacknowledged")
+	}
+	for _, r := range rel[:k-1] {
+		r()
+	}
+	barrier()
+	if t0.WaitDrained(closed) {
+		t.Fatalf("drained after %d of %d releases", k-1, k)
+	}
+	select {
+	case v := <-done:
+		t.Fatalf("waiter returned %v after %d of %d releases", v, k-1, k)
+	default:
+	}
+	rel[k-1]()
+	if !<-done {
+		t.Fatal("WaitDrained returned false after the last release")
+	}
+	if !t0.WaitDrained(closed) {
+		t.Fatal("drained endpoint probed as not drained")
+	}
+
+	hold()
+	killed := wait(nil)
+	t0.Kill()
+	if <-killed {
+		t.Fatal("WaitDrained returned true on Kill with sends unacknowledged")
+	}
+	// Let the peer observe the death, so its cleanup Close does not wait
+	// out the drain timeout for a BYE.
+	if m, ok := t1.Recv(); ok {
+		t.Fatalf("peer received %+v after Kill", m)
+	}
+}
+
 // TestSelfSendUsesSlots: self-delivery must respect the send-buffer
 // budget like any other destination.
 func TestSelfSendUsesSlots(t *testing.T) {

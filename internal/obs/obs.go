@@ -64,8 +64,8 @@ const (
 	// edges (the Figure 4 quantity), taken at tile completion; Val is
 	// the count.
 	KPending
-	// KCheckpoint spans writing one fault-tolerance checkpoint; Val is
-	// the encoded size in bytes.
+	// KCheckpoint spans one fault-tolerance checkpoint — the cut, the
+	// encode and the file write; Val is the encoded size in bytes.
 	KCheckpoint
 	// KRecover spans restoring a rank's state from a checkpoint at
 	// resume; Val is the number of buffered edges replayed.
