@@ -19,10 +19,6 @@ import (
 // plain distributed run plus trailing no-op view changes, which must
 // be equally bit-identical. Every rank's result is compared against
 // the independent serial reference.
-//
-// Specs outside the elastic engine's envelope — more than 64 tile
-// dependences (the fault-tolerance dedup mask it reuses) — are skipped,
-// mirroring the engine's own rejection.
 func CheckElastic(in *Instance) error {
 	sp := in.Spec
 	params := in.pvals(in.N)
@@ -31,9 +27,6 @@ func CheckElastic(in *Instance) error {
 	tl, err := in.tiling()
 	if err != nil {
 		return fmt.Errorf("tiling.New: %w", err)
-	}
-	if len(tl.TileDeps) > 64 {
-		return nil
 	}
 
 	const world = 3

@@ -28,13 +28,6 @@ func CheckKillRecover(in *Instance) error {
 	if err != nil {
 		return fmt.Errorf("tiling.New: %w", err)
 	}
-	if len(tl.TileDeps) > 64 {
-		// The engine's fault-tolerance dedup bitmask covers 64 tile
-		// dependences; specs beyond that (deep multi-tile range
-		// footprints) are rejected by engine.Run in Recovery mode, so the
-		// crash differential does not apply.
-		return nil
-	}
 	ckdir, err := os.MkdirTemp("", "dpfuzz-ckpt-")
 	if err != nil {
 		return err

@@ -13,12 +13,12 @@
 // Correctness therefore never depends on how fresh (or whether) a
 // checkpoint file is.
 //
-// Format (little-endian 64-bit words, "DPCKPT1\n" magic, trailing FNV-1a
+// Format (little-endian 64-bit words, "DPCKPT2\n" magic, trailing FNV-1a
 // sum; the record section is live.go's, shared with migration):
 //
 //	magic | rank nodes d nd | nparams params | ownedTotal executed |
-//	flags goalVal maxVal | nkeys executedKeys | records |
-//	fnv1a(everything above)
+//	flags goalVal maxVal | nkeys executedKeys (ascending slot keys,
+//	pageLayout) | records | fnv1a(everything above)
 
 package engine
 
@@ -31,9 +31,10 @@ import (
 	"slices"
 
 	"dpgen/internal/obs"
+	"dpgen/internal/tiling"
 )
 
-const ckptMagic = "DPCKPT1\n"
+const ckptMagic = "DPCKPT2\n"
 
 // CheckpointPath returns the checkpoint file a rank writes inside dir:
 // dir/rank-<rank>.ckpt. dprun's supervisor uses it to point a restarted
@@ -155,13 +156,9 @@ func writeCheckpointFile(path string, blob []byte) error {
 }
 
 // loadCheckpoint reads one checkpoint file and decodes it against the
-// run it is resumed into: the header is compared with run's before any
-// tile record is read, and records are sized by the run's d and
-// tileDeps (tile dependence count) — a
-// checksum-valid file from another spec (a reused checkpoint directory)
-// is "from a different run", never an allocation of the d it claims. A
-// missing file is not an error: (nil, nil), and the rank resumes from
-// scratch (peers redeliver everything it needs).
+// run it is resumed into (decodeCheckpoint). A missing file is not an
+// error: (nil, nil), and the rank resumes from scratch (peers redeliver
+// everything it needs).
 func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, error) {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -170,12 +167,20 @@ func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, er
 	if err != nil {
 		return nil, err
 	}
+	return decodeCheckpoint(blob, run, tileDeps)
+}
+
+// decodeCheckpoint decodes a blob against the run it resumes: the header
+// is compared with run's before any record is read, and records are
+// sized by run.d and tileDeps — a checksum-valid file from another spec
+// is "from a different run", never an allocation of the d it claims.
+func decodeCheckpoint(blob []byte, run *checkpoint, tileDeps int) (*checkpoint, error) {
 	if len(blob) < len(ckptMagic)+8 || string(blob[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("engine: %s is not a checkpoint file", path)
+		return nil, fmt.Errorf("not a checkpoint file")
 	}
 	body, ok := openBlob(blob)
 	if !ok {
-		return nil, fmt.Errorf("engine: checkpoint %s failed its checksum", path)
+		return nil, fmt.Errorf("failed its checksum")
 	}
 	r := &blobReader{b: body[len(ckptMagic):]}
 	ck := &checkpoint{
@@ -191,11 +196,14 @@ func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, er
 	ck.ownedTotal = r.i64()
 	if r.err == nil {
 		if err := run.mismatch(ck); err != nil {
-			return nil, fmt.Errorf("engine: checkpoint %s is from a different run (%w)", path, err)
+			return nil, fmt.Errorf("from a different run (%w)", err)
 		}
 	}
 	ck.executed = r.i64()
 	flags := r.u64()
+	if r.err == nil && flags&^3 != 0 {
+		r.err = fmt.Errorf("unknown flags %#x", flags)
+	}
 	ck.goalSet = flags&1 != 0
 	ck.goalVal = r.f64()
 	ck.maxSet = flags&2 != 0
@@ -206,9 +214,25 @@ func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, er
 	}
 	ck.tiles = readRecords(r, run.d, tileDeps)
 	if r.err != nil {
-		return nil, fmt.Errorf("engine: decode %s: %w", path, r.err)
+		return nil, fmt.Errorf("decode: %w", r.err)
 	}
 	return ck, nil
+}
+
+// check vets a decoded checkpoint before it touches the table: the
+// executed count is the number of keys and at most the owned tiles, the
+// keys ascend within the tile box and every record names a real tile.
+func (ck *checkpoint) check(l *pageLayout, probe *tiling.TileProbe) error {
+	if ck.executed != int64(len(ck.executedKeys)) || ck.executed > ck.ownedTotal {
+		return fmt.Errorf("%d tiles executed with %d keys of %d owned tiles", ck.executed, len(ck.executedKeys), ck.ownedTotal)
+	}
+	slots := l.slab.Len() * l.rest.Len()
+	for i, k := range ck.executedKeys {
+		if k >= slots || (i > 0 && k <= ck.executedKeys[i-1]) {
+			return fmt.Errorf("executed key %d out of order or outside the %d-slot tile box", k, slots)
+		}
+	}
+	return l.checkRecords(ck.tiles, probe)
 }
 
 // loadResume reads the node's checkpoint (if any) and restores the
@@ -218,8 +242,14 @@ func loadCheckpoint(path string, run *checkpoint, tileDeps int) (*checkpoint, er
 func (n *node) loadResume() ([]ckptTile, error) {
 	e := n.eng
 	ck, err := loadCheckpoint(n.ckptPath, n.ckptHeader(), len(e.tl.TileDeps))
-	if err != nil || ck == nil {
-		return nil, err
+	if err == nil && ck != nil {
+		err = ck.check(e.prep.layout, e.tl.NewProbe(e.params))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: checkpoint %s: %w", n.ckptPath, err)
+	}
+	if ck == nil {
+		return nil, nil
 	}
 	n.live.restoreExecuted(ck.executedKeys)
 	n.executed = ck.executed

@@ -1,13 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"dpgen/internal/spec"
+	"dpgen/internal/tiling"
 )
 
 // encodeTestCheckpoint builds a checkpoint blob for the given decoded
@@ -134,28 +140,21 @@ func TestCheckpointRoundtrip(t *testing.T) {
 // header and holds the finished frontier — every owned tile executed
 // once, and no live tile.
 func TestCheckpointFinalFile(t *testing.T) {
-	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
-	params := []int64{12}
-	prep, err := Prepare(tl, params, 2, Config{}.Balance)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	res, err := prep.Run(bandit2Kernel, Config{Nodes: 2, Threads: 2,
-		Checkpoint: CheckpointConfig{Dir: dir, EveryTiles: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl, prep, res := finalCheckpointRun(t, dir)
 	for r := 0; r < 2; r++ {
 		if res.Stats[r].Checkpoints < 1 {
 			t.Errorf("rank %d wrote %d checkpoints", r, res.Stats[r].Checkpoints)
 		}
 		owned := prep.assign.Tiles[r]
 		run := &checkpoint{rank: r, nodes: 2, d: len(tl.Spec.Vars), nd: len(tl.Spec.Deps),
-			params: params, ownedTotal: owned}
+			params: prep.params, ownedTotal: owned}
 		ck, err := loadCheckpoint(CheckpointPath(dir, r), run, len(tl.TileDeps))
 		if err != nil || ck == nil {
 			t.Fatalf("rank %d: load = %v, %v", r, ck, err)
+		}
+		if err := ck.check(prep.layout, tl.NewProbe(prep.params)); err != nil {
+			t.Errorf("rank %d: %v", r, err)
 		}
 		keys := make(map[uint64]bool)
 		for _, k := range ck.executedKeys {
@@ -171,6 +170,59 @@ func TestCheckpointFinalFile(t *testing.T) {
 	}
 }
 
+// finalCheckpointRun runs bandit2 at 2 nodes x 2 threads, checkpointing
+// into dir after every tile, and returns the run's tiling, prepared
+// instance and result.
+func finalCheckpointRun(t testing.TB, dir string) (*tiling.Tiling, *Prepared, *Result) {
+	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
+	prep, err := Prepare(tl, []int64{12}, 2, Config{}.Balance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(bandit2Kernel, Config{Nodes: 2, Threads: 2,
+		Checkpoint: CheckpointConfig{Dir: dir, EveryTiles: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl, prep, res
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to a resuming rank's decoder and
+// content check, against rank 0's header of finalCheckpointRun's run:
+// every input is either rejected with an error or decodes to a
+// checkpoint that re-encodes to exactly those bytes, and none panics.
+// The corpus is seeded with the files that run writes and one record a
+// mid-run checkpoint could hold.
+func FuzzCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	tl, prep, _ := finalCheckpointRun(f, dir)
+	run := &checkpoint{rank: 0, nodes: 2, d: len(tl.Spec.Vars), nd: len(tl.Spec.Deps),
+		params: prep.params, ownedTotal: prep.assign.Tiles[0]}
+	for r := 0; r < 2; r++ {
+		blob, err := os.ReadFile(CheckpointPath(dir, r))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	live := *run
+	live.tiles = []ckptTile{{tile: []int64{0, 0, 0, 0}, edges: []ckptEdge{{dep: 0, data: []float64{1, 2}}}}}
+	f.Add(encodeTestCheckpoint(&live))
+	probe := tl.NewProbe(prep.params)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ck, err := decodeCheckpoint(blob, run, len(tl.TileDeps))
+		if err == nil {
+			err = ck.check(prep.layout, probe)
+		}
+		if err != nil {
+			return
+		}
+		if re := encodeTestCheckpoint(ck); !bytes.Equal(re, blob) {
+			t.Fatalf("checkpoint re-encodes to %x, was %x", re, blob)
+		}
+	})
+}
+
 // TestCheckpointMissingFile: a rank with no snapshot resumes from
 // scratch, so a missing file is (nil, nil), not an error.
 func TestCheckpointMissingFile(t *testing.T) {
@@ -183,7 +235,10 @@ func TestCheckpointMissingFile(t *testing.T) {
 // TestCheckpointRejectsCorruption feeds damaged bytes to both users of
 // the record codec: a checkpoint file through loadCheckpoint and a
 // migration payload (the same record section, sealed) through
-// decodeMigration.
+// decodeMigration. Checksum-valid content that names tiles the run has
+// no slot for goes through the two paths that vet it: a resuming
+// rank's loadResume, which must fail, and applyMigration, which must
+// panic.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	run := &checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}}
@@ -223,6 +278,67 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	reseal := func(b []byte) []byte { return sealBlob(b[:len(b)-8]) }
 
+	// A triangle of 15 tiles in a 5 × 5 tile box: tile (4, 4) is in the
+	// box but not in the space, and the box has 25 executed keys.
+	tri := spec.MustNew("tri", []string{"N"}, []string{"i", "j"})
+	tri.MustConstrain("i >= 0")
+	tri.MustConstrain("j >= 0")
+	tri.MustConstrain("i + j <= N")
+	tri.AddDep("down", 1, 0)
+	tri.AddDep("right", 0, 1)
+	tri.TileWidths = []int64{2, 2}
+	triTl, err := tiling.New(tri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triPrep, err := Prepare(triTl, []int64{8}, 1, Config{}.Balance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triDir := t.TempDir()
+	triEngine := func(t *testing.T) (*engine, *node) {
+		e, nodes, err := newEngine(triPrep, sumKernel, Config{Checkpoint: CheckpointConfig{Dir: triDir, Resume: true}}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, nodes[0]
+	}
+	owned := triPrep.assign.Tiles[0]
+	triCkpt := func(executed int64, keys []uint64, tile ...int64) []byte {
+		return encodeTestCheckpoint(&checkpoint{rank: 0, nodes: 1, d: 2, nd: 2, params: []int64{8},
+			ownedTotal: owned, executed: executed, executedKeys: keys,
+			tiles: []ckptTile{{tile: tile, edges: []ckptEdge{{dep: 0, data: []float64{1, 2}}}}}})
+	}
+	resume := func(t *testing.T, b []byte) error {
+		if err := os.WriteFile(CheckpointPath(triDir, 0), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, n := triEngine(t)
+		_, err := n.loadResume()
+		return err
+	}
+	if err := resume(t, triCkpt(2, []uint64{0, 24}, 1, 1)); err != nil { // 24: the box's last slot
+		t.Fatalf("intact checkpoint rejected: %v", err)
+	}
+	keys := make([]uint64, owned+1)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	applyMig := func(t *testing.T, b []byte) (err error) {
+		e, n := triEngine(t)
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
+			}
+		}()
+		n.applyMigration(blobToFloats(b), nil, newDelivState(e))
+		return nil
+	}
+	outside := sealBlob(appendRecords(nil, []*pendTile{{Tile: tileState{
+		coord: []int64{4, 4},
+		edges: []edge{{dep: 1, data: []float64{1, 2}}},
+	}}}))
+
 	cases := []struct {
 		name    string
 		blob    []byte
@@ -251,6 +367,21 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[8*4:], 7)
 			return reseal(b)
 		}, loadMig, "dependence 7 of 2"},
+		{"migration-trailing-bytes", mig, func(b []byte) []byte {
+			return sealBlob(append(b[:len(b)-8], make([]byte, 8)...))
+		}, loadMig, "8 bytes after the records"},
+		{"unknown-flags", blob, func(b []byte) []byte {
+			b[len(ckptMagic)+8*8] |= 4 // rank nodes d nd nparams param ownedTotal executed, then flags
+			return reseal(b)
+		}, loadFile, "unknown flags"},
+		{"record-outside-box", triCkpt(0, nil, 9, 0), func(b []byte) []byte { return b }, resume, "tile [9 0] outside the tile space"},
+		{"record-outside-space", triCkpt(0, nil, 4, 4), func(b []byte) []byte { return b }, resume, "tile [4 4] outside the tile space"},
+		{"executed-key-outside-box", triCkpt(1, []uint64{25}, 1, 1), func(b []byte) []byte { return b }, resume, "outside the 25-slot tile box"},
+		{"executed-keys-repeated", triCkpt(2, []uint64{3, 3}, 1, 1), func(b []byte) []byte { return b }, resume, "key 3 out of order"},
+		{"executed-count-not-keys", triCkpt(3, []uint64{0, 1}, 1, 1), func(b []byte) []byte { return b }, resume, "3 tiles executed with 2 keys"},
+		{"executed-over-owned", triCkpt(owned+1, keys, 1, 1), func(b []byte) []byte { return b }, resume,
+			fmt.Sprintf("%d tiles executed with %d keys of %d owned", owned+1, owned+1, owned)},
+		{"migration-outside-space", outside, func(b []byte) []byte { return b }, applyMig, "tile [4 4] outside the tile space"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -263,5 +394,69 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 				t.Errorf("error %q lacks %q", err, tc.errPart)
 			}
 		})
+	}
+}
+
+// TestCheckpointManyDeps runs a tracking table past 64 tile
+// dependences: a 1-D spec whose cell x reads the 65 cells after it, at
+// tile width 1, checkpointed at 2 nodes, must compute every cell
+// bit-identically to the plain run and to the serial reference.
+func TestCheckpointManyDeps(t *testing.T) {
+	const reach, n = 65, 150
+	sp := spec.MustNew("deep", []string{"N"}, []string{"x"})
+	sp.MustConstrain("0 <= x <= N")
+	for j := int64(1); j <= reach; j++ {
+		sp.AddDep(fmt.Sprintf("r%d", j), j)
+	}
+	sp.TileWidths = []int64{1}
+	tl, err := tiling.New(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tl.TileDeps) != reach {
+		t.Fatalf("%d tile dependences, want %d", len(tl.TileDeps), reach)
+	}
+	kernel := func(c *Ctx) {
+		v := 1.0
+		for j, ok := range c.DepValid {
+			if ok {
+				v += c.V[c.DepLoc[j]] / (reach + 1)
+			}
+		}
+		c.V[c.Loc] = v
+	}
+	ref := make([]float64, n+1)
+	for x := n; x >= 0; x-- {
+		ref[x] = 1
+		for j := 1; j <= reach && x+j <= n; j++ {
+			ref[x] += ref[x+j] / (reach + 1)
+		}
+	}
+	for _, cfg := range []Config{
+		{Nodes: 2},
+		{Nodes: 2, Checkpoint: CheckpointConfig{Dir: t.TempDir(), EveryTiles: 1}},
+	} {
+		var mu sync.Mutex
+		got := make([]float64, n+1)
+		cfg.OnCell = func(x []int64, v float64) {
+			mu.Lock()
+			got[x[0]] = v
+			mu.Unlock()
+		}
+		res, err := Run(tl, kernel, []int64{n}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := range ref {
+			if math.Float64bits(got[x]) != math.Float64bits(ref[x]) {
+				t.Fatalf("checkpointed %v: cell %d = %v, serial %v", cfg.Checkpoint.Dir != "", x, got[x], ref[x])
+			}
+		}
+		if res.Value != ref[0] {
+			t.Errorf("checkpointed %v: value %v, serial %v", cfg.Checkpoint.Dir != "", res.Value, ref[0])
+		}
+		if cfg.Checkpoint.Dir != "" && res.Stats[0].Checkpoints+res.Stats[1].Checkpoints == 0 {
+			t.Error("the checkpointed run wrote no checkpoint")
+		}
 	}
 }

@@ -146,9 +146,9 @@ func (e *engine) ownerOf(t []int64) int {
 // ---- the cut: worker pause and send drain ----
 //
 // A checkpoint (checkpoint.go) and a view change's PREP observe the
-// rank at one consistent cut: no tile in execution, so the executed
-// set, the census and the live table agree, and every send
-// acknowledged, so every edge an executed tile sent has been received.
+// rank at one consistent cut: no tile in execution, so the live table
+// and the node's counters agree, and every send acknowledged, so every
+// edge an executed tile sent has been received.
 // A tracking run's workers claim an executing slot *before* popping a
 // tile and release it after the tile retires or the pop comes up empty;
 // the pauser parks them at the gate and waits for the slots to drain.
@@ -208,12 +208,12 @@ func (n *node) resumeWorkers() {
 
 // ---- wire payloads (64-bit words, read back through blobReader) ----
 
-// encodeAck snapshots this rank's executed-per-slab census, sparse:
-// the epoch being acknowledged, then a (slab, count) pair per nonzero
-// slab.
+// encodeAck snapshots this rank's executed-per-slab census, read off
+// the live table, sparse: the epoch being acknowledged, then a (slab,
+// count) pair per nonzero slab, indexed like the stable Slabs order.
 func (n *node) encodeAck(epoch uint32) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, uint64(epoch))
-	for i, c := range n.live.censusCopy() {
+	for i, c := range n.live.executedPerSlab(n.eng.owners.Load().Slabs()) {
 		if c != 0 {
 			b = binary.LittleEndian.AppendUint64(b, uint64(i))
 			b = binary.LittleEndian.AppendUint64(b, uint64(c))
@@ -313,11 +313,14 @@ func decodeMigration(blob []byte, d, ndeps int) ([]ckptTile, error) {
 // applyMigration absorbs one inbound migration payload on the receiver
 // goroutine. The transport slot is released only after this returns, so
 // the sender's next quiescence point proves the tiles live here now. A
-// payload that fails to decode came from a peer running this same code
-// over TCP: a protocol bug, not an input error.
+// payload that fails to decode or names no real tile came from a peer
+// running this same code over TCP: a protocol bug, not an input error.
 func (n *node) applyMigration(data []float64, lane *obs.Lane, ds *delivState) {
 	e := n.eng
 	recs, err := decodeMigration(floatsToBlob(data), len(e.tl.Spec.Vars), len(e.tl.TileDeps))
+	if err == nil {
+		err = e.prep.layout.checkRecords(recs, ds.probe)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("engine: rank %d: %v", n.id, err))
 	}
@@ -352,7 +355,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 		panic(fmt.Sprintf("engine: rank %d rebalance at epoch %d: %v", n.id, epoch, err))
 	}
 
-	// Extract the live tiles whose new owner is elsewhere. The started
+	// Extract the live tiles whose new owner is elsewhere. The queued
 	// ones also sit in some shard queue — workers are paused with no
 	// tile popped, so the queues hold all of them.
 	out, queued := n.live.extract(n.id, next.Owner)

@@ -343,11 +343,6 @@ func resolve(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (Conf
 	if cfg.Checkpoint.Resume && !ft {
 		return cfg, nil, fmt.Errorf("engine: Checkpoint.Resume requires Checkpoint.Dir")
 	}
-	if (ft || cfg.Elastic.Enabled) && len(tl.TileDeps) > 64 {
-		// The duplicate filter keeps one arrival bit per tile dependence.
-		return cfg, nil, fmt.Errorf("engine: fault tolerance and elastic membership support at most 64 tile dependences, spec has %d",
-			len(tl.TileDeps))
-	}
 	if cfg.CrashAfterTiles > 0 && cfg.CrashFn == nil {
 		return cfg, nil, fmt.Errorf("engine: CrashAfterTiles requires CrashFn")
 	}
@@ -716,13 +711,9 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 	n.pool = sched.NewPool[tileState](threads, e.cfg.Priority)
 	n.maxes = make([]cellMax, threads)
 	// Fault tolerance and elastic membership both need the table's
-	// tracking regime — checkpoint and migration serialise exactly the
-	// same live state; only elastic runs keep the per-slab census.
-	var slabs *balance.Assignment
-	if e.cfg.Elastic.Enabled {
-		slabs = e.owners.Load()
-	}
-	n.live = newLiveTable(e.prep.layout, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, slabs, n.prepTile)
+	// tracking regime: checkpoint and migration serialise exactly the
+	// same live state.
+	n.live = newLiveTable(e.prep.layout, e.cfg.Checkpoint.Dir != "" || e.cfg.Elastic.Enabled, n.prepTile)
 	n.pauseCond, n.quietCond = sync.NewCond(&n.mu), sync.NewCond(&n.mu)
 	if e.cfg.Checkpoint.Dir != "" {
 		n.ckptPath = CheckpointPath(e.cfg.Checkpoint.Dir, id)

@@ -1,32 +1,32 @@
 // The live-tile table: what a rank knows about a tile between its first
 // buffered edge and its retirement — the pending-tile table of Section
-// V-B holding the O(n^{d-1}) buffered edges. A tile here is pending
-// (dependence edges still missing), started (complete, queued or
-// executing) or executed. This file owns that state, the lock rule over
-// it and the one serialisation of a live tile; checkpointing, resume
-// (checkpoint.go) and elastic migration (elastic.go) are its callers.
+// V-B holding the O(n^{d-1}) buffered edges. This file owns that state,
+// the lock rule over it and the one serialisation of a live tile;
+// checkpointing, resume (checkpoint.go) and elastic migration
+// (elastic.go) are its callers.
 //
-// Pending tiles sit in pages, one per load-balancing slab that has any:
-// a page is an array of entry slots over the box every slab's tiles lie
-// in, so a tile's entry is found by two integer keys (pageLayout) with
-// no hashing. A plain run takes no lock per edge: the first delivery for
-// a tile installs its entry by compare-and-swap, each edge fills its own
+// Tiles sit in pages, one per load-balancing slab that has any: a page
+// is an array of entry slots over the box every slab's tiles lie in, so
+// a tile's slot is found by two integer keys (pageLayout) with no
+// hashing. A plain run takes no lock per edge: the first delivery for a
+// tile installs its entry by compare-and-swap, each edge fills its own
 // dependence's slot of the entry, and the delivery that counts the last
 // one down empties the slot and hands the tile on. Once every entry a
 // slab will ever hold has completed, its page goes to a free list for the
-// next slab, so pages live only while their slab is in flight; a plain
-// run keeps no started or executed state. A tracking run (fault
-// tolerance or elastic membership) needs consistent cuts, so one lock
-// covers every per-tile transition over the same pages, pages are
-// recycled as soon as they are empty, and a duplicate filter drops any
-// edge for a tile already complete or executed (a restarted peer's
+// next slab, so pages live only while their slab is in flight.
+//
+// On a tracking run (fault tolerance or elastic membership) a slot is
+// the tile's whole state — nil, an entry still counting edges (pending),
+// an entry with none left (queued, until it retires) or executedTile —
+// so pages are never recycled. One lock covers every transition, and
+// the slot is the duplicate filter: an edge for a queued or executed
+// tile, or one the entry already holds, is dropped (a restarted peer's
 // replayed history, a resumed rank's recomputed sends, a stale
 // migration). On every run a tile's edges are released at its unpack:
 // the cut (elastic.go) pauses workers at a tile boundary, so no
-// snapshot sees a tile between unpack and retire. Tracking runs are not
-// scheduler-bound.
+// snapshot sees a tile between unpack and retire.
 //
-// Record section, shared by the DPCKPT1 file and the migration payload
+// Record section, shared by the DPCKPT2 file and the migration payload
 // (little-endian 64-bit words; diagram in docs/FAULT_TOLERANCE.md):
 //
 //	ntiles | tiles{ coords[d] | nedges | edges{ dep | n | data[n] } }
@@ -56,7 +56,11 @@ import (
 // scheduler's.
 type pendTile = sched.Item[tileState]
 
-// tileState is the engine's own part of a pendTile.
+// executedTile fills a retired tile's slot on a tracking run.
+var executedTile = new(pendTile)
+
+// tileState is the engine's own part of a pendTile. Every delivery path
+// hands over a non-nil edge slice, an empty edge's included.
 type tileState struct {
 	coord []int64 // tile index, Vars order
 	// remaining counts the dependence edges still missing. Deliveries
@@ -70,7 +74,6 @@ type tileState struct {
 	// edges holds the received, still-packed edges, slot j for tile
 	// dependence j (data nil until it arrives): a delivery writes its own.
 	edges []edge
-	got   uint64 // tracking runs: per-dep arrival bitmask, the duplicate filter
 }
 
 type edge struct {
@@ -136,27 +139,27 @@ func releaseEdges(p *pendTile, bufs *edgeBufs) (edges, elems int64) {
 }
 
 // pageLayout places one prepared instance's tiles in the pending table:
-// the slab key picks a tile's page, the rest key its slot in the page,
-// and the tile key names it to the tracking state and to checkpoints.
+// the slab key picks a tile's page and the rest key its slot in the
+// page; slab key × rest.Len() + rest key names a tile in checkpoints.
 // expect holds, per slab key, the entries a plain run's page for that
 // slab sees: the slab's tiles less its initial ones, which no edge
 // announces. It is computed at Prepare and shared by every run.
 type pageLayout struct {
-	slab, rest, tile *tiling.TileKey
-	expect           []int64
+	slab, rest *tiling.TileKey
+	expect     []int64
 }
 
 // newPageLayout lays out the pending table of the instance a balances.
 func newPageLayout(tl *tiling.Tiling, params []int64, a *balance.Assignment) (*pageLayout, error) {
 	l := &pageLayout{}
 	var err error
-	if l.tile, err = tl.NewTileKey(params); err != nil {
-		return nil, err
-	}
 	if l.slab, err = tl.NewLBKey(params); err != nil {
 		return nil, err
 	}
 	if l.rest, err = tl.NewRestKey(params); err != nil {
+		return nil, err
+	}
+	if _, err = tl.NewTileKey(params); err != nil { // slab × rest keys must fit one word
 		return nil, err
 	}
 	l.expect = make([]int64, l.slab.Len())
@@ -170,10 +173,9 @@ func newPageLayout(tl *tiling.Tiling, params []int64, a *balance.Assignment) (*p
 	return l, nil
 }
 
-// page is one slab's entry slots, indexed by rest key. left counts down
-// to the page's recycling: on a plain run the entries its slab has yet
-// to complete, from the slab's expected count; on a tracking run the
-// entries it holds.
+// page is one slab's entry slots, indexed by rest key. On a plain run
+// left counts down, from the slab's expected count, the entries it has
+// yet to complete; the page is recycled at zero.
 type page struct {
 	slots []atomic.Pointer[pendTile]
 	left  atomic.Int64
@@ -181,10 +183,10 @@ type page struct {
 }
 
 // liveTable is a node's dynamic tile state. Its methods are the only
-// code that touches the pages and maps below. Lock order where several
-// locks are held: mu (a tracking run's) → shard.mu → node.mu (the
-// reverse never occurs); pageMu is a leaf. A plain run takes pageMu twice
-// per slab and no lock per edge.
+// code that touches the pages below. A tracking run takes mu for every
+// change to a slot. Lock order where several locks are held: mu →
+// shard.mu → node.mu (the reverse never occurs); pageMu is a leaf. A
+// plain run takes pageMu twice per slab and no lock per edge.
 type liveTable struct {
 	layout *pageLayout
 	pages  []atomic.Pointer[page] // by slab key; nil where the slab holds no entry
@@ -200,36 +202,20 @@ type liveTable struct {
 	// entries it installed less those it completed when it is flushed.
 	entries atomic.Int64
 
-	// Tracking state, all guarded by mu: the executed tiles' keys, the
-	// started tiles (complete, queued or executing), and for elastic
-	// runs this rank's executed-tile census per load-balancing slab,
-	// indexed like slabs.Slabs() — stable across rebalances.
-	track    bool
-	mu       sync.Mutex
-	started  map[uint64]*pendTile
-	executed map[uint64]struct{}
-	slabs    *balance.Assignment
-	census   []int64
-	dups     int64 // edges the duplicate filter dropped
+	// track selects the tracking regime, whose slots mu guards.
+	track bool
+	mu    sync.Mutex
+	dups  int64 // edges the duplicate filter dropped; mu held
 
 	// newTile builds a pending entry for a tile's first edge; it does
 	// polytope work but takes no lock.
 	newTile func(ds *delivState, consumer []int64) *pendTile
 }
 
-// newLiveTable builds a node's table over layout. track selects the
-// tracking regime; a non-nil slabs adds the per-slab census.
-func newLiveTable(layout *pageLayout, track bool, slabs *balance.Assignment, newTile func(*delivState, []int64) *pendTile) *liveTable {
-	lt := &liveTable{layout: layout, pages: make([]atomic.Pointer[page], layout.slab.Len()), track: track, newTile: newTile}
-	if track {
-		lt.started = make(map[uint64]*pendTile)
-		lt.executed = make(map[uint64]struct{})
-		if slabs != nil {
-			lt.slabs = slabs
-			lt.census = make([]int64, len(slabs.Slabs()))
-		}
-	}
-	return lt
+// newLiveTable builds a node's table over layout; track selects the
+// tracking regime.
+func newLiveTable(layout *pageLayout, track bool, newTile func(*delivState, []int64) *pendTile) *liveTable {
+	return &liveTable{layout: layout, pages: make([]atomic.Pointer[page], layout.slab.Len()), track: track, newTile: newTile}
 }
 
 // page returns the page of slab key sk, taking one — off the free list
@@ -250,19 +236,16 @@ func (lt *liveTable) page(sk uint64) *page {
 		pg = &page{slots: make([]atomic.Pointer[pendTile], lt.layout.rest.Len())}
 		lt.allocated++
 	}
-	if !lt.track {
-		pg.left.Store(lt.layout.expect[sk])
-	}
+	pg.left.Store(lt.layout.expect[sk])
 	lt.pages[sk].Store(pg)
 	return pg
 }
 
-// drop counts one entry out of page pg of slab key sk, its slot already
-// emptied, and recycles the page once nothing can reach it again. On a
-// plain run that is when its slab has completed every expected entry:
-// each edge arrives once, and a tile's deliverers are done with the page
-// before its last edge completes it. On a tracking run, all under mu, it
-// is when the page is empty.
+// drop counts one completed entry out of a plain run's page pg of slab
+// key sk, its slot already emptied, and recycles the page once its slab
+// has completed every expected entry: each edge arrives once, and a
+// tile's deliverers are done with the page before its last edge
+// completes it.
 func (lt *liveTable) drop(sk uint64, pg *page) {
 	if pg.left.Add(-1) != 0 {
 		return
@@ -285,27 +268,17 @@ func (lt *liveTable) publish(ds *delivState) int64 {
 }
 
 // keys returns a tile's slab and rest keys. Every tile the runtime names
-// is inside the tile bounds.
+// is inside the tile bounds (checkRecords vets decoded ones).
 func (lt *liveTable) keys(t []int64) (slab, rest uint64) {
 	slab, _ = lt.layout.slab.Of(t)
 	rest, _ = lt.layout.rest.Of(t)
 	return slab, rest
 }
 
-// tileKey returns a tile's key in the tracking state and checkpoints.
-func (lt *liveTable) tileKey(t []int64) uint64 {
-	k, _ := lt.layout.tile.Of(t)
-	return k
-}
-
-// past reports whether tile k is beyond dependence counting: executed,
-// or complete and queued. Tracking runs only; mu held.
-func (lt *liveTable) past(k uint64) bool {
-	if _, ok := lt.executed[k]; ok {
-		return true
-	}
-	_, ok := lt.started[k]
-	return ok
+// slot returns a tracking run's slot of tile t; mu held.
+func (lt *liveTable) slot(t []int64) *atomic.Pointer[pendTile] {
+	sk, rk := lt.keys(t)
+	return &lt.page(sk).slots[rk]
 }
 
 // addEdge buffers one dependence edge for a consumer tile. It returns the
@@ -336,35 +309,28 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []f
 }
 
 // addEdgeTracked is addEdge on a tracking run: the same steps under mu,
-// behind the duplicate filter.
+// behind the duplicate filter. A completed entry stays in its slot,
+// queued, until it retires.
 func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
-	k := lt.tileKey(consumer)
-	sk, rk := lt.keys(consumer)
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	bit := uint64(1) << uint(dep)
-	if lt.past(k) {
-		lt.dups++
-		return nil, true
-	}
-	pg := lt.page(sk)
-	slot := &pg.slots[rk]
+	slot := lt.slot(consumer)
 	p := slot.Load()
-	if p == nil {
+	switch {
+	case p == nil:
 		p = lt.newTile(ds, consumer)
-		p.Tile.got = 0
 		slot.Store(p)
-		pg.left.Add(1)
 		ds.entries++
-	} else if p.Tile.got&bit != 0 {
+	case p == executedTile || p.Tile.remaining.Load() == 0 || p.Tile.edges[dep].data != nil:
 		lt.dups++
 		return nil, true
 	}
-	p.Tile.got |= bit
-	if ready = lt.put(ds, sk, pg, slot, p, dep, data); ready != nil {
-		lt.started[k] = ready
+	p.Tile.edges[dep] = edge{dep: dep, data: data}
+	if p.Tile.remaining.Add(-1) != 0 {
+		return nil, false
 	}
-	return ready, false
+	ds.entries--
+	return p, false
 }
 
 // put files an edge in entry p, held in slot of slab key sk's page pg,
@@ -381,19 +347,19 @@ func (lt *liveTable) put(ds *delivState, sk uint64, pg *page, slot *atomic.Point
 }
 
 // seed admits a tile with no producers (an initial tile, which no edge
-// will ever announce) as started. False means it is already past
-// counting — a resumed rank's executed seed — and must not be queued.
+// will ever announce) as queued. False means its slot is taken — a
+// resumed rank's executed seed — and it must not be queued.
 func (lt *liveTable) seed(p *pendTile) bool {
 	if !lt.track {
 		return true
 	}
-	k := lt.tileKey(p.Tile.coord)
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if lt.past(k) {
+	slot := lt.slot(p.Tile.coord)
+	if slot.Load() != nil {
 		return false
 	}
-	lt.started[k] = p
+	slot.Store(p)
 	return true
 }
 
@@ -416,36 +382,30 @@ func (m *cellMax) merge(o cellMax) {
 }
 
 // retire marks a tile executed once its sends are issued and folds its
-// maximum into the executing worker's. On a tracking run started →
-// executed, census bump and fold are one transition under the table
-// lock, so a cut never sees the tile in two states or in none, nor an
-// executed tile whose maximum is missing.
+// maximum into the executing worker's. On a tracking run the slot's
+// change to executedTile and the fold are one transition under the
+// table lock, so a cut never sees an executed tile whose maximum is
+// missing.
 func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 	if !lt.track {
 		fold.merge(tile)
 		return
 	}
-	k := lt.tileKey(p.Tile.coord)
 	lt.mu.Lock()
-	delete(lt.started, k)
-	lt.executed[k] = struct{}{}
-	if lt.census != nil {
-		if si := lt.slabs.SlabIndex(p.Tile.coord); si >= 0 {
-			lt.census[si]++
-		}
-	}
+	lt.slot(p.Tile.coord).Store(executedTile)
 	fold.merge(tile)
 	lt.mu.Unlock()
 }
 
-// eachPending calls f on every pending entry of a tracking table, mu
-// held, with the page and slot holding it.
-func (lt *liveTable) eachPending(f func(sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile)) {
+// eachSlot calls f on every filled slot of a tracking table, mu held,
+// with the slot's checkpoint key: slab key × rest.Len() + rest key.
+func (lt *liveTable) eachSlot(f func(key uint64, slot *atomic.Pointer[pendTile], p *pendTile)) {
+	n := lt.layout.rest.Len()
 	for sk := range lt.pages {
 		if pg := lt.pages[sk].Load(); pg != nil {
-			for i := range pg.slots {
-				if p := pg.slots[i].Load(); p != nil {
-					f(uint64(sk), pg, &pg.slots[i], p)
+			for rk := range pg.slots {
+				if p := pg.slots[rk].Load(); p != nil {
+					f(uint64(sk)*n+uint64(rk), &pg.slots[rk], p)
 				}
 			}
 		}
@@ -453,28 +413,27 @@ func (lt *liveTable) eachPending(f func(sk uint64, pg *page, slot *atomic.Pointe
 }
 
 // extract removes every live tile whose owner is no longer self,
-// grouped by new owner. queued holds those that were started: they also
-// sit, by pointer, in a ready queue the caller must purge. The caller
-// has the workers paused, so no tile is executing.
+// grouped by new owner. queued holds those with no edge left to count:
+// they also sit, by pointer, in a ready queue the caller must purge. The
+// caller has the workers paused, so no tile is executing.
 func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[int][]*pendTile, queued map[*pendTile]bool) {
 	out = make(map[int][]*pendTile)
 	queued = make(map[*pendTile]bool)
 	lt.mu.Lock()
-	lt.eachPending(func(sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile) {
+	lt.eachSlot(func(_ uint64, slot *atomic.Pointer[pendTile], p *pendTile) {
+		if p == executedTile {
+			return
+		}
 		if o := owner(p.Tile.coord); o != self {
 			slot.Store(nil)
-			lt.entries.Add(-1)
-			lt.drop(sk, pg)
+			if p.Tile.remaining.Load() == 0 {
+				queued[p] = true
+			} else {
+				lt.entries.Add(-1)
+			}
 			out[o] = append(out[o], p)
 		}
 	})
-	for k, p := range lt.started {
-		if o := owner(p.Tile.coord); o != self {
-			delete(lt.started, k)
-			out[o] = append(out[o], p)
-			queued[p] = true
-		}
-	}
 	lt.mu.Unlock()
 	return out, queued
 }
@@ -485,39 +444,52 @@ func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[in
 func (lt *liveTable) freeze() { lt.mu.Lock() }
 func (lt *liveTable) thaw()   { lt.mu.Unlock() }
 
-// snapshot appends the frozen table's durable state: the executed keys
-// as count | keys, then the records of every tile holding edges —
-// pending ones, and started ones still queued.
+// snapshot appends the frozen table's durable state: the executed keys,
+// ascending, as count | keys, then the records of every tile holding
+// edges — pending ones, and queued ones with producers.
 func (lt *liveTable) snapshot(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(lt.executed)))
-	for k := range lt.executed {
-		b = binary.LittleEndian.AppendUint64(b, k)
-	}
+	var keys []uint64
 	var tiles []*pendTile
-	lt.eachPending(func(_ uint64, _ *page, _ *atomic.Pointer[pendTile], p *pendTile) {
-		tiles = append(tiles, p)
-	})
-	for _, p := range lt.started {
-		if p.Tile.nedges() > 0 {
+	lt.eachSlot(func(key uint64, _ *atomic.Pointer[pendTile], p *pendTile) {
+		switch {
+		case p == executedTile:
+			keys = append(keys, key)
+		case p.Tile.nedges() > 0:
 			tiles = append(tiles, p)
 		}
+	})
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = binary.LittleEndian.AppendUint64(b, k)
 	}
 	return appendRecords(b, tiles)
 }
 
-// restoreExecuted reinstates a checkpoint's executed set. Runs before
-// any worker or receiver exists.
+// restoreExecuted reinstates a checkpoint's executed keys, checked
+// against the layout first. Runs before any worker or receiver exists.
 func (lt *liveTable) restoreExecuted(keys []uint64) {
+	n := lt.layout.rest.Len()
 	for _, k := range keys {
-		lt.executed[k] = struct{}{}
+		lt.page(k / n).slots[k%n].Store(executedTile)
 	}
 }
 
-// censusCopy snapshots the per-slab executed counts.
-func (lt *liveTable) censusCopy() []int64 {
+// executedPerSlab counts, for each of slabs, the slots holding
+// executedTile: this rank's executed tiles in that slab.
+func (lt *liveTable) executedPerSlab(slabs []balance.Slab) []int64 {
+	counts := make([]int64, len(slabs))
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	return append([]int64(nil), lt.census...)
+	for i, s := range slabs {
+		if pg := lt.pages[lt.layout.slab.OfLB(s.LB)].Load(); pg != nil {
+			for rk := range pg.slots {
+				if pg.slots[rk].Load() == executedTile {
+					counts[i]++
+				}
+			}
+		}
+	}
+	return counts
 }
 
 // ---- the record codec ----
@@ -556,9 +528,9 @@ func appendRecords(b []byte, tiles []*pendTile) []byte {
 	return b
 }
 
-// readRecords decodes a record section against the run's d loop
-// variables and ndeps tile dependences — never sizes taken from the
-// bytes. It is the only reader of tile/edge records; errors go to r.err.
+// readRecords decodes a blob's closing record section against the run's
+// d loop variables and ndeps tile dependences — never sizes taken from
+// the bytes. It is the only reader of tile/edge records; errors go to r.err.
 func readRecords(r *blobReader, d, ndeps int) []ckptTile {
 	nt := r.count(8 * (d + 1))
 	tiles := make([]ckptTile, 0, nt)
@@ -581,7 +553,23 @@ func readRecords(r *blobReader, d, ndeps int) []ckptTile {
 		}
 		tiles = append(tiles, t)
 	}
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("engine: %d bytes after the records", len(r.b))
+	}
 	return tiles
+}
+
+// checkRecords rejects a decoded record whose tile lies outside the tile
+// box, where it has no slot, or outside the iteration space.
+func (l *pageLayout) checkRecords(recs []ckptTile, probe *tiling.TileProbe) error {
+	for _, t := range recs {
+		_, inSlab := l.slab.Of(t.tile)
+		_, inRest := l.rest.Of(t.tile)
+		if !inSlab || !inRest || !probe.InSpace(t.tile) {
+			return fmt.Errorf("engine: record names tile %v outside the tile space", t.tile)
+		}
+	}
+	return nil
 }
 
 // applyRecords re-materialises decoded live tiles on this node: every

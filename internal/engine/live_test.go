@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,8 +15,11 @@ import (
 // TestLiveTableStress delivers every edge of knap's quick instance into
 // one node's table from four goroutines at once, in a shuffled order:
 // each tile must come back ready exactly once, holding exactly the edges
-// addressed to it, and the table must end with no entry and every page
-// back on its free list.
+// addressed to it. A plain table must end with no entry and every page
+// back on its free list. A tracking table gets every edge twice — the
+// second delivery a duplicate, a zero-length edge's included — and once
+// every tile retires, each slot holds executedTile, a third pass is all
+// duplicates and the per-slab census counts every slab's tiles.
 func TestLiveTableStress(t *testing.T) {
 	const workers = 4
 	tl, params := knapTiling(t), []int64{100, 400, 3}
@@ -27,7 +31,11 @@ func TestLiveTableStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, key, ndeps := nodes[0].live, prep.layout.tile, len(tl.TileDeps)
+	key, err := tl.NewTileKey(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndeps := len(tl.TileDeps)
 
 	// Every (consumer, dependence) edge, and per tile the dependences
 	// addressed to it. An edge's one value names it.
@@ -57,73 +65,146 @@ func TestLiveTableStress(t *testing.T) {
 		k, _ := key.Of(c)
 		return float64(int(k)*ndeps + dep)
 	}
+	// The first edge in the shuffled order is the zero-length one.
+	empty := func(c []int64, dep int) bool { return slices.Equal(c, edges[0].consumer) && dep == edges[0].dep }
+	payload := func(d delivery) []float64 {
+		if empty(d.consumer, d.dep) {
+			return []float64{}
+		}
+		return []float64{name(d.consumer, d.dep)}
+	}
 
-	ready := make([]atomic.Int32, key.Len())
-	var wrong atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ds := newDelivState(e)
-			for i := g; i < len(edges); i += workers {
-				d := edges[i]
-				p, dup := lt.addEdge(ds, d.consumer, d.dep, []float64{name(d.consumer, d.dep)})
-				if dup {
-					wrong.Add(1)
-				}
-				if p == nil {
-					continue
-				}
-				k, _ := key.Of(p.Tile.coord)
-				ready[k].Add(1)
-				var got uint64
-				for j, ed := range p.Tile.edges {
-					if ed.data != nil {
+	// deliver sends every edge copies times, spread over the workers,
+	// and returns the tiles that came back ready; wrong counts edges
+	// misfiled or missing from their ready tile.
+	deliver := func(lt *liveTable, copies int) (ready []*pendTile, wrong int64) {
+		var mu sync.Mutex
+		var bad atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ds := newDelivState(e)
+				for i := g; i < copies*len(edges); i += workers {
+					d := edges[i%len(edges)]
+					p, _ := lt.addEdge(ds, d.consumer, d.dep, payload(d))
+					if p == nil {
+						continue
+					}
+					k, _ := key.Of(p.Tile.coord)
+					var got uint64
+					for j, ed := range p.Tile.edges {
+						if ed.data == nil {
+							continue
+						}
 						got |= 1 << j
-						if ed.dep != j || len(ed.data) != 1 || ed.data[0] != name(p.Tile.coord, j) {
-							wrong.Add(1)
+						n := 1
+						if empty(p.Tile.coord, j) {
+							n = 0
+						}
+						if ed.dep != j || len(ed.data) != n || n == 1 && ed.data[0] != name(p.Tile.coord, j) {
+							bad.Add(1)
 						}
 					}
+					if got != want[k] {
+						bad.Add(1)
+					}
+					mu.Lock()
+					ready = append(ready, p)
+					mu.Unlock()
 				}
-				if got != want[k] {
-					wrong.Add(1)
-				}
+				lt.publish(ds)
+			}(g)
+		}
+		wg.Wait()
+		return ready, bad.Load()
+	}
+	// check wants every tile an edge addresses ready exactly once.
+	check := func(t *testing.T, lt *liveTable, ready []*pendTile, wrong int64) {
+		t.Helper()
+		if wrong > 0 {
+			t.Errorf("%d edges duplicated, misfiled or missing from their ready tile", wrong)
+		}
+		times := make([]int, key.Len())
+		for _, p := range ready {
+			k, _ := key.Of(p.Tile.coord)
+			times[k]++
+		}
+		for k := range want {
+			once := 0 // a tile no edge addresses is initial: never ready here
+			if want[k] != 0 {
+				once = 1
 			}
-			lt.publish(ds)
-		}(g)
+			if times[k] != once {
+				t.Fatalf("tile key %d with dependences %b came back ready %d times", k, want[k], times[k])
+			}
+		}
+		if n := lt.entries.Load(); n != 0 {
+			t.Errorf("%d entries left in the table", n)
+		}
+		t.Logf("%d edges, %d tiles, %d pages", len(edges), len(ready), lt.allocated)
 	}
-	wg.Wait()
 
-	if n := wrong.Load(); n > 0 {
-		t.Errorf("%d edges duplicated, misfiled or missing from their ready tile", n)
-	}
-	tiles := 0
-	for k := range want {
-		once := int32(0) // a tile no edge addresses is initial: never ready here
-		if want[k] != 0 {
-			tiles, once = tiles+1, 1
+	t.Run("plain", func(t *testing.T) {
+		lt := nodes[0].live
+		ready, wrong := deliver(lt, 1)
+		check(t, lt, ready, wrong)
+		free := 0
+		for pg := lt.free; pg != nil; pg = pg.next {
+			free++
 		}
-		if n := ready[k].Load(); n != once {
-			t.Fatalf("tile key %d with dependences %b came back ready %d times", k, want[k], n)
+		for sk := range lt.pages {
+			if lt.pages[sk].Load() != nil {
+				t.Errorf("slab key %d still holds a page", sk)
+			}
 		}
-	}
-	if n := lt.entries.Load(); n != 0 {
-		t.Errorf("%d entries left in the table", n)
-	}
-	free := 0
-	for pg := lt.free; pg != nil; pg = pg.next {
-		free++
-	}
-	for sk := range lt.pages {
-		if lt.pages[sk].Load() != nil {
-			t.Errorf("slab key %d still holds a page", sk)
+		if free != lt.allocated {
+			t.Errorf("%d of %d pages on the free list", free, lt.allocated)
 		}
-	}
-	t.Logf("%d edges, %d tiles, %d pages", len(edges), tiles, lt.allocated)
-	if free != lt.allocated {
-		t.Errorf("%d of %d pages on the free list", free, lt.allocated)
-	}
+	})
+
+	t.Run("tracking", func(t *testing.T) {
+		lt := newLiveTable(prep.layout, true, nodes[0].prepTile)
+		ready, wrong := deliver(lt, 2)
+		check(t, lt, ready, wrong)
+		if lt.dups != int64(len(edges)) {
+			t.Errorf("%d duplicates dropped of %d edges delivered twice", lt.dups, len(edges))
+		}
+
+		ds := newDelivState(e)
+		for _, c := range prep.assign.Initial {
+			p := lt.newTile(ds, c)
+			if !lt.seed(p) {
+				t.Fatalf("initial tile %v refused", c)
+			}
+			ready = append(ready, p)
+		}
+		var max cellMax
+		for _, p := range ready {
+			lt.retire(p, &max, cellMax{})
+		}
+		tiles := 0
+		tl.ForEachTile(params, func(tt []int64) bool {
+			tiles++
+			if lt.slot(tt).Load() != executedTile {
+				t.Fatalf("retired tile %v holds %p in its slot", tt, lt.slot(tt).Load())
+			}
+			return true
+		})
+		if len(ready) != tiles {
+			t.Errorf("%d tiles retired of %d", len(ready), tiles)
+		}
+		if _, wrong := deliver(lt, 1); wrong != 0 || lt.dups != 2*int64(len(edges)) {
+			t.Errorf("third pass: %d duplicates dropped in all, want %d", lt.dups, 2*len(edges))
+		}
+		slabs := prep.assign.Slabs()
+		for i, c := range lt.executedPerSlab(slabs) {
+			if c != slabs[i].Tiles {
+				t.Errorf("slab %v: census %d of %d tiles", slabs[i].LB, c, slabs[i].Tiles)
+			}
+		}
+	})
 }
 
 // TestPendingPagesPeak pins the most pages a one-worker run's table
