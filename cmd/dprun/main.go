@@ -330,11 +330,11 @@ func main() {
 		if *distrib {
 			snap.Meta = traceMeta(tracer, *rank, len(res.Stats), cfg.Transport)
 		}
-		rep, err := dpgen.CriticalPath(tl, snap)
+		rr, err := dpgen.BuildRunReport(tl, snap, 0)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("critpath  %s\n", rep)
+		fmt.Printf("critpath  %s\n", rr.CritPath)
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -349,16 +349,12 @@ func main() {
 			fmt.Printf("trace     %s (%d events, %d lanes)\n", *traceOut, len(snap.Events), len(snap.Lanes))
 		}
 		if *report {
-			rr, err := dpgen.BuildRunReport(tl, snap, 0)
-			if err != nil {
-				fatal(err)
-			}
 			if err := rr.WriteText(os.Stdout); err != nil {
 				fatal(err)
 			}
 		}
 		if *metrics {
-			if err := snap.Metrics().WritePrometheus(os.Stdout); err != nil {
+			if err := rr.Metrics.WritePrometheus(os.Stdout); err != nil {
 				fatal(err)
 			}
 		}

@@ -310,9 +310,10 @@ type TraceMeta = obs.TraceMeta
 // TraceFlow is one cross-rank message arrow of a merged trace.
 type TraceFlow = obs.Flow
 
-// RunReport is the run-wide analyzer output of BuildRunReport: per-rank
-// busy/stall/comm breakdowns, load-imbalance ratio, straggler tiles,
-// edge-latency distribution and the cross-rank critical path.
+// RunReport is the run-wide analyzer output of BuildRunReport: the
+// trace's per-rank metrics and busy time, load-imbalance ratio,
+// straggler tiles, edge-latency distribution and the cross-rank
+// critical path.
 type RunReport = obs.RunReport
 
 // LatencyHistogram is an immutable histogram snapshot (edge latencies).

@@ -154,7 +154,7 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 1
 	}
-	if c.Threads == 0 {
+	if c.Threads < 1 {
 		c.Threads = 1
 	}
 	if c.SendBufs == 0 {
@@ -278,7 +278,8 @@ type engine struct {
 	// Per-run dependence geometry: the template base offsets and range
 	// steps evaluated at this run's parameter values (variable-distance
 	// templates make them parameter-dependent), and the row plan bound
-	// to them (nil with DisableFastPath).
+	// to them: nil on the checked reference path (DisableFastPath, or
+	// no overflow proof), which every reader tests.
 	depLocOff []int64
 	depStride []int64
 	rows      *tiling.RowPlan
@@ -422,14 +423,11 @@ func newEngine(prep *Prepared, kernel Kernel, cfg Config) (*engine, []*node, err
 		params: prep.params,
 		cfg:    cfg,
 	}
-	if !cfg.DisableFastPath {
+	if !cfg.DisableFastPath && prep.rows.OK() {
 		// Without the overflow proof the plan's plain arithmetic is
-		// unsafe: the whole run takes the checked reference path.
-		if prep.rows.OK() {
-			e.rows = prep.rows
-		} else {
-			e.cfg.DisableFastPath = true
-		}
+		// unsafe: e.rows stays nil and the whole run takes the checked
+		// reference path.
+		e.rows = prep.rows
 	}
 	e.owners.Store(prep.assign)
 	e.goalTile, e.goalLocal = e.tl.GoalTile()
@@ -704,12 +702,8 @@ func newNode(e *engine, id int, rank mpi.Transport) *node {
 		rank:     rank,
 		recvExit: make(chan struct{}),
 	}
-	threads := e.cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	n.pool = sched.NewPool[tileState](threads, e.cfg.Priority)
-	n.maxes = make([]cellMax, threads)
+	n.pool = sched.NewPool[tileState](e.cfg.Threads, e.cfg.Priority)
+	n.maxes = make([]cellMax, e.cfg.Threads)
 	// Fault tolerance and elastic membership both need the table's
 	// tracking regime: checkpoint and migration serialise exactly the
 	// same live state.
@@ -892,7 +886,7 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 		}
 	}
 	copy(p.Tile.coord, consumer)
-	if p.Tile.core = !e.cfg.DisableFastPath && ds.probe.Core(p.Tile.coord); p.Tile.core {
+	if p.Tile.core = e.rows != nil && ds.probe.Core(p.Tile.coord); p.Tile.core {
 		p.Tile.remaining.Store(int64(len(e.tl.TileDeps)))
 	} else {
 		p.Tile.remaining.Store(int64(ds.probe.DepCount(p.Tile.coord)))
@@ -1061,7 +1055,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 	// case), or cell by cell through the checked reference enumerator.
 	var cells int64
 	var tileMax float64
-	fast := !e.cfg.DisableFastPath
+	fast := e.rows != nil
 	interior := fast && (p.Tile.core || w.probe.Interior(p.Tile.coord))
 	if fast {
 		cells, tileMax = n.execRows(p, w, interior)
@@ -1100,7 +1094,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 func (n *node) unpackEdges(p *pendTile, w *workerState) {
 	e := n.eng
 	tl := e.tl
-	fast := !e.cfg.DisableFastPath
+	fast := e.rows != nil
 	for _, ed := range p.Tile.edges {
 		if ed.data == nil {
 			continue
@@ -1152,7 +1146,7 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 	e := n.eng
 	tl := e.tl
 	lane := w.lane
-	fast := !e.cfg.DisableFastPath
+	fast := e.rows != nil
 	for j := range tl.TileDeps {
 		consumer := w.tbuf
 		for k, off := range tl.TileDeps[j].Offset {

@@ -34,6 +34,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -71,17 +72,97 @@ func (r *PathReport) String() string {
 		r.CriticalPath, r.Compute, r.Comm, r.ChainTiles, r.Tiles, r.Makespan, r.Ratio())
 }
 
-// cpTile is the analyzer's per-tile state.
-type cpTile struct {
-	coords      []int64
-	unpackStart int64 // ns; kernel start when no unpack event exists
-	kernelEnd   int64 // ns
-	haveUnpack  bool
-	haveKernel  bool
+// tileRec is one tile's entry in a trace's per-tile index. The fold
+// fields are what the stragglers and the critical path read of the
+// tile's lifecycle; the chain fields are the critical-path replay's.
+type tileRec struct {
+	id        string
+	node      int32           // the rank that ran its (last) kernel
+	ready     int64           // first KReady, ns
+	pop       int64           // first KPop, ns
+	start     int64           // earliest unpack or kernel start, ns
+	kernelEnd int64           // last kernel end, ns
+	seen      uint8           // seenReady | seenPop | seenStart | seenKernel
+	arrivals  map[int32]int64 // latest remote arrival per dependence, ns
 
 	cpEnd     time.Duration // longest chain ending at this tile
 	cpCompute time.Duration
-	pred      string // predecessor tile on that chain; "" for a source
+	pred      *tileRec // predecessor on that chain; nil for a source
+}
+
+const (
+	seenReady uint8 = 1 << iota
+	seenPop
+	seenStart
+	seenKernel
+)
+
+// tileIndex is the per-tile fold of a trace, keyed by tile id: one pass
+// over its events that the report's stragglers and the critical path
+// share.
+type tileIndex map[string]*tileRec
+
+// indexTiles folds the tile-lifecycle events of tr by tile.
+func indexTiles(tr *Trace) tileIndex {
+	idx := tileIndex{}
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		if e.Tile == "" {
+			continue
+		}
+		switch e.Kind {
+		case KReady:
+			t := idx.at(e.Tile)
+			t.first(seenReady, &t.ready, e.Start)
+		case KPop:
+			t := idx.at(e.Tile)
+			t.first(seenPop, &t.pop, e.Start)
+		case KUnpack:
+			t := idx.at(e.Tile)
+			t.first(seenStart, &t.start, e.Start)
+		case KKernel:
+			t := idx.at(e.Tile)
+			t.first(seenStart, &t.start, e.Start)
+			if t.seen&seenKernel == 0 || e.End() > t.kernelEnd {
+				t.kernelEnd = e.End()
+			}
+			t.seen |= seenKernel
+			t.node = e.Node
+		case KRecv:
+			if e.Dep >= 0 {
+				idx.at(e.Tile).arrive(e.Dep, e.Start)
+			}
+		}
+	}
+	return idx
+}
+
+// at returns tile id's entry, adding an empty one if there is none.
+func (idx tileIndex) at(id string) *tileRec {
+	t := idx[id]
+	if t == nil {
+		t = &tileRec{id: id}
+		idx[id] = t
+	}
+	return t
+}
+
+// first keeps the earlier of *at and v, and marks bit seen.
+func (t *tileRec) first(bit uint8, at *int64, v int64) {
+	if t.seen&bit == 0 || v < *at {
+		*at = v
+	}
+	t.seen |= bit
+}
+
+// arrive records a remote arrival of dependence dep at time at.
+func (t *tileRec) arrive(dep int32, at int64) {
+	if t.arrivals == nil {
+		t.arrivals = map[int32]int64{}
+	}
+	if a, ok := t.arrivals[dep]; !ok || at > a {
+		t.arrivals[dep] = at
+	}
 }
 
 // CriticalPath analyzes a trace. offsets are the tile-space dependence
@@ -90,138 +171,76 @@ type cpTile struct {
 // rebuild the DAG from tile identities alone, so it works identically
 // on engine and simsched traces.
 func CriticalPath(tr *Trace, offsets [][]int64) (*PathReport, error) {
-	tiles := map[string]*cpTile{}
-	get := func(id string) (*cpTile, error) {
-		t := tiles[id]
-		if t == nil {
-			coords, err := ParseTileID(id)
-			if err != nil {
-				return nil, fmt.Errorf("obs: bad tile id %q: %w", id, err)
-			}
-			t = &cpTile{coords: coords}
-			tiles[id] = t
-		}
-		return t, nil
-	}
-	// arrivals[tile] is the latest remote-edge arrival per (tile, dep).
-	type arrival struct{ at int64 }
-	arrivals := map[string]map[int32]arrival{}
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case KUnpack:
-			t, err := get(e.Tile)
-			if err != nil {
-				return nil, err
-			}
-			if !t.haveUnpack || e.Start < t.unpackStart {
-				t.unpackStart = e.Start
-				t.haveUnpack = true
-			}
-		case KKernel:
-			t, err := get(e.Tile)
-			if err != nil {
-				return nil, err
-			}
-			if !t.haveKernel || e.End() > t.kernelEnd {
-				t.kernelEnd = e.End()
-				t.haveKernel = true
-			}
-			if !t.haveUnpack {
-				t.unpackStart = e.Start
-			}
-		case KRecv:
-			if e.Tile == "" || e.Dep < 0 {
-				continue
-			}
-			m := arrivals[e.Tile]
-			if m == nil {
-				m = map[int32]arrival{}
-				arrivals[e.Tile] = m
-			}
-			if a, ok := m[e.Dep]; !ok || e.Start > a.at {
-				m[e.Dep] = arrival{at: e.Start}
-			}
+	return indexTiles(tr).criticalPath(tr.Makespan(), offsets)
+}
+
+// criticalPath replays the indexed tiles' DAG.
+func (idx tileIndex) criticalPath(makespan time.Duration, offsets [][]int64) (*PathReport, error) {
+	report := &PathReport{Makespan: makespan}
+	var order []*tileRec
+	for _, t := range idx {
+		if t.seen&seenKernel != 0 { // else referenced but never executed in-trace
+			order = append(order, t)
 		}
 	}
-	report := &PathReport{Makespan: tr.Makespan()}
-	var ids []string
-	for id, t := range tiles {
-		if !t.haveKernel {
-			delete(tiles, id) // referenced but never executed in-trace
-			continue
-		}
-		ids = append(ids, id)
-	}
-	report.Tiles = len(ids)
-	if len(ids) == 0 {
+	report.Tiles = len(order)
+	if len(order) == 0 {
 		return report, nil
 	}
 	// Execution order is a topological order of the DAG: a consumer
 	// cannot start before its producers' kernels end.
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := tiles[ids[i]], tiles[ids[j]]
-		if a.unpackStart != b.unpackStart {
-			return a.unpackStart < b.unpackStart
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if a.start != b.start {
+			return a.start < b.start
 		}
-		return a.kernelEnd < b.kernelEnd
+		if a.kernelEnd != b.kernelEnd {
+			return a.kernelEnd < b.kernelEnd
+		}
+		return a.id < b.id
 	})
-	var bestID string
-	var best time.Duration = -1
+	var sink *tileRec
 	producer := make([]int64, 0, 8)
-	for _, id := range ids {
-		t := tiles[id]
-		span := time.Duration(t.kernelEnd - t.unpackStart)
-		t.cpEnd = span
-		t.cpCompute = span
+	for _, t := range order {
+		coords, err := ParseTileID(t.id)
+		if err != nil {
+			return nil, fmt.Errorf("obs: bad tile id %q: %w", t.id, err)
+		}
+		span := time.Duration(t.kernelEnd - t.start)
+		t.cpEnd, t.cpCompute, t.pred = span, span, nil
 		for j, off := range offsets {
 			producer = producer[:0]
-			for k, v := range t.coords {
+			for k, v := range coords {
 				producer = append(producer, v+off[k])
 			}
-			pid := TileID(producer)
-			p := tiles[pid]
-			if p == nil || !p.haveKernel {
+			p := idx[TileID(producer)]
+			if p == nil || p.seen&seenKernel == 0 {
 				continue
 			}
 			var gap time.Duration
-			if a, ok := arrivals[id][int32(j)]; ok && a.at > p.kernelEnd {
-				gap = time.Duration(a.at - p.kernelEnd)
+			if at, ok := t.arrivals[int32(j)]; ok && at > p.kernelEnd {
+				gap = time.Duration(at - p.kernelEnd)
 			}
 			// Clamp the extension so clock skew on merged traces can
 			// never push a chain past the consumer's own kernel end.
-			ext := gap + span
-			if lim := time.Duration(t.kernelEnd - p.kernelEnd); ext > lim {
-				ext = lim
-			}
-			if ext < 0 {
-				ext = 0
-			}
-			computeExt := span
-			if computeExt > ext {
-				computeExt = ext
-			}
+			ext := max(0, min(gap+span, time.Duration(t.kernelEnd-p.kernelEnd)))
 			if c := p.cpEnd + ext; c > t.cpEnd {
 				t.cpEnd = c
-				t.cpCompute = p.cpCompute + computeExt
-				t.pred = pid
+				t.cpCompute = p.cpCompute + min(span, ext)
+				t.pred = p
 			}
 		}
-		if t.cpEnd > best {
-			best = t.cpEnd
-			bestID = id
+		if sink == nil || t.cpEnd > sink.cpEnd {
+			sink = t
 		}
 	}
-	sink := tiles[bestID]
 	report.CriticalPath = sink.cpEnd
 	report.Compute = sink.cpCompute
 	report.Comm = sink.cpEnd - sink.cpCompute
-	for id := bestID; id != ""; id = tiles[id].pred {
-		report.Chain = append(report.Chain, id)
-		report.ChainTiles++
+	for t := sink; t != nil; t = t.pred {
+		report.Chain = append(report.Chain, t.id)
 	}
-	// Reverse: source first.
-	for i, j := 0, len(report.Chain)-1; i < j; i, j = i+1, j-1 {
-		report.Chain[i], report.Chain[j] = report.Chain[j], report.Chain[i]
-	}
+	report.ChainTiles = len(report.Chain)
+	slices.Reverse(report.Chain) // source first
 	return report, nil
 }

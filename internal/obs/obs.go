@@ -48,15 +48,21 @@ const (
 	KUnpack
 	// KKernel spans the kernel execution over the tile's cells.
 	KKernel
-	// KPack spans packing and delivering the tile's outgoing edges
-	// (including any send time).
+	// KPack spans packing and delivering the tile's outgoing edges, one
+	// per finished tile. It encloses the tile's KStall spans, and on the
+	// engine its KSend spans too, so pack time counts each send and
+	// stall once (NodeMetrics.BusySeconds relies on it).
 	KPack
-	// KSend spans one remote edge send; Val is the element count.
+	// KSend spans one remote edge send; Val is the element count. The
+	// engine's lies inside its tile's KPack span and encloses the send's
+	// KStall; the simulator's is the modelled wire time, which may
+	// outlast the pack span.
 	KSend
 	// KRecv marks one remote edge arrival; Val is the element count.
 	KRecv
 	// KStall spans time a worker was blocked in a send on exhausted
 	// send (or destination receive) buffers — the Section VI-C effect.
+	// It lies inside its tile's KPack span on its lane.
 	KStall
 	// KIdle spans time a worker waited with no ready tile.
 	KIdle

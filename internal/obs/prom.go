@@ -53,6 +53,15 @@ type NodeMetrics struct {
 	PeerRestarts    int64 `json:"peer_restarts"`
 }
 
+// BusySeconds is the node's worker time spent on tiles: kernel +
+// unpack + pack − send stall. A send stall is nested in its send and the
+// send in its tile's pack span (KPack ⊃ KSend ⊃ KStall, on the engine
+// and the simulator alike), so pack time already holds every send and
+// stall once: subtracting the stall leaves the work.
+func (nm NodeMetrics) BusySeconds() float64 {
+	return nm.KernelSeconds + nm.UnpackSeconds + nm.PackSeconds - nm.SendStallSeconds
+}
+
 // Metrics are the whole-run aggregates.
 type Metrics struct {
 	MakespanSeconds float64       `json:"makespan_seconds"`

@@ -1,9 +1,10 @@
-// The run-wide report: per-rank busy/stall/comm breakdowns, the load
-// imbalance ratio, top-k straggler tiles and the cross-rank critical
-// path, computed over a (merged) trace. This is the `dprun -report`
-// analyzer — the evidence the paper's Figures 6 and 7 discussion needs:
-// which rank is the straggler, whether the slowdown is stall, idle or
-// kernel time, and how close the run sits to its latency bound.
+// The run-wide report: per-rank busy, kernel, unpack, pack, stall and
+// idle times, the load imbalance ratio, top-k straggler tiles and the
+// cross-rank critical path, computed over a (merged) trace. This is the
+// `dprun -report` analyzer — the evidence the paper's Figures 6 and 7
+// discussion needs: which rank is the straggler, whether the slowdown is
+// stall, idle or kernel time, and how close the run sits to its latency
+// bound.
 
 package obs
 
@@ -13,26 +14,6 @@ import (
 	"sort"
 	"time"
 )
-
-// RankBreakdown is the time breakdown of one rank (node) in a report.
-type RankBreakdown struct {
-	// Node is the rank/node id.
-	Node int32 `json:"node"`
-	// Tiles is the number of tiles the rank executed.
-	Tiles int64 `json:"tiles"`
-	// ComputeSeconds is kernel plus unpack time; CommSeconds is pack
-	// and send time (including send-buffer stalls' enclosing pack
-	// spans); StallSeconds is time blocked in sends on exhausted
-	// buffers; IdleSeconds is time with no ready tile. All are sums
-	// over the rank's worker lanes.
-	ComputeSeconds float64 `json:"compute_seconds"`
-	CommSeconds    float64 `json:"comm_seconds"`
-	StallSeconds   float64 `json:"stall_seconds"`
-	IdleSeconds    float64 `json:"idle_seconds"`
-}
-
-// BusySeconds is compute plus communication time.
-func (r RankBreakdown) BusySeconds() float64 { return r.ComputeSeconds + r.CommSeconds }
 
 // Straggler is one of the slowest tiles of the run: the tiles whose
 // ready-to-done latency is largest, i.e. where the schedule lost the
@@ -50,175 +31,96 @@ type Straggler struct {
 
 // RunReport is the full analyzer output.
 type RunReport struct {
-	// MakespanSeconds is the traced end-to-end run time.
-	MakespanSeconds float64 `json:"makespan_seconds"`
-	// Ranks is the per-rank breakdown, ordered by node id.
-	Ranks []RankBreakdown `json:"ranks"`
+	// Metrics is the trace's per-node fold (Trace.Metrics): the
+	// makespan, the per-node times and the edge-latency distribution.
+	Metrics *Metrics `json:"metrics"`
+	// Ranks are the report's rows, Metrics.Nodes: one per rank, ordered
+	// by node id.
+	Ranks []NodeMetrics `json:"-"`
 	// ImbalanceRatio is max busy time over mean busy time across ranks
-	// (1.0 = perfectly balanced).
+	// (1.0 = perfectly balanced); see NodeMetrics.BusySeconds.
 	ImbalanceRatio float64 `json:"imbalance_ratio"`
 	// CritPath is the (cross-rank) critical-path analysis.
 	CritPath *PathReport `json:"-"`
 	// Stragglers are the top-k tiles by ready-to-done latency.
 	Stragglers []Straggler `json:"stragglers"`
-	// Flows is the number of cross-rank message arrows in the trace;
-	// EdgeLatency their latency distribution (nil without flows).
-	Flows       int                `json:"flows"`
-	EdgeLatency *HistogramSnapshot `json:"edge_latency,omitempty"`
+	// Flows is the number of cross-rank message arrows in the trace.
+	Flows int `json:"flows"`
 }
 
-// BuildReport computes the run report over a trace. offsets are the
-// tile-space dependence offsets as for CriticalPath; topK bounds the
-// straggler list (<=0 means 5).
+// BuildReport computes the run report over a trace: its rows are the
+// trace's Metrics, and the stragglers and the critical path read one
+// per-tile index. offsets are the tile-space dependence offsets as for
+// CriticalPath; topK bounds the straggler list (<=0 means 5).
 func BuildReport(tr *Trace, offsets [][]int64, topK int) (*RunReport, error) {
 	if topK <= 0 {
 		topK = 5
 	}
-	rep := &RunReport{MakespanSeconds: tr.Makespan().Seconds()}
-	byNode := map[int32]*RankBreakdown{}
-	get := func(node int32) *RankBreakdown {
-		b := byNode[node]
-		if b == nil {
-			b = &RankBreakdown{Node: node}
-			byNode[node] = b
-		}
-		return b
-	}
-	type tileState struct {
-		node                    int32
-		ready, claim, kernelEnd int64
-		haveReady, haveClaim    bool
-		haveEnd                 bool
-	}
-	tiles := map[string]*tileState{}
-	tile := func(id string) *tileState {
-		t := tiles[id]
-		if t == nil {
-			t = &tileState{}
-			tiles[id] = t
-		}
-		return t
-	}
-	for _, e := range tr.Events {
-		sec := float64(e.Dur) / 1e9
-		switch e.Kind {
-		case KKernel:
-			b := get(e.Node)
-			b.Tiles++
-			b.ComputeSeconds += sec
-			if e.Tile != "" {
-				t := tile(e.Tile)
-				t.node = e.Node
-				if !t.haveEnd || e.End() > t.kernelEnd {
-					t.kernelEnd = e.End()
-					t.haveEnd = true
-				}
-			}
-		case KUnpack:
-			get(e.Node).ComputeSeconds += sec
-		case KPack, KSend:
-			get(e.Node).CommSeconds += sec
-		case KStall:
-			get(e.Node).StallSeconds += sec
-		case KIdle:
-			get(e.Node).IdleSeconds += sec
-		case KReady:
-			if e.Tile != "" {
-				t := tile(e.Tile)
-				if !t.haveReady || e.Start < t.ready {
-					t.ready = e.Start
-					t.haveReady = true
-				}
-			}
-		case KPop:
-			if e.Tile != "" {
-				t := tile(e.Tile)
-				if !t.haveClaim || e.Start < t.claim {
-					t.claim = e.Start
-					t.haveClaim = true
-				}
-			}
-		}
-	}
-	// KPack spans enclose the stall time of their sends; count stall
-	// separately, not twice.
-	for _, b := range byNode {
-		if b.CommSeconds > b.StallSeconds {
-			b.CommSeconds -= b.StallSeconds
-		}
-	}
+	m := tr.Metrics()
+	rep := &RunReport{Metrics: m, Ranks: m.Nodes, Flows: len(tr.Flows)}
 	var sumBusy, maxBusy float64
-	for _, b := range byNode {
-		rep.Ranks = append(rep.Ranks, *b)
-		busy := b.BusySeconds()
+	for _, nm := range m.Nodes {
+		busy := nm.BusySeconds()
 		sumBusy += busy
-		if busy > maxBusy {
-			maxBusy = busy
-		}
+		maxBusy = max(maxBusy, busy)
 	}
-	sort.Slice(rep.Ranks, func(i, j int) bool { return rep.Ranks[i].Node < rep.Ranks[j].Node })
-	if len(rep.Ranks) > 0 && sumBusy > 0 {
-		rep.ImbalanceRatio = maxBusy * float64(len(rep.Ranks)) / sumBusy
+	if sumBusy > 0 {
+		rep.ImbalanceRatio = maxBusy * float64(len(m.Nodes)) / sumBusy
 	}
-	for id, t := range tiles {
-		if !t.haveReady || !t.haveEnd {
+	idx := indexTiles(tr)
+	rep.Stragglers = idx.stragglers(topK)
+	cp, err := idx.criticalPath(tr.Makespan(), offsets)
+	if err != nil {
+		return nil, err
+	}
+	rep.CritPath = cp
+	return rep, nil
+}
+
+// stragglers returns the topK indexed tiles by ready-to-done latency.
+func (idx tileIndex) stragglers(topK int) []Straggler {
+	var out []Straggler
+	for id, t := range idx {
+		if t.seen&seenReady == 0 || t.seen&seenKernel == 0 {
 			continue
 		}
-		s := Straggler{Tile: id, Node: t.node}
-		claim := t.claim
-		if !t.haveClaim || claim < t.ready {
-			claim = t.ready
+		claim := t.ready
+		if t.seen&seenPop != 0 {
+			claim = max(claim, t.pop)
 		}
-		s.WaitSeconds = float64(claim-t.ready) / 1e9
-		s.ExecSeconds = float64(t.kernelEnd-claim) / 1e9
-		s.TotalSeconds = float64(t.kernelEnd-t.ready) / 1e9
-		rep.Stragglers = append(rep.Stragglers, s)
+		out = append(out, Straggler{
+			Tile:         id,
+			Node:         t.node,
+			WaitSeconds:  float64(claim-t.ready) / 1e9,
+			ExecSeconds:  float64(t.kernelEnd-claim) / 1e9,
+			TotalSeconds: float64(t.kernelEnd-t.ready) / 1e9,
+		})
 	}
-	sort.Slice(rep.Stragglers, func(i, j int) bool {
-		if rep.Stragglers[i].TotalSeconds != rep.Stragglers[j].TotalSeconds {
-			return rep.Stragglers[i].TotalSeconds > rep.Stragglers[j].TotalSeconds
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TotalSeconds != out[j].TotalSeconds {
+			return out[i].TotalSeconds > out[j].TotalSeconds
 		}
-		return rep.Stragglers[i].Tile < rep.Stragglers[j].Tile
+		return out[i].Tile < out[j].Tile
 	})
-	if len(rep.Stragglers) > topK {
-		rep.Stragglers = rep.Stragglers[:topK]
-	}
-	rep.Flows = len(tr.Flows)
-	if len(tr.Flows) > 0 {
-		h := NewHistogram()
-		for _, fl := range tr.Flows {
-			h.ObserveNs(fl.LatencyNs())
-		}
-		snap := h.Snapshot()
-		rep.EdgeLatency = &snap
-	}
-	if len(offsets) > 0 {
-		cp, err := CriticalPath(tr, offsets)
-		if err != nil {
-			return nil, err
-		}
-		rep.CritPath = cp
-	}
-	return rep, nil
+	return out[:min(topK, len(out))]
 }
 
 // WriteText renders the report for terminals.
 func (rep *RunReport) WriteText(w io.Writer) error {
+	m := rep.Metrics
 	fmt.Fprintf(w, "run report: makespan %v, %d ranks, %d cross-rank edges\n",
-		time.Duration(rep.MakespanSeconds*1e9).Round(time.Microsecond), len(rep.Ranks), rep.Flows)
-	fmt.Fprintf(w, "  %-6s %8s %12s %12s %12s %12s %12s\n",
-		"rank", "tiles", "busy", "compute", "comm", "stall", "idle")
-	for _, b := range rep.Ranks {
-		fmt.Fprintf(w, "  %-6d %8d %12s %12s %12s %12s %12s\n",
-			b.Node, b.Tiles,
-			fmtSec(b.BusySeconds()), fmtSec(b.ComputeSeconds), fmtSec(b.CommSeconds),
-			fmtSec(b.StallSeconds), fmtSec(b.IdleSeconds))
+		time.Duration(m.MakespanSeconds*1e9).Round(time.Microsecond), len(rep.Ranks), rep.Flows)
+	fmt.Fprintf(w, "  %-6s %8s %12s %12s %12s %12s %12s %12s\n",
+		"rank", "tiles", "busy", "kernel", "unpack", "pack", "stall", "idle")
+	for _, nm := range rep.Ranks {
+		fmt.Fprintf(w, "  %-6d %8d %12s %12s %12s %12s %12s %12s\n",
+			nm.Node, nm.TilesExecuted, fmtSec(nm.BusySeconds()), fmtSec(nm.KernelSeconds),
+			fmtSec(nm.UnpackSeconds), fmtSec(nm.PackSeconds), fmtSec(nm.SendStallSeconds), fmtSec(nm.IdleSeconds))
 	}
 	fmt.Fprintf(w, "  load imbalance ratio: %.3f (max busy / mean busy)\n", rep.ImbalanceRatio)
-	if rep.EdgeLatency != nil {
+	if h := m.EdgeLatency; h != nil {
 		fmt.Fprintf(w, "  edge latency: p50 <= %s, p95 <= %s, p99 <= %s over %d edges\n",
-			fmtSec(rep.EdgeLatency.Quantile(0.50)), fmtSec(rep.EdgeLatency.Quantile(0.95)),
-			fmtSec(rep.EdgeLatency.Quantile(0.99)), rep.EdgeLatency.Count)
+			fmtSec(h.Quantile(0.50)), fmtSec(h.Quantile(0.95)), fmtSec(h.Quantile(0.99)), h.Count)
 	}
 	if len(rep.Stragglers) > 0 {
 		fmt.Fprintf(w, "  top straggler tiles (ready -> done):\n")

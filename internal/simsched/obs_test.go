@@ -2,6 +2,7 @@ package simsched
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dpgen/internal/engine"
@@ -115,7 +116,9 @@ func TestSimCriticalPathWithinMakespan(t *testing.T) {
 // TestUnifiedSchemaRealAndSimulated is the schema contract: a real
 // engine run and a simulated run of the same problem both export
 // Chrome trace JSON that one decoder parses, and both support the same
-// downstream analyses (event counting, critical path).
+// downstream analyses (event counting, critical path, run report). Both
+// nest spans alike: one pack span per tile, enclosing every stall on
+// its lane, which is what the report's busy rule relies on.
 func TestUnifiedSchemaRealAndSimulated(t *testing.T) {
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	N := []int64{14}
@@ -125,12 +128,14 @@ func TestUnifiedSchemaRealAndSimulated(t *testing.T) {
 	}
 	wantTiles := tl.TileCount(N)
 
+	// One send buffer per node makes sends stall, so the nesting check
+	// has stalls to place.
 	engTracer := obs.NewTracer()
-	if _, err := engine.Run(tl, obsKernel, N, engine.Config{Nodes: 2, Threads: 2, Tracer: engTracer}); err != nil {
+	if _, err := engine.Run(tl, obsKernel, N, engine.Config{Nodes: 2, Threads: 2, SendBufs: 1, Tracer: engTracer}); err != nil {
 		t.Fatal(err)
 	}
 	simTracer := obs.NewTracer()
-	if _, err := Simulate(tl, N, Config{Nodes: 2, Cores: 2, Tracer: simTracer}); err != nil {
+	if _, err := Simulate(tl, N, Config{Nodes: 2, Cores: 2, SendBufs: 1, Tracer: simTracer}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,6 +146,10 @@ func TestUnifiedSchemaRealAndSimulated(t *testing.T) {
 		{"engine", engTracer.Snapshot()},
 		{"simsched", simTracer.Snapshot()},
 	} {
+		checkPackNesting(t, tc.name, tc.tr, wantTiles)
+		if _, err := obs.BuildReport(tc.tr, offsets, 0); err != nil {
+			t.Errorf("%s: report: %v", tc.name, err)
+		}
 		var buf bytes.Buffer
 		if err := tc.tr.WriteChrome(&buf); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -169,4 +178,40 @@ func TestUnifiedSchemaRealAndSimulated(t *testing.T) {
 			t.Errorf("%s: critical path %v vs makespan %v", tc.name, rep.CriticalPath, rep.Makespan)
 		}
 	}
+}
+
+// checkPackNesting checks that tr has one KPack per tile and that every
+// KStall lies inside a KPack on its lane.
+func checkPackNesting(t *testing.T, name string, tr *obs.Trace, tiles int64) {
+	t.Helper()
+	type lane struct{ node, lane int32 }
+	packs := map[lane][]obs.Event{}
+	perTile := map[string]int{}
+	for _, e := range tr.Events {
+		if e.Kind == obs.KPack {
+			packs[lane{e.Node, e.Lane}] = append(packs[lane{e.Node, e.Lane}], e)
+			perTile[e.Tile]++
+		}
+	}
+	if int64(len(perTile)) != tiles {
+		t.Errorf("%s: %d tiles have a pack span, want %d", name, len(perTile), tiles)
+	}
+	for id, n := range perTile {
+		if n != 1 {
+			t.Errorf("%s: tile %q has %d pack spans, want 1", name, id, n)
+		}
+	}
+	var stalls int
+	for _, e := range tr.Events {
+		if e.Kind != obs.KStall {
+			continue
+		}
+		stalls++
+		if !slices.ContainsFunc(packs[lane{e.Node, e.Lane}], func(p obs.Event) bool {
+			return p.Start <= e.Start && e.End() <= p.End()
+		}) {
+			t.Errorf("%s: stall %+v lies in no pack span of its lane", name, e)
+		}
+	}
+	t.Logf("%s: %d pack spans, %d stalls nested", name, len(perTile), stalls)
 }

@@ -466,8 +466,10 @@ func (s *sim) finishTile(e *event) {
 		})
 	}
 	if lane != nil {
-		// Sample the pending-edge curve at tile completion, mirroring
-		// the engine's KPending series.
+		// The send phase on the core, enclosing its stalls as the
+		// engine's pack span does; then the pending-edge curve at tile
+		// completion, mirroring the engine's KPending series.
+		lane.Emit(obs.Event{Kind: obs.KPack, Start: ns(s.now), Dur: ns(coreTime) - ns(s.now), Tile: tid, Dep: -1})
 		lane.Emit(obs.Event{Kind: obs.KPending, Start: ns(s.now), Dep: -1, Val: n.pendingEdges})
 	}
 	if coreTime > s.now {

@@ -29,33 +29,14 @@ type DenseLevel struct {
 	Dir    int   // iteration direction (ExecDirs[Var])
 }
 
-// scanLevel is one outer loop of a dense edge-slab scan: count trips,
-// each advancing the buffer location by step.
-type scanLevel struct {
-	count int64
-	step  int64
-}
-
-// denseScan precompiles the producer-local scan of one tile dependence's
-// edge slab for interior producers: the slab is a full rectangular box,
-// so the scan is an odometer over the outer levels with a contiguous
-// innermost run (the innermost loop variable has stride 1).
-type denseScan struct {
-	size  int64       // total slab cells (== InteriorEdgeSize entry)
-	start int64       // buffer index of the first slab cell
-	shift int64       // producer loc -> consumer unpack loc offset
-	run   int64       // innermost contiguous run length
-	outer []scanLevel // outer levels, outermost first
-}
-
 // buildFastPath constructs the interior classification, the dense cell
-// nest, the dense edge scans and the per-dimension tile bounds. Called
+// nest, the full edge slabs and the per-dimension tile bounds. Called
 // from New after the tile deps exist.
 func (tl *Tiling) buildFastPath() error {
 	tl.buildInteriorSys()
 	tl.buildCoreSys()
 	tl.buildDense()
-	tl.buildInteriorScans()
+	tl.buildInteriorSlabs()
 	return tl.buildDimNests()
 }
 
@@ -132,44 +113,51 @@ func (tl *Tiling) buildDense() {
 	}
 }
 
-// buildInteriorScans precompiles each tile dependence's full-slab scan
-// and records the slab sizes. The slab ranges mirror buildPackNest:
-// offset +1 takes the producer's low band [0, GhostHi_k-1], offset -1
-// the high band [w_k-GhostLo_k, w_k-1], offset 0 the whole width — and
-// the scan order (loop order, ascending) matches PackNest.Enumerate
-// exactly, so dense and nest-packed edges are interchangeable whenever
-// the cell sets coincide.
-func (tl *Tiling) buildInteriorScans() {
+// buildInteriorSlabs records each tile dependence's full slab as
+// [start, end) buffer spans, the form ShapeReader replays, with its size
+// and unpack shift. The slab ranges mirror buildPackNest: offset +1
+// takes the producer's low band [0, GhostHi_k-1], offset -1 the high
+// band [w_k-GhostLo_k, w_k-1], offset 0 the whole width — and the spans
+// follow the loop order, ascending, as PackNest.Enumerate does, one per
+// innermost row, so full-slab and nest-packed edges are interchangeable
+// whenever the cell sets coincide.
+func (tl *Tiling) buildInteriorSlabs() {
 	d := len(tl.Spec.Vars)
 	tl.InteriorEdgeSize = make([]int64, len(tl.TileDeps))
-	tl.interiorScan = make([]denseScan, len(tl.TileDeps))
-	for j, dep := range tl.TileDeps {
-		sc := denseScan{start: tl.BaseOff, size: 1}
-		lo := make([]int64, d)
+	tl.interiorSlab = make([][]int64, len(tl.TileDeps))
+	for j := range tl.TileDeps {
+		dep := &tl.TileDeps[j]
+		start, size := tl.BaseOff, int64(1)
 		cnt := make([]int64, d)
 		for k := 0; k < d; k++ {
+			var lo int64
 			switch o := dep.Offset[k]; {
 			case o >= 1:
-				lo[k] = 0
 				cnt[k] = ints.Min(tl.Widths[k], tl.Widths[k]+tl.GhostHi[k]-o*tl.Widths[k])
 			case o <= -1:
-				lo[k] = ints.Max(0, -o*tl.Widths[k]-tl.GhostLo[k])
-				cnt[k] = tl.Widths[k] - lo[k]
+				lo = ints.Max(0, -o*tl.Widths[k]-tl.GhostLo[k])
+				cnt[k] = tl.Widths[k] - lo
 			default:
-				lo[k], cnt[k] = 0, tl.Widths[k]
+				cnt[k] = tl.Widths[k]
 			}
-			sc.start += lo[k] * tl.Strides[k]
-			sc.shift += dep.Offset[k] * tl.Widths[k] * tl.Strides[k]
-			sc.size = ints.MulChecked(sc.size, cnt[k])
+			start += lo * tl.Strides[k]
+			dep.Shift += dep.Offset[k] * tl.Widths[k] * tl.Strides[k]
+			size = ints.MulChecked(size, cnt[k])
 		}
-		for _, k := range tl.orderIdx[:d-1] {
-			if cnt[k] != 1 {
-				sc.outer = append(sc.outer, scanLevel{count: cnt[k], step: tl.Strides[k]})
+		// One innermost row, then each outer level from the inside out
+		// repeats the spans so far once per further trip.
+		spans := []int64{start, start + cnt[tl.orderIdx[d-1]]}
+		for lvl := d - 2; lvl >= 0; lvl-- {
+			k := tl.orderIdx[lvl]
+			n := len(spans)
+			for c := int64(1); c < cnt[k]; c++ {
+				for _, v := range spans[:n] {
+					spans = append(spans, v+c*tl.Strides[k])
+				}
 			}
 		}
-		sc.run = cnt[tl.orderIdx[d-1]]
-		tl.interiorScan[j] = sc
-		tl.InteriorEdgeSize[j] = sc.size
+		tl.interiorSlab[j] = spans
+		tl.InteriorEdgeSize[j] = size
 	}
 }
 
@@ -226,44 +214,31 @@ func (tl *Tiling) TileBounds(params []int64) (lo, hi []int64) {
 // dependence dep from the tile buffer into out (length
 // InteriorEdgeSize[dep]), in the shared pack/unpack order.
 func (tl *Tiling) PackInterior(dep int, buf, out []float64) {
-	sc := &tl.interiorScan[dep]
-	packRuns(sc.outer, sc.run, sc.start, buf, out, 0)
+	packSpans(tl.interiorSlab[dep], buf, out[:0])
 }
 
 // UnpackInterior writes a full-slab edge into the consumer's ghost
 // shell. It is valid for any edge whose cell count equals
 // InteriorEdgeSize[dep]: a slab with the full count is necessarily the
-// full rectangular box, and both pack orders (dense and PackNest) scan
-// it identically.
+// full rectangular box, and both pack orders (full slab and PackNest)
+// scan it identically.
 func (tl *Tiling) UnpackInterior(dep int, buf, data []float64) {
-	sc := &tl.interiorScan[dep]
-	unpackRuns(sc.outer, sc.run, sc.start+sc.shift, buf, data, 0)
+	unpackSpans(tl.interiorSlab[dep], tl.TileDeps[dep].Shift, buf, data)
 }
 
-func packRuns(outer []scanLevel, run, loc int64, buf, out []float64, idx int64) int64 {
-	if len(outer) == 0 {
-		copy(out[idx:idx+run], buf[loc:loc+run])
-		return idx + run
+// packSpans appends a slab's cells of buf to out, one copy per span.
+func packSpans(sp []int64, buf, out []float64) []float64 {
+	for k := 0; k < len(sp); k += 2 {
+		out = append(out, buf[sp[k]:sp[k+1]]...)
 	}
-	l := outer[0]
-	for c := int64(0); c < l.count; c++ {
-		idx = packRuns(outer[1:], run, loc, buf, out, idx)
-		loc += l.step
-	}
-	return idx
+	return out
 }
 
-func unpackRuns(outer []scanLevel, run, loc int64, buf, data []float64, idx int64) int64 {
-	if len(outer) == 0 {
-		copy(buf[loc:loc+run], data[idx:idx+run])
-		return idx + run
+// unpackSpans writes data over a slab's spans of buf moved by shift.
+func unpackSpans(sp []int64, shift int64, buf, data []float64) {
+	for k, idx := 0, 0; k < len(sp); k += 2 {
+		idx += copy(buf[sp[k]+shift:sp[k+1]+shift], data[idx:])
 	}
-	l := outer[0]
-	for c := int64(0); c < l.count; c++ {
-		idx = unpackRuns(outer[1:], run, loc, buf, data, idx)
-		loc += l.step
-	}
-	return idx
 }
 
 // TileProbe is reusable allocation-free scratch for the per-tile

@@ -167,10 +167,5 @@ func (tl *Tiling) ForEachEdgeCell(params, t []int64, dep int, visit func(i []int
 // index for tile dependence dep: crossing dimensions land in the
 // consumer's ghost shell.
 func (tl *Tiling) UnpackLoc(dep int, i []int64) int64 {
-	off := tl.BaseOff
-	o := tl.TileDeps[dep].Offset
-	for k, v := range i {
-		off += (v + o[k]*tl.Widths[k]) * tl.Strides[k]
-	}
-	return off
+	return tl.Loc(i) + tl.TileDeps[dep].Shift
 }

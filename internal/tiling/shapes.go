@@ -277,11 +277,7 @@ func (rd *ShapeReader) fill(t []int64) int64 {
 // PackPartial appends producer tile t's slab cells for tile dependence
 // dep to out, in ForEachEdgeCell order: one copy per span.
 func (rd *ShapeReader) PackPartial(dep int, t []int64, buf, out []float64) []float64 {
-	sp := rd.slab(dep, t)
-	for k := 0; k < len(sp); k += 2 {
-		out = append(out, buf[sp[k]:sp[k+1]]...)
-	}
-	return out
+	return packSpans(rd.slab(dep, t), buf, out)
 }
 
 // EdgeCells returns the cell count of producer tile t's slab for tile
@@ -308,10 +304,7 @@ func (rd *ShapeReader) UnpackPartial(dep int, t []int64, buf, data []float64) in
 	if cells := spanCells(sp); cells != int64(len(data)) {
 		return int(cells)
 	}
-	shift := rd.plan.tl.interiorScan[dep].shift
-	for k, idx := 0, 0; k < len(sp); k += 2 {
-		idx += copy(buf[sp[k]+shift:sp[k+1]+shift], data[idx:])
-	}
+	unpackSpans(sp, rd.plan.tl.TileDeps[dep].Shift, buf, data)
 	return len(data)
 }
 

@@ -30,6 +30,10 @@ type TileDep struct {
 	// parameters and the producer's tile indices as parameters and the
 	// local indices as loop variables.
 	PackNest *loopgen.Nest
+	// Shift is Σ_k Offset_k·w_k·stride_k: added to a producer-local
+	// buffer index of a slab cell, it gives the cell's index in the
+	// consumer's ghost shell.
+	Shift int64
 }
 
 // Tiling is the complete generation-time analysis of a spec.
@@ -118,7 +122,7 @@ type Tiling struct {
 	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
 	localSys     *lin.System     // the local system LocalNest and the pack nests scan
 	orderIdx     []int           // loop order as indexes into Spec.Vars
-	interiorScan []denseScan     // dense edge-slab scans per tile dep
+	interiorSlab [][]int64       // full edge slabs per tile dep, as [start, end) spans
 	dimNests     []*loopgen.Nest // per-dimension tile bounds (integer keys)
 }
 
