@@ -92,7 +92,10 @@ func runDistributedTCPOpts(tb testing.TB, p *problems.Problem, params []int64, n
 // TestFastPathEquivalence for the TCP transport: a two-rank run over
 // real localhost sockets must produce bit-identical Value and Max to
 // the in-memory transport with the same node count, on every rank, and
-// match the serial reference exactly.
+// match the serial reference exactly. Both run the same per-rank code,
+// so each TCP rank's own Stats entry must also match the in-process
+// run's entry for that rank in its tile, cell and edge counts, and the
+// in-process run must fill every entry.
 func TestDistributedTCPEquivalence(t *testing.T) {
 	for _, name := range []string{"bandit2", "lcs2", "mcm", "obst", "knap"} {
 		name := name
@@ -115,8 +118,22 @@ func TestDistributedTCPEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			for r, st := range ref.Stats {
+				if st.TilesExecuted == 0 || st.CellsComputed == 0 {
+					t.Errorf("in-process rank %d: Stats entry empty: %+v", r, st)
+				}
+			}
+
 			results := runDistributedTCP(t, p, params, nranks, threads)
 			for r, res := range results {
+				got, want := res.Stats[r], ref.Stats[r]
+				if got.TilesExecuted != want.TilesExecuted || got.CellsComputed != want.CellsComputed ||
+					got.EdgesSentRemote != want.EdgesSentRemote || got.EdgesRecvRemote != want.EdgesRecvRemote ||
+					got.EdgesLocal != want.EdgesLocal {
+					t.Errorf("rank %d: tcp tiles/cells/sent/recv/local %d/%d/%d/%d/%d != inmem %d/%d/%d/%d/%d", r,
+						got.TilesExecuted, got.CellsComputed, got.EdgesSentRemote, got.EdgesRecvRemote, got.EdgesLocal,
+						want.TilesExecuted, want.CellsComputed, want.EdgesSentRemote, want.EdgesRecvRemote, want.EdgesLocal)
+				}
 				if res.Value != ref.Value {
 					t.Errorf("rank %d: Value tcp %.17g != inmem %.17g", r, res.Value, ref.Value)
 				}

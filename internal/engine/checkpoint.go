@@ -61,11 +61,10 @@ type checkpoint struct {
 // carries, which a file must match before its variable-length content
 // is decoded.
 func (n *node) ckptHeader() *checkpoint {
-	e := n.eng
 	return &checkpoint{
-		rank: n.id, nodes: e.cfg.Nodes,
-		d: len(e.tl.Spec.Vars), nd: len(e.tl.Spec.Deps),
-		params: e.params, ownedTotal: n.ownedTotal,
+		rank: n.id, nodes: n.cfg.Nodes,
+		d: len(n.tl.Spec.Vars), nd: len(n.tl.Spec.Deps),
+		params: n.prep.params, ownedTotal: n.ownedTotal,
 	}
 }
 
@@ -89,11 +88,9 @@ func (run *checkpoint) mismatch(ck *checkpoint) error {
 
 // encodeCheckpoint serializes the node's durable state. The caller has
 // the live table frozen — which orders it after the maximum fold of
-// every tile the table records as executed — and holds n.mu; goalMu is
-// taken briefly inside. No code path acquires any of them in the reverse
-// order.
+// every tile the table records as executed — and holds n.mu, which
+// guards the goal value.
 func (n *node) encodeCheckpoint() []byte {
-	e := n.eng
 	b := make([]byte, 0, 256)
 	b = append(b, ckptMagic...)
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -112,19 +109,16 @@ func (n *node) encodeCheckpoint() []byte {
 	i64(h.ownedTotal)
 	i64(n.executed)
 
-	e.goalMu.Lock()
-	goalSet, goalVal := e.goalSet, e.goalVal
-	e.goalMu.Unlock()
 	max := n.cellMax()
 	var flags uint64
-	if goalSet {
+	if n.goalSet {
 		flags |= 1
 	}
 	if max.set {
 		flags |= 2
 	}
 	u64(flags)
-	f64(goalVal)
+	f64(n.goalVal)
 	f64(max.max)
 
 	return sealBlob(n.live.snapshot(b))
@@ -240,10 +234,9 @@ func (ck *checkpoint) check(l *pageLayout, probe *tiling.TileProbe) error {
 // checkpoint's live-tile records, which replay applies once the ready
 // queues are seeded.
 func (n *node) loadResume() ([]ckptTile, error) {
-	e := n.eng
-	ck, err := loadCheckpoint(n.ckptPath, n.ckptHeader(), len(e.tl.TileDeps))
+	ck, err := loadCheckpoint(n.ckptPath, n.ckptHeader(), len(n.tl.TileDeps))
 	if err == nil && ck != nil {
-		err = ck.check(e.prep.layout, e.tl.NewProbe(e.params))
+		err = ck.check(n.prep.layout, n.tl.NewProbe(n.prep.params))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: checkpoint %s: %w", n.ckptPath, err)
@@ -253,12 +246,11 @@ func (n *node) loadResume() ([]ckptTile, error) {
 	}
 	n.live.restoreExecuted(ck.executedKeys)
 	n.executed = ck.executed
+	// No worker exists yet: the restored goal and maximum need no lock,
+	// and the maximum seeds the first worker's fold.
 	if ck.goalSet {
-		e.goalMu.Lock()
-		e.goalVal, e.goalSet = ck.goalVal, true
-		e.goalMu.Unlock()
+		n.goalVal, n.goalSet = ck.goalVal, true
 	}
-	// No worker exists yet: the restored maximum seeds the first one's fold.
 	n.maxes[0].merge(cellMax{max: ck.maxVal, set: ck.maxSet})
 	return ck.tiles, nil
 }
@@ -274,7 +266,7 @@ func (n *node) replay(recs []ckptTile) {
 	if lane != nil {
 		t0 = lane.Now()
 	}
-	edges := n.applyRecords(recs, lane, newDelivState(n.eng))
+	edges := n.applyRecords(recs, lane, newDelivState(n.prep))
 	if lane != nil {
 		lane.Span(obs.KRecover, "", -1, edges, t0)
 	}

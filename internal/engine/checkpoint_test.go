@@ -8,9 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dpgen/internal/spec"
 	"dpgen/internal/tiling"
@@ -238,7 +240,8 @@ func TestCheckpointMissingFile(t *testing.T) {
 // decodeMigration. Checksum-valid content that names tiles the run has
 // no slot for goes through the two paths that vet it: a resuming
 // rank's loadResume, which must fail, and applyMigration, which must
-// panic.
+// panic. A damaged file of one rank of a 2-node in-process resume must
+// fail the whole run before any rank launches.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	run := &checkpoint{rank: 0, nodes: 1, d: 1, nd: 1, params: []int64{8}}
@@ -296,13 +299,45 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	triDir := t.TempDir()
-	triEngine := func(t *testing.T) (*engine, *node) {
-		e, nodes, err := newEngine(triPrep, sumKernel, Config{Checkpoint: CheckpointConfig{Dir: triDir, Resume: true}}.withDefaults())
-		if err != nil {
+	triNode := func() *node {
+		return newTestNode(triPrep, sumKernel, Config{Checkpoint: CheckpointConfig{Dir: triDir, Resume: true}})
+	}
+	// A real 2-node run's files, resumed with rank 1's damaged: the run
+	// returns the decode error promptly and leaves no goroutine behind,
+	// because no rank launches before every rank's set-up has passed.
+	runDir := t.TempDir()
+	_, runPrep, _ := finalCheckpointRun(t, runDir)
+	rank1, err := os.ReadFile(CheckpointPath(runDir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumeRun := func(t *testing.T, b []byte) error {
+		if err := os.WriteFile(CheckpointPath(runDir, 1), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return e, nodes[0]
+		type outcome struct {
+			err        error
+			goroutines int
+		}
+		out := make(chan outcome, 1)
+		before := runtime.NumGoroutine()
+		go func() {
+			_, err := runPrep.Run(bandit2Kernel, Config{Nodes: 2, Threads: 2,
+				Checkpoint: CheckpointConfig{Dir: runDir, Resume: true}})
+			out <- outcome{err, runtime.NumGoroutine() - 1} // less this one
+		}()
+		select {
+		case o := <-out:
+			if o.goroutines > before {
+				t.Errorf("goroutines leaked: %d before the run, %d after", before, o.goroutines)
+			}
+			return o.err
+		case <-time.After(time.Minute):
+			t.Fatal("resume with a damaged rank-1 checkpoint did not return")
+			return nil
+		}
 	}
+
 	owned := triPrep.assign.Tiles[0]
 	triCkpt := func(executed int64, keys []uint64, tile ...int64) []byte {
 		return encodeTestCheckpoint(&checkpoint{rank: 0, nodes: 1, d: 2, nd: 2, params: []int64{8},
@@ -313,7 +348,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(CheckpointPath(triDir, 0), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, n := triEngine(t)
+		n := triNode()
 		_, err := n.loadResume()
 		return err
 	}
@@ -325,13 +360,13 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	applyMig := func(t *testing.T, b []byte) (err error) {
-		e, n := triEngine(t)
+		n := triNode()
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%v", r)
 			}
 		}()
-		n.applyMigration(blobToFloats(b), nil, newDelivState(e))
+		n.applyMigration(blobToFloats(b), nil, newDelivState(triPrep))
 		return nil
 	}
 	outside := sealBlob(appendRecords(nil, []*pendTile{{Tile: tileState{
@@ -381,6 +416,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		{"executed-count-not-keys", triCkpt(3, []uint64{0, 1}, 1, 1), func(b []byte) []byte { return b }, resume, "3 tiles executed with 2 keys"},
 		{"executed-over-owned", triCkpt(owned+1, keys, 1, 1), func(b []byte) []byte { return b }, resume,
 			fmt.Sprintf("%d tiles executed with %d keys of %d owned", owned+1, owned+1, owned)},
+		{"resume-run-rank1-flipped-bit", rank1, func(b []byte) []byte { b[len(ckptMagic)+3] ^= 0x40; return b }, resumeRun,
+			"rank-1.ckpt: failed its checksum"},
 		{"migration-outside-space", outside, func(b []byte) []byte { return b }, applyMig, "tile [4 4] outside the tile space"},
 	}
 	for _, tc := range cases {

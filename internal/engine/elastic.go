@@ -139,8 +139,8 @@ func normalizeMembers(members []int, world int) ([]int, error) {
 
 // ownerOf resolves a tile's owning rank under the current ownership
 // map: the prepared assignment, replaced at each elastic view change.
-func (e *engine) ownerOf(t []int64) int {
-	return e.owners.Load().Owner(t)
+func (n *node) ownerOf(t []int64) int {
+	return n.owners.Load().Owner(t)
 }
 
 // ---- the cut: worker pause and send drain ----
@@ -213,7 +213,7 @@ func (n *node) resumeWorkers() {
 // count) pair per nonzero slab, indexed like the stable Slabs order.
 func (n *node) encodeAck(epoch uint32) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, uint64(epoch))
-	for i, c := range n.live.executedPerSlab(n.eng.owners.Load().Slabs()) {
+	for i, c := range n.live.executedPerSlab(n.owners.Load().Slabs()) {
 		if c != 0 {
 			b = binary.LittleEndian.AppendUint64(b, uint64(i))
 			b = binary.LittleEndian.AppendUint64(b, uint64(c))
@@ -316,10 +316,9 @@ func decodeMigration(blob []byte, d, ndeps int) ([]ckptTile, error) {
 // payload that fails to decode or names no real tile came from a peer
 // running this same code over TCP: a protocol bug, not an input error.
 func (n *node) applyMigration(data []float64, lane *obs.Lane, ds *delivState) {
-	e := n.eng
-	recs, err := decodeMigration(floatsToBlob(data), len(e.tl.Spec.Vars), len(e.tl.TileDeps))
+	recs, err := decodeMigration(floatsToBlob(data), len(n.tl.Spec.Vars), len(n.tl.TileDeps))
 	if err == nil {
-		err = e.prep.layout.checkRecords(recs, ds.probe)
+		err = n.prep.layout.checkRecords(recs, ds.probe)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("engine: rank %d: %v", n.id, err))
@@ -347,8 +346,7 @@ func (n *node) applyMigration(data []float64, lane *obs.Lane, ds *delivState) {
 // acknowledge the *next* PREP before its blobs are on the wire (and
 // therefore, by the quiescence rule, applied).
 func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs.Lane) {
-	e := n.eng
-	next, _, err := balance.Rebalance(e.owners.Load(), members, census)
+	next, _, err := balance.Rebalance(n.owners.Load(), members, census)
 	if err != nil {
 		// Every input is protocol-carried state that all ranks compute
 		// identically; a failure here is a protocol bug, not a user error.
@@ -373,7 +371,7 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 		}
 	}
 
-	e.owners.Store(next)
+	n.owners.Store(next)
 	n.curEpoch.Store(epoch)
 	n.et.SetEpoch(epoch)
 	n.mu.Lock()
@@ -419,10 +417,10 @@ func (n *node) applyEpoch(epoch uint32, members []int, census []int64, lane *obs
 // on every rank, plus the coordinator state machine on rank 0. It runs
 // from launch until after the final result merge (so departed and
 // standby ranks keep answering PREPs), stopping via n.stopElastic.
-func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
-	cfg := e.cfg.Elastic
+func (n *node) elasticLoop(lane *obs.Lane) {
+	cfg := n.cfg.Elastic
 	et := n.et
-	world := e.cfg.Nodes
+	world := n.cfg.Nodes
 
 	// Coordinator state (rank 0 only).
 	var (
@@ -438,12 +436,12 @@ func (e *engine) elasticLoop(n *node, lane *obs.Lane) {
 		finSent    bool
 	)
 	if n.id == 0 {
-		members = append([]int(nil), e.prep.members...)
+		members = append([]int(nil), n.prep.members...)
 		schedule = append([]ScaleEvent(nil), cfg.ScaleAt...)
 		sort.SliceStable(schedule, func(i, j int) bool {
 			return schedule[i].AfterTiles < schedule[j].AfterTiles
 		})
-		census = make([]int64, len(e.owners.Load().Slabs()))
+		census = make([]int64, len(n.owners.Load().Slabs()))
 	}
 
 	startView := func(m []int) {

@@ -611,9 +611,7 @@ func TestKernelPanicAnnotated(t *testing.T) {
 	// crash the process. Instead invoke execTile's path via a tiny run
 	// in the same goroutine using the exported API is impossible;
 	// exercise the annotation through a direct worker call.
-	e := &engine{tl: tl, params: []int64{5}, kernel: func(c *Ctx) { panic("boom") },
-		cfg: Config{}.withDefaults()}
-	n := newNode2ForTest(e)
+	n := newTestNode(prepareForTest(tl, []int64{5}), func(c *Ctx) { panic("boom") }, Config{})
 	p := &pendTile{Tile: tileState{coord: []int64{0, 0, 0, 0}}}
 	n.execTile(p, n.newWorkerState(0), false)
 }
@@ -624,9 +622,7 @@ func TestKernelPanicAnnotated(t *testing.T) {
 // merge and dies inside it, which recovery cannot repair (the
 // TestKillRecoverBitIdentical/seed3 failure).
 func TestCrashedNodeNeverFinishes(t *testing.T) {
-	e := &engine{tl: bandit2Tiling(t, 6, nil), params: []int64{5}, cfg: Config{}.withDefaults()}
-	n := newNode2ForTest(e)
-	e.finished.Add(1)
+	n := newTestNode(prepareForTest(bandit2Tiling(t, 6, nil), []int64{5}), nil, Config{})
 	n.ownedTotal, n.executed, n.crashed = 4, 4, true
 	n.checkFinished()
 	stillArmed := false
@@ -636,18 +632,22 @@ func TestCrashedNodeNeverFinishes(t *testing.T) {
 	}
 }
 
-// newNode2ForTest builds a minimal node wired to a 1-rank comm, preparing
-// the engine's tiling at its parameters.
-func newNode2ForTest(e *engine) *node {
-	prep, err := prepare(e.tl, e.params, 1, []int{0}, e.cfg.Balance)
+// prepareForTest prepares a one-node run of tl at params.
+func prepareForTest(tl *tiling.Tiling, params []int64) *Prepared {
+	prep, err := prepare(tl, params, 1, []int{0}, Config{}.Balance)
 	if err != nil {
 		panic(err)
 	}
-	e.prep = prep
-	c, err := mpi.NewComm(1, 1, 1)
+	return prep
+}
+
+// newTestNode builds rank 0 of a one-node run of prep over its own
+// communicator, neither seeded nor launched.
+func newTestNode(prep *Prepared, kernel Kernel, cfg Config) *node {
+	cfg = cfg.withDefaults()
+	c, err := mpi.NewComm(1, cfg.SendBufs, cfg.RecvBufs)
 	if err != nil {
 		panic(err)
 	}
-	e.comm = c
-	return newNode(e, 0, c.Rank(0))
+	return newNode(prep, kernel, cfg, c.Rank(0))
 }

@@ -27,10 +27,7 @@ func TestLiveTableStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, nodes, err := newEngine(prep, noopKernel, Config{Threads: workers}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newTestNode(prep, noopKernel, Config{Threads: workers})
 	key, err := tl.NewTileKey(params)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +82,7 @@ func TestLiveTableStress(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				ds := newDelivState(e)
+				ds := newDelivState(prep)
 				for i := g; i < copies*len(edges); i += workers {
 					d := edges[i%len(edges)]
 					p, _ := lt.addEdge(ds, d.consumer, d.dep, payload(d))
@@ -147,7 +144,7 @@ func TestLiveTableStress(t *testing.T) {
 	}
 
 	t.Run("plain", func(t *testing.T) {
-		lt := nodes[0].live
+		lt := n.live
 		ready, wrong := deliver(lt, 1)
 		check(t, lt, ready, wrong)
 		free := 0
@@ -165,14 +162,14 @@ func TestLiveTableStress(t *testing.T) {
 	})
 
 	t.Run("tracking", func(t *testing.T) {
-		lt := newLiveTable(prep.layout, true, nodes[0].prepTile)
+		lt := newLiveTable(prep.layout, true, n.prepTile)
 		ready, wrong := deliver(lt, 2)
 		check(t, lt, ready, wrong)
 		if lt.dups != int64(len(edges)) {
 			t.Errorf("%d duplicates dropped of %d edges delivered twice", lt.dups, len(edges))
 		}
 
-		ds := newDelivState(e)
+		ds := newDelivState(prep)
 		for _, c := range prep.assign.Initial {
 			p := lt.newTile(ds, c)
 			if !lt.seed(p) {

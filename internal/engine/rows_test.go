@@ -391,12 +391,9 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, nodes, err := newEngine(prep, k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := newTestNode(prep, k, cfg)
 		defer func() { msg = fmt.Sprint(recover()) }()
-		nodes[0].execTile(&pendTile{Tile: tileState{coord: prep.assign.Initial[0]}}, nodes[0].newWorkerState(0), false)
+		n.execTile(&pendTile{Tile: tileState{coord: prep.assign.Initial[0]}}, n.newWorkerState(0), false)
 		return ""
 	}
 	for _, disable := range []bool{false, true} {
@@ -456,10 +453,7 @@ func TestRowsUnpackMismatchNamesSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, nodes, err := newEngine(prep, bandit2Kernel, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := newTestNode(prep, bandit2Kernel, cfg)
 		for _, tc := range []struct {
 			values int
 			side   string
@@ -467,7 +461,7 @@ func TestRowsUnpackMismatchNamesSizes(t *testing.T) {
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
 				p := &pendTile{Tile: tileState{coord: consumer, edges: []edge{{dep: dep, data: make([]float64, tc.values)}}}}
-				nodes[0].unpackEdges(p, nodes[0].newWorkerState(0))
+				n.unpackEdges(p, n.newWorkerState(0))
 				return ""
 			}()
 			want := fmt.Sprintf("engine: unpack size mismatch: edge %d of tile %v has %d values for %d slab cells (the edge is %s)",

@@ -41,15 +41,10 @@ func serialWorker(t testing.TB, tl *tiling.Tiling, params []int64) (n *node, w *
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, nodes, err := newEngine(prep, noopKernel, cfg)
-	if err != nil {
+	n = newTestNode(prep, noopKernel, cfg)
+	if err := n.seed(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.seed(nodes); err != nil {
-		t.Fatal(err)
-	}
-	e.finished.Add(1)
-	n = nodes[0]
 	w = n.newWorkerState(0)
 	return n, w, func() bool {
 		p, _ := n.pool.Pop(0)

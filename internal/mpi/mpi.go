@@ -226,16 +226,6 @@ func (c *Comm) Close() {
 	}
 }
 
-// Stats returns the total messages and float64 elements transferred
-// across all ranks.
-func (c *Comm) Stats() (messages, elems int64) {
-	for i := range c.messages {
-		messages += c.messages[i].Load()
-		elems += c.elems[i].Load()
-	}
-	return messages, elems
-}
-
 // Rank is one endpoint of a communicator; it implements Transport.
 type Rank struct {
 	c  *Comm

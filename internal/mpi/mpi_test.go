@@ -46,10 +46,20 @@ func TestPingPong(t *testing.T) {
 	}
 	m.Release()
 	<-done
-	msgs, elems := c.Stats()
+	msgs, elems := commStats(c)
 	if msgs != 2 || elems != 4 {
 		t.Errorf("stats = %d msgs %d elems", msgs, elems)
 	}
+}
+
+// commStats sums the messages and elements every rank of c sent.
+func commStats(c *Comm) (messages, elems int64) {
+	for r := 0; r < c.Size(); r++ {
+		m, e := c.Rank(r).Stats()
+		messages += m
+		elems += e
+	}
+	return messages, elems
 }
 
 func TestSendBufferBackpressure(t *testing.T) {
@@ -223,7 +233,7 @@ func TestManyToOneStress(t *testing.T) {
 		got++
 	}
 	wg.Wait()
-	msgsN, _ := c.Stats()
+	msgsN, _ := commStats(c)
 	if msgsN != senders*msgs {
 		t.Errorf("stats msgs = %d, want %d", msgsN, senders*msgs)
 	}
