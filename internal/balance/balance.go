@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dpgen/internal/sched"
 	"dpgen/internal/tiling"
 )
 
@@ -75,7 +76,7 @@ type Assignment struct {
 	// (and any Rebalance of it) lives, so nothing is ever counted twice.
 	slabs     []Slab
 	slabOwner []int
-	key       *tiling.TileKey
+	key       *sched.Key
 	index     map[uint64]int32 // LB key -> slab index
 	// single: one member owns every slab (a one-rank run), so Owner
 	// needs no slab lookup. Never set by Rebalance, whose executed slabs
@@ -200,6 +201,36 @@ func (a *Assignment) SlabIndex(t []int64) int {
 		}
 	}
 	return -1
+}
+
+// Layout places an instance's tiles in a pending table (sched.Table):
+// the slab key picks a tile's page and the rest key its slot; slab key ×
+// Rest.Len() + rest key names a tile in checkpoints. Expect holds, per
+// slab key, the slab's tiles less its initial ones, which no edge
+// announces: the entries its page completes on a plain run.
+type Layout struct {
+	Slab, Rest *sched.Key
+	Expect     []int64
+}
+
+// NewLayout lays out the pending table of the instance a balances.
+func NewLayout(tl *tiling.Tiling, params []int64, a *Assignment) (*Layout, error) {
+	rest, err := tl.NewRestKey(params)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = tl.NewTileKey(params); err != nil { // slab × rest keys must fit one word
+		return nil, err
+	}
+	l := &Layout{Slab: a.key, Rest: rest, Expect: make([]int64, a.key.Len())}
+	for _, s := range a.slabs {
+		l.Expect[a.key.OfLB(s.LB)] = s.Tiles
+	}
+	for _, t := range a.Initial {
+		k, _ := a.key.Of(t)
+		l.Expect[k]--
+	}
+	return l, nil
 }
 
 // Imbalance returns max(Work)/mean(Work); 1.0 is perfect.

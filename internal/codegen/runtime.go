@@ -1,15 +1,16 @@
 package codegen
 
 // runtimeSrc is the generated side of the runtime of Section V: what
-// binds the generated dp* symbols to the tile scheduler, whose source
-// (dpgen/internal/sched: the ready pool) is emitted ahead of this text,
-// instantiated here with fixed-size tile arrays. It holds the ownership
-// scan, edge delivery, tile execution and main. It deliberately avoids
-// backquoted strings so it can live in this raw literal.
+// binds the generated dp* symbols to the tile runtime, whose source
+// (dpgen/internal/sched: the ready pool, the pending-tile table and the
+// edge-buffer stack) is emitted ahead of this text, instantiated here
+// with fixed-size tile arrays. It holds the ownership scan, edge
+// delivery, tile execution and main. It deliberately avoids backquoted
+// strings so it can live in this raw literal.
 const runtimeSrc = `// ---- hybrid runtime (generated, problem independent) ----
 //
-// The scheduler above (Pool, Item) is the generator library's own,
-// instantiated with this program's tile type.
+// The runtime above (Pool, Item, Table, Key, Bufs) is the generator
+// library's own, instantiated with this program's tile type.
 //
 // Inter-node edges travel over bounded channels with send-buffer
 // slots, the in-memory form of the transport contract specified in
@@ -70,15 +71,6 @@ func dpDepCount(t *[dpDims]int64) int {
 	return n
 }
 
-// dpLBKeyOf extracts the load-balancing coordinates of a tile.
-func dpLBKeyOf(t *[dpDims]int64) [dpDims]int64 {
-	var k [dpDims]int64
-	for i := 0; i < dpNumLB; i++ {
-		k[i] = t[dpLBIdx[i]]
-	}
-	return k
-}
-
 // dpKeyOf builds the column-major priority key of Figure 5:
 // load-balancing dimensions first, each oriented so that smaller keys
 // execute earlier.
@@ -90,60 +82,62 @@ func dpKeyOf(t *[dpDims]int64) [dpDims]int64 {
 	return k
 }
 
-// dpBuildOwnership statically assigns tiles to nodes in one pass over
-// the tile space: slab work and tiles along the load-balancing
-// dimensions are counted, with the initial tiles (Section IV-K), then
-// the work is accumulated in priority-lexicographic order and cut into
-// equal-work contiguous ranges (Section IV-J).
-func dpBuildOwnership(nodes int) (owner map[[dpDims]int64]int, ownedTotal []int64, initial [][dpDims]int64, totalWork int64) {
-	work := map[[dpDims]int64]int64{}
-	tiles := map[[dpDims]int64]int64{}
-	var keys [][dpDims]int64
+// dpBuildOwnership statically assigns tiles to g's nodes. One pass over the
+// tile space takes the tile bounds, the box of the pending table's keys;
+// a second counts each slab's work and tiles, with the initial tiles
+// (Section IV-K). The work is accumulated in slab-key order, which is
+// priority-lexicographic, and cut into equal-work contiguous ranges
+// (Section IV-J).
+func dpBuildOwnership(g *dpGlobal) error {
+	nodes := len(g.nodes)
+	var lo, hi [dpDims]int64
+	for k := range lo {
+		lo[k], hi[k] = math.MaxInt64, math.MinInt64
+	}
 	dpForEachTile(func(t [dpDims]int64) bool {
-		k := dpLBKeyOf(&t)
-		if _, ok := work[k]; !ok {
-			keys = append(keys, k)
-		}
-		work[k] += dpTileCellCount(&t)
-		tiles[k]++
-		if dpDepCount(&t) == 0 {
-			initial = append(initial, t)
+		for k, v := range t {
+			lo[k], hi[k] = min(lo[k], v), max(hi[k], v)
 		}
 		return true
 	})
-	sort.Slice(keys, func(a, b int) bool {
-		for i := 0; i < dpNumLB; i++ {
-			if keys[a][i] != keys[b][i] {
-				return keys[a][i] < keys[b][i]
-			}
+	// The priority key's dimensions are the load-balancing ones, then
+	// the rest.
+	var err error
+	if g.slab, err = NewKey(dpLBIdx[:], lo[:], hi[:]); err != nil {
+		return err
+	}
+	if g.rest, err = NewKey(dpKeyDims[dpNumLB:], lo[:], hi[:]); err != nil {
+		return err
+	}
+	work, tiles := make([]int64, g.slab.Len()), make([]int64, g.slab.Len())
+	g.owner, g.expect, g.ownedTotal = make([]int, len(work)), make([]int64, len(work)), make([]int64, nodes)
+	dpForEachTile(func(t [dpDims]int64) bool {
+		k, _ := g.slab.Of(t[:])
+		c := dpTileCellCount(&t)
+		work[k] += c
+		g.totalWork += c
+		tiles[k]++
+		if dpDepCount(&t) == 0 {
+			g.initial = append(g.initial, t)
+		} else {
+			g.expect[k]++
 		}
-		return false
+		return true
 	})
-	for _, k := range keys {
-		totalWork += work[k]
-	}
-	owner = make(map[[dpDims]int64]int, len(keys))
-	ownedTotal = make([]int64, nodes)
 	var cum int64
-	for _, k := range keys {
-		mid := cum + work[k]/2
-		n := int(mid * int64(nodes) / totalWork)
-		if n >= nodes {
-			n = nodes - 1
+	for k, w := range work {
+		if tiles[k] == 0 {
+			continue
 		}
-		owner[k] = n
-		ownedTotal[n] += tiles[k]
-		cum += work[k]
+		n := min(int((cum+w/2)*int64(nodes)/g.totalWork), nodes-1)
+		g.owner[k] = n
+		g.ownedTotal[n] += tiles[k]
+		cum += w
 	}
-	return owner, ownedTotal, initial, totalWork
+	return nil
 }
 
 // ---- scheduler data structures (Section V-B) ----
-
-type dpEdgeMsg struct {
-	dep  int
-	data []dpElem
-}
 
 type dpMsg struct {
 	dep      int
@@ -154,10 +148,9 @@ type dpMsg struct {
 
 // dpTile is this program's per-tile state inside a scheduler item.
 type dpTile struct {
-	at        [dpDims]int64
-	key       [dpDims]int64 // backs the item's Key
-	remaining int
-	edges     []dpEdgeMsg // the received edges
+	at    [dpDims]int64
+	key   [dpDims]int64           // backs the item's Key
+	edges [dpNumTileDeps][]dpElem // received edges by tile dependence, nil until it arrives
 }
 
 type dpItem = Item[dpTile]
@@ -172,10 +165,8 @@ func (n *dpNode) newItem(t [dpDims]int64) *dpItem {
 type dpNode struct {
 	id int
 
-	pendMu  sync.Mutex
-	pending map[[dpDims]int64]*dpItem
-
-	pool *Pool[dpTile]
+	pending *Table[dpTile]
+	pool    *Pool[dpTile]
 
 	owned    int64
 	executed atomic.Int64
@@ -199,28 +190,12 @@ type dpNode struct {
 // garbage collector; an empty one allocates.
 type dpWorker struct {
 	V    []dpElem
-	free [][]dpElem
+	bufs Bufs[dpElem]
 
 	tiles, cells, sentRemote, localEdges, sentElems, bufsAlloc int64
 
 	maxVal dpElem
 	maxSet bool
-}
-
-func (w *dpWorker) getBuf() []dpElem {
-	if k := len(w.free) - 1; k >= 0 {
-		b := w.free[k]
-		w.free = w.free[:k]
-		return b
-	}
-	w.bufsAlloc++
-	return make([]dpElem, dpMaxEdgeCap)
-}
-
-func (w *dpWorker) putBuf(b []dpElem) {
-	if len(w.free) < 2*dpNumTileDeps {
-		w.free = append(w.free, b[:dpMaxEdgeCap])
-	}
 }
 
 // add folds another worker's counters and tile maximum into w.
@@ -236,8 +211,18 @@ func (w *dpWorker) add(o *dpWorker) {
 	}
 }
 
+// dpGlobal is the run: the ownership scan's findings — the pending
+// table's keys over the tile bounds and, by slab key, each slab's owner
+// and expected pending entries (its tiles less its initial ones, which
+// no edge announces) — and the nodes.
 type dpGlobal struct {
-	owner map[[dpDims]int64]int
+	slab, rest *Key
+	owner      []int
+	expect     []int64
+	ownedTotal []int64 // by node
+	initial    [][dpDims]int64
+	totalWork  int64
+
 	nodes []*dpNode
 	wg    sync.WaitGroup
 
@@ -246,8 +231,16 @@ type dpGlobal struct {
 	goalSet bool
 }
 
+// ownerOf returns the node owning tile t.
+func (g *dpGlobal) ownerOf(t *[dpDims]int64) int {
+	k, _ := g.slab.Of(t[:])
+	return g.owner[k]
+}
+
 func (n *dpNode) worker(g *dpGlobal, w int) {
-	ws := &dpWorker{V: make([]dpElem, dpAllocLen)}
+	// A tile unpacks and packs at most one edge per tile dependence, so
+	// twice that many buffers ride out any alternation of the two.
+	ws := &dpWorker{V: make([]dpElem, dpAllocLen), bufs: NewBufs[dpElem](2*dpNumTileDeps, dpMaxEdgeCap)}
 	n.workers[w] = ws
 	for {
 		e0 := n.pool.Epoch()
@@ -269,23 +262,19 @@ func (n *dpNode) receiver(g *dpGlobal) {
 	}
 }
 
+// deliver files one edge in the node's pending table; the tile moves to
+// the ready pool when its last edge arrives.
 func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
-	n.pendMu.Lock()
-	p := n.pending[consumer]
+	pg, slot := n.pending.Lookup(consumer[:])
+	p := slot.Load()
 	if p == nil {
-		p = n.newItem(consumer)
-		p.Tile.remaining = dpDepCount(&consumer)
-		n.pending[consumer] = p
+		fresh := n.newItem(consumer)
+		fresh.Missing.Store(int64(dpDepCount(&consumer)))
+		p, _ = n.pending.Install(slot, fresh)
 	}
-	p.Tile.edges = append(p.Tile.edges, dpEdgeMsg{dep: dep, data: data})
-	p.Tile.remaining--
-	ready := p.Tile.remaining == 0
-	if ready {
-		delete(n.pending, consumer)
-	}
-	n.pendMu.Unlock()
+	p.Tile.edges[dep] = data
 	AtomicMax(&n.peakEdges, n.liveEdges.Add(1))
-	if ready {
+	if n.pending.Arrive(pg, slot, p) {
 		n.pool.Push(p)
 	}
 }
@@ -293,16 +282,21 @@ func (n *dpNode) deliver(dep int, consumer [dpDims]int64, data []dpElem) {
 func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 	// Unpack received edges into the ghost shell.
 	tile, V := &p.Tile.at, w.V
-	for _, ed := range p.Tile.edges {
+	var unpacked int64
+	for dep, data := range p.Tile.edges {
+		if data == nil {
+			continue
+		}
 		var prod [dpDims]int64
 		for k := 0; k < dpDims; k++ {
-			prod[k] = tile[k] + dpTileDepOffsets[ed.dep][k]
+			prod[k] = tile[k] + dpTileDepOffsets[dep][k]
 		}
-		dpUnpackEdge(ed.dep, &prod, V, ed.data)
-		w.putBuf(ed.data)
+		dpUnpackEdge(dep, &prod, V, data)
+		w.bufs.Put(data)
+		p.Tile.edges[dep] = nil
+		unpacked++
 	}
-	n.liveEdges.Add(-int64(len(p.Tile.edges)))
-	p.Tile.edges = nil
+	n.liveEdges.Add(-unpacked)
 
 	cells, tmax := dpExecTile(tile, V)
 
@@ -328,9 +322,13 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 		if !dpTileInSpace(&consumer) {
 			continue
 		}
-		data := w.getBuf()
+		data, ok := w.bufs.Get(dpMaxEdgeCap)
+		if !ok {
+			w.bufsAlloc++
+			data = make([]dpElem, dpMaxEdgeCap)
+		}
 		data = data[:dpPackEdge(j, tile, V, data[:dpEdgeCap[j]:dpEdgeCap[j]])]
-		dst := g.owner[dpLBKeyOf(&consumer)]
+		dst := g.ownerOf(&consumer)
 		if dst == n.id {
 			n.deliver(j, consumer, data)
 			w.localEdges++
@@ -356,25 +354,28 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	owner, ownedTotal, initial, totalWork := dpBuildOwnership(nodes)
-	if len(initial) == 0 {
+	g := &dpGlobal{nodes: make([]*dpNode, nodes)}
+	if err := dpBuildOwnership(g); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if len(g.initial) == 0 {
 		fmt.Fprintln(os.Stderr, "no initial tiles: empty space or cyclic dependencies")
 		os.Exit(1)
 	}
-	g := &dpGlobal{owner: owner, nodes: make([]*dpNode, nodes)}
 	for i := range g.nodes {
 		g.nodes[i] = &dpNode{
 			id:      i,
-			pending: make(map[[dpDims]int64]*dpItem),
+			pending: NewTable[dpTile](g.slab, g.rest, g.expect),
 			pool:    NewPool[dpTile](threads, ColumnMajor),
 			inbox:   make(chan dpMsg, *flagRecvBufs),
 			slots:   make(chan struct{}, *flagSendBufs),
-			owned:   ownedTotal[i],
+			owned:   g.ownedTotal[i],
 			workers: make([]*dpWorker, threads),
 		}
 	}
-	for _, t := range initial {
-		n := g.nodes[owner[dpLBKeyOf(&t)]]
+	for _, t := range g.initial {
+		n := g.nodes[g.ownerOf(&t)]
 		n.pool.Push(n.newItem(t))
 	}
 	initSecs := time.Since(start).Seconds()
@@ -424,7 +425,7 @@ func main() {
 	fmt.Printf("problem %s\n", dpProblemName)
 	fmt.Printf("value %.17g\n", float64(g.goalVal))
 	fmt.Printf("max %.17g\n", float64(all.maxVal))
-	fmt.Printf("locations %d\n", totalWork)
+	fmt.Printf("locations %d\n", g.totalWork)
 	fmt.Printf("init_seconds %.6f\n", initSecs)
 	fmt.Printf("total_seconds %.6f\n", elapsed)
 	if *flagStats {

@@ -18,7 +18,7 @@
 //
 //	magic | rank nodes d nd | nparams params | ownedTotal executed |
 //	flags goalVal maxVal | nkeys executedKeys (ascending slot keys,
-//	pageLayout) | records | fnv1a(everything above)
+//	balance.Layout) | records | fnv1a(everything above)
 
 package engine
 
@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"dpgen/internal/balance"
 	"dpgen/internal/obs"
 	"dpgen/internal/tiling"
 )
@@ -216,17 +217,17 @@ func decodeCheckpoint(blob []byte, run *checkpoint, tileDeps int) (*checkpoint, 
 // check vets a decoded checkpoint before it touches the table: the
 // executed count is the number of keys and at most the owned tiles, the
 // keys ascend within the tile box and every record names a real tile.
-func (ck *checkpoint) check(l *pageLayout, probe *tiling.TileProbe) error {
+func (ck *checkpoint) check(l *balance.Layout, probe *tiling.TileProbe) error {
 	if ck.executed != int64(len(ck.executedKeys)) || ck.executed > ck.ownedTotal {
 		return fmt.Errorf("%d tiles executed with %d keys of %d owned tiles", ck.executed, len(ck.executedKeys), ck.ownedTotal)
 	}
-	slots := l.slab.Len() * l.rest.Len()
+	slots := l.Slab.Len() * l.Rest.Len()
 	for i, k := range ck.executedKeys {
 		if k >= slots || (i > 0 && k <= ck.executedKeys[i-1]) {
 			return fmt.Errorf("executed key %d out of order or outside the %d-slot tile box", k, slots)
 		}
 	}
-	return l.checkRecords(ck.tiles, probe)
+	return checkRecords(l, ck.tiles, probe)
 }
 
 // loadResume reads the node's checkpoint (if any) and restores the

@@ -318,7 +318,7 @@ func decodeMigration(blob []byte, d, ndeps int) ([]ckptTile, error) {
 func (n *node) applyMigration(data []float64, lane *obs.Lane, ds *delivState) {
 	recs, err := decodeMigration(floatsToBlob(data), len(n.tl.Spec.Vars), len(n.tl.TileDeps))
 	if err == nil {
-		err = n.prep.layout.checkRecords(recs, ds.probe)
+		err = checkRecords(n.prep.layout, recs, ds.probe)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("engine: rank %d: %v", n.id, err))

@@ -11,11 +11,10 @@
 // goroutine groups over one in-process mpi.Comm or processes over
 // dpgen/internal/mpi/tcp, and they meet only through edges and a closing
 // collective. Each node owns a set of tiles and schedules them by per-tile
-// dependence counting: a tile waits in the pending table's page for its
-// slab (live.go) until its last edge arrives, then lands in its home shard
-// of the shared ready pool
-// (dpgen/internal/sched, the scheduler generated programs run too),
-// ordered by the Figure 5 priority. Worker goroutines loop popping
+// dependence counting: a tile waits in its slab's page of the pending
+// table (live.go) until its last edge arrives, then lands in its home
+// shard of the ready pool, ordered by the Figure 5 priority — table and
+// pool both dpgen/internal/sched's, which generated programs run too. Worker goroutines loop popping
 // their own shard's best tile, stealing from other shards when empty,
 // then unpack the tile's edges into a per-worker buffer with a
 // ghost-cell shell, run the user kernel over the tile's cells in

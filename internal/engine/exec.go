@@ -162,9 +162,9 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 	}
 	copy(p.Tile.coord, consumer)
 	if p.Tile.core = n.rows != nil && ds.probe.Core(p.Tile.coord); p.Tile.core {
-		p.Tile.remaining.Store(int64(len(n.tl.TileDeps)))
+		p.Missing.Store(int64(len(n.tl.TileDeps)))
 	} else {
-		p.Tile.remaining.Store(int64(ds.probe.DepCount(p.Tile.coord)))
+		p.Missing.Store(int64(ds.probe.DepCount(p.Tile.coord)))
 	}
 	n.tl.PriorityKey(p.Tile.coord, p.Key)
 	p.Level = n.tl.TileLevel(p.Tile.coord)
@@ -233,7 +233,7 @@ type workerState struct {
 	shapes   *tiling.ShapeReader
 	probe    *tiling.TileProbe
 	ds       delivState
-	bufs     edgeBufs
+	bufs     sched.Bufs[float64]
 	max      *cellMax
 	lane     *obs.Lane // trace timeline; nil when untraced
 	lenRuns  int64     // offers cut by ShapeReader.LenRun, for the tests' pins
@@ -256,10 +256,7 @@ func (n *node) newWorkerState(slot int) *workerState {
 	w.ds = delivState{probe: w.probe}
 	// A tile unpacks and packs at most one edge per tile dependence, so
 	// twice that many buffers ride out any alternation of the two.
-	w.bufs.free = make([][]float64, 0, 2*len(n.tl.TileDeps))
-	for _, sz := range n.tl.InteriorEdgeSize {
-		w.bufs.size = max(w.bufs.size, int(sz))
-	}
+	w.bufs = sched.NewBufs[float64](2*len(n.tl.TileDeps), int(slices.Max(append([]int64{0}, n.tl.InteriorEdgeSize...))))
 	copy(w.specVals, n.prep.params)
 	nd := len(n.tl.Spec.Deps)
 	in := n.tl.Dense[d-1]
@@ -426,7 +423,10 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		if !p.Tile.core && !w.probe.InSpace(consumer) {
 			continue
 		}
-		data := w.bufs.get(int(tl.InteriorEdgeSize[j]))
+		data, ok := w.bufs.Get(int(tl.InteriorEdgeSize[j]))
+		if !ok {
+			data = mpi.GetData(w.bufs.Size())[:tl.InteriorEdgeSize[j]]
+		}
 		switch {
 		case interior:
 			tl.PackInterior(j, w.buf, data)

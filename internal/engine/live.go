@@ -5,15 +5,10 @@
 // checkpointing, resume (checkpoint.go) and elastic migration
 // (elastic.go) are its callers.
 //
-// Tiles sit in pages, one per load-balancing slab that has any: a page
-// is an array of entry slots over the box every slab's tiles lie in, so
-// a tile's slot is found by two integer keys (pageLayout) with no
-// hashing. A plain run takes no lock per edge: the first delivery for a
-// tile installs its entry by compare-and-swap, each edge fills its own
-// dependence's slot of the entry, and the delivery that counts the last
-// one down empties the slot and hands the tile on. Once every entry a
-// slab will ever hold has completed, its page goes to a free list for the
-// next slab, so pages live only while their slab is in flight.
+// The table is sched.Table, one page per load-balancing slab in flight
+// (balance.Layout); a plain run delivers through its lock-free
+// countdown. This file keeps the engine's own: the tracking regime over
+// the slots and the record codec.
 //
 // On a tracking run (fault tolerance or elastic membership) a slot is
 // the tile's whole state — nil, an entry still counting edges (pending),
@@ -51,9 +46,9 @@ import (
 )
 
 // pendTile is a tile known to a node: pending (waiting on dependence
-// edges) and then queued for execution. The scheduling header (priority
-// key, wavefront level, arrival order, home shard) is the shared
-// scheduler's.
+// edges) and then queued for execution. The header (priority key,
+// wavefront level, arrival order, home shard, missing-edge count) is the
+// shared runtime's.
 type pendTile = sched.Item[tileState]
 
 // executedTile fills a retired tile's slot on a tracking run.
@@ -63,10 +58,6 @@ var executedTile = new(pendTile)
 // hands over a non-nil edge slice, an empty edge's included.
 type tileState struct {
 	coord []int64 // tile index, Vars order
-	// remaining counts the dependence edges still missing. Deliveries
-	// count it down without a lock: the one that reaches zero is ordered
-	// after every other's edge, and makes the tile ready.
-	remaining atomic.Int64
 	// core is tiling.TileProbe.Core's answer, taken when the entry is
 	// built: the tile is interior and every producer and consumer tile
 	// exists, so nothing further is asked of the polytope about it.
@@ -91,112 +82,32 @@ func (s *tileState) nedges() (n int) {
 	return n
 }
 
-// edgeBufs is a worker's free stack of edge buffers: what a tile
-// unpacked is what it next packs into, so on a steady wavefront the
-// buffers cycle on their worker and the shared pool (two sync.Pool
-// operations per Get or Put) sees only the imbalance — underflow, and
-// overflow past the stack's fixed capacity. Every buffer it hands out has
-// the capacity of the run's largest edge slab, so any of them serves any
-// edge. A nil *edgeBufs is the pool alone.
-type edgeBufs struct {
-	free [][]float64
-	size int // capacity every buffer handed out has at least
-}
-
-// get returns a buffer of length n <= size with unspecified contents.
-func (b *edgeBufs) get(n int) []float64 {
-	if l := len(b.free); l > 0 {
-		s := b.free[l-1]
-		b.free[l-1] = nil
-		b.free = b.free[:l-1]
-		return s[:n]
-	}
-	return mpi.GetData(b.size)[:n]
-}
-
-// put recycles a buffer no longer in use. One too small to serve every
-// edge (a received message's, a checkpoint record's) goes to the pool.
-func (b *edgeBufs) put(s []float64) {
-	if b == nil || len(b.free) == cap(b.free) || cap(s) < b.size {
-		mpi.PutData(s)
-		return
-	}
-	b.free = append(b.free, s)
-}
-
-// releaseEdges recycles a tile's edge buffers through bufs and reports
+// releaseEdges recycles a tile's edge buffers through the worker's free
+// stack bufs — what it cannot keep (it is full or nil, or the buffer is
+// too small to serve every edge) goes to the shared pool — and reports
 // how many edges and elements that freed.
-func releaseEdges(p *pendTile, bufs *edgeBufs) (edges, elems int64) {
+func releaseEdges(p *pendTile, bufs *sched.Bufs[float64]) (edges, elems int64) {
 	for i, ed := range p.Tile.edges {
 		if ed.data != nil {
 			edges++
 			elems += int64(len(ed.data))
-			bufs.put(ed.data)
+			if !bufs.Put(ed.data) {
+				mpi.PutData(ed.data)
+			}
 		}
 		p.Tile.edges[i] = edge{}
 	}
 	return edges, elems
 }
 
-// pageLayout places one prepared instance's tiles in the pending table:
-// the slab key picks a tile's page and the rest key its slot in the
-// page; slab key × rest.Len() + rest key names a tile in checkpoints.
-// expect holds, per slab key, the entries a plain run's page for that
-// slab sees: the slab's tiles less its initial ones, which no edge
-// announces. It is computed at Prepare and shared by every run.
-type pageLayout struct {
-	slab, rest *tiling.TileKey
-	expect     []int64
-}
-
-// newPageLayout lays out the pending table of the instance a balances.
-func newPageLayout(tl *tiling.Tiling, params []int64, a *balance.Assignment) (*pageLayout, error) {
-	l := &pageLayout{}
-	var err error
-	if l.slab, err = tl.NewLBKey(params); err != nil {
-		return nil, err
-	}
-	if l.rest, err = tl.NewRestKey(params); err != nil {
-		return nil, err
-	}
-	if _, err = tl.NewTileKey(params); err != nil { // slab × rest keys must fit one word
-		return nil, err
-	}
-	l.expect = make([]int64, l.slab.Len())
-	for _, s := range a.Slabs() {
-		l.expect[l.slab.OfLB(s.LB)] = s.Tiles
-	}
-	for _, t := range a.Initial {
-		k, _ := l.slab.Of(t)
-		l.expect[k]--
-	}
-	return l, nil
-}
-
-// page is one slab's entry slots, indexed by rest key. On a plain run
-// left counts down, from the slab's expected count, the entries it has
-// yet to complete; the page is recycled at zero.
-type page struct {
-	slots []atomic.Pointer[pendTile]
-	left  atomic.Int64
-	next  *page // free list
-}
-
 // liveTable is a node's dynamic tile state. Its methods are the only
-// code that touches the pages below. A tracking run takes mu for every
+// code that touches the table's slots. A tracking run takes mu for every
 // change to a slot. Lock order where several locks are held: mu →
-// shard.mu → node.mu (the reverse never occurs); pageMu is a leaf. A
-// plain run takes pageMu twice per slab and no lock per edge.
+// shard.mu → node.mu (the reverse never occurs); the table's page lock is
+// a leaf. A plain run takes the page lock twice per slab and no lock per
+// edge.
 type liveTable struct {
-	layout *pageLayout
-	pages  []atomic.Pointer[page] // by slab key; nil where the slab holds no entry
-
-	// pageMu guards taking and recycling pages: the free list and the
-	// count of pages allocated, which is the most ever live at once —
-	// one is allocated only when none is free.
-	pageMu    sync.Mutex
-	free      *page
-	allocated int
+	tab *sched.Table[tileState]
 
 	// entries counts the pending entries: each delivery scratch adds the
 	// entries it installed less those it completed when it is flushed.
@@ -214,46 +125,8 @@ type liveTable struct {
 
 // newLiveTable builds a node's table over layout; track selects the
 // tracking regime.
-func newLiveTable(layout *pageLayout, track bool, newTile func(*delivState, []int64) *pendTile) *liveTable {
-	return &liveTable{layout: layout, pages: make([]atomic.Pointer[page], layout.slab.Len()), track: track, newTile: newTile}
-}
-
-// page returns the page of slab key sk, taking one — off the free list
-// when one is there — if the slab has none.
-func (lt *liveTable) page(sk uint64) *page {
-	if pg := lt.pages[sk].Load(); pg != nil {
-		return pg
-	}
-	lt.pageMu.Lock()
-	defer lt.pageMu.Unlock()
-	pg := lt.pages[sk].Load()
-	if pg != nil {
-		return pg
-	}
-	if pg = lt.free; pg != nil {
-		lt.free, pg.next = pg.next, nil
-	} else {
-		pg = &page{slots: make([]atomic.Pointer[pendTile], lt.layout.rest.Len())}
-		lt.allocated++
-	}
-	pg.left.Store(lt.layout.expect[sk])
-	lt.pages[sk].Store(pg)
-	return pg
-}
-
-// drop counts one completed entry out of a plain run's page pg of slab
-// key sk, its slot already emptied, and recycles the page once its slab
-// has completed every expected entry: each edge arrives once, and a
-// tile's deliverers are done with the page before its last edge
-// completes it.
-func (lt *liveTable) drop(sk uint64, pg *page) {
-	if pg.left.Add(-1) != 0 {
-		return
-	}
-	lt.pageMu.Lock()
-	lt.pages[sk].Store(nil)
-	pg.next, lt.free = lt.free, pg
-	lt.pageMu.Unlock()
+func newLiveTable(layout *balance.Layout, track bool, newTile func(*delivState, []int64) *pendTile) *liveTable {
+	return &liveTable{tab: sched.NewTable[tileState](layout.Slab, layout.Rest, layout.Expect), track: track, newTile: newTile}
 }
 
 // publish adds ds's entries installed less completed to the table's
@@ -267,20 +140,6 @@ func (lt *liveTable) publish(ds *delivState) int64 {
 	return n
 }
 
-// keys returns a tile's slab and rest keys. Every tile the runtime names
-// is inside the tile bounds (checkRecords vets decoded ones).
-func (lt *liveTable) keys(t []int64) (slab, rest uint64) {
-	slab, _ = lt.layout.slab.Of(t)
-	rest, _ = lt.layout.rest.Of(t)
-	return slab, rest
-}
-
-// slot returns a tracking run's slot of tile t; mu held.
-func (lt *liveTable) slot(t []int64) *atomic.Pointer[pendTile] {
-	sk, rk := lt.keys(t)
-	return &lt.page(sk).slots[rk]
-}
-
 // addEdge buffers one dependence edge for a consumer tile. It returns the
 // tile when this edge completed its dependences (the caller enqueues
 // it), and dup when the duplicate filter dropped the edge (the caller
@@ -290,22 +149,25 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []f
 	if lt.track {
 		return lt.addEdgeTracked(ds, consumer, dep, data)
 	}
-	sk, rk := lt.keys(consumer)
-	pg := lt.page(sk)
-	slot := &pg.slots[rk]
+	pg, slot := lt.tab.Lookup(consumer)
 	p := slot.Load()
 	if p == nil {
 		// First edge for this tile. If another deliverer installs an entry
 		// first, this one is the next spare.
 		fresh := lt.newTile(ds, consumer)
-		if slot.CompareAndSwap(nil, fresh) {
-			p = fresh
+		var installed bool
+		if p, installed = lt.tab.Install(slot, fresh); installed {
 			ds.entries++
 		} else {
-			ds.spare, p = fresh, slot.Load()
+			ds.spare = fresh
 		}
 	}
-	return lt.put(ds, sk, pg, slot, p, dep, data), false
+	p.Tile.edges[dep] = edge{dep: dep, data: data}
+	if !lt.tab.Arrive(pg, slot, p) {
+		return nil, false
+	}
+	ds.entries--
+	return p, false
 }
 
 // addEdgeTracked is addEdge on a tracking run: the same steps under mu,
@@ -314,36 +176,23 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []f
 func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	slot := lt.slot(consumer)
+	_, slot := lt.tab.Lookup(consumer)
 	p := slot.Load()
 	switch {
 	case p == nil:
 		p = lt.newTile(ds, consumer)
 		slot.Store(p)
 		ds.entries++
-	case p == executedTile || p.Tile.remaining.Load() == 0 || p.Tile.edges[dep].data != nil:
+	case p == executedTile || p.Missing.Load() == 0 || p.Tile.edges[dep].data != nil:
 		lt.dups++
 		return nil, true
 	}
 	p.Tile.edges[dep] = edge{dep: dep, data: data}
-	if p.Tile.remaining.Add(-1) != 0 {
+	if p.Missing.Add(-1) != 0 {
 		return nil, false
 	}
 	ds.entries--
 	return p, false
-}
-
-// put files an edge in entry p, held in slot of slab key sk's page pg,
-// and returns p, its slot emptied, if that was its last missing edge.
-func (lt *liveTable) put(ds *delivState, sk uint64, pg *page, slot *atomic.Pointer[pendTile], p *pendTile, dep int, data []float64) *pendTile {
-	p.Tile.edges[dep] = edge{dep: dep, data: data}
-	if p.Tile.remaining.Add(-1) != 0 {
-		return nil
-	}
-	slot.Store(nil)
-	ds.entries--
-	lt.drop(sk, pg)
-	return p
 }
 
 // seed admits a tile with no producers (an initial tile, which no edge
@@ -355,7 +204,7 @@ func (lt *liveTable) seed(p *pendTile) bool {
 	}
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	slot := lt.slot(p.Tile.coord)
+	_, slot := lt.tab.Lookup(p.Tile.coord)
 	if slot.Load() != nil {
 		return false
 	}
@@ -392,7 +241,8 @@ func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 		return
 	}
 	lt.mu.Lock()
-	lt.slot(p.Tile.coord).Store(executedTile)
+	_, slot := lt.tab.Lookup(p.Tile.coord)
+	slot.Store(executedTile)
 	fold.merge(tile)
 	lt.mu.Unlock()
 }
@@ -400,12 +250,12 @@ func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 // eachSlot calls f on every filled slot of a tracking table, mu held,
 // with the slot's checkpoint key: slab key × rest.Len() + rest key.
 func (lt *liveTable) eachSlot(f func(key uint64, slot *atomic.Pointer[pendTile], p *pendTile)) {
-	n := lt.layout.rest.Len()
-	for sk := range lt.pages {
-		if pg := lt.pages[sk].Load(); pg != nil {
-			for rk := range pg.slots {
-				if p := pg.slots[rk].Load(); p != nil {
-					f(uint64(sk)*n+uint64(rk), &pg.slots[rk], p)
+	n := lt.tab.RestKey.Len()
+	for sk := uint64(0); sk < lt.tab.PageKey.Len(); sk++ {
+		if pg := lt.tab.Loaded(sk); pg != nil {
+			for rk := range pg.Slots {
+				if p := pg.Slots[rk].Load(); p != nil {
+					f(sk*n+uint64(rk), &pg.Slots[rk], p)
 				}
 			}
 		}
@@ -426,7 +276,7 @@ func (lt *liveTable) extract(self int, owner func(tile []int64) int) (out map[in
 		}
 		if o := owner(p.Tile.coord); o != self {
 			slot.Store(nil)
-			if p.Tile.remaining.Load() == 0 {
+			if p.Missing.Load() == 0 {
 				queued[p] = true
 			} else {
 				lt.entries.Add(-1)
@@ -468,9 +318,9 @@ func (lt *liveTable) snapshot(b []byte) []byte {
 // restoreExecuted reinstates a checkpoint's executed keys, checked
 // against the layout first. Runs before any worker or receiver exists.
 func (lt *liveTable) restoreExecuted(keys []uint64) {
-	n := lt.layout.rest.Len()
+	n := lt.tab.RestKey.Len()
 	for _, k := range keys {
-		lt.page(k / n).slots[k%n].Store(executedTile)
+		lt.tab.Take(k / n).Slots[k%n].Store(executedTile)
 	}
 }
 
@@ -481,9 +331,9 @@ func (lt *liveTable) executedPerSlab(slabs []balance.Slab) []int64 {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	for i, s := range slabs {
-		if pg := lt.pages[lt.layout.slab.OfLB(s.LB)].Load(); pg != nil {
-			for rk := range pg.slots {
-				if pg.slots[rk].Load() == executedTile {
+		if pg := lt.tab.Loaded(lt.tab.PageKey.OfLB(s.LB)); pg != nil {
+			for rk := range pg.Slots {
+				if pg.Slots[rk].Load() == executedTile {
 					counts[i]++
 				}
 			}
@@ -561,10 +411,10 @@ func readRecords(r *blobReader, d, ndeps int) []ckptTile {
 
 // checkRecords rejects a decoded record whose tile lies outside the tile
 // box, where it has no slot, or outside the iteration space.
-func (l *pageLayout) checkRecords(recs []ckptTile, probe *tiling.TileProbe) error {
+func checkRecords(l *balance.Layout, recs []ckptTile, probe *tiling.TileProbe) error {
 	for _, t := range recs {
-		_, inSlab := l.slab.Of(t.tile)
-		_, inRest := l.rest.Of(t.tile)
+		_, inSlab := l.Slab.Of(t.tile)
+		_, inRest := l.Rest.Of(t.tile)
 		if !inSlab || !inRest || !probe.InSpace(t.tile) {
 			return fmt.Errorf("engine: record names tile %v outside the tile space", t.tile)
 		}

@@ -15,8 +15,8 @@ import (
 // TestLiveTableStress delivers every edge of knap's quick instance into
 // one node's table from four goroutines at once, in a shuffled order:
 // each tile must come back ready exactly once, holding exactly the edges
-// addressed to it. A plain table must end with no entry and every page
-// back on its free list. A tracking table gets every edge twice — the
+// addressed to it. A plain table must end with no entry and no page
+// held (sched's TestTableStress checks the free list itself). A tracking table gets every edge twice — the
 // second delivery a duplicate, a zero-length edge's included — and once
 // every tile retires, each slot holds executedTile, a third pass is all
 // duplicates and the per-slab census counts every slab's tiles.
@@ -140,24 +140,17 @@ func TestLiveTableStress(t *testing.T) {
 		if n := lt.entries.Load(); n != 0 {
 			t.Errorf("%d entries left in the table", n)
 		}
-		t.Logf("%d edges, %d tiles, %d pages", len(edges), len(ready), lt.allocated)
+		t.Logf("%d edges, %d tiles, %d pages", len(edges), len(ready), lt.tab.Allocated())
 	}
 
 	t.Run("plain", func(t *testing.T) {
 		lt := n.live
 		ready, wrong := deliver(lt, 1)
 		check(t, lt, ready, wrong)
-		free := 0
-		for pg := lt.free; pg != nil; pg = pg.next {
-			free++
-		}
-		for sk := range lt.pages {
-			if lt.pages[sk].Load() != nil {
+		for sk := uint64(0); sk < lt.tab.PageKey.Len(); sk++ {
+			if lt.tab.Loaded(sk) != nil {
 				t.Errorf("slab key %d still holds a page", sk)
 			}
-		}
-		if free != lt.allocated {
-			t.Errorf("%d of %d pages on the free list", free, lt.allocated)
 		}
 	})
 
@@ -184,8 +177,8 @@ func TestLiveTableStress(t *testing.T) {
 		tiles := 0
 		tl.ForEachTile(params, func(tt []int64) bool {
 			tiles++
-			if lt.slot(tt).Load() != executedTile {
-				t.Fatalf("retired tile %v holds %p in its slot", tt, lt.slot(tt).Load())
+			if _, slot := lt.tab.Lookup(tt); slot.Load() != executedTile {
+				t.Fatalf("retired tile %v holds %p in its slot", tt, slot.Load())
 			}
 			return true
 		})
@@ -234,11 +227,12 @@ func TestPendingPagesPeak(t *testing.T) {
 		n, _, step := serialWorker(t, tc.tl, tc.params)
 		for step() {
 		}
-		lt := n.live
-		t.Logf("%s: %d tiles, %d pages of %d slots for %d slabs", tc.name, n.executed, lt.allocated, lt.layout.rest.Len(), len(lt.pages))
-		if n.executed != tc.tiles || lt.allocated != tc.pages || len(lt.pages) != tc.slabs || lt.layout.rest.Len() != uint64(tc.slots) {
+		tab := n.live.tab
+		pages, slots, slabs := tab.Allocated(), tab.RestKey.Len(), int(tab.PageKey.Len())
+		t.Logf("%s: %d tiles, %d pages of %d slots for %d slabs", tc.name, n.executed, pages, slots, slabs)
+		if n.executed != tc.tiles || pages != tc.pages || slabs != tc.slabs || slots != uint64(tc.slots) {
 			t.Errorf("%s: %d tiles, %d pages of %d slots for %d slabs; want %d, %d, %d, %d", tc.name,
-				n.executed, lt.allocated, lt.layout.rest.Len(), len(lt.pages), tc.tiles, tc.pages, tc.slots, tc.slabs)
+				n.executed, pages, slots, slabs, tc.tiles, tc.pages, tc.slots, tc.slabs)
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Prepared struct {
 	// assign carries the owned-tile totals and the initial tiles too.
 	assign *balance.Assignment
 	rows   *tiling.RowPlan
-	layout *pageLayout
+	layout *balance.Layout
 	// The dependence geometry at these parameters: the template base
 	// offsets and range steps (variable-distance templates make them
 	// parameter-dependent), and per tile dependence whether its offset is
@@ -80,7 +80,7 @@ func prepare(tl *tiling.Tiling, params []int64, nodes int, members []int, method
 	if err != nil {
 		return nil, err
 	}
-	layout, err := newPageLayout(tl, params, assign)
+	layout, err := balance.NewLayout(tl, params, assign)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -153,9 +153,11 @@ func TestEdgeBufsSteadyState(t *testing.T) {
 		for i := 0; i < 2000; i++ { // past the first tile rows, where the live set still grows
 			step()
 		}
-		if len(w.bufs.free) == 0 {
+		s, ok := w.bufs.Get(0)
+		if !ok {
 			t.Fatalf("%s: no edge buffer reached the worker's free stack", tc.name)
 		}
+		w.bufs.Put(s)
 		if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
 			t.Errorf("%s: %v allocations per steady-state tile, want 0", tc.name, allocs)
 		}
@@ -165,23 +167,24 @@ func TestEdgeBufsSteadyState(t *testing.T) {
 		for i := 2001 + 1000; i < tc.reuse; i++ {
 			step()
 		}
-		had := make([]bool, len(n.live.pages))
+		tab := n.live.tab
+		had := make([]bool, tab.PageKey.Len())
 		for sk := range had {
-			had[sk] = n.live.pages[sk].Load() != nil
+			had[sk] = tab.Loaded(uint64(sk)) != nil
 		}
-		allocated, taken := n.live.allocated, 0
+		allocated, taken := tab.Allocated(), 0
 		allocs := testing.AllocsPerRun(1000, func() {
 			step()
 			for sk := range had {
-				if !had[sk] && n.live.pages[sk].Load() != nil {
+				if !had[sk] && tab.Loaded(uint64(sk)) != nil {
 					had[sk] = true
 					taken++
 				}
 			}
 		})
-		if allocs != 0 || taken == 0 || n.live.allocated != allocated {
+		if allocs != 0 || taken == 0 || tab.Allocated() != allocated {
 			t.Errorf("%s: %v allocations per tile while %d slabs took pages, %d of them new; want 0, some, 0",
-				tc.name, allocs, taken, n.live.allocated-allocated)
+				tc.name, allocs, taken, tab.Allocated()-allocated)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package sched
 
+import "sync/atomic"
+
 // Priority selects the order in which ready tiles are executed
 // (Section V-B, Figures 4 and 5). The choice does not affect results,
 // only memory-buffering behaviour and parallelism.
@@ -39,7 +41,10 @@ type Item[T any] struct {
 	Level int64   // wavefront level: the LevelSet order
 	Seq   int64   // arrival order, assigned by Pool.Push: the FIFO order and every policy's tie-break
 	Shard int     // worker queue it lands in: Pool.Home of the tile's coordinates
-	Tile  T       // the runtime's per-tile state
+	// Missing counts the dependence edges not yet delivered: Table.Arrive
+	// counts it down, and the tile is ready at zero.
+	Missing atomic.Int64
+	Tile    T // the runtime's per-tile state
 }
 
 // Heap is a binary min-heap of ready items under one Priority. Seq makes

@@ -207,7 +207,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSources: the embedded set is the scheduler and nothing else.
+// TestSources: the embedded set is the package and nothing else.
 func TestSources(t *testing.T) {
 	var names []string
 	for _, s := range Sources() {
@@ -216,7 +216,7 @@ func TestSources(t *testing.T) {
 			t.Errorf("%s is empty", s.Name)
 		}
 	}
-	if want := []string{"heap.go", "pool.go"}; !slices.Equal(names, want) {
+	if want := []string{"heap.go", "key.go", "pool.go", "table.go"}; !slices.Equal(names, want) {
 		t.Errorf("embedded files %v, want %v", names, want)
 	}
 }

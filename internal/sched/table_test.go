@@ -1,0 +1,184 @@
+package sched
+
+import (
+	"math/bits"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// TestTableStress delivers every edge of a tile set into one table from
+// four goroutines at once, in a shuffled order: each entry must come
+// back ready exactly once, holding exactly the edges addressed to it, and
+// every page must end on the free list, no more of them allocated than
+// there are page keys. The tiles are a 3-D simplex cut from a box; a
+// tile's page is its first coordinate, its slot the other two, and each
+// of its three neighbours below is a producer.
+func TestTableStress(t *testing.T) {
+	const (
+		workers = 4
+		side    = 14
+	)
+	offsets := [][3]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	in := func(c []int64) bool {
+		return c[0] >= 0 && c[1] >= 0 && c[2] >= 0 && c[0]+c[1]+c[2] < side
+	}
+	lo, hi := []int64{0, 0, 0}, []int64{side - 1, side - 1, side - 1}
+	pageKey, err := NewKey([]int{0}, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restKey, err := NewKey([]int{1, 2}, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tileKey, err := NewKey([]int{0, 1, 2}, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every (consumer, dependence) edge; per tile the dependences
+	// addressed to it; per page key the tiles with any.
+	type delivery struct {
+		consumer []int64
+		dep      int
+	}
+	var edges []delivery
+	want := make([]uint8, tileKey.Len())
+	expect := make([]int64, pageKey.Len())
+	for i := int64(0); i < side; i++ {
+		for j := int64(0); j < side; j++ {
+			for k := int64(0); k < side; k++ {
+				c := []int64{i, j, k}
+				if !in(c) {
+					continue
+				}
+				tk, _ := tileKey.Of(c)
+				for d, off := range offsets {
+					if in([]int64{i - off[0], j - off[1], k - off[2]}) {
+						edges = append(edges, delivery{c, d})
+						want[tk] |= 1 << d
+					}
+				}
+				if want[tk] != 0 {
+					expect[i]++
+				}
+			}
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+	name := func(c []int64, dep int) int64 {
+		k, _ := tileKey.Of(c)
+		return int64(k)*3 + int64(dep) + 1
+	}
+
+	// The payload holds the tile and one named slot per dependence.
+	type tile struct {
+		at    []int64
+		edges [3]int64
+	}
+	tab := NewTable[tile](pageKey, restKey, expect)
+	times := make([]int, tileKey.Len())
+	var mu sync.Mutex
+	var wrong int
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var spare *Item[tile]
+			for i := g; i < len(edges); i += workers {
+				d := edges[i]
+				pg, slot := tab.Lookup(d.consumer)
+				p := slot.Load()
+				if p == nil {
+					fresh := spare
+					if fresh == nil {
+						fresh = new(Item[tile])
+					}
+					spare = nil
+					fresh.Tile = tile{at: d.consumer}
+					tk, _ := tileKey.Of(d.consumer)
+					fresh.Missing.Store(int64(bits.OnesCount8(want[tk])))
+					var used bool
+					if p, used = tab.Install(slot, fresh); !used {
+						spare = fresh
+					}
+				}
+				p.Tile.edges[d.dep] = name(d.consumer, d.dep)
+				if !tab.Arrive(pg, slot, p) {
+					continue
+				}
+				tk, _ := tileKey.Of(p.Tile.at)
+				bad := p.Missing.Load() != 0
+				for dep, v := range p.Tile.edges {
+					if has := want[tk]&(1<<dep) != 0; has != (v == name(p.Tile.at, dep)) || !has && v != 0 {
+						bad = true
+					}
+				}
+				mu.Lock()
+				times[tk]++
+				if bad {
+					wrong++
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if wrong > 0 {
+		t.Errorf("%d ready entries with edges missing or misfiled", wrong)
+	}
+	for k := range want {
+		once := 0 // a tile no edge addresses is initial: never ready here
+		if want[k] != 0 {
+			once = 1
+		}
+		if times[k] != once {
+			t.Fatalf("tile key %d with dependences %03b came back ready %d times", k, want[k], times[k])
+		}
+	}
+	free := 0
+	for pg := tab.free; pg != nil; pg = pg.next {
+		free++
+		for rk := range pg.Slots {
+			if pg.Slots[rk].Load() != nil {
+				t.Errorf("a free page holds an entry at rest key %d", rk)
+			}
+		}
+	}
+	for pk := range tab.pages {
+		if tab.Loaded(uint64(pk)) != nil {
+			t.Errorf("page key %d still holds a page", pk)
+		}
+	}
+	if n := tab.Allocated(); free != n || n > int(pageKey.Len()) || n == 0 {
+		t.Errorf("%d of %d pages on the free list, %d page keys", free, n, pageKey.Len())
+	}
+	t.Logf("%d edges, %d pages for %d page keys", len(edges), tab.Allocated(), pageKey.Len())
+}
+
+// TestBufs: the stack is LIFO over a fixed capacity, keeps only buffers
+// big enough for every edge, and a nil stack keeps nothing.
+func TestBufs(t *testing.T) {
+	b := NewBufs[int](2, 4)
+	if _, ok := b.Get(1); ok {
+		t.Fatal("an empty stack handed out a buffer")
+	}
+	x, y, z := make([]int, 4), make([]int, 6), make([]int, 4)
+	if !b.Put(x) || !b.Put(y) || b.Put(z) || len(b.free) != 2 {
+		t.Fatalf("pushes past capacity: %d held", len(b.free))
+	}
+	b.Get(0)
+	if b.Put(make([]int, 3)) {
+		t.Error("kept a buffer smaller than every edge")
+	}
+	if s, ok := b.Get(3); !ok || len(s) != 3 || &s[0] != &x[0] {
+		t.Errorf("Get(3) = %v, %v: want the first buffer, resliced", s, ok)
+	}
+	var none *Bufs[int]
+	if none.Put(x) {
+		t.Error("a nil stack kept a buffer")
+	}
+}

@@ -15,6 +15,7 @@ package simsched
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"dpgen/internal/balance"
@@ -124,10 +125,9 @@ func (r *Result) Speedup() float64 { return r.SerialWork / r.Makespan }
 type simTile = sched.Item[simState]
 
 type simState struct {
-	tile      []int64
-	remaining int
-	inElems   int64   // received edge elements (unpack cost)
-	out       []int64 // per tile dependence, the elements it packs (tileCost)
+	tile    []int64
+	inElems int64   // received edge elements (unpack cost)
+	out     []int64 // per tile dependence, the elements it packs (tileCost)
 
 	// Tracing state (only maintained when a Tracer is attached).
 	core  int   // simulated core the tile ran on
@@ -140,7 +140,8 @@ type event struct {
 	seq  int64
 	kind int // 0 = tile finish, 1 = message arrival, 2 = blocked core freed
 	node int
-	tile *simTile // finish: the finished tile; arrival: the consumer
+	tile *simTile // finish: the finished tile
+	to   []int64  // arrival: the consumer tile
 	dep  int      // arrival: tile dependence index
 	data int64    // arrival: element count
 	core int      // blocked-core-freed: which core (tracing only)
@@ -165,7 +166,7 @@ func (h *eventHeap) empty() bool      { return h.Len() == 0 }
 // simNode is the per-node simulator state.
 type simNode struct {
 	ready     sched.Heap[simState]
-	pending   map[uint64]*simTile
+	table     *sched.Table[simState] // pending tiles, the engine's layout
 	freeCores int
 	busy      float64
 	seq       int64
@@ -203,15 +204,15 @@ type sim struct {
 	nodes  []*simNode
 	events eventHeap
 	eseq   int64
-	key    *tiling.TileKey
 	now    float64
 	res    Result
 }
 
 // Simulate runs the model to completion. It builds the engine's set-up
-// (engine.Prepare: the bound row plan and the balance whose one pass
-// over the tiles counts ownership, finds the initial tiles and fills the
-// plan's shape table) and reads every tile's cells and edges from it.
+// (engine.Prepare: the bound row plan, the balance whose one pass over
+// the tiles counts ownership, finds the initial tiles and fills the
+// plan's shape table, and the pending table's layout) and reads every
+// tile's cells and edges from it.
 func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	rows := tl.BindRows(params)
@@ -219,11 +220,11 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, err := tl.NewTileKey(params)
+	layout, err := balance.NewLayout(tl, params, assign)
 	if err != nil {
 		return nil, fmt.Errorf("simsched: %w", err)
 	}
-	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign, key: key,
+	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign,
 		probe: tl.NewProbe(params), shapes: rows.NewReader(), box: 1, nb: make([]int64, len(tl.Widths))}
 	for _, w := range tl.Widths {
 		s.box *= w
@@ -232,7 +233,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	for i := range s.nodes {
 		n := &simNode{
 			ready:     sched.Heap[simState]{Prio: cfg.Priority},
-			pending:   make(map[uint64]*simTile),
+			table:     sched.NewTable[simState](layout.Slab, layout.Rest, layout.Expect),
 			freeCores: cfg.Cores,
 			slotTimes: make([]float64, cfg.SendBufs),
 			owned:     assign.Tiles[i],
@@ -307,14 +308,9 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	return &s.res, nil
 }
 
-// tileKey packs a tile of the space into its integer key.
-func (s *sim) tileKey(t []int64) uint64 {
-	k, _ := s.key.Of(t)
-	return k
-}
-
-func (s *sim) newSimTile(t []int64, remaining int) *simTile {
-	st := &simTile{Tile: simState{tile: append([]int64(nil), t...), remaining: remaining}}
+func (s *sim) newSimTile(t []int64, missing int) *simTile {
+	st := &simTile{Tile: simState{tile: append([]int64(nil), t...)}}
+	st.Missing.Store(int64(missing))
 	st.Key = s.tl.PriorityKey(t, nil)
 	if s.cfg.ReverseKey {
 		for i := range st.Key {
@@ -462,7 +458,7 @@ func (s *sim) finishTile(e *event) {
 		s.eseq++
 		s.events.push(&event{
 			at: wireDone + c.MsgLatency, seq: s.eseq, kind: 1,
-			node: owner, tile: s.consumerStub(probe), dep: j, data: elems,
+			node: owner, to: slices.Clone(probe), dep: j, data: elems,
 		})
 	}
 	if lane != nil {
@@ -487,39 +483,32 @@ func (s *sim) finishTile(e *event) {
 	s.dispatch(e.node)
 }
 
-// consumerStub wraps a consumer tile index for an arrival event.
-func (s *sim) consumerStub(t []int64) *simTile {
-	return &simTile{Tile: simState{tile: append([]int64(nil), t...)}}
-}
-
 // arrive processes a remote edge arrival at its consumer node.
 func (s *sim) arrive(e *event) {
 	if n := s.nodes[e.node]; n.recvLane != nil {
 		n.recvLane.Emit(obs.Event{Kind: obs.KRecv, Start: ns(s.now),
-			Tile: obs.TileID(e.tile.Tile.tile), Dep: int32(e.dep), Val: e.data})
+			Tile: obs.TileID(e.to), Dep: int32(e.dep), Val: e.data})
 	}
-	s.deliver(e.node, e.tile.Tile.tile, e.dep, e.data, s.now)
+	s.deliver(e.node, e.to, e.dep, e.data, s.now)
 	s.dispatch(e.node)
 }
 
-// deliver records an edge for a consumer tile and readies it when all
-// dependencies have arrived.
+// deliver records an edge for a consumer tile in the node's pending
+// table and readies the tile when all dependencies have arrived.
 func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64) {
 	n := s.nodes[id]
-	k := s.tileKey(consumer)
-	st := n.pending[k]
+	pg, slot := n.table.Lookup(consumer)
+	st := slot.Load()
 	if st == nil {
 		st = s.newSimTile(consumer, s.probe.DepCount(consumer))
-		n.pending[k] = st
+		slot.Store(st)
 	}
-	st.Tile.remaining--
 	st.Tile.inElems += elems
 	n.pendingEdges++
 	if n.pendingEdges > n.peakEdges {
 		n.peakEdges = n.pendingEdges
 	}
-	if st.Tile.remaining == 0 {
-		delete(n.pending, k)
+	if n.table.Arrive(pg, slot, st) {
 		// Its buffered edges are consumed when execution starts; account
 		// them as released at dispatch. Simplification: release now.
 		n.pendingEdges -= int64(s.probe.DepCount(st.Tile.tile))

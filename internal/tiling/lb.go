@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"dpgen/internal/sched"
 )
 
 // LBIndices returns the variable indexes of the load-balancing dimensions
@@ -40,27 +42,16 @@ type Slab struct {
 	Tiles int64
 }
 
-// TileKey packs chosen coordinates of a tile into one integer: mixed
-// radix over the bounding box of the tile space, the first chosen
-// dimension most significant, so keys order tiles lexicographically in
-// those dimensions and tiles that differ in one never share a key.
-type TileKey struct {
-	dims   []int
-	lo, hi []int64
-	mul    []uint64
-	n      uint64 // keys in the bounding box
-}
-
 // NewLBKey sizes the key over the load-balancing dimensions (priority
 // order): one key per Slab.
-func (tl *Tiling) NewLBKey(params []int64) (*TileKey, error) {
+func (tl *Tiling) NewLBKey(params []int64) (*sched.Key, error) {
 	return tl.newKey(params, tl.LBIndices())
 }
 
 // NewRestKey sizes the key over the dimensions that are not
 // load-balancing (Vars order): with NewLBKey's, it names a tile by its
 // slab and its place in the box every slab's tiles lie in.
-func (tl *Tiling) NewRestKey(params []int64) (*TileKey, error) {
+func (tl *Tiling) NewRestKey(params []int64) (*sched.Key, error) {
 	lb := tl.LBIndices()
 	var dims []int
 	for k := range tl.Spec.Vars {
@@ -72,9 +63,9 @@ func (tl *Tiling) NewRestKey(params []int64) (*TileKey, error) {
 }
 
 // NewTileKey sizes the key over every dimension (Vars order): one key
-// per tile, the collision-free integer the runtimes index their tile
-// tables by.
-func (tl *Tiling) NewTileKey(params []int64) (*TileKey, error) {
+// per tile. It fails exactly when a tile's slab and rest keys together
+// (checkpoint keys) do not fit one word.
+func (tl *Tiling) NewTileKey(params []int64) (*sched.Key, error) {
 	dims := make([]int, len(tl.Spec.Vars))
 	for k := range dims {
 		dims[k] = k
@@ -84,52 +75,13 @@ func (tl *Tiling) NewTileKey(params []int64) (*TileKey, error) {
 
 // newKey sizes a key over dims for the given parameters. It fails when
 // the bounding box holds more points than an int64 counts.
-func (tl *Tiling) newKey(params []int64, dims []int) (*TileKey, error) {
-	k := &TileKey{dims: dims}
+func (tl *Tiling) newKey(params []int64, dims []int) (*sched.Key, error) {
 	lo, hi := tl.TileBounds(params)
-	n := len(dims)
-	k.lo, k.hi, k.mul = make([]int64, n), make([]int64, n), make([]uint64, n)
-	m := int64(1)
-	for i := n - 1; i >= 0; i-- {
-		d := dims[i]
-		k.lo[i], k.hi[i], k.mul[i] = lo[d], hi[d], uint64(m)
-		if ext := hi[d] - lo[d] + 1; ext > 1 {
-			if ext > math.MaxInt64/m {
-				return nil, fmt.Errorf("tiling: tile space too large for integer keys (tile bounds %v..%v)", lo, hi)
-			}
-			m *= ext
-		}
+	k, err := sched.NewKey(dims, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("tiling: %w", err)
 	}
-	k.n = uint64(m)
 	return k, nil
-}
-
-// Len returns how many keys the bounding box holds: every key Of returns
-// is below it.
-func (k *TileKey) Len() uint64 { return k.n }
-
-// Of returns tile t's key (t in Vars order), and false when t lies
-// outside the bounding box and so in no slab. It does not allocate.
-func (k *TileKey) Of(t []int64) (uint64, bool) {
-	var key uint64
-	for i, d := range k.dims {
-		v := t[d]
-		if v < k.lo[i] || v > k.hi[i] {
-			return 0, false
-		}
-		key += uint64(v-k.lo[i]) * k.mul[i]
-	}
-	return key, true
-}
-
-// OfLB returns the key of coordinates lb, given in the key's own
-// dimensions and inside the bounding box — a Slab's LB under NewLBKey.
-func (k *TileKey) OfLB(lb []int64) uint64 {
-	var key uint64
-	for i, v := range lb {
-		key += uint64(v-k.lo[i]) * k.mul[i]
-	}
-	return key
 }
 
 // Slabs counts every load-balancing cell's work and tiles in one pass
@@ -143,7 +95,7 @@ func (k *TileKey) OfLB(lb []int64) uint64 {
 // params and not yet read by a run; nil binds one for this pass alone.
 // When the row plan cannot be walked every tile is counted by the
 // checked local nest.
-func (tl *Tiling) Slabs(params []int64, key *TileKey, rows *RowPlan) (slabs []Slab, initial [][]int64) {
+func (tl *Tiling) Slabs(params []int64, key *sched.Key, rows *RowPlan) (slabs []Slab, initial [][]int64) {
 	if rows == nil {
 		rows = tl.BindRows(params)
 	}
