@@ -79,15 +79,12 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 
-		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat send interval for recovery-enabled transports (default 250ms; see docs/FAULT_TOLERANCE.md)")
-		peerDownTO  = flag.Duration("peer-down-timeout", 0, "how long a down peer may stay down before the job fails (default 30s)")
-		ckptDir     = flag.String("ckpt-dir", "", "checkpoint directory; enables the fault-tolerance layer (docs/FAULT_TOLERANCE.md)")
-		ckptEvery   = flag.Int64("ckpt-every", 0, "checkpoint cadence in executed tiles (default 64 with -ckpt-dir)")
-		resume      = flag.Bool("resume", false, "restore this rank's state from its checkpoint before running")
-		rejoin      = flag.Bool("rejoin", false, "reconnect into a live recovery mesh after a crash (implies -resume)")
-		crashTiles  = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after this rank executes N tiles")
-		killRank    = flag.Int("kill-rank", -1, "fault injection for -launch: forward -crash-after-tiles to this rank only")
-		maxRestarts = flag.Int("max-restarts", 3, "per-rank restart budget for the -launch supervisor (with -ckpt-dir)")
+		ckptDir    = flag.String("ckpt-dir", "", "checkpoint directory; enables the fault-tolerance layer (docs/FAULT_TOLERANCE.md)")
+		ckptEvery  = flag.Int64("ckpt-every", 0, "checkpoint cadence in executed tiles (default 64 with -ckpt-dir)")
+		resume     = flag.Bool("resume", false, "restore this rank's state from its checkpoint before running")
+		rejoin     = flag.Bool("rejoin", false, "reconnect into a live recovery mesh after a crash (implies -resume)")
+		crashTiles = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after this rank executes N tiles")
+		killRank   = flag.Int("kill-rank", -1, "fault injection for -launch: forward -crash-after-tiles to this rank only")
 
 		elastic        = flag.Bool("elastic", false, "enable elastic membership: ranks may join and leave mid-run (docs/ELASTICITY.md)")
 		elasticMembers = flag.String("elastic-members", "", "comma-separated initial member ranks (default: every rank; must include 0)")
@@ -116,24 +113,23 @@ func main() {
 			fatal(fmt.Errorf("-launch requires -distributed"))
 		}
 		os.Exit(launchLocal(launchConfig{
-			n:           *launch,
-			maxRestarts: *maxRestarts,
-			ckptDir:     *ckptDir,
-			killRank:    *killRank,
-			crashTiles:  *crashTiles,
-			elastic:     *elastic,
-			elasticN:    *elasticInitial,
-			leaveRank:   *leaveRank,
-			leaveAfter:  *elasticLeave,
-			scaleAt:     *scaleAtStr,
-			leavesWant:  *expectLeaves,
-			traceOut:    *traceOut,
-			statsJSON:   *statsJSON,
-			report:      *report,
-			obsAddr:     *obsAddr,
-			metricsOut:  *metricsOut,
-			lenient:     *traceLenient,
-			problem:     *name,
+			n:          *launch,
+			ckptDir:    *ckptDir,
+			killRank:   *killRank,
+			crashTiles: *crashTiles,
+			elastic:    *elastic,
+			elasticN:   *elasticInitial,
+			leaveRank:  *leaveRank,
+			leaveAfter: *elasticLeave,
+			scaleAt:    *scaleAtStr,
+			leavesWant: *expectLeaves,
+			traceOut:   *traceOut,
+			statsJSON:  *statsJSON,
+			report:     *report,
+			obsAddr:    *obsAddr,
+			metricsOut: *metricsOut,
+			lenient:    *traceLenient,
+			problem:    *name,
 		}))
 	}
 
@@ -215,12 +211,10 @@ func main() {
 		ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stopSig()
 		opts := dpgen.TCPOptions{
-			SendBufs:        *sendBufs,
-			RecvBufs:        *recvBufs,
-			Recovery:        *ckptDir != "",
-			Context:         ctx,
-			HeartbeatEvery:  *heartbeat,
-			PeerDownTimeout: *peerDownTO,
+			SendBufs: *sendBufs,
+			RecvBufs: *recvBufs,
+			Recovery: *ckptDir != "",
+			Context:  ctx,
 		}
 		if tracer != nil {
 			opts.Observer = recoveryObserver(tracer, *rank, *threads)
@@ -434,10 +428,8 @@ func traceMeta(tracer *dpgen.Tracer, rank, ranks int, tr dpgen.Transport) *dpgen
 // safe to read mid-run. Non-distributed runs have no live source.
 func liveMetrics(tr dpgen.Transport) func(w io.Writer) error {
 	return func(w io.Writer) error {
-		if tr != nil {
-			if ns, ok := dpgen.TransportNetStats(tr); ok {
-				return ns.WritePrometheus(w)
-			}
+		if ns, ok := dpgen.TransportNetStats(tr); ok {
+			return ns.WritePrometheus(w)
 		}
 		_, err := fmt.Fprintln(w, "# dprun: no live metrics source (not a distributed TCP run)")
 		return err

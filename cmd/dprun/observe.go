@@ -11,12 +11,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"dpgen"
+	"dpgen/internal/obs"
 	"dpgen/internal/problems"
 )
 
@@ -266,19 +265,19 @@ func trRanks(tr *dpgen.Trace) int {
 }
 
 // rollupMetrics aggregates the children's final per-rank Prometheus
-// snapshot files into one exposition at out and removes the rank
-// files. Children self-label every sample with their rank, so
-// aggregation is concatenation with HELP/TYPE deduplication.
+// snapshot files into one exposition at out, merged family by family,
+// and removes the rank files. Children self-label every sample with
+// their rank, so no sample is rewritten.
 func rollupMetrics(out string, n int) error {
-	bodies := make(map[int]string, n)
-	for r := 0; r < n; r++ {
+	bodies := make([]string, n)
+	for r := range bodies {
 		b, err := os.ReadFile(rankFile(out, r))
 		if err != nil {
 			return fmt.Errorf("rank %d wrote no metrics snapshot: %w", r, err)
 		}
 		bodies[r] = string(b)
 	}
-	if err := os.WriteFile(out, []byte(renderBodies(bodies)), 0o644); err != nil {
+	if err := os.WriteFile(out, []byte(obs.MergeExposition(bodies)), 0o644); err != nil {
 		return err
 	}
 	for r := 0; r < n; r++ {
@@ -297,14 +296,14 @@ type metricsScraper struct {
 	client *http.Client
 
 	mu   sync.Mutex
-	last map[int]string // rank -> most recent scraped body
+	last []string // by rank: the most recent scraped body
 }
 
-func newMetricsScraper(addrs func() map[int]string) *metricsScraper {
+func newMetricsScraper(addrs func() map[int]string, ranks int) *metricsScraper {
 	return &metricsScraper{
 		addrs:  addrs,
 		client: &http.Client{Timeout: 2 * time.Second},
-		last:   make(map[int]string),
+		last:   make([]string, ranks),
 	}
 }
 
@@ -335,43 +334,14 @@ func (m *metricsScraper) fetch(addr string) (string, error) {
 	return string(b), err
 }
 
-// aggregate scrapes all live children on demand and writes the deduped
-// job-wide exposition — the body of the supervisor's /metrics.
+// aggregate scrapes all live children on demand and writes the job-wide
+// exposition, merged family by family — the body of the supervisor's
+// /metrics.
 func (m *metricsScraper) aggregate(w io.Writer) error {
 	m.scrape()
 	m.mu.Lock()
-	bodies := make(map[int]string, len(m.last))
-	for r, b := range m.last {
-		bodies[r] = b
-	}
+	body := obs.MergeExposition(m.last)
 	m.mu.Unlock()
-	_, err := io.WriteString(w, renderBodies(bodies))
+	_, err := io.WriteString(w, body)
 	return err
-}
-
-// renderBodies concatenates per-rank exposition bodies in rank order,
-// keeping only the first HELP and TYPE line of each metric family.
-func renderBodies(bodies map[int]string) string {
-	ranks := make([]int, 0, len(bodies))
-	for r := range bodies {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	var sb strings.Builder
-	seen := make(map[string]bool)
-	for _, r := range ranks {
-		for _, line := range strings.Split(bodies[r], "\n") {
-			if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-				if seen[line] {
-					continue
-				}
-				seen[line] = true
-			} else if line == "" {
-				continue
-			}
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
 }

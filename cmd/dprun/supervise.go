@@ -23,11 +23,10 @@ import (
 // launchConfig carries the supervisor-relevant flag values into
 // launchLocal.
 type launchConfig struct {
-	n           int    // ranks to fork
-	maxRestarts int    // per-rank restart budget
-	ckptDir     string // non-empty enables recovery restarts
-	killRank    int    // fault injection target rank (-1 none)
-	crashTiles  int64  // fault injection tile budget
+	n          int    // ranks to fork
+	ckptDir    string // non-empty enables recovery restarts
+	killRank   int    // fault injection target rank (-1 none)
+	crashTiles int64  // fault injection tile budget
 
 	elastic    bool   // elastic membership (docs/ELASTICITY.md)
 	elasticN   int    // initial member count (0: every rank is a member)
@@ -60,6 +59,9 @@ type childExit struct {
 // tailLines is how many trailing output lines the supervisor keeps per
 // child for its failure diagnostic.
 const tailLines = 12
+
+// maxRestarts is the per-rank restart budget of a recovering job.
+const maxRestarts = 3
 
 // obsLinePrefix starts the line a child prints to announce its live
 // observability endpoint; the supervisor parses the bound address out
@@ -110,7 +112,7 @@ func launchLocal(lc launchConfig) int {
 		switch f.Name {
 		case "launch", "distributed", "rank", "peers", "nodes",
 			"trace", "metrics", "cpuprofile", "memprofile",
-			"kill-rank", "max-restarts", "crash-after-tiles",
+			"kill-rank", "crash-after-tiles",
 			"resume", "rejoin",
 			"elastic-members", "elastic-join", "elastic-leave-after",
 			"scale-at", "expect-leaves", "elastic-initial", "leave-rank",
@@ -229,7 +231,7 @@ func launchLocal(lc launchConfig) int {
 		return cp
 	}
 	if lc.wantObs() {
-		scraper := newMetricsScraper(snapshotAddrs)
+		scraper := newMetricsScraper(snapshotAddrs, lc.n)
 		srv, err := dpgen.ServeObs(lc.obsAddr, scraper.aggregate)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -248,11 +250,11 @@ func launchLocal(lc launchConfig) int {
 			running--
 			continue
 		}
-		recoverable := ret == 0 && lc.ckptDir != "" && ex.rank != 0 && restarts[ex.rank] < lc.maxRestarts
+		recoverable := ret == 0 && lc.ckptDir != "" && ex.rank != 0 && restarts[ex.rank] < maxRestarts
 		if recoverable {
 			restarts[ex.rank]++
 			fmt.Fprintf(os.Stderr, "supervisor: rank %d exited (%v); restart %d/%d with -resume -rejoin\n",
-				ex.rank, ex.err, restarts[ex.rank], lc.maxRestarts)
+				ex.rank, ex.err, restarts[ex.rank], maxRestarts)
 			mu.Lock()
 			delete(obsAddrs, ex.rank) // stale port; the restart announces a new one
 			mu.Unlock()

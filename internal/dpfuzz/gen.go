@@ -55,11 +55,8 @@ type Instance struct {
 	Threads  int
 	SendBufs int
 	RecvBufs int
-	// QueueGroups is ignored. The engine knob it fed is gone; the field
-	// stays so GoLiteral seeds recorded before its removal still compile.
-	QueueGroups int
-	Priority    engine.Priority
-	Balance     balance.Method
+	Priority engine.Priority
+	Balance  balance.Method
 
 	// Lazily built pipeline artifacts, shared across the oracle layers
 	// (each instance is exercised by a single goroutine).

@@ -35,11 +35,9 @@ var regressionCases = []struct {
 		// loop synthesis then failed with "variable unbounded below".
 		name: "soak-10067-infeasible-pack-slab",
 		build: func() *Instance {
-			// QueueGroups is left as recorded: literals from before the
-			// knob's removal must keep compiling (the field is ignored).
 			in := &Instance{
 				Seed: 0x2753, N: 1,
-				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 3, QueueGroups: 1,
+				Nodes: 2, Threads: 2, SendBufs: 2, RecvBufs: 3,
 				Priority: engine.ColumnMajor, Balance: balance.Hyperplane,
 			}
 			sp := spec.MustNew("fuzz_0000000000002753", []string{"N"}, []string{"v0", "v1", "v2", "v3"})

@@ -16,7 +16,6 @@
 package tcp
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -236,47 +235,38 @@ func (t *Transport) NetStats() NetStats {
 // /metrics endpoint. The supervisor's aggregation relies on every rank
 // self-labelling here.
 func (s NetStats) WritePrometheus(w io.Writer) error {
-	rank := fmt.Sprintf("rank=%q", fmt.Sprint(s.Rank))
-	type fam struct {
-		name, typ, help string
-		v               int64
+	rank := obs.Label("rank", s.Rank)
+	e := obs.Expo{W: w}
+	for _, f := range []struct {
+		obs.Family
+		v int64
+	}{
+		{obs.Counter("dp_net_bytes_sent_total", "Raw bytes written to the wire, frame headers included."), s.BytesSent},
+		{obs.Counter("dp_net_bytes_recv_total", "Raw bytes read from the wire, frame headers included."), s.BytesRecv},
+		{obs.Counter("dp_net_messages_sent_total", "DATA messages sent."), s.Messages},
+		{obs.Counter("dp_net_elems_sent_total", "Float64 elements sent in DATA messages."), s.Elems},
+		{obs.Gauge("dp_clock_offset_ns", "Estimated clock offset to rank 0 in nanoseconds."), s.ClockOffsetNs},
+		{obs.Gauge("dp_clock_rtt_ns", "RTT of the min-RTT clock probe in nanoseconds."), s.ClockRTTNs},
+		{obs.HeartbeatMisses, s.HeartbeatMisses},
+		{obs.PeerRestarts, s.PeerRestarts},
+	} {
+		e.Family(f.Family)
+		e.Sample(f.Name, rank, f.v)
 	}
-	fams := []fam{
-		{"dp_net_bytes_sent_total", "counter", "Raw bytes written to the wire, frame headers included.", s.BytesSent},
-		{"dp_net_bytes_recv_total", "counter", "Raw bytes read from the wire, frame headers included.", s.BytesRecv},
-		{"dp_net_messages_sent_total", "counter", "DATA messages sent.", s.Messages},
-		{"dp_net_elems_sent_total", "counter", "Float64 elements sent in DATA messages.", s.Elems},
-		{"dp_clock_offset_ns", "gauge", "Estimated clock offset to rank 0 in nanoseconds.", s.ClockOffsetNs},
-		{"dp_clock_rtt_ns", "gauge", "RTT of the min-RTT clock probe in nanoseconds.", s.ClockRTTNs},
-		{"dp_heartbeat_misses_total", "counter", "Heartbeat intervals a peer went silent past the miss threshold.", s.HeartbeatMisses},
-		{"dp_peer_restarts_total", "counter", "Peers that died and successfully rejoined.", s.PeerRestarts},
-	}
-	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s{%s} %d\n",
-			f.name, f.help, f.name, f.typ, f.name, rank, f.v); err != nil {
-			return err
-		}
-	}
-	type peerFam struct {
-		name, help string
-		v          func(PeerNet) int64
-	}
-	peerFams := []peerFam{
-		{"dp_net_peer_frames_sent_total", "Frames sent to each peer.", func(p PeerNet) int64 { return p.FramesSent }},
-		{"dp_net_peer_frames_recv_total", "Frames received from each peer.", func(p PeerNet) int64 { return p.FramesRecv }},
-		{"dp_net_peer_bytes_sent_total", "Bytes sent to each peer.", func(p PeerNet) int64 { return p.BytesSent }},
-		{"dp_net_peer_bytes_recv_total", "Bytes received from each peer.", func(p PeerNet) int64 { return p.BytesRecv }},
-	}
-	for _, f := range peerFams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name); err != nil {
-			return err
-		}
+	for _, f := range []struct {
+		obs.Family
+		v func(PeerNet) int64
+	}{
+		{obs.Counter("dp_net_peer_frames_sent_total", "Frames sent to each peer."), func(p PeerNet) int64 { return p.FramesSent }},
+		{obs.Counter("dp_net_peer_frames_recv_total", "Frames received from each peer."), func(p PeerNet) int64 { return p.FramesRecv }},
+		{obs.Counter("dp_net_peer_bytes_sent_total", "Bytes sent to each peer."), func(p PeerNet) int64 { return p.BytesSent }},
+		{obs.Counter("dp_net_peer_bytes_recv_total", "Bytes received from each peer."), func(p PeerNet) int64 { return p.BytesRecv }},
+	} {
+		e.Family(f.Family)
 		for _, p := range s.Peers {
-			if _, err := fmt.Fprintf(w, "%s{%s,peer=\"%d\"} %d\n", f.name, rank, p.Peer, f.v(p)); err != nil {
-				return err
-			}
+			e.Sample(f.Name, rank+","+obs.Label("peer", p.Peer), f.v(p))
 		}
 	}
-	return s.EdgeLatency.WritePrometheus(w,
-		"dp_edge_latency_seconds", "Clock-aligned send-to-receive latency of received edges.", rank)
+	e.Histogram(obs.EdgeLatency, rank, s.EdgeLatency)
+	return e.Err()
 }

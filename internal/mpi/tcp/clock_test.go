@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dpgen/internal/obs"
 )
 
 func TestPickClockOffset(t *testing.T) {
@@ -166,6 +168,40 @@ func TestNetStats(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus exposition lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// The families both the trace aggregates and the wire counters export
+// come from one declaration: the same HELP and TYPE lines in both
+// bodies, samples labelled node="N" in one and rank="R" in the other.
+func TestNetStatsSharesObsFamilies(t *testing.T) {
+	var wire, trace strings.Builder
+	ns := NetStats{Rank: 1, HeartbeatMisses: 2, PeerRestarts: 1, EdgeLatency: obs.NewHistogram().Snapshot()}
+	if err := ns.WritePrometheus(&wire); err != nil {
+		t.Fatal(err)
+	}
+	lat := obs.NewHistogram().Snapshot()
+	m := &obs.Metrics{Nodes: []obs.NodeMetrics{{Node: 0, HeartbeatMisses: 2, PeerRestarts: 1}}, EdgeLatency: &lat}
+	if err := m.WritePrometheus(&trace); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []obs.Family{obs.HeartbeatMisses, obs.PeerRestarts, obs.EdgeLatency} {
+		header := "# HELP " + f.Name + " " + f.Help + "\n# TYPE " + f.Name + " " + f.Type + "\n"
+		for body, text := range map[string]string{"wire": wire.String(), "trace": trace.String()} {
+			if strings.Count(text, "# HELP "+f.Name+" ") != 1 || !strings.Contains(text, header) {
+				t.Errorf("%s body lacks the one declaration of %s:\n%s", body, f.Name, text)
+			}
+		}
+	}
+	for _, want := range []string{`dp_heartbeat_misses_total{rank="1"} 2`, `dp_peer_restarts_total{rank="1"} 1`} {
+		if !strings.Contains(wire.String(), want) {
+			t.Errorf("wire body lacks %q:\n%s", want, wire.String())
+		}
+	}
+	for _, want := range []string{`dp_heartbeat_misses_total{node="0"} 2`, `dp_peer_restarts_total{node="0"} 1`} {
+		if !strings.Contains(trace.String(), want) {
+			t.Errorf("trace body lacks %q:\n%s", want, trace.String())
 		}
 	}
 }

@@ -8,7 +8,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
@@ -127,37 +126,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return s.Bounds[len(s.Bounds)-1]
 	}
 	return 0
-}
-
-// WritePrometheus writes the snapshot as one Prometheus histogram
-// family. labels, when non-empty, is a literal label body without
-// braces (e.g. `rank="1"`).
-func (s HistogramSnapshot) WritePrometheus(w io.Writer, name, help, labels string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	bucketLabels := `le=`
-	if labels != "" {
-		bucketLabels = labels + `,le=`
-	}
-	plain := ""
-	if labels != "" {
-		plain = "{" + labels + "}"
-	}
-	var cum int64
-	for i, c := range s.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(s.Bounds) {
-			le = promNum(s.Bounds[i])
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%q} %d\n", name, bucketLabels, le, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, plain, promNum(s.SumSeconds)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, plain, s.Count)
-	return err
 }

@@ -35,15 +35,7 @@ func Serve(addr string, metrics func(w io.Writer) error) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if metrics == nil {
-			return
-		}
-		if err := metrics(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/metrics", MetricsHandler(metrics))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})

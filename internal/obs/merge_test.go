@@ -216,8 +216,9 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("p50 = %v, want the 10µs bucket bound", q)
 	}
 	var buf bytes.Buffer
-	if err := s.WritePrometheus(&buf, "dp_test_seconds", "help text", `rank="1"`); err != nil {
-		t.Fatal(err)
+	e := Expo{W: &buf}
+	if e.Histogram(Family{"dp_test_seconds", "histogram", "help text"}, `rank="1"`, s); e.Err() != nil {
+		t.Fatal(e.Err())
 	}
 	out := buf.String()
 	for _, want := range []string{

@@ -6,7 +6,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 )
@@ -152,89 +151,47 @@ func (tr *Trace) Metrics() *Metrics {
 	return m
 }
 
-// promFamily describes one exported metric family.
-type promFamily struct {
-	name, typ, help string
-	val             func(nm *NodeMetrics) any
-}
-
-var promFamilies = []promFamily{
-	{"dp_tiles_executed_total", "counter", "Tiles executed (kernel events) per node.",
-		func(n *NodeMetrics) any { return n.TilesExecuted }},
-	{"dp_kernel_seconds_total", "counter", "Seconds spent in the user kernel per node.",
-		func(n *NodeMetrics) any { return n.KernelSeconds }},
-	{"dp_unpack_seconds_total", "counter", "Seconds spent unpacking received edges per node.",
-		func(n *NodeMetrics) any { return n.UnpackSeconds }},
-	{"dp_pack_seconds_total", "counter", "Seconds spent packing and delivering outgoing edges per node.",
-		func(n *NodeMetrics) any { return n.PackSeconds }},
-	{"dp_idle_seconds_total", "counter", "Seconds workers waited with no ready tile per node.",
-		func(n *NodeMetrics) any { return n.IdleSeconds }},
-	{"dp_send_stall_seconds_total", "counter", "Seconds workers blocked in sends on exhausted buffers per node.",
-		func(n *NodeMetrics) any { return n.SendStallSeconds }},
-	{"dp_edges_sent_total", "counter", "Remote edge messages sent per node.",
-		func(n *NodeMetrics) any { return n.EdgesSent }},
-	{"dp_edges_recv_total", "counter", "Remote edge messages received per node.",
-		func(n *NodeMetrics) any { return n.EdgesRecv }},
-	{"dp_edge_elems_sent_total", "counter", "Float64 elements sent in remote edges per node.",
-		func(n *NodeMetrics) any { return n.ElemsSent }},
-	{"dp_edge_bytes_sent_total", "counter", "Payload bytes sent in remote edges per node (8 per element; excludes framing).",
-		func(n *NodeMetrics) any { return n.BytesSent }},
-	{"dp_edge_elems_recv_total", "counter", "Float64 elements received in remote edges per node.",
-		func(n *NodeMetrics) any { return n.ElemsRecv }},
-	{"dp_edge_bytes_recv_total", "counter", "Payload bytes received in remote edges per node (8 per element; excludes framing).",
-		func(n *NodeMetrics) any { return n.BytesRecv }},
-	{"dp_pending_edges_peak", "gauge", "Peak sampled pending-edge count per node (Figure 4 quantity).",
-		func(n *NodeMetrics) any { return n.PendingEdgesPeak }},
-	{"dp_steals_total", "counter", "Tiles claimed from another worker's ready-queue shard, per node.",
-		func(n *NodeMetrics) any { return n.Steals }},
-	{"dp_local_pops_total", "counter", "Tiles claimed from the popping worker's own shard, per node.",
-		func(n *NodeMetrics) any { return n.LocalPops }},
-	{"dp_ready_queue_depth_peak", "gauge", "Peak sampled ready-queue depth across a node's shards.",
-		func(n *NodeMetrics) any { return n.QueueDepthPeak }},
-	{"dp_trace_events_dropped_total", "counter", "Trace events lost to ring-buffer overwrite per node.",
-		func(n *NodeMetrics) any { return n.EventsDropped }},
-	{"dp_checkpoint_bytes_total", "counter", "Bytes written to fault-tolerance checkpoints per node.",
-		func(n *NodeMetrics) any { return n.CheckpointBytes }},
-	{"dp_heartbeat_misses_total", "counter", "Heartbeat intervals a peer went silent past the miss threshold, per node.",
-		func(n *NodeMetrics) any { return n.HeartbeatMisses }},
-	{"dp_peer_restarts_total", "counter", "Peers that died and successfully rejoined this node's transport.",
-		func(n *NodeMetrics) any { return n.PeerRestarts }},
+// nodeFamilies are the per-node families, one sample per node.
+var nodeFamilies = []struct {
+	Family
+	val func(nm *NodeMetrics) any
+}{
+	{Counter("dp_tiles_executed_total", "Tiles executed (kernel events) per node."), func(n *NodeMetrics) any { return n.TilesExecuted }},
+	{Counter("dp_kernel_seconds_total", "Seconds spent in the user kernel per node."), func(n *NodeMetrics) any { return n.KernelSeconds }},
+	{Counter("dp_unpack_seconds_total", "Seconds spent unpacking received edges per node."), func(n *NodeMetrics) any { return n.UnpackSeconds }},
+	{Counter("dp_pack_seconds_total", "Seconds spent packing and delivering outgoing edges per node."), func(n *NodeMetrics) any { return n.PackSeconds }},
+	{Counter("dp_idle_seconds_total", "Seconds workers waited with no ready tile per node."), func(n *NodeMetrics) any { return n.IdleSeconds }},
+	{Counter("dp_send_stall_seconds_total", "Seconds workers blocked in sends on exhausted buffers per node."), func(n *NodeMetrics) any { return n.SendStallSeconds }},
+	{Counter("dp_edges_sent_total", "Remote edge messages sent per node."), func(n *NodeMetrics) any { return n.EdgesSent }},
+	{Counter("dp_edges_recv_total", "Remote edge messages received per node."), func(n *NodeMetrics) any { return n.EdgesRecv }},
+	{Counter("dp_edge_elems_sent_total", "Float64 elements sent in remote edges per node."), func(n *NodeMetrics) any { return n.ElemsSent }},
+	{Counter("dp_edge_bytes_sent_total", "Payload bytes sent in remote edges per node (8 per element; excludes framing)."), func(n *NodeMetrics) any { return n.BytesSent }},
+	{Counter("dp_edge_elems_recv_total", "Float64 elements received in remote edges per node."), func(n *NodeMetrics) any { return n.ElemsRecv }},
+	{Counter("dp_edge_bytes_recv_total", "Payload bytes received in remote edges per node (8 per element; excludes framing)."), func(n *NodeMetrics) any { return n.BytesRecv }},
+	{Gauge("dp_pending_edges_peak", "Peak sampled pending-edge count per node (Figure 4 quantity)."), func(n *NodeMetrics) any { return n.PendingEdgesPeak }},
+	{Counter("dp_steals_total", "Tiles claimed from another worker's ready-queue shard, per node."), func(n *NodeMetrics) any { return n.Steals }},
+	{Counter("dp_local_pops_total", "Tiles claimed from the popping worker's own shard, per node."), func(n *NodeMetrics) any { return n.LocalPops }},
+	{Gauge("dp_ready_queue_depth_peak", "Peak sampled ready-queue depth across a node's shards."), func(n *NodeMetrics) any { return n.QueueDepthPeak }},
+	{Counter("dp_trace_events_dropped_total", "Trace events lost to ring-buffer overwrite per node."), func(n *NodeMetrics) any { return n.EventsDropped }},
+	{Counter("dp_checkpoint_bytes_total", "Bytes written to fault-tolerance checkpoints per node."), func(n *NodeMetrics) any { return n.CheckpointBytes }},
+	{HeartbeatMisses, func(n *NodeMetrics) any { return n.HeartbeatMisses }},
+	{PeerRestarts, func(n *NodeMetrics) any { return n.PeerRestarts }},
 }
 
 // WritePrometheus writes the metrics in the Prometheus text exposition
-// format.
+// format, every per-node sample labelled node="N".
 func (m *Metrics) WritePrometheus(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"# HELP dp_run_makespan_seconds End-to-end traced run time.\n"+
-			"# TYPE dp_run_makespan_seconds gauge\n"+
-			"dp_run_makespan_seconds %s\n", promNum(m.MakespanSeconds)); err != nil {
-		return err
-	}
-	for _, f := range promFamilies {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
-		}
+	e := Expo{W: w}
+	e.Family(Gauge("dp_run_makespan_seconds", "End-to-end traced run time."))
+	e.Sample("dp_run_makespan_seconds", "", m.MakespanSeconds)
+	for _, f := range nodeFamilies {
+		e.Family(f.Family)
 		for i := range m.Nodes {
-			nm := &m.Nodes[i]
-			if _, err := fmt.Fprintf(w, "%s{node=\"%d\"} %s\n", f.name, nm.Node, promNum(f.val(nm))); err != nil {
-				return err
-			}
+			e.Sample(f.Name, Label("node", m.Nodes[i].Node), f.val(&m.Nodes[i]))
 		}
 	}
 	if m.EdgeLatency != nil {
-		if err := m.EdgeLatency.WritePrometheus(w,
-			"dp_edge_latency_seconds", "Cross-rank edge latency (send start to arrival, clock-aligned).", ""); err != nil {
-			return err
-		}
+		e.Histogram(EdgeLatency, "", *m.EdgeLatency)
 	}
-	return nil
-}
-
-func promNum(v any) string {
-	switch x := v.(type) {
-	case float64:
-		return fmt.Sprintf("%g", x)
-	default:
-		return fmt.Sprintf("%d", x)
-	}
+	return e.Err()
 }

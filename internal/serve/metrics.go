@@ -1,13 +1,12 @@
-// Per-tenant serving metrics in the Prometheus text-exposition format,
-// served at /metrics next to the run-level families the rest of the
-// system already exports (dpgen/internal/obs). Counter reads are
-// atomic; histograms reuse obs.Histogram, whose snapshots are safe to
-// take mid-flight.
+// Per-tenant serving metrics, written through obs.Expo and served at
+// /metrics next to the run-level families the rest of the system
+// already exports (dpgen/internal/obs). Counter reads are atomic;
+// histograms reuse obs.Histogram, whose snapshots are safe to take
+// mid-flight.
 
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -84,39 +83,34 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) error {
 	for name := range m.tenants {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	blocks := make([]*tenantStats, len(names))
-	for i, name := range names {
-		blocks[i] = m.tenants[name]
-	}
 	m.mu.RUnlock()
+	sort.Strings(names)
 
-	fmt.Fprintf(w, "# HELP dp_serve_requests_total Requests by tenant and outcome code class.\n# TYPE dp_serve_requests_total counter\n")
-	for i, name := range names {
-		ts := blocks[i]
-		for _, c := range []struct {
-			code string
-			v    int64
-		}{
-			{"ok", ts.ok.Load()},
-			{"bad_request", ts.badReq.Load()},
-			{"shed", ts.shed.Load()},
-			{"error", ts.failed.Load()},
-		} {
-			fmt.Fprintf(w, "dp_serve_requests_total{tenant=%q,code=%q} %d\n", name, c.code, c.v)
+	e := obs.Expo{W: w}
+	requests := obs.Counter("dp_serve_requests_total", "Requests by tenant and outcome code class.")
+	e.Family(requests)
+	for _, name := range names {
+		ts, tenant := m.tenant(name), obs.Label("tenant", name)
+		e.Sample(requests.Name, tenant+","+obs.Label("code", "ok"), ts.ok.Load())
+		e.Sample(requests.Name, tenant+","+obs.Label("code", "bad_request"), ts.badReq.Load())
+		e.Sample(requests.Name, tenant+","+obs.Label("code", "shed"), ts.shed.Load())
+		e.Sample(requests.Name, tenant+","+obs.Label("code", "error"), ts.failed.Load())
+	}
+	for _, f := range []struct {
+		obs.Family
+		v func(*tenantStats) int64
+	}{
+		{obs.Counter("dp_serve_coalesced_total", "Requests that shared another request's in-flight run."),
+			func(ts *tenantStats) int64 { return ts.coalesced.Load() }},
+		{obs.Counter("dp_serve_shed_total", "Requests shed with 429 by tenant."),
+			func(ts *tenantStats) int64 { return ts.shed.Load() }},
+		{obs.Counter("dp_serve_result_cache_hits_total", "Result-memo hits by tenant."),
+			func(ts *tenantStats) int64 { return ts.resultHit.Load() }},
+	} {
+		e.Family(f.Family)
+		for _, name := range names {
+			e.Sample(f.Name, obs.Label("tenant", name), f.v(m.tenant(name)))
 		}
-	}
-	fmt.Fprintf(w, "# HELP dp_serve_coalesced_total Requests that shared another request's in-flight run.\n# TYPE dp_serve_coalesced_total counter\n")
-	for i, name := range names {
-		fmt.Fprintf(w, "dp_serve_coalesced_total{tenant=%q} %d\n", name, blocks[i].coalesced.Load())
-	}
-	fmt.Fprintf(w, "# HELP dp_serve_shed_total Requests shed with 429 by tenant.\n# TYPE dp_serve_shed_total counter\n")
-	for i, name := range names {
-		fmt.Fprintf(w, "dp_serve_shed_total{tenant=%q} %d\n", name, blocks[i].shed.Load())
-	}
-	fmt.Fprintf(w, "# HELP dp_serve_result_cache_hits_total Result-memo hits by tenant.\n# TYPE dp_serve_result_cache_hits_total counter\n")
-	for i, name := range names {
-		fmt.Fprintf(w, "dp_serve_result_cache_hits_total{tenant=%q} %d\n", name, blocks[i].resultHit.Load())
 	}
 
 	for _, c := range []struct {
@@ -127,55 +121,51 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) error {
 		{"dp_serve_result_cache", "Result memo", s.resultCache},
 	} {
 		entries, bytes, hits, misses, evictions := c.cache.stats()
-		fmt.Fprintf(w, "# HELP %s_events_total %s hit/miss/eviction counters.\n# TYPE %s_events_total counter\n",
-			c.name, c.help, c.name)
-		fmt.Fprintf(w, "%s_events_total{event=\"hit\"} %d\n", c.name, hits)
-		fmt.Fprintf(w, "%s_events_total{event=\"miss\"} %d\n", c.name, misses)
-		fmt.Fprintf(w, "%s_events_total{event=\"eviction\"} %d\n", c.name, evictions)
-		fmt.Fprintf(w, "# HELP %s_entries %s current entries.\n# TYPE %s_entries gauge\n", c.name, c.help, c.name)
-		fmt.Fprintf(w, "%s_entries %d\n", c.name, entries)
-		fmt.Fprintf(w, "# HELP %s_bytes %s approximate bytes.\n# TYPE %s_bytes gauge\n", c.name, c.help, c.name)
-		fmt.Fprintf(w, "%s_bytes %d\n", c.name, bytes)
+		events := obs.Counter(c.name+"_events_total", c.help+" hit/miss/eviction counters.")
+		e.Family(events)
+		e.Sample(events.Name, obs.Label("event", "hit"), hits)
+		e.Sample(events.Name, obs.Label("event", "miss"), misses)
+		e.Sample(events.Name, obs.Label("event", "eviction"), evictions)
+		e.Family(obs.Gauge(c.name+"_entries", c.help+" current entries."))
+		e.Sample(c.name+"_entries", "", entries)
+		e.Family(obs.Gauge(c.name+"_bytes", c.help+" approximate bytes."))
+		e.Sample(c.name+"_bytes", "", bytes)
 	}
 
-	fmt.Fprintf(w, "# HELP dp_serve_compiles_total Spec compiles performed (cache misses).\n# TYPE dp_serve_compiles_total counter\ndp_serve_compiles_total %d\n", m.compiles.Load())
-	fmt.Fprintf(w, "# HELP dp_serve_compile_errors_total Distinct specs that failed to compile (negatively cached).\n# TYPE dp_serve_compile_errors_total counter\ndp_serve_compile_errors_total %d\n", m.compileErrors.Load())
-	fmt.Fprintf(w, "# HELP dp_serve_runs_total Engine runs performed (memo misses, after coalescing).\n# TYPE dp_serve_runs_total counter\ndp_serve_runs_total %d\n", m.runs.Load())
-
-	fmt.Fprintf(w, "# HELP dp_serve_queue_depth Current waiters per admission gate.\n# TYPE dp_serve_queue_depth gauge\n")
-	fmt.Fprintf(w, "# HELP dp_serve_inflight Current holders per admission gate.\n# TYPE dp_serve_inflight gauge\n")
-	for _, g := range []struct {
-		name string
-		gate *gate
-	}{{"compile", s.compileGate}, {"run", s.runGate}} {
-		queued, inflight := g.gate.depth()
-		fmt.Fprintf(w, "dp_serve_queue_depth{queue=%q} %d\n", g.name, queued)
-		fmt.Fprintf(w, "dp_serve_inflight{queue=%q} %d\n", g.name, inflight)
-	}
-
-	if err := m.compileHist.Snapshot().WritePrometheus(w, "dp_serve_compile_seconds",
-		"Spec compile latency (cache misses only).", ""); err != nil {
-		return err
-	}
-	// What the compiles above asked of the exact LP solver, process-wide:
-	// a tenant spec whose coefficients push it off the small-rational
-	// arithmetic shows up as big.Rat fallbacks (and slow compiles).
+	// The LP counters say what the compiles asked of the exact solver,
+	// process-wide: a tenant spec whose coefficients push it off the
+	// small-rational arithmetic shows up as big.Rat fallbacks (and slow
+	// compiles).
 	lp := simplex.ReadStats()
 	for _, c := range []struct {
-		name, help string
-		v          uint64
+		obs.Family
+		v any
 	}{
-		{"solves", "LP questions (feasibility, redundancy, optimum) the polyhedral analysis put to the simplex.", lp.Solves},
-		{"pivots", "Small-rational simplex pivots.", lp.Pivots},
-		{"bigrat_fallbacks", "LP questions whose arithmetic left int64 and were answered again on math/big rationals.", lp.BigFallbacks},
+		{obs.Counter("dp_serve_compiles_total", "Spec compiles performed (cache misses)."), m.compiles.Load()},
+		{obs.Counter("dp_serve_compile_errors_total", "Distinct specs that failed to compile (negatively cached)."), m.compileErrors.Load()},
+		{obs.Counter("dp_serve_runs_total", "Engine runs performed (memo misses, after coalescing)."), m.runs.Load()},
+		{obs.Counter("dp_serve_analysis_simplex_solves_total", "LP questions (feasibility, redundancy, optimum) the polyhedral analysis put to the simplex."), lp.Solves},
+		{obs.Counter("dp_serve_analysis_simplex_pivots_total", "Small-rational simplex pivots."), lp.Pivots},
+		{obs.Counter("dp_serve_analysis_simplex_bigrat_fallbacks_total", "LP questions whose arithmetic left int64 and were answered again on math/big rationals."), lp.BigFallbacks},
 	} {
-		fmt.Fprintf(w, "# HELP dpserve_analysis_simplex_%s_total %s\n# TYPE dpserve_analysis_simplex_%s_total counter\ndpserve_analysis_simplex_%s_total %d\n",
-			c.name, c.help, c.name, c.name, c.v)
+		e.Family(c.Family)
+		e.Sample(c.Name, "", c.v)
 	}
-	if err := m.runHist.Snapshot().WritePrometheus(w, "dp_serve_run_seconds",
-		"Engine run latency (memo misses only).", ""); err != nil {
-		return err
-	}
-	return m.requestHist.Snapshot().WritePrometheus(w, "dp_serve_request_seconds",
-		"End-to-end /v1/query latency, all outcomes.", "")
+
+	compileQueued, compileInflight := s.compileGate.depth()
+	runQueued, runInflight := s.runGate.depth()
+	e.Family(obs.Gauge("dp_serve_queue_depth", "Current waiters per admission gate."))
+	e.Sample("dp_serve_queue_depth", obs.Label("queue", "compile"), compileQueued)
+	e.Sample("dp_serve_queue_depth", obs.Label("queue", "run"), runQueued)
+	e.Family(obs.Gauge("dp_serve_inflight", "Current holders per admission gate."))
+	e.Sample("dp_serve_inflight", obs.Label("queue", "compile"), compileInflight)
+	e.Sample("dp_serve_inflight", obs.Label("queue", "run"), runInflight)
+
+	e.Histogram(obs.Family{Name: "dp_serve_compile_seconds", Type: "histogram",
+		Help: "Spec compile latency (cache misses only)."}, "", m.compileHist.Snapshot())
+	e.Histogram(obs.Family{Name: "dp_serve_run_seconds", Type: "histogram",
+		Help: "Engine run latency (memo misses only)."}, "", m.runHist.Snapshot())
+	e.Histogram(obs.Family{Name: "dp_serve_request_seconds", Type: "histogram",
+		Help: "End-to-end /v1/query latency, all outcomes."}, "", m.requestHist.Snapshot())
+	return e.Err()
 }

@@ -209,12 +209,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/compile", s.handleCompile)
 	mux.HandleFunc("/v1/catalog", s.handleCatalog)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.met.writePrometheus(w, s); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/metrics", obs.MetricsHandler(func(w io.Writer) error { return s.met.writePrometheus(w, s) }))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)

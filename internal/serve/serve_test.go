@@ -436,9 +436,9 @@ func TestStatsAndMetrics(t *testing.T) {
 		"dp_serve_run_seconds_count 1",
 		"dp_serve_request_seconds_count",
 		`dp_serve_queue_depth{queue="run"}`,
-		"dpserve_analysis_simplex_solves_total ",
-		"dpserve_analysis_simplex_pivots_total ",
-		"dpserve_analysis_simplex_bigrat_fallbacks_total 0",
+		"dp_serve_analysis_simplex_solves_total ",
+		"dp_serve_analysis_simplex_pivots_total ",
+		"dp_serve_analysis_simplex_bigrat_fallbacks_total 0",
 	} {
 		if !strings.Contains(string(body), family) {
 			t.Errorf("/metrics missing %q", family)

@@ -157,8 +157,8 @@ func TestDprunTraceMergeClean(t *testing.T) {
 		}
 	}
 
-	// Metrics aggregate: rank-labelled families from both ranks, HELP
-	// lines deduplicated.
+	// Metrics aggregate: rank-labelled families from both ranks, merged
+	// family by family.
 	mb, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +175,32 @@ func TestDprunTraceMergeClean(t *testing.T) {
 	}
 	if n := strings.Count(mtext, "# HELP dp_net_bytes_sent_total"); n != 1 {
 		t.Errorf("HELP line for dp_net_bytes_sent_total appears %d times, want 1 (dedup)", n)
+	}
+	// Each family is one contiguous group: its HELP and TYPE lines, then
+	// both ranks' samples (a histogram's _bucket/_sum/_count included).
+	hist := map[string]bool{}
+	done := map[string]bool{}
+	prev := ""
+	for _, line := range strings.Split(strings.TrimSpace(mtext), "\n") {
+		var fam string
+		if f := strings.Fields(line); f[0] == "#" {
+			fam = f[2]
+			hist[fam] = hist[fam] || (f[1] == "TYPE" && f[3] == "histogram")
+		} else {
+			fam = strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(fam, suffix); hist[base] {
+					fam = base
+				}
+			}
+		}
+		if fam != prev {
+			if done[fam] {
+				t.Errorf("family %s resumes at %q after another family", fam, line)
+			}
+			done[prev] = true
+			prev = fam
+		}
 	}
 
 	// The -check-trace mode must accept the file it just produced.
