@@ -28,6 +28,10 @@ type gate struct {
 	// holdNs accumulates slot hold time for the Retry-After estimate.
 	holdNs    atomic.Int64
 	holdCount atomic.Int64
+
+	// testQueued, when set by tests, is invoked when a caller queues
+	// for a slot, before it waits.
+	testQueued func()
 }
 
 func newGate(slots, maxQueue int) *gate {
@@ -54,6 +58,9 @@ func (g *gate) enter(ctx context.Context) error {
 		return errShed
 	}
 	defer g.queued.Add(-1)
+	if g.testQueued != nil {
+		g.testQueued()
+	}
 	select {
 	case g.slots <- struct{}{}:
 		return nil

@@ -22,6 +22,14 @@ const DefaultKernel = "mix"
 // a stable order.
 func GenericKernels() []string { return []string{"mix", "sum", "longest"} }
 
+// stackDeps is how many dependences a longest call holds on its stack;
+// a spec with more spills to the heap once per call.
+const stackDeps = 8
+
+// dep is one valid dependence of an offer: cell t of the run reads the
+// n footprint cells from at + t*Step, stride apart.
+type dep struct{ at, stride, n int64 }
+
 // lookupKernel resolves a generic kernel by name; every generic kernel
 // adapts to the spec's dependence count through the Ctx slices and
 // walks full range-template footprints through DepLen/DepStride (a
@@ -91,27 +99,50 @@ func lookupKernel(name string) (engine.Kernel, error) {
 		}, nil
 	case "longest":
 		// Longest dependence chain: max over valid dependence footprint
-		// cells plus one.
+		// cells plus one. The engine holds each dependence's location,
+		// stride and length constant along the run it offers, so the
+		// valid ones are read once per call (an invalid footprint is
+		// empty: DepLen[j] == 0). When each is one cell, as in every
+		// constant-offset spec, a point loop skips the footprint walk.
 		return func(c *engine.Ctx) {
-			n := c.N
+			var buf [stackDeps]dep
+			var abuf [stackDeps]int64
+			deps, ats, point := buf[:0], abuf[:0], true
+			for j, m := range c.DepLen {
+				if m > 0 {
+					deps = append(deps, dep{at: c.DepLoc[j], stride: c.DepStride[j], n: m})
+					ats = append(ats, c.DepLoc[j])
+					point = point && m == 1
+				}
+			}
+			n, V, loc, step := c.N, c.V, c.Loc, c.Step
 			c.Done = n
-			V := c.V
-			for off := int64(0); n > 0; n-- {
-				v := 0.0
-				for j, ok := range c.DepValid {
-					if !ok {
-						continue
-					}
-					at, s := c.DepLoc[j]+off, c.DepStride[j]
-					for m := c.DepLen[j]; m > 0; m-- {
-						if d := V[at] + 1; d > v {
+			if point {
+				for off := int64(0); n > 0; n-- {
+					v := 0.0
+					for _, at := range ats {
+						if d := V[at+off] + 1; d > v {
 							v = d
 						}
-						at += s
+					}
+					V[loc+off] = v
+					off += step
+				}
+				return
+			}
+			for off := int64(0); n > 0; n-- {
+				v := 0.0
+				for _, d := range deps {
+					at := d.at + off
+					for m := d.n; m > 0; m-- {
+						if x := V[at] + 1; x > v {
+							v = x
+						}
+						at += d.stride
 					}
 				}
-				V[c.Loc+off] = v
-				off += c.Step
+				V[loc+off] = v
+				off += step
 			}
 		}, nil
 	default:

@@ -423,7 +423,7 @@ func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec
 	if v, ok := s.specCache.get(r.hash); ok {
 		return v.(*compiledSpec), true, nil
 	}
-	v, err, shared := s.flights.do("c:"+r.hash, func() (any, error) {
+	v, err, shared := s.flights.do(ctx, "c:"+r.hash, func() (any, error) {
 		if v, ok := s.specCache.get(r.hash); ok {
 			return v, nil
 		}
@@ -462,13 +462,15 @@ func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec
 }
 
 // getPrepared returns the prepared run front for (cs, params, nodes),
-// building and caching it on first use (coalesced per key).
+// building and caching it on first use (coalesced per key). Prepare
+// waits on no gate, so a flight here never ends in a caller's context
+// error and needs no caller context.
 func (s *Server) getPrepared(cs *compiledSpec, params []int64, nodes int) (*engine.Prepared, error) {
 	key := fmt.Sprintf("%d|%v", nodes, params)
 	if prep, ok := cs.prepared.get(key); ok {
 		return prep.(*engine.Prepared), nil
 	}
-	v, err, _ := s.flights.do("p:"+cs.hash+"|"+key, func() (any, error) {
+	v, err, _ := s.flights.do(context.TODO(), "p:"+cs.hash+"|"+key, func() (any, error) {
 		if prep, ok := cs.prepared.get(key); ok {
 			return prep, nil
 		}
@@ -622,7 +624,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var v any
 		var shared bool
-		v, err, shared = s.flights.do(rq.resultKey(), func() (any, error) {
+		v, err, shared = s.flights.do(r.Context(), rq.resultKey(), func() (any, error) {
 			return s.compute(r.Context(), rq, tenant, useMemo, false)
 		})
 		if err == nil {
@@ -758,11 +760,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck
 }
 
-// decode reads a JSON request body under the body-size cap.
+// decode reads a JSON request body under the body-size cap: a body over
+// the cap is 413, any other read failure (a client gone mid-body) 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into *QueryRequest) *apiError {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	data, err := io.ReadAll(body)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if !errors.As(err, &tooBig) {
+			return badRequest("serve: reading request body: %v", err)
+		}
 		return &apiError{status: http.StatusRequestEntityTooLarge, code: ErrBadRequest,
 			msg: fmt.Sprintf("serve: request body over %d bytes", s.opts.MaxBodyBytes)}
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dpgen/internal/problems"
@@ -529,5 +530,116 @@ func TestParameterChurnIsBounded(t *testing.T) {
 	_, _, hitsAfter, _, _ := cs.prepared.stats()
 	if first != again || hitsAfter != hits+2 {
 		t.Errorf("a repeated size was rebuilt: %p vs %p, hits %d -> %d", first, again, hits, hitsAfter)
+	}
+}
+
+// A coalesced follower does not inherit its leader's cancellation: the
+// leader's client goes away while the leader is queued for the run slot,
+// and the follower, whose client is still connected, gets its answer.
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
+	s, ts := testServer(t, Options{MaxConcurrentRuns: 1, TenantConcurrency: 4})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once, freed sync.Once
+	s.testRunStarted = func() {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	// Runs before the server closes, which waits for every handler.
+	free := func() { freed.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	// send posts a query under ctx from a goroutine of its own, which
+	// must not stop the test, so failures come back in the reply.
+	send := func(ctx context.Context, req QueryRequest) <-chan reply {
+		out := make(chan reply, 1)
+		go func() {
+			var r reply
+			defer func() { out <- r }()
+			data, err := json.Marshal(req)
+			if err != nil {
+				r.err = err
+				return
+			}
+			hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(data))
+			if err != nil {
+				r.err = err
+				return
+			}
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				r.err = err
+				return
+			}
+			defer resp.Body.Close()
+			r.status = resp.StatusCode
+			r.body, r.err = io.ReadAll(resp.Body)
+		}()
+		return out
+	}
+	// The hooks run on server goroutines; each event is received once.
+	queued, joined := make(chan struct{}, 4), make(chan struct{}, 4)
+	s.runGate.testQueued = func() { queued <- struct{}{} }
+	s.flights.testJoined = func() { joined <- struct{}{} }
+	holder := send(context.Background(), QueryRequest{Spec: triSpecA, Params: []int64{40}})
+	<-started // the holder has the one run slot
+
+	req := QueryRequest{Spec: triSpecA, Params: []int64{41}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := send(ctx, req)
+	<-queued // the leader waits for the run slot
+	follower := send(context.Background(), req)
+	<-joined // the follower waits on the leader's flight
+
+	cancel()
+	if got := <-leader; got.err == nil {
+		t.Fatalf("the cancelled leader got a response: status %d", got.status)
+	}
+	// The leader's flight ends in its context error; the follower runs
+	// the flight again and queues for the slot itself.
+	select {
+	case <-queued:
+	case got := <-follower:
+		t.Fatalf("the follower replied while the slot was held: status %d (err %v)\n%s", got.status, got.err, got.body)
+	}
+	free()
+	for name, ch := range map[string]<-chan reply{"holder": holder, "follower": follower} {
+		if got := <-ch; got.err != nil || got.status != http.StatusOK {
+			t.Errorf("%s: status %d (err %v), want 200\n%s", name, got.status, got.err, got.body)
+		}
+	}
+}
+
+// A body that ends early is a bad request (400); only a body over the
+// cap is 413.
+func TestBodyReadErrors(t *testing.T) {
+	s := New(Options{MaxBodyBytes: 64})
+	h := s.Handler()
+	for _, tc := range []struct {
+		name string
+		body func() io.Reader
+		want int
+	}{
+		{"truncated", func() io.Reader {
+			return io.MultiReader(strings.NewReader(`{"spec": "na`), iotest.ErrReader(io.ErrUnexpectedEOF))
+		}, http.StatusBadRequest},
+		{"oversize", func() io.Reader {
+			return strings.NewReader(`{"spec": "` + strings.Repeat("x", 100) + `"}`)
+		}, http.StatusRequestEntityTooLarge},
+	} {
+		for _, path := range []string{"/v1/query", "/v1/compile"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, tc.body()))
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != tc.want || er.Code != ErrBadRequest {
+				t.Errorf("%s %s: status %d code %q (err %v), want %d %q\n%s",
+					tc.name, path, rec.Code, er.Code, err, tc.want, ErrBadRequest, rec.Body)
+			}
+		}
 	}
 }
