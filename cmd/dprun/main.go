@@ -83,17 +83,14 @@ func main() {
 		ckptEvery  = flag.Int64("ckpt-every", 0, "checkpoint cadence in executed tiles (default 64 with -ckpt-dir)")
 		resume     = flag.Bool("resume", false, "restore this rank's state from its checkpoint before running")
 		rejoin     = flag.Bool("rejoin", false, "reconnect into a live recovery mesh after a crash (implies -resume)")
-		crashTiles = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after this rank executes N tiles")
-		killRank   = flag.Int("kill-rank", -1, "fault injection for -launch: forward -crash-after-tiles to this rank only")
+		crashTiles = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after N executed tiles (rank -kill-rank only under -distributed; never on a -rejoin)")
+		killRank   = flag.Int("kill-rank", -1, "fault injection: the rank -crash-after-tiles applies to (required with it under -distributed)")
 
 		elastic        = flag.Bool("elastic", false, "enable elastic membership: ranks may join and leave mid-run (docs/ELASTICITY.md)")
-		elasticMembers = flag.String("elastic-members", "", "comma-separated initial member ranks (default: every rank; must include 0)")
-		elasticJoin    = flag.Bool("elastic-join", false, "this rank starts as a standby and announces itself as a joiner")
-		elasticLeave   = flag.Int64("elastic-leave-after", 0, "request a voluntary leave after this rank executes N tiles")
+		elasticLeave   = flag.Int64("elastic-leave-after", 0, "rank -leave-rank requests a voluntary leave after executing N tiles (0: at once)")
 		scaleAtStr     = flag.String("scale-at", "", "rank-0 scale schedule, comma-separated tiles:delta pairs (e.g. 100:+2,500:-1)")
-		expectLeaves   = flag.Int("expect-leaves", 0, "voluntary leaves rank 0 waits for before declaring the membership final")
-		elasticInitial = flag.Int("elastic-initial", 0, "with -launch and -elastic: size of the initial member set; the remaining ranks join mid-run")
-		leaveRank      = flag.Int("leave-rank", -1, "with -launch and -elastic: forward -elastic-leave-after to this rank only")
+		elasticInitial = flag.Int("elastic-initial", 0, "size N of the initial member set: ranks [0, N) start as members, the rest join mid-run (default every rank)")
+		leaveRank      = flag.Int("leave-rank", -1, "the rank -elastic-leave-after applies to (required with it under -distributed)")
 
 		report       = flag.Bool("report", false, "print the run-wide observability report: per-rank breakdowns, load imbalance, stragglers, critical path (implies tracing)")
 		statsJSON    = flag.String("stats-json", "", "write machine-readable run statistics as JSON to this file ('-' for stdout); with -launch, one JSON array over all ranks")
@@ -108,6 +105,12 @@ func main() {
 		os.Exit(checkTraceMain(*checkTrace, *name, *traceLenient))
 	}
 
+	if *distrib && *crashTiles > 0 && *killRank < 0 {
+		fatal(fmt.Errorf("-crash-after-tiles needs -kill-rank under -distributed: name the rank that crashes"))
+	}
+	if *distrib && *elasticLeave > 0 && *leaveRank < 0 {
+		fatal(fmt.Errorf("-elastic-leave-after needs -leave-rank under -distributed: name the rank that leaves"))
+	}
 	if *launch > 0 {
 		if !*distrib {
 			fatal(fmt.Errorf("-launch requires -distributed"))
@@ -115,14 +118,6 @@ func main() {
 		os.Exit(launchLocal(launchConfig{
 			n:          *launch,
 			ckptDir:    *ckptDir,
-			killRank:   *killRank,
-			crashTiles: *crashTiles,
-			elastic:    *elastic,
-			elasticN:   *elasticInitial,
-			leaveRank:  *leaveRank,
-			leaveAfter: *elasticLeave,
-			scaleAt:    *scaleAtStr,
-			leavesWant: *expectLeaves,
 			traceOut:   *traceOut,
 			statsJSON:  *statsJSON,
 			report:     *report,
@@ -171,27 +166,28 @@ func main() {
 			Resume:     *resume || *rejoin,
 		},
 	}
+	// One job-wide configuration: every rank reads the same flags and
+	// applies the ones that name its -rank.
 	if *elastic {
-		members, err := parseMembers(*elasticMembers)
-		if err != nil {
-			fatal(err)
-		}
 		schedule, err := parseScaleAt(*scaleAtStr)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Elastic = dpgen.ElasticConfig{
-			Enabled:         true,
-			Members:         members,
-			JoinRequest:     *elasticJoin,
-			LeaveAfterTiles: *elasticLeave,
-			ExpectLeaves:    *expectLeaves,
-		}
-		if *rank == 0 {
-			cfg.Elastic.ScaleAt = schedule
+		cfg.Elastic = dpgen.ElasticConfig{Enabled: true, ScaleAt: schedule}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "elastic-initial" {
+				// Out-of-range sizes fail in the engine's member check.
+				cfg.Elastic.Members = []int{}
+				for r := 0; r < *elasticInitial; r++ {
+					cfg.Elastic.Members = append(cfg.Elastic.Members, r)
+				}
+			}
+		})
+		if *leaveRank >= 0 {
+			cfg.Elastic.LeaveAfter = map[int]int64{*leaveRank: *elasticLeave}
 		}
 	}
-	if *crashTiles > 0 {
+	if *crashTiles > 0 && (!*distrib || *rank == *killRank) && !*rejoin {
 		cfg.CrashAfterTiles = *crashTiles
 		cfg.CrashFn = func() {
 			fmt.Fprintf(os.Stderr, "injected crash after %d tiles\n", *crashTiles)
@@ -434,23 +430,6 @@ func liveMetrics(tr dpgen.Transport) func(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "# dprun: no live metrics source (not a distributed TCP run)")
 		return err
 	}
-}
-
-// parseMembers parses the -elastic-members rank list; empty means every
-// rank (the engine's default).
-func parseMembers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var members []int
-	for _, f := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad -elastic-members entry %q: %v", f, err)
-		}
-		members = append(members, r)
-	}
-	return members, nil
 }
 
 // parseScaleAt parses the -scale-at schedule: comma-separated

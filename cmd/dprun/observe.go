@@ -22,7 +22,7 @@ import (
 // postRun performs the supervisor's after-the-job observability work:
 // trace merge + verification, the run-wide report, the stats-JSON
 // rollup and the final metrics snapshot. Returns a process exit code.
-func postRun(lc launchConfig, statsBase string, restarted bool) int {
+func postRun(lc launchConfig, restarted bool) int {
 	var merged *dpgen.Trace
 	if lc.traceOut != "" {
 		var err error
@@ -60,7 +60,7 @@ func postRun(lc launchConfig, statsBase string, restarted bool) int {
 		}
 	}
 	if lc.statsJSON != "" {
-		if err := rollupStats(lc.statsJSON, statsBase, lc.n); err != nil {
+		if err := rollupStats(lc.statsJSON, lc.statsBase(), lc.n); err != nil {
 			fmt.Fprintf(os.Stderr, "supervisor: stats rollup failed: %v\n", err)
 			return 1
 		}

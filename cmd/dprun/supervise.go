@@ -9,7 +9,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,23 +17,15 @@ import (
 	"sync"
 
 	"dpgen"
+	"dpgen/internal/mpi/tcp"
 )
 
 // launchConfig carries the supervisor-relevant flag values into
-// launchLocal.
+// launchLocal. Everything else reaches the children unchanged
+// (forwardFlags).
 type launchConfig struct {
 	n          int    // ranks to fork
 	ckptDir    string // non-empty enables recovery restarts
-	killRank   int    // fault injection target rank (-1 none)
-	crashTiles int64  // fault injection tile budget
-
-	elastic    bool   // elastic membership (docs/ELASTICITY.md)
-	elasticN   int    // initial member count (0: every rank is a member)
-	leaveRank  int    // rank scheduled for a voluntary leave (-1 none)
-	leaveAfter int64  // leave threshold in executed tiles, for leaveRank
-	scaleAt    string // rank-0 scale schedule, tiles:delta pairs
-	leavesWant int    // -expect-leaves override (0: derived from leaveRank)
-
 	traceOut   string // merged Perfetto trace output path
 	statsJSON  string // merged stats JSON output path ("-" stdout)
 	report     bool   // print the run-wide report after the merge
@@ -47,6 +38,57 @@ type launchConfig struct {
 // wantObs reports whether the supervisor needs children to open live
 // observability endpoints for it to scrape.
 func (lc launchConfig) wantObs() bool { return lc.obsAddr != "" }
+
+// statsBase is the path the children's -stats-json files derive from:
+// the job-wide path, or a temporary one when the rollup goes to stdout.
+func (lc launchConfig) statsBase() string {
+	if lc.statsJSON == "-" {
+		return filepath.Join(os.TempDir(), fmt.Sprintf("dprun-stats-%d.json", os.Getpid()))
+	}
+	return lc.statsJSON
+}
+
+// forwardFlags lists the explicitly set flags of fs that every child
+// gets unchanged: all but the launch plumbing, which childArgs supplies
+// per rank, and the per-process outputs, whose files would collide.
+func forwardFlags(fs *flag.FlagSet) []string {
+	var fwd []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "launch", "distributed", "rank", "peers", "nodes", "resume", "rejoin",
+			"trace", "metrics", "cpuprofile", "memprofile",
+			"report", "stats-json", "obs-addr", "metrics-out",
+			"check-trace", "trace-lenient":
+			return
+		}
+		fwd = append(fwd, "-"+f.Name+"="+f.Value.String())
+	})
+	return fwd
+}
+
+// childArgs is rank r's command line. Every rank gets the same
+// forwarded flags and derives its role from -rank; what differs is
+// -rank itself and the rank-suffixed outputs. A restart appends
+// -resume -rejoin.
+func (lc launchConfig) childArgs(fwd, peers []string, r int, restart bool) []string {
+	args := append([]string{"-distributed", "-rank", strconv.Itoa(r), "-peers", strings.Join(peers, ",")}, fwd...)
+	if lc.traceOut != "" {
+		args = append(args, "-trace="+rankFile(lc.traceOut, r))
+	}
+	if lc.statsJSON != "" {
+		args = append(args, "-stats-json="+rankFile(lc.statsBase(), r))
+	}
+	if lc.metricsOut != "" {
+		args = append(args, "-metrics-out="+rankFile(lc.metricsOut, r))
+	}
+	if lc.wantObs() {
+		args = append(args, "-obs-addr=127.0.0.1:0")
+	}
+	if restart {
+		args = append(args, "-resume", "-rejoin")
+	}
+	return args
+}
 
 // childExit is one supervised worker process's termination report.
 type childExit struct {
@@ -70,11 +112,8 @@ const obsLinePrefix = "obs       http://"
 
 // launchLocal is the local launcher and supervisor behind -launch N: it
 // picks N loopback ports, re-executes this binary once per rank with
-// -distributed -rank r -peers ..., forwarding the other explicitly-set
-// flags (except per-process outputs like -trace and the profiles, whose
-// filenames would collide), and prefixes each child's output with its
-// rank. With -kill-rank it forwards the -crash-after-tiles fault
-// injection to that rank only.
+// the command line childArgs builds, and prefixes each child's output
+// with its rank.
 //
 // When a child dies and checkpointing is on (-ckpt-dir), the supervisor
 // restarts the crashed rank with -resume -rejoin — the rank reloads its
@@ -95,78 +134,27 @@ func launchLocal(lc launchConfig) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	peers := make([]string, lc.n)
-	for r := range peers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(lc.n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	for _, ln := range lns {
 		// Freed here and re-bound by the child; the dial retry in the
 		// transport rides out the window.
 		ln.Close()
 	}
-	var common []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "launch", "distributed", "rank", "peers", "nodes",
-			"trace", "metrics", "cpuprofile", "memprofile",
-			"kill-rank", "crash-after-tiles",
-			"resume", "rejoin",
-			"elastic-members", "elastic-join", "elastic-leave-after",
-			"scale-at", "expect-leaves", "elastic-initial", "leave-rank",
-			"report", "stats-json", "obs-addr", "metrics-out",
-			"check-trace", "trace-lenient":
-			return
-		}
-		common = append(common, "-"+f.Name+"="+f.Value.String())
-	})
-
-	statsBase := lc.statsJSON
-	if statsBase == "-" {
-		// Children need real files; the rollup goes to stdout at the end.
-		statsBase = filepath.Join(os.TempDir(), fmt.Sprintf("dprun-stats-%d.json", os.Getpid()))
-	}
-	// perRank is the per-child output plumbing re-applied on restarts:
-	// rank-suffixed trace and stats files, and an ephemeral live
-	// observability port when the supervisor wants to scrape.
-	perRank := func(r int) []string {
-		var extra []string
-		if lc.traceOut != "" {
-			extra = append(extra, "-trace="+rankFile(lc.traceOut, r))
-		}
-		if lc.statsJSON != "" {
-			extra = append(extra, "-stats-json="+rankFile(statsBase, r))
-		}
-		if lc.metricsOut != "" {
-			extra = append(extra, "-metrics-out="+rankFile(lc.metricsOut, r))
-		}
-		if lc.wantObs() {
-			extra = append(extra, "-obs-addr=127.0.0.1:0")
-		}
-		if lc.elastic {
-			extra = append(extra, lc.elasticFlags(r)...)
-		}
-		return extra
-	}
+	fwd := forwardFlags(flag.CommandLine)
 
 	var mu sync.Mutex // serializes output lines and the process table
 	procs := make(map[int]*exec.Cmd, lc.n)
 	obsAddrs := make(map[int]string, lc.n) // rank -> live endpoint address
 	exits := make(chan childExit, lc.n)
 
-	// start launches (or relaunches) rank r and begins streaming its
-	// output; extra carries the restart or fault-injection flags.
-	start := func(r int, extra ...string) error {
-		args := append([]string{
-			"-distributed",
-			"-rank", strconv.Itoa(r),
-			"-peers", strings.Join(peers, ","),
-		}, common...)
-		args = append(args, perRank(r)...)
-		args = append(args, extra...)
-		cmd := exec.Command(exe, args...)
+	// start launches (or, on a restart, relaunches) rank r and begins
+	// streaming its output.
+	start := func(r int, restart bool) error {
+		cmd := exec.Command(exe, lc.childArgs(fwd, peers, r, restart)...)
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			return err
@@ -209,11 +197,7 @@ func launchLocal(lc launchConfig) int {
 	}
 
 	for r := 0; r < lc.n; r++ {
-		var extra []string
-		if r == lc.killRank && lc.crashTiles > 0 {
-			extra = []string{"-crash-after-tiles", strconv.FormatInt(lc.crashTiles, 10)}
-		}
-		if err := start(r, extra...); err != nil {
+		if err := start(r, false); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -258,7 +242,7 @@ func launchLocal(lc launchConfig) int {
 			mu.Lock()
 			delete(obsAddrs, ex.rank) // stale port; the restart announces a new one
 			mu.Unlock()
-			if err := start(ex.rank, "-resume", "-rejoin"); err == nil {
+			if err := start(ex.rank, true); err == nil {
 				continue
 			} else {
 				fmt.Fprintf(os.Stderr, "supervisor: restart of rank %d failed: %v\n", ex.rank, err)
@@ -293,46 +277,9 @@ func launchLocal(lc launchConfig) int {
 		for r, k := range restarts {
 			fmt.Printf("supervisor: rank %d recovered after %d restart(s)\n", r, k)
 		}
-		ret = postRun(lc, statsBase, len(restarts) > 0)
+		ret = postRun(lc, len(restarts) > 0)
 	}
 	return ret
-}
-
-// elasticFlags computes rank r's membership role in an -elastic job:
-// ranks below the initial member count (-elastic-initial, default all)
-// start as members, the rest start as standbys announcing a join; rank
-// -leave-rank is scheduled for a voluntary departure; rank 0 carries
-// the -scale-at schedule and waits for the scheduled leave before
-// declaring the membership final.
-func (lc launchConfig) elasticFlags(r int) []string {
-	init := lc.elasticN
-	if init <= 0 || init > lc.n {
-		init = lc.n
-	}
-	ranks := make([]string, init)
-	for i := range ranks {
-		ranks[i] = strconv.Itoa(i)
-	}
-	flags := []string{"-elastic-members=" + strings.Join(ranks, ",")}
-	if r >= init {
-		flags = append(flags, "-elastic-join")
-	}
-	if r == lc.leaveRank && lc.leaveAfter > 0 {
-		flags = append(flags, "-elastic-leave-after="+strconv.FormatInt(lc.leaveAfter, 10))
-	}
-	if r == 0 {
-		if lc.scaleAt != "" {
-			flags = append(flags, "-scale-at="+lc.scaleAt)
-		}
-		want := lc.leavesWant
-		if want == 0 && lc.leaveRank >= 0 && lc.leaveAfter > 0 {
-			want = 1
-		}
-		if want > 0 {
-			flags = append(flags, "-expect-leaves="+strconv.Itoa(want))
-		}
-	}
-	return flags
 }
 
 // rankFile is the per-rank variant of a job-wide output path.

@@ -2,10 +2,7 @@ package dpgen
 
 import (
 	"math"
-	"net"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -33,15 +30,9 @@ func runDistributedTCP(tb testing.TB, p *problems.Problem, params []int64, nrank
 func runDistributedTCPOpts(tb testing.TB, p *problems.Problem, params []int64, nranks, threads int,
 	optsFn func(r int, o *tcp.Options), cfgFn func(r int, c *engine.Config)) []*engine.Result {
 	tb.Helper()
-	lns := make([]net.Listener, nranks)
-	peers := make([]string, nranks)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(nranks)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	results := make([]*engine.Result, nranks)
 	errs := make([]error, nranks)
@@ -164,12 +155,7 @@ func TestDprunDistributedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning test in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "dprun")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/dprun")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/dprun: %v\n%s", err, out)
-	}
+	bin := buildDprunBinary(t)
 	p, err := problems.Get("bandit2")
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +183,7 @@ func TestDprunSupervisorRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning test in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "dprun")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/dprun")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/dprun: %v\n%s", err, out)
-	}
+	bin := buildDprunBinary(t)
 
 	t.Run("recovers", func(t *testing.T) {
 		cmd := exec.Command(bin, "-problem", "bandit2", "-distributed", "-launch", "2", "-threads", "2",
@@ -241,4 +222,37 @@ func TestDprunSupervisorRecovery(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDprunMalformedLaunch: a launch whose flags cannot describe one
+// job fails instead of running a different one. Every rank reads the
+// same flags, so a fault-injection or leave threshold that names no
+// rank is a usage error, and an initial member count outside [1, N]
+// fails in the engine's member check on every rank.
+func TestDprunMalformedLaunch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-spawning test in -short mode")
+	}
+	bin := buildDprunBinary(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"crash-without-kill-rank", []string{"-crash-after-tiles", "20"}, "-crash-after-tiles needs -kill-rank"},
+		{"leave-without-leave-rank", []string{"-elastic", "-elastic-leave-after", "4"}, "-elastic-leave-after needs -leave-rank"},
+		{"initial-above-world", []string{"-elastic", "-elastic-initial", "3"}, "elastic member rank 2 out of range [0,2)"},
+		{"initial-zero", []string{"-elastic", "-elastic-initial", "0"}, "must include rank 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-problem", "bandit2", "-params", "20", "-distributed", "-launch", "2"}, tc.args...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if _, ok := err.(*exec.ExitError); !ok {
+				t.Fatalf("dprun %s: got %v, want a non-zero exit\n%s", strings.Join(args, " "), err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, out)
+			}
+		})
+	}
 }

@@ -118,7 +118,9 @@ type CheckpointConfig = engine.CheckpointConfig
 
 // ElasticConfig enables elastic cluster membership (Config.Elastic):
 // ranks join and leave a distributed run mid-flight, with live
-// re-partitioning and migration of the in-flight tile state. See
+// re-partitioning and migration of the in-flight tile state. One value
+// describes the whole job: every rank gets the same one and derives its
+// role (member, joiner, leaver, coordinator) from its rank. See
 // docs/ELASTICITY.md.
 type ElasticConfig = engine.ElasticConfig
 

@@ -3,7 +3,6 @@ package dpgen
 import (
 	"fmt"
 	"math"
-	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -30,8 +29,8 @@ import (
 // over every rank, so all four start as members, and the view changes
 // are a scheduled shrink (4 -> 3, rank 3 removed) and rank 1's leave.
 func TestElasticBitIdentical(t *testing.T) {
-	// The coordinator polls its scale schedule on a 1 ms ticker and the
-	// joiners announce themselves only once their own engine.Run is up,
+	// The coordinator checks its scale schedule as its tiles complete and
+	// the joiners announce themselves only once their own engine.Run is up,
 	// so whether a view change still finds tiles to migrate is a race
 	// between that latency and the compute. The sizes below (the
 	// benchmark's: thousands of tiles, tens of milliseconds of compute)
@@ -72,35 +71,23 @@ func TestElasticBitIdentical(t *testing.T) {
 				totalTiles += st.TilesExecuted
 			}
 
-			lns := make([]net.Listener, world)
-			peers := make([]string, world)
-			for r := range lns {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				lns[r] = ln
-				peers[r] = ln.Addr().String()
+			lns, peers, err := tcp.Loopback(world)
+			if err != nil {
+				t.Fatal(err)
 			}
 
-			elastic := func(r int) engine.ElasticConfig {
-				ec := engine.ElasticConfig{Enabled: true}
-				if !tc.prepared {
-					ec.Members = []int{0, 1}
-				}
-				switch {
-				case r == 0 && tc.prepared:
-					ec.ScaleAt = []engine.ScaleEvent{{AfterTiles: 8, Delta: -1}}
-					ec.ExpectLeaves = 1
-				case r == 0:
-					ec.ScaleAt = []engine.ScaleEvent{{AfterTiles: 8, Delta: +2}}
-					ec.ExpectLeaves = 1
-				case r == 1:
-					ec.LeaveAfterTiles = 4
-				case !tc.prepared:
-					ec.JoinRequest = true
-				}
-				return ec
+			// One value for the whole job. Ranks 2 and 3, outside
+			// Members, announce themselves as joiners; the prepared run
+			// starts with every rank and shrinks instead.
+			elastic := engine.ElasticConfig{
+				Enabled:    true,
+				Members:    []int{0, 1},
+				ScaleAt:    []engine.ScaleEvent{{AfterTiles: 8, Delta: +2}},
+				LeaveAfter: map[int]int64{1: 4},
+			}
+			if tc.prepared {
+				elastic.Members = nil
+				elastic.ScaleAt = []engine.ScaleEvent{{AfterTiles: 8, Delta: -1}}
 			}
 
 			type outcome struct {
@@ -124,7 +111,7 @@ func TestElasticBitIdentical(t *testing.T) {
 						done <- outcome{r, nil, err}
 						return
 					}
-					cfg := engine.Config{Transport: tr, Threads: threads, Elastic: elastic(r)}
+					cfg := engine.Config{Transport: tr, Threads: threads, Elastic: elastic}
 					if !tc.prepared {
 						res, err := engine.Run(tl, p.Kernel, params, cfg)
 						done <- outcome{r, res, err}
@@ -216,8 +203,8 @@ func TestElasticBitIdentical(t *testing.T) {
 // TestElasticConfigRejections pins the compositions elastic membership
 // refuses, each with the structural reason its error must state:
 // in-process runs (nothing to join or leave), Checkpoint (no checkpoint
-// records the ownership map), and member lists that omit the
-// coordinator.
+// records the ownership map), member lists that omit the coordinator,
+// and leaves scheduled for the coordinator or a rank outside the world.
 func TestElasticConfigRejections(t *testing.T) {
 	p, err := problems.Get("bandit2")
 	if err != nil {
@@ -239,20 +226,17 @@ func TestElasticConfigRejections(t *testing.T) {
 			"no checkpoint records the epoch's ownership map"},
 		{Config{Elastic: ElasticConfig{Enabled: true, Members: []int{1}}},
 			"must include rank 0 (the coordinator)"},
+		{Config{Elastic: ElasticConfig{Enabled: true, LeaveAfter: map[int]int64{0: 4}}},
+			"LeaveAfter rank 0 out of range [1,2)"},
+		{Config{Elastic: ElasticConfig{Enabled: true, LeaveAfter: map[int]int64{2: 4}}},
+			"LeaveAfter rank 2 out of range [1,2)"},
 	}
 	for i, tc := range bad {
 		tc := tc
 		// A fresh mesh per row: closing a transport closes its listener.
-		lns := make([]net.Listener, 2)
-		peers := make([]string, 2)
-		for r := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			lns[r] = ln
-			peers[r] = ln.Addr().String()
+		lns, peers, err := tcp.Loopback(2)
+		if err != nil {
+			t.Fatal(err)
 		}
 		errs := make(chan error, 2)
 		for r := 0; r < 2; r++ {

@@ -2,7 +2,6 @@ package dpfuzz
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -34,31 +33,17 @@ func CheckElastic(in *Instance) error {
 	if threads < 1 {
 		threads = 1
 	}
-	lns := make([]net.Listener, world)
-	peers := make([]string, world)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:r] {
-				l.Close()
-			}
-			return err
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(world)
+	if err != nil {
+		return err
 	}
-	elastic := func(r int) engine.ElasticConfig {
-		ec := engine.ElasticConfig{Enabled: true, Members: []int{0, 1}}
-		switch r {
-		case 0:
-			ec.ScaleAt = []engine.ScaleEvent{{AfterTiles: 2, Delta: +1}}
-			ec.ExpectLeaves = 1
-		case 1:
-			ec.LeaveAfterTiles = 2
-		case 2:
-			ec.JoinRequest = true
-		}
-		return ec
+	// One value for the whole job: rank 2, outside Members, announces
+	// itself as a joiner; rank 1 asks out after two tiles.
+	elastic := engine.ElasticConfig{
+		Enabled:    true,
+		Members:    []int{0, 1},
+		ScaleAt:    []engine.ScaleEvent{{AfterTiles: 2, Delta: +1}},
+		LeaveAfter: map[int]int64{1: 2},
 	}
 
 	results := make([]*engine.Result, world)
@@ -80,7 +65,7 @@ func CheckElastic(in *Instance) error {
 			defer tr.Close()
 			results[r], errs[r] = engine.Run(tl, kernel, params, engine.Config{
 				Transport: tr, Threads: threads,
-				Elastic: elastic(r),
+				Elastic: elastic,
 			})
 		}(r)
 	}

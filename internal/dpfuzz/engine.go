@@ -2,7 +2,6 @@ package dpfuzz
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -263,18 +262,9 @@ func CheckEngine(in *Instance) error {
 // builds a per-rank delivery-delay hook (tcp.Options.ChaosDelay) so
 // the run also covers out-of-order message arrival.
 func runTCP(tl *tiling.Tiling, kernel engine.Kernel, params []int64, nranks, threads, sendBufs, recvBufs int, chaos func(rank int) func(src, tag int) time.Duration) ([]*engine.Result, error) {
-	lns := make([]net.Listener, nranks)
-	peers := make([]string, nranks)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:r] {
-				l.Close()
-			}
-			return nil, err
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(nranks)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]*engine.Result, nranks)
 	errs := make([]error, nranks)

@@ -2,7 +2,6 @@ package dpfuzz
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -39,18 +38,9 @@ func CheckKillRecover(in *Instance) error {
 	if threads < 1 {
 		threads = 1
 	}
-	lns := make([]net.Listener, nranks)
-	peers := make([]string, nranks)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:r] {
-				l.Close()
-			}
-			return err
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(nranks)
+	if err != nil {
+		return err
 	}
 	opts := func(r int) tcp.Options {
 		return tcp.Options{

@@ -25,12 +25,13 @@
 //	         (a standby before its join, a member after its leave)
 //	         keeps serving the mesh instead of exiting.
 //
-// JOIN and LEAVE are requests to rank 0: a joining rank announces
-// itself and is admitted by the scale schedule; a leaving rank asks out
-// after LeaveAfterTiles executed tiles and keeps executing until the
-// view change strips its ownership. Departed ranks stay connected —
-// they answer PREPs trivially and join the final result merge — so a
-// "leave" is a transfer of work, not a socket teardown.
+// JOIN and LEAVE are requests to rank 0: a rank outside the initial
+// members announces itself and is admitted by the scale schedule; a
+// leaving rank asks out after its LeaveAfter threshold and keeps
+// executing until the view change strips its ownership. Departed ranks
+// stay connected — they answer PREPs trivially and join the final
+// result merge — so a "leave" is a transfer of work, not a socket
+// teardown.
 //
 // Bit-identity is preserved because nothing about cell arithmetic
 // changes: each tile still executes exactly once, from exactly the
@@ -66,32 +67,31 @@ type ScaleEvent struct {
 // ElasticConfig enables elastic membership (Config.Elastic). It
 // requires a distributed run over a transport that supports the
 // membership frames (dpgen/internal/mpi/tcp). It cannot run with
-// Checkpoint; Config.Elastic says why.
+// Checkpoint; Config.Elastic says why. It describes the whole job:
+// every rank gets the same value and derives its own role from its
+// rank.
 type ElasticConfig struct {
 	Enabled bool
 	// Members is the initial member set (rank numbers within the
 	// world); nil means every rank. Must include rank 0, the
-	// coordinator. Identical on every rank.
+	// coordinator. A rank outside it starts as a standby (owning
+	// nothing), announces itself to rank 0 as a joiner, and waits for
+	// a positive ScaleAt event to admit it.
 	Members []int
 	// ScaleAt is rank 0's view-change schedule, processed in
 	// AfterTiles order; only rank 0 reads it. If rank 0 finishes its
 	// own tiles before an event's threshold, the remaining events fire
 	// immediately (admitting however many joiners have announced).
 	ScaleAt []ScaleEvent
-	// JoinRequest makes this rank announce itself to rank 0 as a
-	// joiner at startup. It runs as a standby (owning nothing) until a
-	// positive ScaleAt event admits it.
-	JoinRequest bool
-	// LeaveAfterTiles, if positive, makes this rank request a
-	// voluntary leave once it has executed that many tiles (or all of
-	// its tiles, whichever comes first). The rank keeps executing
-	// until the leave is granted, then serves as a standby.
-	LeaveAfterTiles int64
-	// ExpectLeaves is the number of voluntary leave requests rank 0
-	// waits for before declaring the membership final (FIN); only
-	// rank 0 reads it. Without it a leave racing the end of the run
-	// could be granted or not depending on timing.
-	ExpectLeaves int
+	// LeaveAfter schedules voluntary leaves: rank r requests one once
+	// it has executed LeaveAfter[r] tiles (or all of its tiles,
+	// whichever comes first), keeps executing until the leave is
+	// granted, then serves as a standby. Rank 0 waits for
+	// len(LeaveAfter) requests before declaring the membership final
+	// (FIN); without that gate a leave racing the end of the run could
+	// be granted or not depending on timing. Keys lie in [1, world):
+	// rank 0 coordinates and cannot leave.
+	LeaveAfter map[int]int64
 }
 
 // elasticTransport is the transport facet elastic membership needs,
@@ -521,7 +521,7 @@ func (n *node) elasticLoop(lane *obs.Lane) {
 				return
 			}
 		}
-		if leavesSeen >= cfg.ExpectLeaves {
+		if leavesSeen >= len(cfg.LeaveAfter) {
 			for r := 0; r < world; r++ {
 				et.SendElastic(r, mpi.ElasticFin, nil)
 			}
@@ -589,7 +589,7 @@ func (n *node) elasticLoop(lane *obs.Lane) {
 		return true
 	}
 
-	if cfg.JoinRequest {
+	if !slices.Contains(n.prep.members, n.id) {
 		et.SendElastic(0, mpi.ElasticJoin, nil)
 	}
 
@@ -598,15 +598,12 @@ func (n *node) elasticLoop(lane *obs.Lane) {
 	// everything it owned before reaching its threshold) never executes
 	// another tile, so the loop fires the request once the rank is
 	// locally idle. Without it a tile-less leaver would leave rank 0
-	// waiting on ExpectLeaves forever.
+	// waiting on its leave forever.
 	maybeLeave := func() {
-		if cfg.LeaveAfterTiles <= 0 {
-			return
-		}
 		n.mu.Lock()
-		fire := !n.leaveSent && (n.executed >= cfg.LeaveAfterTiles || n.executed == n.ownedTotal)
+		fire := n.leaveAt >= 0 && (n.executed >= n.leaveAt || n.executed == n.ownedTotal)
 		if fire {
-			n.leaveSent = true
+			n.leaveAt = -1
 		}
 		n.mu.Unlock()
 		if fire {

@@ -327,6 +327,11 @@ func resolve(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (Conf
 	if _, ok := tr.(elasticTransport); !ok {
 		return cfg, nil, fmt.Errorf("engine: transport %T does not support elastic membership", tr)
 	}
+	for r := range cfg.Elastic.LeaveAfter {
+		if r <= 0 || r >= cfg.Nodes {
+			return cfg, nil, fmt.Errorf("engine: elastic LeaveAfter rank %d out of range [1,%d): rank 0 (the coordinator) cannot leave", r, cfg.Nodes)
+		}
+	}
 	members, err := normalizeMembers(cfg.Elastic.Members, cfg.Nodes)
 	return cfg, members, err
 }

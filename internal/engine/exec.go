@@ -489,15 +489,13 @@ func (n *node) tileDone(p *pendTile, w *workerState, cells, sentRemote int64, st
 		crash = true
 	}
 	finished := n.executed == n.ownedTotal
-	if n.elastic && !n.leaveSent {
+	if n.elastic && n.leaveAt >= 0 && (n.executed >= n.leaveAt || finished) {
 		// Voluntary departure: ask the coordinator out once the
 		// threshold is reached — or on local completion, so a rank
 		// whose tiles ran out early still honours its leave (and the
-		// coordinator's ExpectLeaves accounting).
-		if la := n.cfg.Elastic.LeaveAfterTiles; la > 0 && (n.executed >= la || finished) {
-			n.leaveSent = true
-			wantLeave = true
-		}
+		// coordinator's count of expected leaves).
+		n.leaveAt = -1
+		wantLeave = true
 	}
 	n.mu.Unlock()
 	if crash {

@@ -141,12 +141,14 @@ type node struct {
 	quietCond  *sync.Cond
 
 	// Elastic membership state (Config.Elastic; see elastic.go).
-	// elasticFin/leaveSent are under mu; kick holds one wake-up for the
-	// elastic loop after a tile completes.
+	// elasticFin and leaveAt are under mu: leaveAt is this rank's
+	// LeaveAfter threshold while its leave request is still to be sent,
+	// -1 otherwise. kick holds one wake-up for the elastic loop after a
+	// tile completes.
 	elastic     bool
-	et          elasticTransport
 	elasticFin  bool
-	leaveSent   bool
+	et          elasticTransport
+	leaveAt     int64
 	kick        chan struct{}
 	curEpoch    atomic.Uint32
 	stopElastic chan struct{}
@@ -206,6 +208,10 @@ func newNode(prep *Prepared, kernel Kernel, cfg Config, rank mpi.Transport) *nod
 		n.et = rank.(elasticTransport) // resolve checked the assertion
 		n.kick = make(chan struct{}, 1)
 		n.stopElastic = make(chan struct{})
+		n.leaveAt = -1
+		if la, ok := cfg.Elastic.LeaveAfter[n.id]; ok {
+			n.leaveAt = max(la, 0)
+		}
 	}
 	n.crashAt = cfg.CrashAfterTiles
 	return n

@@ -8,7 +8,6 @@ package mpi_test
 
 import (
 	"math/rand"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -63,15 +62,9 @@ func chaosDelayFn(seed int64) func(src, tag int) time.Duration {
 // constructor (nil for a quiet mesh).
 func tcpMeshChaos(t *testing.T, size, sendBufs, recvBufs int, chaos func(rank int) func(src, tag int) time.Duration) []mpi.Transport {
 	t.Helper()
-	lns := make([]net.Listener, size)
-	peers := make([]string, size)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(size)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ts := make([]mpi.Transport, size)
 	errs := make([]error, size)
@@ -508,15 +501,9 @@ func TestTCPPeerDeath(t *testing.T) {
 // replay, and the collectives must work across the recovered mesh.
 func TestTCPKillRecover(t *testing.T) {
 	const size = 3
-	lns := make([]net.Listener, size)
-	peers := make([]string, size)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(size)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ts := make([]*tcp.Transport, size)
 	errs := make([]error, size)
@@ -645,15 +632,9 @@ func TestTCPChaosKillRecover(t *testing.T) {
 
 	const size, threads = 3, 2
 	ckdir := t.TempDir()
-	lns := make([]net.Listener, size)
-	peers := make([]string, size)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(size)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opts := func(r int) tcp.Options {
 		return tcp.Options{

@@ -16,6 +16,24 @@ import (
 	"dpgen/internal/obs"
 )
 
+// Loopback pre-binds n listeners on ephemeral loopback ports and
+// returns them with their addresses in rank order: the peers list of an
+// n-rank local mesh, each listener handed to its rank as
+// Options.Listener. On error it closes the listeners it already opened.
+func Loopback(n int) (lns []net.Listener, peers []string, err error) {
+	lns, peers = make([]net.Listener, n), make([]string, n)
+	for r := range lns {
+		if lns[r], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			for _, ln := range lns[:r] {
+				ln.Close()
+			}
+			return nil, nil, err
+		}
+		peers[r] = lns[r].Addr().String()
+	}
+	return lns, peers, nil
+}
+
 // Dial establishes this rank's endpoint of a full TCP mesh over the
 // given peer addresses (peers[r] is rank r's listen address; rank is
 // this process's index into it). It blocks until every connection is

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,15 +21,9 @@ import (
 // returns the transports plus the peer address list (for DialRejoin).
 func recoveryPair(t *testing.T, tune func(o *tcp.Options)) (t0, t1 *tcp.Transport, peers []string) {
 	t.Helper()
-	lns := make([]net.Listener, 2)
-	peers = make([]string, 2)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
+	lns, peers, err := tcp.Loopback(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ts := make([]*tcp.Transport, 2)
 	errs := make([]error, 2)

@@ -11,15 +11,9 @@ import (
 // listeners (no port races) and registers cleanup.
 func dialPair(t *testing.T, opts Options) (*Transport, *Transport) {
 	t.Helper()
-	lns := make([]net.Listener, 2)
-	peers := make([]string, 2)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
+	lns, peers, err := Loopback(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var ts [2]*Transport
 	var errs [2]error
@@ -81,17 +75,12 @@ func TestSingleRankMesh(t *testing.T) {
 // TestDialRetry: rank 1 dials rank 0 before rank 0 is listening; the
 // exponential-backoff retry must ride out the gap.
 func TestDialRetry(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	lns, peers, err := Loopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr0 := ln0.Addr().String()
-	ln0.Close() // nobody listening yet: rank 1's first dials must fail
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := []string{addr0, ln1.Addr().String()}
+	addr0, ln1 := peers[0], lns[1]
+	lns[0].Close() // nobody listening yet: rank 1's first dials must fail
 
 	var retries int
 	opts := Options{
@@ -143,11 +132,12 @@ func TestDialRetry(t *testing.T) {
 // TestBadHello: a stranger speaking garbage on the mesh port must fail
 // the accept side rather than joining the mesh.
 func TestBadHello(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	lns, peers, err := Loopback(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := []string{ln.Addr().String(), "127.0.0.1:1"} // rank 1 never dials properly
+	ln := lns[0]
+	peers = append(peers, "127.0.0.1:1") // rank 1 never dials properly
 	dialDone := make(chan error, 1)
 	go func() {
 		_, err := Dial(0, peers, Options{DialTimeout: 5 * time.Second, Listener: ln})

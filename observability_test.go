@@ -2,7 +2,6 @@ package dpgen
 
 import (
 	"encoding/json"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -285,14 +284,9 @@ func TestDprunTraceMergeRecovery(t *testing.T) {
 // for rank 1's handshake so no probe frame is in flight afterwards.
 func tcpPair(t *testing.T, disableClockSync bool) [2]*tcp.Transport {
 	t.Helper()
-	var lns [2]net.Listener
-	peers := make([]string, 2)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r], peers[r] = ln, ln.Addr().String()
+	lns, peers, err := tcp.Loopback(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var trs [2]*tcp.Transport
 	var errs [2]error

@@ -2,7 +2,6 @@ package dpgen
 
 import (
 	"math"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -44,15 +43,9 @@ func TestRecoveryBitIdentical(t *testing.T) {
 			}
 
 			ckdir := t.TempDir()
-			lns := make([]net.Listener, nranks)
-			peers := make([]string, nranks)
-			for r := range lns {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				lns[r] = ln
-				peers[r] = ln.Addr().String()
+			lns, peers, err := tcp.Loopback(nranks)
+			if err != nil {
+				t.Fatal(err)
 			}
 			opts := func(r int) tcp.Options {
 				return tcp.Options{
