@@ -83,8 +83,8 @@ func main() {
 		ckptEvery  = flag.Int64("ckpt-every", 0, "checkpoint cadence in executed tiles (default 64 with -ckpt-dir)")
 		resume     = flag.Bool("resume", false, "restore this rank's state from its checkpoint before running")
 		rejoin     = flag.Bool("rejoin", false, "reconnect into a live recovery mesh after a crash (implies -resume)")
-		crashTiles = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after N executed tiles (rank -kill-rank only under -distributed; never on a -rejoin)")
-		killRank   = flag.Int("kill-rank", -1, "fault injection: the rank -crash-after-tiles applies to (required with it under -distributed)")
+		crashTiles = flag.Int64("crash-after-tiles", 0, "fault injection: exit(3) after N executed tiles (rank -kill-rank only under -distributed; in-process, the whole process and every rank in it; never on a -rejoin)")
+		killRank   = flag.Int("kill-rank", -1, "fault injection: the rank -crash-after-tiles applies to (-distributed only, and required there: an in-process crash ends the whole process)")
 
 		elastic        = flag.Bool("elastic", false, "enable elastic membership: ranks may join and leave mid-run (docs/ELASTICITY.md)")
 		elasticLeave   = flag.Int64("elastic-leave-after", 0, "rank -leave-rank requests a voluntary leave after executing N tiles (0: at once)")
@@ -105,6 +105,9 @@ func main() {
 		os.Exit(checkTraceMain(*checkTrace, *name, *traceLenient))
 	}
 
+	if !*distrib && *killRank >= 0 {
+		fatal(fmt.Errorf("-kill-rank needs -distributed: an in-process crash ends the whole process, every rank with it"))
+	}
 	if *distrib && *crashTiles > 0 && *killRank < 0 {
 		fatal(fmt.Errorf("-crash-after-tiles needs -kill-rank under -distributed: name the rank that crashes"))
 	}

@@ -228,24 +228,31 @@ func TestDprunSupervisorRecovery(t *testing.T) {
 // job fails instead of running a different one. Every rank reads the
 // same flags, so a fault-injection or leave threshold that names no
 // rank is a usage error, and an initial member count outside [1, N]
-// fails in the engine's member check on every rank.
+// fails in the engine's member check on every rank. An in-process run
+// (local) cannot crash one rank alone, so naming one is a usage error.
 func TestDprunMalformedLaunch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-spawning test in -short mode")
 	}
 	bin := buildDprunBinary(t)
 	for _, tc := range []struct {
-		name string
-		args []string
-		want string
+		name  string
+		args  []string
+		want  string
+		local bool
 	}{
-		{"crash-without-kill-rank", []string{"-crash-after-tiles", "20"}, "-crash-after-tiles needs -kill-rank"},
-		{"leave-without-leave-rank", []string{"-elastic", "-elastic-leave-after", "4"}, "-elastic-leave-after needs -leave-rank"},
-		{"initial-above-world", []string{"-elastic", "-elastic-initial", "3"}, "elastic member rank 2 out of range [0,2)"},
-		{"initial-zero", []string{"-elastic", "-elastic-initial", "0"}, "must include rank 0"},
+		{"crash-without-kill-rank", []string{"-crash-after-tiles", "20"}, "-crash-after-tiles needs -kill-rank", false},
+		{"kill-rank-in-process", []string{"-nodes", "2", "-crash-after-tiles", "5", "-kill-rank", "7"}, "-kill-rank needs -distributed", true},
+		{"leave-without-leave-rank", []string{"-elastic", "-elastic-leave-after", "4"}, "-elastic-leave-after needs -leave-rank", false},
+		{"initial-above-world", []string{"-elastic", "-elastic-initial", "3"}, "elastic member rank 2 out of range [0,2)", false},
+		{"initial-zero", []string{"-elastic", "-elastic-initial", "0"}, "must include rank 0", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-problem", "bandit2", "-params", "20", "-distributed", "-launch", "2"}, tc.args...)
+			args := []string{"-problem", "bandit2", "-params", "20"}
+			if !tc.local {
+				args = append(args, "-distributed", "-launch", "2")
+			}
+			args = append(args, tc.args...)
 			out, err := exec.Command(bin, args...).CombinedOutput()
 			if _, ok := err.(*exec.ExitError); !ok {
 				t.Fatalf("dprun %s: got %v, want a non-zero exit\n%s", strings.Join(args, " "), err, out)

@@ -123,10 +123,10 @@ type liveTable struct {
 	newTile func(ds *delivState, consumer []int64) *pendTile
 }
 
-// newLiveTable builds a node's table over layout; track selects the
-// tracking regime.
-func newLiveTable(layout *balance.Layout, track bool, newTile func(*delivState, []int64) *pendTile) *liveTable {
-	return &liveTable{tab: sched.NewTable[tileState](layout.Slab, layout.Rest, layout.Expect), track: track, newTile: newTile}
+// newLiveTable builds a node's table over layout for the tile
+// dependences' offsets; track selects the tracking regime.
+func newLiveTable(layout *balance.Layout, offsets [][]int64, track bool, newTile func(*delivState, []int64) *pendTile) *liveTable {
+	return &liveTable{tab: sched.NewTable[tileState](layout.Slab, layout.Rest, layout.Expect, offsets), track: track, newTile: newTile}
 }
 
 // publish adds ds's entries installed less completed to the table's
@@ -140,21 +140,23 @@ func (lt *liveTable) publish(ds *delivState) int64 {
 	return n
 }
 
-// addEdge buffers one dependence edge for a consumer tile. It returns the
-// tile when this edge completed its dependences (the caller enqueues
-// it), and dup when the duplicate filter dropped the edge (the caller
-// still owns data) — so each cell stays computed exactly once from
-// determined inputs, which keeps recovery and migration bit-identical.
-func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
+// addEdge buffers one dependence edge for a consumer tile, whose table
+// keys are pk and rk. It returns the tile when this edge completed its
+// dependences (the caller enqueues it), and dup when the duplicate
+// filter dropped the edge (the caller still owns data) — so each cell
+// stays computed exactly once from determined inputs, which keeps
+// recovery and migration bit-identical.
+func (lt *liveTable) addEdge(ds *delivState, consumer []int64, pk, rk uint64, dep int, data []float64) (ready *pendTile, dup bool) {
 	if lt.track {
-		return lt.addEdgeTracked(ds, consumer, dep, data)
+		return lt.addEdgeTracked(ds, consumer, pk, rk, dep, data)
 	}
-	pg, slot := lt.tab.Lookup(consumer)
+	pg, slot := lt.tab.Lookup(pk, rk)
 	p := slot.Load()
 	if p == nil {
 		// First edge for this tile. If another deliverer installs an entry
 		// first, this one is the next spare.
 		fresh := lt.newTile(ds, consumer)
+		fresh.PK, fresh.RK = pk, rk
 		var installed bool
 		if p, installed = lt.tab.Install(slot, fresh); installed {
 			ds.entries++
@@ -173,14 +175,15 @@ func (lt *liveTable) addEdge(ds *delivState, consumer []int64, dep int, data []f
 // addEdgeTracked is addEdge on a tracking run: the same steps under mu,
 // behind the duplicate filter. A completed entry stays in its slot,
 // queued, until it retires.
-func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, dep int, data []float64) (ready *pendTile, dup bool) {
+func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, pk, rk uint64, dep int, data []float64) (ready *pendTile, dup bool) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	_, slot := lt.tab.Lookup(consumer)
+	_, slot := lt.tab.Lookup(pk, rk)
 	p := slot.Load()
 	switch {
 	case p == nil:
 		p = lt.newTile(ds, consumer)
+		p.PK, p.RK = pk, rk
 		slot.Store(p)
 		ds.entries++
 	case p == executedTile || p.Missing.Load() == 0 || p.Tile.edges[dep].data != nil:
@@ -195,16 +198,18 @@ func (lt *liveTable) addEdgeTracked(ds *delivState, consumer []int64, dep int, d
 	return p, false
 }
 
-// seed admits a tile with no producers (an initial tile, which no edge
-// will ever announce) as queued. False means its slot is taken — a
-// resumed rank's executed seed — and it must not be queued.
+// seed records the keys of a tile with no producers (an initial tile,
+// which no edge will ever announce) and admits it as queued. False
+// means its slot is taken — a resumed rank's executed seed — and it
+// must not be queued.
 func (lt *liveTable) seed(p *pendTile) bool {
+	p.PK, p.RK = lt.tab.Keys(p.Tile.coord)
 	if !lt.track {
 		return true
 	}
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	_, slot := lt.tab.Lookup(p.Tile.coord)
+	_, slot := lt.tab.Lookup(p.PK, p.RK)
 	if slot.Load() != nil {
 		return false
 	}
@@ -241,7 +246,7 @@ func (lt *liveTable) retire(p *pendTile, fold *cellMax, tile cellMax) {
 		return
 	}
 	lt.mu.Lock()
-	_, slot := lt.tab.Lookup(p.Tile.coord)
+	_, slot := lt.tab.Lookup(p.PK, p.RK)
 	slot.Store(executedTile)
 	fold.merge(tile)
 	lt.mu.Unlock()
@@ -432,8 +437,9 @@ func (n *node) applyRecords(recs []ckptTile, lane *obs.Lane, ds *delivState) (ed
 		if len(t.edges) == 0 {
 			n.seedTile(t.tile, lane, ds)
 		}
+		pk, rk := n.live.tab.Keys(t.tile)
 		for _, ed := range t.edges {
-			n.deliver(t.tile, ed.dep, ed.data, false, lane, ds)
+			n.deliver(t.tile, pk, rk, ed.dep, ed.data, false, lane, ds)
 			edges++
 		}
 	}

@@ -85,9 +85,13 @@ func TestLiveTableStress(t *testing.T) {
 				ds := newDelivState(prep)
 				for i := g; i < copies*len(edges); i += workers {
 					d := edges[i%len(edges)]
-					p, _ := lt.addEdge(ds, d.consumer, d.dep, payload(d))
+					pk, rk := lt.tab.Keys(d.consumer)
+					p, _ := lt.addEdge(ds, d.consumer, pk, rk, d.dep, payload(d))
 					if p == nil {
 						continue
+					}
+					if p.PK != pk || p.RK != rk {
+						bad.Add(1)
 					}
 					k, _ := key.Of(p.Tile.coord)
 					var got uint64
@@ -155,7 +159,7 @@ func TestLiveTableStress(t *testing.T) {
 	})
 
 	t.Run("tracking", func(t *testing.T) {
-		lt := newLiveTable(prep.layout, true, n.prepTile)
+		lt := newLiveTable(prep.layout, tl.DepOffsets(), true, n.prepTile)
 		ready, wrong := deliver(lt, 2)
 		check(t, lt, ready, wrong)
 		if lt.dups != int64(len(edges)) {
@@ -177,7 +181,7 @@ func TestLiveTableStress(t *testing.T) {
 		tiles := 0
 		tl.ForEachTile(params, func(tt []int64) bool {
 			tiles++
-			if _, slot := lt.tab.Lookup(tt); slot.Load() != executedTile {
+			if _, slot := lt.tab.Lookup(lt.tab.Keys(tt)); slot.Load() != executedTile {
 				t.Fatalf("retired tile %v holds %p in its slot", tt, slot.Load())
 			}
 			return true

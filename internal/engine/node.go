@@ -196,7 +196,7 @@ func newNode(prep *Prepared, kernel Kernel, cfg Config, rank mpi.Transport) *nod
 	// Fault tolerance and elastic membership both need the table's
 	// tracking regime: checkpoint and migration serialise exactly the
 	// same live state.
-	n.live = newLiveTable(prep.layout, cfg.Checkpoint.Dir != "" || cfg.Elastic.Enabled, n.prepTile)
+	n.live = newLiveTable(prep.layout, prep.tl.DepOffsets(), cfg.Checkpoint.Dir != "" || cfg.Elastic.Enabled, n.prepTile)
 	n.pauseCond, n.quietCond = sync.NewCond(&n.mu), sync.NewCond(&n.mu)
 	if cfg.Checkpoint.Dir != "" {
 		n.ckptPath = CheckpointPath(cfg.Checkpoint.Dir, n.id)

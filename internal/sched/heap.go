@@ -41,6 +41,10 @@ type Item[T any] struct {
 	Level int64   // wavefront level: the LevelSet order
 	Seq   int64   // arrival order, assigned by Pool.Push: the FIFO order and every policy's tie-break
 	Shard int     // worker queue it lands in: Pool.Home of the tile's coordinates
+	// PK and RK are the tile's page and rest keys in its runtime's Table,
+	// recorded when its entry is installed or seeded, so its consumers'
+	// slots are found from them (Table.Consumer) without Key.Of.
+	PK, RK uint64
 	// Missing counts the dependence edges not yet delivered: Table.Arrive
 	// counts it down, and the tile is ready at zero.
 	Missing atomic.Int64

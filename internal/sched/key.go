@@ -52,6 +52,18 @@ func (k *Key) Of(t []int64) (uint64, bool) {
 	return key, true
 }
 
+// Delta returns the key step of the tile offset off (indexed by tile
+// dimension): Of(t) − Of(t − off), modulo 2^64, for every t with t and
+// t − off both in the box, because the key is linear in the
+// coordinates.
+func (k *Key) Delta(off []int64) uint64 {
+	var d uint64
+	for i, dim := range k.dims {
+		d += uint64(off[dim]) * k.mul[i]
+	}
+	return d
+}
+
 // OfLB returns the key of coordinates lb, given in the key's own
 // dimensions and inside the box: a load-balancing slab's coordinates.
 func (k *Key) OfLB(lb []int64) uint64 {

@@ -7,7 +7,10 @@ import (
 
 // Table is a node's pending-tile table (Section V-B): each tile's entry
 // from its first delivered edge to its last, in a page of slots per page
-// key in flight, the slot found by the rest key. Delivery takes no lock:
+// key in flight, the slot found by the rest key. A producer's consumer
+// along a tile dependence has keys a constant step below the producer's
+// (Key.Delta), so a runtime that records a tile's keys on its item
+// finds every consumer's slot by subtraction. Delivery takes no lock:
 // the first installs the caller's entry (Install), each files its edge
 // and counts Missing down (Arrive), and the arrival that reaches zero,
 // ordered after every other, empties the slot. A page whose expected
@@ -15,7 +18,8 @@ import (
 // slot states under its own lock never calls Arrive, so its pages stay.
 type Table[T any] struct {
 	PageKey, RestKey *Key
-	expect           []int64 // per page key, the entries its page completes
+	expect           []int64  // per page key, the entries its page completes
+	dpk, drk         []uint64 // per tile dependence, the page- and rest-key step to the consumer
 	pages            []atomic.Pointer[Page[T]]
 
 	// mu guards the free list and the count of pages allocated, the most
@@ -34,17 +38,36 @@ type Page[T any] struct {
 }
 
 // NewTable builds an empty table whose page for page key k completes
-// expect[k] entries before it is recycled.
-func NewTable[T any](pageKey, restKey *Key, expect []int64) *Table[T] {
-	return &Table[T]{PageKey: pageKey, RestKey: restKey, expect: expect,
+// expect[k] entries before it is recycled. offsets are the tile
+// dependences' producer offsets: consumer = producer − offsets[j].
+func NewTable[T any](pageKey, restKey *Key, expect []int64, offsets [][]int64) *Table[T] {
+	t := &Table[T]{PageKey: pageKey, RestKey: restKey, expect: expect,
+		dpk: make([]uint64, len(offsets)), drk: make([]uint64, len(offsets)),
 		pages: make([]atomic.Pointer[Page[T]], pageKey.Len())}
+	for j, off := range offsets {
+		t.dpk[j], t.drk[j] = pageKey.Delta(off), restKey.Delta(off)
+	}
+	return t
 }
 
-// Lookup returns the page and slot of a tile inside both keys' boxes,
+// Keys returns the page and rest keys of a tile inside both keys'
+// boxes.
+func (t *Table[T]) Keys(tile []int64) (pk, rk uint64) {
+	pk, _ = t.PageKey.Of(tile)
+	rk, _ = t.RestKey.Of(tile)
+	return pk, rk
+}
+
+// Consumer returns the keys of p's consumer along tile dependence dep,
+// the tile p's coordinates − offsets[dep], from the keys recorded on p.
+// The consumer must exist.
+func (t *Table[T]) Consumer(p *Item[T], dep int) (pk, rk uint64) {
+	return p.PK - t.dpk[dep], p.RK - t.drk[dep]
+}
+
+// Lookup returns the page and slot at page key pk and rest key rk,
 // taking the page if its key has none.
-func (t *Table[T]) Lookup(tile []int64) (*Page[T], *atomic.Pointer[Item[T]]) {
-	pk, _ := t.PageKey.Of(tile)
-	rk, _ := t.RestKey.Of(tile)
+func (t *Table[T]) Lookup(pk, rk uint64) (*Page[T], *atomic.Pointer[Item[T]]) {
 	pg := t.Take(pk)
 	return pg, &pg.Slots[rk]
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -13,7 +14,9 @@ import (
 // every page must end on the free list, no more of them allocated than
 // there are page keys. The tiles are a 3-D simplex cut from a box; a
 // tile's page is its first coordinate, its slot the other two, and each
-// of its three neighbours below is a producer.
+// of its three neighbours below is a producer. Every other edge finds
+// its slot from the producer's keys (Consumer), the rest from the
+// consumer's coordinates.
 func TestTableStress(t *testing.T) {
 	const (
 		workers = 4
@@ -77,7 +80,12 @@ func TestTableStress(t *testing.T) {
 		at    []int64
 		edges [3]int64
 	}
-	tab := NewTable[tile](pageKey, restKey, expect)
+	// The producer is the consumer + offset in the runtime's sense.
+	neg := make([][]int64, len(offsets))
+	for d, off := range offsets {
+		neg[d] = []int64{-off[0], -off[1], -off[2]}
+	}
+	tab := NewTable[tile](pageKey, restKey, expect, neg)
 	times := make([]int, tileKey.Len())
 	var mu sync.Mutex
 	var wrong int
@@ -89,7 +97,16 @@ func TestTableStress(t *testing.T) {
 			var spare *Item[tile]
 			for i := g; i < len(edges); i += workers {
 				d := edges[i]
-				pg, slot := tab.Lookup(d.consumer)
+				pk, rk := tab.Keys(d.consumer)
+				if i%2 == 1 {
+					off := offsets[d.dep]
+					var producer Item[tile]
+					producer.PK, producer.RK = tab.Keys([]int64{d.consumer[0] - off[0], d.consumer[1] - off[1], d.consumer[2] - off[2]})
+					if cpk, crk := tab.Consumer(&producer, d.dep); cpk != pk || crk != rk {
+						t.Errorf("consumer %v of dependence %d: keys %d,%d from the producer's, want %d,%d", d.consumer, d.dep, cpk, crk, pk, rk)
+					}
+				}
+				pg, slot := tab.Lookup(pk, rk)
 				p := slot.Load()
 				if p == nil {
 					fresh := spare
@@ -180,5 +197,57 @@ func TestBufs(t *testing.T) {
 	var none *Bufs[int]
 	if none.Put(x) {
 		t.Error("a nil stack kept a buffer")
+	}
+}
+
+// TestKeyDelta: over random boxes, key dimension choices and offsets,
+// Of(t) − Delta(off) is Of(t − off) for every pair t, t − off inside
+// the box, extent-one dimensions included.
+func TestKeyDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pairs := 0
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(4)
+		lo, hi := make([]int64, d), make([]int64, d)
+		for k := range lo {
+			lo[k] = rng.Int63n(7) - 3
+			hi[k] = lo[k] + rng.Int63n(4)
+		}
+		dims := rng.Perm(d)[:1+rng.Intn(d)]
+		key, err := NewKey(dims, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := make([]int64, d)
+		for k := range off {
+			off[k] = rng.Int63n(5) - 2
+		}
+		delta := key.Delta(off)
+		// Every point of the box, odometer order.
+		tile, nb := slices.Clone(lo), make([]int64, d)
+		for {
+			for k := range tile {
+				nb[k] = tile[k] - off[k]
+			}
+			if kt, ok := key.Of(tile); ok {
+				if kn, in := key.Of(nb); in {
+					pairs++
+					if kt-delta != kn {
+						t.Fatalf("box %v..%v dims %v: Of(%v) − Delta(%v) = %d, Of(%v) = %d", lo, hi, dims, tile, off, kt-delta, nb, kn)
+					}
+				}
+			}
+			k := 0
+			for ; k < d && tile[k] == hi[k]; k++ {
+				tile[k] = lo[k]
+			}
+			if k == d {
+				break
+			}
+			tile[k]++
+		}
+	}
+	if pairs < 1000 {
+		t.Errorf("only %d in-box pairs checked", pairs)
 	}
 }

@@ -233,7 +233,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	for i := range s.nodes {
 		n := &simNode{
 			ready:     sched.Heap[simState]{Prio: cfg.Priority},
-			table:     sched.NewTable[simState](layout.Slab, layout.Rest, layout.Expect),
+			table:     sched.NewTable[simState](layout.Slab, layout.Rest, layout.Expect, tl.DepOffsets()),
 			freeCores: cfg.Cores,
 			slotTimes: make([]float64, cfg.SendBufs),
 			owned:     assign.Tiles[i],
@@ -497,7 +497,7 @@ func (s *sim) arrive(e *event) {
 // table and readies the tile when all dependencies have arrived.
 func (s *sim) deliver(id int, consumer []int64, dep int, elems int64, at float64) {
 	n := s.nodes[id]
-	pg, slot := n.table.Lookup(consumer)
+	pg, slot := n.table.Lookup(n.table.Keys(consumer))
 	st := slot.Load()
 	if st == nil {
 		st = s.newSimTile(consumer, s.probe.DepCount(consumer))

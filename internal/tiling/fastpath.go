@@ -226,17 +226,33 @@ func (tl *Tiling) UnpackInterior(dep int, buf, data []float64) {
 	unpackSpans(tl.interiorSlab[dep], tl.TileDeps[dep].Shift, buf, data)
 }
 
-// packSpans appends a slab's cells of buf to out, one copy per span.
+// packSpans appends a slab's cells of buf to out, span by span. A span
+// of one element is appended and a longer one copied: the cut-over is
+// one element. memmove's call costs more than one move (lcs2's left
+// slab is 32 one-element spans, bandit2's lowest-dimension slab 216),
+// but from four elements up (knap's spans of 4 and 8, bandit2's of 6)
+// element loops measured slower than copy (docs/PERF.md "Pack and
+// unpack").
 func packSpans(sp []int64, buf, out []float64) []float64 {
 	for k := 0; k < len(sp); k += 2 {
+		if sp[k+1]-sp[k] == 1 {
+			out = append(out, buf[sp[k]])
+			continue
+		}
 		out = append(out, buf[sp[k]:sp[k+1]]...)
 	}
 	return out
 }
 
-// unpackSpans writes data over a slab's spans of buf moved by shift.
+// unpackSpans writes data over a slab's spans of buf moved by shift,
+// one-element spans by a single move as in packSpans.
 func unpackSpans(sp []int64, shift int64, buf, data []float64) {
 	for k, idx := 0, 0; k < len(sp); k += 2 {
+		if sp[k+1]-sp[k] == 1 {
+			buf[sp[k]+shift] = data[idx]
+			idx++
+			continue
+		}
 		idx += copy(buf[sp[k]+shift:sp[k+1]+shift], data[idx:])
 	}
 }

@@ -8,6 +8,15 @@ import (
 	"dpgen/internal/sched"
 )
 
+// DepOffsets returns each tile dependence's producer offset, Offset.
+func (tl *Tiling) DepOffsets() [][]int64 {
+	offs := make([][]int64, len(tl.TileDeps))
+	for j := range tl.TileDeps {
+		offs[j] = tl.TileDeps[j].Offset
+	}
+	return offs
+}
+
 // LBIndices returns the variable indexes of the load-balancing dimensions
 // in priority order (lb1 first).
 func (tl *Tiling) LBIndices() []int {

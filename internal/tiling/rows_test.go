@@ -116,18 +116,26 @@ func diffCells(got, want []cellRec) error {
 }
 
 // shapeCells replays tile t's shape the way the engine's row runner
-// does: rows and runs as stored, each run's pattern, and a ranged run
-// in LenRun prefixes.
+// does: rows and runs as stored, a new row's outer indices from its
+// first run's OuterFrom level down (the indices start out as garbage),
+// each run's pattern, and a ranged run in LenRun prefixes.
 func shapeCells(tl *tiling.Tiling, rd *tiling.ShapeReader, t []int64, interior bool) ([]cellRec, error) {
 	d, nd := len(tl.Spec.Vars), len(tl.Spec.Deps)
 	outer, inner := tl.Dense[:d-1], tl.Dense[d-1]
 	step := int64(inner.Dir)
 	idx, lens := make([]int64, d), make([]int64, nd)
+	for k := range idx {
+		idx[k] = -7777
+	}
 	var out []cellRec
 	sh := rd.Cells(t, interior)
+	row := int32(-1)
 	for _, run := range sh.Runs {
-		for l, L := range outer {
-			idx[L.Var] = sh.Outer[int(run.Row)*(d-1)+l]
+		if run.Row != row {
+			row = run.Row
+			for l := int(run.OuterFrom); l < len(outer); l++ {
+				idx[outer[l].Var] = sh.Outer[int(run.Row)*(d-1)+l]
+			}
 		}
 		valid := make([]bool, nd)
 		for j := range valid {

@@ -47,12 +47,17 @@ type Shape struct {
 
 // ShapeRun is a run of cells of row Row with constant dependence
 // validity: its first and last innermost local indices in execution
-// order, and bit j of Valid for dependence j.
+// order, and bit j of Valid for dependence j. On a row's first run,
+// OuterFrom is the first outer loop level whose index differs from the
+// last row before it that has a run (0 on the tile's first run), so a
+// runner that applies rows as their runs come rewrites only the levels
+// from OuterFrom down.
 type ShapeRun struct {
-	From, To int64
-	Valid    uint64
-	Row      int32
-	l0, l1   int32 // length rows of its valid range dependences: lens[l0:l1]
+	From, To  int64
+	Valid     uint64
+	Row       int32
+	OuterFrom int32
+	l0, l1    int32 // length rows of its valid range dependences: lens[l0:l1]
 }
 
 // Ranged reports whether a valid range dependence's length can vary
@@ -312,14 +317,26 @@ func (rd *ShapeReader) UnpackPartial(dep int, t []int64, buf, data []float64) in
 func (rw *RowWalker) compileCells(t []int64, sh *Shape) {
 	*sh = Shape{Runs: sh.Runs[:0], Loc: sh.Loc[:0], Outer: sh.Outer[:0], lens: sh.lens[:0], clamps: sh.clamps[:0]}
 	dir := int64(rw.cellDirs[len(rw.cellDirs)-1])
+	no := len(rw.il) - 1
+	applied := -1 // the last row with a run
 	rw.Begin(t)
 	for rw.NextRow() {
 		sh.Loc = append(sh.Loc, rw.RowLoc)
-		sh.Outer = append(sh.Outer, rw.il[:len(rw.il)-1]...)
+		sh.Outer = append(sh.Outer, rw.il[:no]...)
 		cbase := int32(len(sh.clamps))
 		sh.clamps = append(sh.clamps, rw.clamps...)
+		r := len(sh.Loc) - 1
 		for rw.NextRun() {
-			run := ShapeRun{From: rw.From, To: rw.To, Row: int32(len(sh.Loc) - 1), l0: int32(len(sh.lens))}
+			run := ShapeRun{From: rw.From, To: rw.To, Row: int32(r), l0: int32(len(sh.lens))}
+			if applied != r {
+				if applied >= 0 {
+					cur, last := sh.Outer[r*no:][:no], sh.Outer[applied*no:][:no]
+					for int(run.OuterFrom) < no && cur[run.OuterFrom] == last[run.OuterFrom] {
+						run.OuterFrom++
+					}
+				}
+				applied = r
+			}
 			for j, v := range rw.DepValid {
 				if v {
 					run.Valid |= 1 << j
