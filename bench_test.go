@@ -577,21 +577,26 @@ func BenchmarkRunKernel(b *testing.B) {
 // mostly boundary tiles — prepared once and run on one worker under a
 // kernel that only accepts the run it is offered. What is left is the
 // scheduler, the pending table, the probes, the shape replay of rows and
-// partial slabs and the edge copies: ns/tile, and its inverse.
+// partial slabs and the edge copies: ns/tile, and its inverse. The
+// lcs2-32x32/2w row runs lcs2 on two workers (read it under -cpu 2),
+// where a readied tile's placement — on its producer's worker or the
+// other — is part of the toll.
 func BenchmarkTileOverhead(b *testing.B) {
 	tri, err := spec.Parse(triangleSpecText)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		sp     *spec.Spec
-		params []int64
+		name    string
+		sp      *spec.Spec
+		params  []int64
+		threads int
 	}{
-		{"knap8x8", problems.Knapsack().Spec, []int64{1000, 4000, 3}},
-		{"triangle16x16", tri, []int64{2000}},
-		{"lcs2-32x32", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec, []int64{2000, 2000}},
-		{"bandit2-6x6x6x6", problems.Bandit2().Spec, []int64{100}},
+		{"knap8x8", problems.Knapsack().Spec, []int64{1000, 4000, 3}, 1},
+		{"triangle16x16", tri, []int64{2000}, 1},
+		{"lcs2-32x32", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec, []int64{2000, 2000}, 1},
+		{"lcs2-32x32/2w", problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec, []int64{2000, 2000}, 2},
+		{"bandit2-6x6x6x6", problems.Bandit2().Spec, []int64{100}, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			tl, err := tiling.New(tc.sp)
@@ -605,7 +610,7 @@ func BenchmarkTileOverhead(b *testing.B) {
 			var tiles int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := prep.Run(func(c *engine.Ctx) { c.Done = c.N }, engine.Config{Threads: 1})
+				res, err := prep.Run(func(c *engine.Ctx) { c.Done = c.N }, engine.Config{Threads: tc.threads})
 				if err != nil {
 					b.Fatal(err)
 				}

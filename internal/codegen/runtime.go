@@ -158,7 +158,7 @@ type dpItem = Item[dpTile]
 // newItem builds the scheduler item of tile t, whose pending-table keys
 // are pk and rk, on node n's pool.
 func (n *dpNode) newItem(t [dpDims]int64, pk, rk uint64) *dpItem {
-	p := &dpItem{Shard: n.pool.Home(t[:]), PK: pk, RK: rk, Tile: dpTile{at: t, key: dpKeyOf(&t)}}
+	p := &dpItem{PK: pk, RK: rk, Tile: dpTile{at: t, key: dpKeyOf(&t)}}
 	p.Key = p.Tile.key[:]
 	return p
 }
@@ -190,6 +190,7 @@ type dpNode struct {
 // wherever it was consumed. A full stack leaves the buffer to the
 // garbage collector; an empty one allocates.
 type dpWorker struct {
+	id   int // the worker's index: its shard of the ready pool
 	V    []dpElem
 	bufs Bufs[dpElem]
 
@@ -241,7 +242,7 @@ func (g *dpGlobal) ownerOf(t *[dpDims]int64) int {
 func (n *dpNode) worker(g *dpGlobal, w int) {
 	// A tile unpacks and packs at most one edge per tile dependence, so
 	// twice that many buffers ride out any alternation of the two.
-	ws := &dpWorker{V: make([]dpElem, dpAllocLen), bufs: NewBufs[dpElem](2*dpNumTileDeps, dpMaxEdgeCap)}
+	ws := &dpWorker{id: w, V: make([]dpElem, dpAllocLen), bufs: NewBufs[dpElem](2*dpNumTileDeps, dpMaxEdgeCap)}
 	n.workers[w] = ws
 	for {
 		e0 := n.pool.Epoch()
@@ -259,15 +260,15 @@ func (n *dpNode) receiver(g *dpGlobal) {
 	for m := range n.inbox {
 		n.recvRemote.Add(1)
 		pk, rk := n.pending.Keys(m.consumer[:])
-		n.deliver(m.dep, m.consumer, pk, rk, m.data)
+		n.deliver(m.dep, m.consumer, pk, rk, m.data, -1)
 		<-m.slot // release the sender's send buffer
 	}
 }
 
 // deliver files one edge in the node's pending table, at the consumer's
 // keys pk and rk; the tile moves to the ready pool when its last edge
-// arrives.
-func (n *dpNode) deliver(dep int, consumer [dpDims]int64, pk, rk uint64, data []dpElem) {
+// arrives, onto worker w's shard (w < 0: the receiver's, hashed).
+func (n *dpNode) deliver(dep int, consumer [dpDims]int64, pk, rk uint64, data []dpElem, w int) {
 	pg, slot := n.pending.Lookup(pk, rk)
 	p := slot.Load()
 	if p == nil {
@@ -278,7 +279,7 @@ func (n *dpNode) deliver(dep int, consumer [dpDims]int64, pk, rk uint64, data []
 	p.Tile.edges[dep] = data
 	AtomicMax(&n.peakEdges, n.liveEdges.Add(1))
 	if n.pending.Arrive(pg, slot, p) {
-		n.pool.Push(p)
+		n.pool.Push(p, w)
 	}
 }
 
@@ -334,7 +335,7 @@ func (n *dpNode) exec(g *dpGlobal, p *dpItem, w *dpWorker) {
 		dst := g.ownerOf(&consumer)
 		if dst == n.id {
 			pk, rk := n.pending.Consumer(p, j)
-			n.deliver(j, consumer, pk, rk, data)
+			n.deliver(j, consumer, pk, rk, data, w.id)
 			w.localEdges++
 		} else {
 			n.slots <- struct{}{}
@@ -385,7 +386,7 @@ func main() {
 	for _, t := range g.initial {
 		n := g.nodes[g.ownerOf(&t)]
 		pk, rk := n.pending.Keys(t[:])
-		n.pool.Push(n.newItem(t, pk, rk))
+		n.pool.Push(n.newItem(t, pk, rk), -1)
 	}
 	initSecs := time.Since(start).Seconds()
 

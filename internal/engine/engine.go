@@ -12,8 +12,8 @@
 // dpgen/internal/mpi/tcp, and they meet only through edges and a closing
 // collective. Each node owns a set of tiles and schedules them by per-tile
 // dependence counting: a tile waits in its slab's page of the pending
-// table (live.go) until its last edge arrives, then lands in its home
-// shard of the ready pool, ordered by the Figure 5 priority — table and
+// table (live.go) until its last edge arrives, then lands in the ready
+// pool on its readying worker's shard, by the Figure 5 priority — table and
 // pool both dpgen/internal/sched's, which generated programs run too. Worker goroutines loop popping
 // their own shard's best tile, stealing from other shards when empty,
 // then unpack the tile's edges into a per-worker buffer with a

@@ -125,6 +125,7 @@ type delivState struct {
 	edges, elems, local int64
 	// Pending-table entries installed less those completed.
 	entries int64
+	w       int // owning worker, whose shard takes the tiles ds readies; -1 off the workers
 }
 
 // flush publishes ds's edge and entry accounting to the node's counters
@@ -142,11 +143,11 @@ func (n *node) flush(ds *delivState) {
 }
 
 func newDelivState(p *Prepared) *delivState {
-	return &delivState{probe: p.tl.NewProbe(p.params)}
+	return &delivState{probe: p.tl.NewProbe(p.params), w: -1}
 }
 
 // prepTile builds a ready-to-insert pending-table entry: the dependence
-// count, priority key, level and home shard, all polytope evaluations,
+// count, priority key and level, all polytope evaluations,
 // and one empty edge slot per tile dependence. The one Core probe
 // settles a core tile here for good: all its producers exist, it is
 // interior, and all its consumers exist. Other tiles — and every tile of
@@ -169,17 +170,16 @@ func (n *node) prepTile(ds *delivState, consumer []int64) *pendTile {
 	}
 	n.tl.PriorityKey(p.Tile.coord, p.Key)
 	p.Level = n.tl.TileLevel(p.Tile.coord)
-	p.Shard = n.pool.Home(p.Tile.coord)
 	return p
 }
 
 // enqueue makes a tile runnable: emit its ready event, then push it
-// onto its shard of the ready pool. lane is the caller's trace lane.
-func (n *node) enqueue(p *pendTile, lane *obs.Lane) {
+// onto the ready pool, on ds's worker's shard. lane is the caller's trace lane.
+func (n *node) enqueue(p *pendTile, lane *obs.Lane, ds *delivState) {
 	if lane != nil {
 		lane.Instant(obs.KReady, obs.TileID(p.Tile.coord), -1, 0)
 	}
-	n.pool.Push(p)
+	n.pool.Push(p, ds.w)
 }
 
 // seedTile queues a tile that has no producers — an initial tile, at
@@ -191,7 +191,7 @@ func (n *node) seedTile(t []int64, lane *obs.Lane, ds *delivState) {
 		ds.spare = p
 		return
 	}
-	n.enqueue(p, lane)
+	n.enqueue(p, lane, ds)
 }
 
 // deliver records one incoming edge for a consumer tile, whose table
@@ -216,7 +216,7 @@ func (n *node) deliver(consumer []int64, pk, rk uint64, dep int, data []float64,
 		ds.local++
 	}
 	if ready != nil {
-		n.enqueue(ready, lane)
+		n.enqueue(ready, lane, ds)
 	}
 }
 
@@ -254,7 +254,7 @@ func (n *node) newWorkerState(slot int) *workerState {
 	}
 	// The probe is shared with the delivery scratch: all uses are
 	// call-scoped on this worker's goroutine.
-	w.ds = delivState{probe: w.probe}
+	w.ds = delivState{probe: w.probe, w: slot}
 	// A tile unpacks and packs at most one edge per tile dependence, so
 	// twice that many buffers ride out any alternation of the two.
 	w.bufs = sched.NewBufs[float64](2*len(n.tl.TileDeps), int(slices.Max(append([]int64{0}, n.tl.InteriorEdgeSize...))))

@@ -47,8 +47,8 @@ import (
 
 // pendTile is a tile known to a node: pending (waiting on dependence
 // edges) and then queued for execution. The header (priority key,
-// wavefront level, arrival order, home shard, missing-edge count) is the
-// shared runtime's.
+// wavefront level, arrival order, missing-edge count) is the shared
+// runtime's.
 type pendTile = sched.Item[tileState]
 
 // executedTile fills a retired tile's slot on a tracking run.

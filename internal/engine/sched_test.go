@@ -3,6 +3,9 @@ package engine
 import (
 	"sync"
 	"testing"
+
+	"dpgen/internal/spec"
+	"dpgen/internal/tiling"
 )
 
 // ---- tile scheduling ----
@@ -80,16 +83,34 @@ func TestStaticPhaseDisabledPaths(t *testing.T) {
 }
 
 // TestPopAccounting: every executed tile is either a local pop or a
-// steal, at any node and thread count.
+// steal, at any node and thread count — on bandit2 and on lcs2-shaped
+// tiles at 1 × 2, where a worker's own pushes decide the most placements.
 func TestPopAccounting(t *testing.T) {
-	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
-	N := int64(15)
-	for _, cfg := range []Config{
-		{Nodes: 1, Threads: 1},
-		{Nodes: 1, Threads: 4},
-		{Nodes: 2, Threads: 3},
+	bandit2 := bandit2Tiling(t, 4, []string{"s1", "f1"})
+	sp := spec.MustNew("lcs2", []string{"N"}, []string{"i", "j"})
+	sp.MustConstrain("0 <= i <= N")
+	sp.MustConstrain("0 <= j <= N")
+	sp.AddDep("up", 1, 0)
+	sp.AddDep("left", 0, 1)
+	sp.AddDep("diag", 1, 1)
+	sp.TileWidths = []int64{4, 4}
+	lcs2, err := tiling.New(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		tl     *tiling.Tiling
+		kernel Kernel
+		N      int64
+		cfg    Config
+	}{
+		{bandit2, bandit2Kernel, 15, Config{Nodes: 1, Threads: 1}},
+		{bandit2, bandit2Kernel, 15, Config{Nodes: 1, Threads: 4}},
+		{bandit2, bandit2Kernel, 15, Config{Nodes: 2, Threads: 3}},
+		{lcs2, sumKernel, 63, Config{Nodes: 1, Threads: 2}},
 	} {
-		res, err := Run(tl, bandit2Kernel, []int64{N}, cfg)
+		cfg := row.cfg
+		res, err := Run(row.tl, row.kernel, []int64{row.N}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,5 +126,36 @@ func TestPopAccounting(t *testing.T) {
 				t.Errorf("node %d stole %d tiles with a single worker", i, st.Steals)
 			}
 		}
+	}
+}
+
+// TestReadiedTileStaysOnItsWorker: a worker's delivery pushes the tile
+// it readies onto that worker's own shard. Worker 1 of a two-worker node
+// runs the whole job on the calling goroutine: it steals only the seeded
+// tiles, which the pool placed by key hash, and pops every tile it
+// readied itself from its own shard.
+func TestReadiedTileStaysOnItsWorker(t *testing.T) {
+	cfg := Config{Threads: 2}.withDefaults()
+	prep, err := prepare(pipe2(t, 8), []int64{15}, 1, []int{0}, cfg.Balance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTestNode(prep, noopKernel, cfg)
+	if err := n.seed(); err != nil {
+		t.Fatal(err)
+	}
+	w := n.newWorkerState(1)
+	var tiles int64
+	for {
+		p, _ := n.pool.Pop(1)
+		if p == nil {
+			break
+		}
+		n.execTile(p, w, false)
+		tiles++
+	}
+	steals, local, _ := n.pool.Counts()
+	if seeds := int64(len(prep.assign.Initial)); tiles != 64 || steals > seeds || steals+local != tiles {
+		t.Errorf("worker 1 ran %d of 64 tiles: %d steals (%d seeded tiles), %d local pops", tiles, steals, seeds, local)
 	}
 }

@@ -34,13 +34,13 @@ func (p Priority) String() string {
 	return "unknown"
 }
 
-// Item is one schedulable tile: the header the scheduler orders and
-// places by, and the runtime's own per-tile state.
+// Item is one schedulable tile: the header the scheduler orders by,
+// and the runtime's own per-tile state. Where it queues is the pusher's
+// choice (Pool.Push), not part of the item.
 type Item[T any] struct {
 	Key   []int64 // oriented Figure 5 priority key: the lexicographically smaller runs first
 	Level int64   // wavefront level: the LevelSet order
 	Seq   int64   // arrival order, assigned by Pool.Push: the FIFO order and every policy's tie-break
-	Shard int     // worker queue it lands in: Pool.Home of the tile's coordinates
 	// PK and RK are the tile's page and rest keys in its runtime's Table,
 	// recorded when its entry is installed or seeded, so its consumers'
 	// slots are found from them (Table.Consumer) without Key.Of.

@@ -35,8 +35,9 @@ func AtomicMax(a *atomic.Int64, v int64) {
 
 // Pool is a node's ready queue: one shard per worker, each holding a
 // priority heap of the tiles whose dependences have all arrived, so
-// communication-causing tiles leave first (Figure 5). The owner pops its
-// own heap's best item; a thief scans the other shards from a random
+// communication-causing tiles leave first (Figure 5). A worker pushes
+// the tiles it readies onto its own shard and pops its own heap's best
+// item; a thief scans the other shards from a random
 // start and takes the first victim's best. An epoch/sleeper protocol
 // parks workers when every shard is empty without losing wakeups.
 type Pool[T any] struct {
@@ -69,29 +70,24 @@ func NewPool[T any](workers int, prio Priority) *Pool[T] {
 	return p
 }
 
-// Home hashes tile coordinates to a shard (FNV-1a), fixing which
-// worker's queue a released tile lands in.
-func (p *Pool[T]) Home(coords []int64) int {
-	if len(p.shards) <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for _, v := range coords {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return int(h % uint64(len(p.shards)))
-}
-
-// Push makes an item runnable on shard it.Shard and wakes a parked
+// Push makes an item runnable on worker w's shard — a worker pushes the
+// tiles it readies onto its own — or, for a caller that is not a worker
+// (w < 0), on a shard hashed (FNV-1a) from its Key, and wakes a parked
 // worker if there is one. The epoch bump is what makes the wakeup
 // race-free: a worker only commits to parking if the epoch it read
 // before its (empty) scan is still current, so either it sees this
 // push's epoch change and rescans, or its registration in sleepers is
 // visible here and the signal lands.
-func (p *Pool[T]) Push(it *Item[T]) {
+func (p *Pool[T]) Push(it *Item[T], w int) {
+	if w < 0 {
+		h := uint64(14695981039346656037)
+		for _, v := range it.Key {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+		w = int(h % uint64(len(p.shards)))
+	}
 	it.Seq = p.seq.Add(1)
-	s := &p.shards[it.Shard]
+	s := &p.shards[w]
 	s.mu.Lock()
 	s.heap.Push(it)
 	s.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 )
 
 // item builds a test item whose payload is its own name.
-func item(name int, shard int, level int64, key ...int64) *Item[int] {
-	return &Item[int]{Key: key, Level: level, Shard: shard, Tile: name}
+func item(name int, level int64, key ...int64) *Item[int] {
+	return &Item[int]{Key: key, Level: level, Tile: name}
 }
 
 // drain pops worker w's view of the pool until it is empty.
@@ -46,7 +46,7 @@ func TestPopOrder(t *testing.T) {
 	} {
 		p := NewPool[int](1, prio)
 		for _, s := range set {
-			p.Push(item(s.name, 0, s.level, s.key...))
+			p.Push(item(s.name, s.level, s.key...), 0)
 		}
 		if got := drain(p, 0); !slices.Equal(got, want) {
 			t.Errorf("%v: popped %v, want %v", prio, got, want)
@@ -83,25 +83,61 @@ func TestHeapRandom(t *testing.T) {
 	}
 }
 
-// TestHomeShard: the home hash is a function of the coordinates alone,
-// in range, and not constant.
-func TestHomeShard(t *testing.T) {
-	p := NewPool[int](4, ColumnMajor)
-	seen := map[int]bool{}
-	for i := int64(0); i < 8; i++ {
-		for j := int64(-4); j < 4; j++ {
-			c := []int64{i, j}
-			h := p.Home(c)
-			if h < 0 || h >= 4 || h != p.Home(c) {
-				t.Fatalf("Home(%v) = %d", c, h)
+// TestPushPlacement: at 2–4 workers, a worker's push stays on its own
+// shard — its owner pops it unstolen, and any other worker steals it
+// when that shard is the only non-empty one — and a non-worker's push
+// (w < 0) hashes the key, deterministically, over every shard.
+func TestPushPlacement(t *testing.T) {
+	for workers := 2; workers <= 4; workers++ {
+		p := NewPool[int](workers, ColumnMajor)
+		for w := 0; w < workers; w++ {
+			it := item(w, 0, int64(w))
+			p.Push(it, w)
+			if got, stolen := p.Pop(w); got != it || stolen {
+				t.Fatalf("%d workers: worker %d popped %v (stolen %v) after its own push", workers, w, got, stolen)
 			}
-			seen[h] = true
+			for thief := 0; thief < workers; thief++ {
+				if thief == w {
+					continue
+				}
+				p.Push(it, w)
+				if got, stolen := p.Pop(thief); got != it || !stolen {
+					t.Fatalf("%d workers: worker %d took %v (stolen %v) from worker %d's shard", workers, thief, got, stolen, w)
+				}
+			}
+		}
+		// A hashed item's shard is the one worker that pops it
+		// unstolen; the others steal it, so it is pushed anew for each.
+		shardOf := func(key []int64) int {
+			for w := 0; w < workers; w++ {
+				p.Push(item(0, 0, key...), -1)
+				if got, stolen := p.Pop(w); got == nil {
+					t.Fatalf("%d workers: hashed item %v was not poppable", workers, key)
+				} else if !stolen {
+					return w
+				}
+			}
+			t.Fatalf("%d workers: hashed item %v was stolen by every worker", workers, key)
+			return -1
+		}
+		seen := map[int]bool{}
+		for i := int64(0); i < 8; i++ {
+			for j := int64(-4); j < 4; j++ {
+				key := []int64{i, j}
+				s := shardOf(key)
+				if s != shardOf(key) {
+					t.Fatalf("%d workers: key %v hashed to two shards", workers, key)
+				}
+				seen[s] = true
+			}
+		}
+		if len(seen) != workers {
+			t.Errorf("%d workers: 64 distinct keys landed on shards %v", workers, seen)
 		}
 	}
-	if len(seen) != 4 {
-		t.Errorf("an 8x8 tile grid landed on shards %v of 4", seen)
-	}
-	if one := NewPool[int](1, ColumnMajor); one.Home([]int64{7, 7}) != 0 {
+	one := NewPool[int](1, ColumnMajor)
+	one.Push(item(7, 0, 7, 7), -1)
+	if got, stolen := one.Pop(0); got == nil || stolen {
 		t.Error("single-shard pool hashed away from shard 0")
 	}
 }
@@ -111,13 +147,13 @@ func TestHomeShard(t *testing.T) {
 func TestRemoveIf(t *testing.T) {
 	p := NewPool[int](2, ColumnMajor)
 	for name := 11; name <= 16; name++ {
-		p.Push(item(name, 1, 0, int64(name)))
+		p.Push(item(name, 0, int64(name)), 1)
 	}
 	if it, stolen := p.Pop(0); it.Tile != 11 || !stolen {
 		t.Fatalf("stole %d, want shard 1's best item, 11", it.Tile)
 	}
 	for name := 1; name <= 6; name++ {
-		p.Push(item(name, 0, 0, int64(name)))
+		p.Push(item(name, 0, int64(name)), 0)
 	}
 	n := p.RemoveIf(func(it *Item[int]) bool { return it.Tile%2 == 0 })
 	if n != 6 || p.Len() != 5 {
@@ -165,9 +201,14 @@ func TestParkStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				name := pr*perProducer + i
-				// Items on few shards, so workers both steal and run
-				// dry.
-				p.Push(&Item[int]{Shard: name % 2, Tile: name})
+				// Half the items are pushed as a worker onto its own
+				// shard (four of the six), half as a non-worker,
+				// hashed by key, so workers both steal and run dry.
+				if i%2 == 0 {
+					p.Push(&Item[int]{Tile: name}, pr%workers)
+				} else {
+					p.Push(&Item[int]{Key: []int64{int64(name)}, Tile: name}, -1)
+				}
 			}
 		}(pr)
 	}
@@ -193,11 +234,11 @@ func TestParkStress(t *testing.T) {
 // allocate nothing, for the owner and a thief alike.
 func TestSteadyStateAllocs(t *testing.T) {
 	p := NewPool[int](2, ColumnMajor)
-	a := item(1, 0, 0, 1, 2)
-	b := item(2, 0, 0, 1, 3)
+	a := item(1, 0, 1, 2)
+	b := item(2, 0, 1, 3)
 	cycle := func() {
-		p.Push(a)
-		p.Push(b)
+		p.Push(a, 0)
+		p.Push(b, 0)
 		p.Pop(0)
 		p.Pop(1) // a steal
 	}
