@@ -237,7 +237,7 @@ func (ck *checkpoint) check(l *balance.Layout, probe *tiling.TileProbe) error {
 func (n *node) loadResume() ([]ckptTile, error) {
 	ck, err := loadCheckpoint(n.ckptPath, n.ckptHeader(), len(n.tl.TileDeps))
 	if err == nil && ck != nil {
-		err = ck.check(n.prep.layout, n.tl.NewProbe(n.prep.params))
+		err = ck.check(n.prep.layout, n.prep.rows.NewProbe())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: checkpoint %s: %w", n.ckptPath, err)

@@ -303,9 +303,12 @@ func resolve(tl *tiling.Tiling, kernel Kernel, params []int64, cfg Config) (Conf
 		return cfg, nil, fmt.Errorf("engine: %w", err)
 	}
 	goal := tl.Spec.GoalPoint()
-	goalVals := append(append([]int64{}, params...), goal...)
-	if !tl.Spec.System().Contains(goalVals) {
-		return cfg, nil, fmt.Errorf("engine: goal %v outside the iteration space for params %v", goal, params)
+	var small [16]int64
+	goalVals := append(append(small[:0], params...), goal...)
+	for _, q := range tl.Spec.Constraints {
+		if !q.Holds(goalVals) {
+			return cfg, nil, fmt.Errorf("engine: goal %v outside the iteration space for params %v", goal, params)
+		}
 	}
 	ft := cfg.Checkpoint.Dir != ""
 	if cfg.Checkpoint.Resume && !ft {

@@ -143,7 +143,7 @@ func (n *node) flush(ds *delivState) {
 }
 
 func newDelivState(p *Prepared) *delivState {
-	return &delivState{probe: p.tl.NewProbe(p.params), w: -1}
+	return &delivState{probe: p.rows.NewProbe(), w: -1}
 }
 
 // prepTile builds a ready-to-insert pending-table entry: the dependence
@@ -242,15 +242,22 @@ type workerState struct {
 
 // newWorkerState builds the scratch of the node's worker number slot.
 func (n *node) newWorkerState(slot int) *workerState {
-	d := len(n.tl.Spec.Vars)
+	d, nd := len(n.tl.Spec.Vars), len(n.tl.Spec.Deps)
+	// The integer scratch is cut from one array.
+	ints := make([]int64, n.tl.Spec.Space().N()+4*d+2*nd)
+	cut := func(k int) []int64 {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
 	w := &workerState{
 		max:      &n.maxes[slot],
 		buf:      make([]float64, n.tl.AllocLen),
-		specVals: make([]int64, n.tl.Spec.Space().N()),
-		x:        make([]int64, d),
-		xbase:    make([]int64, d),
-		tbuf:     make([]int64, d),
-		probe:    n.tl.NewProbe(n.prep.params),
+		specVals: cut(n.tl.Spec.Space().N()),
+		x:        cut(d),
+		xbase:    cut(d),
+		tbuf:     cut(d),
+		probe:    n.prep.rows.NewProbe(),
 	}
 	// The probe is shared with the delivery scratch: all uses are
 	// call-scoped on this worker's goroutine.
@@ -259,18 +266,17 @@ func (n *node) newWorkerState(slot int) *workerState {
 	// twice that many buffers ride out any alternation of the two.
 	w.bufs = sched.NewBufs[float64](2*len(n.tl.TileDeps), int(slices.Max(append([]int64{0}, n.tl.InteriorEdgeSize...))))
 	copy(w.specVals, n.prep.params)
-	nd := len(n.tl.Spec.Deps)
 	in := n.tl.Dense[d-1]
 	w.ctx = Ctx{
 		V:      w.buf,
-		DepLoc: make([]int64, nd),
+		DepLoc: cut(nd),
 		// The range steps are constant within a run, so every worker
 		// shares the prepared read-only slice.
 		DepStride: n.prep.depStride,
 		X:         w.x,
-		I:         make([]int64, d),
+		I:         cut(d),
 		DepValid:  make([]bool, nd),
-		DepLen:    make([]int64, nd),
+		DepLen:    cut(nd),
 		P:         n.prep.params,
 		// A run advances along the innermost loop level.
 		N:     1,

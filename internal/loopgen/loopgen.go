@@ -171,6 +171,34 @@ func (n *Nest) EnumerateDir(params []int64, dirs []int, visit func(vals []int64)
 	n.enum(0, vals, dirs, visit)
 }
 
+// EnumerateRows visits every non-empty row of the nest — a point of its
+// outer levels — in loop order (every level ascending), with the
+// innermost level's range lo..hi. vals holds the parameters and the
+// outer levels' values; the callback must not retain or modify it.
+func (n *Nest) EnumerateRows(params []int64, visit func(vals []int64, lo, hi int64) bool) {
+	vals := n.valsFromParams(params)
+	if len(n.Levels) == 0 || !n.ParamsOK(vals) {
+		return
+	}
+	n.rows(0, vals, visit)
+}
+
+func (n *Nest) rows(k int, vals []int64, visit func([]int64, int64, int64) bool) bool {
+	lo, hi := n.Bounds(k, vals)
+	if k == len(n.Levels)-1 {
+		return hi < lo || visit(vals, lo, hi)
+	}
+	idx := n.Levels[k].Idx
+	for v := lo; v <= hi; v++ {
+		vals[idx] = v
+		if !n.rows(k+1, vals, visit) {
+			return false
+		}
+	}
+	vals[idx] = 0
+	return true
+}
+
 func (n *Nest) enum(k int, vals []int64, dirs []int, visit func([]int64) bool) bool {
 	if k == len(n.Levels) {
 		return visit(vals)

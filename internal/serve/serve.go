@@ -29,6 +29,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -130,6 +131,7 @@ type Server struct {
 	start time.Time
 	met   *metrics
 
+	texts       *lruCache // "s:"+SHA-256 of spec text or "p:"+problem name -> textEntry
 	specCache   *lruCache // spec hash -> *compiledSpec
 	resultCache *lruCache // result key -> memoResult
 	flights     flightGroup
@@ -141,8 +143,11 @@ type Server struct {
 	draining atomic.Bool
 
 	// testRunStarted, when set by tests, is invoked at the start of
-	// every engine run (inside the run slot).
+	// every engine run (inside the run slot); testParsed whenever a
+	// request's spec is resolved from its text or name rather than from
+	// the text index.
 	testRunStarted func()
+	testParsed     func()
 }
 
 // compiledSpec is one compiled-spec cache entry: the parsed spec and
@@ -189,6 +194,7 @@ func New(opts Options) *Server {
 		opts:        opts,
 		start:       time.Now(),
 		met:         newMetrics(),
+		texts:       newLRU(opts.SpecCacheEntries, 0),
 		specCache:   newLRU(opts.SpecCacheEntries, 0),
 		resultCache: newLRU(resultEntries, opts.ResultCacheBytes),
 		compileGate: newGate(opts.MaxConcurrentCompiles, opts.MaxCompileQueue),
@@ -298,65 +304,89 @@ type resolved struct {
 	params     []int64
 	nodes      int
 	threads    int
-	// parse rebuilds the compiled artifacts on a spec-cache miss.
-	parse func() (*spec.Spec, error)
+	// cs is the compiled-spec entry, when the text index named one still
+	// cached; otherwise sp is the spec a spec-cache miss compiles, parsed
+	// for this request and read-only once compiled.
+	cs *compiledSpec
+	sp *spec.Spec
 	// parseErr is a spec-text parse/validate failure: the request is a
 	// compile error attributable to (and negatively cached under) the
 	// raw spec text.
 	parseErr error
+	key      string // resultKey's, once built
+}
+
+// textEntry is one text-index entry: the canonical hash an exact spec
+// text or builtin name resolved to, and the builtin problem.
+type textEntry struct {
+	hash string
+	p    *problems.Problem
 }
 
 // resolveSpec is the spec half of resolving a request, shared by
 // /v1/query and /v1/compile: it names the spec — a builtin problem p, or
-// spec text parsed into sp — canonicalises and hashes it, and binds the
-// rebuild a spec-cache miss runs. Unparseable text is not an error here:
-// it comes back as parseErr, hashed by its raw text for the negative
-// cache, with sp nil.
-func (s *Server) resolveSpec(req *QueryRequest) (r *resolved, p *problems.Problem, sp *spec.Spec, ae *apiError) {
+// spec text parsed into r.sp — and canonicalises and hashes it.
+// Unparseable text is not an error here: it comes back as parseErr,
+// hashed by its raw text for the negative cache, with r.sp nil.
+//
+// The text index answers text it has resolved before whose compiled
+// entry is still cached: r.cs is that entry and r.sp its spec, parsed at
+// compile and read-only since, so the request is neither parsed nor
+// hashed.
+func (s *Server) resolveSpec(req *QueryRequest) (r *resolved, p *problems.Problem, ae *apiError) {
 	if (req.Problem == "") == (req.Spec == "") {
-		return nil, nil, nil, badRequest("serve: exactly one of problem and spec must be set")
+		return nil, nil, badRequest("serve: exactly one of problem and spec must be set")
 	}
 	r = &resolved{}
-	if req.Problem != "" {
-		p, err := problems.Get(req.Problem)
-		if err != nil {
-			return nil, nil, nil, badRequest("%v", err)
-		}
-		r.canonical = Canonicalize(p.Spec)
-		r.hash = SpecHash(r.canonical)
-		name := req.Problem
-		r.parse = func() (*spec.Spec, error) {
-			p, err := problems.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return p.Spec, nil
-		}
-		return r, p, p.Spec, nil
+	key := "p:" + req.Problem
+	if req.Problem == "" {
+		// The exact text, by its digest: an index entry must not hold a
+		// body of up to MaxBodyBytes.
+		sum := sha256.Sum256([]byte(req.Spec))
+		key = "s:" + string(sum[:])
 	}
-	text := req.Spec
-	sp, err := spec.Parse(text)
-	if err != nil {
+	if v, ok := s.texts.get(key); ok {
+		te := v.(textEntry)
+		if cv, ok := s.specCache.get(te.hash); ok {
+			cs := cv.(*compiledSpec)
+			r.cs, r.sp, r.hash, r.canonical = cs, cs.sp, cs.hash, cs.canonical
+			if cs.sp == nil {
+				r.parseErr = cs.err
+			}
+			return r, te.p, nil
+		}
+	}
+	if s.testParsed != nil {
+		s.testParsed()
+	}
+	if req.Problem != "" {
+		var err error
+		if p, err = problems.Get(req.Problem); err != nil {
+			return nil, nil, badRequest("%v", err)
+		}
+		r.sp = p.Spec
+	} else if r.sp, r.parseErr = spec.Parse(req.Spec); r.parseErr != nil {
 		// Unparseable text cannot be canonicalized; negative-cache it
 		// under the hash of the raw text so repeats stay out of the
 		// compile queue.
-		r.hash = SpecHash("raw:" + text)
-		r.parseErr = err
-		return r, nil, nil, nil
+		r.hash = SpecHash("raw:" + req.Spec)
 	}
-	r.canonical = Canonicalize(sp)
-	r.hash = SpecHash(r.canonical)
-	r.parse = func() (*spec.Spec, error) { return spec.Parse(text) }
-	return r, nil, sp, nil
+	if r.sp != nil {
+		r.canonical = Canonicalize(r.sp)
+		r.hash = SpecHash(r.canonical)
+	}
+	s.texts.add(key, textEntry{r.hash, p}, 0)
+	return r, p, nil
 }
 
 // resolve validates a QueryRequest into a resolved query: the spec half,
 // then the run's shape, kernel and parameters.
 func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
-	r, p, sp, ae := s.resolveSpec(req)
+	r, p, ae := s.resolveSpec(req)
 	if ae != nil {
 		return nil, ae
 	}
+	sp := r.sp
 	r.params, r.nodes, r.threads = append([]int64(nil), req.Params...), req.Nodes, req.Threads
 	if r.nodes == 0 {
 		r.nodes = 1
@@ -420,6 +450,9 @@ func (s *Server) resolve(req *QueryRequest) (*resolved, *apiError) {
 // entries count as hits. The returned entry's err field carries a
 // negatively cached compile failure.
 func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec, cached bool, err error) {
+	if r.cs != nil {
+		return r.cs, true, nil
+	}
 	if v, ok := s.specCache.get(r.hash); ok {
 		return v.(*compiledSpec), true, nil
 	}
@@ -439,12 +472,8 @@ func (s *Server) getCompiled(ctx context.Context, r *resolved) (cs *compiledSpec
 		if r.parseErr != nil {
 			cs.err = r.parseErr
 		} else {
-			sp, err := r.parse()
-			if err == nil {
-				cs.sp = sp
-				cs.tl, err = tiling.New(sp)
-			}
-			cs.err = err
+			cs.sp = r.sp
+			cs.tl, cs.err = tiling.New(r.sp)
 		}
 		cs.compileMs = float64(time.Since(t0).Nanoseconds()) / 1e6
 		s.met.compileHist.ObserveNs(time.Since(t0).Nanoseconds())
@@ -492,7 +521,10 @@ func (s *Server) getPrepared(cs *compiledSpec, params []int64, nodes int) (*engi
 // bit-identical cell values across them, so configurations share
 // results.
 func (r *resolved) resultKey() string {
-	return "r:" + r.hash + "|" + r.kernelName + "|" + fmt.Sprint(r.params)
+	if r.key == "" {
+		r.key = "r:" + r.hash + "|" + r.kernelName + "|" + fmt.Sprint(r.params)
+	}
+	return r.key
 }
 
 // outcome is what a query computation produces for response assembly.
@@ -686,7 +718,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// /v1/compile takes no parameters: the spec half is the whole request.
-	rq, _, _, ae := s.resolveSpec(&req)
+	rq, _, ae := s.resolveSpec(&req)
 	if ae != nil {
 		s.count(tenant, ae)
 		writeError(w, ae)

@@ -225,7 +225,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("simsched: %w", err)
 	}
 	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign,
-		probe: tl.NewProbe(params), shapes: rows.NewReader(), box: 1, nb: make([]int64, len(tl.Widths))}
+		probe: rows.NewProbe(), shapes: rows.NewReader(), box: 1, nb: make([]int64, len(tl.Widths))}
 	for _, w := range tl.Widths {
 		s.box *= w
 	}

@@ -92,11 +92,15 @@ func (sp *Spec) parseAffine(text string) (Affine, error) {
 	return affineFromExpr(e), nil
 }
 
+// stripAngles drops a component vector's angle brackets. A Replacer
+// builds its lookup table on first use, so one is shared.
+var stripAngles = strings.NewReplacer("<", "", ">", "")
+
 // parseComponents parses a vector of affine components: comma-separated
 // when a comma is present, whitespace-separated otherwise; angle
 // brackets are ignored.
 func (sp *Spec) parseComponents(text string) ([]Affine, error) {
-	text = strings.NewReplacer("<", "", ">", "").Replace(text)
+	text = stripAngles.Replace(text)
 	var parts []string
 	if strings.Contains(text, ",") {
 		parts = strings.Split(text, ",")

@@ -201,9 +201,11 @@ func (tl *Tiling) buildDimNests() error {
 // empty in that dimension).
 func (tl *Tiling) TileBounds(params []int64) (lo, hi []int64) {
 	d := len(tl.Spec.Vars)
-	lo, hi = make([]int64, d), make([]int64, d)
-	vals := make([]int64, len(params)+1)
-	copy(vals, params)
+	box := make([]int64, 2*d)
+	lo, hi = box[:d:d], box[d:]
+	var small [8]int64
+	vals := small[:0]
+	vals = append(append(vals, params...), 0)
 	for k := 0; k < d; k++ {
 		lo[k], hi[k] = tl.dimNests[k].Bounds(0, vals)
 	}
@@ -266,44 +268,34 @@ func unpackSpans(sp []int64, shift int64, buf, data []float64) {
 // proves (as BindRows does, see rows.go) that no form can overflow at a
 // tile inside the tile space's bounding box, so a query is a box test
 // plus plain dot products. When the proof fails the queries evaluate
-// the systems with checked arithmetic instead.
+// the systems with checked arithmetic instead. BindRows binds a plan's
+// probe once; each goroutine takes its own copy (RowPlan.NewProbe), which
+// shares the folded forms and owns its scratch.
 type TileProbe struct {
 	tl *Tiling
-	// Folded systems and the bounding box; folded is false when the
-	// overflow proof failed.
+	// Folded systems and the bounding box, read-only and shared by
+	// copies; folded is false when the overflow proof failed.
 	folded                bool
 	space, interior, core []affine
 	lo, hi                []int64
+	params                []int64
 	vals                  []int64 // (params | t) scratch for the checked path, params prefilled
 	nb                    []int64 // neighbour-tile scratch
-	np                    int
-	evals                 int64 // system evaluations so far (Evals)
+	evals                 int64   // system evaluations so far (Evals)
 }
 
 // NewProbe creates a probe for the given parameters.
-func (tl *Tiling) NewProbe(params []int64) *TileProbe {
-	d := len(tl.Spec.Vars)
-	b, lo, hi := tl.newBinder(params, make([]int64, d))
-	pr := &TileProbe{
-		tl:   tl,
-		lo:   lo,
-		hi:   hi,
-		vals: make([]int64, tl.tileSpace.N()),
-		nb:   make([]int64, d),
-		np:   len(params),
-	}
-	copy(pr.vals, params)
-	for _, q := range tl.TileSys.Ineqs {
-		pr.space = append(pr.space, b.bindTile(q.Expr))
-	}
-	for _, q := range tl.InteriorSys.Ineqs {
-		pr.interior = append(pr.interior, b.bindTile(q.Expr))
-	}
-	for _, q := range tl.CoreSys.Ineqs {
-		pr.core = append(pr.core, b.bindTile(q.Expr))
-	}
-	pr.folded = b.ok
-	return pr
+func (tl *Tiling) NewProbe(params []int64) *TileProbe { return tl.BindRows(params).NewProbe() }
+
+// copy returns a probe sharing pr's binding, with its own scratch and
+// evaluation count.
+func (pr *TileProbe) copy() *TileProbe {
+	c := *pr
+	np, d := len(pr.params), len(pr.lo)
+	scratch := make([]int64, np+2*d)
+	c.vals, c.nb, c.evals = scratch[:np+d:np+d], scratch[np+d:], 0
+	copy(c.vals, pr.params)
+	return &c
 }
 
 // Evals returns how many system evaluations the probe has made: one per
@@ -317,7 +309,7 @@ func (pr *TileProbe) Evals() int64 { return pr.evals }
 func (pr *TileProbe) contains(forms []affine, sys *lin.System, t []int64) bool {
 	pr.evals++
 	if !pr.folded {
-		copy(pr.vals[pr.np:], t)
+		copy(pr.vals[len(pr.params):], t)
 		return sys.Contains(pr.vals)
 	}
 	for k, v := range t {
@@ -335,6 +327,30 @@ func (pr *TileProbe) contains(forms []affine, sys *lin.System, t []int64) bool {
 		}
 	}
 	return true
+}
+
+// interiorRun returns the tiles a..b (a > b when none) of the row of
+// tiles t whose innermost coordinate t[inner] runs over lo..hi that are
+// interior: Interior holds at exactly those. Each form is affine along
+// the row, so the run is one interval. It reads the folded forms only.
+func (pr *TileProbe) interiorRun(t []int64, inner int, lo, hi int64) (a, b int64) {
+	for k, v := range t {
+		if k != inner && (v < pr.lo[k] || v > pr.hi[k]) {
+			return 1, 0
+		}
+	}
+	a, b = max(lo, pr.lo[inner]), min(hi, pr.hi[inner])
+	for i := range pr.interior {
+		f := &pr.interior[i]
+		r := f.k
+		for k, c := range f.tc {
+			if k != inner {
+				r += c * t[k]
+			}
+		}
+		a, b = clip(a, b, r, f.tc[inner])
+	}
+	return a, b
 }
 
 // InSpace reports whether tile t exists, without allocating.

@@ -9,33 +9,21 @@ import (
 )
 
 // DepOffsets returns each tile dependence's producer offset, Offset.
-func (tl *Tiling) DepOffsets() [][]int64 {
-	offs := make([][]int64, len(tl.TileDeps))
-	for j := range tl.TileDeps {
-		offs[j] = tl.TileDeps[j].Offset
-	}
-	return offs
-}
+// The slice is shared: callers must not modify it.
+func (tl *Tiling) DepOffsets() [][]int64 { return tl.depOffs }
 
 // LBIndices returns the variable indexes of the load-balancing dimensions
-// in priority order (lb1 first).
-func (tl *Tiling) LBIndices() []int {
-	lb := tl.Spec.Balance()
-	out := make([]int, len(lb))
-	for i, v := range lb {
-		out[i] = tl.Spec.VarIndex(v)
-	}
-	return out
-}
+// in priority order (lb1 first). The slice is shared: callers must not
+// modify it.
+func (tl *Tiling) LBIndices() []int { return tl.lb }
 
 // LBCoords extracts the load-balancing coordinates (priority order) from
 // a tile index vector (Vars order).
 func (tl *Tiling) LBCoords(t []int64, dst []int64) []int64 {
-	idx := tl.LBIndices()
 	if dst == nil {
-		dst = make([]int64, len(idx))
+		dst = make([]int64, len(tl.lb))
 	}
-	for i, k := range idx {
+	for i, k := range tl.lb {
 		dst[i] = t[k]
 	}
 	return dst
@@ -54,17 +42,16 @@ type Slab struct {
 // NewLBKey sizes the key over the load-balancing dimensions (priority
 // order): one key per Slab.
 func (tl *Tiling) NewLBKey(params []int64) (*sched.Key, error) {
-	return tl.newKey(params, tl.LBIndices())
+	return tl.newKey(params, tl.lb)
 }
 
 // NewRestKey sizes the key over the dimensions that are not
 // load-balancing (Vars order): with NewLBKey's, it names a tile by its
 // slab and its place in the box every slab's tiles lie in.
 func (tl *Tiling) NewRestKey(params []int64) (*sched.Key, error) {
-	lb := tl.LBIndices()
 	var dims []int
 	for k := range tl.Spec.Vars {
-		if !slices.Contains(lb, k) {
+		if !slices.Contains(tl.lb, k) {
 			dims = append(dims, k)
 		}
 	}
@@ -104,11 +91,19 @@ func (tl *Tiling) newKey(params []int64, dims []int) (*sched.Key, error) {
 // params and not yet read by a run; nil binds one for this pass alone.
 // When the row plan cannot be walked every tile is counted by the
 // checked local nest.
+//
+// Where it can, the pass goes by rows of tiles: the interior tiles of a
+// row are one run (TileProbe.interiorRun), counted at once once the
+// interior shape is interned, so only boundary tiles are visited one by
+// one. That needs a folded probe, tile dependences (without them every
+// tile is initial), range lengths that do not vary with the tile (they
+// key interior shapes) and an innermost loop level that is not a
+// load-balancing dimension (a row is then one slab).
 func (tl *Tiling) Slabs(params []int64, key *sched.Key, rows *RowPlan) (slabs []Slab, initial [][]int64) {
 	if rows == nil {
 		rows = tl.BindRows(params)
 	}
-	probe := tl.NewProbe(params)
+	probe := rows.NewProbe()
 	rd := rows.NewReader()
 	if rd != nil {
 		rd.interning = true
@@ -121,19 +116,31 @@ func (tl *Tiling) Slabs(params []int64, key *sched.Key, rows *RowPlan) (slabs []
 	// and reaches into every producer, so only a boundary tile can be
 	// initial — or every tile, when there is no tile dependence.
 	noDeps := len(tl.TileDeps) == 0
-	at := map[uint64]int{}
+	// Slab coordinates and initial tiles are appended to one backing
+	// array each and cut apart afterwards: a slice cut before a regrowth
+	// keeps the old array, whose cells are never written again.
+	hint := int(min(key.Len(), 256))
+	at := make(map[uint64]int, hint)
+	slabs = make([]Slab, 0, hint)
+	d, nlb := len(tl.Widths), len(tl.lb)
+	lbs := make([]int64, 0, hint*nlb)
+	inits := make([]int64, 0, hint*d)       // as many initial tiles as slabs, say
 	lastKey, i := uint64(math.MaxUint64), 0 // consecutive tiles mostly share a slab
-	tl.ForEachTile(params, func(t []int64) bool {
+	slab := func(t []int64) {
 		if k, _ := key.Of(t); k != lastKey { // every tile is inside the tile bounds
 			var ok bool
 			if i, ok = at[k]; !ok {
 				i = len(slabs)
 				at[k] = i
-				slabs = append(slabs, Slab{LB: tl.LBCoords(t, nil)})
+				for _, v := range tl.lb {
+					lbs = append(lbs, t[v])
+				}
+				slabs = append(slabs, Slab{LB: lbs[len(lbs)-nlb : len(lbs) : len(lbs)]})
 			}
 			lastKey = k
 		}
-		interior := probe.Interior(t)
+	}
+	tile := func(t []int64, interior bool) {
 		switch {
 		case rd == nil:
 			slabs[i].Work += tl.CellCount(params, t)
@@ -147,10 +154,42 @@ func (tl *Tiling) Slabs(params []int64, key *sched.Key, rows *RowPlan) (slabs []
 		}
 		slabs[i].Tiles++
 		if (!interior || noDeps) && !probe.hasProducer(t) {
-			initial = append(initial, slices.Clone(t))
+			inits = append(inits, t...)
 		}
-		return true
-	})
+	}
+	inner := tl.orderIdx[d-1]
+	if rd == nil || !probe.folded || noDeps || rows.lnVaries || slices.Contains(tl.lb, inner) {
+		tl.ForEachTile(params, func(t []int64) bool {
+			slab(t)
+			tile(t, probe.Interior(t))
+			return true
+		})
+	} else {
+		np, t := len(params), make([]int64, d)
+		tl.TileNest.EnumerateRows(params, func(vals []int64, lo, hi int64) bool {
+			copy(t, vals[np:])
+			slab(t)
+			a, b := probe.interiorRun(t, inner, lo, hi)
+			for v := lo; v <= hi; v++ {
+				interior := a <= v && v <= b
+				if interior && (rows.table.interior != nil || rows.table.full) {
+					slabs[i].Work += (b - v + 1) * box
+					slabs[i].Tiles += b - v + 1
+					v = b
+					continue
+				}
+				t[inner] = v
+				tile(t, interior)
+			}
+			return true
+		})
+	}
+	if len(inits) > 0 {
+		initial = make([][]int64, len(inits)/d)
+		for j := range initial {
+			initial[j] = inits[j*d : (j+1)*d : (j+1)*d]
+		}
+	}
 	slabs = slices.DeleteFunc(slabs, func(s Slab) bool { return s.Work == 0 })
 	slices.SortFunc(slabs, func(a, b Slab) int { return slices.Compare(a.LB, b.LB) })
 	return slabs, initial

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"dpgen/internal/ints"
@@ -65,82 +66,100 @@ func mag(a int64) int64 {
 	return a
 }
 
-// binder folds lin forms at one parameter vector and accumulates the
-// overflow proof: ok turns false as soon as one form's magnitude bound
-// exceeds proofLimit.
-type binder struct {
-	tl         *Tiling
-	params     []int64
-	tmax, imax []int64 // largest |t_k| and |i_k| an evaluation sees, each >= 1
-	ok         bool
+// form is one affine form as BindRows folds it: the part no parameter
+// moves, laid out once per tiling (rowTemplate). k holds the constant
+// term, tc and ic the coefficients every plan bound from the form
+// shares; pc are the parameter coefficients folded into k, fixed the
+// overflow bound's parameter-free part |k| + Σ|ic|·max|i|, and wide
+// marks a tile coefficient that alone exceeds proofLimit.
+type form struct {
+	affine
+	pc    []int64
+	fixed int64
+	wide  bool
 }
 
-// newBinder sizes the proof box: tile indices range over the tile
-// space's bounding box widened by reach (the per-dimension distance to
-// the farthest neighbour tile a form is evaluated at), local indices
-// over the allocated extent.
-func (tl *Tiling) newBinder(params []int64, reach []int64) (b *binder, lo, hi []int64) {
+// layout lays out a tiling's forms, cutting their coefficients from
+// chunks of an arena.
+type layout struct {
+	tl    *Tiling
+	arena []int64
+	fixed []form // nest's scratch
+}
+
+// newForm lays out a form over (params | t | i). pc are its parameter
+// coefficients, tc and ic its tile and local coefficients in Spec.Vars
+// order (ic may be nil); local indices range over the allocated extent.
+func (lay *layout) newForm(k0 int64, pc, tc, ic []int64, div int64) form {
+	tl := lay.tl
 	d := len(tl.Spec.Vars)
-	b = &binder{tl: tl, params: params, tmax: make([]int64, d), imax: make([]int64, d), ok: true}
-	lo, hi = tl.TileBounds(params)
-	for k := 0; k < d; k++ {
-		b.tmax[k] = satAdd(ints.Max(1, ints.Max(mag(lo[k]), mag(hi[k]))), reach[k])
-		b.imax[k] = tl.Alloc[k]
+	if len(lay.arena) < 2*d {
+		lay.arena = make([]int64, 128*d)
 	}
-	return b, lo, hi
-}
-
-// bind folds one form. pc are its parameter coefficients, tc and ic its
-// tile and local coefficients in Spec.Vars order (ic may be nil).
-func (b *binder) bind(k0 int64, pc, tc, ic []int64, div int64) affine {
-	d := len(b.tmax)
-	f := affine{k: k0, div: div, tc: make([]int64, 2*d)}
-	f.tc, f.ic = f.tc[:d:d], f.tc[d:]
-	m := mag(k0)
-	for i, c := range pc {
-		f.k += c * b.params[i]
-		m = satAdd(m, satMul(mag(c), mag(b.params[i])))
-	}
-	for k, c := range tc {
-		f.tc[k] = c
-		m = satAdd(m, satMul(mag(c), b.tmax[k]))
-	}
+	c := lay.arena[: 2*d : 2*d]
+	lay.arena = lay.arena[2*d:]
+	f := form{affine: affine{k: k0, div: div, tc: c[:d:d], ic: c[d:]}, pc: pc, fixed: mag(k0)}
+	copy(f.tc, tc)
 	if ic != nil {
-		for l, k := range b.tl.orderIdx {
+		for l, k := range tl.orderIdx {
 			f.ic[l] = ic[k]
-			m = satAdd(m, satMul(mag(ic[k]), b.imax[k]))
+			f.fixed = satAdd(f.fixed, satMul(mag(ic[k]), tl.Alloc[k]))
 		}
-	}
-	if m > proofLimit {
-		b.ok = false
 	}
 	return f
 }
 
-// bindLocal folds a form over the local space (params, t | i).
-func (b *binder) bindLocal(e lin.Expr, div int64) affine {
-	np, d := len(b.params), len(b.tmax)
-	return b.bind(e.K, e.Coef[:np], e.Coef[np:np+d], e.Coef[np+d:], div)
+// localForm lays out a form over the local space (params, t | i).
+func (lay *layout) localForm(e lin.Expr, div int64) form {
+	np, d := len(lay.tl.Spec.Params), len(lay.tl.Spec.Vars)
+	return lay.newForm(e.K, e.Coef[:np], e.Coef[np:np+d], e.Coef[np+d:], div)
 }
 
-// bindTile folds a form over the tile space (params | t).
-func (b *binder) bindTile(e lin.Expr) affine {
-	np := len(b.params)
-	return b.bind(e.K, e.Coef[:np], e.Coef[np:], nil, 1)
+// tileForm lays out a form over the tile space (params | t).
+func (lay *layout) tileForm(e lin.Expr) form {
+	np := len(lay.tl.Spec.Params)
+	return lay.newForm(e.K, e.Coef[:np], e.Coef[np:], nil, 1)
 }
 
-// bindSpec folds a form over the spec space (params | x) through
+// specForm lays out a form over the spec space (params | x) through
 // x_k = i_k + w_k t_k.
-func (b *binder) bindSpec(e lin.Expr) affine {
-	np, d := len(b.params), len(b.tmax)
-	tc := make([]int64, d)
-	for k, a := range e.Coef[np:] {
-		if satMul(satMul(mag(a), b.tl.Widths[k]), b.tmax[k]) > proofLimit {
-			b.ok = false
-		}
-		tc[k] = a * b.tl.Widths[k]
+func (lay *layout) specForm(e lin.Expr) form {
+	tl := lay.tl
+	np, d := len(tl.Spec.Params), len(tl.Spec.Vars)
+	var small [8]int64
+	tc, wide := small[:0], false
+	for k, a := range e.Coef[np : np+d] {
+		wide = wide || satMul(mag(a), tl.Widths[k]) > proofLimit
+		tc = append(tc, a*tl.Widths[k])
 	}
-	return b.bind(e.K, e.Coef[:np], tc, e.Coef[np:], 1)
+	f := lay.newForm(e.K, e.Coef[:np], tc, e.Coef[np:], 1)
+	f.wide = wide
+	return f
+}
+
+// bind folds f at params. ok turns false when the form's magnitude bound
+// over tile indices of magnitude at most tmax exceeds proofLimit.
+func (f *form) bind(params, tmax []int64, ok *bool) affine {
+	a, m := f.affine, f.fixed
+	for i, c := range f.pc {
+		a.k += c * params[i]
+		m = satAdd(m, satMul(mag(c), mag(params[i])))
+	}
+	for k, c := range a.tc {
+		m = satAdd(m, satMul(mag(c), tmax[k]))
+	}
+	if f.wide || m > proofLimit {
+		*ok = false
+	}
+	return a
+}
+
+// bindForms folds fs into dst, which has their length.
+func bindForms(dst []affine, fs []form, params, tmax []int64, ok *bool) []affine {
+	for i := range fs {
+		dst[i] = fs[i].bind(params, tmax, ok)
+	}
+	return dst
 }
 
 // levelForms locates one loop level's bounds in a nestPlan's forms:
@@ -162,38 +181,58 @@ type nestPlan struct {
 	nnest  int
 }
 
-func (b *binder) bindNest(n *loopgen.Nest) nestPlan {
-	var np nestPlan
+// nestForms is a nestPlan's layout: its forms unbound, the levels every
+// plan shares.
+type nestForms struct {
+	forms       []form
+	levels      []levelForms
+	res0, nnest int
+}
+
+// nest lays out nest n's forms.
+// extra reserves room for forms appended after the nest's own.
+func (lay *layout) nest(n *loopgen.Nest, extra int) nestForms {
+	size := len(n.Residual.Ineqs) + extra
+	for _, lvl := range n.Levels {
+		size += len(lvl.Lower) + len(lvl.Upper)
+	}
+	nf := nestForms{forms: make([]form, 0, size), levels: make([]levelForms, 0, len(n.Levels))}
 	// side appends one side of level l's bounds, row-varying ones first,
 	// and returns the index where the tile-constant ones start.
 	side := func(l int, bounds []loopgen.Bound) int {
-		var fixed []affine
+		fixed := lay.fixed[:0]
 		for _, bd := range bounds {
-			f := b.bindLocal(bd.Num, bd.Div)
+			f := lay.localForm(bd.Num, bd.Div)
 			if allZero(f.ic[:l]) {
 				fixed = append(fixed, f)
 			} else {
-				np.forms = append(np.forms, f)
+				nf.forms = append(nf.forms, f)
 			}
 		}
-		varying := len(np.forms)
-		np.forms = append(np.forms, fixed...)
+		varying := len(nf.forms)
+		nf.forms = append(nf.forms, fixed...)
+		lay.fixed = fixed
 		return varying
 	}
 	for l, lvl := range n.Levels {
-		lf := levelForms{lo0: len(np.forms)}
+		lf := levelForms{lo0: len(nf.forms)}
 		lf.lov = side(l, lvl.Lower)
-		lf.lo1 = len(np.forms)
+		lf.lo1 = len(nf.forms)
 		lf.upv = side(l, lvl.Upper)
-		lf.up1 = len(np.forms)
-		np.levels = append(np.levels, lf)
+		lf.up1 = len(nf.forms)
+		nf.levels = append(nf.levels, lf)
 	}
-	np.res0 = len(np.forms)
+	nf.res0 = len(nf.forms)
 	for _, q := range n.Residual.Ineqs {
-		np.forms = append(np.forms, b.bindLocal(q.Expr, 1))
+		nf.forms = append(nf.forms, lay.localForm(q.Expr, 1))
 	}
-	np.nnest = len(np.forms)
-	return np
+	nf.nnest = len(nf.forms)
+	return nf
+}
+
+// bind folds the nest into dst, which has the length of its forms.
+func (nf *nestForms) bind(dst []affine, params, tmax []int64, ok *bool) nestPlan {
+	return nestPlan{forms: bindForms(dst, nf.forms, params, tmax, ok), levels: nf.levels, res0: nf.res0, nnest: nf.nnest}
 }
 
 func allZero(v []int64) bool {
@@ -218,6 +257,110 @@ type depPlan struct {
 	neg    []int64
 }
 
+// rowTemplate is what BindRows binds, laid out once by New: every form
+// of the cell nest (the dependence forms after the nest's own), the
+// shape keys, the pack nests and the probe's systems, with everything
+// about them that no parameter moves.
+type rowTemplate struct {
+	cells              nestForms
+	deps               []depPlan // neg unset
+	steps              [][]form  // per range dependence, its range checks' steps
+	nrange             int
+	sys                []form
+	sysRules, depRules []clampRule
+	lnVaries, lnFlat   bool
+	packs              []nestForms
+	nforms             int
+	boxRows            int64
+	space, interior    []form
+	core               []form
+	reach              []int64 // per dimension, the farthest neighbour tile's distance
+	nbound             int     // forms a plan binds
+}
+
+// layoutRows lays out the row template: see rowTemplate.
+func (tl *Tiling) layoutRows() {
+	sp := tl.Spec
+	d := len(sp.Vars)
+	ndep := 0 // dependence forms, after the cell nest's own
+	for j := range sp.Deps {
+		if sp.Deps[j].IsRange() {
+			ndep += len(tl.RangeChecks[j]) + 1
+		} else {
+			ndep += len(tl.Validity[j])
+		}
+	}
+	lay := &layout{tl: tl}
+	rt := rowTemplate{
+		cells: lay.nest(tl.LocalNest, ndep), deps: make([]depPlan, len(sp.Deps)), lnFlat: true, reach: make([]int64, d),
+		depRules: make([]clampRule, 0, ndep), packs: make([]nestForms, 0, len(tl.TileDeps)),
+	}
+	for _, td := range tl.TileDeps {
+		for k, o := range td.Offset {
+			rt.reach[k] = ints.Max(rt.reach[k], mag(o))
+		}
+	}
+	for _, q := range tl.localSys.Ineqs {
+		if f := lay.localForm(q.Expr, 1); !allZero(f.tc) {
+			rt.sys = append(rt.sys, f)
+			rt.sysRules = append(rt.sysRules, tl.boxRule(f.ic, 0))
+		}
+	}
+	forms := rt.cells.forms
+	// A dependence form is read as r + c·i >= 0 at every cell, a length
+	// form as length >= 1.
+	depForm := func(f form, k int64) {
+		forms = append(forms, f)
+		rt.depRules = append(rt.depRules, tl.boxRule(f.ic, k))
+	}
+	for j := range sp.Deps {
+		dp := depPlan{v0: len(forms), rng: -1}
+		if sp.Deps[j].IsRange() {
+			dp.rng = rt.nrange
+			rt.nrange++
+			var steps []form
+			for _, rc := range tl.RangeChecks[j] {
+				steps = append(steps, lay.specForm(rc.Step))
+				depForm(lay.specForm(rc.Base.Expr), 0)
+			}
+			rt.steps = append(rt.steps, steps)
+			dp.v1 = len(forms)
+			dp.ln = len(forms)
+			depForm(lay.specForm(tl.LenExprs[j]), -1)
+			rt.lnVaries = rt.lnVaries || !allZero(forms[dp.ln].tc)
+			rt.lnFlat = rt.lnFlat && allZero(forms[dp.ln].ic)
+		} else {
+			for _, q := range tl.Validity[j] {
+				depForm(lay.specForm(q.Expr), 0)
+			}
+			dp.v1 = len(forms)
+		}
+		rt.deps[j] = dp
+	}
+	rt.cells.forms = forms
+	rt.nforms = len(forms)
+	for _, td := range tl.TileDeps {
+		nf := lay.nest(td.PackNest, 0)
+		rt.nforms = max(rt.nforms, len(nf.forms))
+		rt.packs = append(rt.packs, nf)
+		rt.nbound += len(nf.forms)
+	}
+	rt.boxRows = 1
+	for _, k := range tl.orderIdx[:d-1] {
+		rt.boxRows *= tl.Widths[k]
+	}
+	tileForms := func(sys *lin.System) []form {
+		fs := make([]form, len(sys.Ineqs))
+		for i, q := range sys.Ineqs {
+			fs[i] = lay.tileForm(q.Expr)
+		}
+		return fs
+	}
+	rt.space, rt.interior, rt.core = tileForms(tl.TileSys), tileForms(tl.InteriorSys), tileForms(tl.CoreSys)
+	rt.nbound += len(rt.cells.forms) + len(rt.sys) + len(rt.space) + len(rt.interior) + len(rt.core)
+	tl.rows = rt
+}
+
 // RowPlan is the run-bound compiled form of a tiling's cell nest,
 // dependence validity and edge-slab nests for one parameter vector, with
 // the table of tile shapes compiled from it (shapes.go). It is safe to
@@ -232,6 +375,9 @@ type RowPlan struct {
 	nrange int
 	packs  []nestPlan
 	nforms int // largest forms slice: walker scratch size
+	// boxRows is the tile box's row count, the product of the outer
+	// loop levels' widths: no tile has more rows, nor a slab more spans.
+	boxRows int64
 
 	// Shape keys (shapes.go): the local system's inequalities that vary
 	// with the tile, and the rules of the dependence forms (index minus
@@ -243,73 +389,74 @@ type RowPlan struct {
 	sysRules, depRules []clampRule
 	lnVaries, lnFlat   bool
 
+	// probe is the tile-space probe bound to the plan's parameters, the
+	// one NewProbe copies.
+	probe TileProbe
+
 	table  shapeTable
 	budget int64        // the table's bound in rows: shapeBudget
 	walked atomic.Int64 // rows walked compiling shapes
 }
 
 // BindRows compiles the row plan for params. It does no
-// Fourier–Motzkin or simplex work: cost is linear in the number of
-// bound and constraint forms.
+// Fourier–Motzkin or simplex work: it folds the parameters into the
+// forms New laid out (rowTemplate), one pass over them.
 func (tl *Tiling) BindRows(params []int64) *RowPlan {
-	sp := tl.Spec
-	d := len(sp.Vars)
-	reach := make([]int64, d)
-	for _, td := range tl.TileDeps {
-		for k, o := range td.Offset {
-			reach[k] = ints.Max(reach[k], mag(o))
-		}
+	rt := &tl.rows
+	params = slices.Clone(params) // the probe keeps them
+	lo, hi := tl.TileBounds(params)
+	// The probe's proof box is the tile bounds, the plan's is widened by
+	// the reach: its forms are evaluated at neighbour tiles too.
+	d := len(lo)
+	box := make([]int64, 2*d)
+	tmax, reach := box[:d:d], box[d:]
+	for k := range tmax {
+		tmax[k] = ints.Max(1, ints.Max(mag(lo[k]), mag(hi[k])))
+		reach[k] = satAdd(tmax[k], rt.reach[k])
 	}
-	b, _, _ := tl.newBinder(params, reach)
-	p := &RowPlan{tl: tl, cells: b.bindNest(tl.LocalNest), deps: make([]depPlan, len(sp.Deps)), budget: shapeBudget, lnFlat: true}
-	for _, q := range tl.localSys.Ineqs {
-		if f := b.bindLocal(q.Expr, 1); !allZero(f.tc) {
-			p.sysForms = append(p.sysForms, f)
-			p.sysRules = append(p.sysRules, tl.boxRule(f.ic, 0))
-		}
+	all := make([]affine, rt.nbound)
+	cut := func(n int) []affine {
+		s := all[:n:n]
+		all = all[n:]
+		return s
 	}
-	forms := p.cells.forms
-	// A dependence form is read as r + c·i >= 0 at every cell, a length
-	// form as length >= 1.
-	depForm := func(f affine, k int64) {
-		forms = append(forms, f)
-		p.depRules = append(p.depRules, tl.boxRule(f.ic, k))
+	p := &RowPlan{
+		tl: tl, deps: rt.deps, nrange: rt.nrange, packs: make([]nestPlan, len(rt.packs)), nforms: rt.nforms, boxRows: rt.boxRows,
+		sysRules: rt.sysRules, depRules: rt.depRules, lnVaries: rt.lnVaries, lnFlat: rt.lnFlat, budget: shapeBudget,
 	}
-	for j := range sp.Deps {
-		dp := depPlan{v0: len(forms), rng: -1}
-		if sp.Deps[j].IsRange() {
-			dp.rng = p.nrange
-			p.nrange++
-			for _, rc := range tl.RangeChecks[j] {
-				step := b.bindSpec(rc.Step).k
-				dp.neg = append(dp.neg, ints.Max(0, -step))
-				depForm(b.bindSpec(rc.Base.Expr), 0)
+	folded, ok := true, true
+	p.probe = TileProbe{
+		tl: tl, lo: lo, hi: hi, params: params,
+		space:    bindForms(cut(len(rt.space)), rt.space, params, tmax, &folded),
+		interior: bindForms(cut(len(rt.interior)), rt.interior, params, tmax, &folded),
+		core:     bindForms(cut(len(rt.core)), rt.core, params, tmax, &folded),
+	}
+	p.probe.folded = folded
+	p.cells = rt.cells.bind(cut(len(rt.cells.forms)), params, reach, &ok)
+	p.sysForms = bindForms(cut(len(rt.sys)), rt.sys, params, reach, &ok)
+	if rt.nrange > 0 {
+		p.deps = slices.Clone(rt.deps)
+		for j := range p.deps {
+			if g := p.deps[j].rng; g >= 0 {
+				p.deps[j].neg = make([]int64, len(rt.steps[g]))
+				for c := range rt.steps[g] {
+					p.deps[j].neg[c] = ints.Max(0, -rt.steps[g][c].bind(params, reach, &ok).k)
+				}
 			}
-			dp.v1 = len(forms)
-			dp.ln = len(forms)
-			depForm(b.bindSpec(tl.LenExprs[j]), -1)
-			p.lnVaries = p.lnVaries || !allZero(forms[dp.ln].tc)
-			p.lnFlat = p.lnFlat && allZero(forms[dp.ln].ic)
-		} else {
-			for _, q := range tl.Validity[j] {
-				depForm(b.bindSpec(q.Expr), 0)
-			}
-			dp.v1 = len(forms)
 		}
-		p.deps[j] = dp
 	}
-	p.cells.forms = forms
-	p.nforms = len(forms)
-	for _, td := range tl.TileDeps {
-		np := b.bindNest(td.PackNest)
-		p.nforms = max(p.nforms, len(np.forms))
-		p.packs = append(p.packs, np)
+	for i := range rt.packs {
+		p.packs[i] = rt.packs[i].bind(cut(len(rt.packs[i].forms)), params, reach, &ok)
 	}
 	p.table = shapeTable{cells: map[string]*Shape{}, slabs: map[string][][]int64{}}
 	// A shape's run holds its validity as a 64-bit mask, bit 63 clear.
-	p.ok = b.ok && len(sp.Deps) < 64
+	p.ok = ok && len(tl.Spec.Deps) < 64
 	return p
 }
+
+// NewProbe returns a tile probe bound to the plan's parameters: a copy
+// of the one BindRows bound, with its own scratch, for one goroutine.
+func (p *RowPlan) NewProbe() *TileProbe { return p.probe.copy() }
 
 // OK reports whether the overflow proof held and the spec has fewer than
 // 64 dependences. When not, the plan must not be walked: callers keep to
@@ -396,22 +543,32 @@ func (p *RowPlan) NewWalker() *RowWalker {
 	tl := p.tl
 	d := len(tl.Spec.Vars)
 	nd := len(p.deps)
+	// The int64 scratch is cut from one array, as are the directions and
+	// the length rows.
+	ints := make([]int64, p.nforms+5*d+4*nd)
+	cut := func(n int) []int64 {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	dirs := make([]int, 2*d)
+	lens := make([]lenRow, 2*p.nrange)
 	rw := &RowWalker{
 		plan:      p,
 		DepValid:  make([]bool, nd),
-		base:      make([]int64, p.nforms),
-		clo:       make([]int64, d),
-		chi:       make([]int64, d),
-		il:        make([]int64, d),
-		end:       make([]int64, d),
-		cellDirs:  make([]int, d),
-		ascending: make([]int, d),
-		strides:   make([]int64, d),
-		vlo:       make([]int64, nd),
-		vhi:       make([]int64, nd),
-		cuts:      make([]int64, 0, 2*nd),
-		lens:      make([]lenRow, p.nrange),
-		active:    make([]lenRow, 0, p.nrange),
+		base:      cut(p.nforms),
+		clo:       cut(d),
+		chi:       cut(d),
+		il:        cut(d),
+		end:       cut(d),
+		cellDirs:  dirs[:d:d],
+		ascending: dirs[d:],
+		strides:   cut(d),
+		vlo:       cut(nd),
+		vhi:       cut(nd),
+		cuts:      cut(2 * nd)[:0],
+		lens:      lens[:p.nrange:p.nrange],
+		active:    lens[p.nrange:p.nrange],
 	}
 	for l, k := range tl.orderIdx {
 		rw.cellDirs[l] = tl.ExecDirs[k]

@@ -161,7 +161,9 @@ func (p *RowPlan) NewReader() *ShapeReader {
 	if rw == nil {
 		return nil
 	}
-	return &ShapeReader{plan: p, rw: rw, dir: int64(rw.cellDirs[len(rw.cellDirs)-1]), base: make([]int64, p.nforms)}
+	// A key entry is at most nine bytes.
+	key := make([]byte, 0, 9*(len(p.sysForms)+len(p.depRules)))
+	return &ShapeReader{plan: p, rw: rw, dir: int64(rw.cellDirs[len(rw.cellDirs)-1]), base: make([]int64, p.nforms), key: key}
 }
 
 // LenRun fills lens for run's valid range dependences at innermost local
@@ -227,7 +229,15 @@ func (rd *ShapeReader) Cells(t []int64, interior bool) *Shape {
 			return rd.cur
 		}
 	}
-	key := p.sysKey(rd.key[:0], t)
+	rd.key = p.sysKey(rd.key[:0], t)
+	return rd.keyedCells(t)
+}
+
+// keyedCells is Cells of tile t once rd.key holds t's system key.
+func (rd *ShapeReader) keyedCells(t []int64) *Shape {
+	p, tab := rd.plan, &rd.plan.table
+	forms, nnest := p.cells.forms, p.cells.nnest
+	key := rd.key
 	for f := nnest; f < len(forms); f++ {
 		rd.base[f] = forms[f].at(t)
 		key = p.depRules[f-nnest].append(key, rd.base[f])
@@ -236,11 +246,9 @@ func (rd *ShapeReader) Cells(t []int64, interior bool) *Shape {
 	sh := tab.cells[string(key)]
 	if sh == nil {
 		sh = &rd.scratch
-		if rd.interning && !tab.full {
-			sh = new(Shape)
-		}
 		rd.rw.compileCells(t, sh)
 		if rd.interning && p.admit(int64(len(sh.Loc))) {
+			sh = sh.clone()
 			tab.cells[string(key)] = sh
 			if !slices.ContainsFunc(key, func(c byte) bool { return c != keyHolds }) {
 				tab.interior = sh
@@ -249,6 +257,16 @@ func (rd *ShapeReader) Cells(t []int64, interior bool) *Shape {
 	}
 	rd.cur = sh
 	return sh
+}
+
+// clone copies a shape compiled into scratch at its exact size.
+func (sh *Shape) clone() *Shape {
+	c := &Shape{Cells: sh.Cells, Runs: slices.Clone(sh.Runs), lens: slices.Clone(sh.lens), clamps: slices.Clone(sh.clamps)}
+	idx := make([]int64, len(sh.Loc)+len(sh.Outer))
+	n := copy(idx, sh.Loc)
+	copy(idx[n:], sh.Outer)
+	c.Loc, c.Outer = idx[:n:n], idx[n:]
+	return c
 }
 
 // slab finds producer tile t's slab for tile dependence dep.
@@ -267,16 +285,29 @@ func (rd *ShapeReader) fill(t []int64) int64 {
 	p := rd.plan
 	rd.key = p.sysKey(rd.key[:0], t)
 	if _, ok := p.table.slabs[string(rd.key)]; !ok && !p.table.full {
-		slabs, rows := make([][]int64, len(p.packs)), int64(0)
-		for dep := range slabs {
-			slabs[dep] = rd.rw.compileSlab(dep, t, nil)
-			rows += int64(len(slabs[dep]) / 2)
+		// Every dependence's slab is compiled into scratch, end to end,
+		// and the interned ones are cut from one copy of it.
+		if rd.slabScratch == nil {
+			rd.slabScratch = make([]int64, 0, 2*p.boxRows*int64(len(p.packs)))
 		}
-		if p.admit(rows) {
+		slabs, spans := make([][]int64, len(p.packs)), rd.slabScratch[:0]
+		for dep := range slabs {
+			from := len(spans)
+			spans = rd.rw.compileSlab(dep, t, spans)
+			slabs[dep] = spans[from:] // only its length is kept
+		}
+		rd.slabScratch = spans
+		if p.admit(int64(len(spans) / 2)) {
+			all, from := slices.Clone(spans), 0
+			for dep, sl := range slabs {
+				end := from + len(sl)
+				slabs[dep] = all[from:end:end]
+				from = end
+			}
 			p.table.slabs[string(rd.key)] = slabs
 		}
 	}
-	return rd.Cells(t, false).Cells
+	return rd.keyedCells(t).Cells
 }
 
 // PackPartial appends producer tile t's slab cells for tile dependence
@@ -315,9 +346,15 @@ func (rd *ShapeReader) UnpackPartial(dep int, t []int64, buf, data []float64) in
 
 // compileCells records the walk of tile t into sh.
 func (rw *RowWalker) compileCells(t []int64, sh *Shape) {
+	no := len(rw.il) - 1
+	if sh.Loc == nil {
+		// Room for a full box, one run a row.
+		rows := rw.plan.boxRows
+		idx := make([]int64, rows*int64(no+1))
+		sh.Loc, sh.Outer, sh.Runs = idx[:0:rows], idx[rows:rows], make([]ShapeRun, 0, rows)
+	}
 	*sh = Shape{Runs: sh.Runs[:0], Loc: sh.Loc[:0], Outer: sh.Outer[:0], lens: sh.lens[:0], clamps: sh.clamps[:0]}
 	dir := int64(rw.cellDirs[len(rw.cellDirs)-1])
-	no := len(rw.il) - 1
 	applied := -1 // the last row with a run
 	rw.Begin(t)
 	for rw.NextRow() {
@@ -357,12 +394,13 @@ func (rw *RowWalker) compileCells(t []int64, sh *Shape) {
 // compileSlab appends producer tile t's slab for tile dependence dep to
 // spans.
 func (rw *RowWalker) compileSlab(dep int, t []int64, spans []int64) []int64 {
+	from := len(spans)
 	if rw.begin(&rw.plan.packs[dep], t, rw.ascending) {
 		for rw.next() {
 			loc := rw.rowLoc()
 			spans = append(spans, loc+rw.lo, loc+rw.hi+1)
 		}
 	}
-	rw.plan.walked.Add(int64(len(spans) / 2))
+	rw.plan.walked.Add(int64(len(spans)-from) / 2)
 	return spans
 }

@@ -122,6 +122,9 @@ type Tiling struct {
 	localSpace   *lin.Space      // (params, t... | i...) — params+tiles as parameters
 	localSys     *lin.System     // the local system LocalNest and the pack nests scan
 	orderIdx     []int           // loop order as indexes into Spec.Vars
+	lb           []int           // LBIndices
+	rows         rowTemplate     // what BindRows binds
+	depOffs      [][]int64       // DepOffsets
 	interiorSlab [][]int64       // full edge slabs per tile dep, as [start, end) spans
 	dimNests     []*loopgen.Nest // per-dimension tile bounds (integer keys)
 }
@@ -196,7 +199,11 @@ func New(sp *spec.Spec) (*Tiling, error) {
 			tl.ExecDirs[k] = 1
 		}
 	}
-	tl.KeyDims = tl.LBIndices()
+	tl.lb = make([]int, len(sp.Balance()))
+	for i, v := range sp.Balance() {
+		tl.lb[i] = sp.VarIndex(v)
+	}
+	tl.KeyDims = slices.Clone(tl.lb)
 	for _, k := range tl.orderIdx {
 		if !slices.Contains(tl.KeyDims, k) {
 			tl.KeyDims = append(tl.KeyDims, k)
@@ -220,6 +227,11 @@ func New(sp *spec.Spec) (*Tiling, error) {
 	if err := tl.buildFastPath(); err != nil {
 		return nil, err
 	}
+	tl.depOffs = make([][]int64, len(tl.TileDeps))
+	for j := range tl.TileDeps {
+		tl.depOffs[j] = tl.TileDeps[j].Offset
+	}
+	tl.layoutRows()
 	return tl, nil
 }
 
