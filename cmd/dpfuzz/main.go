@@ -33,12 +33,14 @@ import (
 	"dpgen/internal/dpfuzz"
 )
 
+// progressEvery is the interval between progress lines.
+const progressEvery = 10 * time.Second
+
 func main() {
 	start := flag.Uint64("start", 0, "first seed")
 	count := flag.Uint64("count", 1000, "number of seeds (0 = unbounded, stop on -duration)")
 	duration := flag.Duration("duration", 0, "stop after this long (0 = run the full count)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel workers")
-	progress := flag.Duration("progress", 10*time.Second, "progress report interval")
 	failFast := flag.Bool("failfast", false, "stop at the first failure")
 	killRecover := flag.Bool("killrecover", false, "also run the crash-recovery differential per seed (rank kill + resume/rejoin)")
 	elastic := flag.Bool("elastic", false, "also run the elastic-membership differential per seed (2 -> 3 -> 2 ranks mid-run)")
@@ -124,7 +126,7 @@ func main() {
 		}()
 	}
 
-	tick := time.NewTicker(*progress)
+	tick := time.NewTicker(progressEvery)
 	doneCh := make(chan struct{})
 	go func() { wg.Wait(); close(doneCh) }()
 	for running := true; running; {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dpgen -spec problem.dps -o prog.go [-pkg main] [-defaults 40,30]
+//	dpgen -spec problem.dps -o prog.go [-defaults 40,30]
 //	dpgen -builtin bandit2 -o prog.go
 //	dpgen -builtin editdist -build prog
 //
@@ -30,7 +30,6 @@ func main() {
 		specPath = flag.String("spec", "", "problem spec file")
 		builtin  = flag.String("builtin", "", "generate a built-in problem instead of a spec file")
 		out      = flag.String("o", "", "output .go file (default stdout)")
-		pkg      = flag.String("pkg", "main", "generated package name")
 		defaults = flag.String("defaults", "", "comma-separated default parameter values")
 		build    = flag.String("build", "", "also compile the program to this binary")
 	)
@@ -40,7 +39,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := dpgen.GenOptions{Package: *pkg}
+	var opts dpgen.GenOptions
 	if *defaults != "" {
 		for _, f := range strings.Split(*defaults, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)

@@ -60,6 +60,19 @@ type sample struct {
 	retryAfter time.Duration
 }
 
+// The mix is fixed: the builtins in mixProblems and the spec text, a
+// free-param problem and the spec text at paramSpread sizes each, spread
+// over mixTenants tenants. Each client draws from an RNG seeded from
+// mixSeed and its index. A query asks for the server's default of one
+// node and one thread.
+var mixProblems = []string{"editdist", "lcs2", "bandit2"}
+
+const (
+	paramSpread = 4
+	mixTenants  = 2
+	mixSeed     = 1
+)
+
 // maxRetryAfter caps the honoured Retry-After backoff so a
 // misconfigured or adversarial server cannot park a client for the
 // rest of the run.
@@ -86,23 +99,13 @@ func main() {
 		addr     = flag.String("addr", "http://localhost:8080", "dpserve base URL")
 		clients  = flag.String("clients", "4,16", "comma-separated concurrency levels, run in order")
 		duration = flag.Duration("duration", 10*time.Second, "wall time per level")
-		probList = flag.String("problems", "editdist,lcs2,bandit2", "builtin problems in the mix (empty: spec-only)")
-		spread   = flag.Int("param-spread", 4, "distinct parameter variants per problem (1: maximal memo hits)")
-		tenants  = flag.Int("tenants", 2, "distinct tenants to spread requests over")
-		nodes    = flag.Int("nodes", 1, "nodes per query")
-		threads  = flag.Int("threads", 1, "threads per query")
-		seed     = flag.Int64("seed", 1, "mix RNG seed")
 		noMemo   = flag.Bool("no-result-cache", false, "set noResultCache on every query (forces a run per non-coalesced request; used to provoke shedding)")
 		wantHits = flag.Bool("require-cache-hits", false, "exit 1 unless cached or coalesced responses occurred")
 		max5xx   = flag.Int("max-5xx", -1, "exit 1 if 5xx responses exceed this (-1: no gate)")
 	)
 	flag.Parse()
 
-	reqs, err := buildMix(*probList, *spread, *nodes, *threads, *noMemo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	reqs := buildMix(*noMemo)
 	var levels []int
 	for _, f := range strings.Split(*clients, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -117,7 +120,7 @@ func main() {
 		"clients", "requests", "ok", "cached", "coalesced", "shed", "4xx", "5xx", "p50(ms)", "p95(ms)", "p99(ms)", "qps")
 	total5xx, totalHits := 0, 0
 	for _, n := range levels {
-		row := runLevel(*addr, reqs, n, *duration, *tenants, *seed)
+		row := runLevel(*addr, reqs, n, *duration)
 		total5xx += row.Err5xx
 		totalHits += row.Cached + row.Coalesced
 		fmt.Printf("%-8d %9d %7d %7d %9d %5d %5d %5d %9.2f %9.2f %9.2f %9.1f\n",
@@ -134,51 +137,37 @@ func main() {
 	}
 }
 
-// buildMix expands the problem list and parameter spread into the pool
-// of distinct requests the clients draw from.
-func buildMix(probList string, spread, nodes, threads int, noMemo bool) ([]serve.QueryRequest, error) {
-	if spread < 1 {
-		spread = 1
-	}
+// buildMix expands the mix's problems and parameter spread into the
+// pool of distinct requests the clients draw from.
+func buildMix(noMemo bool) []serve.QueryRequest {
 	var reqs []serve.QueryRequest
-	if probList != "" {
-		for _, name := range strings.Split(probList, ",") {
-			name = strings.TrimSpace(name)
-			p, err := problems.Get(name)
-			if err != nil {
-				return nil, fmt.Errorf("dploadgen: %w", err)
+	for _, name := range mixProblems {
+		p, err := problems.Get(name)
+		if err != nil {
+			panic(err) // mixProblems names builtins
+		}
+		// FixedParams problems bake their inputs into their kernels, so
+		// they run at their default params only.
+		vary := paramSpread
+		if p.FixedParams {
+			vary = 1
+		}
+		for k := 0; k < vary; k++ {
+			params := append([]int64(nil), p.DefaultParams...)
+			if k > 0 {
+				params[0] += int64(k)
 			}
-			// Builtins run at their default params only: FixedParams
-			// problems bake inputs into their kernels, and the free-param
-			// builtins at defaults exercise the memo's hot path. The
-			// parameter spread comes from the spec-text half of the mix.
-			vary := spread
-			if p.FixedParams || len(p.DefaultParams) == 0 {
-				vary = 1
-			}
-			for k := 0; k < vary; k++ {
-				params := append([]int64(nil), p.DefaultParams...)
-				if k > 0 {
-					params[0] += int64(k)
-				}
-				reqs = append(reqs, serve.QueryRequest{
-					Problem: name, Params: params, Nodes: nodes, Threads: threads,
-					NoResultCache: noMemo,
-				})
-			}
+			reqs = append(reqs, serve.QueryRequest{Problem: name, Params: params, NoResultCache: noMemo})
 		}
 	}
-	for k := 0; k < spread; k++ {
-		reqs = append(reqs, serve.QueryRequest{
-			Spec: triSpec, Params: []int64{int64(48 + k)}, Nodes: nodes, Threads: threads,
-			NoResultCache: noMemo,
-		})
+	for k := 0; k < paramSpread; k++ {
+		reqs = append(reqs, serve.QueryRequest{Spec: triSpec, Params: []int64{int64(48 + k)}, NoResultCache: noMemo})
 	}
-	return reqs, nil
+	return reqs
 }
 
 // runLevel drives n closed-loop clients for d and aggregates.
-func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration, tenants int, seed int64) levelRow {
+func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration) levelRow {
 	deadline := time.Now().Add(d)
 	samples := make([][]sample, n)
 	var wg sync.WaitGroup
@@ -186,11 +175,11 @@ func runLevel(addr string, reqs []serve.QueryRequest, n int, d time.Duration, te
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
+			rng := rand.New(rand.NewSource(mixSeed + int64(c)*7919))
 			client := &http.Client{Timeout: 2 * time.Minute}
 			for time.Now().Before(deadline) {
 				req := reqs[rng.Intn(len(reqs))]
-				req.Tenant = fmt.Sprintf("tenant-%d", rng.Intn(tenants))
+				req.Tenant = fmt.Sprintf("tenant-%d", rng.Intn(mixTenants))
 				s := issue(client, addr, &req)
 				samples[c] = append(samples[c], s)
 				if s.retryAfter > 0 {

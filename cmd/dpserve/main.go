@@ -16,10 +16,12 @@
 //	dpserve -addr :8080 -max-runs 4 -run-queue 32 -tenant-concurrency 2
 //
 // SIGINT/SIGTERM drains: new queries get 503 while in-flight requests
-// finish (up to -drain), then the listener closes.
+// finish, and dpserve exits as soon as the last one does, or once -drain
+// has passed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,12 +42,9 @@ func main() {
 		tenantConc   = flag.Int("tenant-concurrency", 0, "per-tenant concurrent requests (0: same as -max-runs)")
 		tenantQueue  = flag.Int("tenant-queue", 0, "per-tenant waiters before shedding (0: same as -run-queue)")
 		specCache    = flag.Int("spec-cache", 256, "compiled-spec cache entries")
-		resultCache  = flag.Int("result-cache", 4096, "result-memo entries (-1: memo off)")
-		resultBytes  = flag.Int64("result-cache-bytes", 16<<20, "result-memo byte budget")
 		maxNodes     = flag.Int("max-nodes", 8, "largest simulated node count a query may ask for")
 		maxThreads   = flag.Int("max-threads", 0, "largest thread count a query may ask for (0: GOMAXPROCS)")
-		maxBody      = flag.Int64("max-body", 1<<20, "request body byte cap")
-		drain        = flag.Duration("drain", 10*time.Second, "in-flight grace period on shutdown")
+		drain        = flag.Duration("drain", 10*time.Second, "longest wait for in-flight requests on shutdown")
 	)
 	flag.Parse()
 
@@ -57,11 +56,8 @@ func main() {
 		TenantConcurrency:     *tenantConc,
 		TenantQueue:           *tenantQueue,
 		SpecCacheEntries:      *specCache,
-		ResultCacheEntries:    *resultCache,
-		ResultCacheBytes:      *resultBytes,
 		MaxNodes:              *maxNodes,
 		MaxThreads:            *maxThreads,
-		MaxBodyBytes:          *maxBody,
 	})
 	h, err := s.Listen(*addr)
 	if err != nil {
@@ -75,6 +71,10 @@ func main() {
 	<-sig
 	fmt.Printf("dpserve: draining (up to %s)\n", *drain)
 	s.Drain()
-	time.Sleep(*drain)
-	h.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	defer cancel()
+	if err := h.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "dpserve: %v; closing\n", err)
+		h.Close()
+	}
 }

@@ -294,15 +294,7 @@ func ParseTrace(r io.Reader) (*Trace, error) { return obs.ParseChrome(r) }
 // measured times and reports the longest compute+communication chain
 // against the measured makespan.
 func CriticalPath(tl *Analysis, tr *Trace) (*PathReport, error) {
-	return obs.CriticalPath(tr, depOffsets(tl))
-}
-
-func depOffsets(tl *Analysis) [][]int64 {
-	offsets := make([][]int64, len(tl.TileDeps))
-	for j := range tl.TileDeps {
-		offsets[j] = tl.TileDeps[j].Offset
-	}
-	return offsets
+	return obs.CriticalPath(tr, tl.DepOffsets())
 }
 
 // TraceMeta is the clock-alignment metadata a distributed run stamps
@@ -350,7 +342,7 @@ func VerifyMergedTrace(tr *Trace, strict bool) []string { return obs.VerifyMerge
 // BuildRunReport computes the run-wide report over a (merged) trace of
 // an analyzed spec; topK bounds the straggler list (<=0 means 5).
 func BuildRunReport(tl *Analysis, tr *Trace, topK int) (*RunReport, error) {
-	return obs.BuildReport(tr, depOffsets(tl), topK)
+	return obs.BuildReport(tr, tl.DepOffsets(), topK)
 }
 
 // TransportNetStats snapshots the wire-level statistics of a DialTCP

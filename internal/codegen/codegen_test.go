@@ -63,18 +63,6 @@ func TestGenerateRequiresKernel(t *testing.T) {
 	}
 }
 
-func TestGeneratePackageOption(t *testing.T) {
-	p := problems.Bandit2()
-	src, err := Generate(p.Spec, Options{Package: "bandit"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(src), "// Code generated by dpgen") ||
-		!strings.Contains(string(src), "package bandit") {
-		t.Error("package option ignored")
-	}
-}
-
 // buildProgram generates and compiles a spec's program and returns the
 // binary's path.
 func buildProgram(t *testing.T, sp *spec.Spec) string {

@@ -58,36 +58,42 @@ type Problem struct {
 	FixedParams bool
 }
 
-// Registry returns the built-in problems at small default sizes, keyed
-// by name. Sequence problems use deterministic seeded inputs.
-func Registry() map[string]*Problem {
-	return map[string]*Problem{
-		"bandit2":      Bandit2(),
-		"bandit3":      Bandit3(),
-		"bandit2delay": Bandit2Delay(),
-		"editdist":     EditDistanceSeeded(1, 2),
-		"lcs2":         LCS2Seeded(5),
-		"lcs3":         LCS3Seeded(2),
-		"msa3":         MSA3Seeded(3),
-		"msa4":         MSA4Seeded(4),
-		"localalign":   SmithWatermanSeeded(6),
-		"mcm":          MCM(),
-		"obst":         OBST(),
-		"knap":         Knapsack(),
-	}
+// builtins is the registry: each built-in problem's name and the
+// constructor that builds it at its small default size, in Names'
+// order. Sequence problems use deterministic seeded inputs.
+var builtins = []struct {
+	name  string
+	build func() *Problem
+}{
+	{"bandit2", Bandit2},
+	{"bandit3", Bandit3},
+	{"bandit2delay", Bandit2Delay},
+	{"editdist", func() *Problem { return EditDistanceSeeded(1, 2) }},
+	{"lcs2", func() *Problem { return LCS2Seeded(5) }},
+	{"lcs3", func() *Problem { return LCS3Seeded(2) }},
+	{"msa3", func() *Problem { return MSA3Seeded(3) }},
+	{"msa4", func() *Problem { return MSA4Seeded(4) }},
+	{"localalign", func() *Problem { return SmithWatermanSeeded(6) }},
+	{"mcm", MCM},
+	{"obst", OBST},
+	{"knap", Knapsack},
 }
 
-// Names lists the registry keys in a stable order.
+// Names lists the registry's names in a stable order.
 func Names() []string {
-	return []string{"bandit2", "bandit3", "bandit2delay", "editdist", "lcs2", "lcs3", "msa3", "msa4", "localalign",
-		"mcm", "obst", "knap"}
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	return names
 }
 
-// Get returns a registry problem or an error.
+// Get builds the registry problem called name, and only that one.
 func Get(name string) (*Problem, error) {
-	p, ok := Registry()[name]
-	if !ok {
-		return nil, fmt.Errorf("problems: unknown problem %q (have %v)", name, Names())
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build(), nil
+		}
 	}
-	return p, nil
+	return nil, fmt.Errorf("problems: unknown problem %q (have %v)", name, Names())
 }

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"reflect"
 	"testing"
 
 	"dpgen/internal/engine"
@@ -191,6 +192,60 @@ func TestRegistryAllRunnable(t *testing.T) {
 			params = []int64{8}
 		}
 		runBoth(t, p, params, engine.Config{Nodes: 2, Threads: 2})
+	}
+}
+
+// Every registry name resolves, in Names' order, to the problem its
+// constructor builds.
+func TestGetBuildsItsConstructor(t *testing.T) {
+	want := []struct {
+		name  string
+		build func() *Problem
+	}{
+		{"bandit2", Bandit2},
+		{"bandit3", Bandit3},
+		{"bandit2delay", Bandit2Delay},
+		{"editdist", func() *Problem { return EditDistanceSeeded(1, 2) }},
+		{"lcs2", func() *Problem { return LCS2Seeded(5) }},
+		{"lcs3", func() *Problem { return LCS3Seeded(2) }},
+		{"msa3", func() *Problem { return MSA3Seeded(3) }},
+		{"msa4", func() *Problem { return MSA4Seeded(4) }},
+		{"localalign", func() *Problem { return SmithWatermanSeeded(6) }},
+		{"mcm", MCM},
+		{"obst", OBST},
+		{"knap", Knapsack},
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %d names", names, len(want))
+	}
+	for i, w := range want {
+		if names[i] != w.name {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], w.name)
+		}
+		got, err := Get(w.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := w.build()
+		if !reflect.DeepEqual(got.Spec, ref.Spec) || !reflect.DeepEqual(got.DefaultParams, ref.DefaultParams) ||
+			got.FixedParams != ref.FixedParams || got.UseMax != ref.UseMax {
+			t.Errorf("Get(%q) is not the problem its constructor builds (spec %q)", w.name, got.Spec.Name)
+		}
+	}
+}
+
+// Get builds only the problem asked for: knap costs its constructor's
+// allocations plus a few for the lookup, not the whole registry's.
+func TestGetAllocatesOneProblem(t *testing.T) {
+	build := testing.AllocsPerRun(20, func() { Knapsack() })
+	get := testing.AllocsPerRun(20, func() {
+		if _, err := Get("knap"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if get > build+4 {
+		t.Errorf("Get(\"knap\") allocates %.0f, Knapsack() %.0f", get, build)
 	}
 }
 

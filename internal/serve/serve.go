@@ -70,19 +70,20 @@ type Options struct {
 	// SpecCacheEntries bounds the compiled-spec cache (default 256
 	// entries, including negative entries).
 	SpecCacheEntries int
-	// ResultCacheEntries and ResultCacheBytes bound the result memo
-	// (defaults 4096 entries, 16 MiB; set ResultCacheEntries < 0 to
-	// disable the memo entirely).
-	ResultCacheEntries int
-	ResultCacheBytes   int64
 	// MaxNodes and MaxThreads cap what a request may ask for (defaults
 	// 8 and runtime.GOMAXPROCS(0)).
 	MaxNodes   int
 	MaxThreads int
-	// MaxBodyBytes caps a request body, spec text included (default
-	// 1 MiB).
-	MaxBodyBytes int64
 }
+
+// The result memo's bounds and the request body cap are constants, not
+// Options: a request that must not be memoized says so itself
+// (QueryRequest.NoResultCache).
+const (
+	resultCacheEntries = 4096
+	resultCacheBytes   = 16 << 20
+	maxBodyBytes       = 1 << 20 // a request body, spec text included
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrentRuns <= 0 {
@@ -106,20 +107,11 @@ func (o Options) withDefaults() Options {
 	if o.SpecCacheEntries <= 0 {
 		o.SpecCacheEntries = 256
 	}
-	if o.ResultCacheEntries == 0 {
-		o.ResultCacheEntries = 4096
-	}
-	if o.ResultCacheBytes <= 0 {
-		o.ResultCacheBytes = 16 << 20
-	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 8
 	}
 	if o.MaxThreads <= 0 {
 		o.MaxThreads = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 	return o
 }
@@ -186,17 +178,13 @@ const memoResultCost = 160
 // New creates a Server with the given options.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	resultEntries := opts.ResultCacheEntries
-	if resultEntries < 0 {
-		resultEntries = 1 // effectively disabled; get() never consulted
-	}
 	return &Server{
 		opts:        opts,
 		start:       time.Now(),
 		met:         newMetrics(),
 		texts:       newLRU(opts.SpecCacheEntries, 0),
 		specCache:   newLRU(opts.SpecCacheEntries, 0),
-		resultCache: newLRU(resultEntries, opts.ResultCacheBytes),
+		resultCache: newLRU(resultCacheEntries, resultCacheBytes),
 		compileGate: newGate(opts.MaxConcurrentCompiles, opts.MaxCompileQueue),
 		runGate:     newGate(opts.MaxConcurrentRuns, opts.MaxRunQueue),
 		tenants:     newTenantGates(opts.TenantConcurrency, opts.TenantQueue),
@@ -242,6 +230,12 @@ func (h *HTTPServer) Addr() string { return h.ln.Addr().String() }
 
 // Close stops the endpoint.
 func (h *HTTPServer) Close() error { return h.srv.Close() }
+
+// Shutdown closes the listener and returns once every in-flight
+// request has finished, or with ctx's error when ctx ends first. Call
+// the Server's Drain before it so that queries still arriving on open
+// connections get 503 instead of starting runs.
+func (h *HTTPServer) Shutdown(ctx context.Context) error { return h.srv.Shutdown(ctx) }
 
 // Listen serves the Handler on addr (host:port; port 0 picks a free
 // one) in a background goroutine.
@@ -341,7 +335,7 @@ func (s *Server) resolveSpec(req *QueryRequest) (r *resolved, p *problems.Proble
 	key := "p:" + req.Problem
 	if req.Problem == "" {
 		// The exact text, by its digest: an index entry must not hold a
-		// body of up to MaxBodyBytes.
+		// body of up to maxBodyBytes.
 		sum := sha256.Sum256([]byte(req.Spec))
 		key = "s:" + string(sum[:])
 	}
@@ -605,7 +599,7 @@ func (s *Server) compute(ctx context.Context, r *resolved, tenant string, memoiz
 			out.trace = json.RawMessage(b.String())
 		}
 	}
-	if memoize && s.opts.ResultCacheEntries >= 0 {
+	if memoize {
 		s.resultCache.add(r.resultKey(), out.res, memoResultCost+int64(len(r.resultKey())))
 	}
 	return out, nil
@@ -640,7 +634,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := QueryResponse{SpecHash: rq.hash, Kernel: rq.kernelName}
-	useMemo := !req.NoResultCache && !req.Trace && s.opts.ResultCacheEntries >= 0
+	useMemo := !req.NoResultCache && !req.Trace
 	if useMemo && rq.parseErr == nil {
 		if v, ok := s.resultCache.get(rq.resultKey()); ok {
 			s.met.tenant(tenant).resultHit.Add(1)
@@ -795,7 +789,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // decode reads a JSON request body under the body-size cap: a body over
 // the cap is 413, any other read failure (a client gone mid-body) 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into *QueryRequest) *apiError {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	data, err := io.ReadAll(body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -803,7 +797,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into *QueryReque
 			return badRequest("serve: reading request body: %v", err)
 		}
 		return &apiError{status: http.StatusRequestEntityTooLarge, code: ErrBadRequest,
-			msg: fmt.Sprintf("serve: request body over %d bytes", s.opts.MaxBodyBytes)}
+			msg: fmt.Sprintf("serve: request body over %d bytes", maxBodyBytes)}
 	}
 	if err := json.Unmarshal(data, into); err != nil {
 		return badRequest("serve: bad JSON: %v", err)

@@ -467,9 +467,11 @@ func TestTenantHeaderPrecedence(t *testing.T) {
 }
 
 // Result-memo eviction under a tight byte bound: distinct queries
-// evict, the server stays correct, stats report the evictions.
+// evict, the server stays correct, stats report the evictions. The
+// server's memo is swapped for a two-entry budget before any query.
 func TestResultMemoEvictionUnderByteBound(t *testing.T) {
-	s, ts := testServer(t, Options{ResultCacheBytes: 2 * memoResultCost})
+	s, ts := testServer(t, Options{})
+	s.resultCache = newLRU(resultCacheEntries, 2*memoResultCost)
 	for n := int64(20); n < 28; n++ {
 		query(t, ts.URL, QueryRequest{Spec: triSpecA, Params: []int64{n}})
 	}
@@ -533,6 +535,42 @@ func TestParameterChurnIsBounded(t *testing.T) {
 	}
 }
 
+// reply is what sendQuery's goroutine got back.
+type reply struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// sendQuery posts a query under ctx from a goroutine of its own, which
+// must not stop the test, so failures come back in the reply.
+func sendQuery(ctx context.Context, url string, req QueryRequest) <-chan reply {
+	out := make(chan reply, 1)
+	go func() {
+		var r reply
+		defer func() { out <- r }()
+		data, err := json.Marshal(req)
+		if err != nil {
+			r.err = err
+			return
+		}
+		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/query", bytes.NewReader(data))
+		if err != nil {
+			r.err = err
+			return
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			r.err = err
+			return
+		}
+		defer resp.Body.Close()
+		r.status = resp.StatusCode
+		r.body, r.err = io.ReadAll(resp.Body)
+	}()
+	return out
+}
+
 // A coalesced follower does not inherit its leader's cancellation: the
 // leader's client goes away while the leader is queued for the run slot,
 // and the follower, whose client is still connected, gets its answer.
@@ -548,52 +586,19 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 	// Runs before the server closes, which waits for every handler.
 	free := func() { freed.Do(func() { close(release) }) }
 	t.Cleanup(free)
-	type reply struct {
-		status int
-		body   []byte
-		err    error
-	}
-	// send posts a query under ctx from a goroutine of its own, which
-	// must not stop the test, so failures come back in the reply.
-	send := func(ctx context.Context, req QueryRequest) <-chan reply {
-		out := make(chan reply, 1)
-		go func() {
-			var r reply
-			defer func() { out <- r }()
-			data, err := json.Marshal(req)
-			if err != nil {
-				r.err = err
-				return
-			}
-			hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(data))
-			if err != nil {
-				r.err = err
-				return
-			}
-			resp, err := http.DefaultClient.Do(hr)
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer resp.Body.Close()
-			r.status = resp.StatusCode
-			r.body, r.err = io.ReadAll(resp.Body)
-		}()
-		return out
-	}
 	// The hooks run on server goroutines; each event is received once.
 	queued, joined := make(chan struct{}, 4), make(chan struct{}, 4)
 	s.runGate.testQueued = func() { queued <- struct{}{} }
 	s.flights.testJoined = func() { joined <- struct{}{} }
-	holder := send(context.Background(), QueryRequest{Spec: triSpecA, Params: []int64{40}})
+	holder := sendQuery(context.Background(), ts.URL, QueryRequest{Spec: triSpecA, Params: []int64{40}})
 	<-started // the holder has the one run slot
 
 	req := QueryRequest{Spec: triSpecA, Params: []int64{41}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	leader := send(ctx, req)
+	leader := sendQuery(ctx, ts.URL, req)
 	<-queued // the leader waits for the run slot
-	follower := send(context.Background(), req)
+	follower := sendQuery(context.Background(), ts.URL, req)
 	<-joined // the follower waits on the leader's flight
 
 	cancel()
@@ -615,11 +620,54 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
+// Shutdown after Drain waits for the run in flight, not for a fixed
+// grace period: a query arriving after Drain gets 503, the held run
+// answers 200, and Shutdown returns once it has.
+func TestShutdownWaitsForInFlightRun(t *testing.T) {
+	s := New(Options{MaxThreads: 8})
+	h, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	started, release := make(chan struct{}), make(chan struct{})
+	var once, freed sync.Once
+	s.testRunStarted = func() {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	free := func() { freed.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	url := "http://" + h.Addr()
+	inFlight := sendQuery(context.Background(), url, QueryRequest{Spec: triSpecA, Params: []int64{40}})
+	<-started // the query holds the run slot
+
+	s.Drain()
+	if status, body, _ := post(t, url, "/v1/query", QueryRequest{Spec: triSpecA, Params: []int64{41}}, nil); status != http.StatusServiceUnavailable {
+		t.Fatalf("query after Drain: status %d, want 503\n%s", status, body)
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- h.Shutdown(context.Background()) }()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) while a run was in flight", err)
+	case got := <-inFlight:
+		t.Fatalf("the held run replied before its release: status %d (err %v)", got.status, got.err)
+	default:
+	}
+	free()
+	if got := <-inFlight; got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("in-flight run: status %d (err %v), want 200\n%s", got.status, got.err, got.body)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
 // A body that ends early is a bad request (400); only a body over the
 // cap is 413.
 func TestBodyReadErrors(t *testing.T) {
-	s := New(Options{MaxBodyBytes: 64})
-	h := s.Handler()
+	h := New(Options{}).Handler()
 	for _, tc := range []struct {
 		name string
 		body func() io.Reader
@@ -629,7 +677,7 @@ func TestBodyReadErrors(t *testing.T) {
 			return io.MultiReader(strings.NewReader(`{"spec": "na`), iotest.ErrReader(io.ErrUnexpectedEOF))
 		}, http.StatusBadRequest},
 		{"oversize", func() io.Reader {
-			return strings.NewReader(`{"spec": "` + strings.Repeat("x", 100) + `"}`)
+			return strings.NewReader(`{"spec": "` + strings.Repeat("x", maxBodyBytes) + `"}`)
 		}, http.StatusRequestEntityTooLarge},
 	} {
 		for _, path := range []string{"/v1/query", "/v1/compile"} {
