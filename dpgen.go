@@ -55,7 +55,8 @@ type Dep = spec.Dep
 // Kernel is the center-loop body, called with a run of Ctx.N cells
 // along the innermost loop variable. It computes the first Done of them
 // (Done is preset to 1, so a body that computes V[Loc] and returns is a
-// complete kernel) and is offered the rest again.
+// complete kernel) and is offered the rest again. To keep cell values
+// past the run, the kernel writes them out over its Done cells.
 type Kernel = engine.Kernel
 
 // Ctx is the kernel's view of one run: the state array V, the current
@@ -63,8 +64,9 @@ type Kernel = engine.Kernel
 // DepValid and lengths DepLen, the loop variable and parameter values —
 // all for the run's first cell — and the run itself: N cells, Loc and
 // every DepLoc advancing by Step and X[Inner] by Dir from one to the
-// next, validity and lengths constant throughout. N is 1 under
-// Config.OnCell and Config.DisableFastPath.
+// next, validity and lengths constant throughout. N is 1 only on the
+// checked reference path: under Config.DisableFastPath or when the row
+// plan's overflow proof fails.
 type Ctx = engine.Ctx
 
 // Config controls an in-process run: nodes, threads per node, buffer

@@ -1,6 +1,6 @@
 // Longest common subsequence of three DNA strings, with solution
-// recovery (the traceback of Section VII-A): the run captures every cell
-// value through the OnCell hook and walks the table from the goal to
+// recovery (the traceback of Section VII-A): the kernel records every
+// cell value it computes, and the table is walked from the goal to
 // reconstruct an actual common subsequence, not just its length.
 //
 //	go run ./examples/lcs [-len 36] [-seed 11] [-nodes 2] [-threads 4]
@@ -55,35 +55,32 @@ func main() {
 	sp.LBDims = []string{"i", "j"}
 
 	// A per-cell body: it never sets cx.Done, so it runs at Done = 1.
+	// It also records the full table for the traceback (Section VII-A
+	// notes the generated programs discard interior values; a kernel
+	// that writes its cells out is how this library keeps what a
+	// traceback needs).
+	var mu sync.Mutex
+	table := map[[3]int64]float64{}
 	kernel := func(cx *dpgen.Ctx) {
 		i, j, k := cx.X[0], cx.X[1], cx.X[2]
 		if cx.DepValid[3] && a[i] == b[j] && a[i] == c[k] {
 			cx.V[cx.Loc] = 1 + cx.V[cx.DepLoc[3]]
-			return
-		}
-		var best float64
-		for m := 0; m < 3; m++ {
-			if cx.DepValid[m] && cx.V[cx.DepLoc[m]] > best {
-				best = cx.V[cx.DepLoc[m]]
+		} else {
+			var best float64
+			for m := 0; m < 3; m++ {
+				if cx.DepValid[m] && cx.V[cx.DepLoc[m]] > best {
+					best = cx.V[cx.DepLoc[m]]
+				}
 			}
+			cx.V[cx.Loc] = best
 		}
-		cx.V[cx.Loc] = best
+		mu.Lock()
+		table[[3]int64{i, j, k}] = cx.V[cx.Loc]
+		mu.Unlock()
 	}
 
-	// Capture the full table for the traceback (Section VII-A notes the
-	// generated programs discard interior values; the OnCell hook is this
-	// library's way to keep what a traceback needs).
-	var mu sync.Mutex
-	table := map[[3]int64]float64{}
 	params := []int64{int64(len(a)), int64(len(b)), int64(len(c))}
-	res, err := dpgen.Run(sp, kernel, params, dpgen.Config{
-		Nodes: *nodes, Threads: *threads,
-		OnCell: func(x []int64, v float64) {
-			mu.Lock()
-			table[[3]int64{x[0], x[1], x[2]}] = v
-			mu.Unlock()
-		},
-	})
+	res, err := dpgen.Run(sp, kernel, params, dpgen.Config{Nodes: *nodes, Threads: *threads})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,12 +62,12 @@ func renderExprInt64(e lin.Expr, rn renamer) string {
 
 // renderLower renders the max of a level's lower bounds.
 func renderLower(bounds []loopgen.Bound, rn renamer) string {
-	return renderBounds(bounds, rn, "dpCeilDiv", "dpMax")
+	return renderBounds(bounds, rn, "dpCeilDiv", "max")
 }
 
 // renderUpper renders the min of a level's upper bounds.
 func renderUpper(bounds []loopgen.Bound, rn renamer) string {
-	return renderBounds(bounds, rn, "dpFloorDiv", "dpMin")
+	return renderBounds(bounds, rn, "dpFloorDiv", "min")
 }
 
 func renderBounds(bounds []loopgen.Bound, rn renamer, div, comb string) string {
@@ -79,11 +79,10 @@ func renderBounds(bounds []loopgen.Bound, rn renamer, div, comb string) string {
 			parts[i] = fmt.Sprintf("%s(%s, %d)", div, renderExpr(b.Num, rn), b.Div)
 		}
 	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out = fmt.Sprintf("%s(%s, %s)", comb, out, p)
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	return out
+	return comb + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // renderIneqs renders a conjunction of inequalities (expr >= 0), or

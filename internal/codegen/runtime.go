@@ -41,20 +41,6 @@ func dpFloorDiv(a, b int64) int64 {
 	return q
 }
 
-func dpMax(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func dpMin(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // dpDepCount counts the tile dependencies of t that exist in the tile
 // space; a tile becomes ready when that many edges have arrived.
 func dpDepCount(t *[dpDims]int64) int {

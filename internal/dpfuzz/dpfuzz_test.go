@@ -2,8 +2,11 @@ package dpfuzz
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dpgen/internal/engine"
 )
 
 // TestRandomSpecs is the fixed seed sweep: every seed in [0,
@@ -48,6 +51,38 @@ func reportFailure(t *testing.T, in *Instance, err error) {
 	})
 	_, merr := CheckAll(min)
 	t.Errorf("oracle failure: %v\nminimized failure: %v\nreproduce with:\n%s", err, merr, GoLiteral(min))
+}
+
+// TestCheckEngineCapturesWholeRuns: a kernel that miscomputes cell
+// t = 1 of every multi-cell offer must be caught by the single-threaded
+// layer's cell-by-cell comparison, naming the cell. A capture that
+// recorded only each call's first cell would never see the bad value
+// and would fail the cell count instead.
+func TestCheckEngineCapturesWholeRuns(t *testing.T) {
+	hit := 0
+	for seed := uint64(0); seed < 16; seed++ {
+		in := Generate(seed)
+		var fired atomic.Bool
+		good := fuzzKernel(len(in.Spec.Deps))
+		mutant := func(c *engine.Ctx) {
+			good(c)
+			if c.Done > 1 {
+				c.V[c.Loc+c.Step] += 1
+				fired.Store(true)
+			}
+		}
+		err := checkEngine(in, mutant)
+		if !fired.Load() {
+			continue // no multi-cell offer: the mutant is the good kernel
+		}
+		hit++
+		if err == nil || !strings.HasPrefix(err.Error(), "cell [") {
+			t.Errorf("seed %d: mutant kernel gave %v, want a cell mismatch", seed, err)
+		}
+	}
+	if hit == 0 {
+		t.Fatal("no instance offered a multi-cell run")
+	}
 }
 
 // TestGenerateDeterministic: the same seed must yield byte-identical

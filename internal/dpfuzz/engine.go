@@ -168,32 +168,41 @@ func serialSolve(sp *spec.Spec, params []int64) *serialResult {
 
 // CheckEngine is oracle layer 4, the end-to-end differential: the
 // independent serial sweep, a single-threaded engine run (compared
-// cell by cell via OnCell), the threaded multi-node run with the
-// instance's randomized knobs, the same run with the interior-tile
+// cell by cell through the kernel), the threaded multi-node run with
+// the instance's randomized knobs, the same run with the interior-tile
 // fast path disabled, and a two-rank run over real localhost TCP
 // sockets must all produce bit-identical values.
 func CheckEngine(in *Instance) error {
+	return checkEngine(in, fuzzKernel(len(in.Spec.Deps)))
+}
+
+// checkEngine is CheckEngine with the engine's kernel supplied, so a
+// test can hand it a broken one.
+func checkEngine(in *Instance, kernel engine.Kernel) error {
 	sp := in.Spec
 	params := in.pvals(in.N)
 	ref := serialSolve(sp, params)
-	kernel := fuzzKernel(len(sp.Deps))
 
 	tl, err := in.tiling()
 	if err != nil {
 		return fmt.Errorf("tiling.New: %w", err)
 	}
 
-	// Single-threaded engine run, compared cell by cell.
-	var mu sync.Mutex
+	// Single-threaded engine run at full run length, compared cell by
+	// cell: the wrapper records the Done cells of every call, cell t at
+	// V[Loc + t*Step] with coordinate X[Inner] + t*Dir. One worker calls
+	// it, so the map needs no lock.
 	got := make(map[string]float64, len(ref.cells))
-	base, err := engine.Run(tl, kernel, params, engine.Config{
-		Nodes: 1, Threads: 1,
-		OnCell: func(x []int64, v float64) {
-			mu.Lock()
-			got[pointKey(x)] = v
-			mu.Unlock()
-		},
-	})
+	var x []int64
+	capture := func(c *engine.Ctx) {
+		kernel(c)
+		x = append(x[:0], c.X...)
+		for t := int64(0); t < c.Done; t++ {
+			got[pointKey(x)] = c.V[c.Loc+t*c.Step]
+			x[c.Inner] += c.Dir
+		}
+	}
+	base, err := engine.Run(tl, capture, params, engine.Config{Nodes: 1, Threads: 1})
 	if err != nil {
 		return fmt.Errorf("engine.Run (serial): %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -473,14 +472,8 @@ func TestCheckpointManyDeps(t *testing.T) {
 		{Nodes: 2},
 		{Nodes: 2, Checkpoint: CheckpointConfig{Dir: t.TempDir(), EveryTiles: 1}},
 	} {
-		var mu sync.Mutex
 		got := make([]float64, n+1)
-		cfg.OnCell = func(x []int64, v float64) {
-			mu.Lock()
-			got[x[0]] = v
-			mu.Unlock()
-		}
-		res, err := Run(tl, kernel, []int64{n}, cfg)
+		res, err := Run(tl, capturing(kernel, func(x []int64, v float64) { got[x[0]] = v }), []int64{n}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

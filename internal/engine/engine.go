@@ -89,10 +89,6 @@ type Config struct {
 	// measurement. A run whose parameters defeat the row plan's overflow
 	// proof (tiling.RowPlan.OK) behaves as if it were set.
 	DisableFastPath bool
-	// OnCell, if set, is invoked for every computed cell with the global
-	// coordinates and the computed value. Called concurrently from
-	// workers; the coordinate slice must not be retained.
-	OnCell func(x []int64, v float64)
 	// Tracer, if set, records the tile lifecycle (ready, pop, unpack,
 	// kernel, pack, edge traffic, stalls, idle) on per-worker timelines;
 	// see dpgen/internal/obs. Nil costs one pointer check per event

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,17 +105,9 @@ func TestBandit2EveryCellMatchesSerial(t *testing.T) {
 	tl := bandit2Tiling(t, 4, []string{"s1", "f1"})
 	N := int64(13)
 	want := bandit2Serial(N)
-	var mu sync.Mutex
 	got := map[[4]int64]float64{}
-	cfg := Config{
-		Nodes: 3, Threads: 4,
-		OnCell: func(x []int64, v float64) {
-			mu.Lock()
-			got[[4]int64{x[0], x[1], x[2], x[3]}] = v
-			mu.Unlock()
-		},
-	}
-	res, err := Run(tl, bandit2Kernel, []int64{N}, cfg)
+	kernel := capturing(bandit2Kernel, func(x []int64, v float64) { got[[4]int64{x[0], x[1], x[2], x[3]}] = v })
+	res, err := Run(tl, kernel, []int64{N}, Config{Nodes: 3, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +332,23 @@ func pipe2(t testing.TB, tilesPerDim int64) *tiling.Tiling {
 	return tl
 }
 
+// capturing wraps k to hand rec every cell it computed: for t < Done,
+// cell t at V[Loc + t*Step] with coordinate X[Inner] + t*Dir. Calls to
+// rec are serialized, so it may write a plain map; x is reused.
+func capturing(k Kernel, rec func(x []int64, v float64)) Kernel {
+	var mu sync.Mutex
+	return func(c *Ctx) {
+		k(c)
+		x := slices.Clone(c.X)
+		mu.Lock()
+		defer mu.Unlock()
+		for t := int64(0); t < c.Done; t++ {
+			rec(x, c.V[c.Loc+t*c.Step])
+			x[c.Inner] += c.Dir
+		}
+	}
+}
+
 func sumKernel(c *Ctx) {
 	var v float64 = 1
 	if c.DepValid[0] {
@@ -459,16 +469,9 @@ func TestDeterministicValuesAcrossRuns(t *testing.T) {
 	tl := bandit2Tiling(t, 5, []string{"s1"})
 	N := int64(12)
 	collect := func(nodes, threads int) map[string]float64 {
-		var mu sync.Mutex
 		m := map[string]float64{}
-		_, err := Run(tl, bandit2Kernel, []int64{N}, Config{
-			Nodes: nodes, Threads: threads,
-			OnCell: func(x []int64, v float64) {
-				mu.Lock()
-				m[fmt.Sprint(x)] = v
-				mu.Unlock()
-			},
-		})
+		kernel := capturing(bandit2Kernel, func(x []int64, v float64) { m[fmt.Sprint(x)] = v })
+		_, err := Run(tl, kernel, []int64{N}, Config{Nodes: nodes, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

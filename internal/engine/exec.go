@@ -571,9 +571,6 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 		if v := w.buf[loc]; v > tileMax {
 			tileMax = v
 		}
-		if n.cfg.OnCell != nil {
-			n.cfg.OnCell(w.x, w.buf[loc])
-		}
 		return true
 	})
 	return cells, tileMax
@@ -588,8 +585,7 @@ func (n *node) execCellsChecked(p *pendTile, w *workerState) (cells int64, tileM
 // interior tile's range lengths when none varies over the tile
 // (tiling.ShapeReader.ConstLens); elsewhere, where a valid range
 // dependence's length varies along a run, the offer is cut to the cells
-// that share the current lengths. With OnCell set every offer is one
-// cell, so the hook keeps its cell-by-cell interleaving.
+// that share the current lengths.
 func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64, tileMax float64) {
 	tl := n.tl
 	ctx := &w.ctx
@@ -598,7 +594,6 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 	depOff, depLoc := n.prep.depLocOff, ctx.DepLoc[:len(n.prep.depLocOff)]
 	depValid, depLen := ctx.DepValid, ctx.DepLen
 	kernel := n.kernel
-	onCell := n.cfg.OnCell
 	buf, x, xbase, idx := w.buf, w.x, w.xbase, ctx.I
 	for k, wd := range tl.Widths {
 		xbase[k] = wd * p.Tile.coord[k]
@@ -646,9 +641,6 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 				offer = w.shapes.LenRun(run, i, cnt, depLen)
 				w.lenRuns++
 			}
-			if onCell != nil {
-				offer = 1
-			}
 			ctx.N, ctx.Done = offer, 1
 			kernel(ctx)
 			done := ctx.Done
@@ -657,9 +649,6 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 			}
 			i += done * dir
 			cnt -= done
-			if onCell != nil {
-				onCell(x, buf[loc]) // the offer was this one cell
-			}
 			for ; done > 0; done-- {
 				if v := buf[loc]; v > tileMax {
 					tileMax = v

@@ -50,8 +50,9 @@ type Ctx struct {
 
 	// N is the number of cells on offer: the current one and the N-1
 	// after it in execution order, all with the DepValid and DepLen
-	// above. Always >= 1; it is 1 for every call when Config.OnCell or
-	// Config.DisableFastPath is set.
+	// above. Always >= 1; it is 1 for every call only on the checked
+	// reference path, when Config.DisableFastPath is set or the row
+	// plan's overflow proof (tiling.RowPlan.OK) failed.
 	N int64
 	// Done is the kernel's answer: how many of the N cells it computed,
 	// counted from the current one. The engine presets 1 before every
@@ -81,5 +82,7 @@ type Ctx struct {
 // call — and must not assume any particular cell execution order
 // beyond dependence validity. Kernels are called concurrently from many
 // workers on different tiles; they must not share mutable state without
-// synchronization.
+// synchronization. The engine keeps no cell values once a run ends: a
+// caller who needs them (a traceback, say) has the kernel write them out
+// over its Done cells, cell t having coordinate X[Inner] + t*Dir.
 type Kernel func(c *Ctx)

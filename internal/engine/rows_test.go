@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"dpgen/internal/spec"
@@ -72,13 +71,8 @@ func TestRowsOverflowTakesCheckedPath(t *testing.T) {
 		if ok := tl.BindRows(params).OK(); ok != tc.rowPath {
 			t.Fatalf("%s: BindRows(%v).OK() = %v", tc.scenario, params, ok)
 		}
-		var mu sync.Mutex
 		got := map[[2]int64]float64{}
-		res, err := Run(tl, sumKernel, params, Config{Threads: 2, OnCell: func(x []int64, v float64) {
-			mu.Lock()
-			got[[2]int64{x[0], x[1]}] = v
-			mu.Unlock()
-		}})
+		res, err := Run(tl, capturing(sumKernel, func(x []int64, v float64) { got[[2]int64{x[0], x[1]}] = v }), params, Config{Threads: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.scenario, err)
 		}
@@ -172,17 +166,16 @@ func rowsFixtures(t *testing.T) map[string]rowsFixture {
 
 // TestRowsCellOrderMatchesEnumerator: on one worker the tile order is
 // deterministic, so the row path and the checked enumerator must show
-// the kernel — and OnCell — the same cells in the same order with the
-// same X, I, locations, validity flags and lengths, on every fixture.
+// the kernel the same cells in the same order with the same X, I,
+// locations, validity flags and lengths, and it must compute the same
+// value at each, on every fixture.
 func TestRowsCellOrderMatchesEnumerator(t *testing.T) {
 	for name, fx := range rowsFixtures(t) {
 		record := func(disable bool) (seen []string, res *Result) {
 			res, err := Run(fx.tl, func(c *Ctx) {
 				fx.kernel(c)
-				seen = append(seen, cellTrace(c))
-			}, fx.params, Config{DisableFastPath: disable, OnCell: func(x []int64, v float64) {
-				seen = append(seen, fmt.Sprint("oncell ", x, v))
-			}})
+				seen = append(seen, cellTrace(c), fmt.Sprint(c.V[c.Loc]))
+			}, fx.params, Config{DisableFastPath: disable})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -328,8 +321,7 @@ func TestRowsRunOffersTileWalkerRuns(t *testing.T) {
 // TestRowsRunDoneEquivalence: a kernel that takes one cell per call, one
 // that takes min(N, 2) and one that takes all N compute the same cells
 // in the same order with the same view of each, and so the same Value
-// and Max, bit for bit; with OnCell set every call is offered N == 1
-// and the hook sees the same sequence whatever the kernel would take.
+// and Max, bit for bit.
 func TestRowsRunDoneEquivalence(t *testing.T) {
 	for name, fx := range rowsFixtures(t) {
 		type outcome struct {
@@ -337,42 +329,31 @@ func TestRowsRunDoneEquivalence(t *testing.T) {
 			res    *Result
 			offers int
 		}
-		run := func(take func(int64) int64, hook bool) outcome {
+		run := func(take func(int64) int64) outcome {
 			var out outcome
-			cfg := Config{}
-			if hook {
-				cfg.OnCell = func(x []int64, v float64) { out.cells = append(out.cells, fmt.Sprint("oncell ", x, v)) }
-			}
 			k := taking(fx.kernel, take, func(c *Ctx) { out.cells = append(out.cells, cellTrace(c), fmt.Sprint(c.V[c.Loc])) })
-			var maxN int64
 			res, err := Run(fx.tl, func(c *Ctx) {
-				maxN = max(maxN, c.N)
 				out.offers++
 				k(c)
-			}, fx.params, cfg)
+			}, fx.params, Config{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
-			}
-			if hook && maxN != 1 {
-				t.Fatalf("%s: offered N=%d with OnCell set", name, maxN)
 			}
 			out.res = res
 			return out
 		}
-		for _, hook := range []bool{false, true} {
-			ref := run(takeOne, hook)
-			for tname, take := range map[string]func(int64) int64{"min(N,2)": takeTwo, "N": takeAll} {
-				got := run(take, hook)
-				if got.res.Value != ref.res.Value || got.res.Max != ref.res.Max {
-					t.Fatalf("%s hook=%v take %s: Value %v Max %v, one cell per call gives %v %v",
-						name, hook, tname, got.res.Value, got.res.Max, ref.res.Value, ref.res.Max)
-				}
-				if !slices.Equal(got.cells, ref.cells) {
-					t.Fatalf("%s hook=%v take %s: cell sequence differs from one cell per call", name, hook, tname)
-				}
-				if !hook && name != "range" && got.offers >= ref.offers {
-					t.Errorf("%s take %s: %d calls, one cell per call makes %d", name, tname, got.offers, ref.offers)
-				}
+		ref := run(takeOne)
+		for tname, take := range map[string]func(int64) int64{"min(N,2)": takeTwo, "N": takeAll} {
+			got := run(take)
+			if got.res.Value != ref.res.Value || got.res.Max != ref.res.Max {
+				t.Fatalf("%s take %s: Value %v Max %v, one cell per call gives %v %v",
+					name, tname, got.res.Value, got.res.Max, ref.res.Value, ref.res.Max)
+			}
+			if !slices.Equal(got.cells, ref.cells) {
+				t.Fatalf("%s take %s: cell sequence differs from one cell per call", name, tname)
+			}
+			if name != "range" && got.offers >= ref.offers {
+				t.Errorf("%s take %s: %d calls, one cell per call makes %d", name, tname, got.offers, ref.offers)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"testing"
 
 	"dpgen/internal/spec"
@@ -26,14 +25,9 @@ func TestSchedulersBitIdentical(t *testing.T) {
 		{Nodes: 3, Threads: 2, Priority: LevelSet},
 		{Nodes: 3, Threads: 2, Priority: FIFO},
 	} {
-		var mu sync.Mutex
 		got := map[[2]int64]float64{}
-		cfg.OnCell = func(x []int64, v float64) {
-			mu.Lock()
-			got[[2]int64{x[0], x[1]}] = v
-			mu.Unlock()
-		}
-		res, err := Run(tl, sumKernel, []int64{N}, cfg)
+		kernel := capturing(sumKernel, func(x []int64, v float64) { got[[2]int64{x[0], x[1]}] = v })
+		res, err := Run(tl, kernel, []int64{N}, cfg)
 		if err != nil {
 			t.Fatalf("%dx%d %v: %v", cfg.Nodes, cfg.Threads, cfg.Priority, err)
 		}

@@ -146,30 +146,27 @@ type cellMap map[string]uint64
 
 func cellKey(x []int64) string { return fmt.Sprint(x) }
 
-// runCells runs k and captures every cell. With perCall unset the cells
-// come through Config.OnCell, which makes every offer one cell; with it
-// set they are read back from the buffer after each call, cell t of the
-// run at Loc + t*Step with X[Inner] moved t*Dir, so the engine offers
-// whole runs. It also returns the number of kernel calls.
-func runCells(t *testing.T, tl *tiling.Tiling, k engine.Kernel, params []int64, cfg engine.Config, perCall bool) (cellMap, int64) {
+// runCells runs k and captures every cell, reading the Done cells of
+// each call back from the buffer: cell t of the run at Loc + t*Step
+// with X[Inner] moved t*Dir. With oneCell set every call is cut to a
+// one-cell offer (c.N = 1) before k sees it. It also returns the number
+// of kernel calls.
+func runCells(t *testing.T, tl *tiling.Tiling, k engine.Kernel, params []int64, cfg engine.Config, oneCell bool) (cellMap, int64) {
 	t.Helper()
 	got := cellMap{}
 	var calls int64
 	x := make([]int64, len(tl.Spec.Vars))
 	wrapped := func(c *engine.Ctx) {
 		calls++
-		k(c)
-		if !perCall {
-			return
+		if oneCell {
+			c.N = 1
 		}
+		k(c)
 		copy(x, c.X)
 		for i := int64(0); i < c.Done; i++ {
 			got[cellKey(x)] = math.Float64bits(c.V[c.Loc+i*c.Step])
 			x[c.Inner] += c.Dir
 		}
-	}
-	if !perCall {
-		cfg.OnCell = func(x []int64, v float64) { got[cellKey(x)] = math.Float64bits(v) }
 	}
 	cfg.Nodes, cfg.Threads = 1, 1 // the map and counter are not locked
 	if _, err := engine.Run(tl, wrapped, params, cfg); err != nil {
@@ -213,13 +210,13 @@ func TestServedKernelsMatchReference(t *testing.T) {
 			for _, side := range []struct {
 				label   string
 				cfg     engine.Config
-				perCall bool
+				oneCell bool
 			}{
-				{"run offers", engine.Config{}, true},
-				{"one-cell offers", engine.Config{}, false},
+				{"run offers", engine.Config{}, false},
+				{"one-cell offers", engine.Config{}, true},
 				{"DisableFastPath", engine.Config{DisableFastPath: true}, false},
 			} {
-				got, calls := runCells(t, tl, k, tc.params, side.cfg, side.perCall)
+				got, calls := runCells(t, tl, k, tc.params, side.cfg, side.oneCell)
 				label := fmt.Sprintf("%s/%s/%s", tc.name, name, side.label)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d cells, reference %d", label, len(got), len(want))
@@ -229,7 +226,7 @@ func TestServedKernelsMatchReference(t *testing.T) {
 						t.Fatalf("%s: cell %s = %v, reference %v", label, key, math.Float64frombits(g), math.Float64frombits(w))
 					}
 				}
-				if side.perCall && calls >= int64(len(want)) {
+				if side.label == "run offers" && calls >= int64(len(want)) {
 					t.Fatalf("%s: %d calls for %d cells: the engine offered no runs", label, calls, len(want))
 				}
 			}
