@@ -22,6 +22,37 @@ func perCell(k engine.Kernel) engine.Kernel {
 	}
 }
 
+// equivalenceInstance is one problem instance of the equivalence tests;
+// nil params are the problem's defaults.
+type equivalenceInstance struct {
+	name, problem string
+	params        []int64
+}
+
+// equivalenceInstances is every builtin at its default parameters, then
+// knap at the other step widths W its bounds allow.
+func equivalenceInstances() []equivalenceInstance {
+	var ins []equivalenceInstance
+	for _, name := range problems.Names() {
+		ins = append(ins, equivalenceInstance{name, name, nil})
+	}
+	for _, w := range []int64{1, 2, 4} {
+		ins = append(ins, equivalenceInstance{fmt.Sprintf("knap-W%d", w), "knap", []int64{10, 30, w}})
+	}
+	return ins
+}
+
+// dagEdges counts the tile graph's edges: per tile, its tile
+// dependences whose producer exists.
+func dagEdges(tl *tiling.Tiling, params []int64) int64 {
+	var n int64
+	tl.ForEachTile(params, func(t []int64) bool {
+		n += int64(tl.DepCount(params, t))
+		return true
+	})
+	return n
+}
+
 // TestFastPathEquivalence is the bit-for-bit contract of the interior
 // fast path: for every builtin problem and every runtime configuration,
 // the fast path and the forced-slow path (DisableFastPath) must produce
@@ -33,12 +64,15 @@ func perCell(k engine.Kernel) engine.Kernel {
 // kernel at the run lengths the row path offers against the same body at
 // run length 1; the builtins shipped in run form get a second axis that
 // keeps the row path and changes only the run length (perCell), and must
-// take fewer calls than cells as shipped.
+// take fewer calls than cells as shipped. Every run delivers one edge
+// per tile dependence whose producer exists, empty ones included: knap
+// also runs at W = 1, 2 and 4, and at W <= 2 its (0,2) and (1,2) edges
+// carry no element.
 func TestFastPathEquivalence(t *testing.T) {
 	runForm := map[string]bool{"lcs2": true, "bandit2": true, "knap": true}
-	for _, name := range problems.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, in := range equivalenceInstances() {
+		name := in.problem
+		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
 			p, err := problems.Get(name)
 			if err != nil {
@@ -49,7 +83,21 @@ func TestFastPathEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			params := p.DefaultParams
+			if in.params != nil {
+				params = in.params
+			}
 			serial := p.Serial(params)
+			edges := dagEdges(tl, params)
+			checkEdges := func(label string, res *engine.Result) {
+				t.Helper()
+				var got int64
+				for _, st := range res.Stats {
+					got += st.EdgesLocal + st.EdgesSentRemote
+				}
+				if got != edges {
+					t.Fatalf("%s: %d edges delivered, the tile graph has %d", label, got, edges)
+				}
+			}
 			for _, nodes := range []int{1, 4} {
 				for _, threads := range []int{1, 4} {
 					cfg := engine.Config{Nodes: nodes, Threads: threads}
@@ -59,6 +107,7 @@ func TestFastPathEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: fast: %v", label, err)
 					}
+					checkEdges(label+" fast", fast)
 					if runForm[name] {
 						cell, err := engine.Run(tl, perCell(p.Kernel), params, cfg)
 						if err != nil {
@@ -86,6 +135,7 @@ func TestFastPathEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: slow: %v", label, err)
 					}
+					checkEdges(label+" slow", slow)
 					if fast.Value != slow.Value {
 						t.Fatalf("%s: Value fast %.17g != slow %.17g", label, fast.Value, slow.Value)
 					}

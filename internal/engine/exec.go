@@ -365,7 +365,7 @@ func (n *node) execTile(p *pendTile, w *workerState, stolen bool) {
 // unpackEdges copies the tile's received edges into the ghost shell.
 // The producer of edge dep j is p.Tile.coord + offset_j; pack and unpack
 // share that producer's slab order, so the elements match exactly. A
-// full-slab edge (its length equals the dense size) unpacks with the
+// full-slab edge (its length is the run's slab size) unpacks with the
 // precompiled strided copy regardless of how the producer packed it;
 // partial boundary slabs copy the spans of the producer's slab shape.
 func (n *node) unpackEdges(p *pendTile, w *workerState) {
@@ -375,8 +375,8 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 		if ed.data == nil {
 			continue
 		}
-		if fast && int64(len(ed.data)) == tl.InteriorEdgeSize[ed.dep] {
-			tl.UnpackInterior(ed.dep, w.buf, ed.data)
+		if fast && int64(len(ed.data)) == n.rows.InteriorEdgeSize(ed.dep) {
+			n.rows.UnpackInterior(ed.dep, w.buf, ed.data)
 			continue
 		}
 		producer := w.tbuf
@@ -413,11 +413,12 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 
 // sendEdges packs the tile's outgoing edges and delivers them locally
 // or sends them to the owning rank (steps 4a/4b of Section V-A).
-// Buffers come from the worker's free stack, sized by the dense slab
-// bound, so packing never grows a slice; interior tiles fill with
-// strided copies. A core tile's consumers all exist, a consumer in
-// the tile's own load-balancing slab is this node's without a lookup,
-// and a local consumer's table keys are a step from the tile's own.
+// Buffers come from the worker's free stack, as long as the slab over
+// the declared parameter bounds, so packing never grows a slice;
+// interior tiles fill the run's slab with strided copies. A core tile's
+// consumers all exist, a consumer in the tile's own load-balancing slab
+// is this node's without a lookup, and a local consumer's table keys
+// are a step from the tile's own.
 // Returns the remote sends issued and the time they spent stalled.
 func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string) (sentRemote int64, stallSum time.Duration) {
 	tl := n.tl
@@ -431,13 +432,14 @@ func (n *node) sendEdges(p *pendTile, w *workerState, interior bool, tid string)
 		if !p.Tile.core && !w.probe.InSpace(consumer) {
 			continue
 		}
-		data, ok := w.bufs.Get(int(tl.InteriorEdgeSize[j]))
+		size := n.prep.rows.InteriorEdgeSize(j)
+		data, ok := w.bufs.Get(int(size))
 		if !ok {
-			data = mpi.GetData(w.bufs.Size())[:tl.InteriorEdgeSize[j]]
+			data = mpi.GetData(w.bufs.Size())[:size]
 		}
 		switch {
 		case interior:
-			tl.PackInterior(j, w.buf, data)
+			n.rows.PackInterior(j, w.buf, data)
 		case fast:
 			data = w.shapes.PackPartial(j, p.Tile.coord, w.buf, data[:0])
 		default:

@@ -401,10 +401,11 @@ func TestRowsRunDoneOutOfRange(t *testing.T) {
 // the shape path and on the checked path.
 func TestRowsUnpackMismatchNamesSizes(t *testing.T) {
 	tl, params := bandit2Tiling(t, 4, nil), []int64{13}
-	probe := tl.NewProbe(params)
+	plan := tl.BindRows(params)
+	probe := plan.NewProbe()
 	// A consumer whose producer along some dependence is a boundary tile
 	// with a partial slab, short enough that one extra value is not the
-	// full slab either.
+	// run's full slab either.
 	var consumer []int64
 	var dep, cells int
 	tl.ForEachTile(params, func(c []int64) bool {
@@ -418,7 +419,7 @@ func TestRowsUnpackMismatchNamesSizes(t *testing.T) {
 			}
 			n := 0
 			tl.ForEachEdgeCell(params, producer, j, func([]int64) bool { n++; return true })
-			if n > 0 && int64(n+1) < tl.InteriorEdgeSize[j] {
+			if n > 0 && int64(n+1) < plan.InteriorEdgeSize(j) {
 				consumer, dep, cells = slices.Clone(c), j, n
 				return false
 			}

@@ -2,6 +2,7 @@ package lin
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dpgen/internal/ints"
@@ -214,14 +215,17 @@ func (e Expr) Equal(o Expr) bool {
 	return true
 }
 
-// Key returns a canonical comparable key for deduplication within one space.
+// Key returns a canonical comparable key for deduplication within one
+// space: the coefficients, each followed by a comma, then "|" and the
+// constant. It is built in one buffer, since System.Dedup keys every
+// inequality of every elimination step.
 func (e Expr) Key() string {
-	var b strings.Builder
+	var small [96]byte
+	b := small[:0]
 	for _, c := range e.Coef {
-		fmt.Fprintf(&b, "%d,", c)
+		b = append(strconv.AppendInt(b, c, 10), ',')
 	}
-	fmt.Fprintf(&b, "|%d", e.K)
-	return b.String()
+	return string(strconv.AppendInt(append(b, '|'), e.K, 10))
 }
 
 func (e Expr) String() string {

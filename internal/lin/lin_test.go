@@ -362,3 +362,16 @@ func TestMixedSpacePanics(t *testing.T) {
 	}()
 	Var(a, "x").Add(Var(b, "y"))
 }
+
+// TestExprKey pins the key's text, which System.Sorted orders by: the
+// coefficients each followed by a comma, then "|" and the constant.
+func TestExprKey(t *testing.T) {
+	s := MustSpace([]string{"N"}, []string{"x", "y"})
+	e := Var(s, "x").Scale(-12).Add(Term(s, 3, "N")).AddConst(-7)
+	if got, want := e.Key(), "3,-12,0,|-7"; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
+	}
+	if got, want := Zero(s).Key(), "0,0,0,|0"; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
+	}
+}

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // item builds a test item whose payload is its own name.
@@ -227,6 +229,73 @@ func TestParkStress(t *testing.T) {
 	}
 	if slept, open := p.Park(p.Epoch()); slept || open {
 		t.Errorf("Park on a closed pool: slept %v open %v", slept, open)
+	}
+}
+
+// TestParkWakeup walks the wake-up protocol one step at a time, on one
+// goroutine where it can, each blocking step bounded at a second. A Push
+// that lands between a worker's empty scan and its Park must advance the
+// epoch, so that Park returns at once without sleeping: no worker is a
+// sleeper yet, so no signal would wake one. A worker already parked
+// must wake on Close, and its next Park reports the pool closed. The
+// stress test cannot reach the first window, since every worker would
+// have to sit in it when the last item is pushed.
+func TestParkWakeup(t *testing.T) {
+	p := NewPool[int](2, FIFO)
+	// within runs park on a goroutine and returns its result, failing
+	// the test (after closing the pool to release it) past a second.
+	within := func(what string, park func() (bool, bool)) (slept, open bool) {
+		t.Helper()
+		done := make(chan [2]bool, 1)
+		go func() {
+			s, o := park()
+			done <- [2]bool{s, o}
+		}()
+		select {
+		case r := <-done:
+			return r[0], r[1]
+		case <-time.After(time.Second):
+			p.Close()
+			t.Fatalf("%s: Park still blocked after 1s", what)
+			return false, false
+		}
+	}
+
+	e0 := p.Epoch()
+	if it, _ := p.Pop(0); it != nil {
+		t.Fatalf("empty pool popped item %d", it.Tile)
+	}
+	p.Push(item(1, 0, 7), -1)
+	if p.Epoch() == e0 {
+		t.Fatal("Push left the epoch where the empty scan read it")
+	}
+	if slept, open := within("Park after a Push it missed", func() (bool, bool) { return p.Park(e0) }); slept || !open {
+		t.Fatalf("Park after a Push it missed: slept %v open %v, want false true", slept, open)
+	}
+	if it, _ := p.Pop(0); it == nil || it.Tile != 1 {
+		t.Fatalf("rescan after the early return popped %v, want item 1", it)
+	}
+
+	// A worker parks on an empty pool; Close must reach it.
+	e1 := p.Epoch()
+	parked := make(chan struct{})
+	slept, open := within("Park woken by Close", func() (bool, bool) {
+		go func() {
+			deadline := time.Now().Add(time.Second)
+			for p.sleepers.Load() == 0 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			close(parked)
+			p.Close()
+		}()
+		return p.Park(e1)
+	})
+	<-parked
+	if !slept || !open {
+		t.Fatalf("Park woken by Close: slept %v open %v, want true true", slept, open)
+	}
+	if slept, open := within("Park on a closed pool", func() (bool, bool) { return p.Park(p.Epoch()) }); slept || open {
+		t.Fatalf("Park on a closed pool: slept %v open %v, want false false", slept, open)
 	}
 }
 

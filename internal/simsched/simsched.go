@@ -197,6 +197,7 @@ type sim struct {
 	params []int64
 	cfg    Config
 	assign *balance.Assignment
+	rows   *tiling.RowPlan
 	probe  *tiling.TileProbe
 	shapes *tiling.ShapeReader // nil when the row plan cannot be walked
 	box    int64               // an interior tile's cells
@@ -224,7 +225,7 @@ func Simulate(tl *tiling.Tiling, params []int64, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simsched: %w", err)
 	}
-	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign,
+	s := &sim{tl: tl, params: params, cfg: cfg, assign: assign, rows: rows,
 		probe: rows.NewProbe(), shapes: rows.NewReader(), box: 1, nb: make([]int64, len(tl.Widths))}
 	for _, w := range tl.Widths {
 		s.box *= w
@@ -381,7 +382,7 @@ func (s *sim) tileCost(st *simTile) float64 {
 		}
 		switch {
 		case interior:
-			st.Tile.out[j] = s.tl.InteriorEdgeSize[j]
+			st.Tile.out[j] = s.rows.InteriorEdgeSize(j)
 		case s.shapes != nil:
 			st.Tile.out[j] = s.shapes.EdgeCells(j, t)
 		default:

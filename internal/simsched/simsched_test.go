@@ -32,13 +32,25 @@ func bandit2Tiling(t testing.TB, w int64, lb []string) *tiling.Tiling {
 
 // TestSimulateCompletesAllTiles: on every builtin at 3 nodes the
 // simulator executes every tile once, and its cell and remote-element
-// totals equal the checked nests' counts summed tile by tile.
+// totals equal the checked nests' counts summed tile by tile. knap also
+// runs at W = 3 on a space wide enough that interior producers send
+// remote edges, which are the run's slabs: 1 element along (1,2), where
+// W's bound would give 4.
 func TestSimulateCompletesAllTiles(t *testing.T) {
 	const nodes = 3
+	type instance struct {
+		name, problem string
+		params        []int64
+	}
+	var cases []instance
 	for _, name := range problems.Names() {
-		t.Run(name, func(t *testing.T) {
+		cases = append(cases, instance{name, name, nil})
+	}
+	cases = append(cases, instance{"knap-W3-wide", "knap", []int64{40, 120, 3}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			p, err := problems.Get(name)
+			p, err := problems.Get(c.problem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,6 +59,9 @@ func TestSimulateCompletesAllTiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			params := p.DefaultParams
+			if c.params != nil {
+				params = c.params
+			}
 			res, err := Simulate(tl, params, Config{Nodes: nodes, Cores: 4})
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 
 	"dpgen/internal/fm"
 	"dpgen/internal/ints"
@@ -226,4 +227,118 @@ func (tl *Tiling) depChoices(h *spec.Hull, j int) [][]int64 {
 		}
 	}
 	return choice
+}
+
+// templateReach returns, per dimension k, the templates' least and
+// greatest reach along k as forms over the spec space whose only terms
+// are parameters. Template j reaches base_k + t·dir_k for t in
+// [0, LenMax_j − 1] (t = 0 alone for a point template): parameter-affine
+// whenever dir_k's sign is fixed over the declared parameter bounds. A
+// dimension's extreme is the template form that is extreme at every
+// admissible parameter vector; where no form is, or a step changes sign,
+// it falls back to the footprint hull's constant, the value at the
+// worst parameters.
+func (tl *Tiling) templateReach(h *spec.Hull) (lo, hi []lin.Expr, err error) {
+	sp := tl.Spec
+	d := len(sp.Vars)
+	lo, hi = make([]lin.Expr, d), make([]lin.Expr, d)
+	for k := 0; k < d; k++ {
+		var los, his []lin.Expr
+		for j := range sp.Deps {
+			jl := sp.BaseExpr(j, k)
+			jh := jl
+			if dir := sp.DirExpr(j, k); sp.Deps[j].IsRange() && tl.LenMax[j] > 1 && !(dir.IsConst() && dir.K == 0) {
+				dlo, dhi, err := tl.paramRange(dir)
+				if err != nil {
+					return nil, nil, err
+				}
+				far := jl.Add(dir.Scale(tl.LenMax[j] - 1))
+				switch {
+				case dlo >= 0:
+					jh = far
+				case dhi <= 0:
+					jl = far
+				default:
+					jl, jh = lin.Const(sp.Space(), h.DepLo[j][k]), lin.Const(sp.Space(), h.DepHi[j][k])
+				}
+			}
+			los, his = append(los, jl), append(his, jh)
+		}
+		if lo[k], err = tl.extreme(los, -1); err != nil {
+			return nil, nil, err
+		}
+		if hi[k], err = tl.extreme(his, 1); err != nil {
+			return nil, nil, err
+		}
+	}
+	return lo, hi, nil
+}
+
+// extreme returns the greatest (sign +1) or least (sign −1) of the
+// parameter-only forms fs: the form that is at least (at most) every
+// other at every admissible parameter vector, or else the constant
+// extreme of their ranges over the declared parameter bounds. Constant
+// forms compare by value.
+func (tl *Tiling) extreme(fs []lin.Expr, sign int64) (lin.Expr, error) {
+	var cands []lin.Expr
+	konst := -1
+	for i, f := range fs {
+		switch {
+		case !f.IsConst():
+			if !slices.ContainsFunc(cands, f.Equal) {
+				cands = append(cands, f)
+			}
+		case konst < 0 || sign*f.K > sign*fs[konst].K:
+			konst = i
+		}
+	}
+	if konst >= 0 {
+		cands = append(cands, fs[konst])
+	}
+	if len(cands) == 1 {
+		return cands[0], nil
+	}
+	var c int64
+	for i, f := range cands {
+		top := true
+		for _, g := range cands {
+			least, _, err := tl.paramRange(f.Sub(g).Scale(sign))
+			if err != nil {
+				return lin.Expr{}, err
+			}
+			top = top && least >= 0
+		}
+		if top {
+			return f, nil
+		}
+		flo, fhi, err := tl.paramRange(f)
+		if err != nil {
+			return lin.Expr{}, err
+		}
+		v := fhi
+		if sign < 0 {
+			v = -flo
+		}
+		if i == 0 || v > c {
+			c = v
+		}
+	}
+	return lin.Const(tl.Spec.Space(), sign*c), nil
+}
+
+// paramRange is Spec.ExprHull, without its work for a constant form.
+func (tl *Tiling) paramRange(e lin.Expr) (lo, hi int64, err error) {
+	if e.IsConst() {
+		return e.K, e.K, nil
+	}
+	return tl.Spec.ExprHull(e)
+}
+
+// paramsAt evaluates a spec-space form whose only terms are parameters.
+func paramsAt(e lin.Expr, params []int64) int64 {
+	v := e.K
+	for i, p := range params {
+		v += e.CoeffAt(i) * p
+	}
+	return v
 }

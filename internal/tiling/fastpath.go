@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 
 	"dpgen/internal/fm"
 	"dpgen/internal/ints"
@@ -113,52 +114,55 @@ func (tl *Tiling) buildDense() {
 	}
 }
 
-// buildInteriorSlabs records each tile dependence's full slab as
-// [start, end) buffer spans, the form ShapeReader replays, with its size
-// and unpack shift. The slab ranges mirror buildPackNest: offset +1
-// takes the producer's low band [0, GhostHi_k-1], offset -1 the high
-// band [w_k-GhostLo_k, w_k-1], offset 0 the whole width — and the spans
-// follow the loop order, ascending, as PackNest.Enumerate does, one per
-// innermost row, so full-slab and nest-packed edges are interchangeable
-// whenever the cell sets coincide.
+// buildInteriorSlabs records each tile dependence's slab box over the
+// declared parameter bounds (slabBox) as [start, end) buffer spans, the
+// form ShapeReader replays, with its size. A run's box (BindRows) lies
+// inside it.
 func (tl *Tiling) buildInteriorSlabs() {
-	d := len(tl.Spec.Vars)
 	tl.InteriorEdgeSize = make([]int64, len(tl.TileDeps))
 	tl.interiorSlab = make([][]int64, len(tl.TileDeps))
-	for j := range tl.TileDeps {
-		dep := &tl.TileDeps[j]
-		start, size := tl.BaseOff, int64(1)
-		cnt := make([]int64, d)
-		for k := 0; k < d; k++ {
-			var lo int64
-			switch o := dep.Offset[k]; {
-			case o >= 1:
-				cnt[k] = ints.Min(tl.Widths[k], tl.Widths[k]+tl.GhostHi[k]-o*tl.Widths[k])
-			case o <= -1:
-				lo = ints.Max(0, -o*tl.Widths[k]-tl.GhostLo[k])
-				cnt[k] = tl.Widths[k] - lo
-			default:
-				cnt[k] = tl.Widths[k]
-			}
-			start += lo * tl.Strides[k]
-			dep.Shift += dep.Offset[k] * tl.Widths[k] * tl.Strides[k]
-			size = ints.MulChecked(size, cnt[k])
-		}
-		// One innermost row, then each outer level from the inside out
-		// repeats the spans so far once per further trip.
-		spans := []int64{start, start + cnt[tl.orderIdx[d-1]]}
-		for lvl := d - 2; lvl >= 0; lvl-- {
-			k := tl.orderIdx[lvl]
-			n := len(spans)
-			for c := int64(1); c < cnt[k]; c++ {
-				for _, v := range spans[:n] {
-					spans = append(spans, v+c*tl.Strides[k])
-				}
-			}
-		}
-		tl.interiorSlab[j] = spans
-		tl.InteriorEdgeSize[j] = size
+	for j, box := range tl.slabBox {
+		tl.interiorSlab[j], tl.InteriorEdgeSize[j] = tl.slabSpans(box)
 	}
+}
+
+// cutToTile cuts the local index range lo..hi along dimension k to the
+// tile and returns its first index and count.
+func (tl *Tiling) cutToTile(k int, lo, hi int64) (first, cnt int64) {
+	first = ints.Max(0, lo)
+	return first, ints.Max(0, ints.Min(tl.Widths[k]-1, hi)-first+1)
+}
+
+// slabSpans lays out the slab box whose dimension k holds box[d+k]
+// local indices from box[k] on as [start, end) buffer spans: in loop
+// order, ascending, as PackNest.Enumerate scans it, one span per
+// innermost row, so full-slab and nest-packed edges are interchangeable
+// whenever their cell sets coincide. It returns them with the box's cell
+// count; an empty box has no span.
+func (tl *Tiling) slabSpans(box []int64) ([]int64, int64) {
+	d := len(tl.Spec.Vars)
+	start, size := tl.BaseOff, int64(1)
+	for k := 0; k < d; k++ {
+		start += box[k] * tl.Strides[k]
+		size = ints.MulChecked(size, box[d+k])
+	}
+	if size == 0 {
+		return nil, 0
+	}
+	// One innermost row, then each outer level from the inside out
+	// repeats the spans so far once per further trip.
+	spans := make([]int64, 2, 2*size/box[d+tl.orderIdx[d-1]])
+	spans[0], spans[1] = start, start+box[d+tl.orderIdx[d-1]]
+	for lvl := d - 2; lvl >= 0; lvl-- {
+		k := tl.orderIdx[lvl]
+		n := len(spans)
+		for c := int64(1); c < box[d+k]; c++ {
+			for _, v := range spans[:n] {
+				spans = append(spans, v+c*tl.Strides[k])
+			}
+		}
+	}
+	return spans, size
 }
 
 // buildDimNests builds, per dimension, a one-variable nest over
@@ -212,20 +216,72 @@ func (tl *Tiling) TileBounds(params []int64) (lo, hi []int64) {
 	return lo, hi
 }
 
-// PackInterior copies an interior producer's slab cells for tile
-// dependence dep from the tile buffer into out (length
-// InteriorEdgeSize[dep]), in the shared pack/unpack order.
+// PackInterior copies the cells of tile dependence dep's slab box over
+// the declared parameter bounds from the tile buffer into out (length
+// InteriorEdgeSize[dep]), in the shared pack/unpack order. A run packs
+// its own box: RowPlan.PackInterior.
 func (tl *Tiling) PackInterior(dep int, buf, out []float64) {
 	packSpans(tl.interiorSlab[dep], buf, out[:0])
 }
 
-// UnpackInterior writes a full-slab edge into the consumer's ghost
-// shell. It is valid for any edge whose cell count equals
-// InteriorEdgeSize[dep]: a slab with the full count is necessarily the
-// full rectangular box, and both pack orders (full slab and PackNest)
-// scan it identically.
+// UnpackInterior writes an edge packed by PackInterior into the
+// consumer's ghost shell.
 func (tl *Tiling) UnpackInterior(dep int, buf, data []float64) {
 	unpackSpans(tl.interiorSlab[dep], tl.TileDeps[dep].Shift, buf, data)
+}
+
+// bindSlabs evaluates the templates' reach at the plan's parameters
+// into the run's slab boxes, the pack nests' bounds. A run whose boxes
+// are the tiling's shares its spans and sizes, allocating nothing.
+func (p *RowPlan) bindSlabs(params []int64) {
+	tl := p.tl
+	d := len(tl.Spec.Vars)
+	p.edgeSize, p.slabs = tl.InteriorEdgeSize, tl.interiorSlab
+	var small [32]int64
+	scratch := small[:]
+	if 4*d > len(small) {
+		scratch = make([]int64, 4*d)
+	}
+	box, lo, hi := scratch[:2*d], scratch[2*d:3*d], scratch[3*d:4*d]
+	for k := range lo {
+		lo[k], hi[k] = paramsAt(tl.reachLo[k], params), paramsAt(tl.reachHi[k], params)
+	}
+	shared := true
+	for j := range tl.TileDeps {
+		for k, o := range tl.TileDeps[j].Offset {
+			w := tl.Widths[k]
+			box[k], box[d+k] = tl.cutToTile(k, lo[k]-o*w, w-1+hi[k]-o*w)
+		}
+		if slices.Equal(box, tl.slabBox[j]) {
+			continue
+		}
+		if shared {
+			p.edgeSize, p.slabs, shared = slices.Clone(p.edgeSize), slices.Clone(p.slabs), false
+		}
+		p.slabs[j], p.edgeSize[j] = tl.slabSpans(box)
+	}
+}
+
+// InteriorEdgeSize returns the cell count of tile dependence dep's slab
+// at the plan's parameters: an interior producer's exact edge size along
+// dep, and an upper bound on every producer's. It is at most the
+// tiling's InteriorEdgeSize[dep].
+func (p *RowPlan) InteriorEdgeSize(dep int) int64 { return p.edgeSize[dep] }
+
+// PackInterior copies an interior producer's slab cells for tile
+// dependence dep from the tile buffer into out (length
+// InteriorEdgeSize(dep)), in the shared pack/unpack order.
+func (p *RowPlan) PackInterior(dep int, buf, out []float64) {
+	packSpans(p.slabs[dep], buf, out[:0])
+}
+
+// UnpackInterior writes a full-slab edge into the consumer's ghost
+// shell. It is valid for any edge whose cell count equals
+// InteriorEdgeSize(dep): a slab with the full count is necessarily the
+// full box, and both pack orders (full slab and PackNest) scan it
+// identically.
+func (p *RowPlan) UnpackInterior(dep int, buf, data []float64) {
+	unpackSpans(p.slabs[dep], p.tl.TileDeps[dep].Shift, buf, data)
 }
 
 // packSpans appends a slab's cells of buf to out, span by span. A span

@@ -80,42 +80,72 @@ func TestInteriorClassification(t *testing.T) {
 	}
 }
 
-// TestInteriorEdgeScans: for interior producers the dense pack must
-// produce exactly the PackNest sequence, and InteriorEdgeSize must be
-// the PackNest count (and an upper bound for every producer).
+// knapSpec is the bounded knapsack builtin's spec: one range template
+// whose step along u is the parameter W, so its slabs depend on W.
+func knapSpec() *spec.Spec {
+	sp := spec.MustNew("knap", []string{"N", "C", "W"}, []string{"a", "u"})
+	sp.MustConstrain("0 <= a <= N - 1")
+	sp.MustConstrain("0 <= u <= C")
+	sp.Bound("W", 1, 4)
+	sp.MustAddDepSpec("take", "1, 0", "0, W", "4")
+	sp.TileWidths = []int64{8, 8}
+	return sp
+}
+
+// TestInteriorEdgeScans: for interior producers the run's dense pack
+// (RowPlan.PackInterior) must produce exactly the PackNest sequence, and
+// the run's slab size must be the PackNest count (and an upper bound for
+// every producer, itself at most the bound-range size). knap at W = 1 and
+// 3 packs less than its bound-range slabs.
 func TestInteriorEdgeScans(t *testing.T) {
+	type instance struct {
+		name   string
+		sp     *spec.Spec
+		params []int64
+	}
+	var cases []instance
 	for name, sp := range fastpathSpecs(t) {
-		tl, err := New(sp)
+		cases = append(cases, instance{name, sp, []int64{11}})
+	}
+	cases = append(cases, instance{"knap W=1", knapSpec(), []int64{20, 40, 1}}, instance{"knap W=3", knapSpec(), []int64{20, 40, 3}})
+	for _, c := range cases {
+		name, params := c.name, c.params
+		tl, err := New(c.sp)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		params := []int64{11}
-		pr := tl.NewProbe(params)
+		plan := tl.BindRows(params)
+		pr := plan.NewProbe()
 		buf := make([]float64, tl.AllocLen)
 		for i := range buf {
 			buf[i] = float64(i) // distinct value per buffer slot
 		}
+		for j := range tl.TileDeps {
+			if plan.InteriorEdgeSize(j) > tl.InteriorEdgeSize[j] {
+				t.Fatalf("%s: dep %d: run slab %d exceeds the bound-range slab %d", name, j, plan.InteriorEdgeSize(j), tl.InteriorEdgeSize[j])
+			}
+		}
 		tl.ForEachTile(params, func(tile []int64) bool {
 			for j := range tl.TileDeps {
-				nestN := tl.EdgeSize(params, tile, j)
-				if nestN > tl.InteriorEdgeSize[j] {
+				nestN, size := tl.EdgeSize(params, tile, j), plan.InteriorEdgeSize(j)
+				if nestN > size {
 					t.Fatalf("%s: tile %v dep %d: nest edge %d exceeds dense bound %d",
-						name, tile, j, nestN, tl.InteriorEdgeSize[j])
+						name, tile, j, nestN, size)
 				}
 				if !pr.Interior(tile) {
 					continue
 				}
-				if nestN != tl.InteriorEdgeSize[j] {
+				if nestN != size {
 					t.Fatalf("%s: interior tile %v dep %d: nest edge %d != dense %d",
-						name, tile, j, nestN, tl.InteriorEdgeSize[j])
+						name, tile, j, nestN, size)
 				}
 				var nest []float64
 				tl.ForEachEdgeCell(params, tile, j, func(i []int64) bool {
 					nest = append(nest, buf[tl.Loc(i)])
 					return true
 				})
-				dense := make([]float64, tl.InteriorEdgeSize[j])
-				tl.PackInterior(j, buf, dense)
+				dense := make([]float64, size)
+				plan.PackInterior(j, buf, dense)
 				for x := range nest {
 					if nest[x] != dense[x] {
 						t.Fatalf("%s: interior tile %v dep %d: pack order diverges at %d", name, tile, j, x)
@@ -123,7 +153,7 @@ func TestInteriorEdgeScans(t *testing.T) {
 				}
 				// Unpack must land each value at UnpackLoc of its cell.
 				shell := make([]float64, tl.AllocLen)
-				tl.UnpackInterior(j, shell, dense)
+				plan.UnpackInterior(j, shell, dense)
 				x := 0
 				tl.ForEachEdgeCell(params, tile, j, func(i []int64) bool {
 					if got := shell[tl.UnpackLoc(j, i)]; got != dense[x] {
@@ -202,4 +232,29 @@ func ExampleTiling_TileBounds() {
 	lo, hi := tl.TileBounds([]int64{10})
 	fmt.Println(lo, hi)
 	// Output: [0 0] [2 2]
+}
+
+// TestBindSlabsSharesBoundRange: a run whose slab boxes are the
+// tiling's (knap at W = 4, its bound) shares the tiling's spans and
+// sizes and binds them without allocating; a run at W = 3 gets its own
+// for the two slabs W shrinks and shares the rest.
+func TestBindSlabsSharesBoundRange(t *testing.T) {
+	tl, err := New(knapSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tl.BindRows([]int64{20, 40, 4})
+	if &p.edgeSize[0] != &tl.InteriorEdgeSize[0] || &p.slabs[0] != &tl.interiorSlab[0] {
+		t.Error("W = 4: the run's slabs are not the tiling's")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.bindSlabs([]int64{20, 40, 4}) }); allocs != 0 {
+		t.Errorf("W = 4: binding the slabs allocated %v times", allocs)
+	}
+	p = tl.BindRows([]int64{20, 40, 3})
+	for j := range tl.TileDeps {
+		shared := len(p.slabs[j]) > 0 && &p.slabs[j][0] == &tl.interiorSlab[j][0]
+		if want := j != 1 && j != 4; shared != want {
+			t.Errorf("W = 3: dep %d (offset %v) shares the tiling's spans: %v, want %v", j, tl.TileDeps[j].Offset, shared, want)
+		}
+	}
 }

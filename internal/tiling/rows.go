@@ -363,7 +363,8 @@ func (tl *Tiling) layoutRows() {
 
 // RowPlan is the run-bound compiled form of a tiling's cell nest,
 // dependence validity and edge-slab nests for one parameter vector, with
-// the table of tile shapes compiled from it (shapes.go). It is safe to
+// the interior slabs at those parameters (fastpath.go) and the table of
+// tile shapes compiled from it (shapes.go). It is safe to
 // share: the table is filled by Slabs before any run reads it and is
 // read-only afterwards; per-goroutine state lives in the RowWalkers and
 // ShapeReaders made from it.
@@ -392,6 +393,11 @@ type RowPlan struct {
 	// probe is the tile-space probe bound to the plan's parameters, the
 	// one NewProbe copies.
 	probe TileProbe
+
+	// The interior slabs at the plan's parameters (bindSlabs): per tile
+	// dependence, the cell count and the [start, end) spans.
+	edgeSize []int64
+	slabs    [][]int64
 
 	table  shapeTable
 	budget int64        // the table's bound in rows: shapeBudget
@@ -448,6 +454,7 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 	for i := range rt.packs {
 		p.packs[i] = rt.packs[i].bind(cut(len(rt.packs[i].forms)), params, reach, &ok)
 	}
+	p.bindSlabs(params)
 	p.table = shapeTable{cells: map[string]*Shape{}, slabs: map[string][][]int64{}}
 	// A shape's run holds its validity as a 64-bit mask, bit 63 clear.
 	p.ok = ok && len(tl.Spec.Deps) < 64

@@ -9,6 +9,7 @@
 package tiling
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -28,7 +29,9 @@ type TileDep struct {
 	Offset []int64
 	// PackNest scans the producer's slab cells; its space treats the
 	// parameters and the producer's tile indices as parameters and the
-	// local indices as loop variables.
+	// local indices as loop variables. The slab is the box of the cells
+	// the consumer's templates can reach at the run's parameters (see
+	// buildTileDeps), cut by the producer's local space.
 	PackNest *loopgen.Nest
 	// Shift is Σ_k Offset_k·w_k·stride_k: added to a producer-local
 	// buffer index of a slab cell, it gives the cell's index in the
@@ -96,9 +99,11 @@ type Tiling struct {
 	CoreSys *lin.System
 	// Dense is the precompiled interior-tile cell nest, in loop order.
 	Dense []DenseLevel
-	// InteriorEdgeSize[j] is the cell count of tile dependence j's full
-	// edge slab — the exact edge size for interior producers and an
-	// upper bound for boundary producers.
+	// InteriorEdgeSize[j] is the cell count of tile dependence j's slab
+	// box over the declared parameter bounds: an upper bound on every
+	// edge along j, and an interior producer's exact edge size at the
+	// parameters that reach farthest (RowPlan.InteriorEdgeSize is a
+	// run's exact size).
 	InteriorEdgeSize []int64
 
 	// ExecDirs gives the cell iteration direction per variable: -1 when
@@ -126,6 +131,9 @@ type Tiling struct {
 	rows         rowTemplate     // what BindRows binds
 	depOffs      [][]int64       // DepOffsets
 	interiorSlab [][]int64       // full edge slabs per tile dep, as [start, end) spans
+	reachLo      []lin.Expr      // per dimension, the templates' least reach (parameters only; templateReach)
+	reachHi      []lin.Expr      // and their greatest
+	slabBox      [][]int64       // per tile dep, interiorSlab's first local index, then its count, per dimension
 	dimNests     []*loopgen.Nest // per-dimension tile bounds (integer keys)
 }
 
@@ -414,47 +422,77 @@ func (tl *Tiling) buildTileDeps(hull *spec.Hull) error {
 	// Deterministic order: lexicographic.
 	sortOffsets(offsets)
 
+	// The consumer t − o reads, through a template reaching r, the
+	// producer-local index i_k + r_k − o_k·w_k along k from its own local
+	// i_k in [0, w_k − 1]: the slab along k is
+	// [lo_k − o_k·w_k, w_k − 1 + hi_k − o_k·w_k] for the templates' reach
+	// [lo_k, hi_k], which the tile cuts to [0, w_k − 1].
+	lo, hi, err := tl.templateReach(hull)
+	if err != nil {
+		return fmt.Errorf("tiling: template reach: %w", err)
+	}
+	tl.reachLo, tl.reachHi = lo, hi
+	// Per dimension, each reach's least and greatest value over the
+	// declared parameter bounds, and the slab's two inequalities at
+	// offset 0 over the local space: i_k − lo_k >= 0 and
+	// w_k − 1 + hi_k − i_k >= 0.
+	loR, hiR := make([][2]int64, d), make([][2]int64, d)
+	above, below := make([]lin.Expr, d), make([]lin.Expr, d)
+	for k, v := range sp.Vars {
+		if loR[k][0], loR[k][1], err = tl.paramRange(lo[k]); err != nil {
+			return err
+		}
+		if hiR[k][0], hiR[k][1], err = tl.paramRange(hi[k]); err != nil {
+			return err
+		}
+		in := lin.Var(tl.localSpace, iName(v))
+		above[k] = in.Sub(lo[k].Lift(tl.localSpace))
+		below[k] = hi[k].Lift(tl.localSpace).Sub(in).AddConst(tl.Widths[k] - 1)
+	}
 	for _, off := range offsets {
-		nest, err := tl.buildPackNest(off)
+		box := make([]int64, 2*d)
+		var shift int64
+		local := tl.localSys.Clone()
+		for k, o := range off {
+			w := tl.Widths[k]
+			shift += o * w * tl.Strides[k]
+			// A bound no admissible parameter vector lets cut the tile
+			// is left out of the nest.
+			if loR[k][1]-o*w > 0 {
+				local.Add(lin.Ineq{Expr: above[k].AddConst(o * w)})
+			}
+			if hiR[k][0]-o*w < 0 {
+				local.Add(lin.Ineq{Expr: below[k].AddConst(-o * w)})
+			}
+			box[k], box[d+k] = tl.cutToTile(k, loR[k][0]-o*w, w-1+hiR[k][1]-o*w)
+		}
+		nest, err := tl.buildPackNest(off, local)
 		if err != nil {
 			return err
 		}
-		tl.TileDeps = append(tl.TileDeps, TileDep{Offset: off, PackNest: nest})
+		tl.TileDeps = append(tl.TileDeps, TileDep{Offset: off, PackNest: nest, Shift: shift})
+		tl.slabBox = append(tl.slabBox, box)
 	}
 	return nil
 }
 
 // buildPackNest constructs the scan nest over the producer-local slab of
-// the edge with the given offset: for crossing dimensions the slab is the
-// ghost-reach band at the producer's low side (offset +1) or high side
-// (offset -1); non-crossing dimensions span the whole tile. The nest's
-// system is the producer's local space intersected with the slab, so
-// partial boundary tiles pack exactly their valid band.
-func (tl *Tiling) buildPackNest(off []int64) (*loopgen.Nest, error) {
+// the edge with the given offset: local, the producer's local space
+// intersected with the slab, so partial boundary tiles pack exactly
+// their valid band.
+func (tl *Tiling) buildPackNest(off []int64, local *lin.System) (*loopgen.Nest, error) {
 	sp := tl.Spec
-	local := tl.localSys.Clone()
-	for k, o := range off {
-		in := iName(sp.Vars[k])
-		switch {
-		case o >= 1:
-			// Consumer o tiles below the producer: it reads the
-			// producer's low band i_k in [0, w_k-1+GhostHi_k-o*w_k]
-			// (for o == 1 and reach within the width, [0, GhostHi_k-1]).
-			local.AddLE(lin.Var(tl.localSpace, in),
-				lin.Const(tl.localSpace, tl.Widths[k]-1+tl.GhostHi[k]-o*tl.Widths[k]))
-		case o <= -1:
-			// Consumer above the producer: it reads the high band
-			// i_k in [-o*w_k - GhostLo_k, w_k - 1].
-			local.AddGE(lin.Var(tl.localSpace, in),
-				lin.Const(tl.localSpace, -o*tl.Widths[k]-tl.GhostLo[k]))
-		}
-	}
 	d := len(sp.Vars)
 	iOrder := make([]string, d)
 	for i, k := range tl.orderIdx {
 		iOrder[i] = iName(sp.Vars[k])
 	}
 	nest, err := loopgen.Build(local, iOrder, fm.Options{Prune: fm.PruneSimplex})
+	if errors.Is(err, fm.ErrInfeasible) {
+		// No consumer reads across this offset at any admissible
+		// parameters: its edges are empty.
+		return loopgen.Empty(tl.localSpace, iOrder), nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tiling: pack nest for offset %v: %w", off, err)
 	}
