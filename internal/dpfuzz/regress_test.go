@@ -1,11 +1,13 @@
 package dpfuzz
 
 import (
+	"fmt"
 	"testing"
 
 	"dpgen/internal/balance"
 	"dpgen/internal/engine"
 	"dpgen/internal/spec"
+	"dpgen/internal/tiling"
 )
 
 // regressionCases replays pinned counterexamples and corner-case
@@ -443,6 +445,40 @@ func TestGoLiteralRoundTrip(t *testing.T) {
 		c := clone(in)
 		if got, want := GoLiteral(c), GoLiteral(in); got != want {
 			t.Errorf("%s: clone literal differs:\n%s\nvs\n%s", tc.name, got, want)
+		}
+	}
+}
+
+// TestEmptyTileDepsDropped: a tile offset whose edge slab is empty at
+// every admissible parameter vector is no tile dependence — it would
+// cost a delivery, a pending count and across ranks a message per edge,
+// and carry nothing. Each generated spec below has such offsets; the
+// run stays bit-identical without them.
+func TestEmptyTileDepsDropped(t *testing.T) {
+	for _, tc := range []struct {
+		class  Class
+		seed   uint64
+		want   string // the tile offsets left
+		before int    // the tile dependences with the empty ones kept
+	}{
+		{ClassConst, 9, "[[1 0] [1 1]]", 3},
+		{ClassVarDist, 1, "[[1 0] [1 1] [2 0] [2 1]]", 5},
+		{ClassRange, 2, "[[0 0 1] [0 1 1] [0 2 1] [1 0 1] [1 1 1] [1 2 1]]", 11},
+	} {
+		in := GenerateClass(tc.seed, tc.class)
+		tl, err := tiling.New(in.Spec)
+		if err != nil {
+			t.Fatalf("%v seed %d: %v", tc.class, tc.seed, err)
+		}
+		offs := make([][]int64, len(tl.TileDeps))
+		for j := range tl.TileDeps {
+			offs[j] = tl.TileDeps[j].Offset
+		}
+		if got := fmt.Sprint(offs); got != tc.want {
+			t.Errorf("%v seed %d: tile offsets %s, want %s (%d before empty slabs were dropped)", tc.class, tc.seed, got, tc.want, tc.before)
+		}
+		if err := CheckEngine(in); err != nil {
+			t.Errorf("%v seed %d: %v\n%s", tc.class, tc.seed, err, GoLiteral(in))
 		}
 	}
 }

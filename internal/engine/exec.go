@@ -238,6 +238,7 @@ type workerState struct {
 	max      *cellMax
 	lane     *obs.Lane // trace timeline; nil when untraced
 	lenRuns  int64     // offers cut by ShapeReader.LenRun, for the tests' pins
+	partials int64     // edges unpacked by ShapeReader.UnpackPartial, for the tests' pins
 }
 
 // newWorkerState builds the scratch of the node's worker number slot.
@@ -385,6 +386,7 @@ func (n *node) unpackEdges(p *pendTile, w *workerState) {
 		}
 		var got int
 		if fast {
+			w.partials++
 			got = w.shapes.UnpackPartial(ed.dep, producer, w.buf, ed.data)
 		} else {
 			tl.ForEachEdgeCell(n.prep.params, producer, ed.dep, func(i []int64) bool {

@@ -276,3 +276,22 @@ func TestTollLenRunOnlyWhereLengthsVary(t *testing.T) {
 		}
 	}
 }
+
+// TestTollPartialUnpacks pins how many edges a run unpacks through
+// tiling.ShapeReader.UnpackPartial rather than the full-slab copy: at
+// knap's W = 3 on one thread only edges shorter than the run's slab take
+// the partial path, so an interior edge leaving the full-slab path
+// shows here.
+func TestTollPartialUnpacks(t *testing.T) {
+	tl, params := knapTiling(t), []int64{100, 400, 3}
+	n, w, step := serialWorker(t, tl, params)
+	var tiles int64
+	for step() {
+		tiles++
+	}
+	edges := n.edgesLocalA.Load()
+	t.Logf("knap %v: %d of %d edges unpacked partially over %d tiles", params, w.partials, edges, tiles)
+	if w.partials != 135 {
+		t.Errorf("knap %v: %d edges unpacked partially, want 135", params, w.partials)
+	}
+}

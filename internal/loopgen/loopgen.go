@@ -121,20 +121,6 @@ func Build(sys *lin.System, order []string, opts fm.Options) (*Nest, error) {
 	return n, nil
 }
 
-// Empty returns a nest over sp's variables, in the given loop order,
-// that scans no point at any parameter value: every level runs from 0 to
-// -1 and the residual is the contradiction -1 >= 0. It stands for a
-// system that Build finds infeasible for all parameter values.
-func Empty(sp *lin.Space, order []string) *Nest {
-	n := &Nest{space: sp, Order: append([]string(nil), order...), Levels: make([]Level, len(order)), Residual: lin.NewSystem(sp)}
-	for k, v := range order {
-		n.Levels[k] = Level{Var: v, Idx: sp.Index(v),
-			Lower: []Bound{{Num: lin.Zero(sp), Div: 1}}, Upper: []Bound{{Num: lin.Const(sp, -1), Div: 1}}}
-	}
-	n.Residual.Ineqs = []lin.Ineq{{Expr: lin.Const(sp, -1)}}
-	return n
-}
-
 func boundSide(lower bool) string {
 	if lower {
 		return "below"

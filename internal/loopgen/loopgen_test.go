@@ -1,7 +1,6 @@
 package loopgen
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -140,33 +139,6 @@ func TestBuildOrderValidation(t *testing.T) {
 		t.Error("duplicate in order should fail")
 	}
 	_ = s
-}
-
-// TestEmptyNest: the nest that stands for an infeasible system scans
-// nothing at any parameter value, where Build itself refuses.
-func TestEmptyNest(t *testing.T) {
-	s := lin.MustSpace([]string{"N"}, []string{"x", "y"})
-	sys := lin.NewSystem(s)
-	sys.AddGE(lin.Var(s, "x"), lin.Var(s, "y").AddConst(1))
-	sys.AddLE(lin.Var(s, "x"), lin.Var(s, "y"))
-	sys.AddGE(lin.Var(s, "y"), lin.Zero(s))
-	sys.AddLE(lin.Var(s, "y"), lin.Var(s, "N"))
-	if _, err := Build(sys, []string{"y", "x"}, fm.Options{}); !errors.Is(err, fm.ErrInfeasible) {
-		t.Fatalf("Build of x >= y+1, x <= y: %v, want ErrInfeasible", err)
-	}
-	n := Empty(s, []string{"y", "x"})
-	for _, N := range []int64{0, 5} {
-		if got := n.Count([]int64{N}); got != 0 {
-			t.Errorf("Count(N=%d) = %d, want 0", N, got)
-		}
-		n.Enumerate([]int64{N}, func(vals []int64) bool {
-			t.Errorf("N=%d: visited %v", N, vals)
-			return true
-		})
-		if n.ParamsOK([]int64{N, 0, 0}) {
-			t.Errorf("N=%d: residual holds", N)
-		}
-	}
 }
 
 func TestResidualParamsGate(t *testing.T) {

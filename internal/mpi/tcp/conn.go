@@ -103,16 +103,21 @@ func (t *Transport) ack(pc *peerConn) {
 
 // reader is the per-connection receive loop: it decodes frames,
 // enqueues DATA into the inbox, applies ACKs to the slot semaphore and
-// routes collective frames to their waiters. It exits on BYE, on
-// transport stop, or on a connection error (which fails the transport
-// unless a Close is in progress).
+// routes collective frames to their waiters. It exits on transport
+// stop or on a connection error, which fails the transport unless a
+// Close is in progress or the peer has said BYE. After a BYE the peer
+// sends nothing but the answers to this endpoint's clock probes, which
+// its Close waits for before saying BYE itself.
 func (t *Transport) reader(pc *peerConn) {
 	defer t.readers.Done()
 	var hdr [4]byte
 	var body []byte
+	bye := false
 	for {
 		if _, err := io.ReadFull(pc.r, hdr[:]); err != nil {
-			t.readerExit(pc, err)
+			if !bye {
+				t.readerExit(pc, err)
+			}
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
@@ -125,7 +130,9 @@ func (t *Transport) reader(pc *peerConn) {
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(pc.r, body); err != nil {
-			t.readerExit(pc, err)
+			if !bye {
+				t.readerExit(pc, err)
+			}
 			return
 		}
 		t.bytesIn.Add(int64(4 + n))
@@ -223,8 +230,10 @@ func (t *Transport) reader(pc *peerConn) {
 				return
 			}
 		case kBye:
-			t.noteBye()
-			return
+			if !bye {
+				bye = true
+				t.noteBye()
+			}
 		case kJoin, kLeave, kEpochPrep, kEpochAck, kEpoch, kFin:
 			// The frame body buffer is reused by the next read, so the
 			// payload handed to the coordinator must be a copy.

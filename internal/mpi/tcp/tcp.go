@@ -484,10 +484,10 @@ func (t *Transport) Recv() (*mpi.Message, bool) {
 }
 
 // Close shuts the endpoint down gracefully: it waits (bounded by
-// drainTimeout) for outstanding sends to be acknowledged,
-// exchanges BYE frames with every peer, then tears down the sockets
-// and closes the inbox so Recv returns ok=false. Close after a
-// transport failure skips the drain. It returns Err().
+// drainTimeout) for outstanding sends to be acknowledged and for the
+// clock sync to finish, exchanges BYE frames with every peer, then
+// tears down the sockets and closes the inbox so Recv returns ok=false.
+// Close after a transport failure skips the drain. It returns Err().
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		t.closing.Store(true)
@@ -496,6 +496,13 @@ func (t *Transport) Close() error {
 			defer cancel()
 			if !t.WaitDrained(ctx.Done()) {
 				t.opts.logf("tcp: rank %d: close with %d unacknowledged sends after %s drain", t.rank, len(t.slots), drainTimeout)
+			}
+			// A run can end before its clock probes are answered; rank 0
+			// answers them until it has this endpoint's BYE.
+			select {
+			case <-t.clockDone:
+			case <-ctx.Done():
+			case <-t.stop:
 			}
 			for _, pc := range t.snapshotConns() {
 				if pc != nil {

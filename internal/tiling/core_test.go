@@ -2,10 +2,13 @@ package tiling_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dpgen/internal/dpfuzz"
 	"dpgen/internal/problems"
+	"dpgen/internal/spec"
 	"dpgen/internal/tiling"
 	"dpgen/internal/workload"
 )
@@ -14,8 +17,11 @@ import (
 // folded and the checked probe path, over every tile of the bounding box
 // grown by one in each direction: Core(t) must imply Interior(t), a full
 // DepCount and an existing consumer t − off_j for every tile dependence.
-// The construction is exact, so the converse is asserted too. It returns
-// the core tiles and the tiles of the space.
+// The construction is exact, so the converse is asserted too. The folded
+// probe tests only the forms that can fail inside the box (pruneForms),
+// so its InSpace, Interior, DepCount and interiorRun along every
+// dimension are diffed against the checked path's full systems there
+// too. It returns the core tiles and the tiles of the space.
 func checkCore(tl *tiling.Tiling, params []int64) (core, tiles int, err error) {
 	folded, checked := tl.NewProbe(params), tl.NewProbe(params)
 	checked.Unfold()
@@ -29,7 +35,22 @@ func checkCore(tl *tiling.Tiling, params []int64) (core, tiles int, err error) {
 		t[k] = lo[k] - 1
 	}
 	for {
-		want := folded.Interior(t) && folded.DepCount(t) == ndeps
+		if got, want := folded.InSpace(t), checked.InSpace(t); got != want {
+			return 0, 0, fmt.Errorf("tile %v: InSpace %v, checked path %v", t, got, want)
+		}
+		interior := checked.Interior(t)
+		if got := folded.Interior(t); got != interior {
+			return 0, 0, fmt.Errorf("tile %v: Interior %v, checked path %v", t, got, interior)
+		}
+		if got, want := folded.DepCount(t), checked.DepCount(t); got != want {
+			return 0, 0, fmt.Errorf("tile %v: DepCount %d, checked path %d", t, got, want)
+		}
+		for k := range t {
+			if a, b := folded.InteriorRun(t, k, lo[k]-1, hi[k]+1); (a <= t[k] && t[k] <= b) != interior {
+				return 0, 0, fmt.Errorf("tile %v: interior run %d..%d along dimension %d, checked Interior %v", t, a, b, k, interior)
+			}
+		}
+		want := interior && folded.DepCount(t) == ndeps
 		for j := 0; want && j < ndeps; j++ {
 			for k, off := range tl.TileDeps[j].Offset {
 				nb[k] = t[k] - off
@@ -77,6 +98,41 @@ func TestCoreProbe(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			t.Logf("%-12s %v: %d of %d tiles core", name, p.DefaultParams, core, tiles)
+		}
+	})
+	t.Run("specs", func(t *testing.T) {
+		files, err := filepath.Glob("../../specs/*.dps")
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no spec files: %v", err)
+		}
+		for _, f := range files {
+			text, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := spec.Parse(string(text))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			tl, err := tiling.New(sp)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			params := []int64{37} // grid2 has no builtin twin
+			if p, err := problems.Get(sp.Name); err == nil {
+				params = p.DefaultParams
+			}
+			if _, _, err := checkCore(tl, params); err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+		}
+	})
+	t.Run("triangle", func(t *testing.T) {
+		tl := mustTiling(t, triangleSpec())
+		for _, n := range []int64{0, 15, 16, 70, 345} {
+			if _, _, err := checkCore(tl, []int64{n}); err != nil {
+				t.Fatalf("N=%d: %v", n, err)
+			}
 		}
 	})
 	t.Run("fuzz", func(t *testing.T) {
@@ -129,4 +185,37 @@ func TestCoreProbe(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestProbeFormCounts pins how many forms the bound probe tests per
+// InSpace, Interior and Core query once the tile box holds: the rows of
+// TileSys, InteriorSys and CoreSys that can fail inside the box. A
+// redundant row creeping back shows here first.
+func TestProbeFormCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		tl                    *tiling.Tiling
+		params                []int64
+		space, interior, core int
+	}{
+		{"bandit2", mustTiling(t, problems.Bandit2().Spec), []int64{100}, 1, 1, 5},
+		{"triangle", mustTiling(t, triangleSpec()), []int64{345}, 1, 1, 3},
+		{"knap", mustTiling(t, problems.Knapsack().Spec), []int64{1000, 4000, 3}, 0, 2, 4},
+		{"lcs2", mustTiling(t, problems.LCS2(workload.DNA(2000, 9), workload.DNA(2000, 10)).Spec), []int64{2000, 2000}, 0, 2, 4},
+	} {
+		s, i, c := tc.tl.NewProbe(tc.params).FormCounts()
+		if s != tc.space || i != tc.interior || c != tc.core {
+			t.Errorf("%s %v: %d/%d/%d forms (space/interior/core) of %d/%d/%d rows, want %d/%d/%d", tc.name, tc.params,
+				s, i, c, len(tc.tl.TileSys.Ineqs), len(tc.tl.InteriorSys.Ineqs), len(tc.tl.CoreSys.Ineqs), tc.space, tc.interior, tc.core)
+		}
+	}
+}
+
+func mustTiling(t *testing.T, sp *spec.Spec) *tiling.Tiling {
+	t.Helper()
+	tl, err := tiling.New(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
 }

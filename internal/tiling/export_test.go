@@ -35,3 +35,14 @@ func (rw *RowWalker) CellLens(i int64, lens []int64) {
 func (rw *RowWalker) LenRun(i, cnt int64, lens []int64) int64 {
 	return lenRun(rw.active, rw.clamps, rw.base, i, cnt, int64(rw.cellDirs[len(rw.cellDirs)-1]), lens)
 }
+
+// FormCounts returns how many folded forms the probe tests per query
+// of InSpace, Interior and Core once its tile box holds.
+func (pr *TileProbe) FormCounts() (space, interior, core int) {
+	return len(pr.space), len(pr.interior), len(pr.core)
+}
+
+// InteriorRun exposes interiorRun.
+func (pr *TileProbe) InteriorRun(t []int64, inner int, lo, hi int64) (a, b int64) {
+	return pr.interiorRun(t, inner, lo, hi)
+}

@@ -437,7 +437,11 @@ func (tl *Tiling) BindRows(params []int64) *RowPlan {
 		interior: bindForms(cut(len(rt.interior)), rt.interior, params, tmax, &folded),
 		core:     bindForms(cut(len(rt.core)), rt.core, params, tmax, &folded),
 	}
-	p.probe.folded = folded
+	if p.probe.folded = folded; folded {
+		p.probe.space = pruneForms(p.probe.space, lo, hi)
+		p.probe.interior = pruneForms(p.probe.interior, lo, hi)
+		p.probe.core = pruneForms(p.probe.core, lo, hi)
+	}
 	p.cells = rt.cells.bind(cut(len(rt.cells.forms)), params, reach, &ok)
 	p.sysForms = bindForms(cut(len(rt.sys)), rt.sys, params, reach, &ok)
 	if rt.nrange > 0 {

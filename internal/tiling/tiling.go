@@ -85,7 +85,8 @@ type Tiling struct {
 	LocalNest *loopgen.Nest
 
 	// TileDeps are the distinct tile-to-tile dependence offsets
-	// (Section IV-F), in a deterministic order.
+	// (Section IV-F) whose edge slab is non-empty at some admissible
+	// parameter vector, in a deterministic order.
 	TileDeps []TileDep
 
 	// InteriorSys is the tile space shrunk by the dependence shell: a
@@ -470,6 +471,9 @@ func (tl *Tiling) buildTileDeps(hull *spec.Hull) error {
 		if err != nil {
 			return err
 		}
+		if nest == nil {
+			continue // no consumer reads across off at any admissible parameters
+		}
 		tl.TileDeps = append(tl.TileDeps, TileDep{Offset: off, PackNest: nest, Shift: shift})
 		tl.slabBox = append(tl.slabBox, box)
 	}
@@ -479,7 +483,9 @@ func (tl *Tiling) buildTileDeps(hull *spec.Hull) error {
 // buildPackNest constructs the scan nest over the producer-local slab of
 // the edge with the given offset: local, the producer's local space
 // intersected with the slab, so partial boundary tiles pack exactly
-// their valid band.
+// their valid band. It returns nil when the slab is empty at every
+// admissible parameter vector: such an edge carries nothing and is no
+// tile dependence.
 func (tl *Tiling) buildPackNest(off []int64, local *lin.System) (*loopgen.Nest, error) {
 	sp := tl.Spec
 	d := len(sp.Vars)
@@ -489,9 +495,7 @@ func (tl *Tiling) buildPackNest(off []int64, local *lin.System) (*loopgen.Nest, 
 	}
 	nest, err := loopgen.Build(local, iOrder, fm.Options{Prune: fm.PruneSimplex})
 	if errors.Is(err, fm.ErrInfeasible) {
-		// No consumer reads across this offset at any admissible
-		// parameters: its edges are empty.
-		return loopgen.Empty(tl.localSpace, iOrder), nil
+		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tiling: pack nest for offset %v: %w", off, err)
