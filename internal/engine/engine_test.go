@@ -401,15 +401,19 @@ func TestMaxAcrossWorkersAndNodes(t *testing.T) {
 			want = math.Max(want, val(x, y))
 		}
 	}
-	k := func(c *Ctx) { c.V[c.Loc] = val(c.X[0], c.X[1]) }
-	for _, cfg := range []Config{{}, {Threads: 2}, {Nodes: 2, Threads: 2}} {
-		for i := 0; i < 5; i++ { // the worker that gets the tile varies run to run
-			res, err := Run(tl, k, []int64{N}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Max != want {
-				t.Fatalf("nodes %d threads %d: Max %v, want %v", cfg.Nodes, cfg.Threads, res.Max, want)
+	// Shifted below zero too, where a fold that starts a chain at 0, not
+	// −Inf, reports 0.
+	for _, shift := range []float64{0, -998} {
+		k := func(c *Ctx) { c.V[c.Loc] = val(c.X[0], c.X[1]) + shift }
+		for _, cfg := range []Config{{}, {Threads: 2}, {Nodes: 2, Threads: 2}} {
+			for i := 0; i < 5; i++ { // the worker that gets the tile varies run to run
+				res, err := Run(tl, k, []int64{N}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Max != want+shift {
+					t.Fatalf("shift %v nodes %d threads %d: Max %v, want %v", shift, cfg.Nodes, cfg.Threads, res.Max, want+shift)
+				}
 			}
 		}
 	}

@@ -606,7 +606,14 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 	no := len(outer)
 	li, xi, xb := &idx[in.Var], &x[in.Var], xbase[in.Var]
 	dir, step := ctx.Dir, ctx.Step
+	// The tile maximum folds in two compare chains, tileMax and m1,
+	// merged when the tile ends. Each keeps its running maximum across
+	// runs: on values that rise along a run, as lcs2's do, a chain
+	// restarted per run would pass most compares and mispredict. v > m
+	// keeps NaN out, and which of two equal zeros is kept already
+	// depends on the schedule across tiles.
 	tileMax = math.Inf(-1)
+	m1 := tileMax
 	sh := w.shapes.Cells(p.Tile.coord, interior)
 	valid := ^uint64(0) // no run's: bit 63 is never a dependence
 	settled := false    // every range length is constant over the tile and set
@@ -653,13 +660,25 @@ func (n *node) execRows(p *pendTile, w *workerState, interior bool) (cells int64
 			}
 			i += done * dir
 			cnt -= done
-			for ; done > 0; done-- {
+			for ; done > 1; done -= 2 {
+				if v := buf[loc]; v > tileMax {
+					tileMax = v
+				}
+				if v := buf[loc+step]; v > m1 {
+					m1 = v
+				}
+				loc += 2 * step
+			}
+			if done > 0 {
 				if v := buf[loc]; v > tileMax {
 					tileMax = v
 				}
 				loc += step
 			}
 		}
+	}
+	if m1 > tileMax {
+		tileMax = m1
 	}
 	return cells, tileMax
 }

@@ -15,6 +15,14 @@ package engine
 // at Loc + t*Step, reads dependence j at DepLoc[j] + t*Step and has
 // coordinate X[Inner] + t*Dir. A kernel that ignores N and Done
 // computes exactly the current cell, which is always valid.
+//
+// Because DepValid, DepLen and DepStride hold over the whole run, a
+// run-form kernel branches on them once per call, not once per cell,
+// and can keep a loop for the runs an interior tile offers: lcs2's
+// kernel (problems.LCS2) takes a loop that tests no validity when all
+// three dependences are valid, knap's (problems.Knapsack) an unrolled
+// loop when the whole footprint is usable, and both keep a general loop
+// for boundary runs.
 type Ctx struct {
 	// V is the tile's state buffer, including the ghost-cell shell.
 	V []float64

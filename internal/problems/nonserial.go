@@ -280,6 +280,32 @@ func Knapsack() *Problem {
 			return
 		}
 		s := c.DepStride[0]
+		if n == knapMaxCopies+1 {
+			// The full footprint (every copy count feasible): the
+			// general loop's four terms unrolled, in its order. Its
+			// k = 0 term 0*val + V[take] differs from V[take] only in
+			// the sign of a zero, which never passes v > best.
+			val2, val3 := 2*val, 3*val
+			for take := c.DepLoc[0]; cnt > 0; cnt-- {
+				var best float64
+				if v := V[take]; v > best {
+					best = v
+				}
+				if v := val + V[take+s]; v > best {
+					best = v
+				}
+				if v := val2 + V[take+2*s]; v > best {
+					best = v
+				}
+				if v := val3 + V[take+3*s]; v > best {
+					best = v
+				}
+				V[loc] = best
+				loc += step
+				take += step
+			}
+			return
+		}
 		for take := c.DepLoc[0]; cnt > 0; cnt-- {
 			var best float64
 			for k := int64(0); k < n; k++ {

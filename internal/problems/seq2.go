@@ -126,13 +126,35 @@ func LCS2(a, b string) *Problem {
 	// The body in run form: one call sweeps the N cells of a row run,
 	// along which i, a[i] and the three validity flags are constant and
 	// j and the buffer locations advance. Under a loop order that puts i
-	// innermost it takes the run one cell at a time.
+	// innermost it takes the run one cell at a time. A run with every
+	// dependence valid (an interior tile's) takes a loop that tests no
+	// flag; boundary runs take the general one.
 	kernel := func(c *engine.Ctx) {
 		n := takeRun(c, 1)
 		V, loc, step := c.V, c.Loc, c.Step
 		di, dj, diag := c.DepLoc[0]-loc, c.DepLoc[1]-loc, c.DepLoc[2]-loc
 		vi, vj, vdiag := c.DepValid[0], c.DepValid[1], c.DepValid[2]
 		j, dir := c.X[1], c.Dir
+		if vi && vj && vdiag {
+			ai := a[c.X[0]]
+			for ; n > 0; n-- {
+				if ai == b[j] {
+					V[loc] = 1 + V[loc+diag]
+				} else {
+					var best float64
+					if V[loc+di] > best {
+						best = V[loc+di]
+					}
+					if V[loc+dj] > best {
+						best = V[loc+dj]
+					}
+					V[loc] = best
+				}
+				loc += step
+				j += dir
+			}
+			return
+		}
 		var ai byte
 		if vdiag { // i < L1 and every j of the run < L2
 			ai = a[c.X[0]]

@@ -232,6 +232,25 @@ func TestParkStress(t *testing.T) {
 	}
 }
 
+// parkWithin runs park on a goroutine and returns its result, failing
+// the test (after closing p to release it) past a second.
+func parkWithin(t *testing.T, p *Pool[int], what string, park func() (bool, bool)) (slept, open bool) {
+	t.Helper()
+	done := make(chan [2]bool, 1)
+	go func() {
+		s, o := park()
+		done <- [2]bool{s, o}
+	}()
+	select {
+	case r := <-done:
+		return r[0], r[1]
+	case <-time.After(time.Second):
+		p.Close()
+		t.Fatalf("%s: Park still blocked after 1s", what)
+		return false, false
+	}
+}
+
 // TestParkWakeup walks the wake-up protocol one step at a time, on one
 // goroutine where it can, each blocking step bounded at a second. A Push
 // that lands between a worker's empty scan and its Park must advance the
@@ -242,23 +261,9 @@ func TestParkStress(t *testing.T) {
 // have to sit in it when the last item is pushed.
 func TestParkWakeup(t *testing.T) {
 	p := NewPool[int](2, FIFO)
-	// within runs park on a goroutine and returns its result, failing
-	// the test (after closing the pool to release it) past a second.
-	within := func(what string, park func() (bool, bool)) (slept, open bool) {
+	within := func(what string, park func() (bool, bool)) (bool, bool) {
 		t.Helper()
-		done := make(chan [2]bool, 1)
-		go func() {
-			s, o := park()
-			done <- [2]bool{s, o}
-		}()
-		select {
-		case r := <-done:
-			return r[0], r[1]
-		case <-time.After(time.Second):
-			p.Close()
-			t.Fatalf("%s: Park still blocked after 1s", what)
-			return false, false
-		}
+		return parkWithin(t, p, what, park)
 	}
 
 	e0 := p.Epoch()
@@ -296,6 +301,35 @@ func TestParkWakeup(t *testing.T) {
 	}
 	if slept, open := within("Park on a closed pool", func() (bool, bool) { return p.Park(p.Epoch()) }); slept || open {
 		t.Fatalf("Park on a closed pool: slept %v open %v, want false false", slept, open)
+	}
+}
+
+// TestParkWokenByPush: a Push reaches the one worker parked on an
+// empty pool. The test waits until the worker counts as a sleeper, then
+// takes and drops the pool's lock, which Park holds until it waits, so
+// the Push lands after the worker is asleep and only its signal can
+// wake it. A Push that signalled only with two or more sleepers would
+// leave it parked.
+func TestParkWokenByPush(t *testing.T) {
+	p := NewPool[int](2, FIFO)
+	e0 := p.Epoch()
+	slept, open := parkWithin(t, p, "Park woken by a Push", func() (bool, bool) {
+		go func() {
+			deadline := time.Now().Add(time.Second)
+			for p.sleepers.Load() == 0 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			p.mu.Lock()
+			p.mu.Unlock()
+			p.Push(item(1, 0, 7), -1)
+		}()
+		return p.Park(e0)
+	})
+	if !slept || !open {
+		t.Fatalf("Park woken by a Push: slept %v open %v, want true true", slept, open)
+	}
+	if it, _ := p.Pop(0); it == nil || it.Tile != 1 {
+		t.Fatalf("the woken worker popped %v, want item 1", it)
 	}
 }
 

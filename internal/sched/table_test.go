@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -174,6 +175,97 @@ func TestTableStress(t *testing.T) {
 		t.Errorf("%d of %d pages on the free list, %d page keys", free, n, pageKey.Len())
 	}
 	t.Logf("%d edges, %d pages for %d page keys", len(edges), tab.Allocated(), pageKey.Len())
+}
+
+// seqTable is a table of two page keys (the first tile coordinate) of
+// two slots each (the second), every page completing both its entries.
+func seqTable(t *testing.T) *Table[int] {
+	t.Helper()
+	lo, hi := []int64{0, 0}, []int64{1, 1}
+	pageKey, err := NewKey([]int{0}, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restKey, err := NewKey([]int{1}, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewTable[int](pageKey, restKey, []int64{2, 2}, [][]int64{{-1, 0}})
+}
+
+// TestTableInstallLoses: of two installs into one slot, the second
+// gets the first's entry back and false, so its caller keeps its own
+// fresh entry, which the table never references.
+func TestTableInstallLoses(t *testing.T) {
+	tab := seqTable(t)
+	_, slot := tab.Lookup(0, 1)
+	first, second := &Item[int]{Tile: 1}, &Item[int]{Tile: 2}
+	if p, ok := tab.Install(slot, first); p != first || !ok {
+		t.Fatalf("install into an empty slot: %v, %v; want the fresh entry and true", p, ok)
+	}
+	if p, ok := tab.Install(slot, second); p != first || ok {
+		t.Fatalf("second install: entry %v, %v; want the first entry and false", p, ok)
+	}
+	if slot.Load() != first {
+		t.Fatal("the losing install replaced the slot's entry")
+	}
+}
+
+// TestTableArriveFreesPageOnce walks two page lifetimes on one
+// goroutine: a page goes on the free list exactly when the last arrival
+// of its last entry lands, once, with every slot empty, and the next
+// page key takes that page, so one page is ever allocated.
+func TestTableArriveFreesPageOnce(t *testing.T) {
+	tab := seqTable(t)
+	freeLen := func() (n int) {
+		for pg := tab.free; pg != nil && n <= 2; pg = pg.next {
+			n++
+		}
+		return n
+	}
+	var first *Page[int]
+	for pk := uint64(0); pk < 2; pk++ {
+		var slots [2]*atomic.Pointer[Item[int]]
+		var items [2]*Item[int]
+		var pg *Page[int]
+		for rk := range slots {
+			pg, slots[rk] = tab.Lookup(pk, uint64(rk))
+			items[rk] = &Item[int]{Tile: rk}
+			items[rk].Missing.Store(2)
+			tab.Install(slots[rk], items[rk])
+		}
+		if pk == 0 {
+			first = pg
+		} else if pg != first {
+			t.Fatal("page key 1 allocated a page while page key 0's was free")
+		}
+		// Arrivals interleaved across the two entries: only each
+		// entry's second one completes it, and only the page's last
+		// completion frees the page.
+		for _, step := range []struct {
+			rk         int
+			last, free bool
+		}{{0, false, false}, {1, false, false}, {0, true, false}, {1, true, true}} {
+			if last := tab.Arrive(pg, slots[step.rk], items[step.rk]); last != step.last {
+				t.Fatalf("page %d entry %d: Arrive reported last %v, want %v", pk, step.rk, last, step.last)
+			}
+			want := 0
+			if step.free {
+				want = 1
+			}
+			if free := tab.Loaded(pk) == nil; free != step.free || freeLen() != want {
+				t.Fatalf("page %d entry %d: page freed %v with %d on the free list, want freed %v", pk, step.rk, free, freeLen(), step.free)
+			}
+		}
+		for rk := range pg.Slots {
+			if pg.Slots[rk].Load() != nil {
+				t.Errorf("page %d freed holding an entry at rest key %d", pk, rk)
+			}
+		}
+		if n := tab.Allocated(); n != 1 {
+			t.Fatalf("after page %d's lifetime: %d pages allocated, want 1", pk, n)
+		}
+	}
 }
 
 // TestBufs: the stack is LIFO over a fixed capacity, keeps only buffers
