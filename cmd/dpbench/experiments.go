@@ -227,7 +227,7 @@ func fig6Instances(quick bool) []scaleInstance {
 	b3 := problems.Bandit3()
 	ed := problems.EditDistanceSeeded(1, 2)
 	l3 := problems.LCS3Seeded(2)
-	m3 := problems.MSA3Seeded(3)
+	m3 := problems.MSASeeded(3, 8, 24, 22, 20)
 	if quick {
 		return []scaleInstance{
 			{"bandit2", mustTiling(b2, 6, nil), []int64{90}},

@@ -176,22 +176,6 @@ func (e Expr) Eval(vals []int64) int64 {
 	return acc
 }
 
-// EvalPartial substitutes concrete values for a prefix of the space
-// (typically the parameters) and returns the residual expression over the
-// same space with those coefficients folded into the constant.
-func (e Expr) EvalPartial(vals map[string]int64) Expr {
-	r := e.Clone()
-	for name, v := range vals {
-		i := r.space.Index(name)
-		if i < 0 || r.Coef[i] == 0 {
-			continue
-		}
-		r.K = ints.AddChecked(r.K, ints.MulChecked(r.Coef[i], v))
-		r.Coef[i] = 0
-	}
-	return r
-}
-
 // ContentGCD returns the gcd of all coefficients (excluding the constant),
 // or 0 if every coefficient is zero.
 func (e Expr) ContentGCD() int64 {

@@ -115,15 +115,6 @@ func TestExprSubst(t *testing.T) {
 	}
 }
 
-func TestExprEvalPartial(t *testing.T) {
-	s := banditSpace(t)
-	e := Var(s, "N").Sub(Var(s, "s1")).Sub(Var(s, "f1"))
-	r := e.EvalPartial(map[string]int64{"N": 20, "s1": 3})
-	if r.K != 17 || r.Coeff("N") != 0 || r.Coeff("f1") != -1 {
-		t.Errorf("EvalPartial wrong: %v", r)
-	}
-}
-
 func TestExprString(t *testing.T) {
 	s := banditSpace(t)
 	e := Term(s, 2, "s1").Sub(Var(s, "f1")).AddConst(-3)

@@ -239,24 +239,6 @@ func (n *Nest) Count(params []int64) int64 {
 	return n.countFrom(0, vals)
 }
 
-// CountWithPrefix counts points with the first fixed levels pinned to the
-// given values (fixed[i] is the value of Order[i]). Parameters come from
-// params. Used for per-slab work counting in load balancing.
-func (n *Nest) CountWithPrefix(params []int64, fixed []int64) int64 {
-	vals := n.valsFromParams(params)
-	if !n.ParamsOK(vals) {
-		return 0
-	}
-	for i, v := range fixed {
-		lo, hi := n.Bounds(i, vals)
-		if v < lo || v > hi {
-			return 0
-		}
-		vals[n.Levels[i].Idx] = v
-	}
-	return n.countFrom(len(fixed), vals)
-}
-
 func (n *Nest) countFrom(k int, vals []int64) int64 {
 	lo, hi := n.Bounds(k, vals)
 	if hi < lo {

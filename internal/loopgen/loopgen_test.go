@@ -97,27 +97,6 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
-func TestCountWithPrefix(t *testing.T) {
-	s, sys := banditSys(t)
-	n, err := Build(sys, s.Vars(), fm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	N := int64(8)
-	// Sum over all s1 slabs equals the total.
-	var total int64
-	for v := int64(0); v <= N; v++ {
-		total += n.CountWithPrefix([]int64{N}, []int64{v})
-	}
-	if want := choose4(N); total != want {
-		t.Errorf("slab sum = %d, want %d", total, want)
-	}
-	// Out-of-range prefix counts zero.
-	if got := n.CountWithPrefix([]int64{N}, []int64{N + 1}); got != 0 {
-		t.Errorf("out-of-range prefix counted %d", got)
-	}
-}
-
 func TestBuildUnbounded(t *testing.T) {
 	s := lin.MustSpace(nil, []string{"x"})
 	sys := lin.NewSystem(s)

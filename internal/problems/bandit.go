@@ -9,33 +9,9 @@ import (
 // 2-arm Bernoulli bandit with uniform priors. V(s1,f1,s2,f2) is the
 // expected number of future successes over the remaining
 // N - s1 - f1 - s2 - f2 trials under optimal play; the program reports
-// V(0), the value of the whole N-trial experiment.
+// V(0), the value of the whole N-trial experiment. Its spec, kernel text
+// included, is specs/bandit2.dps.
 func Bandit2() *Problem {
-	sp := spec.MustNew("bandit2", []string{"N"}, []string{"s1", "f1", "s2", "f2"})
-	sp.MustConstrain("s1 + f1 + s2 + f2 <= N")
-	for _, v := range sp.Vars {
-		sp.MustConstrain(v + " >= 0")
-	}
-	sp.AddDep("r1", 1, 0, 0, 0)
-	sp.AddDep("r2", 0, 1, 0, 0)
-	sp.AddDep("r3", 0, 0, 1, 0)
-	sp.AddDep("r4", 0, 0, 0, 1)
-	sp.TileWidths = []int64{6, 6, 6, 6}
-	sp.LBDims = []string{"s1", "f1"}
-	sp.KernelCode = `p1 := (float64(s1) + 1) / (float64(s1) + float64(f1) + 2)
-p2 := (float64(s2) + 1) / (float64(s2) + float64(f2) + 2)
-v1 := 0.0
-v2 := 0.0
-if is_valid_r1 {
-	v1 = p1*(1+V[loc_r1]) + (1-p1)*V[loc_r2]
-	v2 = p2*(1+V[loc_r3]) + (1-p2)*V[loc_r4]
-}
-if v1 > v2 {
-	V[loc] = v1
-} else {
-	V[loc] = v2
-}`
-
 	// The body in run form: one call sweeps the N cells of a row run,
 	// along which s1, f1, s2 — hence p1 — and the validity flag are
 	// constant and f2 and the buffer locations advance. Under a loop
@@ -98,7 +74,7 @@ if v1 > v2 {
 		return tab[0]
 	}
 
-	return &Problem{Spec: sp, Kernel: kernel, Serial: serial, DefaultParams: []int64{40}}
+	return &Problem{Spec: specFile("bandit2.dps"), Kernel: kernel, Serial: serial, DefaultParams: []int64{40}}
 }
 
 // Bandit3 is the 3-arm Bernoulli bandit (the problem hand-parallelized

@@ -3,6 +3,8 @@ package problems
 import (
 	"fmt"
 	"strings"
+
+	"dpgen/internal/spec"
 )
 
 // This file attaches generator-input source (global declarations and
@@ -116,28 +118,28 @@ default:
 	V[loc] = 0
 }`
 
-// msaKernelText builds the sum-of-pairs MSA center loop for the given
-// move set (unit substitution, gap 1). seqNames and idxNames are the
-// per-dimension sequence variables and loop variables; depNames the
-// dependence names, aligned with moves.
-func msaKernelText(moves [][]int64, depNames, seqNames, idxNames []string) string {
+// msaKernelText builds the sum-of-pairs center loop of an MSA spec
+// (unit substitution, gap 1): dimension p reads sequence seqA, seqB, ...
+// at its loop variable, and each dependence's vector is its move.
+func msaKernelText(sp *spec.Spec) string {
 	var b strings.Builder
 	b.WriteString("best := math.Inf(1)\n")
-	for m, mv := range moves {
+	for _, d := range sp.Deps {
+		mv := d.Vec
 		var gapConst int
 		var subs []string
 		for p := 0; p < len(mv); p++ {
 			for q := p + 1; q < len(mv); q++ {
 				switch {
 				case mv[p] == 1 && mv[q] == 1:
-					subs = append(subs, fmt.Sprintf("dpSub(%s[%s], %s[%s])",
-						seqNames[p], idxNames[p], seqNames[q], idxNames[q]))
+					subs = append(subs, fmt.Sprintf("dpSub(seq%c[%s], seq%c[%s])",
+						'A'+p, sp.Vars[p], 'A'+q, sp.Vars[q]))
 				case mv[p]+mv[q] == 1:
 					gapConst++
 				}
 			}
 		}
-		expr := fmt.Sprintf("V[loc_%s]", depNames[m])
+		expr := fmt.Sprintf("V[loc_%s]", d.Name)
 		if gapConst > 0 {
 			expr += fmt.Sprintf(" + %d", gapConst)
 		}
@@ -149,7 +151,7 @@ func msaKernelText(moves [][]int64, depNames, seqNames, idxNames []string) strin
 		best = v
 	}
 }
-`, depNames[m], expr)
+`, d.Name, expr)
 	}
 	b.WriteString(`if math.IsInf(best, 1) {
 	best = 0

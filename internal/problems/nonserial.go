@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dpgen/internal/engine"
-	"dpgen/internal/spec"
 )
 
 // This file holds the built-in problems exercising the extended
@@ -12,7 +11,11 @@ import (
 // search trees (range templates — the classic nonserial polyadic DPs,
 // where a cell depends on an interval of predecessors whose length
 // varies along the wavefront) and bounded knapsack (a range template
-// whose step distance is a run parameter).
+// whose step distance is a run parameter). Their specs are
+// specs/mcm.dps, specs/obst.dps and specs/knap.dps; this file holds what
+// those cannot: the run-time kernels, the serial references and the
+// workloads (mcmDim, obstFreq, knapVal) that the files' global code
+// repeats as dpDim, dpFreq and dpVal.
 //
 // Matrix chain and optimal BST share one coordinate system: with
 // matrices/keys indexed 0..N-1, the cell (m, i) stands for the interval
@@ -37,16 +40,6 @@ func mcmDim(a int64) float64 { return float64((a*7)%19 + 1) }
 // optimal cost of the chain A_i..A_{i+l}, l = N-1-m; the goal (0, 0)
 // holds the full chain's cost.
 func MCM() *Problem {
-	sp := spec.MustNew("mcm", []string{"N"}, []string{"m", "i"})
-	sp.MustConstrain("0 <= i")
-	sp.MustConstrain("i <= m")
-	sp.MustConstrain("m <= N - 1")
-	sp.Bound("N", 1, 24)
-	sp.MustAddDepSpec("left", "1, 0", "1, 0", "N - m - 1")
-	sp.MustAddDepSpec("right", "1, 1", "1, 1", "N - m - 1")
-	sp.TileWidths = []int64{8, 8}
-	sp.LBDims = []string{"m"}
-
 	kernel := func(c *engine.Ctx) {
 		l := c.DepLen[0]
 		if l == 0 {
@@ -91,26 +84,7 @@ func MCM() *Problem {
 		return cost[0][N-1]
 	}
 
-	sp.GlobalCode = `// Deterministic matrix dimensions, matching dpgen's built-in workload.
-func dpDim(a int64) float64 { return float64((a*7)%19 + 1) }`
-	sp.KernelCode = `l := len_left
-if l == 0 {
-	V[loc] = 0
-} else {
-	best := math.Inf(1)
-	for k := int64(0); k < l; k++ {
-		v := V[loc_left+(l-1-k)*stride_left] + V[loc_right+k*stride_right] +
-			dpDim(i)*dpDim(i+k+1)*dpDim(i+l+1)
-		if v < best {
-			best = v
-		}
-	}
-	V[loc] = best
-}
-_ = is_valid_left
-_ = is_valid_right`
-
-	return &Problem{Spec: sp, Kernel: kernel, Serial: serial, DefaultParams: []int64{20}}
+	return &Problem{Spec: specFile("mcm.dps"), Kernel: kernel, Serial: serial, DefaultParams: []int64{20}}
 }
 
 // obstFreq is the deterministic key access-frequency workload.
@@ -122,16 +96,6 @@ func obstFreq(a int64) float64 { return float64((a*13)%7 + 1) }
 // of the key interval [i, i+l], l = N-1-m; the goal (0, 0) holds the
 // full tree's cost.
 func OBST() *Problem {
-	sp := spec.MustNew("obst", []string{"N"}, []string{"m", "i"})
-	sp.MustConstrain("0 <= i")
-	sp.MustConstrain("i <= m")
-	sp.MustConstrain("m <= N - 1")
-	sp.Bound("N", 1, 24)
-	sp.MustAddDepSpec("left", "1, 0", "1, 0", "N - m - 1")
-	sp.MustAddDepSpec("right", "1, 1", "1, 1", "N - m - 1")
-	sp.TileWidths = []int64{8, 8}
-	sp.LBDims = []string{"m"}
-
 	kernel := func(c *engine.Ctx) {
 		l := c.DepLen[0]
 		i := c.X[1]
@@ -196,39 +160,12 @@ func OBST() *Problem {
 		return cost[0][N-1]
 	}
 
-	sp.GlobalCode = `// Deterministic key access frequencies, matching dpgen's built-in workload.
-func dpFreq(a int64) float64 { return float64((a*13)%7 + 1) }`
-	sp.KernelCode = `l := len_left
-if l == 0 {
-	V[loc] = dpFreq(i)
-} else {
-	w := 0.0
-	for a := i; a <= i+l; a++ {
-		w += dpFreq(a)
-	}
-	best := math.Inf(1)
-	for k := int64(0); k <= l; k++ {
-		v := 0.0
-		if k > 0 {
-			v += V[loc_left+(l-k)*stride_left]
-		}
-		if k < l {
-			v += V[loc_right+k*stride_right]
-		}
-		if v < best {
-			best = v
-		}
-	}
-	V[loc] = best + w
-}
-_ = is_valid_left
-_ = is_valid_right`
-
-	return &Problem{Spec: sp, Kernel: kernel, Serial: serial, DefaultParams: []int64{18}}
+	return &Problem{Spec: specFile("obst.dps"), Kernel: kernel, Serial: serial, DefaultParams: []int64{18}}
 }
 
 // knapMaxCopies is the per-item copy bound of the bounded knapsack
-// builtin (the range template's count is knapMaxCopies+1 choices).
+// builtin (specs/knap.dps's range template counts knapMaxCopies+1
+// choices).
 const knapMaxCopies = 3
 
 // knapVal is the deterministic per-item value workload; every copy of
@@ -245,14 +182,6 @@ func knapVal(a int64) float64 { return float64((a*5)%11 + 1) }
 // down by the capacity constraint's prefix clamp to exactly the
 // feasible copy counts.
 func Knapsack() *Problem {
-	sp := spec.MustNew("knap", []string{"N", "C", "W"}, []string{"a", "u"})
-	sp.MustConstrain("0 <= a <= N - 1")
-	sp.MustConstrain("0 <= u <= C")
-	sp.Bound("W", 1, 4)
-	sp.MustAddDepSpec("take", "1, 0", "0, W", "4")
-	sp.TileWidths = []int64{8, 8}
-	sp.LBDims = []string{"a"}
-
 	// The body in run form: one call sweeps the N cells of a row run,
 	// along which a — hence knapVal(a) — and the usable length are
 	// constant and u and the buffer locations advance. Under a loop
@@ -342,27 +271,5 @@ func Knapsack() *Problem {
 		return next[0]
 	}
 
-	sp.GlobalCode = `// Deterministic item values, matching dpgen's built-in workload.
-func dpVal(a int64) float64 { return float64((a*5)%11 + 1) }`
-	sp.KernelCode = `n := len_take
-if n == 0 {
-	best := 0.0
-	for k := int64(1); k <= 3 && u+k*W <= C; k++ {
-		if v := float64(k) * dpVal(a); v > best {
-			best = v
-		}
-	}
-	V[loc] = best
-} else {
-	best := 0.0
-	for k := int64(0); k < n; k++ {
-		if v := float64(k)*dpVal(a) + V[loc_take+k*stride_take]; v > best {
-			best = v
-		}
-	}
-	V[loc] = best
-}
-_ = is_valid_take`
-
-	return &Problem{Spec: sp, Kernel: kernel, Serial: serial, DefaultParams: []int64{10, 30, 3}}
+	return &Problem{Spec: specFile("knap.dps"), Kernel: kernel, Serial: serial, DefaultParams: []int64{10, 30, 3}}
 }

@@ -2,14 +2,20 @@
 // used throughout the paper: the 2- and 3-arm Bernoulli bandits, the
 // 2-arm bandit with delayed observations (Section VI), and the sequence
 // problems its introduction motivates — pairwise edit distance, multiple
-// sequence alignment of three sequences, and the longest common
-// subsequence of three strings — plus the nonserial/variable-distance
-// template exercisers: matrix-chain multiplication, optimal binary
-// search trees, and the bounded knapsack with parametric weights.
+// sequence alignment of k sequences (registered for three and four), the
+// longest common subsequence of two and three strings, and local
+// alignment — plus the nonserial/variable-distance template exercisers:
+// matrix-chain multiplication, optimal binary search trees, and the
+// bounded knapsack with parametric weights.
 //
 // Each problem bundles the generator spec, the runtime kernel, and an
 // independent straightforward serial solver used as the correctness
-// reference by the tests and benchmarks.
+// reference by the tests and benchmarks. bandit2, knap, mcm and obst
+// are defined by their spec files (specs/*.dps, compiled in through
+// dpgen/specs): the spec, its kernel text and its global code are
+// parsed from the file, and Go adds only what has no text form — the
+// run-time kernel, the serial reference, DefaultParams and the
+// workloads the references share with the files' global code.
 package problems
 
 import (
@@ -17,7 +23,24 @@ import (
 
 	"dpgen/internal/engine"
 	"dpgen/internal/spec"
+	"dpgen/specs"
 )
+
+// specFile parses one of the spec files compiled in from dpgen/specs. A
+// parse error is a defect of the build, not of the caller's input — the
+// files ship inside the binary and TestRegistryAllRunnable parses every
+// one a builtin reads — so it panics.
+func specFile(name string) *spec.Spec {
+	text, err := specs.FS.ReadFile(name)
+	if err != nil {
+		panic(fmt.Sprintf("problems: %v", err))
+	}
+	sp, err := spec.Parse(string(text))
+	if err != nil {
+		panic(fmt.Sprintf("problems: specs/%s: %v", name, err))
+	}
+	return sp
+}
 
 // takeRun starts a run-form kernel body written for the loop order whose
 // innermost variable is Vars[inner]: it returns how many of the cells on
@@ -71,8 +94,8 @@ var builtins = []struct {
 	{"editdist", func() *Problem { return EditDistanceSeeded(1, 2) }},
 	{"lcs2", func() *Problem { return LCS2Seeded(5) }},
 	{"lcs3", func() *Problem { return LCS3Seeded(2) }},
-	{"msa3", func() *Problem { return MSA3Seeded(3) }},
-	{"msa4", func() *Problem { return MSA4Seeded(4) }},
+	{"msa3", func() *Problem { return MSASeeded(3, 8, 24, 22, 20) }},
+	{"msa4", func() *Problem { return MSASeeded(4, 6, 14, 13, 12, 11) }},
 	{"localalign", func() *Problem { return SmithWatermanSeeded(6) }},
 	{"mcm", MCM},
 	{"obst", OBST},

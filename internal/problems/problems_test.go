@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -137,19 +138,19 @@ func TestLCS3KnownValues(t *testing.T) {
 }
 
 func TestMSA3MatchesSerial(t *testing.T) {
-	p := MSA3("ACGTGC", "AGGTC", "ACTTC", workload.SubUnit, 1)
+	p := MSA([]string{"ACGTGC", "AGGTC", "ACTTC"}, workload.SubUnit, 1, 8)
 	runBoth(t, p, p.DefaultParams, engine.Config{Nodes: 2, Threads: 2})
 }
 
 func TestMSA3KnownValues(t *testing.T) {
 	// Identical sequences align at zero cost.
-	p := MSA3("ACGT", "ACGT", "ACGT", workload.SubUnit, 1)
+	p := MSA([]string{"ACGT", "ACGT", "ACGT"}, workload.SubUnit, 1, 8)
 	if got := p.Serial(p.DefaultParams); got != 0 {
 		t.Errorf("identical MSA cost = %v, want 0", got)
 	}
 	// One empty sequence: each of the other characters pays one gap to
 	// the empty sequence... both pairs with the empty sequence pay.
-	p = MSA3("AC", "AC", "", workload.SubUnit, 1)
+	p = MSA([]string{"AC", "AC", ""}, workload.SubUnit, 1, 8)
 	if got := p.Serial(p.DefaultParams); got != 4 {
 		t.Errorf("MSA with empty seq = %v, want 4", got)
 	}
@@ -159,7 +160,7 @@ func TestMSA3ConsistentWithPairwise(t *testing.T) {
 	// Sum-of-pairs MSA cost is at least the sum of optimal pairwise
 	// distances (classical lower bound).
 	a, b, c := workload.DNA(12, 1), workload.DNA(11, 2), workload.DNA(10, 3)
-	msa := MSA3(a, b, c, workload.SubUnit, 1)
+	msa := MSA([]string{a, b, c}, workload.SubUnit, 1, 8)
 	got := msa.Serial(msa.DefaultParams)
 	pair := func(x, y string) float64 {
 		p := EditDistance(x, y, workload.SubUnit, 1)
@@ -195,6 +196,57 @@ func TestRegistryAllRunnable(t *testing.T) {
 	}
 }
 
+// Every builtin's values at DefaultParams, as bits: the serial
+// reference and the engine's goal value and maximum at 1 node × 1
+// thread. A builtin whose spec, kernel or reference moves must not move
+// a cell, and these catch the cells the goal alone would hide.
+func TestBuiltinValuesPinned(t *testing.T) {
+	pins := []struct {
+		name               string
+		serial, value, max uint64
+	}{
+		{"bandit2", 0x4039726684365440, 0x4039726684365440, 0x403e45f71fec61a5},
+		{"bandit3", 0x402aee81651c74a0, 0x402aee81651c74a0, 0x402c00896978a230},
+		{"bandit2delay", 0x4023b513b3dd0ad6, 0x4023b513b3dd0ad6, 0x40256a6772eedf23},
+		{"editdist", 0x4059400000000000, 0x4059400000000000, 0x4069000000000000},
+		{"lcs2", 0x4067400000000000, 0x4067400000000000, 0x4067400000000000},
+		{"lcs3", 0x4033000000000000, 0x4033000000000000, 0x4033000000000000},
+		{"msa3", 0x4042800000000000, 0x4042800000000000, 0x404d000000000000},
+		{"msa4", 0x4046800000000000, 0x4046800000000000, 0x404e800000000000},
+		{"localalign", 0x4059c00000000000, 0x4055c00000000000, 0x4059c00000000000},
+		{"mcm", 0x4099f40000000000, 0x4099f40000000000, 0x40ae0a0000000000},
+		{"obst", 0x406e600000000000, 0x406e600000000000, 0x406e600000000000},
+		{"knap", 0x4058800000000000, 0x4058800000000000, 0x4058800000000000},
+	}
+	if len(pins) != len(Names()) {
+		t.Fatalf("%d pins for %d builtins", len(pins), len(Names()))
+	}
+	for _, pin := range pins {
+		p, err := Get(pin.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := tiling.New(p.Spec)
+		if err != nil {
+			t.Fatalf("%s: tiling: %v", pin.name, err)
+		}
+		res, err := engine.Run(tl, p.Kernel, p.DefaultParams, engine.Config{Nodes: 1, Threads: 1})
+		if err != nil {
+			t.Fatalf("%s: run: %v", pin.name, err)
+		}
+		serial := p.Serial(p.DefaultParams)
+		if got := math.Float64bits(serial); got != pin.serial {
+			t.Errorf("%s: serial %v (%#x), pinned %#x", pin.name, serial, got, pin.serial)
+		}
+		if got := math.Float64bits(res.Value); got != pin.value {
+			t.Errorf("%s: engine value %v (%#x), pinned %#x", pin.name, res.Value, got, pin.value)
+		}
+		if got := math.Float64bits(res.Max); got != pin.max {
+			t.Errorf("%s: engine max %v (%#x), pinned %#x", pin.name, res.Max, got, pin.max)
+		}
+	}
+}
+
 // Every registry name resolves, in Names' order, to the problem its
 // constructor builds.
 func TestGetBuildsItsConstructor(t *testing.T) {
@@ -208,8 +260,8 @@ func TestGetBuildsItsConstructor(t *testing.T) {
 		{"editdist", func() *Problem { return EditDistanceSeeded(1, 2) }},
 		{"lcs2", func() *Problem { return LCS2Seeded(5) }},
 		{"lcs3", func() *Problem { return LCS3Seeded(2) }},
-		{"msa3", func() *Problem { return MSA3Seeded(3) }},
-		{"msa4", func() *Problem { return MSA4Seeded(4) }},
+		{"msa3", func() *Problem { return MSASeeded(3, 8, 24, 22, 20) }},
+		{"msa4", func() *Problem { return MSASeeded(4, 6, 14, 13, 12, 11) }},
 		{"localalign", func() *Problem { return SmithWatermanSeeded(6) }},
 		{"mcm", MCM},
 		{"obst", OBST},
@@ -274,10 +326,6 @@ func TestWorkloadDeterminism(t *testing.T) {
 func TestSubMatrices(t *testing.T) {
 	if workload.SubUnit('A', 'A') != 0 || workload.SubUnit('A', 'C') != 1 {
 		t.Error("SubUnit wrong")
-	}
-	if workload.SubTransition('A', 'G') != 0.5 || workload.SubTransition('A', 'T') != 1 ||
-		workload.SubTransition('C', 'C') != 0 {
-		t.Error("SubTransition wrong")
 	}
 }
 
@@ -350,13 +398,13 @@ func TestLCS2ConsistentWithLCS3(t *testing.T) {
 }
 
 func TestMSA4MatchesSerial(t *testing.T) {
-	p := MSA4("ACGTG", "AGGT", "ACTT", "CGT", workload.SubUnit, 1)
+	p := MSA([]string{"ACGTG", "AGGT", "ACTT", "CGT"}, workload.SubUnit, 1, 6)
 	runBoth(t, p, p.DefaultParams, engine.Config{Nodes: 2, Threads: 2})
 }
 
 func TestMSA4Known(t *testing.T) {
 	// Identical sequences align free.
-	p := MSA4("ACG", "ACG", "ACG", "ACG", workload.SubUnit, 1)
+	p := MSA([]string{"ACG", "ACG", "ACG", "ACG"}, workload.SubUnit, 1, 6)
 	if got := p.Serial(p.DefaultParams); got != 0 {
 		t.Errorf("identical MSA4 cost %v, want 0", got)
 	}
@@ -367,7 +415,7 @@ func TestMSA4AtLeastMSA3(t *testing.T) {
 	// below the 3-sequence optimum over the shared pairs... a weaker but
 	// always-true check: cost is at least the pairwise lower bound.
 	a, b, c, d := workload.DNA(8, 1), workload.DNA(8, 2), workload.DNA(7, 3), workload.DNA(7, 4)
-	m := MSA4(a, b, c, d, workload.SubUnit, 1)
+	m := MSA([]string{a, b, c, d}, workload.SubUnit, 1, 6)
 	got := m.Serial(m.DefaultParams)
 	var lower float64
 	pairs := [][2]string{{a, b}, {a, c}, {a, d}, {b, c}, {b, d}, {c, d}}

@@ -214,61 +214,65 @@ func LCS3Seeded(seed uint64) *Problem {
 	return p
 }
 
-// msaMoves are the seven alignment moves of 3-sequence MSA, in the
-// dependence order used by the spec.
-var msaMoves = [7][3]int64{
-	{0, 0, 1}, {0, 1, 0}, {0, 1, 1}, {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1},
-}
-
-// MSA3 is exact 3-sequence multiple alignment with sum-of-pairs scoring
-// in suffix form: D(i,j,k) is the minimal cost of aligning the suffixes,
-// built from seven column moves; a column pays sub(x,y) for each pair of
-// consumed characters and gap for each consumed/gap pair.
-func MSA3(a, b, c string, sub func(x, y byte) float64, gap float64) *Problem {
-	sp := spec.MustNew("msa3", []string{"L1", "L2", "L3"}, []string{"i", "j", "k"})
-	sp.MustConstrain("0 <= i <= L1")
-	sp.MustConstrain("0 <= j <= L2")
-	sp.MustConstrain("0 <= k <= L3")
-	for m, mv := range msaMoves {
-		sp.AddDep(depName(m), mv[0], mv[1], mv[2])
+// MSA is exact multiple alignment of k = len(seqs) sequences with
+// sum-of-pairs scoring in suffix form: D(x) is the minimal cost of
+// aligning the suffixes seqs[p][x[p]:], built from the 2^k-1 column
+// moves; a column pays sub(x,y) for each pair of consumed characters and
+// gap for each consumed/gap pair. Move m (1 <= m < 2^k) advances
+// dimension p when bit k-1-p of m is set, and its dependence is named d
+// plus those k bits (d001 ... d111 for three sequences). The space is
+// over the first k of i, j, k, l (so 2 <= k <= 4) with parameters
+// L1..Lk, balanced over i and j, in tiles of width in every dimension.
+func MSA(seqs []string, sub func(x, y byte) float64, gap float64, width int64) *Problem {
+	k := len(seqs)
+	vars := []string{"i", "j", "k", "l"}[:k]
+	params := make([]string, k)
+	for p := range params {
+		params[p] = fmt.Sprintf("L%d", p+1)
 	}
-	sp.TileWidths = []int64{8, 8, 8}
+	sp := spec.MustNew(fmt.Sprintf("msa%d", k), params, vars)
+	for p, v := range vars {
+		sp.MustConstrain(fmt.Sprintf("0 <= %s <= %s", v, params[p]))
+	}
+	moves := make([][]int64, 1<<k-1)
+	for m := range moves {
+		mv := make([]int64, k)
+		for p := range mv {
+			mv[p] = int64((m + 1) >> (k - 1 - p) & 1)
+		}
+		moves[m] = mv
+		sp.AddDep(fmt.Sprintf("d%0*b", k, m+1), mv...)
+	}
+	sp.TileWidths = make([]int64, k)
+	for p := range sp.TileWidths {
+		sp.TileWidths[p] = width
+	}
 	sp.LBDims = []string{"i", "j"}
 
-	colCost := func(i, j, k int64, mv [3]int64) float64 {
+	// colCost sums the column's pairs in the order (0,1), (0,2) ...
+	// (k-2,k-1); the order of the float sum is part of every value.
+	colCost := func(x, mv []int64) float64 {
 		var cost float64
-		// Pair (a, b)
-		switch {
-		case mv[0] == 1 && mv[1] == 1:
-			cost += sub(a[i], b[j])
-		case mv[0]+mv[1] == 1:
-			cost += gap
-		}
-		// Pair (a, c)
-		switch {
-		case mv[0] == 1 && mv[2] == 1:
-			cost += sub(a[i], c[k])
-		case mv[0]+mv[2] == 1:
-			cost += gap
-		}
-		// Pair (b, c)
-		switch {
-		case mv[1] == 1 && mv[2] == 1:
-			cost += sub(b[j], c[k])
-		case mv[1]+mv[2] == 1:
-			cost += gap
+		for p := 0; p < k; p++ {
+			for q := p + 1; q < k; q++ {
+				switch {
+				case mv[p] == 1 && mv[q] == 1:
+					cost += sub(seqs[p][x[p]], seqs[q][x[q]])
+				case mv[p]+mv[q] == 1:
+					cost += gap
+				}
+			}
 		}
 		return cost
 	}
 
 	kernel := func(cx *engine.Ctx) {
-		i, j, k := cx.X[0], cx.X[1], cx.X[2]
 		best := math.Inf(1)
-		for m := range msaMoves {
+		for m, mv := range moves {
 			if !cx.DepValid[m] {
 				continue
 			}
-			if v := cx.V[cx.DepLoc[m]] + colCost(i, j, k, msaMoves[m]); v < best {
+			if v := cx.V[cx.DepLoc[m]] + colCost(cx.X, mv); v < best {
 				best = v
 			}
 		}
@@ -278,61 +282,62 @@ func MSA3(a, b, c string, sub func(x, y byte) float64, gap float64) *Problem {
 		cx.V[cx.Loc] = best
 	}
 
-	serial := func(params []int64) float64 {
-		L1, L2, L3 := params[0], params[1], params[2]
-		tab := make([]float64, (L1+1)*(L2+1)*(L3+1))
-		idx := func(i, j, k int64) int64 { return (i*(L2+1)+j)*(L3+1) + k }
-		for i := L1; i >= 0; i-- {
-			for j := L2; j >= 0; j-- {
-				for k := L3; k >= 0; k-- {
-					best := math.Inf(1)
-					for m := range msaMoves {
-						mv := msaMoves[m]
-						ni, nj, nk := i+mv[0], j+mv[1], k+mv[2]
-						if ni > L1 || nj > L2 || nk > L3 {
-							continue
-						}
-						if v := tab[idx(ni, nj, nk)] + colCost(i, j, k, mv); v < best {
-							best = v
-						}
+	// serial fills a row-major k-dimensional table from the far corner
+	// back to the origin: every move leads to a larger index.
+	serial := func(L []int64) float64 {
+		stride := make([]int64, k)
+		size := int64(1)
+		for p := k - 1; p >= 0; p-- {
+			stride[p] = size
+			size *= L[p] + 1
+		}
+		tab := make([]float64, size)
+		x := make([]int64, k)
+		for at := size - 1; at >= 0; at-- {
+			for p := range x {
+				x[p] = at / stride[p] % (L[p] + 1)
+			}
+			best := math.Inf(1)
+		moves:
+			for _, mv := range moves {
+				next := at
+				for p, d := range mv {
+					if x[p]+d > L[p] {
+						continue moves
 					}
-					if math.IsInf(best, 1) {
-						best = 0
-					}
-					tab[idx(i, j, k)] = best
+					next += d * stride[p]
+				}
+				if v := tab[next] + colCost(x, mv); v < best {
+					best = v
 				}
 			}
+			if math.IsInf(best, 1) {
+				best = 0
+			}
+			tab[at] = best
 		}
 		return tab[0]
 	}
 
-	return &Problem{
-		Spec: sp, Kernel: kernel, Serial: serial, FixedParams: true,
-		DefaultParams: []int64{int64(len(a)), int64(len(b)), int64(len(c))},
+	lens := make([]int64, k)
+	for p, s := range seqs {
+		lens[p] = int64(len(s))
 	}
+	return &Problem{Spec: sp, Kernel: kernel, Serial: serial, FixedParams: true, DefaultParams: lens}
 }
 
-// MSA3Seeded builds MSA3 on deterministic DNA inputs with unit
-// substitution costs and gap penalty 1, with generator source attached.
-func MSA3Seeded(seed uint64) *Problem {
-	p := MSA3(workload.DNA(24, seed), workload.DNA(22, seed+1), workload.DNA(20, seed+2),
-		workload.SubUnit, 1)
-	p.Spec.GlobalCode = dnaGlobals(
-		fmt.Sprintf("var seqA = dpDNA(24, %d)", seed),
-		fmt.Sprintf("var seqB = dpDNA(22, %d)", seed+1),
-		fmt.Sprintf("var seqC = dpDNA(20, %d)", seed+2))
-	moves := make([][]int64, len(msaMoves))
-	names := make([]string, len(msaMoves))
-	for m := range msaMoves {
-		moves[m] = []int64{msaMoves[m][0], msaMoves[m][1], msaMoves[m][2]}
-		names[m] = depName(m)
+// MSASeeded builds MSA on deterministic DNA inputs of the given lengths
+// (sequence p from seed+p) with unit substitution costs and gap penalty
+// 1, with generator source attached.
+func MSASeeded(seed uint64, width int64, lens ...int) *Problem {
+	seqs := make([]string, len(lens))
+	decls := make([]string, len(lens))
+	for p, n := range lens {
+		seqs[p] = workload.DNA(n, seed+uint64(p))
+		decls[p] = fmt.Sprintf("var seq%c = dpDNA(%d, %d)", 'A'+p, n, seed+uint64(p))
 	}
-	p.Spec.KernelCode = msaKernelText(moves, names,
-		[]string{"seqA", "seqB", "seqC"}, []string{"i", "j", "k"})
+	p := MSA(seqs, workload.SubUnit, 1, width)
+	p.Spec.GlobalCode = dnaGlobals(decls...)
+	p.Spec.KernelCode = msaKernelText(p.Spec)
 	return p
-}
-
-func depName(m int) string {
-	names := [7]string{"d001", "d010", "d011", "d100", "d101", "d110", "d111"}
-	return names[m]
 }

@@ -214,129 +214,3 @@ func LCS2Seeded(seed uint64) *Problem {
 	p.Spec.KernelCode = lcs2KernelText
 	return p
 }
-
-// msa4Moves are the fifteen alignment moves of 4-sequence MSA.
-var msa4Moves = func() [][4]int64 {
-	var out [][4]int64
-	for m := 1; m < 16; m++ {
-		out = append(out, [4]int64{int64(m >> 3 & 1), int64(m >> 2 & 1), int64(m >> 1 & 1), int64(m & 1)})
-	}
-	return out
-}()
-
-// MSA4 is exact 4-sequence multiple alignment with sum-of-pairs scoring
-// — the 4-sequence problem the paper cites FPGA work for (reference
-// [5]); here it is an ordinary 4-dimensional spec.
-func MSA4(a, b, c, d string, sub func(x, y byte) float64, gap float64) *Problem {
-	sp := spec.MustNew("msa4", []string{"L1", "L2", "L3", "L4"}, []string{"i", "j", "k", "l"})
-	sp.MustConstrain("0 <= i <= L1")
-	sp.MustConstrain("0 <= j <= L2")
-	sp.MustConstrain("0 <= k <= L3")
-	sp.MustConstrain("0 <= l <= L4")
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "m", "n", "o", "p", "q", "r", "s"}
-	for m, mv := range msa4Moves {
-		sp.AddDep("mv"+names[m], mv[0], mv[1], mv[2], mv[3])
-	}
-	sp.TileWidths = []int64{6, 6, 6, 6}
-	sp.LBDims = []string{"i", "j"}
-
-	seqs := [4]string{a, b, c, d}
-	colCost := func(x [4]int64, mv [4]int64) float64 {
-		var cost float64
-		for p := 0; p < 4; p++ {
-			for q := p + 1; q < 4; q++ {
-				switch {
-				case mv[p] == 1 && mv[q] == 1:
-					cost += sub(seqs[p][x[p]], seqs[q][x[q]])
-				case mv[p]+mv[q] == 1:
-					cost += gap
-				}
-			}
-		}
-		return cost
-	}
-
-	kernel := func(cx *engine.Ctx) {
-		x := [4]int64{cx.X[0], cx.X[1], cx.X[2], cx.X[3]}
-		best := math.Inf(1)
-		for m := range msa4Moves {
-			if !cx.DepValid[m] {
-				continue
-			}
-			if v := cx.V[cx.DepLoc[m]] + colCost(x, msa4Moves[m]); v < best {
-				best = v
-			}
-		}
-		if math.IsInf(best, 1) {
-			best = 0
-		}
-		cx.V[cx.Loc] = best
-	}
-
-	serial := func(params []int64) float64 {
-		L := [4]int64{params[0], params[1], params[2], params[3]}
-		stride := [4]int64{}
-		size := int64(1)
-		for p := 3; p >= 0; p-- {
-			stride[p] = size
-			size *= L[p] + 1
-		}
-		tab := make([]float64, size)
-		idx := func(x [4]int64) int64 {
-			return x[0]*stride[0] + x[1]*stride[1] + x[2]*stride[2] + x[3]*stride[3]
-		}
-		var x [4]int64
-		for x[0] = L[0]; x[0] >= 0; x[0]-- {
-			for x[1] = L[1]; x[1] >= 0; x[1]-- {
-				for x[2] = L[2]; x[2] >= 0; x[2]-- {
-					for x[3] = L[3]; x[3] >= 0; x[3]-- {
-						best := math.Inf(1)
-						for m := range msa4Moves {
-							mv := msa4Moves[m]
-							nx := [4]int64{x[0] + mv[0], x[1] + mv[1], x[2] + mv[2], x[3] + mv[3]}
-							if nx[0] > L[0] || nx[1] > L[1] || nx[2] > L[2] || nx[3] > L[3] {
-								continue
-							}
-							if v := tab[idx(nx)] + colCost(x, mv); v < best {
-								best = v
-							}
-						}
-						if math.IsInf(best, 1) {
-							best = 0
-						}
-						tab[idx(x)] = best
-					}
-				}
-			}
-		}
-		return tab[0]
-	}
-
-	return &Problem{
-		Spec: sp, Kernel: kernel, Serial: serial, FixedParams: true,
-		DefaultParams: []int64{int64(len(a)), int64(len(b)), int64(len(c)), int64(len(d))},
-	}
-}
-
-// MSA4Seeded builds MSA4 on deterministic DNA inputs, with generator
-// source attached.
-func MSA4Seeded(seed uint64) *Problem {
-	p := MSA4(workload.DNA(14, seed), workload.DNA(13, seed+1),
-		workload.DNA(12, seed+2), workload.DNA(11, seed+3),
-		workload.SubUnit, 1)
-	p.Spec.GlobalCode = dnaGlobals(
-		fmt.Sprintf("var seqA = dpDNA(14, %d)", seed),
-		fmt.Sprintf("var seqB = dpDNA(13, %d)", seed+1),
-		fmt.Sprintf("var seqC = dpDNA(12, %d)", seed+2),
-		fmt.Sprintf("var seqD = dpDNA(11, %d)", seed+3))
-	names4 := []string{"a", "b", "c", "d", "e", "f", "g", "h", "m", "n", "o", "p", "q", "r", "s"}
-	moves := make([][]int64, len(msa4Moves))
-	depNames := make([]string, len(msa4Moves))
-	for m := range msa4Moves {
-		moves[m] = []int64{msa4Moves[m][0], msa4Moves[m][1], msa4Moves[m][2], msa4Moves[m][3]}
-		depNames[m] = "mv" + names4[m]
-	}
-	p.Spec.KernelCode = msaKernelText(moves, depNames,
-		[]string{"seqA", "seqB", "seqC", "seqD"}, []string{"i", "j", "k", "l"})
-	return p
-}

@@ -48,17 +48,3 @@ func SubUnit(a, b byte) float64 {
 	}
 	return 1
 }
-
-// SubTransition scores DNA with transition/transversion awareness:
-// match 0, transition (A<->G, C<->T) 0.5, transversion 1.
-func SubTransition(a, b byte) float64 {
-	if a == b {
-		return 0
-	}
-	if isPurine(a) == isPurine(b) {
-		return 0.5
-	}
-	return 1
-}
-
-func isPurine(c byte) bool { return c == 'A' || c == 'G' }

@@ -62,18 +62,3 @@ func TestSubUnit(t *testing.T) {
 		t.Error("SubUnit wrong")
 	}
 }
-
-func TestSubTransition(t *testing.T) {
-	cases := []struct {
-		a, b byte
-		want float64
-	}{
-		{'A', 'A', 0}, {'A', 'G', 0.5}, {'G', 'A', 0.5},
-		{'C', 'T', 0.5}, {'A', 'C', 1}, {'G', 'T', 1},
-	}
-	for _, c := range cases {
-		if got := SubTransition(c.a, c.b); got != c.want {
-			t.Errorf("SubTransition(%c,%c) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
